@@ -205,9 +205,14 @@ doc-lint:
 # `go test`; this adds fresh mutation time. FuzzDecodeFrame covers the
 # TCP length-prefix framing; FuzzFrameScanner (in the transport
 # package) feeds the stream reassembly path adversarially chunked
-# frames and cross-checks it against the one-shot decoder.
+# frames and cross-checks it against the one-shot decoder;
+# FuzzDecodeMultiBundle and FuzzPackedBundleMatchesDecoder attack the
+# packed-payload trust boundary (the bundle validator against the
+# materialising decoder it replaced, and the in-place fold against a
+# materialised Receive). FuzzDecodeCounters is the same differential
+# check for the bare counter codec.
 FUZZ_TARGETS = FuzzDecodeCounters FuzzDecodeCountersMin FuzzDecodeCandidates FuzzDecodeHeader FuzzDecodeSketchBits FuzzDecodeMass FuzzDecodeFrame
-TRANSPORT_FUZZ_TARGETS = FuzzFrameScanner
+TRANSPORT_FUZZ_TARGETS = FuzzFrameScanner FuzzDecodeMultiBundle FuzzPackedBundleMatchesDecoder
 CHAOS_FUZZ_TARGETS = FuzzDecodeScenario
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -129,9 +129,9 @@ func docFixtures(t *testing.T) map[string]http.Handler {
 	prime := func(s *Server) {
 		for tick := 0; tick <= DefaultSmoothWindow; tick++ {
 			s.obs.BeginRound(tick)
-			s.obs.Receive(multi.Bundle{Masses: map[string]any{
-				"load": pushsumrevert.Mass{W: 0.5, V: 0.5 * DemoMean("load", workers)},
-				"temp": pushsumrevert.Mass{W: 0.5, V: 0.5 * DemoMean("temp", workers)},
+			s.obs.Receive(multi.Bundle{Masses: []multi.NamedMass{
+				{Name: "load", Mass: pushsumrevert.Mass{W: 0.5, V: 0.5 * DemoMean("load", workers)}},
+				{Name: "temp", Mass: pushsumrevert.Mass{W: 0.5, V: 0.5 * DemoMean("temp", workers)}},
 			}})
 			s.obs.EndRound(tick)
 		}

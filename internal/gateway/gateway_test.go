@@ -455,8 +455,8 @@ func TestGatewayDegradesOnDeadWorkerSpan(t *testing.T) {
 	defer s.Close()
 	for tick := 0; tick <= DefaultSmoothWindow; tick++ {
 		s.obs.BeginRound(tick)
-		s.obs.Receive(multi.Bundle{Masses: map[string]any{
-			"load": pushsumrevert.Mass{W: 0.5, V: 0.5 * DemoMean("load", workers)},
+		s.obs.Receive(multi.Bundle{Masses: []multi.NamedMass{
+			{Name: "load", Mass: pushsumrevert.Mass{W: 0.5, V: 0.5 * DemoMean("load", workers)}},
 		}})
 		s.obs.EndRound(tick)
 	}

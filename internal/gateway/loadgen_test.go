@@ -30,9 +30,9 @@ func primedServer(tb testing.TB, names []string) *Server {
 	tb.Cleanup(func() { s.Close() })
 	for tick := 0; tick <= DefaultSmoothWindow; tick++ {
 		s.obs.BeginRound(tick)
-		masses := make(map[string]any, len(names))
+		masses := make([]multi.NamedMass, 0, len(names))
 		for _, name := range names {
-			masses[name] = pushsumrevert.Mass{W: 0.5, V: 0.5 * DemoMean(name, 64)}
+			masses = append(masses, multi.NamedMass{Name: name, Mass: pushsumrevert.Mass{W: 0.5, V: 0.5 * DemoMean(name, 64)}})
 		}
 		s.obs.Receive(multi.Bundle{Masses: masses})
 		s.obs.EndRound(tick)

@@ -90,17 +90,23 @@ func (o *observerAgent) BeginRound(round int) {
 func (o *observerAgent) Receive(p any) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	var b multi.Bundle
 	switch v := p.(type) {
+	case *multi.Packed:
+		for name := range v.Names() {
+			o.lastHeard[string(name)] = o.curTick
+		}
 	case multi.Bundle:
-		b = v
+		o.heard(v.Masses)
 	case *multi.Bundle:
-		b = *v
-	}
-	for name := range b.Masses {
-		o.lastHeard[name] = o.curTick
+		o.heard(v.Masses)
 	}
 	o.node.Receive(p)
+}
+
+func (o *observerAgent) heard(masses []multi.NamedMass) {
+	for i := range masses {
+		o.lastHeard[masses[i].Name] = o.curTick
+	}
 }
 
 // Emit implements gossip.Agent.

@@ -28,7 +28,13 @@
 // in-process channel transport (the engine's original inbox plumbing,
 // unchanged); transport.UDP puts every payload on a real loopback
 // socket in its internal/wire encoding, and transport.Lossy injects
-// message loss over either. With Config.Span, several engines — in
+// message loss over either. What a host's Receive is handed depends on
+// the transport: the channel transport delivers the value Emit
+// returned, while the socket transports decode small payloads back to
+// that value but deliver the two that carry a counter matrix still in
+// wire form (sketchreset.Packed, multi.Packed — validated by the
+// transport's reader, folded in place by Receive, see
+// docs/architecture.md). With Config.Span, several engines — in
 // several OS processes — can each drive a slice of one population over
 // UDP, which makes this a distributed system rather than a simulator.
 //

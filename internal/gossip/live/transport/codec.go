@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/extremes"
@@ -43,20 +42,6 @@ const (
 	// Push-Sum-Revert masses plus an optional Count-Sketch-Reset
 	// counter matrix, the paper's Figure 7 deployment in one datagram.
 	kindMultiBundle
-)
-
-// maxCounterElements bounds the counter matrices a datagram may carry
-// (the paper's sketches are 64×24 = 1536 counters; this leaves two
-// orders of magnitude of headroom without letting a hostile datagram
-// size an allocation).
-const maxCounterElements = 1 << 16
-
-// maxBundleAggregates and maxAggregateNameLen bound a multi bundle: a
-// hostile datagram must not be able to size an unbounded map or string
-// allocation. Real deployments carry a handful of short names.
-const (
-	maxBundleAggregates = 1 << 10
-	maxAggregateNameLen = 256
 )
 
 // appendEnvelope encodes header + payload for one cross-host message.
@@ -105,58 +90,12 @@ func appendEnvelope(dst []byte, from, to gossip.NodeID, tick int, payload any) (
 		dst = wire.AppendHeader(dst, hdr(kindCandidates))
 		return appendCandidates(dst, p.Candidates), nil
 	case multi.Bundle:
-		return appendMultiBundle(dst, hdr(kindMultiBundle), p)
+		return multi.AppendBundle(wire.AppendHeader(dst, hdr(kindMultiBundle)), &p)
 	case *multi.Bundle:
-		return appendMultiBundle(dst, hdr(kindMultiBundle), *p)
+		return multi.AppendBundle(wire.AppendHeader(dst, hdr(kindMultiBundle)), p)
 	default:
 		return nil, fmt.Errorf("transport: no wire encoding for payload %T", payload)
 	}
-}
-
-// appendMultiBundle encodes a multi-protocol bundle: an aggregate
-// count, then (name, mass) pairs in sorted name order, then a flag
-// byte announcing whether the sketch counter matrix follows.
-func appendMultiBundle(dst []byte, h wire.Header, b multi.Bundle) ([]byte, error) {
-	if len(b.Masses) > maxBundleAggregates {
-		return nil, fmt.Errorf("transport: multi bundle with %d aggregates exceeds cap %d", len(b.Masses), maxBundleAggregates)
-	}
-	dst = wire.AppendHeader(dst, h)
-	dst = binary.AppendUvarint(dst, uint64(len(b.Masses)))
-	names := make([]string, 0, len(b.Masses))
-	for name := range b.Masses {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if len(name) > maxAggregateNameLen {
-			return nil, fmt.Errorf("transport: multi aggregate name %d bytes exceeds cap %d", len(name), maxAggregateNameLen)
-		}
-		var m pushsumrevert.Mass
-		switch mp := b.Masses[name].(type) {
-		case pushsumrevert.Mass:
-			m = mp
-		case *pushsumrevert.Mass:
-			m = *mp
-		default:
-			return nil, fmt.Errorf("transport: multi bundle mass %T for %q", b.Masses[name], name)
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
-		dst = wire.AppendMass(dst, m.W, m.V)
-	}
-	switch c := b.Count.(type) {
-	case nil:
-		dst = append(dst, 0)
-	case []uint8:
-		dst = append(dst, 1)
-		dst = wire.AppendCounters(dst, c)
-	case *sketchreset.Counters:
-		dst = append(dst, 1)
-		dst = wire.AppendCounters(dst, c.Ages)
-	default:
-		return nil, fmt.Errorf("transport: multi bundle count payload %T", b.Count)
-	}
-	return dst, nil
 }
 
 func appendCandidates(dst []byte, cands []extremes.Candidate) []byte {
@@ -168,7 +107,10 @@ func appendCandidates(dst []byte, cands []extremes.Candidate) []byte {
 }
 
 // decodeEnvelope parses one datagram into its header and a payload
-// value of the exact Go type the protocol's Receive expects from Emit.
+// value of a Go type the protocol's Receive accepts: the type Emit
+// produces, except that the two payloads carrying a counter matrix are
+// validated and handed over still packed (sketchreset.Packed,
+// multi.Packed) for Receive to fold straight off the wire bytes.
 func decodeEnvelope(src []byte) (wire.Header, any, error) {
 	h, rest, err := wire.DecodeHeader(src)
 	if err != nil {
@@ -201,11 +143,11 @@ func decodePayload(h wire.Header, rest []byte) (wire.Header, any, error) {
 		}
 		return h, moments.Mass{W: w, V: v, Q: q}, nil
 	case kindResetCounters:
-		counters, _, err := wire.DecodeCountersAlloc(rest, maxCounterElements)
+		p, err := sketchreset.NewPacked(rest)
 		if err != nil {
 			return wire.Header{}, nil, err
 		}
-		return h, counters, nil
+		return h, p, nil
 	case kindSketchBits:
 		// The uint64→int narrowing below must not wrap before
 		// Params.Validate (the authority on sketch shape) sees the value.
@@ -235,43 +177,11 @@ func decodePayload(h wire.Header, rest []byte) (wire.Header, any, error) {
 		}
 		return h, cands, nil
 	case kindMultiBundle:
-		count, used := binary.Uvarint(rest)
-		if used <= 0 || count > maxBundleAggregates {
-			return wire.Header{}, nil, fmt.Errorf("transport: multi bundle: bad aggregate count")
+		p, err := multi.NewPacked(rest)
+		if err != nil {
+			return wire.Header{}, nil, err
 		}
-		rest = rest[used:]
-		masses := make(map[string]any, count)
-		for i := uint64(0); i < count; i++ {
-			l, used := binary.Uvarint(rest)
-			if used <= 0 || l > maxAggregateNameLen || uint64(len(rest)-used) < l {
-				return wire.Header{}, nil, fmt.Errorf("transport: multi bundle: bad aggregate name length")
-			}
-			name := string(rest[used : used+int(l)])
-			rest = rest[used+int(l):]
-			w, v, r, err := wire.DecodeMass(rest)
-			if err != nil {
-				return wire.Header{}, nil, err
-			}
-			masses[name] = pushsumrevert.Mass{W: w, V: v}
-			rest = r
-		}
-		if len(rest) < 1 {
-			return wire.Header{}, nil, fmt.Errorf("transport: multi bundle: missing sketch flag")
-		}
-		flag := rest[0]
-		b := multi.Bundle{Masses: masses}
-		switch flag {
-		case 0:
-		case 1:
-			counters, _, err := wire.DecodeCountersAlloc(rest[1:], maxCounterElements)
-			if err != nil {
-				return wire.Header{}, nil, err
-			}
-			b.Count = counters
-		default:
-			return wire.Header{}, nil, fmt.Errorf("transport: multi bundle: bad sketch flag %d", flag)
-		}
-		return h, b, nil
+		return h, p, nil
 	default:
 		return wire.Header{}, nil, fmt.Errorf("transport: unknown payload kind %d", h.Kind)
 	}

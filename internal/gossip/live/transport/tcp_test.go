@@ -13,6 +13,7 @@ import (
 	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
+	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 	"dynagg/internal/wire"
 )
@@ -43,23 +44,24 @@ func tcpPair(t *testing.T, opts ...TCPOption) (a, b *TCP) {
 	return a, b
 }
 
-// sendUntilDelivered retries Send on tx until one payload lands at
-// `to` on rx — the polling a transport with reconnect windows needs
-// where a lossless one could assert a single Send.
+// sendUntilDelivered retries Send on tx until the payload it sent
+// (a comparable value) lands at `to` on rx — the polling a transport
+// with reconnect windows needs where a lossless one could assert a
+// single Send. Retransmissions an earlier call left queued are other
+// payloads and are skipped, so a call never returns a stale delivery.
 func sendUntilDelivered(t *testing.T, tx, rx Transport, from, to gossip.NodeID, payload any) any {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		tx.Send(from, to, 0, payload)
-		var got any
-		n := 0
-		rx.Drain(to, func(p any) { got = p; n++ })
-		if n > 0 {
-			return got
+		delivered := false
+		rx.Drain(to, func(p any) { delivered = delivered || p == payload })
+		if delivered {
+			return payload
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("no payload for host %d within deadline", to)
+	t.Fatalf("payload %v did not reach host %d within deadline", payload, to)
 	return nil
 }
 
@@ -106,9 +108,11 @@ func TestTCPTransportRoundTripsEveryPayloadKind(t *testing.T) {
 				t.Errorf("payload %d: got %v, want %v", i, got, want)
 			}
 		case []uint8:
-			g, ok := got.([]uint8)
-			if !ok || !bytes.Equal(g, want) {
-				t.Errorf("payload %d: got %T %v", i, got, got)
+			if _, ok := got.(*sketchreset.Packed); !ok {
+				t.Fatalf("payload %d: got %T %v", i, got, got)
+			}
+			if g := unpackCounters(got, 2, 3); !bytes.Equal(g, want) {
+				t.Errorf("payload %d: counters %v, want %v", i, g, want)
 			}
 		case *sketch.Sketch:
 			g, ok := got.(*sketch.Sketch)
@@ -210,16 +214,20 @@ func TestTCPPartialReadsAcrossFrameBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for got, n := any(nil), 0; ; {
-		got, n = nil, 0
-		tr.Drain(2, func(p any) { got = p; n++ })
-		if n == 2 {
-			if got != (pushsum.Mass{W: 0.75, V: 11}) {
-				t.Fatalf("reassembled payload = %v", got)
+	// The two frames may surface in different polls, and Drain
+	// consumes: count across polls, within a deadline.
+	n := 0
+	for deadline := time.Now().Add(10 * time.Second); n < 2 && time.Now().Before(deadline); {
+		tr.Drain(2, func(p any) {
+			n++
+			if p != (pushsum.Mass{W: 0.75, V: 11}) {
+				t.Errorf("reassembled payload %d = %v", n, p)
 			}
-			return
-		}
+		})
 		time.Sleep(time.Millisecond)
+	}
+	if n != 2 {
+		t.Fatalf("reassembled %d of 2 frames", n)
 	}
 }
 

@@ -35,18 +35,26 @@ import (
 )
 
 // Bundle routes sub-protocol messages: the sketch matrix and one mass
-// per named aggregate. It is the package's gossiped payload type; the
-// live transport codec encodes it on the wire (kindMultiBundle).
+// per named aggregate. It is the package's gossiped payload type;
+// AppendBundle is its wire form (see wire.go).
 type Bundle struct {
 	// Count is the sketchreset payload, or nil when the sketch does
 	// not ride this envelope.
 	Count any
-	// Masses holds one pushsumrevert payload per aggregate name.
-	Masses map[string]any
+	// Masses holds one Push-Sum-Revert mass per aggregate, in ascending
+	// name order with no name twice — the order hosts iterate in and
+	// the order the wire form carries.
+	Masses []NamedMass
 }
 
-// outBundle is one destination's accumulated payload in EmitAppend's
-// reusable scratch.
+// NamedMass is one aggregate's share of a bundle.
+type NamedMass struct {
+	Name string
+	Mass pushsumrevert.Mass
+}
+
+// outBundle is one destination's accumulated payload in the emission
+// scratch.
 type outBundle struct {
 	to gossip.NodeID
 	p  Bundle
@@ -69,10 +77,14 @@ type Node struct {
 	// dropped (non-observer) — the pre-gateway behavior.
 	resolver func(name string) (float64, bool)
 
-	// EmitAppend scratch, reused across rounds: sub-protocol emissions
-	// and per-destination bundles (maps cleared, not reallocated).
+	// Emission scratch, reused across rounds: sub-protocol emissions
+	// and per-destination bundles (mass slices truncated, not
+	// reallocated).
 	subBuf  []gossip.Envelope
 	bundles []outBundle
+	// rx stages one mass decoded from a packed bundle, so handing it to
+	// the aggregate by pointer allocates nothing.
+	rx pushsumrevert.Mass
 }
 
 var (
@@ -191,59 +203,20 @@ func (n *Node) BeginRound(round int) {
 
 // Emit implements gossip.Agent. All sub-protocols address the same
 // peer per envelope slot so the combined state travels as one radio
-// message; the sketch payload rides with the first aggregate's.
+// message; the sketch payload rides with the peer's bundle. The
+// envelopes are the gather EmitAppend performs, deep-copied so they own
+// their memory: Count is a fresh []uint8 snapshot.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	// Pick one peer for the bundle; Push-Sum-Revert's self-share still
-	// goes home.
-	type bundle struct {
-		to     gossip.NodeID
-		masses map[string]any
-	}
-	bundles := make(map[gossip.NodeID]*bundle)
-	get := func(to gossip.NodeID) *bundle {
-		b, ok := bundles[to]
-		if !ok {
-			b = &bundle{to: to, masses: make(map[string]any)}
-			bundles[to] = b
+	n.gather(round, rng, pick)
+	out := make([]gossip.Envelope, len(n.bundles))
+	for i := range n.bundles {
+		src := &n.bundles[i]
+		b := Bundle{Masses: slices.Clone(src.p.Masses)}
+		if c, ok := src.p.Count.(*sketchreset.Counters); ok {
+			b.Count = slices.Clone(c.Ages)
 		}
-		return b
+		out[i] = gossip.Envelope{To: src.to, Payload: b}
 	}
-	// All aggregates share one peer choice per round: draw it once and
-	// serve it to every sub-protocol.
-	var chosen gossip.NodeID
-	havePeer := false
-	sharedPick := func() (gossip.NodeID, bool) {
-		if !havePeer {
-			chosen, havePeer = pick()
-			if !havePeer {
-				return 0, false
-			}
-		}
-		return chosen, true
-	}
-	for _, name := range n.names {
-		for _, env := range n.aggs[name].Emit(round, rng, sharedPick) {
-			get(env.To).masses[name] = env.Payload
-		}
-	}
-	for _, env := range n.count.Emit(round, rng, sharedPick) {
-		// The sketch payload attaches to its destination's bundle.
-		get(env.To).masses["\x00sketch"] = env.Payload
-	}
-	out := make([]gossip.Envelope, 0, len(bundles))
-	for to, b := range bundles {
-		p := Bundle{Masses: make(map[string]any, len(b.masses))}
-		for name, m := range b.masses {
-			if name == "\x00sketch" {
-				p.Count = m
-				continue
-			}
-			p.Masses[name] = m
-		}
-		out = append(out, gossip.Envelope{To: to, Payload: p})
-	}
-	// Deterministic envelope order (map iteration is random).
-	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
 	return out
 }
 
@@ -264,20 +237,17 @@ func (n *Node) bundleFor(to gossip.NodeID) *Bundle {
 	b := &n.bundles[len(n.bundles)-1]
 	b.to = to
 	b.p.Count = nil
-	if b.p.Masses == nil {
-		b.p.Masses = make(map[string]any, len(n.names))
-	} else {
-		clear(b.p.Masses)
-	}
+	b.p.Masses = b.p.Masses[:0]
 	return &b.p
 }
 
-// EmitAppend implements gossip.AppendEmitter: sub-protocols emit
+// gather runs one round's emission into n.bundles: sub-protocols emit
 // through their own EmitAppend into a reusable scratch slice, payload
-// parts are grouped into per-destination bundles whose maps are
-// cleared and reused each round, and one envelope per destination is
-// appended in ascending-destination order — amortized zero allocation.
-func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
+// parts are grouped into per-destination bundles and the bundles left
+// in ascending-destination order. All aggregates share one peer choice
+// per round: it is drawn once and served to every sub-protocol, while
+// Push-Sum-Revert's self-share still goes home.
+func (n *Node) gather(round int, rng *xrand.Rand, pick gossip.PeerPicker) {
 	var chosen gossip.NodeID
 	havePeer := false
 	sharedPick := func() (gossip.NodeID, bool) {
@@ -295,7 +265,16 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 	for _, name := range n.names {
 		sub = n.aggs[name].EmitAppend(sub, round, rng, sharedPick)
 		for _, env := range sub[start:] {
-			n.bundleFor(env.To).Masses[name] = env.Payload
+			b := n.bundleFor(env.To)
+			m := NamedMass{Name: name, Mass: *env.Payload.(*pushsumrevert.Mass)}
+			// Names arrive in ascending order, so a second parcel for
+			// one destination (FullTransfer) can only repeat the last
+			// entry; as ever, the later parcel replaces the earlier.
+			if k := len(b.Masses) - 1; k >= 0 && b.Masses[k].Name == name {
+				b.Masses[k] = m
+			} else {
+				b.Masses = append(b.Masses, m)
+			}
 		}
 		start = len(sub)
 	}
@@ -304,24 +283,35 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 		n.bundleFor(env.To).Count = env.Payload
 	}
 	n.subBuf = sub
-	// Deterministic envelope order; pointers are taken only after the
-	// bundle slice has stopped moving (sorting swaps values in place).
 	slices.SortFunc(n.bundles, func(a, b outBundle) int {
 		return int(a.to) - int(b.to)
 	})
+}
+
+// EmitAppend implements gossip.AppendEmitter: one envelope per
+// destination, in ascending-destination order, whose payloads point
+// into the host's reusable scratch — amortized zero allocation.
+func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
+	n.gather(round, rng, pick)
+	// Pointers are taken only now, after sorting has stopped moving the
+	// bundle values.
 	for i := range n.bundles {
 		dst = append(dst, gossip.Envelope{To: n.bundles[i].to, Payload: &n.bundles[i].p})
 	}
 	return dst
 }
 
-// Receive implements gossip.Agent. Both the boxed Bundle of Emit and
-// the scratch-backed *Bundle of EmitAppend are accepted. Mass for an
-// unregistered name auto-registers it on an observer, consults the
-// resolver on a regular host, and is otherwise dropped.
+// Receive implements gossip.Agent. The boxed Bundle of Emit, the
+// scratch-backed *Bundle of EmitAppend and the wire-form *Packed a
+// socket transport delivers are all accepted. Mass for an unregistered
+// name auto-registers it on an observer, consults the resolver on a
+// regular host, and is otherwise dropped.
 func (n *Node) Receive(p any) {
 	var pl Bundle
 	switch v := p.(type) {
+	case *Packed:
+		n.receivePacked(v)
+		return
 	case *Bundle:
 		pl = *v
 	case Bundle:
@@ -332,24 +322,32 @@ func (n *Node) Receive(p any) {
 	if pl.Count != nil {
 		n.count.Receive(pl.Count)
 	}
-	for name, m := range pl.Masses {
-		agg, ok := n.aggs[name]
-		if !ok {
-			if n.observer {
-				n.Register(name, 0)
-			} else if n.resolver != nil {
-				v, have := n.resolver(name)
-				if !have {
-					continue
-				}
-				n.Register(name, v)
-			} else {
-				continue
-			}
-			agg = n.aggs[name]
+	for i := range pl.Masses {
+		if agg := n.aggFor(pl.Masses[i].Name); agg != nil {
+			agg.Receive(&pl.Masses[i].Mass)
 		}
-		agg.Receive(m)
 	}
+}
+
+// aggFor returns the aggregate mass for name should be delivered to,
+// registering the name first where the host's role calls for it, or
+// nil when the mass is to be dropped.
+func (n *Node) aggFor(name string) *pushsumrevert.Node {
+	if agg, ok := n.aggs[name]; ok {
+		return agg
+	}
+	if n.observer {
+		n.Register(name, 0)
+	} else if n.resolver != nil {
+		v, have := n.resolver(name)
+		if !have {
+			return nil
+		}
+		n.Register(name, v)
+	} else {
+		return nil
+	}
+	return n.aggs[name]
 }
 
 // EndRound implements gossip.Agent.

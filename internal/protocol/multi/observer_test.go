@@ -91,7 +91,7 @@ func TestObserverAutoRegistersUnknownNames(t *testing.T) {
 		t.Fatalf("fresh observer Names = %v", got)
 	}
 	obs.BeginRound(0)
-	obs.Receive(Bundle{Masses: map[string]any{"cpu": pushsumrevert.Mass{W: 0.5, V: 1.5}}})
+	obs.Receive(Bundle{Masses: []NamedMass{{"cpu", pushsumrevert.Mass{W: 0.5, V: 1.5}}}})
 	obs.EndRound(0)
 	if got := obs.Names(); len(got) != 1 || got[0] != "cpu" {
 		t.Fatalf("Names after unknown mass = %v", got)
@@ -115,9 +115,9 @@ func TestResolverRegistersOnRegularHost(t *testing.T) {
 		return 0, false
 	})
 	h.BeginRound(0)
-	h.Receive(Bundle{Masses: map[string]any{
-		"mem":    pushsumrevert.Mass{W: 0.25, V: 0.25 * 10},
-		"secret": pushsumrevert.Mass{W: 1, V: 1},
+	h.Receive(Bundle{Masses: []NamedMass{
+		{"mem", pushsumrevert.Mass{W: 0.25, V: 0.25 * 10}},
+		{"secret", pushsumrevert.Mass{W: 1, V: 1}},
 	}})
 	h.EndRound(0)
 	if resolved != 2 {

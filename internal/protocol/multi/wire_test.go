@@ -1,0 +1,139 @@
+package multi
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"dynagg/internal/gossip"
+	"dynagg/internal/protocol/pushsumrevert"
+	"dynagg/internal/protocol/sketchreset"
+	"dynagg/internal/sketch"
+)
+
+// hostState renders everything a Receive can change, read after
+// EndRound: the name set, every aggregate's local value, mass and
+// estimate, and the sketch host's whole counter matrix and estimate.
+func hostState(n *Node) string {
+	var sb strings.Builder
+	for _, name := range n.Names() {
+		agg, _ := n.Agg(name)
+		est, ok := agg.Estimate()
+		fmt.Fprintf(&sb, "%s: v0=%v mass=%v est=%v/%v\n", name, agg.Value(), agg.Mass(), est, ok)
+	}
+	p := sketch.DefaultParams
+	for bin := 0; bin < p.Bins; bin++ {
+		for level := 0; level < p.Levels; level++ {
+			fmt.Fprintf(&sb, "%d ", n.Count().CounterAt(bin, level))
+		}
+	}
+	size, ok := n.Size()
+	fmt.Fprintf(&sb, "\nsize=%v/%v", size, ok)
+	return sb.String()
+}
+
+// TestPackedReceiveMatchesBundleReceive is the property the packed
+// payload rests on: delivering a bundle in its wire form leaves a host
+// in exactly the state delivering the materialised Bundle does — on a
+// regular host with a resolver, one without, and an observer; for
+// bundles naming known and unknown aggregates, with a sketch, without
+// one, and with a sketch of the wrong shape.
+func TestPackedReceiveMatchesBundleReceive(t *testing.T) {
+	countCfg := sketchreset.Config{Params: sketch.DefaultParams}
+	avgCfg := pushsumrevert.Config{Lambda: 0.1}
+	resolver := func(name string) (float64, bool) {
+		if strings.HasPrefix(name, "no-") {
+			return 0, false
+		}
+		return float64(len(name)), true
+	}
+	kinds := map[string]func() *Node{
+		"resolver": func() *Node {
+			n := New(4, map[string]float64{"load": 3, "temp": -1}, countCfg, avgCfg)
+			n.SetResolver(resolver)
+			return n
+		},
+		"plain":    func() *Node { return New(4, map[string]float64{"load": 3, "temp": -1}, countCfg, avgCfg) },
+		"observer": func() *Node { return NewObserver(4, []string{"load"}, countCfg, avgCfg) },
+		"adaptive": func() *Node {
+			return New(4, map[string]float64{"load": 3}, countCfg, pushsumrevert.Config{Lambda: 0.1, Adaptive: true})
+		},
+	}
+	pool := []string{"", "a", "load", "mem", "no-entry", "temp", "zz-" + strings.Repeat("long", 60)}
+	for kind, mk := range kinds {
+		t.Run(kind, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			viaBundle, viaPacked := mk(), mk()
+			// A peer population to take realistic matrices from.
+			peers := make([]*sketchreset.Node, 8)
+			for i := range peers {
+				peers[i] = sketchreset.New(gossip.NodeID(10+i), sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 1})
+			}
+			for round := 0; round < 30; round++ {
+				viaBundle.BeginRound(round)
+				viaPacked.BeginRound(round)
+				for _, p := range peers {
+					p.BeginRound(round)
+					p.Exchange(peers[rng.Intn(len(peers))])
+				}
+				for k := rng.Intn(4); k > 0; k-- {
+					var b Bundle
+					for _, name := range pool {
+						if rng.Intn(3) == 0 {
+							b.Masses = append(b.Masses, NamedMass{name, pushsumrevert.Mass{W: rng.Float64(), V: rng.NormFloat64()}})
+						}
+					}
+					switch rng.Intn(4) {
+					case 0:
+					case 1:
+						b.Count = make([]uint8, 7) // another deployment's shape
+					default:
+						env := peers[rng.Intn(len(peers))].Emit(round, nil, func() (gossip.NodeID, bool) { return 4, true })
+						b.Count = env[0].Payload
+					}
+					enc, err := AppendBundle([]byte{0xAA}, &b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					packed, err := NewPacked(append(enc[1:], 0xEE))
+					if err != nil {
+						t.Fatalf("NewPacked rejected AppendBundle's output: %v", err)
+					}
+					if len(packed.body) != len(enc)-1 {
+						t.Fatalf("packed body is %d bytes, encoding %d", len(packed.body), len(enc)-1)
+					}
+					var names []string
+					for name := range packed.Names() {
+						names = append(names, string(name))
+					}
+					if !slices.EqualFunc(names, b.Masses, func(s string, m NamedMass) bool { return s == m.Name }) {
+						t.Fatalf("Names() = %q, bundle carries %v", names, b.Masses)
+					}
+					viaBundle.Receive(b)
+					viaPacked.Receive(packed)
+				}
+				viaBundle.EndRound(round)
+				viaPacked.EndRound(round)
+				if got, want := hostState(viaPacked), hostState(viaBundle); got != want {
+					t.Fatalf("round %d: packed Receive left\n%s\nBundle Receive left\n%s", round, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestEmitAllocBudget pins the deployable path's per-host, per-tick
+// garbage: the envelope slice, and per bundle its boxed value, its
+// mass slice and (for the one carrying the sketch) the snapshot and
+// its slice header.
+func TestEmitAllocBudget(t *testing.T) {
+	n := New(0, map[string]float64{"load": 1, "temp": 2, "mem": 3},
+		sketchreset.Config{Params: sketch.DefaultParams}, pushsumrevert.Config{Lambda: 0.05})
+	pick := func() (gossip.NodeID, bool) { return 1, true }
+	n.Emit(0, nil, pick) // grow the scratch once
+	if got := testing.AllocsPerRun(100, func() { n.Emit(1, nil, pick) }); got > 8 {
+		t.Errorf("Emit allocates %v times per call, budget 8", got)
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"dynagg/internal/gossip"
 	"dynagg/internal/sketch"
+	"dynagg/internal/wire"
 )
 
 // Columnar is the struct-of-arrays form of Count-Sketch-Reset: the
@@ -129,11 +130,7 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 			continue
 		}
 		block := c.counters[i*c.stride : (i+1)*c.stride]
-		for j, v := range block {
-			if v < MaxAge {
-				block[j] = v + 1
-			}
-		}
+		wire.AgeCounters(block)
 		for _, idx := range c.owned[c.ownedOff[i]:c.ownedOff[i+1]] {
 			block[idx] = 0
 		}
@@ -186,13 +183,8 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 // into host to's live matrix — one message's worth of Deliver, exposed
 // for composite protocols that route a mixed message column.
 func (c *Columnar) DeliverFrom(to, from gossip.NodeID) {
-	dst := c.counters[int(to)*c.stride : (int(to)+1)*c.stride]
-	src := c.shadow[int(from)*c.stride : (int(from)+1)*c.stride]
-	for j, v := range src {
-		if v < dst[j] {
-			dst[j] = v
-		}
-	}
+	wire.MinCounters(c.counters[int(to)*c.stride:(int(to)+1)*c.stride],
+		c.shadow[int(from)*c.stride:(int(from)+1)*c.stride])
 }
 
 // ExchangePairs implements gossip.ColExchanger: mutual min-merge of
@@ -202,14 +194,8 @@ func (c *Columnar) ExchangePairs(rc *gossip.ColRound, pairs []gossip.Pair) {
 	for _, pr := range pairs {
 		a := c.counters[int(pr.A)*c.stride : (int(pr.A)+1)*c.stride]
 		b := c.counters[int(pr.B)*c.stride : (int(pr.B)+1)*c.stride]
-		for j, av := range a {
-			m := av
-			if b[j] < m {
-				m = b[j]
-			}
-			a[j] = m
-			b[j] = m
-		}
+		wire.MinCounters(a, b)
+		copy(b, a)
 		for _, idx := range c.owned[c.ownedOff[pr.A]:c.ownedOff[pr.A+1]] {
 			a[idx] = 0
 		}

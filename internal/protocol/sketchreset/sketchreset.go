@@ -32,6 +32,7 @@ import (
 
 	"dynagg/internal/gossip"
 	"dynagg/internal/sketch"
+	"dynagg/internal/wire"
 	"dynagg/internal/xrand"
 )
 
@@ -39,8 +40,8 @@ import (
 // the initialization value ∞ of Figure 5. Real ages saturate at
 // MaxAge so they can never be confused with Never.
 const (
-	Never  = uint8(255)
-	MaxAge = uint8(254)
+	Never  = wire.CounterNever
+	MaxAge = wire.CounterMaxAge
 )
 
 // DefaultCutoff is the paper's experimentally derived maximum
@@ -176,11 +177,7 @@ func (n *Node) BeginRound(round int) {
 
 // age increments all non-owned counters, saturating at MaxAge.
 func (n *Node) age() {
-	for i, c := range n.counters {
-		if c < MaxAge {
-			n.counters[i] = c + 1
-		}
-	}
+	wire.AgeCounters(n.counters)
 	// Owned counters are pinned back to zero (cheaper than testing
 	// ownership in the hot loop).
 	for _, idx := range n.owned {
@@ -218,11 +215,13 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 
 // Receive implements gossip.Agent: element-wise min (Figure 5 step 5).
 // Min-merge is order-insensitive and idempotent, so merging on arrival
-// is safe under the engine's emit-then-deliver ordering. Both the
-// boxed []uint8 of Emit and the scratch-backed *Counters of EmitAppend
-// are accepted.
+// is safe under the engine's emit-then-deliver ordering. The boxed
+// []uint8 of Emit, the scratch-backed *Counters of EmitAppend and the
+// wire-form *Packed a socket transport delivers are all accepted.
 func (n *Node) Receive(payload any) {
 	switch p := payload.(type) {
+	case *Packed:
+		n.MergeWire(p.rle)
 	case *Counters:
 		n.minMerge(p.Ages)
 	case []uint8:
@@ -240,11 +239,7 @@ func (n *Node) minMerge(other []uint8) {
 	if len(other) != len(n.counters) {
 		return
 	}
-	for i, c := range other {
-		if c < n.counters[i] {
-			n.counters[i] = c
-		}
-	}
+	wire.MinCounters(n.counters, other)
 	for _, idx := range n.owned {
 		n.counters[idx] = 0
 	}
@@ -260,14 +255,8 @@ func (n *Node) EndRound(round int) {
 // matrices agree except at owned indices.
 func (n *Node) Exchange(peer gossip.Exchanger) {
 	p := peer.(*Node)
-	for i := range n.counters {
-		m := n.counters[i]
-		if p.counters[i] < m {
-			m = p.counters[i]
-		}
-		n.counters[i] = m
-		p.counters[i] = m
-	}
+	wire.MinCounters(n.counters, p.counters)
+	copy(p.counters, n.counters)
 	for _, idx := range n.owned {
 		n.counters[idx] = 0
 	}

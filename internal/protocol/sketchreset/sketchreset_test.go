@@ -1,6 +1,7 @@
 package sketchreset
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/sketch"
+	"dynagg/internal/wire"
 )
 
 var smallParams = sketch.Params{Bins: 16, Levels: 12}
@@ -364,5 +366,59 @@ func TestReceiveIgnoresMismatchedMatrixLength(t *testing.T) {
 	n.Receive([]uint8{0})
 	if after, _ := n.Estimate(); after != before {
 		t.Errorf("mismatched matrix changed the estimate %v -> %v", before, after)
+	}
+}
+
+// TestPackedReceiveMatchesMatrixReceive pins the wire-form payload: a
+// host that receives a matrix as *Packed ends up with exactly the
+// counters of one that received it as []uint8, over rounds of aging and
+// merging; a packed matrix of another shape is ignored whole; and
+// NewPacked refuses what the codec would.
+func TestPackedReceiveMatchesMatrixReceive(t *testing.T) {
+	cfg := Config{Params: smallParams, Identifiers: 1}
+	viaMatrix, viaPacked := New(0, cfg), New(0, cfg)
+	peers := []*Node{New(1, cfg), New(2, cfg), New(3, cfg)}
+	for round := 0; round < 20; round++ {
+		viaMatrix.BeginRound(round)
+		viaPacked.BeginRound(round)
+		for i, p := range peers {
+			p.BeginRound(round)
+			p.Exchange(peers[(i+1+round)%len(peers)])
+			matrix := p.Emit(round, nil, func() (gossip.NodeID, bool) { return 0, true })[0].Payload.([]uint8)
+			packed, err := NewPacked(append(wire.AppendCounters(nil, matrix), 0xEE))
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaMatrix.Receive(matrix)
+			viaPacked.Receive(packed)
+		}
+		viaMatrix.EndRound(round)
+		viaPacked.EndRound(round)
+		if !bytes.Equal(viaPacked.counters, viaMatrix.counters) {
+			t.Fatalf("round %d: packed Receive left %v, matrix Receive %v", round, viaPacked.counters, viaMatrix.counters)
+		}
+	}
+
+	other, err := NewPacked(wire.AppendCounters(nil, make([]uint8, len(viaPacked.counters)+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := bytes.Clone(viaPacked.counters)
+	viaPacked.Receive(other)
+	if !bytes.Equal(viaPacked.counters, before) {
+		t.Error("a packed matrix of another shape was merged")
+	}
+
+	for name, src := range map[string][]byte{
+		"empty":          nil,
+		"zero elements":  {0},
+		"zero run":       {2, 0, 9, 2, 9},
+		"run overshoots": {2, 3, 9},
+		"truncated":      {2, 1, 9},
+		"too large":      wire.AppendCounters(nil, make([]uint8, MaxWireCounters+1)),
+	} {
+		if _, err := NewPacked(src); err == nil {
+			t.Errorf("%s: NewPacked accepted it", name)
+		}
 	}
 }

@@ -37,3 +37,40 @@ func (c *Columnar) DeliverWire(to gossip.NodeID, src []byte) ([]byte, error) {
 	dst := c.counters[int(to)*c.stride : (int(to)+1)*c.stride]
 	return wire.DecodeCountersMin(dst, src)
 }
+
+// MaxWireCounters bounds the counter matrix a datagram may carry (the
+// paper's sketches are 64×24 = 1536 counters; this leaves two orders
+// of magnitude of headroom without letting a hostile datagram claim an
+// absurd shape).
+const MaxWireCounters = 1 << 16
+
+// Packed is a counter matrix still in its run-length wire form: what a
+// socket transport delivers to Node.Receive in place of a materialised
+// []uint8. NewPacked is the only way to build one, so the bytes inside
+// are always a structurally valid encoding; they are read-only from
+// then on and Receive folds them without keeping a reference.
+type Packed struct {
+	rle []byte
+}
+
+// NewPacked validates the run-length encoding at the start of src
+// (wire.ValidateCounters, sizes up to MaxWireCounters) and returns a
+// payload holding its own copy of it.
+func NewPacked(src []byte) (*Packed, error) {
+	_, rest, err := wire.ValidateCounters(src, MaxWireCounters)
+	if err != nil {
+		return nil, err
+	}
+	return &Packed{rle: append([]byte(nil), src[:len(src)-len(rest)]...)}, nil
+}
+
+// MergeWire min-merges a run-length-encoded matrix straight into the
+// host's own — minMerge with the wire as the source. The encoding must
+// have been validated (a Packed payload, or a bundle that embeds one);
+// a matrix of another shape is ignored whole, like minMerge's.
+func (n *Node) MergeWire(rle []byte) {
+	// The host's owned indices are pinned to zero and a min can never
+	// raise them, so no re-pin is needed. The error is the shape
+	// mismatch, reported before anything is merged.
+	_, _ = wire.DecodeCountersMin(n.counters, rle)
+}

@@ -44,23 +44,26 @@ func TestHeaderDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestDecodeCountersAlloc(t *testing.T) {
+func TestValidateCounters(t *testing.T) {
 	counters := []uint8{0, 0, 0, 3, 3, 255, 255, 255}
 	buf := AppendCounters(nil, counters)
-	got, rest, err := DecodeCountersAlloc(append(buf, 0xEE), 1<<10)
+	n, rest, err := ValidateCounters(append(buf, 0xEE), 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, counters) {
-		t.Errorf("got %v, want %v", got, counters)
+	if n != len(counters) {
+		t.Errorf("elements = %d, want %d", n, len(counters))
 	}
 	if !bytes.Equal(rest, []byte{0xEE}) {
 		t.Errorf("rest = %x", rest)
 	}
-	if _, _, err := DecodeCountersAlloc(buf, 4); err == nil {
+	if _, _, err := ValidateCounters(buf, 4); err == nil {
 		t.Error("element count above maxElements accepted")
 	}
-	if _, _, err := DecodeCountersAlloc(AppendCounters(nil, nil), 4); err == nil {
+	if _, _, err := ValidateCounters(AppendCounters(nil, nil), 4); err == nil {
 		t.Error("zero element count accepted")
+	}
+	if _, _, err := ValidateCounters(buf[:len(buf)-1], 1<<10); err == nil {
+		t.Error("truncated encoding accepted")
 	}
 }

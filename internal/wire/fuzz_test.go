@@ -18,21 +18,40 @@ import (
 	"testing"
 )
 
+// FuzzDecodeCounters is differential: the validator and the decoder
+// built on the shared run iterator must accept exactly the inputs the
+// scalar reference decoder (counters_test.go) accepts, consume the same
+// number of bytes and produce the same matrix.
 func FuzzDecodeCounters(f *testing.F) {
 	f.Add(AppendCounters(nil, []uint8{0, 0, 3, 255, 255, 255}))
 	f.Add(AppendCounters(nil, make([]uint8, 64*24)))
 	f.Add([]byte{6, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x00})
+	f.Add([]byte{3, 0x81, 0x00, 7, 2, 9}) // non-minimal run length
 	f.Fuzz(func(t *testing.T, data []byte) {
-		counters, _, err := DecodeCountersAlloc(data, 64*24)
+		want, wantRest, wantErr := refDecodeCountersAlloc(data, 64*24)
+		n, rest, err := ValidateCounters(data, 64*24)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("validator err %v, reference err %v", err, wantErr)
+		}
 		if err != nil {
 			return
 		}
-		again, rest, err := DecodeCountersAlloc(AppendCounters(nil, counters), 64*24)
-		if err != nil || len(rest) != 0 {
+		if n != len(want) || len(rest) != len(wantRest) {
+			t.Fatalf("validator: %d elements, %d left; reference: %d elements, %d left", n, len(rest), len(want), len(wantRest))
+		}
+		got := make([]uint8, n)
+		if rest, err = DecodeCounters(got, data); err != nil || len(rest) != len(wantRest) {
+			t.Fatalf("DecodeCounters on validated input: %v (rest %d, want %d)", err, len(rest), len(wantRest))
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("decoded %v, reference %v", got, want)
+		}
+		again := make([]uint8, n)
+		if rest, err = DecodeCounters(again, AppendCounters(nil, got)); err != nil || len(rest) != 0 {
 			t.Fatalf("re-decode failed: %v (rest %d)", err, len(rest))
 		}
-		if !bytes.Equal(again, counters) {
-			t.Fatalf("value round trip: got %v, want %v", again, counters)
+		if !bytes.Equal(again, got) {
+			t.Fatalf("value round trip: got %v, want %v", again, got)
 		}
 	})
 }

@@ -13,11 +13,19 @@
 //   - mass vectors: fixed 8-byte float64s (IEEE 754, little endian);
 //   - counter matrices: run-length encoding, because a converged
 //     matrix is dominated by long runs of Never (255) in the high
-//     levels and long runs of small, similar ages in the low ones;
+//     levels and long runs of small, similar ages in the low ones
+//     (counters.go, with the age and min kernels every matrix user
+//     shares);
 //   - sketch bit vectors: raw 8-byte words (already dense);
 //   - extremum candidate tables: varint-packed entries.
 //
 // All encodings are self-delimiting and round-trip exactly.
+//
+// A receiver never has to materialise a counter matrix: the transport
+// reader checks an arriving encoding with ValidateCounters and queues
+// the bytes, and the protocol's Receive folds them into its own matrix
+// with DecodeCountersMin — on the per-host path (sketchreset.Packed,
+// multi.Packed) exactly as on the columnar batch path (DeliverWire).
 package wire
 
 import (
@@ -63,127 +71,6 @@ func DecodeMass3(src []byte) (w, v, q float64, rest []byte, err error) {
 	}
 	q = math.Float64frombits(binary.LittleEndian.Uint64(rest[0:8]))
 	return w, v, q, rest[8:], nil
-}
-
-// AppendCounters appends a run-length encoding of a counter matrix:
-// a uvarint element count, then (uvarint runLength, byte value) pairs.
-// Converged matrices compress 10-30×: the high levels are solid Never
-// and neighboring counters share small ages.
-func AppendCounters(dst []byte, counters []uint8) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(counters)))
-	i := 0
-	for i < len(counters) {
-		j := i + 1
-		for j < len(counters) && counters[j] == counters[i] {
-			j++
-		}
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		dst = append(dst, counters[i])
-		i = j
-	}
-	return dst
-}
-
-// DecodeCounters parses a run-length-encoded counter matrix into dst
-// (which must have the exact expected length), returning the remaining
-// bytes.
-func DecodeCounters(dst []uint8, src []byte) (rest []byte, err error) {
-	total, n := binary.Uvarint(src)
-	if n <= 0 {
-		return nil, fmt.Errorf("wire: counters: bad element count")
-	}
-	if int(total) != len(dst) {
-		return nil, fmt.Errorf("wire: counters: got %d elements, want %d", total, len(dst))
-	}
-	src = src[n:]
-	at := 0
-	for at < len(dst) {
-		run, n := binary.Uvarint(src)
-		if n <= 0 {
-			return nil, fmt.Errorf("wire: counters: bad run length at element %d", at)
-		}
-		src = src[n:]
-		if len(src) < 1 {
-			return nil, fmt.Errorf("wire: counters: missing run value at element %d", at)
-		}
-		v := src[0]
-		src = src[1:]
-		// Compare in uint64 so an adversarial run length cannot wrap
-		// int and slip past the bound.
-		if run == 0 || run > uint64(len(dst)-at) {
-			return nil, fmt.Errorf("wire: counters: run %d overflows matrix at element %d", run, at)
-		}
-		for k := 0; k < int(run); k++ {
-			dst[at+k] = v
-		}
-		at += int(run)
-	}
-	return src, nil
-}
-
-// DecodeCountersMin parses a run-length-encoded counter matrix and
-// folds it into dst with an element-wise minimum instead of assigning
-// — the gossip merge every age-matrix protocol performs on receipt,
-// applied straight off the wire with no intermediate matrix. dst must
-// have the exact encoded length. On a malformed encoding the runs
-// decoded before the error have already been merged; a min-fold is
-// monotone, so a partial merge leaves dst in a state some shorter
-// valid message could have produced and the caller may simply drop
-// the rest.
-func DecodeCountersMin(dst []uint8, src []byte) (rest []byte, err error) {
-	total, n := binary.Uvarint(src)
-	if n <= 0 {
-		return nil, fmt.Errorf("wire: counters: bad element count")
-	}
-	if int(total) != len(dst) {
-		return nil, fmt.Errorf("wire: counters: got %d elements, want %d", total, len(dst))
-	}
-	src = src[n:]
-	at := 0
-	for at < len(dst) {
-		run, n := binary.Uvarint(src)
-		if n <= 0 {
-			return nil, fmt.Errorf("wire: counters: bad run length at element %d", at)
-		}
-		src = src[n:]
-		if len(src) < 1 {
-			return nil, fmt.Errorf("wire: counters: missing run value at element %d", at)
-		}
-		v := src[0]
-		src = src[1:]
-		// Compare in uint64 so an adversarial run length cannot wrap
-		// int and slip past the bound.
-		if run == 0 || run > uint64(len(dst)-at) {
-			return nil, fmt.Errorf("wire: counters: run %d overflows matrix at element %d", run, at)
-		}
-		for k := 0; k < int(run); k++ {
-			if v < dst[at+k] {
-				dst[at+k] = v
-			}
-		}
-		at += int(run)
-	}
-	return src, nil
-}
-
-// DecodeCountersAlloc parses a run-length-encoded counter matrix whose
-// size is not known in advance (a network datagram rather than a
-// preconfigured sketch), allocating the result. maxElements bounds the
-// allocation so adversarial input cannot force an OOM.
-func DecodeCountersAlloc(src []byte, maxElements int) (counters []uint8, rest []byte, err error) {
-	total, n := binary.Uvarint(src)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("wire: counters: bad element count")
-	}
-	if total == 0 || total > uint64(maxElements) {
-		return nil, nil, fmt.Errorf("wire: counters: element count %d outside [1, %d]", total, maxElements)
-	}
-	counters = make([]uint8, total)
-	rest, err = DecodeCounters(counters, src)
-	if err != nil {
-		return nil, nil, err
-	}
-	return counters, rest, nil
 }
 
 // AppendSketchBits appends a sketch's bin words: a uvarint count then
