@@ -3,10 +3,21 @@
 
 GO ?= go
 
-.PHONY: build examples test race bench bench-json bench-1m bench-live-1m bench-gate bench-gateway bench-chaos bench-heal fmt vet vuln ci live-soak cluster-soak gateway-soak chaos-soak heal-soak fuzz-smoke doc-lint
+.PHONY: build examples test race bench bench-json bench-1m bench-live-1m bench-gate bench-gateway bench-chaos bench-heal fmt vet vuln ci live-soak cluster-soak gateway-soak chaos-soak heal-soak fuzz-smoke doc-lint loc
 
 build:
 	$(GO) build ./...
+
+# Go line counts, the way CHANGES.md entries quote them: non-test and
+# test lines repo-wide (the benchmark module and its build cache
+# excluded), then the transport package — the largest subsystem — file
+# by file. ROADMAP wants the first number to go down; ci prints it.
+LOC_FIND = find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*'
+loc:
+	@echo "non-test Go lines: $$($(LOC_FIND) -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$($(LOC_FIND) -name '*_test.go' | xargs cat | wc -l)"
+	@echo "internal/gossip/live/transport, non-test:"
+	@find internal/gossip/live/transport -name '*.go' -not -name '*_test.go' | sort | xargs wc -l
 
 # Example main packages compile as part of ci so example rot fails the
 # build instead of surprising readers.
@@ -62,7 +73,7 @@ bench-1m:
 # engine rows, so the artifact records both the synchronous and the
 # live million-host capability.
 bench-live-1m:
-	$(GO) run ./cmd/dynaggsim live -columnar -n 1000000 -transport=udp -benchline | tee BENCH_LIVE_raw.txt
+	$(GO) run ./cmd/dynaggsim live -backend=columnar -n 1000000 -transport=udp -benchline | tee BENCH_LIVE_raw.txt
 	@files=BENCH_LIVE_raw.txt; \
 	for f in BENCH_raw.txt BENCH_1M_raw.txt; do \
 		if [ -f $$f ]; then files="$$f $$files"; fi; \
@@ -101,12 +112,13 @@ live-soak:
 # example under the race detector (each member process is itself a
 # race-built binary), then the TCP transport and bootstrap test
 # surface — connection cache, reconnect, frame scanner, membership,
-# span registration — twice under race. This is the lane that proves
+# span registration, and the transport contract table (which live-soak
+# runs too: its name matches 'Transport') — twice under race. This is the lane that proves
 # the stream transport's concurrency story end to end: real listeners,
 # real dials, real process boundaries.
 cluster-soak:
 	$(GO) run -race ./examples/live_cluster
-	$(GO) test -race -count=2 -timeout 10m -run 'TCP|Bootstrap|FrameScanner|Membership|Announce' ./internal/gossip/live/...
+	$(GO) test -race -count=2 -timeout 10m -run 'TCP|Bootstrap|FrameScanner|Membership|Announce|TransportContract' ./internal/gossip/live/...
 
 # Gateway soak (CI's gateway lane): the three-process-cluster +
 # HTTP-gateway example with every process race-built, then the HTTP
@@ -206,13 +218,15 @@ doc-lint:
 # TCP length-prefix framing; FuzzFrameScanner (in the transport
 # package) feeds the stream reassembly path adversarially chunked
 # frames and cross-checks it against the one-shot decoder;
-# FuzzDecodeMultiBundle and FuzzPackedBundleMatchesDecoder attack the
+# FuzzInboxDeliver feeds the shared receive plane's dispatch arbitrary
+# header+body bytes (nothing queued off-span, queues within capacity,
+# forged batch counts not charged to Dropped); FuzzDecodeMultiBundle and FuzzPackedBundleMatchesDecoder attack the
 # packed-payload trust boundary (the bundle validator against the
 # materialising decoder it replaced, and the in-place fold against a
 # materialised Receive). FuzzDecodeCounters is the same differential
 # check for the bare counter codec.
 FUZZ_TARGETS = FuzzDecodeCounters FuzzDecodeCountersMin FuzzDecodeCandidates FuzzDecodeHeader FuzzDecodeSketchBits FuzzDecodeMass FuzzDecodeFrame
-TRANSPORT_FUZZ_TARGETS = FuzzFrameScanner FuzzDecodeMultiBundle FuzzPackedBundleMatchesDecoder
+TRANSPORT_FUZZ_TARGETS = FuzzFrameScanner FuzzInboxDeliver FuzzDecodeMultiBundle FuzzPackedBundleMatchesDecoder
 CHAOS_FUZZ_TARGETS = FuzzDecodeScenario
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -243,4 +257,4 @@ vet:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-ci: fmt vet build examples race bench doc-lint
+ci: fmt vet build loc examples race bench doc-lint

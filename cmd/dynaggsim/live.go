@@ -265,31 +265,27 @@ func runLive(out io.Writer, o liveOpts) error {
 		}
 	}
 
-	rcvbuf := o.rcvbuf
-	if rcvbuf == 0 && o.backend == "columnar" {
+	rcvbuf, queue := o.rcvbuf, 0
+	if o.backend == "columnar" {
 		// A whole shard's wave lands on one socket between drains;
 		// give the kernel room for it.
-		rcvbuf = 4 << 20
+		if rcvbuf == 0 {
+			rcvbuf = 4 << 20
+		}
+		// A columnar tick arrives at each group as one burst of
+		// whole-shard batches; the default 256-batch queue sheds most
+		// of a million-host wave, so give the socket transports' drains
+		// a tick's worth of headroom (~64 MiB of pooled buffers worst
+		// case).
+		queue = 1024
 	}
 	var tr transport.Transport
 	switch o.transport {
 	case "chan":
-		if o.backend == "columnar" {
-			// Group count doubles as the columnar shard count.
-			tr = transport.NewChannelGroups(o.n, 0, o.groups)
-		} else {
-			tr = transport.NewChannel(o.n, 0)
-		}
+		// Group count doubles as the columnar shard count; the agents
+		// backend only uses the per-host plane, which it does not shape.
+		tr = transport.NewChannelGroups(o.n, 0, o.groups)
 	case "udp":
-		queue := 0
-		if o.backend == "columnar" {
-			// A columnar tick arrives at each group as one burst of
-			// whole-shard batches; the default 256-batch queue sheds
-			// most of a million-host wave, so give the drains a
-			// tick's worth of headroom (~64 MiB of pooled buffers
-			// worst case).
-			queue = 1024
-		}
 		udp, err := transport.NewUDP(
 			transport.WithLoopbackGroups(o.n, o.groups),
 			transport.WithReadBuffer(rcvbuf),
@@ -301,12 +297,6 @@ func runLive(out io.Writer, o liveOpts) error {
 		defer udp.Close()
 		tr = udp
 	case "tcp":
-		queue := 0
-		if o.backend == "columnar" {
-			// Same headroom rationale as UDP: a columnar tick is one
-			// burst of whole-shard batch frames per group.
-			queue = 1024
-		}
 		var tcp *transport.TCP
 		var err error
 		if cluster {

@@ -27,9 +27,9 @@
 //	live   run a protocol on the live engine (-protocol pushsum|
 //	       revert|sketchreset) over a transport (-transport
 //	       chan|udp|tcp) on either population backend (-backend
-//	       agents|columnar, or the -columnar shorthand: per-host
-//	       goroutine-safe agents vs. the struct-of-arrays columns that
-//	       scale to a million live hosts), with optional injected loss
+//	       agents|columnar: per-host goroutine-safe agents vs. the
+//	       struct-of-arrays columns that scale to a million live
+//	       hosts), with optional injected loss
 //	       (-loss 0.2) or a canned WAN preset (-wan lan|3g|sat:
 //	       loss+delay+jitter à la netem; over tcp a loss draw kills
 //	       the carrying connection instead of dropping a datagram),
@@ -171,7 +171,7 @@ func run(args []string) error {
 	groups := fs.Int("udp-groups", 4, "live UDP/TCP loopback transports: host groups (= sockets/listeners)")
 	pace := fs.Duration("pace", 0, "live tick duty cycle; 0 = free-running (sketchreset defaults to 4ms)")
 	ticks := fs.Int("ticks", 0, "live ticks per host (default 60)")
-	backend := fs.String("backend", "", "live population backend: agents (default; per-host boxed agents) or columnar (dense struct-of-arrays columns; -columnar is shorthand)")
+	backend := fs.String("backend", "", "live population backend: agents (default; per-host boxed agents) or columnar (dense struct-of-arrays columns)")
 	rcvbuf := fs.Int("rcvbuf", 0, "live UDP socket receive buffer in bytes; 0 = auto (4 MiB for the columnar backend)")
 	benchline := fs.Bool("benchline", false, "live/chaos: also print a Benchmark-formatted summary line for cmd/benchjson (live: ns/tick, msgs/s, peak-rss-bytes; chaos: ns/run, damage and audit numbers)")
 	seeds := fs.String("seeds", "", "live/gateway TCP bootstrap: comma-separated seed addresses shared by every process of the deployment (live: requires -span and -transport=tcp)")
@@ -284,17 +284,14 @@ func run(args []string) error {
 			workers: sc.Workers, columnar: *columnar, seed: *seed,
 		})
 	case "live":
-		// -columnar is shorthand for -backend=columnar; an explicit
-		// conflicting pair is a user error, not a coin flip.
-		be := *backend
+		// -columnar selects the round engine's path; quietly running
+		// the agents backend for someone who passed it here would be a
+		// wrong answer, not a default.
 		if *columnar {
-			if be != "" && be != "columnar" {
-				return fmt.Errorf("live: -columnar conflicts with -backend=%s", be)
-			}
-			be = "columnar"
+			return fmt.Errorf("live: -columnar is a round-engine flag; use -backend=columnar")
 		}
 		return runLive(out, liveOpts{
-			protocol: *protocol, backend: be, transport: *transportName,
+			protocol: *protocol, backend: *backend, transport: *transportName,
 			loss: *loss, wan: *wan, groups: *groups, pace: *pace, n: *n,
 			ticks: *ticks, workers: sc.Workers, seed: *seed,
 			rcvbuf: *rcvbuf, benchline: *benchline,
@@ -506,7 +503,7 @@ engine bench: bench [-protocol pushsum|revert|sketchreset|sketchcount|extremes|m
              [-model push|pushpull] [-columnar]
              [-n N (default 1,000,000)] [-rounds R] [-workers W] [-seed S]
 live engine: live [-protocol pushsum|revert|sketchreset|multi]
-             [-backend agents|columnar | -columnar]
+             [-backend agents|columnar]
              [-transport chan|udp|tcp] [-loss P | -wan lan|3g|sat]
              [-udp-groups G] [-rcvbuf BYTES] [-pace DUR] [-ticks T]
              [-n N] [-workers W] [-seed S] [-benchline]

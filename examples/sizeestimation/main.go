@@ -98,11 +98,11 @@ func liveRun() {
 		})
 	}
 	engine, err := live.New(live.Config{
-		Agents: agents,
-		Env:    e,
-		Model:  gossip.PushPull,
-		Seed:   11,
-		Ticks:  ticks,
+		Population: live.NewAgentPopulation(agents),
+		Env:        e,
+		Model:      gossip.PushPull,
+		Seed:       11,
+		Ticks:      ticks,
 	})
 	if err != nil {
 		panic(err)

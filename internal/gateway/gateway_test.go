@@ -56,13 +56,11 @@ func startCluster(t *testing.T, workers int, spans []live.Span, names []string) 
 	c := &cluster{cancel: cancel}
 	trs := make([]*transport.TCP, len(spans))
 	for i, s := range spans {
-		tr, err := transport.NewTCP(transport.TCPConfig{
-			Groups:      []transport.Group{{Lo: s.Lo, Hi: s.Hi, Addr: "127.0.0.1:0"}},
-			Local:       []int{0},
-			BackoffMin:  2 * time.Millisecond,
-			BackoffMax:  50 * time.Millisecond,
-			DialTimeout: time.Second,
-		})
+		tr, err := transport.NewTCP(
+			transport.WithGroups(transport.Group{Lo: s.Lo, Hi: s.Hi, Addr: "127.0.0.1:0"}),
+			transport.WithLocal(0),
+			transport.WithReconnectBackoff(2*time.Millisecond, 50*time.Millisecond),
+			transport.WithDialTimeout(time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}

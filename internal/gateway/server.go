@@ -145,10 +145,9 @@ func New(cfg Config) (*Server, error) {
 		cfg.SmoothWindow = DefaultSmoothWindow
 	}
 	lo := gossip.NodeID(cfg.Workers)
-	tcp, err := transport.NewTCP(transport.TCPConfig{
-		Groups: []transport.Group{{Lo: lo, Hi: lo + 1, Addr: cfg.Listen}},
-		Local:  []int{0},
-	})
+	tcp, err := transport.NewTCP(
+		transport.WithGroups(transport.Group{Lo: lo, Hi: lo + 1, Addr: cfg.Listen}),
+		transport.WithLocal(0))
 	if err != nil {
 		return nil, fmt.Errorf("gateway: %w", err)
 	}

@@ -32,13 +32,11 @@ func tickPace() time.Duration {
 // only its own span is known, everything else is learned via announce.
 func newSpanTCP(t *testing.T, lo, hi gossip.NodeID, bind string) *transport.TCP {
 	t.Helper()
-	tr, err := transport.NewTCP(transport.TCPConfig{
-		Groups:      []transport.Group{{Lo: lo, Hi: hi, Addr: bind}},
-		Local:       []int{0},
-		BackoffMin:  2 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-		DialTimeout: time.Second,
-	})
+	tr, err := transport.NewTCP(
+		transport.WithGroups(transport.Group{Lo: lo, Hi: hi, Addr: bind}),
+		transport.WithLocal(0),
+		transport.WithReconnectBackoff(2*time.Millisecond, 50*time.Millisecond),
+		transport.WithDialTimeout(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +73,7 @@ func TestBootstrapConfigValidation(t *testing.T) {
 	defer tr.Close()
 	agents, _ := pushSumAgents(n)
 	base := Config{
-		Env: u, Agents: agents[:4], Model: gossip.Push, Seed: 1, Ticks: 1,
+		Env: u, Population: NewAgentPopulation(agents[:4]), Model: gossip.Push, Seed: 1, Ticks: 1,
 		Transport: tr, Span: Span{Lo: 0, Hi: 4},
 	}
 
@@ -175,7 +173,7 @@ func bootstrapEngines(t *testing.T, n int, spans []Span, seedAddr string, trs []
 	engines := make([]*Engine, len(spans))
 	for i, span := range spans {
 		e, err := New(Config{
-			Env: env.NewUniform(n), Agents: agents[span.Lo:span.Hi],
+			Env: env.NewUniform(n), Population: NewAgentPopulation(agents[span.Lo:span.Hi]),
 			Model: gossip.Push, Seed: 41, Ticks: 80,
 			Transport: trs[i], Span: span,
 			TickEvery: tickPace(), Workers: 4,
@@ -267,7 +265,7 @@ func TestLiveBootstrapLateSeed(t *testing.T) {
 	mkEngine := func(i int) *Engine {
 		span := spans[i]
 		e, err := New(Config{
-			Env: env.NewUniform(n), Agents: agents[span.Lo:span.Hi],
+			Env: env.NewUniform(n), Population: NewAgentPopulation(agents[span.Lo:span.Hi]),
 			Model: gossip.Push, Seed: 43, Ticks: 60,
 			Transport: trs[i], Span: span,
 			TickEvery: tickPace(), Workers: 4,
@@ -405,7 +403,7 @@ func TestLivePushSumOverTCPWithLossConverges(t *testing.T) {
 	}
 	defer lt.Close()
 	e, err := New(Config{
-		Env: env.NewUniform(n), Agents: agents, Model: gossip.Push, Seed: 11, Ticks: 80,
+		Env: env.NewUniform(n), Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 11, Ticks: 80,
 		Transport: lt, TickEvery: tickPace(), Workers: 4,
 	})
 	if err != nil {

@@ -25,10 +25,10 @@
 //     the live path to a million hosts in one process.
 //
 // Messages travel through a transport.Transport. The default is the
-// in-process channel transport (the engine's original inbox plumbing,
-// unchanged); transport.UDP puts every payload on a real loopback
-// socket in its internal/wire encoding, and transport.Lossy injects
-// message loss over either. What a host's Receive is handed depends on
+// in-process channel transport; transport.UDP puts every payload on a
+// real loopback socket in its internal/wire encoding, transport.TCP
+// frames the same encodings onto reliable streams, and transport.Lossy
+// injects message loss over any of them. What a host's Receive is handed depends on
 // the transport: the channel transport delivers the value Emit
 // returned, while the socket transports decode small payloads back to
 // that value but deliver the two that carry a counter matrix still in
@@ -36,7 +36,9 @@
 // transport's reader, folded in place by Receive, see
 // docs/architecture.md). With Config.Span, several engines — in
 // several OS processes — can each drive a slice of one population over
-// UDP, which makes this a distributed system rather than a simulator.
+// UDP (addresses exchanged out of band) or TCP (membership formed by
+// Config.Bootstrap), which makes this a distributed system rather than
+// a simulator.
 //
 // Restrictions compared to the round engine: the environment must be
 // time-invariant (Uniform or Grid; contact traces need the global
@@ -73,17 +75,8 @@ type Config struct {
 	// Population is the host-state backend the engine drives: build it
 	// with NewAgentPopulation (one gossip.Agent per host, the classic
 	// per-goroutine form) or NewColumnarPopulation (dense columns,
-	// per-shard drivers, batch transport I/O). Exactly one of
-	// Population and the deprecated Agents must be set.
+	// per-shard drivers, batch transport I/O). Required.
 	Population Population
-	// Agents are the protocol instances, one per driven host: agent i
-	// is host Span.Lo+i (host i for a full-population engine).
-	//
-	// Deprecated: set Population to NewAgentPopulation(agents)
-	// instead. New wraps a non-nil Agents slice in exactly that shim,
-	// so behavior is identical; the field remains only so existing
-	// construction sites keep working.
-	Agents []gossip.Agent
 	// Env supplies liveness and peer selection. It must be
 	// time-invariant: Advance is never called and the round argument
 	// passed to Alive/Pick is the host's local tick count.
@@ -158,15 +151,8 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("live: Config.Env is nil")
 	}
 	pop := cfg.Population
-	switch {
-	case pop == nil && cfg.Agents == nil:
+	if pop == nil {
 		return nil, fmt.Errorf("live: Config.Population is nil (build one with NewAgentPopulation or NewColumnarPopulation)")
-	case pop == nil:
-		// Deprecated construction path: identical to handing the same
-		// slice to NewAgentPopulation yourself.
-		pop = NewAgentPopulation(cfg.Agents)
-	case cfg.Agents != nil:
-		return nil, fmt.Errorf("live: set Config.Population or the deprecated Config.Agents, not both")
 	}
 	partial := cfg.Span != (Span{})
 	if partial {
@@ -235,9 +221,7 @@ func New(cfg Config) (*Engine, error) {
 // default channel transport when Config.Transport was nil).
 func (e *Engine) Transport() transport.Transport { return e.tr }
 
-// Population returns the host-state backend the engine drives. A
-// deprecated Config.Agents construction yields the *AgentPopulation
-// shim wrapping exactly that slice.
+// Population returns the host-state backend the engine drives.
 func (e *Engine) Population() Population { return e.pop }
 
 // Sent returns the number of messages successfully enqueued, both

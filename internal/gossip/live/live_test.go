@@ -19,16 +19,16 @@ func TestNewValidation(t *testing.T) {
 	u := env.NewUniform(2)
 	agents := []gossip.Agent{pushsum.NewAverage(0, 1), pushsum.NewAverage(1, 2)}
 
-	if _, err := New(Config{Agents: agents, Ticks: 5}); err == nil {
+	if _, err := New(Config{Population: NewAgentPopulation(agents), Ticks: 5}); err == nil {
 		t.Error("nil env accepted")
 	}
-	if _, err := New(Config{Env: u, Agents: agents[:1], Ticks: 5}); err == nil {
+	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents[:1]), Ticks: 5}); err == nil {
 		t.Error("agent/env size mismatch accepted")
 	}
-	if _, err := New(Config{Env: u, Agents: agents, Ticks: 0}); err == nil {
+	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Ticks: 0}); err == nil {
 		t.Error("zero ticks accepted")
 	}
-	if _, err := New(Config{Env: u, Agents: agents, Ticks: 5}); err != nil {
+	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Ticks: 5}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
@@ -44,7 +44,7 @@ func (bareAgent) Estimate() (float64, bool)                                  { r
 func TestNewPushPullRequiresExchanger(t *testing.T) {
 	u := env.NewUniform(1)
 	if _, err := New(Config{
-		Env: u, Agents: []gossip.Agent{bareAgent{}}, Ticks: 1, Model: gossip.PushPull,
+		Env: u, Population: NewAgentPopulation([]gossip.Agent{bareAgent{}}), Ticks: 1, Model: gossip.PushPull,
 	}); err == nil {
 		t.Error("push/pull live engine accepted non-Exchanger agent")
 	}
@@ -61,7 +61,7 @@ func TestPushSumConvergesUnderPush(t *testing.T) {
 		agents[i] = pushsum.NewAverage(gossip.NodeID(i), v)
 	}
 	truth /= n
-	e, err := New(Config{Env: u, Agents: agents, Model: gossip.Push, Seed: 1, Ticks: 60})
+	e, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 1, Ticks: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPushSumRevertConvergesUnderPushPull(t *testing.T) {
 			pushsumrevert.Config{Lambda: 0.01, PushPull: true})
 	}
 	truth /= n
-	e, err := New(Config{Env: u, Agents: agents, Model: gossip.PushPull, Seed: 2, Ticks: 50})
+	e, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Model: gossip.PushPull, Seed: 2, Ticks: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSketchResetConvergesLive(t *testing.T) {
 			Params: sketch.DefaultParams, Identifiers: 1,
 		})
 	}
-	e, err := New(Config{Env: u, Agents: agents, Model: gossip.PushPull, Seed: 3, Ticks: 40})
+	e, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Model: gossip.PushPull, Seed: 3, Ticks: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestContextCancellation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		agents[i] = pushsum.NewAverage(gossip.NodeID(i), 1)
 	}
-	e, err := New(Config{Env: u, Agents: agents, Model: gossip.Push, Seed: 4, Ticks: 1 << 30})
+	e, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 4, Ticks: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestTinyInboxDrops(t *testing.T) {
 		agents[i] = pushsum.NewAverage(gossip.NodeID(i), float64(i))
 	}
 	e, err := New(Config{
-		Env: u, Agents: agents, Model: gossip.Push, Seed: 5, Ticks: 50,
+		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 5, Ticks: 50,
 		InboxCapacity: 1,
 	})
 	if err != nil {
@@ -215,7 +215,7 @@ func TestEstimatesSkipsDeadHosts(t *testing.T) {
 	}
 	u.Population.Fail(0)
 	u.Population.Fail(1)
-	e, err := New(Config{Env: u, Agents: agents, Model: gossip.Push, Seed: 6, Ticks: 3})
+	e, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 6, Ticks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestBoundedWorkersConverge(t *testing.T) {
 		}
 		truth /= n
 		e, err := New(Config{
-			Env: u, Agents: agents, Model: model, Seed: 3, Ticks: 60, Workers: 4,
+			Env: u, Population: NewAgentPopulation(agents), Model: model, Seed: 3, Ticks: 60, Workers: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +270,7 @@ func TestBoundedWorkersConverge(t *testing.T) {
 func TestNegativeWorkersRejected(t *testing.T) {
 	u := env.NewUniform(2)
 	agents := []gossip.Agent{pushsum.NewAverage(0, 1), pushsum.NewAverage(1, 2)}
-	if _, err := New(Config{Env: u, Agents: agents, Ticks: 5, Workers: -1}); err == nil {
+	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Ticks: 5, Workers: -1}); err == nil {
 		t.Error("negative Workers accepted")
 	}
 }

@@ -56,7 +56,7 @@ func TestLivePushSumOverUDPWithLossConverges(t *testing.T) {
 	}
 	defer udp.Close()
 	e, err := New(Config{
-		Env: u, Agents: agents, Model: gossip.Push, Seed: 11, Ticks: 80,
+		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 11, Ticks: 80,
 		Transport: &transport.Lossy{T: udp, P: 0.2, Seed: 12},
 	})
 	if err != nil {
@@ -112,7 +112,7 @@ func TestLiveSketchResetOverUDPConverges(t *testing.T) {
 		pace = 20 * time.Millisecond
 	}
 	e, err := New(Config{
-		Env: u, Agents: agents, Model: gossip.Push, Seed: 21, Ticks: 40,
+		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 21, Ticks: 40,
 		Transport: udp, TickEvery: pace, Workers: 4,
 	})
 	if err != nil {
@@ -135,9 +135,9 @@ func TestLiveSpanEnginesOverUDPConverge(t *testing.T) {
 	const n = 256
 	groups := []transport.Group{{Lo: 0, Hi: n / 2}, {Lo: n / 2, Hi: n}}
 	mk := func(local int) *transport.UDP {
-		cfg := transport.UDPConfig{Groups: append([]transport.Group(nil), groups...), Local: []int{local}}
-		cfg.Groups[local].Addr = "127.0.0.1:0"
-		tr, err := transport.NewUDP(cfg)
+		gs := append([]transport.Group(nil), groups...)
+		gs[local].Addr = "127.0.0.1:0"
+		tr, err := transport.NewUDP(transport.WithGroups(gs...), transport.WithLocal(local))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestLiveSpanEnginesOverUDPConverge(t *testing.T) {
 	agents, truth := pushSumAgents(n)
 	mkEngine := func(span Span, tr transport.Transport) *Engine {
 		e, err := New(Config{
-			Env: env.NewUniform(n), Agents: agents[span.Lo:span.Hi],
+			Env: env.NewUniform(n), Population: NewAgentPopulation(agents[span.Lo:span.Hi]),
 			Model: gossip.Push, Seed: 31, Ticks: 80,
 			Transport: tr, Span: span,
 		})
@@ -200,7 +200,7 @@ func TestLiveExplicitChannelTransportMatchesDefault(t *testing.T) {
 	agents, truth := pushSumAgents(n)
 	ch := transport.NewChannel(n, 0)
 	e, err := New(Config{
-		Env: u, Agents: agents, Model: gossip.Push, Seed: 1, Ticks: 60,
+		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 1, Ticks: 60,
 		Transport: ch,
 	})
 	if err != nil {
@@ -231,7 +231,7 @@ func TestLiveCancellationReturnsCtxErrEveryShard(t *testing.T) {
 		u := env.NewUniform(n)
 		agents, _ := pushSumAgents(n)
 		e, err := New(Config{
-			Env: u, Agents: agents, Model: gossip.Push, Seed: 7,
+			Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 7,
 			Ticks: 1 << 30, Workers: workers,
 		})
 		if err != nil {
@@ -249,7 +249,7 @@ func TestLiveCancellationReturnsCtxErrEveryShard(t *testing.T) {
 	u := env.NewUniform(n)
 	agents, _ := pushSumAgents(n)
 	e, err := New(Config{
-		Env: u, Agents: agents, Model: gossip.Push, Seed: 8,
+		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 8,
 		Ticks: 1 << 30, Workers: 4,
 	})
 	if err != nil {
@@ -272,7 +272,7 @@ func TestLiveDroppedAccountingUnderLossy(t *testing.T) {
 	agents, _ := pushSumAgents(n)
 	lt := &transport.Lossy{T: transport.NewChannel(n, 4096), P: p, Seed: 99}
 	e, err := New(Config{
-		Env: u, Agents: agents, Model: gossip.Push, Seed: 9, Ticks: 50,
+		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 9, Ticks: 50,
 		Transport: lt,
 	})
 	if err != nil {
@@ -300,28 +300,28 @@ func TestLiveSpanValidation(t *testing.T) {
 	agents, _ := pushSumAgents(2)
 	ch := transport.NewChannel(4, 0)
 
-	if _, err := New(Config{Env: u, Agents: agents, Ticks: 1, Span: Span{Lo: 0, Hi: 2}}); err == nil {
+	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Ticks: 1, Span: Span{Lo: 0, Hi: 2}}); err == nil {
 		t.Error("Span without Transport accepted")
 	}
-	if _, err := New(Config{Env: u, Agents: agents, Ticks: 1, Transport: ch, Span: Span{Lo: 2, Hi: 6}}); err == nil {
+	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Ticks: 1, Transport: ch, Span: Span{Lo: 2, Hi: 6}}); err == nil {
 		t.Error("Span beyond environment accepted")
 	}
-	if _, err := New(Config{Env: u, Agents: agents, Ticks: 1, Transport: ch, Span: Span{Lo: 1, Hi: 2}}); err == nil {
+	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Ticks: 1, Transport: ch, Span: Span{Lo: 1, Hi: 2}}); err == nil {
 		t.Error("agent count != span width accepted")
 	}
 	if _, err := New(Config{
-		Env: u, Agents: agents, Ticks: 1, Transport: ch,
+		Env: u, Population: NewAgentPopulation(agents), Ticks: 1, Transport: ch,
 		Model: gossip.PushPull, Span: Span{Lo: 0, Hi: 2},
 	}); err == nil {
 		t.Error("push/pull Span accepted")
 	}
 	if _, err := New(Config{
-		Env: u, Agents: agents, Ticks: 1,
+		Env: u, Population: NewAgentPopulation(agents), Ticks: 1,
 		Transport: &transport.Lossy{T: ch, P: 2},
 	}); err == nil {
 		t.Error("invalid Lossy accepted")
 	}
-	if _, err := New(Config{Env: u, Agents: agents, Ticks: 1, Transport: ch, Span: Span{Lo: 0, Hi: 2}}); err != nil {
+	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Ticks: 1, Transport: ch, Span: Span{Lo: 0, Hi: 2}}); err != nil {
 		t.Errorf("valid span config rejected: %v", err)
 	}
 }

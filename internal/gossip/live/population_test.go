@@ -1,25 +1,21 @@
 package live
 
 import (
-	"context"
-	"math"
 	"testing"
 
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 )
 
-// TestLiveDeprecatedAgentsFieldIsAShim pins the compatibility contract
-// of the API redesign: a Config that still sets the deprecated Agents
-// field must come out as an AgentPopulation wrapping that exact slice —
-// same backing array, not a copy — so every pre-redesign caller keeps
-// its aliasing semantics (tests mutate agents after New and expect the
-// engine to see it).
-func TestLiveDeprecatedAgentsFieldIsAShim(t *testing.T) {
+// TestLiveAgentPopulationAliasesSlice pins the aliasing contract of
+// the agent backend: the population wraps the exact slice it was given
+// — same backing array, not a copy — because callers mutate agents
+// after New and expect the engine to see it.
+func TestLiveAgentPopulationAliasesSlice(t *testing.T) {
 	const n = 32
 	u := env.NewUniform(n)
 	agents, _ := pushSumAgents(n)
-	e, err := New(Config{Env: u, Agents: agents, Model: gossip.Push, Seed: 1, Ticks: 1})
+	e, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 1, Ticks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,64 +25,20 @@ func TestLiveDeprecatedAgentsFieldIsAShim(t *testing.T) {
 	}
 	got := ap.Agents()
 	if len(got) != n || &got[0] != &agents[0] {
-		t.Error("AgentPopulation must alias the Config.Agents slice, not copy it")
+		t.Error("AgentPopulation must alias the slice it was built from, not copy it")
 	}
 }
 
-// TestLivePopulationConfigValidation pins the New-time errors around
-// the redesigned field pair: exactly one of Population and the
-// deprecated Agents must be set, and the messages must steer callers
-// to the new constructors.
+// TestLivePopulationConfigValidation pins the New-time check on the
+// Population field: it is required.
 func TestLivePopulationConfigValidation(t *testing.T) {
 	u := env.NewUniform(4)
 	agents, _ := pushSumAgents(4)
 
 	if _, err := New(Config{Env: u, Ticks: 1}); err == nil {
-		t.Error("neither Population nor Agents set: accepted")
-	}
-	if _, err := New(Config{
-		Env: u, Ticks: 1,
-		Population: NewAgentPopulation(agents), Agents: agents,
-	}); err == nil {
-		t.Error("both Population and Agents set: accepted")
+		t.Error("nil Population accepted")
 	}
 	if _, err := New(Config{Env: u, Ticks: 1, Population: NewAgentPopulation(agents)}); err != nil {
 		t.Errorf("valid Population config rejected: %v", err)
-	}
-}
-
-// TestLiveAgentPopulationMatchesDeprecatedPath runs the same workload
-// through both construction paths — the deprecated Agents field and an
-// explicit NewAgentPopulation — and requires both to converge to the
-// truth within the engine's usual tolerance. (Live runs are
-// wall-clock-scheduled, so the pin is behavioral equivalence, not
-// byte-identical transcripts; the shim test above covers the aliasing
-// half of the contract.)
-func TestLiveAgentPopulationMatchesDeprecatedPath(t *testing.T) {
-	const n = 256
-	run := func(explicit bool) float64 {
-		u := env.NewUniform(n)
-		agents, _ := pushSumAgents(n)
-		cfg := Config{Env: u, Model: gossip.Push, Seed: 5, Ticks: 60}
-		if explicit {
-			cfg.Population = NewAgentPopulation(agents)
-		} else {
-			cfg.Agents = agents
-		}
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return meanOf(t, e.Estimates())
-	}
-	_, truth := pushSumAgents(n)
-	for _, explicit := range []bool{false, true} {
-		mean := run(explicit)
-		if math.Abs(mean-truth) > 0.2*truth {
-			t.Errorf("explicit=%v: mean estimate %v, want ≈ %v", explicit, mean, truth)
-		}
 	}
 }

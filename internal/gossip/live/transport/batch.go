@@ -1,11 +1,6 @@
 package transport
 
-import (
-	"time"
-
-	"dynagg/internal/gossip"
-	"dynagg/internal/xrand"
-)
+import "dynagg/internal/gossip"
 
 // Batcher is the bulk plane of a transport: where Transport moves one
 // boxed payload per call, a Batcher moves one encoded *batch* per call
@@ -66,13 +61,6 @@ func AsBatcher(t Transport) (Batcher, bool) {
 	return b, true
 }
 
-// batchItem is one queued batch: a pooled body buffer plus its message
-// count (kept for drop accounting if the queue sheds it).
-type batchItem struct {
-	buf  *[]byte
-	msgs int
-}
-
 // maxBatchHeader is the worst-case wire.Header size a batch datagram
 // spends on framing: version + kind bytes plus three maximal uvarints.
 const maxBatchHeader = 2 + 3*5
@@ -83,136 +71,6 @@ const maxBatchHeader = 2 + 3*5
 // caps its bodies here — a full-size batch must be one *sendable*
 // datagram, not merely one encodable buffer.
 const maxUDPPayload = 65507
-
-// ---- Channel batch plane ----
-
-// BatchGroups implements Batcher.
-func (c *Channel) BatchGroups() int { return len(c.groups) }
-
-// BatchGroup implements Batcher.
-func (c *Channel) BatchGroup(g int) (lo, hi gossip.NodeID) {
-	return c.groups[g].Lo, c.groups[g].Hi
-}
-
-// MaxBatchBody implements Batcher. The in-process transport has no
-// physical datagram ceiling; it mirrors the UDP ceiling so chan and
-// udp runs batch identically.
-func (c *Channel) MaxBatchBody() int { return maxUDPPayload - maxBatchHeader }
-
-// SendBatch implements Batcher: copy the body into a pooled buffer and
-// enqueue it on the group's batch queue, non-blocking; overflow drops
-// the whole batch, counted per message.
-func (c *Channel) SendBatch(group, tick, msgs int, body []byte) bool {
-	if c.closed.Load() || group < 0 || group >= len(c.batches) || len(body) > c.MaxBatchBody() {
-		c.dropped.Add(int64(msgs))
-		return false
-	}
-	bp := c.batchBufs.Get().(*[]byte)
-	*bp = append((*bp)[:0], body...)
-	select {
-	case c.batches[group] <- batchItem{buf: bp, msgs: msgs}:
-		c.sent.Add(int64(msgs))
-		return true
-	default:
-		c.batchBufs.Put(bp)
-		c.dropped.Add(int64(msgs))
-		return false
-	}
-}
-
-// DrainBatch implements Batcher.
-func (c *Channel) DrainBatch(group int, fn func(body []byte)) {
-	if group < 0 || group >= len(c.batches) {
-		return
-	}
-	for {
-		select {
-		case it := <-c.batches[group]:
-			fn(*it.buf)
-			c.batchBufs.Put(it.buf)
-		default:
-			return
-		}
-	}
-}
-
-// ---- Lossy batch plane ----
-
-// batcher returns the inner transport's batch plane, nil if it has
-// none.
-func (l *Lossy) batcher() Batcher {
-	b, _ := l.T.(Batcher)
-	return b
-}
-
-// BatchGroups implements Batcher: the inner transport's group count, 0
-// when the inner transport has no batch plane (AsBatcher then reports
-// the whole stack as batchless).
-func (l *Lossy) BatchGroups() int {
-	if b := l.batcher(); b != nil {
-		return b.BatchGroups()
-	}
-	return 0
-}
-
-// BatchGroup implements Batcher.
-func (l *Lossy) BatchGroup(g int) (lo, hi gossip.NodeID) { return l.batcher().BatchGroup(g) }
-
-// MaxBatchBody implements Batcher.
-func (l *Lossy) MaxBatchBody() int { return l.batcher().MaxBatchBody() }
-
-// SendBatch implements Batcher: one loss draw per batch — a batch is
-// one datagram, and the injector models datagram loss — so all msgs
-// messages drop (or survive) together; the per-message drop *rate*
-// still converges to P because the draw is independent of batch size.
-func (l *Lossy) SendBatch(group, tick, msgs int, body []byte) bool {
-	inner := l.batcher()
-	if inner == nil {
-		l.dropped.Add(int64(msgs))
-		return false
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		l.dropped.Add(int64(msgs))
-		return false
-	}
-	if l.rng == nil {
-		l.rng = xrand.New(l.Seed)
-	}
-	drop := l.rng.Prob(l.P)
-	var wait time.Duration
-	if !drop && l.Delay > 0 {
-		wait = l.Delay
-		if l.Jitter > 0 {
-			wait += time.Duration(l.rng.Float64() * float64(l.Jitter))
-		}
-		l.delayed.Add(1)
-	}
-	l.mu.Unlock()
-	if drop {
-		l.dropped.Add(int64(msgs))
-		// On a stream transport the lost "datagram" is a failed link:
-		// sever the connection toward the destination group.
-		lo, _ := inner.BatchGroup(group)
-		l.killLink(lo)
-		return false
-	}
-	if wait > 0 {
-		// The caller reuses body after we return, so a delayed batch
-		// needs its own copy.
-		held := append([]byte(nil), body...)
-		time.AfterFunc(wait, func() {
-			defer l.delayed.Done()
-			inner.SendBatch(group, tick, msgs, held)
-		})
-		return true
-	}
-	return inner.SendBatch(group, tick, msgs, body)
-}
-
-// DrainBatch implements Batcher: receive-side pass-through, like Drain.
-func (l *Lossy) DrainBatch(group int, fn func(body []byte)) { l.batcher().DrainBatch(group, fn) }
 
 // Compile-time wiring of the batch planes.
 var (

@@ -337,10 +337,7 @@ func buildBundleBytes(hdr []byte, name string) []byte {
 // a different address keeps failing with ErrSpanConflict.
 func TestAnnounceReplaceReclaimsSpan(t *testing.T) {
 	mk := func(lo, hi gossip.NodeID) *TCP {
-		tr, err := NewTCP(TCPConfig{
-			Groups: []Group{{Lo: lo, Hi: hi, Addr: "127.0.0.1:0"}},
-			Local:  []int{0},
-		})
+		tr, err := NewTCP(WithGroups(Group{Lo: lo, Hi: hi, Addr: "127.0.0.1:0"}), WithLocal(0))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
-// Option-style construction. Transports used to be assembled by
-// struct-literal field poking (`&Lossy{T: udp, P: 0.2, Seed: 9}`,
-// `NewUDP(UDPConfig{...})`); the option constructors below compose the
-// same knobs — group layout, queue depths, loss, delay, WAN profiles —
-// uniformly, so call sites read as a configuration sentence:
+// Option-style construction: the socket transports and the loss
+// injector are assembled from options only, so call sites read as a
+// configuration sentence:
 //
 //	tr, err := transport.NewUDP(
 //		transport.WithLoopbackGroups(1_000_000, 8),
@@ -12,25 +10,40 @@
 // The knobs both socket transports share — group layout, locality,
 // queue capacity — are Options, accepted by NewUDP and NewTCP alike;
 // medium-specific knobs (SO_RCVBUF, datagram ceilings, stream framing
-// and reconnect pacing) stay UDPOption or TCPOption. A full UDPConfig
-// still satisfies UDPOption (field-wise overlay), so pre-options call
-// sites — NewUDP(cfg) — keep compiling unchanged, and the Lossy struct
-// fields stay exported for the same reason.
+// and reconnect pacing) stay UDPOption or TCPOption, so the compiler
+// rejects a datagram knob on a stream transport. The Lossy struct
+// fields stay exported: a literal is still the shortest way to wrap a
+// transport in a test.
 package transport
 
 import (
 	"fmt"
 	"time"
-
-	"dynagg/internal/gossip"
 )
+
+// settings is what the options assemble: the shared layout and queue
+// knobs plus each medium's own. Zero fields mean the documented
+// defaults.
+type settings struct {
+	groups        []Group
+	local         []int
+	queueCapacity int
+
+	readBuffer  int // UDP
+	maxDatagram int // UDP
+
+	maxFrame    int // TCP
+	dialTimeout time.Duration
+	backoffMin  time.Duration
+	backoffMax  time.Duration
+}
 
 // UDPOption configures NewUDP. Options apply in argument order; later
 // options override earlier ones.
-type UDPOption interface{ applyUDP(*UDPConfig) }
+type UDPOption interface{ applyUDP(*settings) }
 
 // TCPOption configures NewTCP, with the same ordering rule.
-type TCPOption interface{ applyTCP(*TCPConfig) }
+type TCPOption interface{ applyTCP(*settings) }
 
 // Option is a knob both socket transports understand — group layout,
 // locality, queue capacity — so one option list can assemble either
@@ -40,163 +53,88 @@ type Option interface {
 	TCPOption
 }
 
-// udpOptionFunc adapts a function to UDPOption.
-type udpOptionFunc func(*UDPConfig)
+// sharedOption, udpOption and tcpOption adapt a setter to the option
+// interface(s) of the media it applies to.
+type (
+	sharedOption func(*settings)
+	udpOption    func(*settings)
+	tcpOption    func(*settings)
+)
 
-func (f udpOptionFunc) applyUDP(c *UDPConfig) { f(c) }
-
-// tcpOptionFunc adapts a function to TCPOption.
-type tcpOptionFunc func(*TCPConfig)
-
-func (f tcpOptionFunc) applyTCP(c *TCPConfig) { f(c) }
-
-// dualOption adapts a pair of functions to Option.
-type dualOption struct {
-	udp func(*UDPConfig)
-	tcp func(*TCPConfig)
-}
-
-func (o dualOption) applyUDP(c *UDPConfig) { o.udp(c) }
-func (o dualOption) applyTCP(c *TCPConfig) { o.tcp(c) }
-
-// applyUDP lets a complete UDPConfig act as one big option: every
-// non-zero field overlays the accumulated configuration. This is the
-// compatibility bridge for pre-options call sites.
-func (c UDPConfig) applyUDP(dst *UDPConfig) {
-	if c.Groups != nil {
-		dst.Groups = c.Groups
-	}
-	if c.Local != nil {
-		dst.Local = c.Local
-	}
-	if c.QueueCapacity != 0 {
-		dst.QueueCapacity = c.QueueCapacity
-	}
-	if c.ReadBuffer != 0 {
-		dst.ReadBuffer = c.ReadBuffer
-	}
-	if c.MaxDatagram != 0 {
-		dst.MaxDatagram = c.MaxDatagram
-	}
-}
-
-// applyTCP gives TCPConfig the same one-big-option role for NewTCP.
-func (c TCPConfig) applyTCP(dst *TCPConfig) {
-	if c.Groups != nil {
-		dst.Groups = c.Groups
-	}
-	if c.Local != nil {
-		dst.Local = c.Local
-	}
-	if c.QueueCapacity != 0 {
-		dst.QueueCapacity = c.QueueCapacity
-	}
-	if c.MaxFrame != 0 {
-		dst.MaxFrame = c.MaxFrame
-	}
-	if c.DialTimeout != 0 {
-		dst.DialTimeout = c.DialTimeout
-	}
-	if c.BackoffMin != 0 {
-		dst.BackoffMin = c.BackoffMin
-	}
-	if c.BackoffMax != 0 {
-		dst.BackoffMax = c.BackoffMax
-	}
-}
+func (f sharedOption) applyUDP(s *settings) { f(s) }
+func (f sharedOption) applyTCP(s *settings) { f(s) }
+func (f udpOption) applyUDP(s *settings)    { f(s) }
+func (f tcpOption) applyTCP(s *settings)    { f(s) }
 
 // WithGroups sets the population partition (non-empty, non-overlapping,
 // sorted by Lo), replacing any earlier layout.
 func WithGroups(groups ...Group) Option {
-	return dualOption{
-		udp: func(c *UDPConfig) { c.Groups = groups },
-		tcp: func(c *TCPConfig) { c.Groups = groups },
-	}
+	return sharedOption(func(s *settings) { s.groups = groups })
 }
 
 // WithLocal lists the group indices this process binds sockets for.
+// Only local hosts can send and receive here.
 func WithLocal(local ...int) Option {
-	return dualOption{
-		udp: func(c *UDPConfig) { c.Local = local },
-		tcp: func(c *TCPConfig) { c.Local = local },
-	}
-}
-
-// loopbackLayout lays hosts [0, hosts) out as `groups` contiguous
-// local groups on ephemeral loopback ports.
-func loopbackLayout(hosts, groups int) ([]Group, []int) {
-	if groups <= 0 {
-		groups = 1
-	}
-	if groups > hosts {
-		groups = hosts
-	}
-	gs := make([]Group, 0, groups)
-	local := make([]int, 0, groups)
-	for g := 0; g < groups; g++ {
-		gs = append(gs, Group{
-			Lo:   gossip.NodeID(g * hosts / groups),
-			Hi:   gossip.NodeID((g + 1) * hosts / groups),
-			Addr: "127.0.0.1:0",
-		})
-		local = append(local, g)
-	}
-	return gs, local
+	return sharedOption(func(s *settings) { s.local = local })
 }
 
 // WithLoopbackGroups lays hosts [0, hosts) out as `groups` contiguous
 // local groups on ephemeral loopback ports — the single-process layout
-// NewUDPLoopback has always built, as a composable option that NewTCP
-// accepts too.
+// NewUDPLoopback and NewTCPLoopback build.
 func WithLoopbackGroups(hosts, groups int) Option {
-	return dualOption{
-		udp: func(c *UDPConfig) { c.Groups, c.Local = loopbackLayout(hosts, groups) },
-		tcp: func(c *TCPConfig) { c.Groups, c.Local = loopbackLayout(hosts, groups) },
-	}
+	return sharedOption(func(s *settings) {
+		s.groups = contiguousGroups(hosts, groups, "127.0.0.1:0")
+		s.local = make([]int, len(s.groups))
+		for i := range s.local {
+			s.local[i] = i
+		}
+	})
 }
 
 // WithQueueCapacity bounds each local host's (and group's) receive
-// queue — and, for the TCP transport, each peer group's send queue;
+// queue — the post-kernel stage of the radio, overflow dropped and
+// counted — and, for the TCP transport, each peer group's send queue;
 // 0 keeps DefaultQueue.
 func WithQueueCapacity(n int) Option {
-	return dualOption{
-		udp: func(c *UDPConfig) { c.QueueCapacity = n },
-		tcp: func(c *TCPConfig) { c.QueueCapacity = n },
-	}
+	return sharedOption(func(s *settings) { s.queueCapacity = n })
 }
 
 // WithReadBuffer sets SO_RCVBUF on each local socket. Million-host
 // columnar runs want several MiB here: a whole shard's wave lands on
-// one socket between drains.
+// one socket between drains. Shrinking it makes the kernel stage of
+// the radio saturate earlier; those losses are silent (the kernel
+// drops before the transport sees anything), which is the point.
 func WithReadBuffer(n int) UDPOption {
-	return udpOptionFunc(func(c *UDPConfig) { c.ReadBuffer = n })
+	return udpOption(func(s *settings) { s.readBuffer = n })
 }
 
 // WithMaxDatagram bounds encoded datagram size; 0 keeps the 64 KiB
-// default.
+// default, the practical UDP ceiling. Messages that encode larger are
+// dropped.
 func WithMaxDatagram(n int) UDPOption {
-	return udpOptionFunc(func(c *UDPConfig) { c.MaxDatagram = n })
+	return udpOption(func(s *settings) { s.maxDatagram = n })
 }
 
 // WithMaxFrame bounds the TCP transport's frame size, send and
-// receive; 0 keeps DefaultMaxFrame.
+// receive; 0 keeps DefaultMaxFrame. Oversized sends drop; an oversized
+// *claim* on a received stream is corruption and kills the connection.
 func WithMaxFrame(n int) TCPOption {
-	return tcpOptionFunc(func(c *TCPConfig) { c.MaxFrame = n })
+	return tcpOption(func(s *settings) { s.maxFrame = n })
 }
 
 // WithDialTimeout bounds each connection attempt (and the announce
 // round-trip of the bootstrap protocol); 0 keeps DefaultDialTimeout.
 func WithDialTimeout(d time.Duration) TCPOption {
-	return tcpOptionFunc(func(c *TCPConfig) { c.DialTimeout = d })
+	return tcpOption(func(s *settings) { s.dialTimeout = d })
 }
 
 // WithReconnectBackoff sets the exponential redial pacing after a
 // broken connection: the first retry waits min, doubling up to max.
 // Zeros keep DefaultBackoffMin / DefaultBackoffMax.
 func WithReconnectBackoff(min, max time.Duration) TCPOption {
-	return tcpOptionFunc(func(c *TCPConfig) {
-		c.BackoffMin = min
-		c.BackoffMax = max
+	return tcpOption(func(s *settings) {
+		s.backoffMin = min
+		s.backoffMax = max
 	})
 }
 

@@ -34,34 +34,6 @@ func TestNewUDPOptionsMatchLoopbackHelper(t *testing.T) {
 	}
 }
 
-// TestNewUDPAcceptsConfigAsOption pins the compatibility bridge: a
-// whole UDPConfig value is itself an option, so pre-redesign call
-// sites `NewUDP(cfg)` keep compiling and behaving.
-func TestNewUDPAcceptsConfigAsOption(t *testing.T) {
-	cfg := UDPConfig{
-		Groups: []Group{{Lo: 0, Hi: 8, Addr: "127.0.0.1:0"}, {Lo: 8, Hi: 16, Addr: "127.0.0.1:0"}},
-		Local:  []int{0, 1},
-	}
-	u, err := NewUDP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
-	if got := u.BatchGroups(); got != 2 {
-		t.Fatalf("BatchGroups = %d, want 2", got)
-	}
-	// Options compose over a config base: an explicit queue capacity
-	// layered on top must not disturb the group layout.
-	v, err := NewUDP(cfg, WithQueueCapacity(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	if lo, hi := v.BatchGroup(1); lo != 8 || hi != 16 {
-		t.Errorf("BatchGroup(1) = [%d,%d), want [8,16)", lo, hi)
-	}
-}
-
 // TestNewUDPValidation pins the constructor's guard rails through the
 // option path.
 func TestNewUDPValidation(t *testing.T) {

@@ -26,9 +26,9 @@ func tcpPair(t *testing.T, opts ...TCPOption) (a, b *TCP) {
 	t.Helper()
 	groups := []Group{{Lo: 0, Hi: 4}, {Lo: 4, Hi: 8}}
 	mk := func(local int) *TCP {
-		cfg := TCPConfig{Groups: append([]Group(nil), groups...), Local: []int{local}}
-		cfg.Groups[local].Addr = "127.0.0.1:0"
-		tr, err := NewTCP(append([]TCPOption{cfg}, opts...)...)
+		gs := append([]Group(nil), groups...)
+		gs[local].Addr = "127.0.0.1:0"
+		tr, err := NewTCP(append([]TCPOption{WithGroups(gs...), WithLocal(local)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,15 +269,15 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The restarted peer must bind the same address to be found again.
-	cfg := TCPConfig{
-		Groups: []Group{{Lo: 0, Hi: 4, Addr: a.GroupAddr(0)}, {Lo: 4, Hi: 8, Addr: addr}},
-		Local:  []int{1},
+	cfg := []TCPOption{
+		WithGroups(Group{Lo: 0, Hi: 4, Addr: a.GroupAddr(0)}, Group{Lo: 4, Hi: 8, Addr: addr}),
+		WithLocal(1),
 	}
 	var b2 *TCP
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var err error
-		if b2, err = NewTCP(cfg); err == nil {
+		if b2, err = NewTCP(cfg...); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -316,7 +316,7 @@ func TestTCPSlowPeerDoesNotStallOtherGroups(t *testing.T) {
 	}()
 
 	groups := []Group{{Lo: 0, Hi: 2, Addr: "127.0.0.1:0"}, {Lo: 2, Hi: 4, Addr: slow.Addr().String()}, {Lo: 4, Hi: 6}}
-	a, err := NewTCP(TCPConfig{Groups: groups, Local: []int{0}, QueueCapacity: 8})
+	a, err := NewTCP(WithGroups(groups...), WithLocal(0), WithQueueCapacity(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestTCPSlowPeerDoesNotStallOtherGroups(t *testing.T) {
 	bGroups := append([]Group(nil), groups...)
 	bGroups[0].Addr = a.GroupAddr(0)
 	bGroups[2].Addr = "127.0.0.1:0"
-	b, err := NewTCP(TCPConfig{Groups: bGroups, Local: []int{2}})
+	b, err := NewTCP(WithGroups(bGroups...), WithLocal(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,10 +393,7 @@ func TestLossyOverTCPKillsLinks(t *testing.T) {
 // table, and re-announce until everyone covers the population.
 func TestTCPAnnounceBootstrapsMembership(t *testing.T) {
 	mk := func(lo, hi gossip.NodeID) *TCP {
-		tr, err := NewTCP(TCPConfig{
-			Groups: []Group{{Lo: lo, Hi: hi, Addr: "127.0.0.1:0"}},
-			Local:  []int{0},
-		})
+		tr, err := NewTCP(WithGroups(Group{Lo: lo, Hi: hi, Addr: "127.0.0.1:0"}), WithLocal(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,10 +448,7 @@ func TestTCPAnnounceBootstrapsMembership(t *testing.T) {
 // spans announce directly.
 func TestTCPSpanObserverHeartbeats(t *testing.T) {
 	mk := func(lo, hi gossip.NodeID) *TCP {
-		tr, err := NewTCP(TCPConfig{
-			Groups: []Group{{Lo: lo, Hi: hi, Addr: "127.0.0.1:0"}},
-			Local:  []int{0},
-		})
+		tr, err := NewTCP(WithGroups(Group{Lo: lo, Hi: hi, Addr: "127.0.0.1:0"}), WithLocal(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,7 +540,7 @@ func TestTCPAnnounceLateSeed(t *testing.T) {
 	seedAddr := probe.Addr().String()
 	probe.Close()
 
-	j := mustTCP(t, TCPConfig{Groups: []Group{{Lo: 4, Hi: 8, Addr: "127.0.0.1:0"}}, Local: []int{0}, DialTimeout: 500 * time.Millisecond})
+	j := mustTCP(t, WithGroups(Group{Lo: 4, Hi: 8, Addr: "127.0.0.1:0"}), WithLocal(0), WithDialTimeout(500*time.Millisecond))
 	defer j.Close()
 	err = j.Announce(seedAddr, 4, 8, j.GroupAddr(0))
 	if err == nil {
@@ -556,7 +550,7 @@ func TestTCPAnnounceLateSeed(t *testing.T) {
 		t.Fatalf("absent seed misreported as span conflict: %v", err)
 	}
 
-	seed := mustTCP(t, TCPConfig{Groups: []Group{{Lo: 0, Hi: 4, Addr: seedAddr}}, Local: []int{0}})
+	seed := mustTCP(t, WithGroups(Group{Lo: 0, Hi: 4, Addr: seedAddr}), WithLocal(0))
 	defer seed.Close()
 	if err := j.Announce(seedAddr, 4, 8, j.GroupAddr(0)); err != nil {
 		t.Fatalf("announce after seed start: %v", err)
@@ -566,9 +560,9 @@ func TestTCPAnnounceLateSeed(t *testing.T) {
 	}
 }
 
-func mustTCP(t *testing.T, cfg TCPConfig) *TCP {
+func mustTCP(t *testing.T, opts ...TCPOption) *TCP {
 	t.Helper()
-	tr, err := NewTCP(cfg)
+	tr, err := NewTCP(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +574,7 @@ func mustTCP(t *testing.T, cfg TCPConfig) *TCP {
 // overlapping spans are ErrSpanConflict — locally via RegisterGroup
 // and end-to-end via a rejected announce.
 func TestTCPSpanRegistrationConflicts(t *testing.T) {
-	seed := mustTCP(t, TCPConfig{Groups: []Group{{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}}, Local: []int{0}})
+	seed := mustTCP(t, WithGroups(Group{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}), WithLocal(0))
 	defer seed.Close()
 	if err := seed.RegisterGroup(4, 8, "127.0.0.1:40001"); err != nil {
 		t.Fatal(err)
@@ -600,7 +594,7 @@ func TestTCPSpanRegistrationConflicts(t *testing.T) {
 
 	// End-to-end: a process claiming an already-owned span is rejected
 	// in the announce reply.
-	imp := mustTCP(t, TCPConfig{Groups: []Group{{Lo: 4, Hi: 8, Addr: "127.0.0.1:0"}}, Local: []int{0}})
+	imp := mustTCP(t, WithGroups(Group{Lo: 4, Hi: 8, Addr: "127.0.0.1:0"}), WithLocal(0))
 	defer imp.Close()
 	err := imp.Announce(seed.GroupAddr(0), 4, 8, imp.GroupAddr(0))
 	if !errors.Is(err, ErrSpanConflict) {
@@ -612,19 +606,19 @@ func TestTCPConfigValidation(t *testing.T) {
 	if _, err := NewTCP(); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := NewTCP(TCPConfig{Groups: []Group{{Lo: 2, Hi: 2, Addr: "127.0.0.1:0"}}, Local: []int{0}}); err == nil {
+	if _, err := NewTCP(WithGroups(Group{Lo: 2, Hi: 2, Addr: "127.0.0.1:0"}), WithLocal(0)); err == nil {
 		t.Error("empty group range accepted")
 	}
-	if _, err := NewTCP(TCPConfig{
-		Groups: []Group{{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}, {Lo: 2, Hi: 6, Addr: "127.0.0.1:0"}},
-		Local:  []int{0, 1},
-	}); err == nil {
+	if _, err := NewTCP(
+		WithGroups(Group{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}, Group{Lo: 2, Hi: 6, Addr: "127.0.0.1:0"}),
+		WithLocal(0, 1),
+	); err == nil {
 		t.Error("overlapping groups accepted")
 	}
-	if _, err := NewTCP(TCPConfig{Groups: []Group{{Lo: 0, Hi: 4}}, Local: []int{0}}); err == nil {
+	if _, err := NewTCP(WithGroups(Group{Lo: 0, Hi: 4}), WithLocal(0)); err == nil {
 		t.Error("local group without bind address accepted")
 	}
-	if _, err := NewTCP(TCPConfig{Groups: []Group{{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}}, Local: []int{3}}); err == nil {
+	if _, err := NewTCP(WithGroups(Group{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}), WithLocal(3)); err == nil {
 		t.Error("out-of-range local index accepted")
 	}
 }

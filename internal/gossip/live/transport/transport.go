@@ -1,32 +1,41 @@
 // Package transport decouples the live gossip engine from the medium
-// its messages travel over. The engine used to own a slice of buffered
-// Go channels; that plumbing is now behind the Transport interface so
-// the same protocol code can run over in-process channels (the test
-// default, byte-for-byte the old behavior), over real UDP sockets with
-// wire-encoded datagrams (package-level loopback today, one hop from a
-// real radio), or over either with injected loss — the environment the
-// paper's protocols are actually designed for.
+// its messages travel over: the same protocol code runs over
+// in-process queues (Channel, the default), over real UDP sockets with
+// wire-encoded datagrams (UDP), over framed reliable streams with
+// bootstrap membership (TCP), or over any of them with injected loss
+// and delay (Lossy) — the environment the paper's protocols are
+// actually designed for.
 //
 // A Transport moves payloads between hosts identified by gossip.NodeID
-// and owns the sent/dropped accounting. The channel transport decides
-// a message's fate at a single station, so each message is counted
-// exactly once (sent XOR dropped); a networked transport has two
-// stations — the sender's hand-off to the kernel and the receiver's
-// queue — and a message that clears the first but dies at the second
-// appears in both counters (see UDP.Sent). Delivery is at-most-once
-// and unordered, like the saturated radio of the paper's §II: the
-// protocols must tolerate both, so the transport never retries and
-// never blocks the sender.
+// and owns the sent/dropped accounting. Delivery is at-most-once and
+// unordered, like the saturated radio of the paper's §II: the
+// protocols must tolerate both, so a transport never retries and never
+// blocks the sender. That radio is implemented once: every transport
+// holds the same receive plane (inbox.go) — a bounded queue per local
+// host, a bounded batch queue per local span, non-blocking enqueue,
+// overflow shed and counted per message, one dispatch for everything
+// read off a socket, one Drain loop and one DrainBatch loop — and the
+// media differ only in how a message reaches it. Channel pushes the
+// payload value straight onto the destination queue; UDP is sockets
+// plus a reader per socket; TCP is a stream layer (stream.go: frames
+// between addresses, writers with dial/backoff/coalescing, readers)
+// and a membership layer (membership.go: the group table, the announce
+// handshake) composed with the plane. The group-table helpers
+// (groups.go) and the construction options (options.go) are shared
+// the same way.
+//
+// The channel transport decides a message's fate at a single station,
+// so each message is counted exactly once (sent XOR dropped); a
+// networked transport has two stations — the sender's hand-off to the
+// kernel and the receiver's queue — and a message that clears the
+// first but dies at the second appears in both counters (see
+// UDP.Sent).
 package transport
 
 import (
-	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"dynagg/internal/gossip"
-	"dynagg/internal/xrand"
 )
 
 // DefaultQueue is the per-host receive queue capacity used when a
@@ -59,23 +68,16 @@ type Transport interface {
 	Close() error
 }
 
-// Channel is the in-process transport: one buffered Go channel per
-// host, non-blocking sends, messages beyond capacity dropped as a
-// saturated radio would drop them. This is the live engine's original
-// inbox plumbing, extracted verbatim; it remains the default and keeps
-// live runs free of sockets and codecs.
+// Channel is the in-process transport: the shared receive plane plus a
+// Send that skips the codec — payloads are queued as the values Emit
+// returned. It remains the live engine's default and keeps live runs
+// free of sockets.
 type Channel struct {
-	inbox   []chan any
-	sent    atomic.Int64
-	dropped atomic.Int64
-	closed  atomic.Bool
-
-	// Batch plane (Batcher): the same group partition the UDP
-	// transport would use, one batch queue per group, bodies held in
-	// pooled buffers.
-	groups    []Group
-	batches   []chan batchItem
-	batchBufs sync.Pool
+	// in.spans doubles as the batch plane's partition: every group is
+	// local.
+	in     *inbox
+	sent   atomic.Int64
+	closed atomic.Bool
 }
 
 var _ Transport = (*Channel)(nil)
@@ -94,61 +96,58 @@ func NewChannel(hosts, capacity int) *Channel {
 // shard counts can be exercised without sockets. The per-host plane is
 // unaffected.
 func NewChannelGroups(hosts, capacity, groups int) *Channel {
-	if capacity <= 0 {
-		capacity = DefaultQueue
-	}
-	if groups <= 0 {
-		groups = 1
-	}
-	if groups > hosts && hosts > 0 {
-		groups = hosts
-	}
-	c := &Channel{
-		inbox:   make([]chan any, hosts),
-		batches: make([]chan batchItem, groups),
-	}
-	for i := range c.inbox {
-		c.inbox[i] = make(chan any, capacity)
-	}
-	for g := 0; g < groups; g++ {
-		c.groups = append(c.groups, Group{
-			Lo: gossip.NodeID(g * hosts / groups),
-			Hi: gossip.NodeID((g + 1) * hosts / groups),
-		})
-		c.batches[g] = make(chan batchItem, capacity)
-	}
-	c.batchBufs.New = func() any {
-		b := make([]byte, 0, 1024)
-		return &b
-	}
-	return c
+	return &Channel{in: newInbox(contiguousGroups(hosts, groups, ""), capacity)}
 }
 
-// Send implements Transport: a non-blocking channel send.
+// Send implements Transport: a non-blocking push onto the destination
+// host's queue. A host outside [0, hosts) is a counted drop.
 func (c *Channel) Send(from, to gossip.NodeID, tick int, payload any) bool {
 	if c.closed.Load() {
-		c.dropped.Add(1)
+		c.in.drop(1)
 		return false
 	}
-	select {
-	case c.inbox[to] <- payload:
-		c.sent.Add(1)
-		return true
-	default:
-		c.dropped.Add(1)
+	if !c.in.push(to, payload) {
 		return false
 	}
+	c.sent.Add(1)
+	return true
 }
 
-// Drain implements Transport: a non-blocking drain loop.
-func (c *Channel) Drain(id gossip.NodeID, fn func(payload any)) {
-	for {
-		select {
-		case p := <-c.inbox[id]:
-			fn(p)
-		default:
-			return
-		}
+// Drain implements Transport.
+func (c *Channel) Drain(id gossip.NodeID, fn func(payload any)) { c.in.drain(id, fn) }
+
+// BatchGroups implements Batcher.
+func (c *Channel) BatchGroups() int { return len(c.in.spans) }
+
+// BatchGroup implements Batcher.
+func (c *Channel) BatchGroup(g int) (lo, hi gossip.NodeID) {
+	return c.in.spans[g].Lo, c.in.spans[g].Hi
+}
+
+// MaxBatchBody implements Batcher. The in-process transport has no
+// physical datagram ceiling; it mirrors the UDP ceiling so chan and
+// udp runs batch identically.
+func (c *Channel) MaxBatchBody() int { return maxUDPPayload - maxBatchHeader }
+
+// SendBatch implements Batcher: the body is copied onto the group's
+// batch queue, non-blocking; overflow drops the whole batch, counted
+// per message.
+func (c *Channel) SendBatch(group, tick, msgs int, body []byte) bool {
+	if c.closed.Load() || group < 0 || group >= len(c.in.spans) || len(body) > c.MaxBatchBody() {
+		c.in.drop(msgs)
+		return false
+	}
+	if !c.in.pushBatch(c.in.spans[group].Lo, msgs, body) {
+		return false
+	}
+	c.sent.Add(int64(msgs))
+	return true
+}
+
+// DrainBatch implements Batcher.
+func (c *Channel) DrainBatch(group int, fn func(body []byte)) {
+	if group >= 0 && group < len(c.in.spans) {
+		c.in.drainBatch(c.in.spans[group].Lo, fn)
 	}
 }
 
@@ -156,136 +155,12 @@ func (c *Channel) Drain(id gossip.NodeID, fn func(payload any)) {
 func (c *Channel) Sent() int64 { return c.sent.Load() }
 
 // Dropped implements Transport.
-func (c *Channel) Dropped() int64 { return c.dropped.Load() }
+func (c *Channel) Dropped() int64 { return c.in.dropped.Load() }
 
 // Close implements Transport; the channel transport holds no
 // resources beyond garbage-collected memory, but subsequent Sends
 // drop, per the interface contract.
 func (c *Channel) Close() error {
 	c.closed.Store(true)
-	return nil
-}
-
-// Lossy layers message loss (and optionally delivery delay) over any
-// Transport, making convergence-under-loss a first-class scenario
-// instead of an emergent property of full inboxes:
-//
-//	lt := &transport.Lossy{T: transport.NewChannel(n, 0), P: 0.2, Seed: 9}
-//
-// Each Send is dropped with independent probability P; surviving
-// messages are forwarded to the inner transport, after Delay(±Jitter)
-// if one is configured. Dropped counts injector losses plus the inner
-// transport's own.
-type Lossy struct {
-	// T is the underlying transport. Required.
-	T Transport
-	// P is the per-message drop probability in [0, 1].
-	P float64
-	// Seed drives the injector's private PRNG, so a lossy run is as
-	// reproducible as its scheduling allows.
-	Seed uint64
-	// Delay postpones each surviving delivery; Jitter adds a uniform
-	// random extra in [0, Jitter). Zero delivers inline.
-	Delay  time.Duration
-	Jitter time.Duration
-
-	// mu guards the lazily-built rng AND the closed/delayed pair: a
-	// delayed delivery is only ever registered while the injector is
-	// open, so Close's Wait cannot race a WaitGroup Add.
-	mu      sync.Mutex
-	rng     *xrand.Rand
-	closed  bool
-	dropped atomic.Int64
-	delayed sync.WaitGroup
-}
-
-var _ Transport = (*Lossy)(nil)
-
-// Send implements Transport.
-func (l *Lossy) Send(from, to gossip.NodeID, tick int, payload any) bool {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		l.dropped.Add(1)
-		return false
-	}
-	if l.rng == nil {
-		l.rng = xrand.New(l.Seed)
-	}
-	drop := l.rng.Prob(l.P)
-	var wait time.Duration
-	if !drop && l.Delay > 0 {
-		wait = l.Delay
-		if l.Jitter > 0 {
-			wait += time.Duration(l.rng.Float64() * float64(l.Jitter))
-		}
-		l.delayed.Add(1)
-	}
-	l.mu.Unlock()
-	if drop {
-		l.dropped.Add(1)
-		l.killLink(to)
-		return false
-	}
-	if wait > 0 {
-		time.AfterFunc(wait, func() {
-			defer l.delayed.Done()
-			l.T.Send(from, to, tick, payload)
-		})
-		// In flight: it will be counted sent or dropped on arrival.
-		return true
-	}
-	return l.T.Send(from, to, tick, payload)
-}
-
-// killLink translates a drop draw for a connection-oriented inner
-// transport: a reliable stream has no silent datagram loss, so "this
-// message was lost" becomes "the link carrying it failed" — the
-// connection is severed and the reconnect window models the outage.
-// Datagram transports don't implement LinkKiller and are unaffected.
-func (l *Lossy) killLink(to gossip.NodeID) {
-	if lk, ok := l.T.(LinkKiller); ok {
-		lk.KillLink(to)
-	}
-}
-
-// KillLink implements LinkKiller by forwarding, so injector stacks
-// keep the capability visible.
-func (l *Lossy) KillLink(to gossip.NodeID) bool {
-	if lk, ok := l.T.(LinkKiller); ok {
-		return lk.KillLink(to)
-	}
-	return false
-}
-
-// Drain implements Transport.
-func (l *Lossy) Drain(id gossip.NodeID, fn func(payload any)) { l.T.Drain(id, fn) }
-
-// Sent implements Transport.
-func (l *Lossy) Sent() int64 { return l.T.Sent() }
-
-// Dropped implements Transport: injected drops plus the inner
-// transport's.
-func (l *Lossy) Dropped() int64 { return l.dropped.Load() + l.T.Dropped() }
-
-// Close implements Transport: stops accepting messages, waits for
-// already-scheduled delayed deliveries, then closes the inner
-// transport.
-func (l *Lossy) Close() error {
-	l.mu.Lock()
-	l.closed = true
-	l.mu.Unlock()
-	l.delayed.Wait()
-	return l.T.Close()
-}
-
-// Validate reports whether the injector is usable.
-func (l *Lossy) Validate() error {
-	if l.T == nil {
-		return fmt.Errorf("transport: Lossy.T is nil")
-	}
-	if l.P < 0 || l.P > 1 {
-		return fmt.Errorf("transport: Lossy.P %v outside [0,1]", l.P)
-	}
 	return nil
 }

@@ -8,35 +8,6 @@ import (
 	"dynagg/internal/gossip"
 )
 
-func TestChannelTransportSendDrainDrop(t *testing.T) {
-	c := NewChannel(3, 2)
-	defer c.Close()
-
-	if !c.Send(0, 1, 0, "a") || !c.Send(0, 1, 0, "b") {
-		t.Fatal("sends within capacity rejected")
-	}
-	if c.Send(2, 1, 0, "c") {
-		t.Error("send beyond capacity accepted")
-	}
-	if got := c.Sent(); got != 2 {
-		t.Errorf("Sent = %d, want 2", got)
-	}
-	if got := c.Dropped(); got != 1 {
-		t.Errorf("Dropped = %d, want 1", got)
-	}
-
-	var got []any
-	c.Drain(1, func(p any) { got = append(got, p) })
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("Drain got %v, want [a b] in arrival order", got)
-	}
-	got = nil
-	c.Drain(1, func(p any) { got = append(got, p) })
-	if len(got) != 0 {
-		t.Errorf("second Drain got %v, want nothing", got)
-	}
-}
-
 func TestLossyDropRate(t *testing.T) {
 	const n, msgs, p = 4, 20000, 0.3
 	l := &Lossy{T: NewChannel(n, msgs), P: p, Seed: 42}
@@ -69,19 +40,6 @@ func TestLossyDelayDelivers(t *testing.T) {
 	l.Drain(1, func(any) { count++ })
 	if count != 1 {
 		t.Errorf("got %d messages after delay, want 1", count)
-	}
-}
-
-func TestChannelTransportSendAfterCloseDrops(t *testing.T) {
-	c := NewChannel(2, 4)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Send(0, 1, 0, "x") {
-		t.Error("send after Close accepted")
-	}
-	if c.Sent() != 0 || c.Dropped() != 1 {
-		t.Errorf("sent %d dropped %d, want 0/1", c.Sent(), c.Dropped())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -12,76 +11,33 @@ import (
 	"dynagg/internal/wire"
 )
 
-// Group is one contiguous slice [Lo, Hi) of the host population that
-// shares a single UDP socket — the paper's picture of many sensors
-// behind one radio. A process binds the groups it owns and addresses
-// the rest by Addr.
-type Group struct {
-	Lo, Hi gossip.NodeID
-	// Addr is the group's UDP address. For a local group it is the
-	// bind address ("127.0.0.1:0" picks an ephemeral port; read the
-	// outcome with GroupAddr). For a remote group it may be left empty
-	// at construction and supplied later via SetGroupAddr — messages
-	// to a group with no known address are dropped, exactly like
-	// transmissions to a host that is out of range.
-	Addr string
-}
-
-// UDPConfig assembles a UDP transport.
-type UDPConfig struct {
-	// Groups partitions the population; groups must be non-empty,
-	// non-overlapping, and sorted by Lo.
-	Groups []Group
-	// Local lists the indices into Groups this process binds sockets
-	// for. Only local hosts can send and receive here.
-	Local []int
-	// QueueCapacity bounds each local host's receive queue (0 means
-	// DefaultQueue). The queue is the post-kernel stage of the radio:
-	// datagrams the reader has pulled off the socket but the host has
-	// not yet drained. Overflow drops, counted.
-	QueueCapacity int
-	// ReadBuffer, if positive, sets SO_RCVBUF on each local socket.
-	// Shrinking it makes the kernel stage of the radio saturate
-	// earlier; those losses are silent (the kernel drops before the
-	// transport sees anything), which is the point.
-	ReadBuffer int
-	// MaxDatagram bounds encoded message size (0 means 64 KiB, the
-	// practical UDP ceiling). Messages that encode larger are dropped.
-	MaxDatagram int
-}
-
 // UDP sends every payload through the internal/wire binary encodings —
 // the encodings built for the paper's §IV-B bandwidth argument —
 // prefixed with a self-describing envelope header (protocol kind,
 // destination, sender, tick), over real loopback sockets. Message loss
 // is not simulated here; it happens, in the kernel's socket buffers,
-// whenever receivers fall behind.
+// whenever receivers fall behind. The transport itself is only the
+// sockets: one reader per local socket feeds the shared receive plane.
 type UDP struct {
-	cfg    UDPConfig
-	conns  []*net.UDPConn // parallel to cfg.Local
+	groups      []Group
+	maxDatagram int
+	// addrs and conns are parallel to groups; conns is nil at remote
+	// groups, and first is some local socket for traffic sent on behalf
+	// of hosts that are not local.
 	addrs  []atomic.Pointer[net.UDPAddr]
-	connOf map[int]*net.UDPConn // group index -> local socket
-	// hostQ is the per-host inbox plane, built lazily on first use
-	// (reader unicast delivery or Drain): a million-host columnar run
-	// moves everything over the batch plane, and a quarter-gigabyte of
-	// buffered channels per 64k hosts must not be paid for a plane
-	// that never carries a message.
-	hostQ     atomic.Pointer[map[gossip.NodeID]chan any]
-	hostQOnce sync.Once
-	batchQ    []chan batchItem // parallel to cfg.Groups; nil for remote groups
-	bufs      sync.Pool
-	sent      atomic.Int64
-	dropped   atomic.Int64
-	closed    atomic.Bool
-	wg        sync.WaitGroup
+	conns  []*net.UDPConn
+	first  *net.UDPConn
+	in     *inbox
+	sent   atomic.Int64
+	closed atomic.Bool
+	wg     sync.WaitGroup
 }
 
 var _ Transport = (*UDP)(nil)
 
-// NewUDP assembles the configuration from options — a full UDPConfig
-// works as one (field-wise overlay), so both styles compose:
+// NewUDP assembles the transport from options:
 //
-//	NewUDP(cfg)
+//	NewUDP(WithGroups(a, b), WithLocal(0))
 //	NewUDP(WithLoopbackGroups(1024, 8), WithReadBuffer(4<<20))
 //
 // then binds one socket per local group and starts its reader. The
@@ -89,74 +45,41 @@ var _ Transport = (*UDP)(nil)
 // whose Addr was left empty need SetGroupAddr before messages to them
 // can leave.
 func NewUDP(opts ...UDPOption) (*UDP, error) {
-	var cfg UDPConfig
+	var set settings
 	for _, opt := range opts {
-		opt.applyUDP(&cfg)
+		opt.applyUDP(&set)
 	}
-	return newUDP(cfg)
-}
-
-// newUDP builds the transport from a resolved configuration.
-func newUDP(cfg UDPConfig) (*UDP, error) {
-	if len(cfg.Groups) == 0 {
-		return nil, fmt.Errorf("transport: UDPConfig.Groups is empty")
+	if err := validateLayout(set.groups, set.local); err != nil {
+		return nil, err
 	}
-	if len(cfg.Local) == 0 {
-		return nil, fmt.Errorf("transport: UDPConfig.Local is empty")
-	}
-	for i, g := range cfg.Groups {
-		if g.Lo >= g.Hi {
-			return nil, fmt.Errorf("transport: group %d range [%d,%d) is empty", i, g.Lo, g.Hi)
-		}
-		if i > 0 && g.Lo < cfg.Groups[i-1].Hi {
-			return nil, fmt.Errorf("transport: group %d overlaps or is unsorted", i)
-		}
-	}
-	if cfg.QueueCapacity <= 0 {
-		cfg.QueueCapacity = DefaultQueue
-	}
-	if cfg.MaxDatagram <= 0 {
-		cfg.MaxDatagram = 64 << 10
+	if set.maxDatagram <= 0 {
+		set.maxDatagram = 64 << 10
 	}
 	u := &UDP{
-		cfg:    cfg,
-		addrs:  make([]atomic.Pointer[net.UDPAddr], len(cfg.Groups)),
-		connOf: make(map[int]*net.UDPConn, len(cfg.Local)),
-		batchQ: make([]chan batchItem, len(cfg.Groups)),
+		groups:      set.groups,
+		maxDatagram: set.maxDatagram,
+		addrs:       make([]atomic.Pointer[net.UDPAddr], len(set.groups)),
+		conns:       make([]*net.UDPConn, len(set.groups)),
 	}
-	u.bufs.New = func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	}
-	for i, g := range cfg.Groups {
+	for i, g := range set.groups {
 		if g.Addr == "" {
 			continue
 		}
 		addr, err := net.ResolveUDPAddr("udp", g.Addr)
 		if err != nil {
-			u.closeConns()
 			return nil, fmt.Errorf("transport: group %d addr %q: %w", i, g.Addr, err)
 		}
 		u.addrs[i].Store(addr)
 	}
-	for _, gi := range cfg.Local {
-		if gi < 0 || gi >= len(cfg.Groups) {
-			u.closeConns()
-			return nil, fmt.Errorf("transport: local group index %d out of range", gi)
-		}
-		bind := u.addrs[gi].Load()
-		if bind == nil {
-			u.closeConns()
-			return nil, fmt.Errorf("transport: local group %d needs a bind address", gi)
-		}
-		conn, err := net.ListenUDP("udp", bind)
+	for _, gi := range set.local {
+		conn, err := net.ListenUDP("udp", u.addrs[gi].Load())
 		if err != nil {
 			u.closeConns()
 			return nil, fmt.Errorf("transport: bind group %d: %w", gi, err)
 		}
-		if cfg.ReadBuffer > 0 {
-			if err := conn.SetReadBuffer(cfg.ReadBuffer); err != nil {
-				conn.Close()
+		u.conns[gi] = conn
+		if set.readBuffer > 0 {
+			if err := conn.SetReadBuffer(set.readBuffer); err != nil {
 				u.closeConns()
 				return nil, fmt.Errorf("transport: SO_RCVBUF group %d: %w", gi, err)
 			}
@@ -164,13 +87,12 @@ func newUDP(cfg UDPConfig) (*UDP, error) {
 		// Rebind resolved the port (":0" ephemeral); record the real
 		// address so Send and GroupAddr see it.
 		u.addrs[gi].Store(conn.LocalAddr().(*net.UDPAddr))
-		u.conns = append(u.conns, conn)
-		u.connOf[gi] = conn
-		u.batchQ[gi] = make(chan batchItem, cfg.QueueCapacity)
 	}
-	for _, conn := range u.conns {
+	u.in = newInbox(localSpans(set.groups, set.local), set.queueCapacity)
+	u.first = u.conns[set.local[0]]
+	for _, gi := range set.local {
 		u.wg.Add(1)
-		go u.reader(conn)
+		go u.reader(u.conns[gi])
 	}
 	return u, nil
 }
@@ -180,9 +102,6 @@ func newUDP(cfg UDPConfig) (*UDP, error) {
 // each bound to an ephemeral loopback port. All cross-host traffic
 // then travels through real kernel sockets.
 func NewUDPLoopback(hosts, groups, queueCapacity int) (*UDP, error) {
-	if hosts <= 0 {
-		return nil, fmt.Errorf("transport: hosts must be positive, got %d", hosts)
-	}
 	return NewUDP(WithLoopbackGroups(hosts, groups), WithQueueCapacity(queueCapacity))
 }
 
@@ -203,7 +122,7 @@ func (u *UDP) GroupAddr(group int) string {
 // second half of the two-process handshake: bind locally first, learn
 // the peer's ephemeral address, then aim at it.
 func (u *UDP) SetGroupAddr(group int, addr string) error {
-	if group < 0 || group >= len(u.cfg.Groups) {
+	if group < 0 || group >= len(u.groups) {
 		return fmt.Errorf("transport: group index %d out of range", group)
 	}
 	a, err := net.ResolveUDPAddr("udp", addr)
@@ -214,40 +133,39 @@ func (u *UDP) SetGroupAddr(group int, addr string) error {
 	return nil
 }
 
-// groupOf locates the group owning a host, or -1.
-func (u *UDP) groupOf(id gossip.NodeID) int {
-	gs := u.cfg.Groups
-	i := sort.Search(len(gs), func(i int) bool { return gs[i].Hi > id })
-	if i < len(gs) && id >= gs[i].Lo {
-		return i
-	}
-	return -1
-}
-
 // Send implements Transport: wire-encode and fire one datagram from
 // the sender's group socket. Every failure mode — unroutable host,
 // unknown peer address, unencodable or oversized payload, dead socket
 // — is a drop, never an error that stops the protocol: gossip
 // tolerates loss by design.
 func (u *UDP) Send(from, to gossip.NodeID, tick int, payload any) bool {
-	gi := u.groupOf(to)
-	if gi < 0 || u.closed.Load() {
-		u.dropped.Add(1)
+	gi := groupOf(u.groups, to)
+	if gi < 0 {
+		u.in.drop(1)
 		return false
 	}
+	return u.fire(gi, groupOf(u.groups, from), 1, func(dst []byte) ([]byte, error) {
+		return appendEnvelope(dst, from, to, tick, payload)
+	})
+}
+
+// fire encodes one datagram into a pooled buffer and writes it toward
+// group gi from group via's socket when via is local (any local socket
+// otherwise), charging msgs to Sent or Dropped.
+func (u *UDP) fire(gi, via, msgs int, encode func(dst []byte) ([]byte, error)) bool {
 	addr := u.addrs[gi].Load()
-	if addr == nil {
-		u.dropped.Add(1)
+	if addr == nil || u.closed.Load() {
+		u.in.drop(msgs)
 		return false
 	}
-	conn := u.connOf[u.groupOf(from)]
-	if conn == nil {
-		conn = u.conns[0]
+	conn := u.first
+	if via >= 0 && u.conns[via] != nil {
+		conn = u.conns[via]
 	}
-	bp := u.bufs.Get().(*[]byte)
-	buf, err := appendEnvelope((*bp)[:0], from, to, tick, payload)
-	if err == nil && len(buf) > u.cfg.MaxDatagram {
-		err = fmt.Errorf("transport: %d-byte datagram exceeds MaxDatagram %d", len(buf), u.cfg.MaxDatagram)
+	bp := u.in.bufs.Get().(*[]byte)
+	buf, err := encode((*bp)[:0])
+	if err == nil && len(buf) > u.maxDatagram {
+		err = fmt.Errorf("transport: %d-byte datagram exceeds MaxDatagram %d", len(buf), u.maxDatagram)
 	}
 	if err == nil {
 		_, err = conn.WriteToUDP(buf, addr)
@@ -255,22 +173,22 @@ func (u *UDP) Send(from, to gossip.NodeID, tick int, payload any) bool {
 	if buf != nil {
 		*bp = buf
 	}
-	u.bufs.Put(bp)
+	u.in.bufs.Put(bp)
 	if err != nil {
-		u.dropped.Add(1)
+		u.in.drop(msgs)
 		return false
 	}
-	u.sent.Add(1)
+	u.sent.Add(int64(msgs))
 	return true
 }
 
-// reader pulls datagrams off one group socket, decodes them, and
-// queues them for their destination host. A full queue or an
-// undecodable datagram is a counted drop; the kernel's own buffer
-// overflow upstream of here is the silent kind.
+// reader pulls datagrams off one group socket and hands them to the
+// receive plane. A full queue or an undecodable datagram is a counted
+// drop there; the kernel's own buffer overflow upstream of here is the
+// silent kind.
 func (u *UDP) reader(conn *net.UDPConn) {
 	defer u.wg.Done()
-	buf := make([]byte, u.cfg.MaxDatagram)
+	buf := make([]byte, u.maxDatagram)
 	for {
 		n, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
@@ -281,62 +199,26 @@ func (u *UDP) reader(conn *net.UDPConn) {
 		}
 		h, rest, err := wire.DecodeHeader(buf[:n])
 		if err != nil {
-			u.dropped.Add(1)
+			u.in.drop(1)
 			continue
 		}
-		if h.Kind == kindColumnarBatch {
-			// Batch datagram: To is the destination group, From the
-			// message count. The body moves to a pooled buffer whole;
-			// the columnar live path decodes it at drain time.
-			var q chan batchItem
-			if int(h.To) < len(u.batchQ) {
-				q = u.batchQ[h.To]
-			}
-			if q == nil {
-				u.dropped.Add(int64(h.From))
-				continue
-			}
-			bp := u.bufs.Get().(*[]byte)
-			*bp = append((*bp)[:0], rest...)
-			select {
-			case q <- batchItem{buf: bp, msgs: int(h.From)}:
-			default:
-				u.bufs.Put(bp)
-				u.dropped.Add(int64(h.From))
-			}
-			continue
-		}
-		_, payload, err := decodePayload(h, rest)
-		if err != nil {
-			u.dropped.Add(1)
-			continue
-		}
-		q := u.hostQueues()[gossip.NodeID(h.To)]
-		if q == nil {
-			u.dropped.Add(1)
-			continue
-		}
-		select {
-		case q <- payload:
-		default:
-			u.dropped.Add(1)
-		}
+		u.in.deliver(h, rest)
 	}
 }
 
 // BatchGroups implements Batcher: the socket groups double as batch
 // groups.
-func (u *UDP) BatchGroups() int { return len(u.cfg.Groups) }
+func (u *UDP) BatchGroups() int { return len(u.groups) }
 
 // BatchGroup implements Batcher.
 func (u *UDP) BatchGroup(g int) (lo, hi gossip.NodeID) {
-	return u.cfg.Groups[g].Lo, u.cfg.Groups[g].Hi
+	return u.groups[g].Lo, u.groups[g].Hi
 }
 
 // MaxBatchBody implements Batcher: MaxDatagram minus worst-case
 // framing.
 func (u *UDP) MaxBatchBody() int {
-	max := u.cfg.MaxDatagram
+	max := u.maxDatagram
 	if max > maxUDPPayload {
 		max = maxUDPPayload
 	}
@@ -344,95 +226,33 @@ func (u *UDP) MaxBatchBody() int {
 }
 
 // SendBatch implements Batcher: one datagram carrying a whole shard's
-// wave to one destination group — header (kind, group, message count,
-// tick) plus the opaque record body — written from the destination
-// group's own socket when it is local (spreading loopback write
-// contention), any local socket otherwise. Failure modes are counted
-// drops of all msgs messages, mirroring Send.
+// wave to one destination group — header (kind, the group's Lo,
+// message count, tick) plus the opaque record body — written from the
+// destination group's own socket when it is local (spreading loopback
+// write contention), any local socket otherwise. Failure modes are
+// counted drops of all msgs messages, mirroring Send.
 func (u *UDP) SendBatch(group, tick, msgs int, body []byte) bool {
-	if u.closed.Load() || group < 0 || group >= len(u.cfg.Groups) || len(body) > u.MaxBatchBody() {
-		u.dropped.Add(int64(msgs))
+	if group < 0 || group >= len(u.groups) || len(body) > u.MaxBatchBody() {
+		u.in.drop(msgs)
 		return false
 	}
-	addr := u.addrs[group].Load()
-	if addr == nil {
-		u.dropped.Add(int64(msgs))
-		return false
-	}
-	conn := u.connOf[group]
-	if conn == nil {
-		conn = u.conns[0]
-	}
-	bp := u.bufs.Get().(*[]byte)
-	buf := wire.AppendHeader((*bp)[:0], wire.Header{
-		Kind: kindColumnarBatch, To: int32(group), From: int32(msgs), Tick: int32(tick),
+	return u.fire(group, group, msgs, func(dst []byte) ([]byte, error) {
+		dst = wire.AppendHeader(dst, wire.Header{
+			Kind: kindColumnarBatch, To: int32(u.groups[group].Lo), From: int32(msgs), Tick: int32(tick),
+		})
+		return append(dst, body...), nil
 	})
-	buf = append(buf, body...)
-	_, err := conn.WriteToUDP(buf, addr)
-	*bp = buf
-	u.bufs.Put(bp)
-	if err != nil {
-		u.dropped.Add(int64(msgs))
-		return false
-	}
-	u.sent.Add(int64(msgs))
-	return true
 }
 
 // DrainBatch implements Batcher.
 func (u *UDP) DrainBatch(group int, fn func(body []byte)) {
-	if group < 0 || group >= len(u.batchQ) || u.batchQ[group] == nil {
-		return
+	if group >= 0 && group < len(u.groups) {
+		u.in.drainBatch(u.groups[group].Lo, fn)
 	}
-	for {
-		select {
-		case it := <-u.batchQ[group]:
-			fn(*it.buf)
-			u.bufs.Put(it.buf)
-		default:
-			return
-		}
-	}
-}
-
-// hostQueues returns the per-host inbox map — one buffered channel per
-// local-group host — building it on first use. The lazy build keeps
-// the batch-only columnar path from paying gigabytes for a plane it
-// never touches; classic engines hit Drain on their first tick, so for
-// them the plane exists microseconds into Run (a datagram landing even
-// before that is dropped, which at-most-once delivery already allows).
-func (u *UDP) hostQueues() map[gossip.NodeID]chan any {
-	if m := u.hostQ.Load(); m != nil {
-		return *m
-	}
-	u.hostQOnce.Do(func() {
-		m := make(map[gossip.NodeID]chan any)
-		for _, gi := range u.cfg.Local {
-			g := u.cfg.Groups[gi]
-			for id := g.Lo; id < g.Hi; id++ {
-				m[id] = make(chan any, u.cfg.QueueCapacity)
-			}
-		}
-		u.hostQ.Store(&m)
-	})
-	return *u.hostQ.Load()
 }
 
 // Drain implements Transport.
-func (u *UDP) Drain(id gossip.NodeID, fn func(payload any)) {
-	q := u.hostQueues()[id]
-	if q == nil {
-		return
-	}
-	for {
-		select {
-		case p := <-q:
-			fn(p)
-		default:
-			return
-		}
-	}
-}
+func (u *UDP) Drain(id gossip.NodeID, fn func(payload any)) { u.in.drain(id, fn) }
 
 // Sent implements Transport: datagrams handed to the kernel. Unlike
 // the channel transport, "sent" does not imply the receiver had room —
@@ -446,7 +266,7 @@ func (u *UDP) Sent() int64 { return u.sent.Load() }
 // destinations, and receiver-side losses (undecodable datagrams,
 // receive-queue overflow — both counted after the same message was
 // counted Sent). Kernel-buffer losses are invisible here by nature.
-func (u *UDP) Dropped() int64 { return u.dropped.Load() }
+func (u *UDP) Dropped() int64 { return u.in.dropped.Load() }
 
 // Close implements Transport: closes every socket and waits for the
 // readers to exit.
@@ -462,6 +282,9 @@ func (u *UDP) Close() error {
 func (u *UDP) closeConns() error {
 	var first error
 	for _, c := range u.conns {
+		if c == nil {
+			continue
+		}
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -170,9 +171,9 @@ func TestUDPTwoTransportsHandshake(t *testing.T) {
 	// the bind-then-learn-peer-address handshake.
 	groups := []Group{{Lo: 0, Hi: 4}, {Lo: 4, Hi: 8}}
 	mk := func(local int) *UDP {
-		cfg := UDPConfig{Groups: append([]Group(nil), groups...), Local: []int{local}}
-		cfg.Groups[local].Addr = "127.0.0.1:0"
-		u, err := NewUDP(cfg)
+		gs := append([]Group(nil), groups...)
+		gs[local].Addr = "127.0.0.1:0"
+		u, err := NewUDP(WithGroups(gs...), WithLocal(local))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,11 +204,7 @@ func TestUDPTwoTransportsHandshake(t *testing.T) {
 }
 
 func TestUDPSendToUnknownGroupAddrDrops(t *testing.T) {
-	cfg := UDPConfig{
-		Groups: []Group{{Lo: 0, Hi: 2, Addr: "127.0.0.1:0"}, {Lo: 2, Hi: 4}},
-		Local:  []int{0},
-	}
-	u, err := NewUDP(cfg)
+	u, err := NewUDP(WithGroups(Group{Lo: 0, Hi: 2, Addr: "127.0.0.1:0"}, Group{Lo: 2, Hi: 4}), WithLocal(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,28 +221,22 @@ func TestUDPSendToUnknownGroupAddrDrops(t *testing.T) {
 }
 
 func TestUDPConfigValidation(t *testing.T) {
-	if _, err := NewUDP(UDPConfig{}); err == nil {
+	if _, err := NewUDP(); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := NewUDP(UDPConfig{
-		Groups: []Group{{Lo: 2, Hi: 2, Addr: "127.0.0.1:0"}}, Local: []int{0},
-	}); err == nil {
+	if _, err := NewUDP(WithGroups(Group{Lo: 2, Hi: 2, Addr: "127.0.0.1:0"}), WithLocal(0)); err == nil {
 		t.Error("empty group range accepted")
 	}
-	if _, err := NewUDP(UDPConfig{
-		Groups: []Group{{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}, {Lo: 2, Hi: 6, Addr: "127.0.0.1:0"}},
-		Local:  []int{0, 1},
-	}); err == nil {
+	if _, err := NewUDP(
+		WithGroups(Group{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}, Group{Lo: 2, Hi: 6, Addr: "127.0.0.1:0"}),
+		WithLocal(0, 1),
+	); err == nil {
 		t.Error("overlapping groups accepted")
 	}
-	if _, err := NewUDP(UDPConfig{
-		Groups: []Group{{Lo: 0, Hi: 4}}, Local: []int{0},
-	}); err == nil {
+	if _, err := NewUDP(WithGroups(Group{Lo: 0, Hi: 4}), WithLocal(0)); err == nil {
 		t.Error("local group without bind address accepted")
 	}
-	if _, err := NewUDP(UDPConfig{
-		Groups: []Group{{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}}, Local: []int{3},
-	}); err == nil {
+	if _, err := NewUDP(WithGroups(Group{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}), WithLocal(3)); err == nil {
 		t.Error("out-of-range local index accepted")
 	}
 }
@@ -266,12 +257,25 @@ func TestUDPForgedDatagramDoesNotPanicReceivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
+	// A batch header claiming two billion messages in a three-byte
+	// body, to a span nobody owns and to a local one: each is one
+	// malformed datagram, and neither may charge its claim to Dropped.
+	for _, to := range []int32{1000, 0} {
+		lie := wire.AppendHeader(nil, wire.Header{Kind: kindColumnarBatch, To: to, From: math.MaxInt32})
+		if _, err := raw.Write(append(lie, 1, 2, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	forged := wire.AppendHeader(nil, wire.Header{Kind: kindResetCounters, To: 1, From: 0, Tick: 0})
 	forged = wire.AppendCounters(forged, make([]uint8, 4096)) // nobody's sketch is this big
 	if _, err := raw.Write(forged); err != nil {
 		t.Fatal(err)
 	}
 	counters := drainOne(t, u, 1)
+	if got := u.Dropped(); got != 2 {
+		t.Errorf("Dropped = %d after two forged batch headers, want 2", got)
+	}
+	u.DrainBatch(0, func(body []byte) { t.Errorf("forged batch was queued: %x", body) })
 	if _, ok := counters.(*sketchreset.Packed); !ok {
 		t.Fatalf("forged payload decoded as %T", counters)
 	}

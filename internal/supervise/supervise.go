@@ -243,10 +243,9 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 
 	obs := gossip.NodeID(cfg.Total)
-	tr, err := transport.NewTCP(transport.TCPConfig{
-		Groups: []transport.Group{{Lo: obs, Hi: obs + 1, Addr: cfg.Listen}},
-		Local:  []int{0},
-	})
+	tr, err := transport.NewTCP(
+		transport.WithGroups(transport.Group{Lo: obs, Hi: obs + 1, Addr: cfg.Listen}),
+		transport.WithLocal(0))
 	if err != nil {
 		return nil, fmt.Errorf("supervise: %w", err)
 	}

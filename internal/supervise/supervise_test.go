@@ -47,12 +47,10 @@ func runHelperMember() {
 		}()
 	}
 
-	tr, err := transport.NewTCP(transport.TCPConfig{
-		Groups:     []transport.Group{{Lo: lo, Hi: hi, Addr: "127.0.0.1:0"}},
-		Local:      []int{0},
-		BackoffMin: 2 * time.Millisecond,
-		BackoffMax: 50 * time.Millisecond,
-	})
+	tr, err := transport.NewTCP(
+		transport.WithGroups(transport.Group{Lo: lo, Hi: hi, Addr: "127.0.0.1:0"}),
+		transport.WithLocal(0),
+		transport.WithReconnectBackoff(2*time.Millisecond, 50*time.Millisecond))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		os.Exit(1)
