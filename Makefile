@@ -224,9 +224,12 @@ doc-lint:
 # packed-payload trust boundary (the bundle validator against the
 # materialising decoder it replaced, and the in-place fold against a
 # materialised Receive). FuzzDecodeCounters is the same differential
-# check for the bare counter codec.
+# check for the bare counter codec. FuzzDeliverBatch (in the live
+# package) feeds the columnar shard's inbound fold arbitrary batch
+# bodies: no panic, no column write outside the shard's host range.
 FUZZ_TARGETS = FuzzDecodeCounters FuzzDecodeCountersMin FuzzDecodeCandidates FuzzDecodeHeader FuzzDecodeSketchBits FuzzDecodeMass FuzzDecodeFrame
 TRANSPORT_FUZZ_TARGETS = FuzzFrameScanner FuzzInboxDeliver FuzzDecodeMultiBundle FuzzPackedBundleMatchesDecoder
+LIVE_FUZZ_TARGETS = FuzzDeliverBatch
 CHAOS_FUZZ_TARGETS = FuzzDecodeScenario
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -236,6 +239,10 @@ fuzz-smoke:
 	@for t in $(TRANSPORT_FUZZ_TARGETS); do \
 		echo "fuzz $$t"; \
 		$(GO) test ./internal/gossip/live/transport -run='^$$' -fuzz="$$t\$$" -fuzztime=10s || exit 1; \
+	done
+	@for t in $(LIVE_FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test ./internal/gossip/live -run='^$$' -fuzz="$$t\$$" -fuzztime=10s || exit 1; \
 	done
 	@for t in $(CHAOS_FUZZ_TARGETS); do \
 		echo "fuzz $$t"; \

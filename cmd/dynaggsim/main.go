@@ -507,6 +507,7 @@ live engine: live [-protocol pushsum|revert|sketchreset|multi]
              [-transport chan|udp|tcp] [-loss P | -wan lan|3g|sat]
              [-udp-groups G] [-rcvbuf BYTES] [-pace DUR] [-ticks T]
              [-n N] [-workers W] [-seed S] [-benchline]
+             [-cpuprofile FILE] [-memprofile FILE]
              [-span LO:HI -seeds ADDRS [-listen ADDR]]  (tcp cluster member)
              [-replace] [-reannounce DUR]               (supervised member)
              [-aggregates NAMES] [-observer-slots K]    (multi protocol)

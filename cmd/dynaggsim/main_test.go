@@ -130,6 +130,27 @@ func TestRunLiveTransports(t *testing.T) {
 	}
 }
 
+// TestRunLiveProfiles pins that the profiling flags wrap the live mode
+// like every other: the columnar engine over loopback TCP batches — the
+// shape the benchmark's live-batch workload runs — leaves a CPU and a
+// heap profile behind, so its hot spots can be read without patching
+// anything.
+func TestRunLiveProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "live.cpu.pprof"), filepath.Join(dir, "live.mem.pprof")
+	args := []string{"live", "-n", "4096", "-ticks", "40", "-protocol", "revert", "-backend", "columnar",
+		"-transport", "tcp", "-udp-groups", "2", "-o", filepath.Join(dir, "live.txt"),
+		"-cpuprofile", cpu, "-memprofile", mem}
+	if err := run(args); err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	for _, prof := range []string{cpu, mem} {
+		if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty (err=%v)", prof, err)
+		}
+	}
+}
+
 func TestRunLiveRejectsBadKnobs(t *testing.T) {
 	if err := run([]string{"live", "-protocol", "nope"}); err == nil {
 		t.Error("unknown protocol accepted")

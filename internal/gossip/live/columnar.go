@@ -32,6 +32,11 @@ import (
 // and DeliverWire must depend only on the destination's columns plus
 // the record bytes.
 //
+// Call pattern: per shard per tick, BeginRange and EndRange are each
+// called exactly once over the shard's whole host range; EmitRange and
+// Deliver (self shares only) may be called several times in between,
+// over consecutive sub-ranges (see colShard.tick).
+//
 // pushsum.Columnar, pushsumrevert.Columnar, and sketchreset.Columnar
 // implement it.
 type ColumnarProtocol interface {
@@ -60,8 +65,8 @@ type ColumnarProtocol interface {
 //
 // Requirements: the full population (no Span), the push model
 // (push/pull pairs cross shard ownership), and a transport exposing a
-// batch plane (transport.Batcher — the channel and UDP transports
-// both qualify, plain or wrapped in transport.Lossy). Liveness must be
+// batch plane (transport.Batcher — the channel, UDP and TCP transports
+// all qualify, plain or wrapped in transport.Lossy). Liveness must be
 // time-invariant, as everywhere in the live engine: a host that is
 // dead at one tick must be dead at every tick, or its queued inbound
 // mass would be discarded where the classic path would hold it.
@@ -178,12 +183,14 @@ func (p *ColumnarPopulation) drivers(workers int) []driver {
 		_, hi := p.b.BatchGroup(gHi - 1)
 		rc := gossip.NewColRound(p.e.cfg.Model, p.e.cfg.Env, p.rngs)
 		rc.Alive = p.alive
-		ds[s] = &colShard{
+		sh := &colShard{
 			p: p, gLo: gLo, gHi: gHi, lo: int(lo), hi: int(hi),
 			rc:  rc,
 			enc: make([][]byte, groups),
 			cnt: make([]int, groups),
 		}
+		sh.deliver = sh.deliverBatch
+		ds[s] = sh
 	}
 	return ds
 }
@@ -208,9 +215,16 @@ func (p *ColumnarPopulation) estimates() []float64 {
 	return out
 }
 
+// tickBlock is how many hosts the emit half of a tick handles at a
+// time: a block's emissions (two 24-byte messages per mass-protocol
+// host) are routed and encoded while they are still in the core's
+// cache, instead of a whole shard's worth being written out, evicted,
+// and read back.
+const tickBlock = 2048
+
 // colShard drives batch groups [gLo, gHi) — hosts [lo, hi). Per-shard
-// scratch (the emission column, the self-share column, one encode
-// buffer per destination group) is reused across ticks, so a
+// scratch (one block's emission, routing and self-share columns, one
+// encode buffer per destination group) is reused across ticks, so a
 // steady-state tick allocates nothing.
 type colShard struct {
 	p        *ColumnarPopulation
@@ -219,16 +233,25 @@ type colShard struct {
 	rc       *gossip.ColRound
 	out      []gossip.ColMsg
 	self     []gossip.ColMsg
+	gs       []uint16 // destination group of each message in out
 	enc      [][]byte // per destination group, first byte = WireKind
 	cnt      []int    // records currently in enc[g]
+	// deliver is deliverBatch bound once: a method value built at the
+	// DrainBatch call would be a heap allocation per group per tick.
+	deliver func(body []byte)
 }
 
-// tick runs one columnar live iteration for the shard: sample
-// liveness, BeginRange, fold every batch that arrived since the last
-// tick straight into columns, EmitRange, deliver self shares
-// in-process (mass must never evaporate), EndRange, then flush one
-// batch per destination group — the classic pushTick, as kernels over
-// ranges instead of interface calls per host.
+// tick runs one columnar live iteration for the shard — the classic
+// pushTick as kernels over ranges instead of interface calls per host.
+// The order is a contract (protocol decorators and the wire hooks
+// depend on it): sample liveness; BeginRange once over [lo, hi); fold
+// every batch that arrived since the last tick straight into columns;
+// then, per block of tickBlock hosts, EmitRange, append every
+// cross-host record to its destination group's batch in emitter order
+// (AppendWire may read emitter snapshots only valid right after their
+// EmitRange) and deliver the block's self shares in-process (mass must
+// never evaporate); EndRange once over [lo, hi); flush one batch per
+// destination group.
 func (s *colShard) tick(t int) {
 	p := s.p
 	env := p.e.cfg.Env
@@ -247,68 +270,85 @@ func (s *colShard) tick(t int) {
 
 	proto.BeginRange(rc, s.lo, s.hi)
 	for g := s.gLo; g < s.gHi; g++ {
-		p.b.DrainBatch(g, s.deliverBatch)
+		p.b.DrainBatch(g, s.deliver)
 	}
 
-	rc.Out = s.out[:0]
-	proto.EmitRange(rc, s.lo, s.hi)
-	s.out = rc.Out
+	kind, limit := proto.WireKind(), p.b.MaxBatchBody()
+	groupOf, enc, cnt := p.groupOf, s.enc, s.cnt
+	nLocal := 0
+	for blo := s.lo; blo < s.hi; blo += tickBlock {
+		bhi := min(blo+tickBlock, s.hi)
+		rc.Out = s.out[:0]
+		proto.EmitRange(rc, blo, bhi)
+		s.out = rc.Out
 
-	self := s.self[:0]
-	for i := range s.out {
-		m := s.out[i]
-		if m.To == m.From {
-			self = append(self, m)
-			continue
+		// Route the whole block first. The table is far larger than L1
+		// and destinations are random; in a loop of their own the
+		// lookups overlap their cache misses, where inside the encode
+		// loop each would wait behind an AppendWire call.
+		gs := s.gs[:0]
+		for i := range s.out {
+			gs = append(gs, groupOf[s.out[i].To])
 		}
-		s.encode(t, m)
+		s.gs = gs
+
+		self := s.self[:0]
+		for i := range s.out {
+			m := &s.out[i]
+			if m.To == m.From {
+				self = append(self, *m)
+				continue
+			}
+			g := gs[i]
+			buf := enc[g]
+			if len(buf) == 0 {
+				buf = append(buf, kind)
+			}
+			rec0 := len(buf)
+			buf = binary.AppendUvarint(buf, uint64(uint32(m.To)))
+			buf = proto.AppendWire(buf, *m)
+			if len(buf) > limit {
+				s.spill(t, int(g), buf, rec0, limit)
+				continue
+			}
+			enc[g] = buf
+			cnt[g]++
+		}
+		s.self = self
+		if len(self) > 0 {
+			proto.Deliver(rc, self)
+			nLocal += len(self)
+		}
 	}
-	s.self = self
-	if len(self) > 0 {
-		proto.Deliver(rc, self)
-		p.nLocal.Add(int64(len(self)))
-	}
+	p.nLocal.Add(int64(nLocal))
 	proto.EndRange(rc, s.lo, s.hi)
 
-	for g := range s.enc {
-		if s.cnt[g] > 0 {
-			p.b.SendBatch(g, t, s.cnt[g], s.enc[g])
+	for g := range enc {
+		if cnt[g] > 0 {
+			p.b.SendBatch(g, t, cnt[g], enc[g])
 		}
-		s.enc[g] = s.enc[g][:0]
-		s.cnt[g] = 0
+		enc[g] = enc[g][:0]
+		cnt[g] = 0
 	}
 }
 
-// encode appends one cross-host message to its destination group's
-// batch, flushing the accumulated records first when the new one would
-// push the body past the transport's limit.
-func (s *colShard) encode(t int, m gossip.ColMsg) {
-	p := s.p
-	g := int(p.groupOf[m.To])
-	buf := s.enc[g]
-	if len(buf) == 0 {
-		buf = append(buf, p.proto.WireKind())
-	}
-	rec0 := len(buf)
-	buf = binary.AppendUvarint(buf, uint64(uint32(m.To)))
-	buf = p.proto.AppendWire(buf, m)
-	max := p.b.MaxBatchBody()
-	if len(buf) > max && rec0 > 1 {
-		// Ship the records accumulated before this one, then restart
-		// the body (kind byte + the new record slid forward).
-		p.b.SendBatch(g, t, s.cnt[g], buf[:rec0])
-		kind := buf[0]
-		n := copy(buf[1:], buf[rec0:])
-		buf[0] = kind
-		buf = buf[:1+n]
+// spill is the tick's slow path: the record at buf[rec0:] pushed group
+// g's body past the transport's body limit. The records accumulated
+// before it ship first, and the new one restarts the body.
+func (s *colShard) spill(t, g int, buf []byte, rec0, limit int) {
+	b := s.p.b
+	if rec0 > 1 {
+		// Kind byte stays; the new record slides forward.
+		b.SendBatch(g, t, s.cnt[g], buf[:rec0])
+		buf = buf[:1+copy(buf[1:], buf[rec0:])]
 		s.cnt[g] = 0
 	}
-	if len(buf) > max {
+	if len(buf) > limit {
 		// A single record larger than the body limit: hand it to the
 		// transport alone, which drops and counts it — oversized state
 		// simply does not fit the radio — and keep the buffer clean
 		// for the records that do fit.
-		p.b.SendBatch(g, t, 1, buf)
+		b.SendBatch(g, t, 1, buf)
 		s.enc[g] = buf[:0]
 		return
 	}
@@ -324,17 +364,18 @@ func (s *colShard) encode(t int, m gossip.ColMsg) {
 // the rest of the batch, mirroring the classic reader's whole-datagram
 // drop on decode errors.
 func (s *colShard) deliverBatch(body []byte) {
-	p := s.p
-	if len(body) == 0 || body[0] != p.proto.WireKind() {
+	proto := s.p.proto
+	if len(body) == 0 || body[0] != proto.WireKind() {
 		return
 	}
+	lo, hi := uint64(s.lo), uint64(s.hi)
 	src := body[1:]
 	for len(src) > 0 {
 		to, n := binary.Uvarint(src)
-		if n <= 0 || to < uint64(s.lo) || to >= uint64(s.hi) {
+		if n <= 0 || to < lo || to >= hi {
 			return
 		}
-		rest, err := p.proto.DeliverWire(gossip.NodeID(to), src[n:])
+		rest, err := proto.DeliverWire(gossip.NodeID(to), src[n:])
 		if err != nil {
 			return
 		}

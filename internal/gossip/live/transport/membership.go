@@ -478,11 +478,10 @@ func (m *membership) announce(seedAddr string, lo, hi gossip.NodeID, selfAddr st
 		return err
 	}
 	scan := frameScanner{max: m.st.maxFrame}
-	buf := make([]byte, 4096)
 	for {
-		n, err := c.Read(buf)
+		n, err := c.Read(scan.room())
 		if n > 0 {
-			scan.feed(buf[:n])
+			scan.filled(n)
 			frame, ferr := scan.next()
 			if ferr != nil {
 				return ferr

@@ -313,27 +313,44 @@ func (p *streamPeer) run() {
 	}
 }
 
+// readChunk is the spare capacity a frameScanner starts with — one
+// socket read's worth.
+const readChunk = 32 << 10
+
 // frameScanner accumulates socket bytes and splits them into frames
-// via wire.DecodeFrame, compacting consumed prefixes so the buffer
-// stays proportional to one frame plus one read.
+// via wire.DecodeFrame. The socket is read straight into its buffer's
+// spare capacity (room, then filled), so a received byte is copied
+// only if it belongs to a frame still incomplete when the frames ahead
+// of it are consumed. The buffer starts at readChunk and grows only
+// when an unfinished frame leaves less than half a chunk free, so it
+// stays proportional to the largest frame seen plus one read.
 type frameScanner struct {
 	max int
 	buf []byte
 	pos int
 }
 
-func (s *frameScanner) feed(p []byte) {
-	if s.pos == len(s.buf) {
-		s.buf, s.pos = s.buf[:0], 0
-	} else if s.pos >= 4096 {
-		n := copy(s.buf, s.buf[s.pos:])
+// room discards the consumed prefix and returns the spare capacity for
+// the next socket read; filled must report how much of it was written
+// before the next call to next.
+func (s *frameScanner) room() []byte {
+	n := len(s.buf)
+	if s.pos > 0 {
+		n = copy(s.buf, s.buf[s.pos:])
 		s.buf, s.pos = s.buf[:n], 0
 	}
-	s.buf = append(s.buf, p...)
+	if cap(s.buf)-n < readChunk/2 {
+		s.buf = append(make([]byte, 0, n+readChunk), s.buf...)
+	}
+	return s.buf[n:cap(s.buf)]
 }
 
+// filled extends the buffer over the first n bytes of the slice room
+// returned.
+func (s *frameScanner) filled(n int) { s.buf = s.buf[:len(s.buf)+n] }
+
 // next returns the next complete frame (aliasing the internal buffer,
-// valid until the next feed), nil when more bytes are needed, or an
+// valid until the next room), nil when more bytes are needed, or an
 // error when the stream is corrupt beyond resynchronization.
 func (s *frameScanner) next() ([]byte, error) {
 	frame, rest, err := wire.DecodeFrame(s.buf[s.pos:], s.max)
@@ -386,11 +403,10 @@ func (s *streams) readConn(c net.Conn) {
 		c.Write(wire.AppendFrame(nil, frame))
 	}
 	scan := frameScanner{max: s.maxFrame}
-	buf := make([]byte, 32<<10)
 	for {
-		n, err := c.Read(buf)
+		n, err := c.Read(scan.room())
 		if n > 0 {
-			scan.feed(buf[:n])
+			scan.filled(n)
 			for {
 				frame, ferr := scan.next()
 				if ferr != nil {

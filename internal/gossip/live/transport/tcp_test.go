@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -636,6 +637,33 @@ func TestTCPSendAfterCloseDrops(t *testing.T) {
 	}
 }
 
+// feedScanner plays one socket read of exactly p into the scanner, the
+// way readConn does: straight into the spare capacity room offers.
+func feedScanner(t testing.TB, s *frameScanner, p []byte) {
+	t.Helper()
+	n := copy(s.room(), p)
+	if n != len(p) {
+		t.Fatalf("scanner offered %d bytes of room for a %d-byte read", n, len(p))
+	}
+	s.filled(n)
+}
+
+// scanAll drains every complete frame the scanner holds.
+func scanAll(t testing.TB, s *frameScanner) [][]byte {
+	t.Helper()
+	var got [][]byte
+	for {
+		f, err := s.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f == nil {
+			return got
+		}
+		got = append(got, append([]byte(nil), f...))
+	}
+}
+
 // TestFrameScannerRecoversFramesAcrossChunks is the deterministic twin
 // of FuzzFrameScanner: a stream of frames fed in every chunk size from
 // 1 byte up must yield exactly the original frame sequence.
@@ -655,17 +683,8 @@ func TestFrameScannerRecoversFramesAcrossChunks(t *testing.T) {
 			if end > len(stream) {
 				end = len(stream)
 			}
-			s.feed(stream[off:end])
-			for {
-				f, err := s.next()
-				if err != nil {
-					t.Fatalf("chunk %d: %v", chunk, err)
-				}
-				if f == nil {
-					break
-				}
-				got = append(got, append([]byte(nil), f...))
-			}
+			feedScanner(t, &s, stream[off:end])
+			got = append(got, scanAll(t, &s)...)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("chunk %d: recovered %d frames, want %d", chunk, len(got), len(want))
@@ -675,6 +694,80 @@ func TestFrameScannerRecoversFramesAcrossChunks(t *testing.T) {
 				t.Fatalf("chunk %d: frame %d mismatch", chunk, i)
 			}
 		}
+	}
+}
+
+// TestFrameScannerGrowsOnlyToTheLargestFrame pins the in-place reader's
+// memory rule: the buffer starts at one read's worth, a frame split
+// across three reads or larger than the initial buffer is reassembled
+// intact (with small frames either side of it, so compaction has
+// something to discard and something to keep), and the buffer ends no
+// larger than the biggest frame plus one read — never a flat
+// pre-payment per connection. A claimed length above max is still
+// refused before any of its payload is buffered.
+func TestFrameScannerGrowsOnlyToTheLargestFrame(t *testing.T) {
+	pattern := func(n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(i * 7)
+		}
+		return p
+	}
+	small, big := pattern(300), pattern(3*readChunk+123)
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		reads int // the frame's bytes arrive in this many reads
+	}{
+		{"split across three reads", pattern(9000), 3},
+		{"larger than the initial buffer", big, (len(big) + readChunk/2 - 1) / (readChunk / 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := frameScanner{max: 1 << 20}
+			if got := len(s.room()); got != readChunk {
+				t.Fatalf("initial room %d, want %d", got, readChunk)
+			}
+			stream := wire.AppendFrame(nil, small)
+			lead := len(stream)
+			stream = wire.AppendFrame(stream, tc.frame)
+			tail := len(stream)
+			stream = wire.AppendFrame(stream, small)
+			// The leading small frame rides in with the first piece of
+			// the large one, the trailing small frame with its last.
+			step := (tail - lead + tc.reads - 1) / tc.reads
+			var got [][]byte
+			for off := 0; off < len(stream); {
+				end := off + step
+				if off == 0 {
+					end += lead
+				}
+				if end >= tail {
+					end = len(stream)
+				}
+				feedScanner(t, &s, stream[off:end])
+				got = append(got, scanAll(t, &s)...)
+				off = end
+			}
+			want := [][]byte{small, tc.frame, small}
+			if len(got) != len(want) {
+				t.Fatalf("recovered %d frames, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("frame %d differs", i)
+				}
+			}
+			if limit := len(tc.frame) + binary.MaxVarintLen32 + readChunk; cap(s.buf) > limit {
+				t.Errorf("buffer grew to %d bytes for a %d-byte frame; limit is frame + one read = %d",
+					cap(s.buf), len(tc.frame), limit)
+			}
+		})
+	}
+
+	s := frameScanner{max: 1 << 10}
+	feedScanner(t, &s, binary.AppendUvarint(nil, 1<<10+1))
+	if _, err := s.next(); err == nil {
+		t.Error("a frame length above max was accepted")
 	}
 }
 
@@ -717,7 +810,7 @@ func FuzzFrameScanner(f *testing.F) {
 			if end > len(data) {
 				end = len(data)
 			}
-			s.feed(data[off:end])
+			feedScanner(t, &s, data[off:end])
 			for {
 				frame, err := s.next()
 				if err != nil {

@@ -36,10 +36,8 @@ import (
 
 // AppendMass appends the wire form of a (w, v) mass vector.
 func AppendMass(dst []byte, w, v float64) []byte {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:8], math.Float64bits(w))
-	binary.LittleEndian.PutUint64(buf[8:16], math.Float64bits(v))
-	return append(dst, buf[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
 // DecodeMass parses a mass vector, returning the remaining bytes.
@@ -55,9 +53,7 @@ func DecodeMass(src []byte) (w, v float64, rest []byte, err error) {
 // AppendMass3 appends a (w, v, q) moments mass vector.
 func AppendMass3(dst []byte, w, v, q float64) []byte {
 	dst = AppendMass(dst, w, v)
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(q))
-	return append(dst, buf[:]...)
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(q))
 }
 
 // DecodeMass3 parses a moments mass vector.
@@ -77,10 +73,8 @@ func DecodeMass3(src []byte) (w, v, q float64, rest []byte, err error) {
 // raw 8-byte little-endian words.
 func AppendSketchBits(dst []byte, bits []uint64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(bits)))
-	var buf [8]byte
 	for _, b := range bits {
-		binary.LittleEndian.PutUint64(buf[:], b)
-		dst = append(dst, buf[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, b)
 	}
 	return dst
 }
@@ -117,10 +111,8 @@ type Candidate struct {
 // age.
 func AppendCandidates(dst []byte, cands []Candidate) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(cands)))
-	var buf [8]byte
 	for _, c := range cands {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(c.Value))
-		dst = append(dst, buf[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.Value))
 		dst = binary.AppendVarint(dst, int64(c.Owner))
 		dst = binary.AppendVarint(dst, int64(c.Age))
 	}

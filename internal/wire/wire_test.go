@@ -1,6 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -201,5 +205,75 @@ func TestStreamComposition(t *testing.T) {
 	bits, rest, err := DecodeSketchBits(rest)
 	if err != nil || len(rest) != 0 || bits[0] != 7 {
 		t.Fatalf("bits: %v %v", bits, err)
+	}
+}
+
+// put8 is the encoding the four fixed-width append sites used before
+// they switched to binary.LittleEndian.AppendUint64: each word written
+// into a stack array, then the array appended.
+func put8(dst []byte, word uint64) []byte {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], word)
+	return append(dst, buf[:]...)
+}
+
+// TestFixedWidthAppendsKeepTheirBytes proves the wire format of mass
+// vectors, sketch words and candidate values did not move when the
+// appends stopped staging through a stack array: every vector —
+// including NaNs with payload bits, -0 and subnormals, which a detour
+// through float arithmetic would canonicalise — must encode to the old
+// shape's bytes, and the whole sequence to a digest recorded before the
+// change.
+func TestFixedWidthAppendsKeepTheirBytes(t *testing.T) {
+	f := math.Float64frombits
+	vectors := []float64{
+		0, math.Copysign(0, -1), 1, -1.5, math.Pi, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, f(0x000FFFFFFFFFFFFF), // subnormals
+		math.Inf(1), math.Inf(-1),
+		f(0x7FF8000000000001), f(0xFFF8DEADBEEF0001), f(0x7FF0000000000001), // quiet and signalling NaNs with payloads
+	}
+	prefix := []byte{0xAA, 0xBB, 0xCC} // appends must extend, not overwrite
+	var all []byte
+	for i, a := range vectors {
+		b, c := vectors[(i+1)%len(vectors)], vectors[(i+2)%len(vectors)]
+		wa, wb, wc := math.Float64bits(a), math.Float64bits(b), math.Float64bits(c)
+
+		got := AppendMass(append([]byte(nil), prefix...), a, b)
+		want := put8(put8(append([]byte(nil), prefix...), wa), wb)
+		if !bytes.Equal(got, want) {
+			t.Errorf("AppendMass(%x, %x) = %x, want %x", wa, wb, got, want)
+		}
+		all = append(all, got...)
+
+		got = AppendMass3(append([]byte(nil), prefix...), a, b, c)
+		want = put8(put8(put8(append([]byte(nil), prefix...), wa), wb), wc)
+		if !bytes.Equal(got, want) {
+			t.Errorf("AppendMass3(%x, %x, %x) = %x, want %x", wa, wb, wc, got, want)
+		}
+		all = append(all, got...)
+
+		got = AppendSketchBits(append([]byte(nil), prefix...), []uint64{wa, wb, wc})
+		want = put8(put8(put8(append(append([]byte(nil), prefix...), 3), wa), wb), wc)
+		if !bytes.Equal(got, want) {
+			t.Errorf("AppendSketchBits(%x, %x, %x) = %x, want %x", wa, wb, wc, got, want)
+		}
+		all = append(all, got...)
+
+		cands := []Candidate{{Value: a, Owner: int32(i), Age: -int32(i)}, {Value: b, Owner: math.MaxInt32, Age: math.MinInt32}}
+		got = AppendCandidates(append([]byte(nil), prefix...), cands)
+		want = append(append([]byte(nil), prefix...), 2)
+		for _, cd := range cands {
+			want = put8(want, math.Float64bits(cd.Value))
+			want = binary.AppendVarint(want, int64(cd.Owner))
+			want = binary.AppendVarint(want, int64(cd.Age))
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("AppendCandidates(%+v) = %x, want %x", cands, got, want)
+		}
+		all = append(all, got...)
+	}
+	const golden = "e2843d092532fda5181ef2be579d5f32e746d44f4c72d17b9304a629ae09bcdc"
+	if sum := sha256.Sum256(all); hex.EncodeToString(sum[:]) != golden {
+		t.Errorf("fixed-width encodings hash to %x, want %s", sum, golden)
 	}
 }
