@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build examples test race bench bench-json bench-1m bench-live-1m bench-gate bench-gateway bench-chaos bench-heal fmt vet vuln ci live-soak cluster-soak gateway-soak chaos-soak heal-soak fuzz-smoke doc-lint loc
+.PHONY: build examples test race figure-golden bench-selftest bench bench-json bench-1m bench-live-1m bench-gate bench-gateway bench-chaos bench-heal fmt vet vuln ci live-soak cluster-soak gateway-soak chaos-soak heal-soak fuzz-smoke doc-lint loc
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,23 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Figure goldens: the six drivers of the benchmark's round-figures
+# workload at its full sizes and seed, on both backends, against the
+# SHA-256s in bench/testdata/round_figures_golden.json (read-only) — so
+# a change that moves a figure fails here, naming the figure, before
+# the benchmark's own correctness check sees it. `go test ./...` runs
+# it too; it skips itself under -short and under the race detector
+# (40 s there, single-goroutine), hence this uncached non-race run.
+figure-golden:
+	$(GO) test -count=1 -run 'TestFigureDigestsMatchBenchGolden' ./internal/experiments
+
+# The benchmark module's own tests (all five workloads at toy size plus
+# the compare/quartile tests, ~11 s) under the offline environment
+# bench/run.sh exports, so a change that breaks what bench/ compiles
+# against or checks fails in ci. Reads bench/, writes nothing there.
+bench-selftest:
+	GOFLAGS=-mod=readonly GOPROXY=off GOWORK=off $(GO) -C bench test ./...
 
 # Benchmark smoke pass: compile and run every benchmark once so perf
 # harness rot is caught on every push without paying full bench time.
@@ -264,4 +281,4 @@ vet:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-ci: fmt vet build loc examples race bench doc-lint
+ci: fmt vet build loc examples race figure-golden bench bench-selftest doc-lint

@@ -31,7 +31,12 @@ type observerAgent struct {
 	node   *multi.Node
 	window int
 
-	curTick   int
+	curTick int
+	// size is the network-size estimate as of the last EndRound. The
+	// node derives it from the matrix as it stands, and a handler can
+	// read between a tick's aging and its merges; serving the tick-end
+	// value keeps reads from seeing that half-applied state.
+	size      float64
 	lastHeard map[string]int
 	rings     map[string]*ring
 }
@@ -122,6 +127,7 @@ func (o *observerAgent) EndRound(round int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.node.EndRound(round)
+	o.size, _ = o.node.Size()
 	for _, name := range o.node.Names() {
 		avg, ok := o.node.Average(name)
 		if !ok {
@@ -182,7 +188,6 @@ func (o *observerAgent) readLocked(name string) (aggregateBody, readStatus) {
 		return aggregateBody{}, readNotConverged
 	}
 	avg := r.mean()
-	size, _ := o.node.Size()
 	heard, ok := o.lastHeard[name]
 	staleness := -1
 	if ok {
@@ -191,8 +196,8 @@ func (o *observerAgent) readLocked(name string) (aggregateBody, readStatus) {
 	return aggregateBody{
 		Name:           name,
 		Average:        avg,
-		Sum:            avg * size,
-		Size:           size,
+		Sum:            avg * o.size,
+		Size:           o.size,
 		Tick:           o.curTick,
 		StalenessTicks: staleness,
 	}, readOK
@@ -209,8 +214,7 @@ func (o *observerAgent) readAll() ([]aggregateBody, float64, int) {
 			out = append(out, body)
 		}
 	}
-	size, _ := o.node.Size()
-	return out, size, o.curTick
+	return out, o.size, o.curTick
 }
 
 // register adds a named aggregate (zero-weight, as observers hold no

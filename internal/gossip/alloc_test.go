@@ -5,6 +5,7 @@ import (
 
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
+	"dynagg/internal/metrics"
 	"dynagg/internal/protocol/epoch"
 	"dynagg/internal/protocol/extremes"
 	"dynagg/internal/protocol/invertavg"
@@ -15,6 +16,7 @@ import (
 	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
+	"dynagg/internal/stats"
 )
 
 // allocBudgetPerHostRound is the steady-state allocation budget of the
@@ -191,5 +193,34 @@ func TestSketchResetAllocBudget(t *testing.T) {
 	if got > allocBudgetPerHostRound {
 		t.Errorf("%.3f allocs per host-round, budget %.1f",
 			got, allocBudgetPerHostRound)
+	}
+}
+
+// TestDeviationHookAllocatesNothing pins the measurement hook every
+// figure driver installs: on a classic engine, a round with
+// metrics.DeviationHook attached allocates nothing once round 0 has
+// grown the hook's estimate scratch (the series is pre-sized here, as
+// its growth is the caller's). A per-round make in the hook — what
+// Engine.Estimates costs — shows up as one allocation per round.
+func TestDeviationHookAllocatesNothing(t *testing.T) {
+	const n, rounds = 512, 64
+	agents := make([]gossip.Agent, n)
+	for i := range agents {
+		agents[i] = pushsum.NewAverage(gossip.NodeID(i), float64(i%101))
+	}
+	series := stats.Series{X: make([]float64, 0, rounds), Y: make([]float64, 0, rounds)}
+	engine, err := gossip.NewEngine(gossip.Config{
+		Env:        env.NewUniform(n),
+		Agents:     agents,
+		Model:      gossip.Push,
+		Seed:       3,
+		AfterRound: []gossip.Hook{metrics.DeviationHook(&series, func() float64 { return 50 })},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine.Run(4) // the arena and the hook's scratch reach capacity
+	if got := testing.AllocsPerRun(rounds/2, func() { engine.Step() }); got != 0 {
+		t.Errorf("%.2f allocations per round with DeviationHook attached, want 0", got)
 	}
 }

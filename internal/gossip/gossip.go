@@ -474,27 +474,22 @@ func (e *Engine) stepPushPull(r int) {
 	}
 }
 
-// Estimates returns the current estimates of all live hosts.
+// Estimates returns the current estimates of all live hosts in a fresh
+// slice.
 func (e *Engine) Estimates() []float64 {
-	n := e.env.Size()
-	out := make([]float64, 0, n)
-	for id := 0; id < n; id++ {
-		nid := NodeID(id)
-		if !e.env.Alive(nid, e.round) {
-			continue
-		}
-		var v float64
-		var ok bool
-		if e.col != nil {
-			v, ok = e.col.Estimate(nid)
-		} else {
-			v, ok = e.agents[id].Estimate()
-		}
-		if ok {
-			out = append(out, v)
+	return e.AppendEstimates(make([]float64, 0, e.env.Size()))
+}
+
+// AppendEstimates appends the current estimates of all live hosts to
+// dst and returns it — Estimates for callers that sample every round
+// and keep their own scratch (dst[:0]) instead of allocating one.
+func (e *Engine) AppendEstimates(dst []float64) []float64 {
+	for id, n := 0, e.env.Size(); id < n; id++ {
+		if v, ok := e.EstimateOf(NodeID(id)); ok {
+			dst = append(dst, v)
 		}
 	}
-	return out
+	return dst
 }
 
 // EstimateOf returns host id's estimate if the host is alive and has

@@ -48,18 +48,25 @@ func (t *Truth) Sum() float64 {
 func (t *Truth) Count() float64 { return float64(t.pop.AliveCount()) }
 
 // DeviationHook returns an AfterRound hook appending, each round, the
-// RMS deviation of all live estimates from truth() to the series.
+// RMS deviation of all live estimates from truth() to the series. The
+// hook owns the scratch the estimates are gathered into, so a round
+// allocates nothing once it has grown.
 func DeviationHook(s *stats.Series, truth func() float64) gossip.Hook {
+	var ests []float64
 	return func(round int, e *gossip.Engine) {
-		s.Append(float64(round), stats.DeviationFrom(e.Estimates(), truth()))
+		ests = e.AppendEstimates(ests[:0])
+		s.Append(float64(round), stats.DeviationFrom(ests, truth()))
 	}
 }
 
 // EstimateMeanHook returns an AfterRound hook recording the mean live
-// estimate each round (used to inspect convergence targets).
+// estimate each round (used to inspect convergence targets). It keeps
+// its own scratch, like DeviationHook.
 func EstimateMeanHook(s *stats.Series) gossip.Hook {
+	var ests []float64
 	return func(round int, e *gossip.Engine) {
-		s.Append(float64(round), stats.Mean(e.Estimates()))
+		ests = e.AppendEstimates(ests[:0])
+		s.Append(float64(round), stats.Mean(ests))
 	}
 }
 
@@ -107,11 +114,8 @@ func GroupDeviationHook(s, sizeSeries *stats.Series, tenv *env.TraceEnv, values 
 		var sumSq float64
 		var n int
 		for id := 0; id < tenv.Size(); id++ {
-			nid := gossip.NodeID(id)
-			if !tenv.Alive(nid, round) {
-				continue
-			}
-			est, ok := e.Agent(nid).Estimate()
+			// EstimateOf gates on liveness, and works on either backend.
+			est, ok := e.EstimateOf(gossip.NodeID(id))
 			if !ok || math.IsNaN(est) || math.IsInf(est, 0) {
 				continue
 			}

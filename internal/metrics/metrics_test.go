@@ -8,6 +8,8 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/pushsum"
+	"dynagg/internal/protocol/sketchreset"
+	"dynagg/internal/sketch"
 	"dynagg/internal/stats"
 	"dynagg/internal/trace"
 )
@@ -171,6 +173,53 @@ func TestGroupDeviationHookSampling(t *testing.T) {
 	e.Run(30)
 	if s.Len() != 3 {
 		t.Errorf("sampled series length %d, want 3 (every 10th round)", s.Len())
+	}
+}
+
+// TestGroupDeviationHookOnColumnarEngine drives the hook with a
+// columnar Count-Sketch-Reset engine over a trace environment — a
+// columnar engine has no per-host agents, so the hook must read through
+// Engine.EstimateOf — and requires the series to equal the classic
+// engine's bit for bit.
+func TestGroupDeviationHookOnColumnarEngine(t *testing.T) {
+	tr := twoCliqueTrace()
+	values := []float64{1, 1, 1, 1}
+	cfg := sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 100, Scale: 100}
+	run := func(columnar bool) stats.Series {
+		tenv := env.NewTraceEnv(tr, 30*time.Second, 10*time.Minute)
+		var s stats.Series
+		ecfg := gossip.Config{
+			Env: tenv, Model: gossip.PushPull, Seed: 2,
+			AfterRound: []gossip.Hook{GroupDeviationHook(&s, nil, tenv, values, GroupSize, 5)},
+		}
+		if columnar {
+			ecfg.Columnar = sketchreset.NewColumnar(tr.N, cfg)
+		} else {
+			ecfg.Agents = make([]gossip.Agent, tr.N)
+			for i := range ecfg.Agents {
+				ecfg.Agents[i] = sketchreset.New(gossip.NodeID(i), cfg)
+			}
+		}
+		e, err := gossip.NewEngine(ecfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(30)
+		return s
+	}
+	classic, columnar := run(false), run(true)
+	if classic.Len() != 6 || columnar.Len() != 6 {
+		t.Fatalf("series lengths %d (classic), %d (columnar); want 6", classic.Len(), columnar.Len())
+	}
+	for i := range classic.Y {
+		if math.Float64bits(classic.Y[i]) != math.Float64bits(columnar.Y[i]) || classic.X[i] != columnar.X[i] {
+			t.Errorf("sample %d: columnar (%v, %v), classic (%v, %v)", i, columnar.X[i], columnar.Y[i], classic.X[i], classic.Y[i])
+		}
+	}
+	// Each clique of two converges on one sketch of 200 identifiers,
+	// which estimates a size near 2.
+	if last := classic.Y[classic.Len()-1]; last > 1 {
+		t.Errorf("final deviation from group size %v, want < 1", last)
 	}
 }
 

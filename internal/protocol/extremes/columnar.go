@@ -24,13 +24,13 @@ type colCandidate struct {
 // Deliver merges the emitter's start-of-round snapshot row (shadow
 // block) into the destination, exactly the classic path's table copy.
 //
-// normalize here is map-free (linear dedup over ≤ 2×TableSize+1
-// entries) but computes the same deterministic function of the
-// candidate multiset as Node.normalize — dedup by owner keeping the
-// youngest age, re-pin the own entry at age zero, drop aged-out
-// candidates, sort best-first with the owner tie-break, truncate — so
-// tables, and therefore estimates, are byte-identical to a population
-// of *Node agents on the classic path.
+// normalize here is Node.normalize's algorithm (map-free: linear dedup
+// over ≤ 2×TableSize+1 entries) over the narrower rows, computing the
+// same deterministic function of the candidate multiset — dedup by
+// owner keeping the youngest age, re-pin the own entry at age zero,
+// drop aged-out candidates, sort best-first with the owner tie-break,
+// truncate — so tables, and therefore estimates, are byte-identical to
+// a population of *Node agents on the classic path.
 type Columnar struct {
 	cfg    Config
 	value  []float64
@@ -140,7 +140,7 @@ func (c *Columnar) normalize(i int) {
 	row = c.table[base : base+live+1]
 	row[live] = colCandidate{value: c.value[i], owner: int32(i), age: 0}
 	// Insertion sort: owners are unique, so better is a strict total
-	// order and the result matches Node.normalize's SortFunc exactly.
+	// order and the result matches Node.normalize's exactly.
 	for j := 1; j < len(row); j++ {
 		cand := row[j]
 		k := j

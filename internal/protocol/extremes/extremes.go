@@ -27,7 +27,6 @@ package extremes
 
 import (
 	"fmt"
-	"slices"
 
 	"dynagg/internal/gossip"
 	"dynagg/internal/xrand"
@@ -119,10 +118,9 @@ type Node struct {
 	// own candidate is always present with age 0.
 	table []Candidate
 
-	// snap is the reusable snapshot sent by EmitAppend; byOwner and
-	// mergeBuf are normalize's reusable scratch.
+	// snap is the reusable snapshot sent by EmitAppend; mergeBuf is
+	// Exchange's reusable scratch.
 	snap     Table
-	byOwner  map[gossip.NodeID]Candidate
 	mergeBuf []Candidate
 }
 
@@ -168,46 +166,61 @@ func (n *Node) better(a, b Candidate) bool {
 	return a.Owner < b.Owner
 }
 
-// normalize sorts best-first, deduplicates by owner keeping the
-// youngest age, drops aged-out candidates, re-pins the own entry, and
-// truncates to the table size. The dedup map is reused across calls so
-// the steady state allocates nothing.
+// normalize rebuilds the table from whatever multiset currently
+// occupies it: dedup by owner keeping the youngest age, re-pin the own
+// entry, drop aged-out candidates, sort best-first, truncate to the
+// table size. In place and map-free (a linear dedup: the multiset is
+// at most two tables and the own entry), the same algorithm as
+// Columnar.normalize over the wider Candidate rows.
 func (n *Node) normalize() {
-	// Dedup by owner: keep min age (per-owner value is fixed, so any
-	// duplicate differs only in age).
-	if n.byOwner == nil {
-		n.byOwner = make(map[gossip.NodeID]Candidate, len(n.table)+1)
-	} else {
-		clear(n.byOwner)
-	}
-	byOwner := n.byOwner
-	for _, c := range n.table {
-		if prev, ok := byOwner[c.Owner]; !ok || c.Age < prev.Age {
-			byOwner[c.Owner] = c
-		}
-	}
-	// Own candidate is always live at age 0.
-	byOwner[n.id] = Candidate{Value: n.value, Owner: n.id, Age: 0}
-
-	n.table = n.table[:0]
-	for _, c := range byOwner {
-		if c.Age > n.cfg.Cutoff {
+	// Dedup foreign candidates by owner, keeping the first of minimum
+	// age; own entries are discarded here and re-pinned below.
+	row := n.table
+	kept := 0
+	for _, cand := range row {
+		if cand.Owner == n.id {
 			continue
 		}
-		n.table = append(n.table, c)
-	}
-	slices.SortFunc(n.table, func(a, b Candidate) int {
-		if n.better(a, b) {
-			return -1
+		dup := false
+		for k := 0; k < kept; k++ {
+			if row[k].Owner == cand.Owner {
+				if cand.Age < row[k].Age {
+					row[k] = cand
+				}
+				dup = true
+				break
+			}
 		}
-		if n.better(b, a) {
-			return 1
+		if !dup {
+			row[kept] = cand
+			kept++
 		}
-		return 0
-	})
-	if len(n.table) > n.cfg.TableSize {
-		n.table = n.table[:n.cfg.TableSize]
 	}
+	// Drop aged-out candidates, then add the own candidate (always
+	// live at age 0).
+	live := 0
+	for k := 0; k < kept; k++ {
+		if row[k].Age > n.cfg.Cutoff {
+			continue
+		}
+		row[live] = row[k]
+		live++
+	}
+	row = append(row[:live], Candidate{Value: n.value, Owner: n.id, Age: 0})
+	// Insertion sort: owners are unique, so better is a strict total
+	// order and any correct sort yields this one table.
+	for j := 1; j < len(row); j++ {
+		cand := row[j]
+		k := j
+		for ; k > 0 && n.better(cand, row[k-1]); k-- {
+			row[k] = row[k-1]
+		}
+		row[k] = cand
+	}
+	if len(row) > n.cfg.TableSize {
+		row = row[:n.cfg.TableSize]
+	}
+	n.table = row
 }
 
 // BeginRound implements gossip.Agent: age every foreign candidate.

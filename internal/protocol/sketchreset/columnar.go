@@ -1,10 +1,7 @@
 package sketchreset
 
 import (
-	"math"
-
 	"dynagg/internal/gossip"
-	"dynagg/internal/sketch"
 	"dynagg/internal/wire"
 )
 
@@ -52,15 +49,7 @@ var _ gossip.ColExchanger = (*Columnar)(nil)
 // hosts, all sharing cfg. Identifier placement matches New exactly:
 // deterministic per (host id, identifier index).
 func NewColumnar(n int, cfg Config) *Columnar {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	if cfg.Cutoff == nil {
-		cfg.Cutoff = DefaultCutoff
-	}
-	if cfg.Scale == 0 {
-		cfg.Scale = 1
-	}
+	cutoff := cfg.prepare()
 	p := cfg.Params
 	stride := p.Bins * p.Levels
 	c := &Columnar{
@@ -68,19 +57,12 @@ func NewColumnar(n int, cfg Config) *Columnar {
 		stride:   stride,
 		counters: make([]uint8, n*stride),
 		shadow:   make([]uint8, n*stride),
-		cutoff:   make([]float64, p.Levels),
+		cutoff:   cutoff,
 		ownedOff: make([]int32, n+1),
 		est:      make([]float64, n),
 	}
 	for i := range c.counters {
 		c.counters[i] = Never
-	}
-	for k := 0; k < p.Levels; k++ {
-		if cfg.NoDecay {
-			c.cutoff[k] = math.Inf(1)
-		} else {
-			c.cutoff[k] = cfg.Cutoff(k)
-		}
 	}
 	for id := 0; id < n; id++ {
 		base := id * stride
@@ -225,36 +207,11 @@ func (c *Columnar) Estimate(id gossip.NodeID) (float64, bool) {
 // BitSet reports whether host id's derived bit at (bin, level) is
 // currently considered set (age within cutoff).
 func (c *Columnar) BitSet(id gossip.NodeID, bin, level int) bool {
-	v := c.CounterAt(id, bin, level)
-	return v != Never && float64(v) <= c.cutoff[level]
+	return bitSet(c.CounterAt(id, bin, level), c.cutoff[level])
 }
 
-// refreshEstimate derives the bit array, applies Flajolet-Martin's R
-// per bin, and estimates m·2^avg(R)/ϕ — the same arithmetic, in the
-// same order, as Node.refreshEstimate.
+// refreshEstimate re-derives host i's estimate from its block. Eager,
+// unlike Node's: Estimate(id) has readers that hold no lock.
 func (c *Columnar) refreshEstimate(i int) {
-	p := c.cfg.Params
-	block := c.counters[i*c.stride : (i+1)*c.stride]
-	any := false
-	var sumR int
-	for bin := 0; bin < p.Bins; bin++ {
-		base := bin * p.Levels
-		r := 0
-		for k := 0; k < p.Levels; k++ {
-			v := block[base+k]
-			if v != Never && float64(v) <= c.cutoff[k] {
-				r++
-				any = true
-			} else {
-				break
-			}
-		}
-		sumR += r
-	}
-	if !any {
-		c.est[i] = 0
-		return
-	}
-	avgR := float64(sumR) / float64(p.Bins)
-	c.est[i] = float64(p.Bins) * math.Exp2(avgR) / sketch.Phi / c.cfg.Scale
+	c.est[i] = estimate(c.counters[i*c.stride:(i+1)*c.stride], c.cutoff, c.cfg.Scale)
 }

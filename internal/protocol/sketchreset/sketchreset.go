@@ -78,6 +78,30 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// prepare validates the configuration (a bad one panics, as in every
+// constructor), fills its defaults in place and returns the cutoff
+// table both planes evaluate against: f(k) per level, ∞ under NoDecay.
+func (c *Config) prepare() []float64 {
+	if err := c.Validate(); err != nil {
+		panic(err)
+	}
+	if c.Cutoff == nil {
+		c.Cutoff = DefaultCutoff
+	}
+	if c.Scale == 0 {
+		c.Scale = 1
+	}
+	cutoff := make([]float64, c.Params.Levels)
+	for k := range cutoff {
+		if c.NoDecay {
+			cutoff[k] = math.Inf(1)
+		} else {
+			cutoff[k] = c.Cutoff(k)
+		}
+	}
+	return cutoff
+}
+
 // Node is one Count-Sketch-Reset host. Its gossip payload is the full
 // counter matrix.
 type Node struct {
@@ -95,8 +119,11 @@ type Node struct {
 	// buffer is allocated lazily and rewritten every round.
 	snap Counters
 
-	est    float64
-	hasEst bool
+	// est caches the estimate of the matrix as it stands; every counter
+	// write sets stale, and Estimate re-derives at most once per stale
+	// period, so a host nobody samples never pays for the derivation.
+	est   float64
+	stale bool
 }
 
 // Counters is the gossiped age-counter payload of EmitAppend: a
@@ -117,31 +144,17 @@ var (
 // deterministic per (host id, identifier index), matching the FM
 // distributions.
 func New(id gossip.NodeID, cfg Config) *Node {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	if cfg.Cutoff == nil {
-		cfg.Cutoff = DefaultCutoff
-	}
-	if cfg.Scale == 0 {
-		cfg.Scale = 1
-	}
+	cutoff := cfg.prepare()
 	p := cfg.Params
 	n := &Node{
 		id:       id,
 		cfg:      cfg,
 		counters: make([]uint8, p.Bins*p.Levels),
-		cutoff:   make([]float64, p.Levels),
+		cutoff:   cutoff,
+		stale:    true,
 	}
 	for i := range n.counters {
 		n.counters[i] = Never
-	}
-	for k := 0; k < p.Levels; k++ {
-		if cfg.NoDecay {
-			n.cutoff[k] = math.Inf(1)
-		} else {
-			n.cutoff[k] = cfg.Cutoff(k)
-		}
 	}
 	seen := make(map[int32]bool)
 	for j := 0; j < cfg.Identifiers; j++ {
@@ -153,7 +166,6 @@ func New(id gossip.NodeID, cfg Config) *Node {
 		}
 		n.counters[idx] = 0
 	}
-	n.refreshEstimate()
 	return n
 }
 
@@ -177,6 +189,7 @@ func (n *Node) BeginRound(round int) {
 
 // age increments all non-owned counters, saturating at MaxAge.
 func (n *Node) age() {
+	n.stale = true
 	wire.AgeCounters(n.counters)
 	// Owned counters are pinned back to zero (cheaper than testing
 	// ownership in the hot loop).
@@ -239,22 +252,24 @@ func (n *Node) minMerge(other []uint8) {
 	if len(other) != len(n.counters) {
 		return
 	}
+	n.stale = true
 	wire.MinCounters(n.counters, other)
 	for _, idx := range n.owned {
 		n.counters[idx] = 0
 	}
 }
 
-// EndRound implements gossip.Agent (Figure 5 steps 6-7).
-func (n *Node) EndRound(round int) {
-	n.refreshEstimate()
-}
+// EndRound implements gossip.Agent. Figure 5 steps 6-7 run on demand,
+// in Estimate: merges are applied on arrival, so nothing is left to
+// fold here.
+func (n *Node) EndRound(round int) {}
 
 // Exchange implements gossip.Exchanger: mutual min-merge ("the peer
 // can also respond by sending its own array"), after which both
 // matrices agree except at owned indices.
 func (n *Node) Exchange(peer gossip.Exchanger) {
 	p := peer.(*Node)
+	n.stale, p.stale = true, true
 	wire.MinCounters(n.counters, p.counters)
 	copy(p.counters, n.counters)
 	for _, idx := range n.owned {
@@ -265,45 +280,52 @@ func (n *Node) Exchange(peer gossip.Exchanger) {
 	}
 }
 
-// refreshEstimate derives the bit array (bit k set iff its age is at
-// or below f(k)), applies Flajolet-Martin's R per bin, and estimates
-// m·2^avg(R)/ϕ, scaled by the identifier inflation factor.
-func (n *Node) refreshEstimate() {
-	p := n.cfg.Params
-	any := false
-	var sumR int
-	for bin := 0; bin < p.Bins; bin++ {
-		base := bin * p.Levels
-		r := 0
-		for k := 0; k < p.Levels; k++ {
-			c := n.counters[base+k]
-			if c != Never && float64(c) <= n.cutoff[k] {
-				r++
-				any = true
-			} else {
-				break
-			}
-		}
-		// Bits beyond the first unset bit may still be set; R only
-		// counts the contiguous prefix, exactly as in the bit sketch.
-		sumR += r
-	}
-	if !any {
-		n.est = 0
-		n.hasEst = true
-		return
-	}
-	avgR := float64(sumR) / float64(p.Bins)
-	n.est = float64(p.Bins) * math.Exp2(avgR) / sketch.Phi / n.cfg.Scale
-	n.hasEst = true
+// bitSet reports whether a counter of the given age counts as a set
+// bit under cutoff f(k).
+func bitSet(age uint8, cutoff float64) bool {
+	return age != Never && float64(age) <= cutoff
 }
 
-// Estimate implements gossip.Agent.
-func (n *Node) Estimate() (float64, bool) { return n.est, n.hasEst }
+// estimate derives the bit array of one host's m×L age block (Figure 5
+// steps 6-7: bit k set iff its age is at or below f(k) = cutoff[k]),
+// applies Flajolet-Martin's R per bin, and estimates m·2^avg(R)/ϕ,
+// scaled by the identifier inflation factor. Node and Columnar both
+// call it, so the two planes cannot disagree.
+func estimate(block []uint8, cutoff []float64, scale float64) float64 {
+	levels := len(cutoff)
+	bins := len(block) / levels
+	var sumR int
+	for base := 0; base < len(block); base += levels {
+		// Bits beyond the first unset bit may still be set; R only
+		// counts the contiguous prefix, exactly as in the bit sketch.
+		r := 0
+		for r < levels && bitSet(block[base+r], cutoff[r]) {
+			r++
+		}
+		sumR += r
+	}
+	if sumR == 0 {
+		return 0
+	}
+	avgR := float64(sumR) / float64(bins)
+	return float64(bins) * math.Exp2(avgR) / sketch.Phi / scale
+}
+
+// Estimate implements gossip.Agent: the estimate of the matrix as it
+// stands. A Count-Sketch-Reset host always has one (0 before any bit
+// is heard). The call may refresh the cached value, so it needs the
+// same exclusion as the host's other methods (the engines read it at a
+// round or tick boundary, under the host's lock).
+func (n *Node) Estimate() (float64, bool) {
+	if n.stale {
+		n.est = estimate(n.counters, n.cutoff, n.cfg.Scale)
+		n.stale = false
+	}
+	return n.est, true
+}
 
 // BitSet reports whether the derived bit at (bin, level) is currently
 // considered set (age within cutoff).
 func (n *Node) BitSet(bin, level int) bool {
-	c := n.CounterAt(bin, level)
-	return c != Never && float64(c) <= n.cutoff[level]
+	return bitSet(n.CounterAt(bin, level), n.cutoff[level])
 }

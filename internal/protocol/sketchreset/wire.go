@@ -72,5 +72,6 @@ func (n *Node) MergeWire(rle []byte) {
 	// The host's owned indices are pinned to zero and a min can never
 	// raise them, so no re-pin is needed. The error is the shape
 	// mismatch, reported before anything is merged.
+	n.stale = true
 	_, _ = wire.DecodeCountersMin(n.counters, rle)
 }
