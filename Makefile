@@ -10,14 +10,17 @@ build:
 
 # Go line counts, the way CHANGES.md entries quote them: non-test and
 # test lines repo-wide (the benchmark module and its build cache
-# excluded), then the transport package — the largest subsystem — file
-# by file. ROADMAP wants the first number to go down; ci prints it.
+# excluded), then the two subsystems ROADMAP aim 2 tracks — the round
+# engine and the transport package — file by file. ROADMAP wants the
+# first number to go down; ci prints it.
 LOC_FIND = find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*'
 loc:
 	@echo "non-test Go lines: $$($(LOC_FIND) -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test Go lines:     $$($(LOC_FIND) -name '*_test.go' | xargs cat | wc -l)"
-	@echo "internal/gossip/live/transport, non-test:"
-	@find internal/gossip/live/transport -name '*.go' -not -name '*_test.go' | sort | xargs wc -l
+	@for d in internal/gossip internal/gossip/live/transport; do \
+		echo "$$d, non-test:"; \
+		find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | sort | xargs wc -l; \
+	done
 
 # Example main packages compile as part of ci so example rot fails the
 # build instead of surprising readers.
@@ -83,14 +86,15 @@ bench-1m:
 	fi
 
 # Million-host LIVE engine benchmark: the columnar population backend
-# driving 1,000,000 wall-clock hosts over real loopback UDP sockets,
-# batch-encoded datagrams end to end. -benchline emits a
+# driving 1,000,000 wall-clock hosts over real loopback TCP sockets,
+# batch frames end to end — the transport the benchmark's live-batch
+# workload measures. -benchline emits a
 # Benchmark-formatted row (ns/tick, msgs/s, peak-rss-bytes) that
 # cmd/benchjson merges into BENCH_results.json next to the round-based
 # engine rows, so the artifact records both the synchronous and the
 # live million-host capability.
 bench-live-1m:
-	$(GO) run ./cmd/dynaggsim live -backend=columnar -n 1000000 -transport=udp -benchline | tee BENCH_LIVE_raw.txt
+	$(GO) run ./cmd/dynaggsim live -backend=columnar -n 1000000 -transport=tcp -benchline | tee BENCH_LIVE_raw.txt
 	@files=BENCH_LIVE_raw.txt; \
 	for f in BENCH_raw.txt BENCH_1M_raw.txt; do \
 		if [ -f $$f ]; then files="$$f $$files"; fi; \

@@ -142,7 +142,7 @@ func runEngineBench(out io.Writer, o benchOpts) error {
 	if err != nil {
 		return err
 	}
-	// Warm-up: emission columns, arena, outboxes, and wave storage grow
+	// Warm-up: emission columns, outboxes, and wave storage grow
 	// to capacity.
 	engine.Run(2)
 

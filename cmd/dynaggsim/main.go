@@ -104,13 +104,13 @@
 //	-n N        override host count
 //	-rounds R   override round count
 //	-seed S     PRNG seed
-//	-workers W  engine worker pool: 0 sequential (default), -1 all
-//	            CPUs, k>0 exactly k workers; results are byte-identical
+//	-workers W  engine shards: 0 one shard, inline (default), -1 one
+//	            per CPU, k>0 exactly k; results are byte-identical
 //	            at any setting. Applies to the Scale-driven experiments
 //	            (fig8/9/10*, ablation-pushpull/adaptive/epoch/moments/
 //	            extremes/mobility); the fixed-size drivers (fig6,
 //	            fig11*, ablation-bins/overlay/gridcutoff/bandwidth)
-//	            always run sequentially
+//	            always run on one shard
 //	-columnar   run the struct-of-arrays engine path (every protocol,
 //	            both gossip models — push/pull runs the pair-batch
 //	            wave executor); byte-identical results, measured ~3x
@@ -154,7 +154,7 @@ func run(args []string) error {
 	n := fs.Int("n", 0, "override host count")
 	rounds := fs.Int("rounds", 0, "override round count")
 	seed := fs.Uint64("seed", 1, "PRNG seed")
-	workers := fs.Int("workers", 0, "engine worker pool for Scale-driven experiments: 0 sequential, -1 all CPUs, k>0 exactly k workers (same results at any setting; fig6/fig11/bins/overlay/gridcutoff/bandwidth run sequentially regardless)")
+	workers := fs.Int("workers", 0, "engine shards for Scale-driven experiments: 0 one shard run inline, -1 one per CPU, k>0 exactly k (same results at any setting; fig6/fig11/bins/overlay/gridcutoff/bandwidth run on one shard regardless)")
 	columnar := fs.Bool("columnar", false, "run the struct-of-arrays engine path (every protocol, both gossip models; byte-identical results, flat-loop speed)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken at the end of the run to this file")

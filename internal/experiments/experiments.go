@@ -105,9 +105,9 @@ type Scale struct {
 	FailAt int
 	// Seed drives all randomness.
 	Seed uint64
-	// Workers sizes the engine's worker pool: 0 runs the sequential
-	// executor, k >= 1 the sharded parallel one (byte-identical
-	// results either way; see gossip.Config.Workers).
+	// Workers is the engine's shard count: 0 and 1 run the round inline
+	// on one shard, k > 1 on k goroutines (byte-identical results
+	// either way; see gossip.Config.Workers).
 	Workers int
 	// Columnar selects the struct-of-arrays execution path
 	// (gossip.Config.Columnar) — byte-identical results, flat-loop

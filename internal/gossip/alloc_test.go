@@ -21,31 +21,43 @@ import (
 
 // allocBudgetPerHostRound is the steady-state allocation budget of the
 // zero-allocation message plane: at most 2 heap allocations per host
-// per round. The real figure is ~0 — emission scratch, the arena inbox,
-// and the pick closure are all reused — but the budget leaves headroom
+// per round. The real figure is ~0 — the shard outboxes that double as
+// emission scratch and the pick closure are reused, and on one shard it
+// is exactly 0 (see allocBudget) — but the budget leaves headroom
 // for incidental runtime allocations (map rehashing, slice growth on
 // population spikes) without letting a per-message regression through:
 // re-boxing payloads alone would cost 2-3 allocs per host-round.
 const allocBudgetPerHostRound = 2.0
 
+// allocBudget is the budget for an engine of the given Config.Workers:
+// one shard (0 or 1) runs every phase inline — no goroutine, and no
+// closure, which would escape and be allocated per phase — so once its
+// buffers have grown a round allocates exactly nothing.
+func allocBudget(workers int) float64 {
+	if workers <= 1 {
+		return 0
+	}
+	return allocBudgetPerHostRound
+}
+
 // allocsPerHostRound builds an engine over n uniform-gossip hosts,
 // warms it past the buffer-growth phase, and measures steady-state
 // allocations of Engine.Step per host.
-func allocsPerHostRound(t *testing.T, agents []gossip.Agent, workers int) float64 {
+func allocsPerHostRound(t *testing.T, agents []gossip.Agent, model gossip.Model, workers int) float64 {
 	t.Helper()
 	n := len(agents)
 	engine, err := gossip.NewEngine(gossip.Config{
 		Env:     env.NewUniform(n),
 		Agents:  agents,
-		Model:   gossip.Push,
+		Model:   model,
 		Seed:    3,
 		Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm-up: scratch slices, snapshot buffers, and the arena grow to
-	// their steady-state capacity during the first rounds.
+	// Warm-up: scratch slices, snapshot buffers, and the outboxes grow
+	// to their steady-state capacity during the first rounds.
 	engine.Run(4)
 	perStep := testing.AllocsPerRun(3, func() { engine.Step() })
 	return perStep / float64(n)
@@ -77,8 +89,8 @@ func allocsPerHostRoundColumnar(t *testing.T, col gossip.ColumnarAgent, model go
 // protocol on every gossip model it supports: the flat-column round —
 // including the push/pull pair-batch executor's wave scheduling — must
 // not allocate once the emission column, pair batches, and wave
-// storage have grown to capacity, on both the sequential and sharded
-// executors.
+// storage have grown to capacity, at any shard count — and exactly
+// nothing on one shard.
 func TestColumnarAllocBudget(t *testing.T) {
 	const n = 512
 	values := make([]float64, n)
@@ -132,11 +144,11 @@ func TestColumnarAllocBudget(t *testing.T) {
 	}
 	for name, bc := range builders {
 		for _, model := range bc.models {
-			for _, workers := range []int{0, 2} {
+			for _, workers := range []int{0, 1, 2} {
 				got := allocsPerHostRoundColumnar(t, bc.mk(model), model, workers)
-				if got > allocBudgetPerHostRound {
+				if budget := allocBudget(workers); got > budget {
 					t.Errorf("%s %s workers=%d: %.3f allocs per host-round, budget %.1f",
-						name, model, workers, got, allocBudgetPerHostRound)
+						name, model, workers, got, budget)
 				}
 			}
 		}
@@ -148,15 +160,17 @@ func TestColumnarAllocBudget(t *testing.T) {
 // per-message heap traffic.
 func TestPushSumAllocBudget(t *testing.T) {
 	const n = 512
-	for _, workers := range []int{0, 2} {
-		agents := make([]gossip.Agent, n)
-		for i := range agents {
-			agents[i] = pushsum.NewAverage(gossip.NodeID(i), float64(i%101))
-		}
-		got := allocsPerHostRound(t, agents, workers)
-		if got > allocBudgetPerHostRound {
-			t.Errorf("workers=%d: %.3f allocs per host-round, budget %.1f",
-				workers, got, allocBudgetPerHostRound)
+	for _, model := range []gossip.Model{gossip.Push, gossip.PushPull} {
+		for _, workers := range []int{0, 1, 2} {
+			agents := make([]gossip.Agent, n)
+			for i := range agents {
+				agents[i] = pushsum.NewAverage(gossip.NodeID(i), float64(i%101))
+			}
+			got := allocsPerHostRound(t, agents, model, workers)
+			if budget := allocBudget(workers); got > budget {
+				t.Errorf("%s workers=%d: %.3f allocs per host-round, budget %.1f",
+					model, workers, got, budget)
+			}
 		}
 	}
 }
@@ -171,7 +185,7 @@ func TestSketchCountAllocBudget(t *testing.T) {
 	for i := range agents {
 		agents[i] = sketchcount.NewCount(gossip.NodeID(i), params)
 	}
-	got := allocsPerHostRound(t, agents, 0)
+	got := allocsPerHostRound(t, agents, gossip.Push, 0)
 	if got > allocBudgetPerHostRound {
 		t.Errorf("%.3f allocs per host-round, budget %.1f",
 			got, allocBudgetPerHostRound)
@@ -189,7 +203,7 @@ func TestSketchResetAllocBudget(t *testing.T) {
 			Identifiers: 1,
 		})
 	}
-	got := allocsPerHostRound(t, agents, 0)
+	got := allocsPerHostRound(t, agents, gossip.Push, 0)
 	if got > allocBudgetPerHostRound {
 		t.Errorf("%.3f allocs per host-round, budget %.1f",
 			got, allocBudgetPerHostRound)
@@ -219,7 +233,7 @@ func TestDeviationHookAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine.Run(4) // the arena and the hook's scratch reach capacity
+	engine.Run(4) // the outbox and the hook's scratch reach capacity
 	if got := testing.AllocsPerRun(rounds/2, func() { engine.Step() }); got != 0 {
 		t.Errorf("%.2f allocations per round with DeviationHook attached, want 0", got)
 	}

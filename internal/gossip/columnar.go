@@ -18,21 +18,20 @@
 // state block. The engine filters dead destinations and counts
 // traffic centrally, exactly as the classic path does.
 //
-// Determinism contract: the columnar path is byte-identical to the
-// classic sequential executor. Peer picks consume the same per-host
-// PRNG splits through ColRound.Pick, emissions are appended in
-// ascending host order with each host's envelopes in the same
-// intra-host order as Emit, and Deliver receives messages in emitter
-// order — so every destination folds payloads in exactly the sequence
-// the per-host inboxes produced. (Float accumulation is
-// order-sensitive; preserving fold order is what makes the parity
-// exact rather than approximate.)
+// Determinism contract: the columnar backend is byte-identical to the
+// classic one. Both run under the same executor (round.go): peer picks
+// consume the same per-host PRNG splits through ColRound.Pick,
+// emissions are appended in ascending host order with each host's
+// messages in the same intra-host order as EmitAppend, and Deliver
+// receives messages in emitter order — so every destination folds
+// payloads in exactly the sequence a classic agent Receives them.
+// (Float accumulation is order-sensitive; preserving fold order is what
+// makes the parity exact rather than approximate.)
 //
 // Push/pull runs on the columnar plane too, through ColExchanger: the
-// engine draws every initiator's peer (same PRNG stream as the classic
-// loop), materialises the round's exchanges as flat []Pair batches —
-// in initiator order sequentially; as the parallel executor's
-// deterministic conflict-free waves under Workers > 0 — and the
+// engine draws every initiator's peer, materialises the round's
+// exchanges as flat []Pair batches — one initiator-ordered batch on one
+// shard; deterministic conflict-free waves on several — and the
 // protocol executes each batch as one kernel over its columns, with no
 // per-pair Exchanger interface calls.
 package gossip
@@ -62,7 +61,7 @@ type ColMsg struct {
 }
 
 // ColRound is the engine-side context handed to columnar round
-// kernels. One value serves a whole executor shard; fields are
+// kernels. One value serves a whole shard of the executor; fields are
 // read-only for kernels except Out, which EmitRange appends to.
 type ColRound struct {
 	// Round is the current round number.
@@ -111,12 +110,12 @@ func (rc *ColRound) Rng(id NodeID) *xrand.Rand { return rc.rngs[id] }
 // The engine calls, every push round, in order: BeginRange covering
 // every host; EmitRange covering every host (appending to rc.Out);
 // Deliver with the surviving messages in emitter order; EndRange
-// covering every host. Under the parallel executor the Begin/Emit/End
-// phases are invoked once per contiguous shard range concurrently, and
-// Deliver is invoked per destination shard with that shard's messages
-// — kernels must therefore only write state belonging to the hosts in
-// the given range (or, for Deliver, to the message destinations) and
-// may read any host's *start-of-round* state.
+// covering every host. With Workers > 1 the Begin/Emit/End phases are
+// invoked once per contiguous shard range concurrently, and Deliver is
+// invoked per destination shard with that shard's messages — kernels
+// must therefore only write state belonging to the hosts in the given
+// range (or, for Deliver, to the message destinations) and may read any
+// host's *start-of-round* state.
 //
 // Kernels must skip hosts with rc.Alive[id] == false in BeginRange,
 // EmitRange, and EndRange, mirroring the classic engine's dead-host
@@ -158,11 +157,10 @@ type Pair struct {
 // EmitRange and Deliver are never called under push/pull.
 //
 // Batch contract: pairs within one ExchangePairs call may share
-// endpoints and MUST be executed strictly in slice order (the
-// sequential executor hands the whole round as one initiator-ordered
-// batch). Under the parallel executor the engine schedules exchanges
-// into conflict-free waves and may split one wave across concurrent
-// ExchangePairs calls — those batches are endpoint-disjoint by
+// endpoints and MUST be executed strictly in slice order (a one-shard
+// engine hands the whole round as one initiator-ordered batch). With
+// Workers > 1 the engine schedules exchanges into conflict-free waves
+// and may split one wave across concurrent ExchangePairs calls — those batches are endpoint-disjoint by
 // construction, so kernels must only touch the two endpoints' state
 // per pair.
 type ColExchanger interface {
@@ -173,98 +171,6 @@ type ColExchanger interface {
 // Columnar returns the engine's columnar protocol, or nil when the
 // engine runs classic agents.
 func (e *Engine) Columnar() ColumnarAgent { return e.col }
-
-// fillAlive samples the environment's liveness for hosts [lo, hi)
-// into the round bitmap and returns the live count. Environment.Alive
-// is stable between Advance calls, so sampling once per round is
-// equivalent to the classic path's repeated queries — and cheaper.
-func (e *Engine) fillAlive(r, lo, hi int) int {
-	live := 0
-	alive := e.colAlive
-	for id := lo; id < hi; id++ {
-		a := e.env.Alive(NodeID(id), r)
-		alive[id] = a
-		if a {
-			live++
-		}
-	}
-	return live
-}
-
-// stepPushColumnar is the sequential columnar push round: the same
-// begin → emit → deliver → end structure as stepPush, but each phase
-// is one kernel call over the whole population and messages never
-// leave the flat ColMsg column. No bucket sort is needed: folding the
-// emission column in raw emitter order gives every destination its
-// payloads in exactly the per-inbox order the classic path produced.
-func (e *Engine) stepPushColumnar(r int) {
-	n := e.col.Len()
-	rc := &e.colRound
-	rc.Round = r
-	rc.Alive = e.colAlive
-
-	live := e.fillAlive(r, 0, n)
-	e.col.BeginRange(rc, 0, n)
-
-	rc.Out = rc.Out[:0]
-	e.col.EmitRange(rc, 0, n)
-
-	// Every live host initiated one contact; every appended message
-	// counts, including those lost to dead destinations — identical
-	// accounting to the classic loop.
-	e.contacts += int64(live)
-	e.messages += int64(len(rc.Out))
-
-	// Drop messages to dead hosts in place (stable, so emitter order
-	// is preserved), then deliver the survivors in one flat pass.
-	kept := rc.Out[:0]
-	for _, m := range rc.Out {
-		if rc.Alive[m.To] {
-			kept = append(kept, m)
-		}
-	}
-	rc.Out = kept
-	if len(kept) > 0 {
-		e.col.Deliver(rc, kept)
-	}
-	e.col.EndRange(rc, 0, n)
-}
-
-// stepPushPullColumnar is the sequential columnar push/pull round: the
-// same begin → exchange → end structure as stepPushPull, but peers are
-// drawn by the engine into one flat []Pair batch (initiator order, the
-// classic loop's execution order) and the protocol runs the whole
-// batch as a single kernel call over its columns — no per-pair
-// Exchanger interface dispatch.
-func (e *Engine) stepPushPullColumnar(r int) {
-	n := e.col.Len()
-	rc := &e.colRound
-	rc.Round = r
-	rc.Alive = e.colAlive
-
-	e.fillAlive(r, 0, n)
-	e.col.BeginRange(rc, 0, n)
-
-	pairs := e.colPairs[:0]
-	for id := 0; id < n; id++ {
-		if !e.colAlive[id] {
-			continue
-		}
-		nid := NodeID(id)
-		peer, ok := e.env.Pick(nid, r, e.rngs[id])
-		if !ok {
-			continue
-		}
-		e.contacts++
-		e.messages += 2 // state travels both ways
-		pairs = append(pairs, Pair{A: nid, B: peer})
-	}
-	e.colPairs = pairs
-	if len(pairs) > 0 {
-		e.colEx.ExchangePairs(rc, pairs)
-	}
-	e.col.EndRange(rc, 0, n)
-}
 
 // validateColumnar checks the columnar half of a Config.
 func validateColumnar(cfg Config) error {

@@ -9,6 +9,13 @@
 // environment and protocol, every run produces byte-identical results.
 // Each host owns a private split of the experiment PRNG, so host
 // behaviour is independent of iteration order.
+//
+// There is one round executor (round.go): the hosts are split into
+// Config.Workers contiguous shards and every phase of the round is run
+// once per shard — inline for one shard, on k goroutines for k. It
+// drives either backend: classic agents, one Agent value per host, or
+// a columnar protocol owning the whole population's state as dense
+// columns (columnar.go).
 package gossip
 
 import (
@@ -38,7 +45,8 @@ type PeerPicker func() (NodeID, bool)
 //
 // The engine calls, every round, in order: BeginRound on every live
 // agent; Emit on every live agent (collecting envelopes); Receive on
-// the recipient of every envelope; EndRound on every live agent.
+// the live recipient of every envelope, in ascending emitter order;
+// EndRound on every live agent.
 // Emission is computed entirely from state at the start of the round —
 // agents must not apply received payloads until EndRound.
 type Agent interface {
@@ -80,9 +88,12 @@ type Exchanger interface {
 // channels) and keeps calling Emit, whose payloads must have
 // independent lifetime.
 //
-// Agents implementing AppendEmitter must still implement Emit; the
-// engine's adapter falls back to it for agents that don't implement
-// this interface, so the Agent contract stays satisfiable unchanged.
+// Agents implementing AppendEmitter must still implement Emit — the
+// engine falls back to it for agents that don't implement this
+// interface, so the Agent contract stays satisfiable unchanged. The
+// protocol packages write the emission once, in EmitAppend, and derive
+// Emit from it: EmitAppend(nil, ...) with every scratch-backed payload
+// detached into an independent value.
 type AppendEmitter interface {
 	Agent
 	EmitAppend(dst []Envelope, round int, rng *xrand.Rand, pick PeerPicker) []Envelope
@@ -147,13 +158,14 @@ type Config struct {
 	Columnar ColumnarAgent
 	Model    Model
 	Seed     uint64
-	// Workers selects the round executor. 0 runs the original
-	// sequential loop; k >= 1 runs the sharded parallel executor with
-	// k workers (DefaultWorkers picks a GOMAXPROCS-sized pool). Both
-	// executors produce byte-identical results for the same seed:
-	// every host owns a private PRNG split, push deliveries are merged
-	// in emitter order, and push/pull exchanges follow a deterministic
-	// conflict schedule equivalent to initiator order.
+	// Workers is the number of contiguous shards the one round executor
+	// splits the hosts into (see round.go). 0 and 1 both mean one shard,
+	// run inline on the caller's goroutine; k > 1 runs the same phases on
+	// k goroutines (DefaultWorkers picks a GOMAXPROCS-sized count).
+	// Results are byte-identical for every value: each host owns a
+	// private PRNG split, push deliveries are merged in emitter order,
+	// and push/pull exchanges follow a deterministic conflict schedule
+	// equivalent to initiator order.
 	Workers int
 	// BeforeRound hooks run after Env.Advance but before any agent
 	// acts, in registration order.
@@ -178,47 +190,37 @@ type Engine struct {
 
 	// emitters caches the AppendEmitter view of each agent (nil when
 	// the agent only implements Emit), so the per-host hot path costs
-	// an index load instead of an interface assertion.
+	// an index load instead of an interface assertion. Nil on a
+	// columnar engine.
 	emitters []AppendEmitter
 
-	// Flat arena inbox, reused across rounds (sequential push path).
-	// Emissions land in pending in emitter order; a stable bucket sort
-	// by destination rebuilds arena each round, with host id's segment
-	// at arena[offsets[id]:offsets[id]+counts[id]] — still in emitter
-	// order, exactly the delivery sequence the old per-host inboxes
-	// produced, but with zero steady-state allocation.
-	pending []Envelope
-	arena   []Envelope
-	counts  []int32
-	offsets []int32
-	cursor  []int32
+	// col is the columnar protocol and colEx its push/pull view (set
+	// only when the model needs it); both nil when the engine runs
+	// classic agents.
+	col   ColumnarAgent
+	colEx ColExchanger
 
-	// pick is the reusable peer-picker closure handed to agents in the
-	// sequential executor; pickID/pickRound are its captured state,
-	// rewritten per host instead of allocating a closure per host.
-	pick      PeerPicker
-	pickID    NodeID
-	pickRound int
+	// alive is the round's liveness bitmap, sampled by the begin phase.
+	alive []bool
 
-	// Columnar path state: the bulk protocol (and its push/pull view,
-	// set only when the model needs it), the reusable round context of
-	// the sequential executor, the per-round liveness bitmap shared by
-	// all columnar executors, and the reusable sequential push/pull
-	// pair batch. All nil/empty when the engine runs classic agents.
-	col      ColumnarAgent
-	colEx    ColExchanger
-	colRound ColRound
-	colAlive []bool
-	colPairs []Pair
-
-	// par holds the sharded executor state; nil in sequential mode.
-	par *parExec
+	// workers is what Workers reports; shards is the executor state,
+	// max(workers, 1) of them. lastWave (per-host index of the last
+	// wave touching it), waves and wave (the one being executed) serve
+	// the push/pull scheduler of a multi-shard engine.
+	workers  int
+	shards   []shard
+	lastWave []int32
+	waves    [][]Pair
+	wave     []Pair
 }
 
 // NewEngine validates the configuration and builds an engine.
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Env == nil {
 		return nil, fmt.Errorf("gossip: Config.Env is nil")
+	}
+	if cfg.Model != Push && cfg.Model != PushPull {
+		return nil, fmt.Errorf("gossip: unknown Config.Model %v", cfg.Model)
 	}
 	if cfg.Columnar != nil {
 		if err := validateColumnar(cfg); err != nil {
@@ -250,60 +252,43 @@ func NewEngine(cfg Config) (*Engine, error) {
 		store[i] = *root.Split(uint64(i))
 		rngs[i] = &store[i]
 	}
-	e := &Engine{
-		env:    cfg.Env,
-		agents: cfg.Agents,
-		model:  cfg.Model,
-		rngs:   rngs,
-		before: cfg.BeforeRound,
-		after:  cfg.AfterRound,
-		col:    cfg.Columnar,
+	// More shards than hosts would leave some of them empty.
+	workers := cfg.Workers
+	if n > 0 {
+		workers = min(workers, n)
 	}
-	if e.col != nil {
-		e.colAlive = make([]bool, n)
-		e.colRound = ColRound{Model: e.model, env: e.env, rngs: e.rngs}
-		if e.model == PushPull {
-			e.colEx = cfg.Columnar.(ColExchanger) // checked by validateColumnar
-		}
-	} else {
+	e := &Engine{
+		env:     cfg.Env,
+		agents:  cfg.Agents,
+		model:   cfg.Model,
+		rngs:    rngs,
+		before:  cfg.BeforeRound,
+		after:   cfg.AfterRound,
+		col:     cfg.Columnar,
+		alive:   make([]bool, n),
+		workers: workers,
+	}
+	k := max(workers, 1)
+	if e.col == nil {
 		e.emitters = make([]AppendEmitter, n)
-		e.counts = make([]int32, n)
-		e.offsets = make([]int32, n)
-		e.cursor = make([]int32, n)
 		for i, a := range cfg.Agents {
 			if ae, ok := a.(AppendEmitter); ok {
 				e.emitters[i] = ae
 			}
 		}
-		e.pick = func() (NodeID, bool) {
-			return e.env.Pick(e.pickID, e.pickRound, e.rngs[e.pickID])
-		}
+	} else if e.model == PushPull {
+		e.colEx = cfg.Columnar.(ColExchanger) // checked by validateColumnar
 	}
-	if cfg.Workers > 0 {
-		e.par = newParExec(e, n, cfg.Workers)
+	if k > 1 && e.model == PushPull {
+		e.lastWave = make([]int32, n)
 	}
+	e.newShards(k)
 	return e, nil
 }
 
-// emitInto collects host id's emissions for round r onto dst: through
-// EmitAppend when the agent supports it, otherwise through the Emit
-// adapter (one slice + payload boxing per call, the legacy cost).
-func (e *Engine) emitInto(dst []Envelope, id int, r int, pick PeerPicker) []Envelope {
-	rng := e.rngs[id]
-	if ae := e.emitters[id]; ae != nil {
-		return ae.EmitAppend(dst, r, rng, pick)
-	}
-	return append(dst, e.agents[id].Emit(r, rng, pick)...)
-}
-
-// Workers returns the size of the engine's worker pool; 0 means the
-// sequential executor.
-func (e *Engine) Workers() int {
-	if e.par == nil {
-		return 0
-	}
-	return e.par.workers
-}
+// Workers returns the engine's shard count as configured — clamped to
+// the population size, and 0 when Config.Workers was 0.
+func (e *Engine) Workers() int { return e.workers }
 
 // Round returns the number of completed rounds.
 func (e *Engine) Round() int { return e.round }
@@ -336,23 +321,10 @@ func (e *Engine) Step() {
 	for _, h := range e.before {
 		h(r, e)
 	}
-	switch {
-	case e.col != nil && e.model == PushPull && e.par != nil:
-		e.stepPushPullColumnarParallel(r)
-	case e.col != nil && e.model == PushPull:
-		e.stepPushPullColumnar(r)
-	case e.col != nil && e.par != nil:
-		e.stepPushColumnarParallel(r)
-	case e.col != nil:
-		e.stepPushColumnar(r)
-	case e.par != nil && e.model == Push:
-		e.stepPushParallel(r)
-	case e.par != nil && e.model == PushPull:
-		e.stepPushPullParallel(r)
-	case e.model == Push:
-		e.stepPush(r)
-	case e.model == PushPull:
-		e.stepPushPull(r)
+	if e.model == Push {
+		e.pushRound()
+	} else {
+		e.pushPullRound()
 	}
 	for _, h := range e.after {
 		h(r, e)
@@ -364,113 +336,6 @@ func (e *Engine) Step() {
 func (e *Engine) Run(rounds int) {
 	for i := 0; i < rounds; i++ {
 		e.Step()
-	}
-}
-
-func (e *Engine) stepPush(r int) {
-	n := len(e.agents)
-	for id := 0; id < n; id++ {
-		if e.env.Alive(NodeID(id), r) {
-			e.agents[id].BeginRound(r)
-		}
-	}
-	// Collect all emissions before delivering anything: the round is
-	// synchronous, so every message is computed from start-of-round
-	// state. Emissions accumulate in the flat pending buffer (emitter
-	// order); messages to dead hosts are dropped here, silently — that
-	// is the point of the dynamic protocols.
-	pending := e.pending[:0]
-	counts := e.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	e.pickRound = r
-	for id := 0; id < n; id++ {
-		nid := NodeID(id)
-		if !e.env.Alive(nid, r) {
-			continue
-		}
-		e.pickID = nid
-		start := len(pending)
-		pending = e.emitInto(pending, id, r, e.pick)
-		e.contacts++
-		kept := start
-		for _, env := range pending[start:] {
-			e.messages++
-			if e.env.Alive(env.To, r) {
-				pending[kept] = env
-				counts[env.To]++
-				kept++
-			}
-		}
-		pending = pending[:kept]
-	}
-	e.pending = pending
-	// Bucket sort by destination into the arena: offsets are prefix
-	// sums of per-host counts, and a stable scatter keeps each host's
-	// segment in emitter order.
-	offsets, cursor := e.offsets, e.cursor
-	var sum int32
-	for i, c := range counts {
-		offsets[i] = sum
-		cursor[i] = sum
-		sum += c
-	}
-	arena := e.arena
-	if cap(arena) < len(pending) {
-		arena = make([]Envelope, len(pending))
-	} else {
-		arena = arena[:len(pending)]
-	}
-	for _, env := range pending {
-		arena[cursor[env.To]] = env
-		cursor[env.To]++
-	}
-	e.arena = arena
-	for id := 0; id < n; id++ {
-		box := arena[offsets[id]:cursor[id]]
-		if len(box) == 0 {
-			continue
-		}
-		if e.env.Alive(NodeID(id), r) {
-			for _, env := range box {
-				e.agents[id].Receive(env.Payload)
-			}
-		}
-	}
-	for id := 0; id < n; id++ {
-		if e.env.Alive(NodeID(id), r) {
-			e.agents[id].EndRound(r)
-		}
-	}
-}
-
-func (e *Engine) stepPushPull(r int) {
-	n := len(e.agents)
-	for id := 0; id < n; id++ {
-		if e.env.Alive(NodeID(id), r) {
-			e.agents[id].BeginRound(r)
-		}
-	}
-	for id := 0; id < n; id++ {
-		nid := NodeID(id)
-		if !e.env.Alive(nid, r) {
-			continue
-		}
-		peer, ok := e.env.Pick(nid, r, e.rngs[id])
-		if !ok {
-			continue
-		}
-		e.contacts++
-		e.messages += 2 // state travels both ways
-		a := e.agents[id].(Exchanger)
-		b := e.agents[peer].(Exchanger)
-		a.Exchange(b)
-	}
-	for id := 0; id < n; id++ {
-		if e.env.Alive(NodeID(id), r) {
-			e.agents[id].EndRound(r)
-		}
 	}
 }
 

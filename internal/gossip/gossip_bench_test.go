@@ -127,7 +127,7 @@ func benchPushSumEngine(b *testing.B, n, workers int, model gossip.Model, column
 // carry (ns/round, msgs/round, peak_rss_bytes) together.
 func stepRounds(b *testing.B, e *gossip.Engine, reportRSS bool) {
 	b.Helper()
-	e.Run(2) // warm-up: emission columns, arena, and outboxes reach capacity
+	e.Run(2) // warm-up: emission columns and outboxes reach capacity
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -164,7 +164,7 @@ func BenchmarkRoundPushPull(b *testing.B) {
 // BenchmarkEngine is the engine's perf trajectory in one table.
 //
 // The first block is the historical engine-overhead matrix (a minimal
-// mass agent, both models, sequential vs sharded) — names unchanged
+// mass agent, both models, one shard vs several) — names unchanged
 // so benchstat tracks them across PRs. The second block is the
 // execution-path comparison on the real Push-Sum protocol: aos runs
 // one heap node per host behind the Agent interface, columnar runs
@@ -204,7 +204,7 @@ func BenchmarkEngine(b *testing.B) {
 	}
 	// N=1,000,000: the ROADMAP's million-host target, both gossip
 	// models. The AoS runs are the "before" column of the README
-	// table; columnar runs both executors. ~25M messages of warm-up +
+	// table; columnar runs on one shard and on several. ~25M messages of warm-up +
 	// measurement per case, so -short (the smoke lane) skips the block
 	// and `make bench-1m` runs it deliberately.
 	if testing.Short() {

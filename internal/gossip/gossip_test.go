@@ -82,6 +82,37 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
+// TestNewEngineRejectsUnknownModel: a Model outside Push/PushPull has
+// no round to run, so it is refused on both backends instead of
+// counting rounds without gossiping.
+func TestNewEngineRejectsUnknownModel(t *testing.T) {
+	env := newTestEnv(2)
+	for name, cfg := range map[string]Config{
+		"classic":  {Env: env, Agents: []Agent{noExchange{}, noExchange{}}},
+		"columnar": {Env: env, Columnar: noColumns{}},
+	} {
+		for _, model := range []Model{-1, PushPull + 1, 7} {
+			cfg.Model = model
+			if _, err := NewEngine(cfg); err == nil {
+				t.Errorf("%s engine accepted %v", name, model)
+			}
+		}
+		cfg.Model = Push
+		if _, err := NewEngine(cfg); err != nil {
+			t.Errorf("%s engine rejected %v: %v", name, Push, err)
+		}
+	}
+}
+
+type noColumns struct{}
+
+func (noColumns) Len() int                        { return 2 }
+func (noColumns) BeginRange(*ColRound, int, int)  {}
+func (noColumns) EmitRange(*ColRound, int, int)   {}
+func (noColumns) Deliver(*ColRound, []ColMsg)     {}
+func (noColumns) EndRange(*ColRound, int, int)    {}
+func (noColumns) Estimate(NodeID) (float64, bool) { return 0, false }
+
 func TestNewEnginePushPullRequiresExchanger(t *testing.T) {
 	env := newTestEnv(1)
 	agents := []Agent{noExchange{}}

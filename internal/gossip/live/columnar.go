@@ -3,6 +3,7 @@ package live
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"dynagg/internal/gossip"
@@ -251,7 +252,7 @@ type colShard struct {
 // (AppendWire may read emitter snapshots only valid right after their
 // EmitRange) and deliver the block's self shares in-process (mass must
 // never evaporate); EndRange once over [lo, hi); flush one batch per
-// destination group.
+// destination group; yield the processor.
 func (s *colShard) tick(t int) {
 	p := s.p
 	env := p.e.cfg.Env
@@ -330,6 +331,13 @@ func (s *colShard) tick(t int) {
 		enc[g] = enc[g][:0]
 		cnt[g] = 0
 	}
+	// A free-running shard never blocks, and with a shard per core the
+	// transport's writers and readers would run only when the scheduler
+	// preempts one (every 10 ms or so, longer than a tick): batches pile
+	// up in outboxes and inboxes by the hundred, and how many is a matter
+	// of scheduling luck. Yielding once per tick lets the writers woken
+	// by the flush above run now.
+	runtime.Gosched()
 }
 
 // spill is the tick's slow path: the record at buf[rec0:] pushed group

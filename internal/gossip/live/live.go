@@ -154,6 +154,9 @@ func New(cfg Config) (*Engine, error) {
 	if pop == nil {
 		return nil, fmt.Errorf("live: Config.Population is nil (build one with NewAgentPopulation or NewColumnarPopulation)")
 	}
+	if cfg.Model != gossip.Push && cfg.Model != gossip.PushPull {
+		return nil, fmt.Errorf("live: unknown Config.Model %v", cfg.Model)
+	}
 	partial := cfg.Span != (Span{})
 	if partial {
 		if cfg.Span.Lo < 0 || cfg.Span.Lo >= cfg.Span.Hi || int(cfg.Span.Hi) > cfg.Env.Size() {

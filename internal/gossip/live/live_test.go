@@ -33,6 +33,30 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnknownModel: a Model outside Push/PushPull has no tick
+// to run (an agent shard would spin without gossiping), so New refuses
+// it for both populations.
+func TestNewRejectsUnknownModel(t *testing.T) {
+	u := env.NewUniform(2)
+	for name, mk := range map[string]func() Population{
+		"agents": func() Population {
+			return NewAgentPopulation([]gossip.Agent{pushsum.NewAverage(0, 1), pushsum.NewAverage(1, 2)})
+		},
+		"columnar": func() Population {
+			return NewColumnarPopulation(pushsum.NewColumnarAverage([]float64{1, 2}))
+		},
+	} {
+		for _, model := range []gossip.Model{-1, gossip.PushPull + 1, 7} {
+			if _, err := New(Config{Env: u, Population: mk(), Ticks: 5, Model: model}); err == nil {
+				t.Errorf("%s population accepted %v", name, model)
+			}
+		}
+		if _, err := New(Config{Env: u, Population: mk(), Ticks: 5}); err != nil {
+			t.Errorf("%s population rejected the push model: %v", name, err)
+		}
+	}
+}
+
 type bareAgent struct{}
 
 func (bareAgent) BeginRound(int)                                             {}

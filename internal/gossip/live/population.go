@@ -164,10 +164,9 @@ func (s *agentShard) tick(t int) {
 		if !e.cfg.Env.Alive(id, t) {
 			continue
 		}
-		switch e.cfg.Model {
-		case gossip.Push:
+		if e.cfg.Model == gossip.Push {
 			p.pushTick(p.agents[i], id, t, p.rngs[i])
-		case gossip.PushPull:
+		} else {
 			p.pullTick(p.agents[i], id, t, p.rngs[i])
 		}
 	}

@@ -1,116 +1,11 @@
 package transport
 
 import (
-	"bytes"
 	"math"
 	"testing"
-	"time"
 
 	"dynagg/internal/gossip"
 )
-
-// TestChannelBatchRoundTrip pins the in-process batch plane: bodies
-// come back intact and in order on the group they were sent to, and
-// the accounting is per message, not per batch.
-func TestChannelBatchRoundTrip(t *testing.T) {
-	c := NewChannelGroups(8, 4, 2)
-	if got := c.BatchGroups(); got != 2 {
-		t.Fatalf("BatchGroups = %d, want 2", got)
-	}
-	if lo, hi := c.BatchGroup(0); lo != 0 || hi != 4 {
-		t.Errorf("BatchGroup(0) = [%d,%d), want [0,4)", lo, hi)
-	}
-	if lo, hi := c.BatchGroup(1); lo != 4 || hi != 8 {
-		t.Errorf("BatchGroup(1) = [%d,%d), want [4,8)", lo, hi)
-	}
-
-	if !c.SendBatch(1, 0, 3, []byte("abc")) {
-		t.Fatal("SendBatch rejected")
-	}
-	if !c.SendBatch(1, 0, 2, []byte("de")) {
-		t.Fatal("SendBatch rejected")
-	}
-	if got := c.Sent(); got != 5 {
-		t.Errorf("Sent = %d, want 5 (per-message accounting)", got)
-	}
-
-	var got [][]byte
-	c.DrainBatch(1, func(body []byte) {
-		got = append(got, append([]byte(nil), body...))
-	})
-	if len(got) != 2 || !bytes.Equal(got[0], []byte("abc")) || !bytes.Equal(got[1], []byte("de")) {
-		t.Errorf("drained %q, want [abc de]", got)
-	}
-	c.DrainBatch(0, func([]byte) { t.Error("group 0 received a batch sent to group 1") })
-}
-
-// TestChannelBatchOverflowCountsMessages pins the shed path: a full
-// batch queue drops the whole batch and charges every message in it
-// to Dropped.
-func TestChannelBatchOverflowCountsMessages(t *testing.T) {
-	c := NewChannelGroups(4, 1, 1) // batch queue capacity 1
-	if !c.SendBatch(0, 0, 2, []byte("ok")) {
-		t.Fatal("first batch rejected")
-	}
-	if c.SendBatch(0, 0, 7, []byte("overflow")) {
-		t.Fatal("second batch accepted past capacity")
-	}
-	if got := c.Dropped(); got != 7 {
-		t.Errorf("Dropped = %d, want 7 (the shed batch's message count)", got)
-	}
-	if got := c.Sent(); got != 2 {
-		t.Errorf("Sent = %d, want 2", got)
-	}
-}
-
-// TestChannelBatchBodyIsCopied pins the aliasing contract: SendBatch's
-// body is only valid during the call, so the transport must copy —
-// mutating the caller's buffer after sending must not corrupt the
-// queued batch.
-func TestChannelBatchBodyIsCopied(t *testing.T) {
-	c := NewChannelGroups(4, 4, 1)
-	buf := []byte("before")
-	if !c.SendBatch(0, 0, 1, buf) {
-		t.Fatal("SendBatch rejected")
-	}
-	copy(buf, "mangle")
-	c.DrainBatch(0, func(body []byte) {
-		if !bytes.Equal(body, []byte("before")) {
-			t.Errorf("drained %q, want the pre-mutation body", body)
-		}
-	})
-}
-
-// TestUDPBatchRoundTrip sends a batch through a real loopback socket:
-// the body must come back on the destination group byte-identical,
-// with per-message accounting on both ends.
-func TestUDPBatchRoundTrip(t *testing.T) {
-	u, err := NewUDPLoopback(64, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
-
-	body := []byte{0x01, 0xaa, 0xbb, 0xcc}
-	if !u.SendBatch(1, 5, 3, body) {
-		t.Fatal("SendBatch rejected")
-	}
-	var got []byte
-	deadline := time.Now().Add(5 * time.Second)
-	for got == nil && time.Now().Before(deadline) {
-		u.DrainBatch(1, func(b []byte) { got = append([]byte(nil), b...) })
-		if got == nil {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if !bytes.Equal(got, body) {
-		t.Fatalf("drained %x, want %x", got, body)
-	}
-	if u.Sent() != 3 {
-		t.Errorf("Sent = %d, want 3 (per-message accounting)", u.Sent())
-	}
-	u.DrainBatch(0, func([]byte) { t.Error("group 0 received a batch sent to group 1") })
-}
 
 // TestUDPBatchOversizeDropsWhole pins the size ceiling: a body past
 // MaxBatchBody can't fit one datagram, so the whole batch drops with

@@ -1,0 +1,357 @@
+// The round executor.
+//
+// The host array is split into contiguous shards and a round is a
+// sequence of phases, each a plain method run once per shard with a
+// barrier after it. With one shard (Config.Workers 0 or 1) every phase
+// runs inline on the caller's goroutine: no goroutine, no closure,
+// nothing copied between shards. With k > 1 shards the same methods
+// fork-join over k goroutines. Both backends run the same phases; a
+// phase branches on the backend only where the message type differs
+// (Envelope for classic agents, ColMsg for a columnar protocol).
+//
+// Determinism does not depend on the shard count: every host owns a
+// private PRNG split (host behaviour never depends on iteration
+// order), environments are read-only between Advance calls — liveness
+// is sampled once per round into a bitmap all phases share — and the
+// two order-sensitive steps are order-identical for any k:
+//
+//   - Push delivery: each shard buckets its emissions by destination
+//     shard, and the destination's worker drains source shards in shard
+//     order. Shards are contiguous, so shard-then-host order is
+//     ascending emitter order — every host folds its payloads in the
+//     sequence one flat pass over all emissions would give it. (Float
+//     accumulation is order-sensitive; this is what makes results
+//     byte-identical rather than approximately equal.)
+//   - Push/pull exchange: peers are picked per shard (a pick consumes
+//     only the initiator's PRNG), giving the round's exchanges in
+//     initiator order. One shard executes them as that one ordered
+//     batch. k > 1 shards schedule them into conflict-free waves (see
+//     buildWaves): exchanges inside a wave share no endpoint, so running
+//     them concurrently commutes, and conflicting exchanges keep their
+//     initiator order across waves.
+package gossip
+
+import (
+	"runtime"
+	"sync"
+)
+
+// DefaultWorkers returns a GOMAXPROCS-sized worker count for
+// Config.Workers.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+
+// shard is one contiguous host range [lo, hi) and the scratch its
+// phases reuse across rounds. Only the owning worker writes a shard's
+// fields during a phase, except that the deliver phase of shard d
+// empties slot d of every shard's outbox.
+type shard struct {
+	idx, lo, hi int
+
+	// live and messages are this round's push counters: live hosts in
+	// the range, and messages they emitted (lost ones included).
+	live, messages int64
+
+	// out[d] (classic) or colOut[d] (columnar) buffers what this shard
+	// emitted for live hosts of shard d, in emission order. The shard's
+	// own slot is also its emission scratch: agents and kernels append
+	// there and the route step compacts it in place, so one shard never
+	// copies a message.
+	out    [][]Envelope
+	colOut [][]ColMsg
+
+	// pick is the peer picker handed to this shard's classic agents and
+	// pickID the host it draws for — rewritten per host instead of
+	// allocating a closure per host.
+	pick   PeerPicker
+	pickID NodeID
+
+	// rc is the round context handed to columnar kernels.
+	rc ColRound
+
+	// pairs holds the shard's push/pull initiations, in host order.
+	pairs []Pair
+}
+
+// newShards splits the population into k contiguous shards.
+func (e *Engine) newShards(k int) {
+	n := len(e.rngs)
+	e.shards = make([]shard, k)
+	for s := range e.shards {
+		sh := &e.shards[s]
+		sh.idx, sh.lo, sh.hi = s, s*n/k, (s+1)*n/k
+		if e.model == PushPull {
+			sh.pairs = make([]Pair, 0, sh.hi-sh.lo) // one initiation per host at most
+		}
+		if e.col != nil {
+			sh.colOut = make([][]ColMsg, k)
+			sh.rc = ColRound{Model: e.model, Alive: e.alive, env: e.env, rngs: e.rngs}
+			continue
+		}
+		sh.out = make([][]Envelope, k)
+		sh.pick = func() (NodeID, bool) {
+			return e.env.Pick(sh.pickID, e.round, e.rngs[sh.pickID])
+		}
+	}
+}
+
+// shardOf returns the shard owning host id: the largest s whose lower
+// bound s*n/k is at most id.
+func (e *Engine) shardOf(id NodeID) int {
+	return ((int(id)+1)*len(e.shards) - 1) / len(e.rngs)
+}
+
+// forShards runs one phase on every shard and waits for all of them.
+// Phases are method expressions, not closures: a closure would escape
+// and cost an allocation per phase even on the inline path.
+func (e *Engine) forShards(phase func(*Engine, *shard)) {
+	if len(e.shards) == 1 {
+		phase(e, &e.shards[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for s := range e.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			phase(e, &e.shards[s])
+		}()
+	}
+	wg.Wait()
+}
+
+// pushRound is the push round: begin → emit and route → deliver and
+// end. All emission is computed from start-of-round state, so nothing
+// is delivered before every shard has emitted.
+func (e *Engine) pushRound() {
+	e.forShards((*Engine).begin)
+	e.forShards((*Engine).emit)
+	e.forShards((*Engine).deliver)
+	for s := range e.shards {
+		// Every live host initiated one contact; every emitted message
+		// counts, including those lost to dead destinations.
+		e.contacts += e.shards[s].live
+		e.messages += e.shards[s].messages
+	}
+}
+
+// pushPullRound is the push/pull round: begin → pick → exchange → end.
+func (e *Engine) pushPullRound() {
+	e.forShards((*Engine).begin)
+	e.forShards((*Engine).pickPeers)
+	for s := range e.shards {
+		initiated := int64(len(e.shards[s].pairs))
+		e.contacts += initiated
+		e.messages += 2 * initiated // state travels both ways
+	}
+	if k := len(e.shards); k == 1 {
+		e.exchange(&e.shards[0], e.shards[0].pairs)
+	} else {
+		for _, e.wave = range e.buildWaves() {
+			// Conflict chains leave a tail of tiny waves; those run inline —
+			// a goroutine fan-out per handful of exchanges costs more than
+			// the exchanges, and intra-wave order is free.
+			if len(e.wave) < 2*k {
+				e.exchange(&e.shards[0], e.wave)
+			} else {
+				e.forShards((*Engine).exchangeChunk)
+			}
+		}
+	}
+	e.forShards((*Engine).end)
+}
+
+// begin samples the environment's liveness for the shard's hosts into
+// the round bitmap — Environment.Alive is stable between Advance calls,
+// so later phases read the bitmap instead of asking again — and starts
+// the round on the live ones.
+func (e *Engine) begin(sh *shard) {
+	r, alive := e.round, e.alive
+	// Nothing but the count hangs off the liveness test here, so it
+	// compiles branch-free: after a failure wave liveness is a coin flip
+	// per host, and a mispredicted branch costs more than the sample.
+	live := 0
+	for id := sh.lo; id < sh.hi; id++ {
+		a := e.env.Alive(NodeID(id), r)
+		alive[id] = a
+		if a {
+			live++
+		}
+	}
+	sh.live = int64(live)
+	if e.col != nil {
+		sh.rc.Round = r
+		e.col.BeginRange(&sh.rc, sh.lo, sh.hi)
+		return
+	}
+	for id := sh.lo; id < sh.hi; id++ {
+		if alive[id] {
+			e.agents[id].BeginRound(r)
+		}
+	}
+}
+
+// emit collects the shard's emissions in its own outbox slot and
+// routes them: messages to dead hosts are dropped — silently, that is
+// the point of the dynamic protocols — messages for the shard's own
+// hosts are compacted in place (stable, so emitter order is kept) and
+// the rest move to the slot of the shard owning the destination.
+func (e *Engine) emit(sh *shard) {
+	alive := e.alive
+	// id is one of the shard's own hosts iff uint32(id-lo) < size; kept
+	// in locals so the route loops test it in registers.
+	lo, size := NodeID(sh.lo), uint32(sh.hi-sh.lo)
+	if e.col != nil {
+		rc := &sh.rc
+		rc.Out = sh.colOut[sh.idx][:0]
+		e.col.EmitRange(rc, sh.lo, sh.hi)
+		sh.messages = int64(len(rc.Out))
+		out, kept := rc.Out, 0
+		for _, m := range out {
+			switch {
+			case !alive[m.To]:
+			case uint32(m.To-lo) < size:
+				out[kept] = m
+				kept++
+			default:
+				d := e.shardOf(m.To)
+				sh.colOut[d] = append(sh.colOut[d], m)
+			}
+		}
+		rc.Out, sh.colOut[sh.idx] = out[:kept], out[:kept]
+		return
+	}
+	r, box := e.round, sh.out[sh.idx][:0]
+	sh.messages = 0
+	for id := sh.lo; id < sh.hi; id++ {
+		if !alive[id] {
+			continue
+		}
+		sh.pickID = NodeID(id)
+		start := len(box)
+		// Through EmitAppend when the agent supports it, otherwise through
+		// Emit (one slice and one box per payload, the legacy cost).
+		if ae := e.emitters[id]; ae != nil {
+			box = ae.EmitAppend(box, r, e.rngs[id], sh.pick)
+		} else {
+			box = append(box, e.agents[id].Emit(r, e.rngs[id], sh.pick)...)
+		}
+		sh.messages += int64(len(box) - start)
+		kept := start
+		for _, env := range box[start:] {
+			switch {
+			case !alive[env.To]:
+			case uint32(env.To-lo) < size:
+				box[kept] = env
+				kept++
+			default:
+				d := e.shardOf(env.To)
+				sh.out[d] = append(sh.out[d], env)
+			}
+		}
+		box = box[:kept]
+	}
+	sh.out[sh.idx] = box
+}
+
+// deliver drains, in shard order (= emitter order), what every shard
+// emitted for dst's hosts, then ends the round on them.
+func (e *Engine) deliver(dst *shard) {
+	for s := range e.shards {
+		src := &e.shards[s]
+		if e.col != nil {
+			box := src.colOut[dst.idx]
+			if len(box) > 0 {
+				e.col.Deliver(&dst.rc, box)
+			}
+			src.colOut[dst.idx] = box[:0]
+			continue
+		}
+		box := src.out[dst.idx]
+		for _, env := range box {
+			e.agents[env.To].Receive(env.Payload)
+		}
+		src.out[dst.idx] = box[:0]
+	}
+	e.end(dst)
+}
+
+// pickPeers draws one peer for every live host of the shard. Picks
+// consume only the initiator's private PRNG and read-only environment
+// state, so they are the same for any shard count.
+func (e *Engine) pickPeers(sh *shard) {
+	pairs := sh.pairs[:0]
+	for id := sh.lo; id < sh.hi; id++ {
+		if !e.alive[id] {
+			continue
+		}
+		if peer, ok := e.env.Pick(NodeID(id), e.round, e.rngs[id]); ok {
+			pairs = append(pairs, Pair{A: NodeID(id), B: peer})
+		}
+	}
+	sh.pairs = pairs
+}
+
+// exchange executes a batch of exchanges strictly in slice order: one
+// ExchangePairs kernel call on the columnar backend, one Exchange per
+// pair on classic agents. sh lends the round context.
+func (e *Engine) exchange(sh *shard, pairs []Pair) {
+	if e.col != nil {
+		if len(pairs) > 0 {
+			e.colEx.ExchangePairs(&sh.rc, pairs)
+		}
+		return
+	}
+	for _, p := range pairs {
+		e.agents[p.A].(Exchanger).Exchange(e.agents[p.B].(Exchanger))
+	}
+}
+
+// exchangeChunk executes the shard's contiguous share of the current
+// wave; a wave's exchanges share no endpoint, so any split commutes.
+func (e *Engine) exchangeChunk(sh *shard) {
+	k, w := len(e.shards), e.wave
+	e.exchange(sh, w[sh.idx*len(w)/k:(sh.idx+1)*len(w)/k])
+}
+
+// end folds the round's received state on the shard's live hosts.
+func (e *Engine) end(sh *shard) {
+	if e.col != nil {
+		e.col.EndRange(&sh.rc, sh.lo, sh.hi)
+		return
+	}
+	for id := sh.lo; id < sh.hi; id++ {
+		if e.alive[id] {
+			e.agents[id].EndRound(e.round)
+		}
+	}
+}
+
+// buildWaves schedules the round's exchanges (the shards' pairs, which
+// in shard order are in initiator order) into conflict-free waves: an
+// exchange lands in the first wave after the last wave touching either
+// endpoint. Executing the waves in order, with any parallelism inside
+// one, is therefore byte-identical to executing all exchanges in
+// initiator order. The scheduler is sequential and cheap; wave storage
+// is reused across rounds.
+func (e *Engine) buildWaves() [][]Pair {
+	for i := range e.lastWave {
+		e.lastWave[i] = -1
+	}
+	waves := e.waves[:0]
+	for s := range e.shards {
+		for _, p := range e.shards[s].pairs {
+			w := max(e.lastWave[p.A], e.lastWave[p.B]) + 1
+			if int(w) == len(waves) {
+				var wave []Pair
+				if len(waves) < cap(waves) {
+					wave = waves[:w+1][w][:0] // an earlier round's storage
+				}
+				waves = append(waves, wave)
+			}
+			waves[w] = append(waves[w], p)
+			e.lastWave[p.A], e.lastWave[p.B] = w, w
+		}
+	}
+	e.waves = waves
+	return waves
+}

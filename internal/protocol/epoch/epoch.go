@@ -111,21 +111,18 @@ func (n *Node) BeginRound(round int) {
 	}
 }
 
-// Emit implements gossip.Agent: epoch-tagged Push-Sum halves.
+// Emit implements gossip.Agent: EmitAppend with every payload detached
+// from the host's scratch into an independent Message value.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	half := Message{Epoch: n.epoch, W: n.w / 2, V: n.v / 2}
-	peer, ok := pick()
-	if !ok {
-		return []gossip.Envelope{{To: n.id, Payload: Message{Epoch: n.epoch, W: n.w, V: n.v}}}
+	out := n.EmitAppend(nil, round, rng, pick)
+	for i := range out {
+		out[i].Payload = *out[i].Payload.(*Message)
 	}
-	return []gossip.Envelope{
-		{To: peer, Payload: half},
-		{To: n.id, Payload: half},
-	}
+	return out
 }
 
-// EmitAppend implements gossip.AppendEmitter: the same emission with
-// round-scoped payloads pointing at per-host scratch.
+// EmitAppend implements gossip.AppendEmitter: epoch-tagged Push-Sum
+// halves, as round-scoped payloads pointing at per-host scratch.
 func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	peer, ok := pick()
 	if !ok {

@@ -27,6 +27,7 @@ package extremes
 
 import (
 	"fmt"
+	"slices"
 
 	"dynagg/internal/gossip"
 	"dynagg/internal/xrand"
@@ -233,21 +234,19 @@ func (n *Node) BeginRound(round int) {
 	n.normalize()
 }
 
-// Emit implements gossip.Agent: the full candidate table goes to one
-// random peer.
+// Emit implements gossip.Agent: EmitAppend with the table snapshot
+// detached from the host's reused buffer into a fresh []Candidate.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	peer, ok := pick()
-	if !ok {
-		return nil
+	out := n.EmitAppend(nil, round, rng, pick)
+	for i := range out {
+		out[i].Payload = slices.Clone(out[i].Payload.(*Table).Candidates)
 	}
-	snapshot := make([]Candidate, len(n.table))
-	copy(snapshot, n.table)
-	return []gossip.Envelope{{To: peer, Payload: snapshot}}
+	return out
 }
 
-// EmitAppend implements gossip.AppendEmitter: the same emission, but
-// the table snapshot is copied into a per-host buffer reused across
-// rounds — amortized zero allocation.
+// EmitAppend implements gossip.AppendEmitter: the full candidate table
+// goes to one random peer, snapshotted into a per-host buffer reused
+// across rounds — amortized zero allocation.
 func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	peer, ok := pick()
 	if !ok {

@@ -16,6 +16,7 @@ package invertavg
 
 import (
 	"fmt"
+	"slices"
 
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/pushsumrevert"
@@ -70,23 +71,29 @@ func (n *Node) BeginRound(round int) {
 	n.avg.BeginRound(round)
 }
 
-// Emit implements gossip.Agent: both sub-protocols emit, with payloads
-// wrapped for routing. Peer selections are drawn independently, as if
-// the protocols ran as separate gossip streams.
+// Emit implements gossip.Agent: EmitAppend with each routing wrapper and
+// the sub-protocol payload inside it detached from host scratch, into
+// the value forms the sub-protocols' own Emit returns.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	var out []gossip.Envelope
-	for _, env := range n.count.Emit(round, rng, pick) {
-		out = append(out, gossip.Envelope{To: env.To, Payload: payload{count: env.Payload}})
-	}
-	for _, env := range n.avg.Emit(round, rng, pick) {
-		out = append(out, gossip.Envelope{To: env.To, Payload: payload{avg: env.Payload}})
+	out := n.EmitAppend(nil, round, rng, pick)
+	for i := range out {
+		pl := *out[i].Payload.(*payload)
+		if c, ok := pl.count.(*sketchreset.Counters); ok {
+			pl.count = slices.Clone(c.Ages)
+		}
+		if m, ok := pl.avg.(*pushsumrevert.Mass); ok {
+			pl.avg = *m
+		}
+		out[i].Payload = pl
 	}
 	return out
 }
 
-// EmitAppend implements gossip.AppendEmitter: both sub-protocols emit
-// through their own EmitAppend, and the routing wrappers live in a
-// per-host buffer reused across rounds — amortized zero allocation.
+// EmitAppend implements gossip.AppendEmitter: both sub-protocols emit,
+// with payloads wrapped for routing. Peer selections are drawn
+// independently, as if the protocols ran as separate gossip streams.
+// The routing wrappers live in a per-host buffer reused across rounds —
+// amortized zero allocation.
 func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	start := len(dst)
 	dst = n.count.EmitAppend(dst, round, rng, pick)

@@ -82,28 +82,20 @@ func (n *Node) BeginRound(round int) {
 	n.inW, n.inV, n.inQ = 0, 0, 0
 }
 
-// Emit implements gossip.Agent: the reverted mass is split between a
-// random peer and self, exactly as in Push-Sum-Revert, with q treated
-// like v but decaying toward v₀².
+// Emit implements gossip.Agent: EmitAppend with every payload detached
+// from the host's scratch into an independent Mass value.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	λ := n.cfg.Lambda
-	half := Mass{
-		W: ((1-λ)*n.w + λ) / 2,
-		V: ((1-λ)*n.v + λ*n.v0) / 2,
-		Q: ((1-λ)*n.q + λ*n.q0) / 2,
+	out := n.EmitAppend(nil, round, rng, pick)
+	for i := range out {
+		out[i].Payload = *out[i].Payload.(*Mass)
 	}
-	peer, ok := pick()
-	if !ok {
-		return []gossip.Envelope{{To: n.id, Payload: Mass{W: 2 * half.W, V: 2 * half.V, Q: 2 * half.Q}}}
-	}
-	return []gossip.Envelope{
-		{To: peer, Payload: half},
-		{To: n.id, Payload: half},
-	}
+	return out
 }
 
-// EmitAppend implements gossip.AppendEmitter: the same emission with
-// round-scoped payloads pointing at per-host scratch.
+// EmitAppend implements gossip.AppendEmitter: the reverted mass is
+// split between a random peer and self, exactly as in Push-Sum-Revert,
+// with q treated like v but decaying toward v₀². Payloads are
+// round-scoped, pointing at per-host scratch.
 func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	λ := n.cfg.Lambda
 	half := Mass{

@@ -116,27 +116,24 @@ func (n *Node) BeginRound(round int) {
 }
 
 // Emit implements gossip.Agent: half the mass to a random peer, half
-// to self (Figure 1 steps 1-2). Payloads are independent values, safe
+// to self (Figure 1 steps 1-2). It is EmitAppend with every payload
+// detached from the host's scratch into an independent Mass value, safe
 // for asynchronous delivery (the live engine's contract).
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	half := Mass{W: n.w / 2, V: n.v / 2}
-	peer, ok := pick()
-	if !ok {
-		// Isolated host: all mass returns to self.
-		return []gossip.Envelope{{To: n.id, Payload: Mass{W: n.w, V: n.v}}}
+	out := n.EmitAppend(nil, round, rng, pick)
+	for i := range out {
+		out[i].Payload = *out[i].Payload.(*Mass)
 	}
-	return []gossip.Envelope{
-		{To: peer, Payload: half},
-		{To: n.id, Payload: half},
-	}
+	return out
 }
 
-// EmitAppend implements gossip.AppendEmitter: the same emission with
-// round-scoped payloads pointing at per-host scratch, so the steady
-// state performs no heap allocation at all.
+// EmitAppend implements gossip.AppendEmitter, with round-scoped
+// payloads pointing at per-host scratch, so the steady state performs
+// no heap allocation at all.
 func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	peer, ok := pick()
 	if !ok {
+		// Isolated host: all mass returns to self.
 		n.out = Mass{W: n.w, V: n.v}
 		return append(dst, gossip.Envelope{To: n.id, Payload: &n.out})
 	}

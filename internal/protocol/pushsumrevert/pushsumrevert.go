@@ -224,64 +224,24 @@ func (n *Node) BeginRound(round int) {
 	n.inMsgs = 0
 }
 
-// Emit implements gossip.Agent.
+// Emit implements gossip.Agent: EmitAppend with every payload detached
+// from the host's scratch into an independent Mass value.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
+	out := n.EmitAppend(nil, round, rng, pick)
+	for i := range out {
+		out[i].Payload = *out[i].Payload.(*Mass)
+	}
+	return out
+}
+
+// EmitAppend implements gossip.AppendEmitter, with round-scoped
+// payloads pointing at per-host scratch, so the steady state performs
+// no heap allocation.
+func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	λ := n.cfg.Lambda
 	if n.cfg.FullTransfer {
 		// Figure 4: the entire (reverted) mass leaves as N parcels to
 		// independently selected peers; nothing is retained.
-		N := n.cfg.Parcels
-		parcel := Mass{
-			W: ((1-λ)*n.w + λ*n.w0) / float64(N),
-			V: ((1-λ)*n.v + λ*n.mv0) / float64(N),
-		}
-		out := make([]gossip.Envelope, 0, N)
-		for i := 0; i < N; i++ {
-			if peer, ok := pick(); ok {
-				out = append(out, gossip.Envelope{To: peer, Payload: parcel})
-			} else {
-				// No reachable peer: this parcel stays home rather
-				// than evaporating.
-				out = append(out, gossip.Envelope{To: n.id, Payload: parcel})
-			}
-		}
-		return out
-	}
-	if n.cfg.Adaptive {
-		// Reversion is applied on receipt, scaled by indegree; the
-		// message itself is plain Push-Sum mass.
-		half := Mass{W: n.w / 2, V: n.v / 2}
-		peer, ok := pick()
-		if !ok {
-			return []gossip.Envelope{{To: n.id, Payload: Mass{W: n.w, V: n.v}}}
-		}
-		return []gossip.Envelope{
-			{To: peer, Payload: half},
-			{To: n.id, Payload: half},
-		}
-	}
-	// Figure 3: the reverted mass is split between peer and self.
-	half := Mass{
-		W: ((1-λ)*n.w + λ*n.w0) / 2,
-		V: ((1-λ)*n.v + λ*n.mv0) / 2,
-	}
-	peer, ok := pick()
-	if !ok {
-		whole := Mass{W: 2 * half.W, V: 2 * half.V}
-		return []gossip.Envelope{{To: n.id, Payload: whole}}
-	}
-	return []gossip.Envelope{
-		{To: peer, Payload: half},
-		{To: n.id, Payload: half},
-	}
-}
-
-// EmitAppend implements gossip.AppendEmitter: the same emissions as
-// Emit with round-scoped payloads pointing at per-host scratch, so the
-// steady state performs no heap allocation.
-func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	λ := n.cfg.Lambda
-	if n.cfg.FullTransfer {
 		N := n.cfg.Parcels
 		n.out = Mass{
 			W: ((1-λ)*n.w + λ*n.w0) / float64(N),
@@ -291,12 +251,16 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 			if peer, ok := pick(); ok {
 				dst = append(dst, gossip.Envelope{To: peer, Payload: &n.out})
 			} else {
+				// No reachable peer: this parcel stays home rather
+				// than evaporating.
 				dst = append(dst, gossip.Envelope{To: n.id, Payload: &n.out})
 			}
 		}
 		return dst
 	}
 	if n.cfg.Adaptive {
+		// Reversion is applied on receipt, scaled by indegree; the
+		// message itself is plain Push-Sum mass.
 		peer, ok := pick()
 		if !ok {
 			n.out = Mass{W: n.w, V: n.v}
@@ -308,6 +272,7 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 			gossip.Envelope{To: n.id, Payload: &n.out},
 		)
 	}
+	// Figure 3: the reverted mass is split between peer and self.
 	half := Mass{
 		W: ((1-λ)*n.w + λ*n.w0) / 2,
 		V: ((1-λ)*n.v + λ*n.mv0) / 2,

@@ -73,20 +73,21 @@ func (n *Node) Sketch() *sketch.Sketch { return n.s }
 // BeginRound implements gossip.Agent.
 func (n *Node) BeginRound(round int) {}
 
-// Emit implements gossip.Agent: the whole sketch goes to one random
-// peer. (Figure 2 also sends to self; ORing a sketch into itself is
-// the identity, so the self-copy is elided.)
+// Emit implements gossip.Agent: EmitAppend with the snapshot detached
+// from the host's reused buffer into a fresh clone.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	peer, ok := pick()
-	if !ok {
-		return nil
+	out := n.EmitAppend(nil, round, rng, pick)
+	for i := range out {
+		out[i].Payload = out[i].Payload.(*sketch.Sketch).Clone()
 	}
-	return []gossip.Envelope{{To: peer, Payload: n.s.Clone()}}
+	return out
 }
 
-// EmitAppend implements gossip.AppendEmitter: the same emission, but
-// the snapshot is copied into a per-host buffer reused across rounds
-// instead of freshly cloned — zero steady-state allocation.
+// EmitAppend implements gossip.AppendEmitter: the whole sketch goes to
+// one random peer. (Figure 2 also sends to self; ORing a sketch into
+// itself is the identity, so the self-copy is elided.) The snapshot is
+// copied into a per-host buffer reused across rounds — zero
+// steady-state allocation.
 func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	peer, ok := pick()
 	if !ok {

@@ -29,6 +29,7 @@ package sketchreset
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dynagg/internal/gossip"
 	"dynagg/internal/sketch"
@@ -198,22 +199,20 @@ func (n *Node) age() {
 	}
 }
 
-// Emit implements gossip.Agent: the aged counter matrix goes to one
-// random peer (Figure 5 step 3; the self-copy is the identity under
-// min-merge and is elided).
+// Emit implements gossip.Agent: EmitAppend with the snapshot detached
+// from the host's reused buffer into a fresh []uint8.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	peer, ok := pick()
-	if !ok {
-		return nil
+	out := n.EmitAppend(nil, round, rng, pick)
+	for i := range out {
+		out[i].Payload = slices.Clone(out[i].Payload.(*Counters).Ages)
 	}
-	snapshot := make([]uint8, len(n.counters))
-	copy(snapshot, n.counters)
-	return []gossip.Envelope{{To: peer, Payload: snapshot}}
+	return out
 }
 
-// EmitAppend implements gossip.AppendEmitter: the same emission, but
-// the snapshot is copied into a per-host buffer reused across rounds
-// instead of freshly allocated — zero steady-state allocation.
+// EmitAppend implements gossip.AppendEmitter: the aged counter matrix
+// goes to one random peer (Figure 5 step 3; the self-copy is the
+// identity under min-merge and is elided), snapshotted into a per-host
+// buffer reused across rounds — zero steady-state allocation.
 func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	peer, ok := pick()
 	if !ok {
