@@ -123,11 +123,13 @@ bench-gate:
 # tests and the columnar batch-plane tests live side by side in the
 # live package. The second line soaks the columnar parity suite — all
 # 9 protocols × push/push-pull × workers 0/1/4, engine- and
-# driver-level — under race, since the sharded columnar executors are
-# the other concurrency-heavy surface.
+# driver-level — plus the engine and figure goldens at workers 4 (each
+# shard samples its own range into the shared liveness bitmap) and the
+# ColRound liveness contract, under race, since the sharded columnar
+# executors are the other concurrency-heavy surface.
 live-soak:
 	$(GO) test -race -count=2 -timeout 15m -run 'Live|Transport|Batch|Lossy|UDP' ./internal/gossip/live/...
-	$(GO) test -race -count=2 -timeout 15m -run 'Columnar' ./internal/gossip ./internal/experiments
+	$(GO) test -race -count=2 -timeout 15m -run 'Columnar|Golden|ColRound' ./internal/gossip ./internal/experiments
 
 # Multi-process cluster soak: the three-OS-process TCP bootstrap
 # example under the race detector (each member process is itself a

@@ -38,6 +38,7 @@ package gossip
 
 import (
 	"fmt"
+	"slices"
 
 	"dynagg/internal/xrand"
 )
@@ -61,8 +62,9 @@ type ColMsg struct {
 }
 
 // ColRound is the engine-side context handed to columnar round
-// kernels. One value serves a whole shard of the executor; fields are
-// read-only for kernels except Out, which EmitRange appends to.
+// kernels. One value serves a whole shard of the executor (or one live
+// driver); fields are read-only for kernels except Out, which EmitRange
+// appends to.
 type ColRound struct {
 	// Round is the current round number.
 	Round int
@@ -71,8 +73,9 @@ type ColRound struct {
 	// (state was updated in place by ExchangePairs) branch on it.
 	Model Model
 	// Alive is the population-wide liveness bitmap, fixed for the
-	// round (the engine samples Environment.Alive once per host after
-	// Advance and the BeforeRound hooks).
+	// round. Kernels read it where they need one host's liveness — a
+	// destination's, at random; to visit their own live hosts they
+	// iterate Live.
 	Alive []bool
 	// Out is the emission column for the current EmitRange call.
 	// Kernels append with plain append(); the engine counts, filters
@@ -81,15 +84,65 @@ type ColRound struct {
 
 	env  Environment
 	rngs []*xrand.Rand
+
+	// live lists, ascending, the hosts of [lo, hi) the last Sample found
+	// alive.
+	live   []NodeID
+	lo, hi int
 }
 
 // NewColRound builds a round context for drivers that tick columnar
 // kernels outside the round engine — the live engine's
 // ColumnarPopulation shards. rngs must hold one generator per host,
 // indexed by NodeID, from the same Split streams the engine would
-// build; the caller owns Round, Alive, and Out between kernel calls.
-func NewColRound(model Model, env Environment, rngs []*xrand.Rand) *ColRound {
-	return &ColRound{Model: model, env: env, rngs: rngs}
+// build; alive is the population-wide bitmap Sample fills, and hosts
+// the size of the range the driver samples (its live list is sized to
+// it). The caller owns Round and Out between kernel calls.
+func NewColRound(model Model, env Environment, rngs []*xrand.Rand, alive []bool, hosts int) *ColRound {
+	return &ColRound{Model: model, Alive: alive, env: env, rngs: rngs, live: make([]NodeID, 0, hosts)}
+}
+
+// Sample reads Environment.Alive(id, rc.Round) for every host of
+// [lo, hi) into Alive[lo:hi] and into the list Live serves, and returns
+// how many are alive. It is the only writer of both: a driver samples
+// the range it owns once per round, before BeginRange, and nothing may
+// write Alive or the list behind it. Different drivers' ranges must not
+// overlap, and each driver has its own ColRound.
+func (rc *ColRound) Sample(lo, hi int) int {
+	if cap(rc.live) < hi-lo {
+		rc.live = make([]NodeID, 0, hi-lo)
+	}
+	ids, alive := rc.live[:hi-lo], rc.Alive[lo:hi]
+	// Nothing but the cursor hangs off the liveness test, so it compiles
+	// branch-free: after a failure wave liveness is a coin flip per host,
+	// and a mispredicted branch costs more than the sample.
+	k := 0
+	for i := range alive {
+		id := NodeID(lo + i)
+		a := rc.env.Alive(id, rc.Round)
+		alive[i] = a
+		ids[k] = id
+		if a {
+			k++
+		}
+	}
+	rc.live, rc.lo, rc.hi = ids[:k], lo, hi
+	return k
+}
+
+// Live returns, ascending, the hosts of [lo, hi) the last Sample found
+// alive — what BeginRange, EmitRange and EndRange iterate instead of
+// testing Alive host by host. The slice is shared and read-only. A
+// range covering the sampled one costs nothing; a narrower one (a block
+// of it, a single host) costs two binary searches.
+func (rc *ColRound) Live(lo, hi int) []NodeID {
+	live := rc.live
+	if lo <= rc.lo && rc.hi <= hi {
+		return live
+	}
+	a, _ := slices.BinarySearch(live, NodeID(lo))
+	b, _ := slices.BinarySearch(live[a:], NodeID(hi))
+	return live[a : a+b]
 }
 
 // Pick draws one gossip partner for host id from the environment,
@@ -117,9 +170,11 @@ func (rc *ColRound) Rng(id NodeID) *xrand.Rand { return rc.rngs[id] }
 // range (or, for Deliver, to the message destinations) and may read any
 // host's *start-of-round* state.
 //
-// Kernels must skip hosts with rc.Alive[id] == false in BeginRange,
-// EmitRange, and EndRange, mirroring the classic engine's dead-host
-// gating.
+// BeginRange, EmitRange and EndRange visit the live hosts of their
+// range by iterating rc.Live(lo, hi), mirroring the classic engine's
+// dead-host gating. A BeginRange that only zeroes a per-round inbox may
+// clear the whole range instead: a dead host's inbox is never read, and
+// it is zeroed again on the round the host revives.
 type ColumnarAgent interface {
 	// Len returns the population size.
 	Len() int

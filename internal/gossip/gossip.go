@@ -200,7 +200,8 @@ type Engine struct {
 	col   ColumnarAgent
 	colEx ColExchanger
 
-	// alive is the round's liveness bitmap, sampled by the begin phase.
+	// alive is the round's liveness bitmap, sampled by the begin phase
+	// (each shard's ColRound.Sample fills the shard's range).
 	alive []bool
 
 	// workers is what Workers reports; shards is the executor state,

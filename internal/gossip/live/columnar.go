@@ -81,8 +81,8 @@ type ColumnarPopulation struct {
 	// gossip.NewColRound.
 	rngStore []xrand.Rand
 	rngs     []*xrand.Rand
-	// alive is the population-wide liveness bitmap; each driver fills
-	// its own host range every tick.
+	// alive is the population-wide liveness bitmap; each driver samples
+	// its own host range into it every tick (gossip.ColRound.Sample).
 	alive []bool
 	// ticks counts each host's completed live iterations — the dense
 	// column form of the classic path's per-goroutine tick counter.
@@ -182,11 +182,9 @@ func (p *ColumnarPopulation) drivers(workers int) []driver {
 		gLo, gHi := s*groups/workers, (s+1)*groups/workers
 		lo, _ := p.b.BatchGroup(gLo)
 		_, hi := p.b.BatchGroup(gHi - 1)
-		rc := gossip.NewColRound(p.e.cfg.Model, p.e.cfg.Env, p.rngs)
-		rc.Alive = p.alive
 		sh := &colShard{
 			p: p, gLo: gLo, gHi: gHi, lo: int(lo), hi: int(hi),
-			rc:  rc,
+			rc:  gossip.NewColRound(p.e.cfg.Model, p.e.cfg.Env, p.rngs, p.alive, int(hi-lo)),
 			enc: make([][]byte, groups),
 			cnt: make([]int, groups),
 		}
@@ -255,18 +253,12 @@ type colShard struct {
 // destination group; yield the processor.
 func (s *colShard) tick(t int) {
 	p := s.p
-	env := p.e.cfg.Env
 	proto := p.proto
 	rc := s.rc
 	rc.Round = t
-
-	alive := p.alive
-	for i := s.lo; i < s.hi; i++ {
-		a := env.Alive(gossip.NodeID(i), t)
-		alive[i] = a
-		if a {
-			p.ticks[i]++
-		}
+	rc.Sample(s.lo, s.hi)
+	for _, id := range rc.Live(s.lo, s.hi) {
+		p.ticks[id]++
 	}
 
 	proto.BeginRange(rc, s.lo, s.hi)

@@ -17,6 +17,7 @@ import (
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 	"dynagg/internal/wire"
+	"dynagg/internal/xrand"
 )
 
 // recordingBatcher is a loopback batch plane that hashes every
@@ -92,36 +93,50 @@ func (r *recordingBatcher) DrainBatch(group int, fn func(body []byte)) {
 // nLocal, Ticks and estimate totals at the end. Three uneven groups
 // under one driver, so neither group edges nor batch splits line up
 // with any internal blocking of the host range. The digests were
-// recorded on the unblocked tick (commit 00ba2b5); any restructuring of
-// the loop must reproduce them bit for bit.
+// recorded on the unblocked tick (commit 00ba2b5), the dead-third one on
+// the tick that still tested liveness per host per kernel (746d416); any
+// restructuring of the loop must reproduce them bit for bit.
 func TestColumnarTickBatchBytesGolden(t *testing.T) {
 	const n = 5003
 	values, _ := liveValues(n)
 	smallSketch := sketchreset.Config{Params: sketch.Params{Bins: 32, Levels: 16}, Identifiers: 1}
+	revert := func() ColumnarProtocol {
+		return pushsumrevert.NewColumnar(values, pushsumrevert.Config{Lambda: 0.05})
+	}
 	cases := []struct {
 		name    string
 		proto   func() ColumnarProtocol
 		maxBody int
-		want    string
+		// deadSeed, when non-zero, picks a third of the hosts that are
+		// dead for the whole run (live liveness is time-invariant).
+		deadSeed uint64
+		want     string
 	}{
-		{"push-sum-revert", func() ColumnarProtocol {
-			return pushsumrevert.NewColumnar(values, pushsumrevert.Config{Lambda: 0.05})
-		}, 1000, "05a7a1d20f36e02e9361b8c7c18d9d9ebc721af98a922e7a8606055f1348402a"},
+		{"push-sum-revert", revert, 1000, 0,
+			"05a7a1d20f36e02e9361b8c7c18d9d9ebc721af98a922e7a8606055f1348402a"},
+		{"push-sum-revert/dead-third", revert, 1000, 25,
+			"2a0626d87895755a394aaa4f1101280a2cd0d9d1ce2f227142306b23d1021c07"},
 		{"count-sketch-reset", func() ColumnarProtocol {
 			return sketchreset.NewColumnar(n, smallSketch)
-		}, 4096, "5d1a6e45ca2f4bc584617c71361cc8c321ddfef56fe5e5e81d7cc5b0be17c5bc"},
+		}, 4096, 0, "5d1a6e45ca2f4bc584617c71361cc8c321ddfef56fe5e5e81d7cc5b0be17c5bc"},
 		// A body limit below one record: every record takes the
 		// oversized path and is handed to the transport alone.
 		{"count-sketch-reset/oversized", func() ColumnarProtocol {
 			return sketchreset.NewColumnar(n, smallSketch)
-		}, 24, "99440d2f0775139562562e551458a31abe3fcf85344ed1d120383269ab473a82"},
+		}, 24, 0, "99440d2f0775139562562e551458a31abe3fcf85344ed1d120383269ab473a82"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := newRecordingBatcher(tc.maxBody, 0, 1201, 3500, n)
 			pop := NewColumnarPopulation(tc.proto())
+			u := env.NewUniform(n)
+			if tc.deadSeed != 0 {
+				for _, id := range xrand.New(tc.deadSeed).Perm(n)[:n/3] {
+					u.Fail(gossip.NodeID(id))
+				}
+			}
 			e, err := New(Config{
-				Env: env.NewUniform(n), Population: pop, Model: gossip.Push,
+				Env: u, Population: pop, Model: gossip.Push,
 				Seed: 1609, Ticks: 20, Workers: 1, Transport: rec,
 			})
 			if err != nil {
@@ -223,9 +238,10 @@ func FuzzDeliverBatch(f *testing.F) {
 		if s.lo != lo || s.hi != hi {
 			f.Fatalf("middle shard is [%d,%d), want [%d,%d)", s.lo, s.hi, lo, hi)
 		}
-		for i := range pop.alive {
-			pop.alive[i] = true
-		}
+		// The kernels below run over the whole population, so the
+		// shard's context samples all of it (Sample is the only writer
+		// of the bitmap and of the live list the kernels iterate).
+		s.rc.Sample(0, n)
 		return s
 	}
 	revert := pushsumrevert.NewColumnar(values, pushsumrevert.Config{Lambda: 0.05})

@@ -12,8 +12,10 @@
 // Determinism does not depend on the shard count: every host owns a
 // private PRNG split (host behaviour never depends on iteration
 // order), environments are read-only between Advance calls — liveness
-// is sampled once per round into a bitmap all phases share — and the
-// two order-sensitive steps are order-identical for any k:
+// is sampled once per round into a bitmap all phases share, plus each
+// shard's ascending list of its live hosts, which is how every phase
+// visits them — and the two order-sensitive steps are order-identical
+// for any k:
 //
 //   - Push delivery: each shard buckets its emissions by destination
 //     shard, and the destination's worker drains source shards in shard
@@ -65,7 +67,8 @@ type shard struct {
 	pick   PeerPicker
 	pickID NodeID
 
-	// rc is the round context handed to columnar kernels.
+	// rc is the shard's round context: its sample of liveness, on either
+	// backend, and what columnar kernels are handed.
 	rc ColRound
 
 	// pairs holds the shard's push/pull initiations, in host order.
@@ -82,15 +85,14 @@ func (e *Engine) newShards(k int) {
 		if e.model == PushPull {
 			sh.pairs = make([]Pair, 0, sh.hi-sh.lo) // one initiation per host at most
 		}
+		sh.rc = ColRound{Model: e.model, Alive: e.alive, env: e.env, rngs: e.rngs,
+			live: make([]NodeID, 0, sh.hi-sh.lo)}
 		if e.col != nil {
 			sh.colOut = make([][]ColMsg, k)
-			sh.rc = ColRound{Model: e.model, Alive: e.alive, env: e.env, rngs: e.rngs}
 			continue
 		}
 		sh.out = make([][]Envelope, k)
-		sh.pick = func() (NodeID, bool) {
-			return e.env.Pick(sh.pickID, e.round, e.rngs[sh.pickID])
-		}
+		sh.pick = func() (NodeID, bool) { return sh.rc.Pick(sh.pickID) }
 	}
 }
 
@@ -160,33 +162,20 @@ func (e *Engine) pushPullRound() {
 	e.forShards((*Engine).end)
 }
 
-// begin samples the environment's liveness for the shard's hosts into
-// the round bitmap — Environment.Alive is stable between Advance calls,
-// so later phases read the bitmap instead of asking again — and starts
-// the round on the live ones.
+// begin samples the environment's liveness for the shard's hosts —
+// Environment.Alive is stable between Advance calls, so later phases
+// read the sample instead of asking again — and starts the round on the
+// live ones.
 func (e *Engine) begin(sh *shard) {
-	r, alive := e.round, e.alive
-	// Nothing but the count hangs off the liveness test here, so it
-	// compiles branch-free: after a failure wave liveness is a coin flip
-	// per host, and a mispredicted branch costs more than the sample.
-	live := 0
-	for id := sh.lo; id < sh.hi; id++ {
-		a := e.env.Alive(NodeID(id), r)
-		alive[id] = a
-		if a {
-			live++
-		}
-	}
-	sh.live = int64(live)
+	rc := &sh.rc
+	rc.Round = e.round
+	sh.live = int64(rc.Sample(sh.lo, sh.hi))
 	if e.col != nil {
-		sh.rc.Round = r
-		e.col.BeginRange(&sh.rc, sh.lo, sh.hi)
+		e.col.BeginRange(rc, sh.lo, sh.hi)
 		return
 	}
-	for id := sh.lo; id < sh.hi; id++ {
-		if alive[id] {
-			e.agents[id].BeginRound(r)
-		}
+	for _, id := range rc.Live(sh.lo, sh.hi) {
+		e.agents[id].BeginRound(e.round)
 	}
 }
 
@@ -222,11 +211,8 @@ func (e *Engine) emit(sh *shard) {
 	}
 	r, box := e.round, sh.out[sh.idx][:0]
 	sh.messages = 0
-	for id := sh.lo; id < sh.hi; id++ {
-		if !alive[id] {
-			continue
-		}
-		sh.pickID = NodeID(id)
+	for _, id := range sh.rc.Live(sh.lo, sh.hi) {
+		sh.pickID = id
 		start := len(box)
 		// Through EmitAppend when the agent supports it, otherwise through
 		// Emit (one slice and one box per payload, the legacy cost).
@@ -280,12 +266,9 @@ func (e *Engine) deliver(dst *shard) {
 // state, so they are the same for any shard count.
 func (e *Engine) pickPeers(sh *shard) {
 	pairs := sh.pairs[:0]
-	for id := sh.lo; id < sh.hi; id++ {
-		if !e.alive[id] {
-			continue
-		}
-		if peer, ok := e.env.Pick(NodeID(id), e.round, e.rngs[id]); ok {
-			pairs = append(pairs, Pair{A: NodeID(id), B: peer})
+	for _, id := range sh.rc.Live(sh.lo, sh.hi) {
+		if peer, ok := sh.rc.Pick(id); ok {
+			pairs = append(pairs, Pair{A: id, B: peer})
 		}
 	}
 	sh.pairs = pairs
@@ -319,10 +302,8 @@ func (e *Engine) end(sh *shard) {
 		e.col.EndRange(&sh.rc, sh.lo, sh.hi)
 		return
 	}
-	for id := sh.lo; id < sh.hi; id++ {
-		if e.alive[id] {
-			e.agents[id].EndRound(e.round)
-		}
+	for _, id := range sh.rc.Live(sh.lo, sh.hi) {
+		e.agents[id].EndRound(e.round)
 	}
 }
 

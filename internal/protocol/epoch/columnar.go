@@ -94,18 +94,14 @@ func (c *Columnar) reset(i, epoch int) {
 // BeginRange implements gossip.ColumnarAgent: advance each live host's
 // epoch clock (Node.BeginRound).
 func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
+	for _, i := range rc.Live(lo, hi) {
 		c.inW[i] = 0
 		c.inV[i] = 0
 		c.inEpoch[i] = c.epoch[i]
 		c.received[i] = false
 		c.age[i]++
 		if c.age[i] >= c.cfg.Length {
-			c.reset(i, c.epoch[i]+1)
+			c.reset(int(i), c.epoch[i]+1)
 		}
 	}
 }
@@ -113,24 +109,19 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 // EmitRange implements gossip.ColumnarAgent: epoch-tagged Push-Sum
 // halves, in the same peer-then-self order as Node.Emit.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
 	out := rc.Out
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
-		id := gossip.NodeID(i)
-		c.outEpoch[i] = c.epoch[i]
+	for _, id := range rc.Live(lo, hi) {
+		c.outEpoch[id] = c.epoch[id]
 		peer, ok := rc.Pick(id)
 		if !ok {
 			// Isolated host: all mass returns to self.
-			c.outW[i] = c.w[i]
-			c.outV[i] = c.v[i]
+			c.outW[id] = c.w[id]
+			c.outV[id] = c.v[id]
 			out = append(out, gossip.ColMsg{To: id, From: id})
 			continue
 		}
-		c.outW[i] = c.w[i] / 2
-		c.outV[i] = c.v[i] / 2
+		c.outW[id] = c.w[id] / 2
+		c.outV[id] = c.v[id] / 2
 		out = append(out,
 			gossip.ColMsg{To: peer, From: id},
 			gossip.ColMsg{To: id, From: id},
@@ -166,13 +157,12 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 // newer epoch by restarting from the initial state plus the received
 // mass, otherwise replace the mass with the inbox.
 func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
-	for i := lo; i < hi; i++ {
-		if !alive[i] || !c.received[i] {
+	for _, i := range rc.Live(lo, hi) {
+		if !c.received[i] {
 			continue
 		}
 		if c.inEpoch[i] > c.epoch[i] {
-			c.reset(i, c.inEpoch[i])
+			c.reset(int(i), c.inEpoch[i])
 			c.w[i] += c.inW[i]
 			c.v[i] += c.inV[i]
 			continue

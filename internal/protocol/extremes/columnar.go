@@ -159,11 +159,8 @@ func (c *Columnar) normalize(i int) {
 // BeginRange implements gossip.ColumnarAgent: age every foreign
 // candidate, then normalize (Node.BeginRound).
 func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
+	for _, id := range rc.Live(lo, hi) {
+		i := int(id)
 		base := i * c.stride
 		for j := 0; j < int(c.tlen[i]); j++ {
 			if c.table[base+j].owner != int32(i) {
@@ -178,17 +175,13 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 // table into the shadow rows, then address one payload-free message to
 // a random peer. Isolated hosts emit nothing, as in Node.Emit.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
 	out := rc.Out
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
-		id := gossip.NodeID(i)
+	for _, id := range rc.Live(lo, hi) {
 		peer, ok := rc.Pick(id)
 		if !ok {
 			continue
 		}
+		i := int(id)
 		n := int(c.tlen[i])
 		copy(c.snap[i*c.cfg.TableSize:i*c.cfg.TableSize+n], c.table[i*c.stride:i*c.stride+n])
 		c.snapLen[i] = int32(n)

@@ -60,17 +60,12 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 // averaging half's messages — the same per-host sub-protocol order,
 // and therefore the same PRNG stream, as Node.Emit.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
-		id := gossip.NodeID(i)
+	for _, id := range rc.Live(lo, hi) {
 		if peer, ok := rc.Pick(id); ok {
 			c.count.Snapshot(id)
 			rc.Out = append(rc.Out, gossip.ColMsg{To: peer, From: id | countTag})
 		}
-		c.avg.EmitRange(rc, i, i+1)
+		c.avg.EmitRange(rc, int(id), int(id)+1)
 	}
 }
 

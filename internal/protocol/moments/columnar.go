@@ -70,16 +70,11 @@ func (c *Columnar) Mass(id gossip.NodeID) Mass {
 	return Mass{W: c.w[id], V: c.v[id], Q: c.q[id]}
 }
 
-// BeginRange implements gossip.ColumnarAgent.
+// BeginRange implements gossip.ColumnarAgent: empty the inboxes.
 func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
-	for i := lo; i < hi; i++ {
-		if alive[i] {
-			c.inW[i] = 0
-			c.inV[i] = 0
-			c.inQ[i] = 0
-		}
-	}
+	clear(c.inW[lo:hi])
+	clear(c.inV[lo:hi])
+	clear(c.inQ[lo:hi])
 }
 
 // EmitRange implements gossip.ColumnarAgent: the reverted mass is
@@ -88,31 +83,26 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 // order, as Node.Emit.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 	λ := c.cfg.Lambda
-	alive := rc.Alive
 	out := rc.Out
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
-		id := gossip.NodeID(i)
+	for _, i := range rc.Live(lo, hi) {
 		halfW := ((1-λ)*c.w[i] + λ) / 2
 		halfV := ((1-λ)*c.v[i] + λ*c.v0[i]) / 2
 		halfQ := ((1-λ)*c.q[i] + λ*c.q0[i]) / 2
-		peer, ok := rc.Pick(id)
+		peer, ok := rc.Pick(i)
 		if !ok {
 			// Isolated host: the whole reverted mass returns to self.
 			c.outW[i] = 2 * halfW
 			c.outV[i] = 2 * halfV
 			c.outQ[i] = 2 * halfQ
-			out = append(out, gossip.ColMsg{To: id, From: id})
+			out = append(out, gossip.ColMsg{To: i, From: i})
 			continue
 		}
 		c.outW[i] = halfW
 		c.outV[i] = halfV
 		c.outQ[i] = halfQ
 		out = append(out,
-			gossip.ColMsg{To: peer, From: id},
-			gossip.ColMsg{To: id, From: id},
+			gossip.ColMsg{To: peer, From: i},
+			gossip.ColMsg{To: i, From: i},
 		)
 	}
 	rc.Out = out
@@ -132,23 +122,17 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 // is applied to the exchanged mass once per round (Node.EndRound's
 // PushPull branch); under push the inbox replaces the mass.
 func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
+	live := rc.Live(lo, hi)
 	if c.cfg.PushPull {
 		λ := c.cfg.Lambda
-		for i := lo; i < hi; i++ {
-			if !alive[i] {
-				continue
-			}
+		for _, i := range live {
 			c.w[i] = λ + (1-λ)*c.w[i]
 			c.v[i] = λ*c.v0[i] + (1-λ)*c.v[i]
 			c.q[i] = λ*c.q0[i] + (1-λ)*c.q[i]
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
+	for _, i := range live {
 		c.w[i] = c.inW[i]
 		c.v[i] = c.inV[i]
 		c.q[i] = c.inQ[i]

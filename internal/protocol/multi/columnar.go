@@ -127,18 +127,14 @@ func (c *Columnar) Names() []string {
 // Count exposes the shared columnar Count-Sketch-Reset population.
 func (c *Columnar) Count() *sketchreset.Columnar { return c.count }
 
-// BeginRange implements gossip.ColumnarAgent.
+// BeginRange implements gossip.ColumnarAgent: age the sketch, empty
+// every aggregate's inboxes.
 func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 	c.count.BeginRange(rc, lo, hi)
-	alive := rc.Alive
 	for ai := range c.aggs {
 		a := &c.aggs[ai]
-		for i := lo; i < hi; i++ {
-			if alive[i] {
-				a.inW[i] = 0
-				a.inV[i] = 0
-			}
-		}
+		clear(a.inW[lo:hi])
+		clear(a.inV[lo:hi])
 	}
 }
 
@@ -148,13 +144,9 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 // classic EmitAppend's sharedPick + sorted bundles.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 	λ := c.avgCfg.Lambda
-	alive := rc.Alive
 	out := rc.Out
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
-		id := gossip.NodeID(i)
+	for _, id := range rc.Live(lo, hi) {
+		i := int(id)
 		peer, ok := rc.Pick(id)
 		for ai := range c.aggs {
 			a := &c.aggs[ai]
@@ -228,30 +220,24 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 // EndRange implements gossip.ColumnarAgent.
 func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {
 	c.count.EndRange(rc, lo, hi)
-	alive := rc.Alive
+	live := rc.Live(lo, hi)
 	λ := c.avgCfg.Lambda
 	for ai := range c.aggs {
 		a := &c.aggs[ai]
 		if c.avgCfg.PushPull {
 			// Reversion decay once per round on the exchanged mass
 			// (pushsumrevert.Node.endRoundPull).
-			for i := lo; i < hi; i++ {
-				if !alive[i] {
-					continue
-				}
+			for _, i := range live {
 				a.w[i] = λ*a.w0[i] + (1-λ)*a.w[i]
 				a.v[i] = λ*a.mv0[i] + (1-λ)*a.v[i]
-				a.refreshEstimate(i)
+				a.refreshEstimate(int(i))
 			}
 			continue
 		}
-		for i := lo; i < hi; i++ {
-			if !alive[i] {
-				continue
-			}
+		for _, i := range live {
 			a.w[i] = a.inW[i]
 			a.v[i] = a.inV[i]
-			a.refreshEstimate(i)
+			a.refreshEstimate(int(i))
 		}
 	}
 }

@@ -72,35 +72,25 @@ func (c *Columnar) Len() int { return len(c.w) }
 // Mass returns host id's current mass vector.
 func (c *Columnar) Mass(id gossip.NodeID) Mass { return Mass{W: c.w[id], V: c.v[id]} }
 
-// BeginRange implements gossip.ColumnarAgent.
+// BeginRange implements gossip.ColumnarAgent: empty the inboxes.
 func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
-	for i := lo; i < hi; i++ {
-		if alive[i] {
-			c.inW[i] = 0
-			c.inV[i] = 0
-		}
-	}
+	clear(c.inW[lo:hi])
+	clear(c.inV[lo:hi])
 }
 
 // EmitRange implements gossip.ColumnarAgent: half the mass to a
 // random peer, half to self, in the same peer-then-self order as
 // Node.Emit so delivery folds stay byte-identical.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
 	out := rc.Out
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
-		id := gossip.NodeID(i)
+	for _, id := range rc.Live(lo, hi) {
 		peer, ok := rc.Pick(id)
 		if !ok {
 			// Isolated host: all mass returns to self.
-			out = append(out, gossip.ColMsg{To: id, From: id, Mass: gossip.Mass{W: c.w[i], V: c.v[i]}})
+			out = append(out, gossip.ColMsg{To: id, From: id, Mass: gossip.Mass{W: c.w[id], V: c.v[id]}})
 			continue
 		}
-		half := gossip.Mass{W: c.w[i] / 2, V: c.v[i] / 2}
+		half := gossip.Mass{W: c.w[id] / 2, V: c.v[id] / 2}
 		out = append(out,
 			gossip.ColMsg{To: peer, From: id, Mass: half},
 			gossip.ColMsg{To: id, From: id, Mass: half},
@@ -125,22 +115,17 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 // delivered, so only the estimate is refreshed — exactly the classic
 // EndRound with received == false.
 func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
+	live := rc.Live(lo, hi)
 	if rc.Model == gossip.PushPull {
-		for i := lo; i < hi; i++ {
-			if alive[i] {
-				c.refreshEstimate(i)
-			}
+		for _, id := range live {
+			c.refreshEstimate(int(id))
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
-		c.w[i] = c.inW[i]
-		c.v[i] = c.inV[i]
-		c.refreshEstimate(i)
+	for _, id := range live {
+		c.w[id] = c.inW[id]
+		c.v[id] = c.inV[id]
+		c.refreshEstimate(int(id))
 	}
 }
 

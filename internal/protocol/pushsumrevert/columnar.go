@@ -98,16 +98,11 @@ func (c *Columnar) Reset(id gossip.NodeID) {
 	c.est[i], c.hasEst[i] = c.v0[i], true
 }
 
-// BeginRange implements gossip.ColumnarAgent.
+// BeginRange implements gossip.ColumnarAgent: empty the inboxes.
 func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
-	for i := lo; i < hi; i++ {
-		if alive[i] {
-			c.inW[i] = 0
-			c.inV[i] = 0
-			c.inMsgs[i] = 0
-		}
-	}
+	clear(c.inW[lo:hi])
+	clear(c.inV[lo:hi])
+	clear(c.inMsgs[lo:hi])
 }
 
 // EmitRange implements gossip.ColumnarAgent: the variant-specific
@@ -115,19 +110,14 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 // order.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 	λ := c.cfg.Lambda
-	alive := rc.Alive
 	out := rc.Out
 	switch {
 	case c.cfg.FullTransfer:
 		N := c.cfg.Parcels
-		for i := lo; i < hi; i++ {
-			if !alive[i] {
-				continue
-			}
-			id := gossip.NodeID(i)
+		for _, id := range rc.Live(lo, hi) {
 			parcel := gossip.Mass{
-				W: ((1-λ)*c.w[i] + λ*c.w0[i]) / float64(N),
-				V: ((1-λ)*c.v[i] + λ*c.mv0[i]) / float64(N),
+				W: ((1-λ)*c.w[id] + λ*c.w0[id]) / float64(N),
+				V: ((1-λ)*c.v[id] + λ*c.mv0[id]) / float64(N),
 			}
 			for j := 0; j < N; j++ {
 				if peer, ok := rc.Pick(id); ok {
@@ -142,17 +132,13 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 	case c.cfg.Adaptive:
 		// Reversion is applied on receipt, scaled by indegree; the
 		// message itself is plain Push-Sum mass.
-		for i := lo; i < hi; i++ {
-			if !alive[i] {
-				continue
-			}
-			id := gossip.NodeID(i)
+		for _, id := range rc.Live(lo, hi) {
 			peer, ok := rc.Pick(id)
 			if !ok {
-				out = append(out, gossip.ColMsg{To: id, From: id, Mass: gossip.Mass{W: c.w[i], V: c.v[i]}})
+				out = append(out, gossip.ColMsg{To: id, From: id, Mass: gossip.Mass{W: c.w[id], V: c.v[id]}})
 				continue
 			}
-			half := gossip.Mass{W: c.w[i] / 2, V: c.v[i] / 2}
+			half := gossip.Mass{W: c.w[id] / 2, V: c.v[id] / 2}
 			out = append(out,
 				gossip.ColMsg{To: peer, From: id, Mass: half},
 				gossip.ColMsg{To: id, From: id, Mass: half},
@@ -160,14 +146,10 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 		}
 	default:
 		// Basic: the reverted mass is split between peer and self.
-		for i := lo; i < hi; i++ {
-			if !alive[i] {
-				continue
-			}
-			id := gossip.NodeID(i)
+		for _, id := range rc.Live(lo, hi) {
 			half := gossip.Mass{
-				W: ((1-λ)*c.w[i] + λ*c.w0[i]) / 2,
-				V: ((1-λ)*c.v[i] + λ*c.mv0[i]) / 2,
+				W: ((1-λ)*c.w[id] + λ*c.w0[id]) / 2,
+				V: ((1-λ)*c.v[id] + λ*c.mv0[id]) / 2,
 			}
 			peer, ok := rc.Pick(id)
 			if !ok {
@@ -237,27 +219,21 @@ func (c *Columnar) ExchangePairs(rc *gossip.ColRound, pairs []gossip.Pair) {
 
 // EndRange implements gossip.ColumnarAgent.
 func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
+	live := rc.Live(lo, hi)
 	if c.cfg.PushPull {
 		// Mass was updated in place by ExchangePairs; apply the
 		// reversion decay exactly once per round (Node.endRoundPull).
 		λ := c.cfg.Lambda
-		for i := lo; i < hi; i++ {
-			if !alive[i] {
-				continue
-			}
+		for _, i := range live {
 			c.w[i] = λ*c.w0[i] + (1-λ)*c.w[i]
 			c.v[i] = λ*c.mv0[i] + (1-λ)*c.v[i]
-			c.refreshEstimate(i)
+			c.refreshEstimate(int(i))
 		}
 		return
 	}
 	if c.cfg.FullTransfer {
 		W := int32(c.cfg.Window)
-		for i := lo; i < hi; i++ {
-			if !alive[i] {
-				continue
-			}
+		for _, i := range live {
 			// The host keeps only what arrived; rounds with no
 			// arrivals leave it empty-handed until the next delivery.
 			c.w[i] = c.inW[i]
@@ -272,17 +248,14 @@ func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {
 					c.histLen[i]++
 				}
 			}
-			c.refreshWindowEstimate(i)
+			c.refreshWindowEstimate(int(i))
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
+	for _, i := range live {
 		c.w[i] = c.inW[i]
 		c.v[i] = c.inV[i]
-		c.refreshEstimate(i)
+		c.refreshEstimate(int(i))
 	}
 }
 

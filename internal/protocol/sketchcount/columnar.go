@@ -113,18 +113,14 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {}
 // cloned payload), then address one payload-free message to a random
 // peer. Isolated hosts emit nothing, as in Node.Emit.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
 	out := rc.Out
 	m := c.params.Bins
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
-		id := gossip.NodeID(i)
+	for _, id := range rc.Live(lo, hi) {
 		peer, ok := rc.Pick(id)
 		if !ok {
 			continue
 		}
+		i := int(id)
 		copy(c.shadow[i*m:(i+1)*m], c.bins[i*m:(i+1)*m])
 		out = append(out, gossip.ColMsg{To: peer, From: id})
 	}

@@ -106,11 +106,8 @@ func (c *Columnar) CounterAt(id gossip.NodeID, bin, level int) uint8 {
 // live host does not source (Figure 5 step 2), pinning owned indices
 // back to zero.
 func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
+	for _, id := range rc.Live(lo, hi) {
+		i := int(id)
 		block := c.counters[i*c.stride : (i+1)*c.stride]
 		wire.AgeCounters(block)
 		for _, idx := range c.owned[c.ownedOff[i]:c.ownedOff[i+1]] {
@@ -125,13 +122,8 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 // payload-free message to a random peer. Isolated hosts emit nothing,
 // as in Node.Emit.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
 	out := rc.Out
-	for i := lo; i < hi; i++ {
-		if !alive[i] {
-			continue
-		}
-		id := gossip.NodeID(i)
+	for _, id := range rc.Live(lo, hi) {
 		peer, ok := rc.Pick(id)
 		if !ok {
 			continue
@@ -189,11 +181,8 @@ func (c *Columnar) ExchangePairs(rc *gossip.ColRound, pairs []gossip.Pair) {
 
 // EndRange implements gossip.ColumnarAgent (Figure 5 steps 6-7).
 func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {
-	alive := rc.Alive
-	for i := lo; i < hi; i++ {
-		if alive[i] {
-			c.refreshEstimate(i)
-		}
+	for _, id := range rc.Live(lo, hi) {
+		c.refreshEstimate(int(id))
 	}
 }
 
