@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build examples test race figure-golden bench-selftest bench bench-json bench-1m bench-live-1m bench-gate bench-gateway bench-chaos bench-heal fmt vet vuln ci live-soak cluster-soak gateway-soak chaos-soak heal-soak fuzz-smoke doc-lint loc
+.PHONY: build examples test race figure-golden bench-selftest bench bench-gate fmt vet vuln ci live-soak cluster-soak gateway-soak chaos-soak heal-soak fuzz-smoke doc-lint loc
 
 build:
 	$(GO) build ./...
@@ -50,69 +50,34 @@ figure-golden:
 bench-selftest:
 	GOFLAGS=-mod=readonly GOPROXY=off GOWORK=off $(GO) -C bench test ./...
 
-# Benchmark smoke pass: compile and run every benchmark once so perf
-# harness rot is caught on every push without paying full bench time.
-# -short skips the N=1,000,000 BenchmarkEngine block (see bench-1m).
+# Benchmark smoke pass: compile and run every Go micro-benchmark once
+# so probe rot is caught on every push without paying full bench time.
+# -short skips the N=1,000,000 BenchmarkEngine block; run it with
+# -bench='BenchmarkEngine/n=1000000' ./internal/gossip when profiling.
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./...
 
-# Machine-readable benchmark snapshot: one pass of every benchmark with
-# -benchmem, raw text kept for benchstat, JSON (via cmd/benchjson) for
-# the per-PR perf-trajectory artifact. -short as in bench; bench-1m
-# appends the million-host rows afterwards.
-# No pipe on the go test line: a benchmark failure must fail the
-# target, not vanish into tee's exit status.
-bench-json:
-	$(GO) test -short -bench=. -benchmem -benchtime=1x -run='^$$' ./... > BENCH_raw.txt || { cat BENCH_raw.txt >&2; exit 1; }
-	@cat BENCH_raw.txt
-	$(GO) run ./cmd/benchjson -o BENCH_results.json BENCH_raw.txt
-
-# Million-host engine benchmark: the N=1,000,000 BenchmarkEngine
-# configurations (classic AoS baseline plus columnar sequential and
-# sharded, under BOTH gossip models — the push-pull rows exercise the
-# pair-batch wave executor), one iteration each, peak RSS and
-# msgs/round recorded via report metrics. Kept out of the smoke lanes
-# by -short above; run deliberately (CI bench job, perf
-# investigations). When a bench-json snapshot exists the 1M rows are
-# merged into BENCH_results.json so one artifact carries the whole
-# trajectory.
-bench-1m:
-	$(GO) test -bench='BenchmarkEngine/n=1000000' -benchmem -benchtime=1x -run='^$$' -timeout=30m ./internal/gossip > BENCH_1M_raw.txt || { cat BENCH_1M_raw.txt >&2; exit 1; }
-	@cat BENCH_1M_raw.txt
-	@if [ -f BENCH_raw.txt ]; then \
-		cat BENCH_raw.txt BENCH_1M_raw.txt | $(GO) run ./cmd/benchjson -o BENCH_results.json; \
-	else \
-		$(GO) run ./cmd/benchjson -o BENCH_results.json BENCH_1M_raw.txt; \
-	fi
-
-# Million-host LIVE engine benchmark: the columnar population backend
-# driving 1,000,000 wall-clock hosts over real loopback TCP sockets,
-# batch frames end to end — the transport the benchmark's live-batch
-# workload measures. -benchline emits a
-# Benchmark-formatted row (ns/tick, msgs/s, peak-rss-bytes) that
-# cmd/benchjson merges into BENCH_results.json next to the round-based
-# engine rows, so the artifact records both the synchronous and the
-# live million-host capability.
-bench-live-1m:
-	$(GO) run ./cmd/dynaggsim live -backend=columnar -n 1000000 -transport=tcp -benchline | tee BENCH_LIVE_raw.txt
-	@files=BENCH_LIVE_raw.txt; \
-	for f in BENCH_raw.txt BENCH_1M_raw.txt; do \
-		if [ -f $$f ]; then files="$$f $$files"; fi; \
-	done; \
-	cat $$files | $(GO) run ./cmd/benchjson -o BENCH_results.json
-
-# Perf-gate benchmark sample: the n=10000 BenchmarkEngine matrix at a
-# fixed iteration count, six times, so cmd/benchgate has a multi-sample
-# median on both sides of a PR. Fixed -benchtime=100x (not a time
-# budget) keeps base and head measuring identical work, and 100
-# iterations per sample is what makes the rows gate-eligible (benchgate
-# exempts single-iteration rows as directional). The CI bench job runs
-# this twice — once on the PR head, once on the merge base — and fails
-# the build when the gate trips.
+# Perf gate (CI's bench job on pull requests): every workload of
+# BENCHMARK.json as five pairs of untraced 15 s runs, seeds 1-5, base
+# and head alternating which goes first; then bench/run.sh -compare
+# judges head against base with BENCHMARK.json's bounds and exits 1 on
+# `regressed`. BASE is checked out as a git worktree outside the tree
+# (so loc and fmt never see it), removed on exit; each side runs its
+# own bench/run.sh from its own checkout root, so builds its own binary.
+# About 13 minutes plus two builds:  make bench-gate BASE=origin/main
+GATE_WORKLOADS = $(shell sed -n '/"workloads"/,/]/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json)
 bench-gate:
-	$(GO) test -bench='BenchmarkEngine/n=10000$$' -benchtime=100x -count=6 -run='^$$' -timeout=20m ./internal/gossip > BENCH_gate_raw.txt || { cat BENCH_gate_raw.txt >&2; exit 1; }
-	@cat BENCH_gate_raw.txt
-	$(GO) run ./cmd/benchjson -o BENCH_gate.json BENCH_gate_raw.txt
+	@test -n "$(BASE)" || { echo "usage: make bench-gate BASE=<git ref>" >&2; exit 2; }
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"; git worktree prune' EXIT; \
+	git worktree add --quiet --detach "$$dir/base" "$(BASE)"; \
+	for wl in $(GATE_WORKLOADS); do for seed in 1 2 3 4 5; do \
+		sides="base head"; [ $$((seed % 2)) = 1 ] || sides="head base"; \
+		for side in $$sides; do \
+			root=.; [ $$side = head ] || root="$$dir/base"; \
+			(cd "$$root" && bash bench/run.sh --workload $$wl --seed $$seed --seconds 15 --trace 0 -o "$$dir/$$side.jsonl"); \
+		done; \
+	done; done; \
+	bash bench/run.sh -compare "$$dir/base.jsonl" "$$dir/head.jsonl"
 
 # Transport/live-engine soak: the concurrency-heavy tests (goroutine
 # drivers, UDP readers, loss injection) twice under the race detector
@@ -153,21 +118,6 @@ gateway-soak:
 	$(GO) test -race -count=2 -timeout 10m ./internal/gateway
 	GATEWAY_LOAD_SECONDS=5 $(GO) test -race -timeout 5m -run 'TestLoadSmoke' -v ./internal/gateway
 
-# Gateway benchmark rows: the in-process serving path (the ~100k+
-# req/s acceptance number) and the loopback-socket path, merged into
-# BENCH_results.json next to the engine rows when a snapshot exists.
-# Unlike the smoke lanes this needs a real measurement window — a
-# single iteration would report one request's reciprocal latency as
-# req/s — so it runs the default 1s benchtime per row.
-bench-gateway:
-	$(GO) test -bench='BenchmarkGateway' -benchmem -run='^$$' -timeout=10m ./internal/gateway > BENCH_gateway_raw.txt || { cat BENCH_gateway_raw.txt >&2; exit 1; }
-	@cat BENCH_gateway_raw.txt
-	@files=BENCH_gateway_raw.txt; \
-	for f in BENCH_raw.txt BENCH_1M_raw.txt BENCH_LIVE_raw.txt; do \
-		if [ -f $$f ]; then files="$$f $$files"; fi; \
-	done; \
-	cat $$files | $(GO) run ./cmd/benchjson -o BENCH_results.json
-
 # Chaos lane (CI's chaos job): the scenario engine's test matrix —
 # determinism pinning, honest-audit/Byzantine-flagging, partition-heal
 # convergence across protocol families, live transport fault
@@ -194,35 +144,6 @@ chaos-soak:
 heal-soak:
 	$(GO) test -race -count=2 -timeout 15m ./internal/backoff ./internal/gossip/live/health ./internal/supervise
 	$(GO) run -race ./examples/chaos_cluster
-
-# Heal latency rows: a supervised mini-cluster with a scripted chaos
-# kill reports its mean detect/recover latencies (ms-to-detect,
-# ms-to-recover), and the round-engine crash-restart scenario reports
-# how many rounds the population needed to reabsorb the reset span —
-# merged into BENCH_results.json next to the perf and damage rows so
-# recovery-time regressions are tracked like speed regressions.
-bench-heal:
-	$(GO) run ./cmd/dynaggsim supervise -members=2 -kill-after=2s -kill=m1 -seed 1 -benchline | tee BENCH_heal_raw.txt
-	$(GO) run ./cmd/dynaggsim chaos -scenario=crash-restart -seed 1 -benchline | tee -a BENCH_heal_raw.txt
-	@files=BENCH_heal_raw.txt; \
-	for f in BENCH_raw.txt BENCH_1M_raw.txt BENCH_LIVE_raw.txt BENCH_gateway_raw.txt BENCH_chaos_raw.txt; do \
-		if [ -f $$f ]; then files="$$f $$files"; fi; \
-	done; \
-	cat $$files | $(GO) run ./cmd/benchjson -o BENCH_results.json
-
-# Adversary damage rows: the lying-mass scenarios at 1% and 5%
-# Byzantine fractions, recorded as Benchmark-formatted rows
-# (max/final rel err, recovery round, audit violations) and merged
-# into BENCH_results.json next to the perf rows — the artifact then
-# tracks robustness regressions the same way it tracks speed.
-bench-chaos:
-	$(GO) run ./cmd/dynaggsim chaos -scenario=byzantine-lying-1 -seed 1 -benchline | tee BENCH_chaos_raw.txt
-	$(GO) run ./cmd/dynaggsim chaos -scenario=byzantine-lying-5 -seed 1 -benchline | tee -a BENCH_chaos_raw.txt
-	@files=BENCH_chaos_raw.txt; \
-	for f in BENCH_raw.txt BENCH_1M_raw.txt BENCH_LIVE_raw.txt BENCH_gateway_raw.txt; do \
-		if [ -f $$f ]; then files="$$f $$files"; fi; \
-	done; \
-	cat $$files | $(GO) run ./cmd/benchjson -o BENCH_results.json
 
 # Documentation lint: every exported identifier in the contract
 # packages must carry a doc comment (cmd/doclint), every relative link

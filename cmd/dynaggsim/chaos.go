@@ -5,21 +5,19 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"dynagg/internal/chaos"
 )
 
 // chaosOpts carries the chaos-mode flags.
 type chaosOpts struct {
-	scenario  string // catalog name or path to a scenario JSON file
-	seed      uint64
-	columnar  bool
-	workers   int
-	n         int    // override Scenario.N when > 0
-	rounds    int    // override Scenario.Rounds when > 0
-	format    string // "table" (human summary) or "json" (full Report)
-	benchline bool
+	scenario string // catalog name or path to a scenario JSON file
+	seed     uint64
+	columnar bool
+	workers  int
+	n        int    // override Scenario.N when > 0
+	rounds   int    // override Scenario.Rounds when > 0
+	format   string // "table" (human summary) or "json" (full Report)
 }
 
 // runChaos resolves a scenario (catalog name first, then file path),
@@ -40,12 +38,10 @@ func runChaos(out io.Writer, o chaosOpts) error {
 		s.Rounds = o.rounds
 	}
 
-	start := time.Now()
 	rep, err := chaos.RunWith(s, o.seed, chaos.RunOpts{Columnar: o.columnar, Workers: o.workers})
 	if err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
 
 	switch o.format {
 	case "json":
@@ -57,36 +53,9 @@ func runChaos(out io.Writer, o chaosOpts) error {
 			return err
 		}
 	case "", "table":
-		printChaosSummary(out, rep)
+		printChaosSummary(out, s, rep)
 	default:
 		return fmt.Errorf("chaos: -format must be table or json, got %q", o.format)
-	}
-
-	if o.benchline {
-		// Benchmark-formatted so cmd/benchjson (and benchstat) ingest
-		// chaos damage numbers alongside the `go test -bench` rows.
-		fmt.Fprintf(out, "BenchmarkChaos/scenario=%s/n=%d 1 %d ns/run %g max-rel-err %g final-rel-err %d recovery-round %d audit-violations\n",
-			rep.Scenario, rep.N, elapsed.Nanoseconds(),
-			rep.Damage.MaxRelErr, rep.Damage.FinalRelErr,
-			rep.Damage.RecoveryRound, rep.Audit.Violations)
-		// The crashrestart family additionally reports how many rounds
-		// past the restart the population needed to reabsorb the reset
-		// span — the round-engine twin of the supervisor's
-		// ms-to-recover benchline (-1: never recovered).
-		for _, f := range s.Faults {
-			if f.Kind != chaos.FaultCrashRestart {
-				continue
-			}
-			rec := -1
-			if rep.Damage.RecoveryRound >= 0 {
-				rec = rep.Damage.RecoveryRound - f.End
-				if rec < 0 {
-					rec = 0
-				}
-			}
-			fmt.Fprintf(out, "BenchmarkChaosHeal/scenario=%s/n=%d 1 %d recovery-rounds\n",
-				rep.Scenario, rep.N, rec)
-		}
 	}
 	return nil
 }
@@ -112,7 +81,7 @@ func resolveScenario(name string) (chaos.Scenario, error) {
 // printChaosSummary renders the human-facing view of a Report: what
 // was injected, what it cost, and the two verdicts (estimator damage
 // vs ground truth, mass-conservation audit).
-func printChaosSummary(out io.Writer, rep *chaos.Report) {
+func printChaosSummary(out io.Writer, s chaos.Scenario, rep *chaos.Report) {
 	fmt.Fprintf(out, "scenario %s  backend %s  protocol %s  n %d  rounds %d  seed %d\n",
 		rep.Scenario, rep.Backend, rep.Protocol, rep.N, rep.Rounds, rep.Seed)
 	if rep.Byzantine > 0 {
@@ -125,6 +94,19 @@ func printChaosSummary(out io.Writer, rep *chaos.Report) {
 	fmt.Fprintf(out, "damage: max rel err %.4g  final rel err %.4g  recovery round %s (tol %g)\n",
 		rep.Damage.MaxRelErr, rep.Damage.FinalRelErr,
 		recoveryString(rep.Damage.RecoveryRound), rep.Damage.RecoveryTol)
+	// A crash-restart fault also reports how many rounds past the
+	// restart the population needed to reabsorb the reset span — the
+	// round-engine twin of supervise's recover latency (-1: never).
+	for _, f := range s.Faults {
+		if f.Kind != chaos.FaultCrashRestart {
+			continue
+		}
+		rec := -1
+		if rep.Damage.RecoveryRound >= 0 {
+			rec = max(rep.Damage.RecoveryRound-f.End, 0)
+		}
+		fmt.Fprintf(out, "fault %-12s recovery rounds after restart %d\n", f.Kind, rec)
+	}
 	if !rep.Audit.Applicable {
 		fmt.Fprintf(out, "audit: not applicable (no mass semantics for %s)\n", rep.Protocol)
 	} else if rep.Audit.Violations == 0 {

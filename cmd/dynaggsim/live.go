@@ -38,7 +38,6 @@ type liveOpts struct {
 	workers    int
 	seed       uint64
 	rcvbuf     int           // SO_RCVBUF for UDP sockets; 0 = auto
-	benchline  bool          // also print a Benchmark-formatted summary line
 	seeds      string        // comma-separated TCP bootstrap seed addrs; "" = single process
 	span       string        // this process's host range "lo:hi"; "" = full population
 	listen     string        // TCP listen address for the span's group; "" = 127.0.0.1:0
@@ -430,14 +429,6 @@ func runLive(out io.Writer, o liveOpts) error {
 		e.Sent(), e.Dropped(), elapsed.Round(time.Millisecond), rss)
 	if tcp, ok := transport.AsTCP(tr); ok && injectedLoss > 0 {
 		fmt.Fprintf(out, "link kills %d (loss over tcp severs connections)\n", tcp.Kills())
-	}
-	if o.benchline {
-		// Benchmark-formatted so cmd/benchjson (and benchstat) ingest
-		// the run alongside the `go test -bench` rows.
-		nsPerTick := elapsed.Nanoseconds() / int64(o.ticks)
-		msgsPerSec := int64(float64(e.Sent()) / elapsed.Seconds())
-		fmt.Fprintf(out, "BenchmarkLiveEngine/backend=%s/proto=%s/transport=%s/n=%d 1 %d ns/tick %d msgs/s %d peak-rss-bytes\n",
-			o.backend, o.protocol, o.transport, o.n, nsPerTick, msgsPerSec, rss)
 	}
 	return nil
 }

@@ -35,12 +35,11 @@
 //	       the carrying connection instead of dropping a datagram),
 //	       socket/shard group count (-udp-groups 4), UDP receive
 //	       buffer (-rcvbuf bytes), wall-clock duty cycle (-pace 4ms),
-//	       tick count (-ticks 60), and -benchline to append a
-//	       Benchmark-formatted summary row for cmd/benchjson.
-//	       With -transport=tcp a process can join a multi-process
-//	       cluster: -span lo:hi names the host range it drives,
-//	       -listen its TCP address, and -seeds the shared seed list
-//	       every process bootstraps its membership from (see
+//	       and tick count (-ticks 60). With -transport=tcp a
+//	       process can join a multi-process cluster: -span lo:hi
+//	       names the host range it drives, -listen its TCP address,
+//	       and -seeds the shared seed list every process
+//	       bootstraps its membership from (see
 //	       live.Bootstrap and examples/live_cluster); -reannounce sets
 //	       the keepalive heartbeat cadence and -replace announces with
 //	       restart semantics (a supervised respawn taking over its dead
@@ -54,9 +53,8 @@
 //	           health) over their keepalives, and restart members
 //	           pronounced dead with -replace takeover — under a
 //	           -restart-budget storm brake. -kill-after/-kill inject a
-//	           chaos kill to demonstrate the heal; -benchline appends a
-//	           BenchmarkSupervisorHeal row (ms-to-detect,
-//	           ms-to-recover) for cmd/benchjson. See docs/operations.md
+//	           chaos kill to demonstrate the heal; each heal's detect
+//	           and recover latency is printed. See docs/operations.md
 //
 // Query gateway (HTTP front end over a live TCP cluster):
 //
@@ -78,8 +76,7 @@
 //	       against ground truth. -scenario names a catalog entry
 //	       (internal/chaos) or a scenario JSON file; -seed makes the
 //	       whole run — and its Report — deterministic. -format json
-//	       emits the machine-readable chaos.Report; -benchline appends
-//	       a Benchmark-formatted damage row for cmd/benchjson
+//	       emits the machine-readable chaos.Report
 //
 // Engine benchmark (the ROADMAP's million-host target):
 //
@@ -173,7 +170,6 @@ func run(args []string) error {
 	ticks := fs.Int("ticks", 0, "live ticks per host (default 60)")
 	backend := fs.String("backend", "", "live population backend: agents (default; per-host boxed agents) or columnar (dense struct-of-arrays columns)")
 	rcvbuf := fs.Int("rcvbuf", 0, "live UDP socket receive buffer in bytes; 0 = auto (4 MiB for the columnar backend)")
-	benchline := fs.Bool("benchline", false, "live/chaos: also print a Benchmark-formatted summary line for cmd/benchjson (live: ns/tick, msgs/s, peak-rss-bytes; chaos: ns/run, damage and audit numbers)")
 	seeds := fs.String("seeds", "", "live/gateway TCP bootstrap: comma-separated seed addresses shared by every process of the deployment (live: requires -span and -transport=tcp)")
 	spanFlag := fs.String("span", "", "live TCP bootstrap: this process's host range lo:hi of the -n population (requires -seeds)")
 	listen := fs.String("listen", "", "live/gateway TCP: listen address for this process's span; default 127.0.0.1:0 (a seed process must listen on its advertised seed address)")
@@ -293,8 +289,7 @@ func run(args []string) error {
 		return runLive(out, liveOpts{
 			protocol: *protocol, backend: *backend, transport: *transportName,
 			loss: *loss, wan: *wan, groups: *groups, pace: *pace, n: *n,
-			ticks: *ticks, workers: sc.Workers, seed: *seed,
-			rcvbuf: *rcvbuf, benchline: *benchline,
+			ticks: *ticks, workers: sc.Workers, seed: *seed, rcvbuf: *rcvbuf,
 			seeds: *seeds, span: *spanFlag, listen: *listen,
 			aggregates: *aggregates, observerSlots: *observerSlots,
 			replace: *replace, reannounce: *reannounce,
@@ -302,8 +297,7 @@ func run(args []string) error {
 	case "chaos":
 		return runChaos(out, chaosOpts{
 			scenario: *scenario, seed: *seed, columnar: *columnar,
-			workers: sc.Workers, n: *n, rounds: *rounds,
-			format: *format, benchline: *benchline,
+			workers: sc.Workers, n: *n, rounds: *rounds, format: *format,
 		})
 	case "gateway":
 		return runGateway(out, gatewayOpts{
@@ -315,7 +309,7 @@ func run(args []string) error {
 			n: *n, members: *membersN, protocol: *protocol,
 			ticks: *ticks, pace: *pace, heartbeat: *heartbeat,
 			killAfter: *killAfter, killName: *killName,
-			budget: *restartBudget, seed: *seed, benchline: *benchline,
+			budget: *restartBudget, seed: *seed,
 		})
 	}
 
@@ -506,7 +500,7 @@ live engine: live [-protocol pushsum|revert|sketchreset|multi]
              [-backend agents|columnar]
              [-transport chan|udp|tcp] [-loss P | -wan lan|3g|sat]
              [-udp-groups G] [-rcvbuf BYTES] [-pace DUR] [-ticks T]
-             [-n N] [-workers W] [-seed S] [-benchline]
+             [-n N] [-workers W] [-seed S]
              [-cpuprofile FILE] [-memprofile FILE]
              [-span LO:HI -seeds ADDRS [-listen ADDR]]  (tcp cluster member)
              [-replace] [-reannounce DUR]               (supervised member)
@@ -515,9 +509,9 @@ gateway:     gateway -seeds ADDRS [-n N] [-listen ADDR]
              [-listen-http ADDR] [-aggregates NAMES] [-pace DUR] [-seed S]
 supervise:   supervise [-n N] [-members M] [-protocol P] [-ticks T]
              [-pace DUR] [-heartbeat DUR] [-kill-after DUR] [-kill NAME]
-             [-restart-budget B] [-seed S] [-benchline]
+             [-restart-budget B] [-seed S]
 chaos:       chaos -scenario NAME|FILE [-seed S] [-columnar] [-workers W]
-             [-n N] [-rounds R] [-format table|json] [-benchline]
+             [-n N] [-rounds R] [-format table|json]
 trace tools: trace-gen [-dataset D] [-o FILE]
              trace-info -in FILE [-contacts]`)
 }

@@ -185,6 +185,23 @@ func TestRunSuperviseRejectsBadKnobs(t *testing.T) {
 	}
 }
 
+// TestRunChaosCrashRestartReportsRecovery pins the one number a
+// crash-restart summary adds to the damage line: how many rounds past
+// the restart the population took to reabsorb the reset span.
+func TestRunChaosCrashRestartReportsRecovery(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chaos.txt")
+	if err := run([]string{"chaos", "-scenario=crash-restart", "-seed", "1", "-o", path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "fault crashrestart recovery rounds after restart ") {
+		t.Errorf("crash-restart summary missing its recovery line:\n%s", data)
+	}
+}
+
 // Smoke-run the cheapest experiments end to end through the CLI path.
 // Output goes to stdout; correctness of the numbers is asserted in
 // package experiments — here we only care that the plumbing works.

@@ -31,7 +31,6 @@ type superviseOpts struct {
 	killName  string        // member to kill ("" = m0)
 	budget    int           // restarts per member per minute (0 = default)
 	seed      uint64
-	benchline bool
 }
 
 // runSupervise builds the member fleet, supervises it to completion,
@@ -137,26 +136,9 @@ func runSupervise(out io.Writer, o superviseOpts) error {
 	stats := sup.Stats()
 	fmt.Fprintf(out, "completed %d  restarts %d  failed %d  elapsed %v\n",
 		stats.Completed, stats.Restarts, len(stats.Failed), elapsed.Round(time.Millisecond))
-	var detectMS, recoverMS int64
 	for _, h := range stats.Heals {
 		fmt.Fprintf(out, "heal %-4s incarnation %d  detect %v  recover %v\n",
 			h.Member, h.Incarnation, h.DetectLatency().Round(time.Millisecond), h.RecoverLatency().Round(time.Millisecond))
-		detectMS += h.DetectLatency().Milliseconds()
-		recoverMS += h.RecoverLatency().Milliseconds()
 	}
-	if runErr != nil {
-		return runErr
-	}
-	if o.benchline {
-		// Benchmark-formatted so cmd/benchjson (and benchstat) ingest
-		// the heal latencies alongside the `go test -bench` rows; means
-		// over the run's heals.
-		if n := int64(len(stats.Heals)); n > 0 {
-			detectMS /= n
-			recoverMS /= n
-		}
-		fmt.Fprintf(out, "BenchmarkSupervisorHeal/members=%d/protocol=%s 1 %d ms-to-detect %d ms-to-recover %d restarts\n",
-			o.members, o.protocol, detectMS, recoverMS, stats.Restarts)
-	}
-	return nil
+	return runErr
 }

@@ -5,11 +5,7 @@
 // Usage:
 //
 //	loadgen -url http://127.0.0.1:8080/aggregate/load \
-//	        [-clients 32] [-duration 5s] [-benchline NAME]
-//
-// With -benchline the summary is also printed as one Go testing
-// Benchmark row (req/s, p50-ns, p99-ns metrics) so cmd/benchjson can
-// merge it into BENCH_results.json alongside `go test -bench` output.
+//	        [-clients 32] [-duration 5s]
 package main
 
 import (
@@ -26,7 +22,6 @@ func main() {
 	url := flag.String("url", "", "request URL, e.g. http://127.0.0.1:8080/aggregate/load (required)")
 	clients := flag.Int("clients", 32, "concurrent closed-loop requesters")
 	duration := flag.Duration("duration", 5*time.Second, "load window")
-	benchline := flag.String("benchline", "", "also print a Benchmark-formatted row under this name (for cmd/benchjson)")
 	flag.Parse()
 	if *url == "" {
 		flag.Usage()
@@ -43,9 +38,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println(rep)
-	if *benchline != "" {
-		fmt.Println(rep.BenchLine(*benchline))
-	}
 	if rep.Requests == 0 {
 		fmt.Fprintln(os.Stderr, "loadgen: zero successful requests")
 		os.Exit(1)

@@ -126,7 +126,7 @@ type Adversary struct {
 // marshal to/from JSON (see Decode) and the same Scenario+seed always
 // produces the same Report.
 type Scenario struct {
-	// Name identifies the scenario in reports and benchlines.
+	// Name identifies the scenario in reports.
 	Name string `json:"name"`
 	// N is the host population size.
 	N int `json:"n"`

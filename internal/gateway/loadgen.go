@@ -45,13 +45,6 @@ func (r LoadReport) String() string {
 		r.Requests, r.Errors, r.Elapsed.Round(time.Millisecond), r.RPS, r.P50, r.P99)
 }
 
-// BenchLine renders the report as one Go testing Benchmark row, the
-// format cmd/benchjson parses for BENCH_results.json merging.
-func (r LoadReport) BenchLine(name string) string {
-	return fmt.Sprintf("Benchmark%s 1 %d ns/op %.0f req/s %d p50-ns %d p99-ns",
-		name, r.Elapsed.Nanoseconds(), r.RPS, r.P50.Nanoseconds(), r.P99.Nanoseconds())
-}
-
 // RunLoad drives Clients concurrent closed-loop GET requesters at the
 // URL for the Duration and reports throughput and latency. Each
 // client reuses one keep-alive connection (http.Transport default),

@@ -46,7 +46,7 @@ func primedServer(tb testing.TB, names []string) *Server {
 // more; the socket benchmark below adds kernel round-trips.
 func BenchmarkGatewayServe(b *testing.B) {
 	if testing.Short() {
-		b.Skip("req/s needs a real measurement window, not the -short 1x smoke; run make bench-gateway")
+		b.Skip("req/s needs a real measurement window, not the -short 1x smoke; run -bench=BenchmarkGateway without -short")
 	}
 	s := primedServer(b, []string{"load"})
 	h := s.Handler()
@@ -70,7 +70,7 @@ func BenchmarkGatewayServe(b *testing.B) {
 // sockets with keep-alive connections, one per parallel client.
 func BenchmarkGatewayHTTPSocket(b *testing.B) {
 	if testing.Short() {
-		b.Skip("req/s needs a real measurement window, not the -short 1x smoke; run make bench-gateway")
+		b.Skip("req/s needs a real measurement window, not the -short 1x smoke; run -bench=BenchmarkGateway without -short")
 	}
 	s := primedServer(b, []string{"load"})
 	hs := httptest.NewServer(s.Handler())
@@ -134,5 +134,4 @@ func TestLoadSmoke(t *testing.T) {
 		t.Errorf("implausible latency percentiles: p50 %v p99 %v", rep.P50, rep.P99)
 	}
 	t.Logf("%s", rep)
-	t.Logf("%s", rep.BenchLine("GatewayLoadSmoke"))
 }

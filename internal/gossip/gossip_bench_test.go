@@ -123,8 +123,8 @@ func benchPushSumEngine(b *testing.B, n, workers int, model gossip.Model, column
 // stepRounds is the common measured loop: warm the engine past the
 // buffer-growth phase, then time steady-state rounds. reportRSS adds
 // the process peak-RSS gauge for the memory-ceiling trajectory plus
-// the per-round message volume, so the BENCH_results.json 1M rows
-// carry (ns/round, msgs/round, peak_rss_bytes) together.
+// the per-round message volume, so the 1M rows carry (ns/round,
+// msgs/round, peak-rss-bytes) together.
 func stepRounds(b *testing.B, e *gossip.Engine, reportRSS bool) {
 	b.Helper()
 	e.Run(2) // warm-up: emission columns and outboxes reach capacity
@@ -171,8 +171,7 @@ func BenchmarkRoundPushPull(b *testing.B) {
 // the struct-of-arrays path (flat loops over population-wide state
 // columns, ColMsg message plane). The third block is the
 // million-host configuration the columnar path exists for — skipped
-// under -short (see make bench-1m), with peak RSS recorded alongside
-// ns/round.
+// under -short, with peak RSS recorded alongside ns/round.
 func BenchmarkEngine(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		for _, model := range []gossip.Model{gossip.Push, gossip.PushPull} {
@@ -205,8 +204,8 @@ func BenchmarkEngine(b *testing.B) {
 	// N=1,000,000: the ROADMAP's million-host target, both gossip
 	// models. The AoS runs are the "before" column of the README
 	// table; columnar runs on one shard and on several. ~25M messages of warm-up +
-	// measurement per case, so -short (the smoke lane) skips the block
-	// and `make bench-1m` runs it deliberately.
+	// measurement per case, so -short (the smoke lane) skips the block;
+	// run it deliberately with -bench='BenchmarkEngine/n=1000000'.
 	if testing.Short() {
 		return
 	}

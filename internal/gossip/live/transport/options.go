@@ -9,9 +9,9 @@
 //
 // The knobs both socket transports share — group layout, locality,
 // queue capacity — are Options, accepted by NewUDP and NewTCP alike;
-// medium-specific knobs (SO_RCVBUF, datagram ceilings, stream framing
-// and reconnect pacing) stay UDPOption or TCPOption, so the compiler
-// rejects a datagram knob on a stream transport. The Lossy struct
+// medium-specific knobs (SO_RCVBUF, stream framing and reconnect
+// pacing) stay UDPOption or TCPOption, so the compiler rejects a
+// datagram knob on a stream transport. The Lossy struct
 // fields stay exported: a literal is still the shortest way to wrap a
 // transport in a test.
 package transport
@@ -29,8 +29,7 @@ type settings struct {
 	local         []int
 	queueCapacity int
 
-	readBuffer  int // UDP
-	maxDatagram int // UDP
+	readBuffer int // UDP
 
 	maxFrame    int // TCP
 	dialTimeout time.Duration
@@ -106,13 +105,6 @@ func WithQueueCapacity(n int) Option {
 // drops before the transport sees anything), which is the point.
 func WithReadBuffer(n int) UDPOption {
 	return udpOption(func(s *settings) { s.readBuffer = n })
-}
-
-// WithMaxDatagram bounds encoded datagram size; 0 keeps the 64 KiB
-// default, the practical UDP ceiling. Messages that encode larger are
-// dropped.
-func WithMaxDatagram(n int) UDPOption {
-	return udpOption(func(s *settings) { s.maxDatagram = n })
 }
 
 // WithMaxFrame bounds the TCP transport's frame size, send and

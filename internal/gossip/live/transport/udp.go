@@ -19,8 +19,7 @@ import (
 // whenever receivers fall behind. The transport itself is only the
 // sockets: one reader per local socket feeds the shared receive plane.
 type UDP struct {
-	groups      []Group
-	maxDatagram int
+	groups []Group
 	// addrs and conns are parallel to groups; conns is nil at remote
 	// groups, and first is some local socket for traffic sent on behalf
 	// of hosts that are not local.
@@ -34,6 +33,10 @@ type UDP struct {
 }
 
 var _ Transport = (*UDP)(nil)
+
+// maxDatagram bounds an encoded datagram, send and receive: 64 KiB,
+// the practical UDP ceiling. Messages that encode larger are dropped.
+const maxDatagram = 64 << 10
 
 // NewUDP assembles the transport from options:
 //
@@ -52,14 +55,10 @@ func NewUDP(opts ...UDPOption) (*UDP, error) {
 	if err := validateLayout(set.groups, set.local); err != nil {
 		return nil, err
 	}
-	if set.maxDatagram <= 0 {
-		set.maxDatagram = 64 << 10
-	}
 	u := &UDP{
-		groups:      set.groups,
-		maxDatagram: set.maxDatagram,
-		addrs:       make([]atomic.Pointer[net.UDPAddr], len(set.groups)),
-		conns:       make([]*net.UDPConn, len(set.groups)),
+		groups: set.groups,
+		addrs:  make([]atomic.Pointer[net.UDPAddr], len(set.groups)),
+		conns:  make([]*net.UDPConn, len(set.groups)),
 	}
 	for i, g := range set.groups {
 		if g.Addr == "" {
@@ -164,8 +163,8 @@ func (u *UDP) fire(gi, via, msgs int, encode func(dst []byte) ([]byte, error)) b
 	}
 	bp := u.in.bufs.Get().(*[]byte)
 	buf, err := encode((*bp)[:0])
-	if err == nil && len(buf) > u.maxDatagram {
-		err = fmt.Errorf("transport: %d-byte datagram exceeds MaxDatagram %d", len(buf), u.maxDatagram)
+	if err == nil && len(buf) > maxDatagram {
+		err = fmt.Errorf("transport: %d-byte datagram exceeds the %d-byte ceiling", len(buf), maxDatagram)
 	}
 	if err == nil {
 		_, err = conn.WriteToUDP(buf, addr)
@@ -188,7 +187,7 @@ func (u *UDP) fire(gi, via, msgs int, encode func(dst []byte) ([]byte, error)) b
 // silent kind.
 func (u *UDP) reader(conn *net.UDPConn) {
 	defer u.wg.Done()
-	buf := make([]byte, u.maxDatagram)
+	buf := make([]byte, maxDatagram)
 	for {
 		n, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
@@ -215,14 +214,10 @@ func (u *UDP) BatchGroup(g int) (lo, hi gossip.NodeID) {
 	return u.groups[g].Lo, u.groups[g].Hi
 }
 
-// MaxBatchBody implements Batcher: MaxDatagram minus worst-case
-// framing.
+// MaxBatchBody implements Batcher: the sendable IPv4 payload (under
+// maxDatagram) minus worst-case framing.
 func (u *UDP) MaxBatchBody() int {
-	max := u.maxDatagram
-	if max > maxUDPPayload {
-		max = maxUDPPayload
-	}
-	return max - maxBatchHeader
+	return min(maxDatagram, maxUDPPayload) - maxBatchHeader
 }
 
 // SendBatch implements Batcher: one datagram carrying a whole shard's

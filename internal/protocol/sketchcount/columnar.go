@@ -55,14 +55,6 @@ func (c *Columnar) insert(i int, ident uint64) {
 	c.bins[i*c.params.Bins+pos.Bin] |= 1 << uint(pos.Level)
 }
 
-// insertValue records value v attributed to owner at host i, the
-// multiple-insertions summation of sketch.InsertValue.
-func (c *Columnar) insertValue(i int, owner uint64, v int) {
-	for j := 0; j < v; j++ {
-		c.insert(i, owner<<20|uint64(j))
-	}
-}
-
 // NewColumnarCount returns the columnar population of n hosts each
 // contributing a single identifier (the columnar twin of NewCount), so
 // the converged estimate is the network size.
@@ -70,28 +62,6 @@ func NewColumnarCount(n int, p sketch.Params) *Columnar {
 	c := newColumnar(n, p, 1)
 	for i := 0; i < n; i++ {
 		c.insert(i, uint64(i)+1)
-	}
-	return c
-}
-
-// NewColumnarCountScaled returns the columnar population with each
-// host contributing cnt identifiers and estimates divided by cnt (the
-// columnar twin of NewCountScaled).
-func NewColumnarCountScaled(n int, p sketch.Params, cnt int) *Columnar {
-	c := newColumnar(n, p, float64(cnt))
-	for i := 0; i < n; i++ {
-		c.insertValue(i, uint64(i)+1, cnt)
-	}
-	return c
-}
-
-// NewColumnarSum returns the columnar population with host i
-// contributing values[i] identifiers (the columnar twin of NewSum), so
-// the converged estimate is the network-wide sum.
-func NewColumnarSum(p sketch.Params, values []int) *Columnar {
-	c := newColumnar(len(values), p, 1)
-	for i, v := range values {
-		c.insertValue(i, uint64(i)+1, v)
 	}
 	return c
 }

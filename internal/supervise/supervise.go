@@ -97,7 +97,7 @@ type Config struct {
 }
 
 // Heal is one completed crash-and-recover cycle: the wall-clock
-// anchors the heal benchlines are computed from.
+// anchors the detect and recover latencies are computed from.
 type Heal struct {
 	// Member is the healed member's name; Incarnation the replacement
 	// that recovered.

@@ -1,7 +1,7 @@
-// Package sysmem reports process memory ceilings for the benchmark
-// pipeline: the N=1,000,000 engine runs track peak RSS alongside
-// ns/round so BENCH_results.json records the memory wall, not just
-// the time wall.
+// Package sysmem reports process memory ceilings for the benchmarks:
+// the N=1,000,000 engine runs track peak RSS alongside ns/round, and
+// bench/ reports it as peak_rss_mb, so the memory wall is measured,
+// not just the time wall.
 package sysmem
 
 import (
