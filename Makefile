@@ -22,10 +22,17 @@ loc:
 		find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | sort | xargs wc -l; \
 	done
 
-# Example main packages compile as part of ci so example rot fails the
-# build instead of surprising readers.
+# Example main packages compile as part of ci, and the in-process ones
+# run (about a second together), so example rot — a build break, a
+# panic, an error exit — fails ci instead of surprising readers. The
+# socket examples run in their soak lanes.
+RUN_EXAMPLES = quickstart roadhazard fleettelemetry mediaplayer sizeestimation
 examples:
 	$(GO) build ./examples/...
+	@for ex in $(RUN_EXAMPLES); do \
+		echo "run examples/$$ex"; \
+		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
+	done
 
 test:
 	$(GO) test ./...

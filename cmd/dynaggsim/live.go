@@ -112,12 +112,6 @@ func runLive(out io.Writer, o liveOpts) error {
 	if o.groups <= 0 {
 		o.groups = 4
 	}
-	if o.backend == "" {
-		o.backend = "agents"
-	}
-	if o.backend != "agents" && o.backend != "columnar" {
-		return fmt.Errorf("live: unknown -backend %q (agents, columnar)", o.backend)
-	}
 	// Count-Sketch-Reset bounds counter ages assuming loosely equal
 	// iteration rates across the population, so it defaults to a paced
 	// duty cycle; the mass protocols are rate-independent and default

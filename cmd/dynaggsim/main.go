@@ -26,10 +26,9 @@
 //
 //	live   run a protocol on the live engine (-protocol pushsum|
 //	       revert|sketchreset) over a transport (-transport
-//	       chan|udp|tcp) on either population backend (-backend
-//	       agents|columnar: per-host goroutine-safe agents vs. the
-//	       struct-of-arrays columns that scale to a million live
-//	       hosts), with optional injected loss
+//	       chan|udp|tcp) on either population backend (-backend,
+//	       below: the columnar one scales to a million live hosts),
+//	       with optional injected loss
 //	       (-loss 0.2) or a canned WAN preset (-wan lan|3g|sat:
 //	       loss+delay+jitter à la netem; over tcp a loss draw kills
 //	       the carrying connection instead of dropping a datagram),
@@ -83,7 +82,7 @@
 //	bench  raw gossip rounds of one protocol (-protocol pushsum|
 //	       revert|sketchreset|sketchcount|extremes|moments) under one
 //	       model (-model push|pushpull) at -n hosts (default
-//	       1,000,000), on the classic or, with -columnar, the
+//	       1,000,000), on the classic or, with -backend=columnar, the
 //	       struct-of-arrays engine path; reports ns/round, msgs/round,
 //	       and peak RSS
 //
@@ -108,10 +107,11 @@
 //	            extremes/mobility); the fixed-size drivers (fig6,
 //	            fig11*, ablation-bins/overlay/gridcutoff/bandwidth)
 //	            always run on one shard
-//	-columnar   run the struct-of-arrays engine path (every protocol,
-//	            both gossip models — push/pull runs the pair-batch
-//	            wave executor); byte-identical results, measured ~3x
-//	            faster at N=1M
+//	-backend B  population backend in every mode: agents (default;
+//	            per-host boxed agents) or columnar (struct-of-arrays
+//	            columns; every protocol, both gossip models — push/pull
+//	            runs the pair-batch wave executor); round-engine results
+//	            are byte-identical, measured ~3x faster at N=1M
 //	-cpuprofile FILE  write a CPU profile of the run
 //	-memprofile FILE  write an end-of-run heap profile
 //	-dataset D  trace dataset 1-3 (fig11 experiments; default 1)
@@ -152,7 +152,7 @@ func run(args []string) error {
 	rounds := fs.Int("rounds", 0, "override round count")
 	seed := fs.Uint64("seed", 1, "PRNG seed")
 	workers := fs.Int("workers", 0, "engine shards for Scale-driven experiments: 0 one shard run inline, -1 one per CPU, k>0 exactly k (same results at any setting; fig6/fig11/bins/overlay/gridcutoff/bandwidth run on one shard regardless)")
-	columnar := fs.Bool("columnar", false, "run the struct-of-arrays engine path (every protocol, both gossip models; byte-identical results, flat-loop speed)")
+	backend := fs.String("backend", "agents", "population backend: agents (per-host boxed agents) or columnar (dense struct-of-arrays columns; every protocol, both gossip models; byte-identical round results, flat-loop speed)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	dataset := fs.Int("dataset", 1, "trace dataset 1-3")
@@ -168,7 +168,6 @@ func run(args []string) error {
 	groups := fs.Int("udp-groups", 4, "live UDP/TCP loopback transports: host groups (= sockets/listeners)")
 	pace := fs.Duration("pace", 0, "live tick duty cycle; 0 = free-running (sketchreset defaults to 4ms)")
 	ticks := fs.Int("ticks", 0, "live ticks per host (default 60)")
-	backend := fs.String("backend", "", "live population backend: agents (default; per-host boxed agents) or columnar (dense struct-of-arrays columns)")
 	rcvbuf := fs.Int("rcvbuf", 0, "live UDP socket receive buffer in bytes; 0 = auto (4 MiB for the columnar backend)")
 	seeds := fs.String("seeds", "", "live/gateway TCP bootstrap: comma-separated seed addresses shared by every process of the deployment (live: requires -span and -transport=tcp)")
 	spanFlag := fs.String("span", "", "live TCP bootstrap: this process's host range lo:hi of the -n population (requires -seeds)")
@@ -187,6 +186,10 @@ func run(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
+	if *backend != "agents" && *backend != "columnar" {
+		return fmt.Errorf("%s: unknown -backend %q (agents, columnar)", name, *backend)
+	}
+	columnar := *backend == "columnar"
 	// Loss injection only exists on the live path; catching the flags
 	// here stops a silently ignored `bench -loss 0.2` from reading as a
 	// loss measurement.
@@ -261,7 +264,7 @@ func run(args []string) error {
 		sc.Rounds = *rounds
 	}
 	sc.Seed = *seed
-	sc.Columnar = *columnar
+	sc.Columnar = columnar
 	switch {
 	case *workers < 0:
 		sc.Workers = gossip.DefaultWorkers()
@@ -277,15 +280,9 @@ func run(args []string) error {
 	case "bench":
 		return runEngineBench(out, benchOpts{
 			protocol: *protocol, model: *benchModel, n: *n, rounds: *rounds,
-			workers: sc.Workers, columnar: *columnar, seed: *seed,
+			workers: sc.Workers, columnar: columnar, seed: *seed,
 		})
 	case "live":
-		// -columnar selects the round engine's path; quietly running
-		// the agents backend for someone who passed it here would be a
-		// wrong answer, not a default.
-		if *columnar {
-			return fmt.Errorf("live: -columnar is a round-engine flag; use -backend=columnar")
-		}
 		return runLive(out, liveOpts{
 			protocol: *protocol, backend: *backend, transport: *transportName,
 			loss: *loss, wan: *wan, groups: *groups, pace: *pace, n: *n,
@@ -296,7 +293,7 @@ func run(args []string) error {
 		})
 	case "chaos":
 		return runChaos(out, chaosOpts{
-			scenario: *scenario, seed: *seed, columnar: *columnar,
+			scenario: *scenario, seed: *seed, columnar: columnar,
 			workers: sc.Workers, n: *n, rounds: *rounds, format: *format,
 		})
 	case "gateway":
@@ -485,7 +482,7 @@ func printFig6CDFs(out io.Writer, frs []experiments.Fig6Result) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dynaggsim <experiment> [-full] [-n N] [-rounds R] [-seed S] [-workers W] [-columnar]
+	fmt.Fprintln(os.Stderr, `usage: dynaggsim <experiment> [-full] [-n N] [-rounds R] [-seed S] [-workers W] [-backend agents|columnar]
                           [-dataset D] [-format table|csv|json] [-o FILE]
                           [-cpuprofile FILE] [-memprofile FILE]
 experiments: fig6 fig8 fig9 fig10a fig10b fig11avg fig11sum
@@ -494,7 +491,7 @@ experiments: fig6 fig8 fig9 fig10a fig10b fig11avg fig11sum
              ablation-extremes ablation-gridcutoff ablation-bandwidth
              ablation-mobility all
 engine bench: bench [-protocol pushsum|revert|sketchreset|sketchcount|extremes|moments]
-             [-model push|pushpull] [-columnar]
+             [-model push|pushpull] [-backend agents|columnar]
              [-n N (default 1,000,000)] [-rounds R] [-workers W] [-seed S]
 live engine: live [-protocol pushsum|revert|sketchreset|multi]
              [-backend agents|columnar]
@@ -510,7 +507,7 @@ gateway:     gateway -seeds ADDRS [-n N] [-listen ADDR]
 supervise:   supervise [-n N] [-members M] [-protocol P] [-ticks T]
              [-pace DUR] [-heartbeat DUR] [-kill-after DUR] [-kill NAME]
              [-restart-budget B] [-seed S]
-chaos:       chaos -scenario NAME|FILE [-seed S] [-columnar] [-workers W]
+chaos:       chaos -scenario NAME|FILE [-seed S] [-backend agents|columnar] [-workers W]
              [-n N] [-rounds R] [-format table|json]
 trace tools: trace-gen [-dataset D] [-o FILE]
              trace-info -in FILE [-contacts]`)

@@ -161,6 +161,11 @@ func TestRunLiveRejectsBadKnobs(t *testing.T) {
 	if err := run([]string{"live", "-loss", "1.5", "-n", "16", "-ticks", "1"}); err == nil {
 		t.Error("loss probability above 1 accepted")
 	}
+	for _, mode := range []string{"live", "bench", "fig8", "chaos"} {
+		if err := run([]string{mode, "-backend", "gpu"}); err == nil {
+			t.Errorf("%s: unknown backend accepted", mode)
+		}
+	}
 }
 
 // TestRunSuperviseRejectsBadKnobs pins the supervise-mode flag
@@ -210,7 +215,7 @@ func TestRunSmallExperiments(t *testing.T) {
 		{"fig8", "-n", "400", "-rounds", "15"},
 		{"fig10a", "-n", "400", "-rounds", "15"},
 		{"ablation-pushpull", "-n", "400", "-rounds", "15"},
-		{"ablation-pushpull", "-n", "400", "-rounds", "15", "-columnar"},
+		{"ablation-pushpull", "-n", "400", "-rounds", "15", "-backend", "columnar"},
 		{"ablation-epoch", "-n", "400", "-rounds", "15"},
 	}
 	for _, args := range cases {
@@ -230,9 +235,9 @@ func TestRunEngineBench(t *testing.T) {
 		args []string
 	}{
 		{"aos", []string{"bench", "-n", "500", "-rounds", "4"}},
-		{"columnar", []string{"bench", "-n", "500", "-rounds", "4", "-columnar"}},
-		{"revert", []string{"bench", "-n", "500", "-rounds", "4", "-protocol", "revert", "-columnar"}},
-		{"sketchreset", []string{"bench", "-n", "500", "-rounds", "4", "-protocol", "sketchreset", "-columnar", "-workers", "2"}},
+		{"columnar", []string{"bench", "-n", "500", "-rounds", "4", "-backend", "columnar"}},
+		{"revert", []string{"bench", "-n", "500", "-rounds", "4", "-protocol", "revert", "-backend", "columnar"}},
+		{"sketchreset", []string{"bench", "-n", "500", "-rounds", "4", "-protocol", "sketchreset", "-backend", "columnar", "-workers", "2"}},
 	} {
 		path := filepath.Join(dir, tc.name+".txt")
 		cpu := filepath.Join(dir, tc.name+".cpu.pprof")

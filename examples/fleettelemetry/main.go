@@ -24,10 +24,13 @@ import (
 	"fmt"
 	"sort"
 
-	"dynagg/internal/core"
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/extremes"
+	"dynagg/internal/protocol/multi"
+	"dynagg/internal/protocol/pushsumrevert"
+	"dynagg/internal/protocol/sketchreset"
+	"dynagg/internal/sketch"
 	"dynagg/internal/xrand"
 )
 
@@ -63,29 +66,37 @@ func main() {
 		return m
 	}
 
-	// The multi-aggregate network: one sketch, two averages. (Separate
-	// networks must not share one environment's PRNG-coupled state, so
-	// the max tracker gets its own identically-seeded copy.)
-	mobility := newMobility(9)
-	telemetry, err := core.NewMulti(core.MultiConfig{
-		Common: core.Common{Env: mobility, Seed: 1, Model: gossip.PushPull},
-		Values: map[string][]float64{"speed": speed, "cargo": cargo},
-		Lambda: 0.05,
+	// Two networks over the same vehicles: the multi-aggregate one (one
+	// sketch, two averages) and the max tracker. (Separate networks must
+	// not share one environment's PRNG-coupled state, so the max tracker
+	// gets its own identically-seeded copy.)
+	sizeCfg := sketchreset.Config{
+		Params: sketch.DefaultParams,
 		// Proximity gossip floods slower than the uniform gossip the
 		// default 7+k/4 cutoff is calibrated for (§IV-A); without the
 		// allowance, sourced bits age past the cutoff and the size
 		// estimate flickers.
 		Cutoff: func(k int) float64 { return 35 + float64(k)/2 },
+	}
+	avgCfg := pushsumrevert.Config{Lambda: 0.05, PushPull: true}
+	maxCfg := extremes.Config{Mode: extremes.Max, Cutoff: 40} // proximity gossip floods slower than uniform
+	fleetAgents := make([]gossip.Agent, fleet)
+	maxAgents := make([]gossip.Agent, fleet)
+	for i := 0; i < fleet; i++ {
+		id := gossip.NodeID(i)
+		fleetAgents[i] = multi.New(id, map[string]float64{"speed": speed[i], "cargo": cargo[i]}, sizeCfg, avgCfg)
+		maxAgents[i] = extremes.New(id, engTemp[i], maxCfg)
+	}
+	mobility := newMobility(9)
+	telemetry, err := gossip.NewEngine(gossip.Config{
+		Env: mobility, Agents: fleetAgents, Model: gossip.PushPull, Seed: 1,
 	})
 	if err != nil {
 		panic(err)
 	}
 	maxMobility := newMobility(9)
-	hottest, err := core.NewExtremum(core.ExtremumConfig{
-		Common: core.Common{Env: maxMobility, Seed: 1, Model: gossip.PushPull},
-		Values: engTemp,
-		Mode:   extremes.Max,
-		Cutoff: 40, // proximity gossip floods slower than uniform
+	hottest, err := gossip.NewEngine(gossip.Config{
+		Env: maxMobility, Agents: maxAgents, Model: gossip.PushPull, Seed: 1,
 	})
 	if err != nil {
 		panic(err)
@@ -122,9 +133,16 @@ func main() {
 			continue
 		}
 		size, avgSpeed, totalCargo, maxTemp := trueStats(mobility)
-		estSize, _ := telemetry.SizeOf(probe)
-		estSpeed, _ := telemetry.AverageOf(probe, "speed")
-		estCargo, _ := telemetry.SumOf(probe, "cargo")
+		// The engine's estimate of a multi host is its size estimate; the
+		// named aggregates are read off the host, and only while it is
+		// still in the area.
+		estSize, _ := telemetry.EstimateOf(probe)
+		var estSpeed, estCargo float64
+		if mobility.Alive(probe, telemetry.Round()) {
+			node := telemetry.Agent(probe).(*multi.Node)
+			estSpeed, _ = node.Average("speed")
+			estCargo, _ = node.Sum("cargo")
+		}
 		estMax, _ := hottest.EstimateOf(probe)
 		fmt.Printf("%6d  %8d  %10.0f  %5.1f/%4.1f  %6.0f/%4.0f  %5.1f/%4.1f\n",
 			r+1, size, estSize, estSpeed, avgSpeed, estCargo, totalCargo, estMax, maxTemp)

@@ -18,11 +18,12 @@ import (
 	"fmt"
 	"sort"
 
-	"dynagg/internal/core"
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/metrics"
+	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/stats"
+	"dynagg/internal/xrand"
 )
 
 func main() {
@@ -34,7 +35,11 @@ func main() {
 	)
 
 	// One data value per host: the paper's standard U[0,100) workload.
-	values := core.UniformValues(hosts, 7)
+	rng := xrand.New(7)
+	values := make([]float64, hosts)
+	for i := range values {
+		values[i] = rng.Float64() * 100
+	}
 
 	// The environment decides who can gossip with whom; the population
 	// inside it tracks silent failures.
@@ -43,10 +48,14 @@ func main() {
 	// Ground truth over the *live* hosts only, recomputed on demand.
 	truth := metrics.NewTruth(values, e.Population)
 
-	net, err := core.NewAverage(core.AverageConfig{
-		Common: core.Common{Env: e, Seed: 1, Model: gossip.PushPull},
-		Values: values,
-		Lambda: lambda,
+	// One Push-Sum-Revert agent per host, driven by the round engine.
+	agents := make([]gossip.Agent, hosts)
+	for i := range agents {
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), values[i],
+			pushsumrevert.Config{Lambda: lambda, PushPull: true})
+	}
+	net, err := gossip.NewEngine(gossip.Config{
+		Env: e, Agents: agents, Model: gossip.PushPull, Seed: 1,
 	})
 	if err != nil {
 		panic(err)
@@ -93,7 +102,7 @@ func failTopHalf(pop *env.Population, values []float64) {
 	}
 }
 
-func firstEstimate(net *core.Network) string {
+func firstEstimate(net *gossip.Engine) string {
 	if v, ok := net.EstimateOf(0); ok {
 		return fmt.Sprintf("%.4f", v)
 	}

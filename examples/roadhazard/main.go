@@ -22,9 +22,10 @@ package main
 import (
 	"fmt"
 
-	"dynagg/internal/core"
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
+	"dynagg/internal/protocol/sketchreset"
+	"dynagg/internal/sketch"
 )
 
 func main() {
@@ -52,11 +53,16 @@ func main() {
 	// still-sourced bits alive while letting orphaned bits age out.
 	gridCutoff := func(k int) float64 { return 25 + float64(k)/2 }
 
-	net, err := core.NewSum(core.SumConfig{
-		Common: core.Common{Env: grid, Seed: 99, Model: gossip.PushPull},
-		Values: hazard,
-		Method: core.MultipleInsertions,
-		Cutoff: gridCutoff,
+	// Each vehicle inserts as many sketch identifiers as it has reports
+	// (one or none): the sketch then counts reports, not vehicles.
+	agents := make([]gossip.Agent, n)
+	for i := range agents {
+		agents[i] = sketchreset.New(gossip.NodeID(i), sketchreset.Config{
+			Params: sketch.DefaultParams, Cutoff: gridCutoff, Identifiers: int(hazard[i]),
+		})
+	}
+	net, err := gossip.NewEngine(gossip.Config{
+		Env: grid, Agents: agents, Model: gossip.PushPull, Seed: 99,
 	})
 	if err != nil {
 		panic(err)

@@ -90,11 +90,6 @@ type Config struct {
 	// Ticks is how many protocol iterations each host performs. The
 	// sentinel Forever (-1) ticks until the Run context is cancelled.
 	Ticks int
-	// InboxCapacity bounds each host's message queue in the default
-	// channel transport; messages beyond it are dropped, as a
-	// saturated radio would. Zero means transport.DefaultQueue (256).
-	// Ignored when Transport is set — the transport owns its queues.
-	InboxCapacity int
 	// TickEvery paces hosts in wall-clock time: each driver performs
 	// one iteration per interval instead of spinning as fast as the
 	// scheduler allows. Age-based protocols (Count-Sketch-Reset) bound
@@ -113,9 +108,10 @@ type Config struct {
 	// runs are not reproducible; only the round engine is.
 	Workers int
 	// Transport carries cross-host messages. Nil selects the
-	// in-process channel transport over the full population — the
-	// engine's original behavior. Columnar populations additionally
-	// require the transport to expose a batch plane
+	// in-process channel transport over the full population with
+	// transport.DefaultQueue-deep host queues — the engine's original
+	// behavior. Columnar populations additionally require the
+	// transport to expose a batch plane
 	// (transport.Batcher; the channel and UDP transports both do). The
 	// engine never closes the transport; the caller owns its lifetime
 	// (the default channel transport needs no closing).
@@ -212,7 +208,7 @@ func New(cfg Config) (*Engine, error) {
 		partial: partial,
 	}
 	if e.tr == nil {
-		e.tr = transport.NewChannel(cfg.Env.Size(), cfg.InboxCapacity)
+		e.tr = transport.NewChannel(cfg.Env.Size(), transport.DefaultQueue)
 	}
 	if err := pop.bind(e); err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
+	"dynagg/internal/gossip/live/transport"
 	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
@@ -214,7 +215,7 @@ func TestTinyInboxDrops(t *testing.T) {
 	}
 	e, err := New(Config{
 		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 5, Ticks: 50,
-		InboxCapacity: 1,
+		Transport: transport.NewChannel(n, 1),
 	})
 	if err != nil {
 		t.Fatal(err)

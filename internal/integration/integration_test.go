@@ -10,12 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"dynagg/internal/core"
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/metrics"
 	"dynagg/internal/overlay"
 	"dynagg/internal/protocol/epoch"
+	"dynagg/internal/protocol/invertavg"
+	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
@@ -140,16 +141,12 @@ func TestGridInvertAverageSum(t *testing.T) {
 		values[i] = float64(i%5 + 1)
 		want += values[i]
 	}
-	net, err := core.NewSum(core.SumConfig{
-		Common: core.Common{Env: grid, Seed: 5, Model: gossip.PushPull},
-		Values: values,
-		Method: core.InvertAverage,
-		Lambda: 0.05,
-		Cutoff: func(k int) float64 { return 20 + float64(k)/2 },
+	cutoff := func(k int) float64 { return 20 + float64(k)/2 }
+	net := newNetwork(t, grid, 5, func(id gossip.NodeID) gossip.Agent {
+		return invertavg.New(id, values[id],
+			sketchreset.Config{Params: sketch.DefaultParams, Cutoff: cutoff, Identifiers: 1},
+			pushsumrevert.Config{Lambda: 0.05, PushPull: true})
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	net.Run(50)
 	est, ok := net.EstimateOf(0)
 	if !ok || math.Abs(est-want) > 0.5*want {
@@ -258,51 +255,30 @@ func TestAllAggregatesAgree(t *testing.T) {
 	mean := sum / n
 	stddev := math.Sqrt(sq/n - mean*mean)
 
-	type check struct {
-		name string
-		net  interface {
-			Run(int)
-			EstimateOf(gossip.NodeID) (float64, bool)
-		}
-		want float64
-		tol  float64
-	}
-	mk := func(build func(e *env.Uniform) (*core.Network, error)) *core.Network {
-		e := env.NewUniform(n)
-		net, err := build(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net
-	}
-	checks := []check{
-		{"average", mk(func(e *env.Uniform) (*core.Network, error) {
-			return core.NewAverage(core.AverageConfig{
-				Common: core.Common{Env: e, Seed: 8, Model: gossip.PushPull},
-				Values: values, Lambda: 0.01,
-			})
-		}), mean, 2},
-		{"count", mk(func(e *env.Uniform) (*core.Network, error) {
-			return core.NewCount(core.CountConfig{
-				Common: core.Common{Env: e, Seed: 8, Model: gossip.PushPull},
-			})
-		}), n, 0.35 * n},
-		{"sum", mk(func(e *env.Uniform) (*core.Network, error) {
-			return core.NewSum(core.SumConfig{
-				Common: core.Common{Env: e, Seed: 8, Model: gossip.PushPull},
-				Values: values, Method: core.InvertAverage, Lambda: 0.01,
-			})
-		}), sum, 0.4 * sum},
-		{"stddev", mk(func(e *env.Uniform) (*core.Network, error) {
-			return core.NewStdDev(core.StdDevConfig{
-				Common: core.Common{Env: e, Seed: 8, Model: gossip.PushPull},
-				Values: values, Lambda: 0.01,
-			})
-		}), stddev, 3},
+	avgCfg := pushsumrevert.Config{Lambda: 0.01, PushPull: true}
+	checks := []struct {
+		name  string
+		agent func(id gossip.NodeID) gossip.Agent
+		want  float64
+		tol   float64
+	}{
+		{"average", func(id gossip.NodeID) gossip.Agent {
+			return pushsumrevert.New(id, values[id], avgCfg)
+		}, mean, 2},
+		{"count", func(id gossip.NodeID) gossip.Agent {
+			return sketchreset.New(id, countConfig)
+		}, n, 0.35 * n},
+		{"sum", func(id gossip.NodeID) gossip.Agent {
+			return invertavg.New(id, values[id], countConfig, avgCfg)
+		}, sum, 0.4 * sum},
+		{"stddev", func(id gossip.NodeID) gossip.Agent {
+			return moments.New(id, values[id], moments.Config{Lambda: 0.01, PushPull: true})
+		}, stddev, 3},
 	}
 	for _, c := range checks {
-		c.net.Run(30)
-		est, ok := c.net.EstimateOf(7)
+		net := newNetwork(t, env.NewUniform(n), 8, c.agent)
+		net.Run(30)
+		est, ok := net.EstimateOf(7)
 		if !ok {
 			t.Errorf("%s: no estimate", c.name)
 			continue
