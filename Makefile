@@ -158,7 +158,8 @@ heal-soak:
 # the gateway API reference's example payloads must round-trip against
 # the real handlers (TestGatewayAPIDocExamples).
 doc-lint:
-	$(GO) run ./cmd/doclint internal/backoff internal/chaos internal/gateway internal/gossip/live internal/gossip/live/health internal/gossip/live/transport internal/supervise internal/wire
+	$(GO) run ./cmd/doclint internal/backoff internal/chaos internal/env internal/gateway internal/gossip internal/gossip/live internal/gossip/live/health internal/gossip/live/transport \
+		$(wildcard internal/protocol/*) internal/supervise internal/wire
 	$(GO) test -run 'TestDocsLinksResolve|TestREADMEStaysQuickstart' .
 	$(GO) test -run 'TestGatewayAPIDocExamples' ./internal/gateway
 

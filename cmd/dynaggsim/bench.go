@@ -9,7 +9,6 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/extremes"
 	"dynagg/internal/protocol/moments"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
@@ -53,14 +52,12 @@ func benchBuild(o benchOpts, model gossip.Model, values []float64) (gossip.Confi
 		cfg.Agents = as
 	}
 	switch o.protocol {
-	case "pushsum":
-		if o.columnar {
-			cfg.Columnar = pushsum.NewColumnarAverage(values)
-		} else {
-			agents(func(i int) gossip.Agent { return pushsum.NewAverage(gossip.NodeID(i), values[i]) })
+	case "pushsum", "revert":
+		// Push-Sum is Push-Sum-Revert at λ = 0.
+		rcfg := pushsumrevert.Config{Lambda: 0, PushPull: pushPull}
+		if o.protocol == "revert" {
+			rcfg.Lambda = 0.01
 		}
-	case "revert":
-		rcfg := pushsumrevert.Config{Lambda: 0.01, PushPull: pushPull}
 		if o.columnar {
 			cfg.Columnar = pushsumrevert.NewColumnar(values, rcfg)
 		} else {

@@ -14,7 +14,6 @@ import (
 	"dynagg/internal/gossip/live"
 	"dynagg/internal/gossip/live/transport"
 	"dynagg/internal/protocol/multi"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
@@ -26,7 +25,7 @@ import (
 // optionally with injected loss — the knob set of live.Config surfaced
 // on the command line.
 type liveOpts struct {
-	protocol   string // pushsum | revert | sketchreset
+	protocol   string // pushsum (revert at λ = 0) | revert | sketchreset | multi
 	backend    string // agents | columnar
 	transport  string // chan | udp | tcp
 	loss       float64
@@ -181,20 +180,21 @@ func runLive(out io.Writer, o liveOpts) error {
 		sketchParams = benchSketchParams
 	}
 
+	// Push-Sum is Push-Sum-Revert at λ = 0.
+	revertCfg := pushsumrevert.Config{Lambda: 0.01}
+	if o.protocol == "pushsum" {
+		revertCfg.Lambda = 0
+	}
+
 	var pop live.Population
 	var truth float64
 	switch o.backend {
 	case "agents":
 		agents := make([]gossip.Agent, o.n)
 		switch o.protocol {
-		case "pushsum":
+		case "pushsum", "revert":
 			for i := 0; i < o.n; i++ {
-				agents[i] = pushsum.NewAverage(gossip.NodeID(i), values[i])
-			}
-			truth = sum / float64(o.n)
-		case "revert":
-			for i := 0; i < o.n; i++ {
-				agents[i] = pushsumrevert.New(gossip.NodeID(i), values[i], pushsumrevert.Config{Lambda: 0.01})
+				agents[i] = pushsumrevert.New(gossip.NodeID(i), values[i], revertCfg)
 			}
 			truth = sum / float64(o.n)
 		case "sketchreset":
@@ -242,11 +242,8 @@ func runLive(out io.Writer, o liveOpts) error {
 		switch o.protocol {
 		case "multi":
 			return fmt.Errorf("live: -protocol=multi requires -backend=agents (no columnar form yet)")
-		case "pushsum":
-			pop = live.NewColumnarPopulation(pushsum.NewColumnarAverage(values))
-			truth = sum / float64(o.n)
-		case "revert":
-			pop = live.NewColumnarPopulation(pushsumrevert.NewColumnar(values, pushsumrevert.Config{Lambda: 0.01}))
+		case "pushsum", "revert":
+			pop = live.NewColumnarPopulation(pushsumrevert.NewColumnar(values, revertCfg))
 			truth = sum / float64(o.n)
 		case "sketchreset":
 			pop = live.NewColumnarPopulation(sketchreset.NewColumnar(o.n, sketchreset.Config{

@@ -25,10 +25,10 @@
 // Live engine (asynchronous, pluggable transport):
 //
 //	live   run a protocol on the live engine (-protocol pushsum|
-//	       revert|sketchreset) over a transport (-transport
-//	       chan|udp|tcp) on either population backend (-backend,
-//	       below: the columnar one scales to a million live hosts),
-//	       with optional injected loss
+//	       revert|sketchreset; pushsum is revert at λ = 0) over a
+//	       transport (-transport chan|udp|tcp) on either population
+//	       backend (-backend, below: the columnar one scales to a
+//	       million live hosts), with optional injected loss
 //	       (-loss 0.2) or a canned WAN preset (-wan lan|3g|sat:
 //	       loss+delay+jitter à la netem; over tcp a loss draw kills
 //	       the carrying connection instead of dropping a datagram),
@@ -80,11 +80,11 @@
 // Engine benchmark (the ROADMAP's million-host target):
 //
 //	bench  raw gossip rounds of one protocol (-protocol pushsum|
-//	       revert|sketchreset|sketchcount|extremes|moments) under one
-//	       model (-model push|pushpull) at -n hosts (default
-//	       1,000,000), on the classic or, with -backend=columnar, the
-//	       struct-of-arrays engine path; reports ns/round, msgs/round,
-//	       and peak RSS
+//	       revert|sketchreset|sketchcount|extremes|moments; pushsum is
+//	       revert at λ = 0) under one model (-model push|pushpull) at
+//	       -n hosts (default 1,000,000), on the classic or, with
+//	       -backend=columnar, the struct-of-arrays engine path; reports
+//	       ns/round, msgs/round, and peak RSS
 //
 // Trace tooling:
 //
@@ -160,7 +160,7 @@ func run(args []string) error {
 	outPath := fs.String("o", "", "write output to file instead of stdout")
 	inPath := fs.String("in", "", "input trace file (trace-info)")
 	contacts := fs.Bool("contacts", false, "parse -in as a CRAWDAD contact table")
-	protocol := fs.String("protocol", "pushsum", "protocol for bench/live modes (bench: pushsum, revert, sketchreset, sketchcount, extremes, moments; live: pushsum, revert, sketchreset)")
+	protocol := fs.String("protocol", "pushsum", "protocol for bench/live modes (bench: pushsum, revert, sketchreset, sketchcount, extremes, moments; live: pushsum, revert, sketchreset; pushsum is revert at λ = 0)")
 	benchModel := fs.String("model", "push", "bench gossip model: push or pushpull")
 	transportName := fs.String("transport", "chan", "live transport: chan (in-process channels), udp (wire-encoded loopback datagrams), or tcp (length-prefixed frames over cached connections)")
 	loss := fs.Float64("loss", 0, "live per-message drop probability injected over the transport")
@@ -491,9 +491,11 @@ experiments: fig6 fig8 fig9 fig10a fig10b fig11avg fig11sum
              ablation-extremes ablation-gridcutoff ablation-bandwidth
              ablation-mobility all
 engine bench: bench [-protocol pushsum|revert|sketchreset|sketchcount|extremes|moments]
+             (pushsum is revert at λ = 0)
              [-model push|pushpull] [-backend agents|columnar]
              [-n N (default 1,000,000)] [-rounds R] [-workers W] [-seed S]
 live engine: live [-protocol pushsum|revert|sketchreset|multi]
+             (pushsum is revert at λ = 0)
              [-backend agents|columnar]
              [-transport chan|udp|tcp] [-loss P | -wan lan|3g|sat]
              [-udp-groups G] [-rcvbuf BYTES] [-pace DUR] [-ticks T]

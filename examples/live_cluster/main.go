@@ -15,10 +15,10 @@
 //
 // The launcher process only spawns the three members and reads their
 // result lines — it takes no part in membership. Each member runs
-// Push-Sum (dynamic averaging) over its 32-host span and reports its
-// span's mean estimate; all three must land on the population mean
-// within a few percent, across two process boundaries neither host
-// can see.
+// Push-Sum (Push-Sum-Revert at λ = 0) over its 32-host span and
+// reports its span's mean estimate; all three must land on the
+// population mean within a few percent, across two process boundaries
+// neither host can see.
 package main
 
 import (
@@ -38,7 +38,7 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/gossip/live"
 	"dynagg/internal/gossip/live/transport"
-	"dynagg/internal/protocol/pushsum"
+	"dynagg/internal/protocol/pushsumrevert"
 )
 
 const (
@@ -187,7 +187,7 @@ func runMember(spanArg, listen, seeds string) error {
 	agents := make([]gossip.Agent, hi-lo)
 	for i := range agents {
 		id := span.Lo + gossip.NodeID(i)
-		agents[i] = pushsum.NewAverage(id, float64(int(id)%100))
+		agents[i] = pushsumrevert.New(id, float64(int(id)%100), pushsumrevert.Config{Lambda: 0})
 	}
 	engine, err := live.New(live.Config{
 		Env: env.NewUniform(hosts), Population: live.NewAgentPopulation(agents),

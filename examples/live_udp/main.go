@@ -9,12 +9,12 @@
 //
 //	go run ./examples/live_udp
 //
-// It executes Push-Sum (dynamic averaging) and Count-Sketch-Reset
-// (dynamic counting) back to back, printing each process's view and
-// the combined estimate against the truth. Estimates land within a
-// few percent for Push-Sum and within the sketch's expected error for
-// Count-Sketch-Reset — across a process boundary neither protocol can
-// see.
+// It executes Push-Sum (Push-Sum-Revert at λ = 0) and
+// Count-Sketch-Reset (dynamic counting) back to back, printing each
+// process's view and the combined estimate against the truth.
+// Estimates land within a few percent for Push-Sum and within the
+// sketch's expected error for Count-Sketch-Reset — across a process
+// boundary neither protocol can see.
 package main
 
 import (
@@ -33,7 +33,7 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/gossip/live"
 	"dynagg/internal/gossip/live/transport"
-	"dynagg/internal/protocol/pushsum"
+	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 )
@@ -81,7 +81,7 @@ func newEngine(proto string, span live.Span, tr transport.Transport) (*live.Engi
 		id := span.Lo + gossip.NodeID(i)
 		switch proto {
 		case "pushsum":
-			agents[i] = pushsum.NewAverage(id, float64(int(id)%100))
+			agents[i] = pushsumrevert.New(id, float64(int(id)%100), pushsumrevert.Config{Lambda: 0})
 		case "sketchreset":
 			agents[i] = sketchreset.New(id, sketchreset.Config{
 				Params: sketch.Params{Bins: 32, Levels: 16}, Identifiers: 1,

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"dynagg/internal/gossip"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 )
 
@@ -119,32 +118,13 @@ func relDrift(actual, expected float64) float64 {
 // unwrapping Byzantine agents so the audit sees real state, not the
 // lie. ok is false for protocols without mass semantics.
 func massOf(e *gossip.Engine, id gossip.NodeID) (w, v float64, ok bool) {
-	switch col := e.Columnar().(type) {
-	case *pushsum.Columnar:
-		m := col.Mass(id)
-		return m.W, m.V, true
-	case *pushsumrevert.Columnar:
-		m := col.Mass(id)
-		return m.W, m.V, true
-	}
-	if e.Columnar() != nil {
-		return 0, 0, false
-	}
-	ag := e.Agent(id)
-	for {
-		if b, isByz := ag.(byzantineAgent); isByz {
-			ag = b.unwrap()
-			continue
+	if col := e.Columnar(); col != nil {
+		c, ok := col.(*pushsumrevert.Columnar)
+		if !ok {
+			return 0, 0, false
 		}
-		break
-	}
-	switch n := ag.(type) {
-	case *pushsum.Node:
-		m := n.Mass()
-		return m.W, m.V, true
-	case *pushsumrevert.Node:
-		m := n.Mass()
+		m := c.Mass(id)
 		return m.W, m.V, true
 	}
-	return 0, 0, false
+	return agentMass(e.Agent(id))
 }

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"dynagg/internal/gossip"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/xrand"
 )
@@ -16,6 +15,18 @@ import (
 type byzantineAgent interface {
 	gossip.Agent
 	unwrap() gossip.Agent
+}
+
+// honest peels every Byzantine wrapper off ag, returning the real
+// node whose state the audit reads and a crash-restart resets.
+func honest(ag gossip.Agent) gossip.Agent {
+	for {
+		b, isByz := ag.(byzantineAgent)
+		if !isByz {
+			return ag
+		}
+		ag = b.unwrap()
+	}
 }
 
 // applyAdversaries replaces the first hosts of the population with
@@ -75,14 +86,7 @@ func (a *lyingAgent) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []
 // lieAboutMass rewrites a mass payload's value component to claim the
 // host's reading is value; unknown payload shapes pass through.
 func lieAboutMass(payload any, value float64) any {
-	switch m := payload.(type) {
-	case pushsum.Mass:
-		return pushsum.Mass{W: m.W, V: m.W * value}
-	case *pushsum.Mass:
-		return pushsum.Mass{W: m.W, V: m.W * value}
-	case pushsumrevert.Mass:
-		return pushsumrevert.Mass{W: m.W, V: m.W * value}
-	case *pushsumrevert.Mass:
+	if m, ok := payload.(pushsumrevert.Mass); ok {
 		return pushsumrevert.Mass{W: m.W, V: m.W * value}
 	}
 	return payload
@@ -110,9 +114,11 @@ func (a *replayAgent) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) [
 		return a.inner.Emit(round, rng, pick)
 	}
 	if a.captured == nil {
+		// Emit payloads are detached values, so keeping them is safe
+		// across the inner node's later rounds.
 		out := a.inner.Emit(round, rng, pick)
 		for _, env := range out {
-			a.captured = append(a.captured, copyMassPayload(env.Payload))
+			a.captured = append(a.captured, env.Payload)
 		}
 		return out
 	}
@@ -123,18 +129,6 @@ func (a *replayAgent) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) [
 		}
 	}
 	return out
-}
-
-// copyMassPayload snapshots a mass payload by value so later replays
-// are immune to scratch-buffer reuse in the inner agent.
-func copyMassPayload(payload any) any {
-	switch m := payload.(type) {
-	case *pushsum.Mass:
-		return *m
-	case *pushsumrevert.Mass:
-		return *m
-	}
-	return payload
 }
 
 // sketchBitsAgent zeroes every age counter in its emitted sketch

@@ -70,7 +70,8 @@ const (
 
 // Protocol names accepted by Scenario.Protocol.
 const (
-	// ProtoPushSum is plain Push-Sum mass averaging.
+	// ProtoPushSum is plain Push-Sum mass averaging: Push-Sum-Revert
+	// at λ = 0, whatever Scenario.Lambda says.
 	ProtoPushSum = "pushsum"
 	// ProtoRevert is Push-Sum-Revert (λ mass reversion).
 	ProtoRevert = "revert"

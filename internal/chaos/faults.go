@@ -6,7 +6,6 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/failure"
 	"dynagg/internal/gossip"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/xrand"
 )
@@ -200,29 +199,13 @@ func crashRestart(start, end, lo, hi int, pop *env.Population) gossip.Hook {
 // node resets (the adversary behaviour resumes on the fresh state,
 // as a re-infected restarted process would).
 func resetHost(e *gossip.Engine, id gossip.NodeID) {
-	switch col := e.Columnar().(type) {
-	case *pushsum.Columnar:
-		col.Reset(id)
-		return
-	case *pushsumrevert.Columnar:
-		col.Reset(id)
-		return
-	}
-	if e.Columnar() != nil {
-		return
-	}
-	ag := e.Agent(id)
-	for {
-		if b, isByz := ag.(byzantineAgent); isByz {
-			ag = b.unwrap()
-			continue
+	if col := e.Columnar(); col != nil {
+		if c, ok := col.(*pushsumrevert.Columnar); ok {
+			c.Reset(id)
 		}
-		break
+		return
 	}
-	switch n := ag.(type) {
-	case *pushsum.Node:
-		n.Reset()
-	case *pushsumrevert.Node:
+	if n, ok := honest(e.Agent(id)).(*pushsumrevert.Node); ok {
 		n.Reset()
 	}
 }

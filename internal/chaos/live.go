@@ -5,7 +5,6 @@ import (
 
 	"dynagg/internal/gossip"
 	"dynagg/internal/gossip/live/transport"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 )
 
@@ -37,18 +36,7 @@ func SumMass(agents []gossip.Agent) (w, v float64, ok bool) {
 // agentMass reads one classic agent's true mass vector, unwrapping
 // Byzantine wrappers.
 func agentMass(ag gossip.Agent) (w, v float64, ok bool) {
-	for {
-		b, isByz := ag.(byzantineAgent)
-		if !isByz {
-			break
-		}
-		ag = b.unwrap()
-	}
-	switch n := ag.(type) {
-	case *pushsum.Node:
-		m := n.Mass()
-		return m.W, m.V, true
-	case *pushsumrevert.Node:
+	if n, ok := honest(ag).(*pushsumrevert.Node); ok {
 		m := n.Mass()
 		return m.W, m.V, true
 	}
@@ -66,12 +54,6 @@ func InFlightMass(tr transport.Transport, hosts int) (w, v float64) {
 	for id := gossip.NodeID(0); id < gossip.NodeID(hosts); id++ {
 		tr.Drain(id, func(p any) {
 			switch m := p.(type) {
-			case pushsum.Mass:
-				w += m.W
-				v += m.V
-			case *pushsum.Mass:
-				w += m.W
-				v += m.V
 			case pushsumrevert.Mass:
 				w += m.W
 				v += m.V

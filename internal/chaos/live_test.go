@@ -10,7 +10,6 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/gossip/live"
 	"dynagg/internal/gossip/live/transport"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 )
 
@@ -107,7 +106,7 @@ func TestNetUnwrapsToTCP(t *testing.T) {
 	// Establish the cached connection toward host 3's group with a
 	// pre-window send (delivery proves the dial completed), so the
 	// link-kill below has a connection to sever.
-	if !net.Send(0, 3, 0, pushsum.Mass{W: 1, V: 1}) {
+	if !net.Send(0, 3, 0, pushsumrevert.Mass{W: 1, V: 1}) {
 		t.Fatalf("pre-fault cross send dropped")
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -120,7 +119,7 @@ func TestNetUnwrapsToTCP(t *testing.T) {
 
 	// A blocked cross-cut send must register a link kill on the core.
 	before := tcp.Kills()
-	if net.Send(0, 3, 5, pushsum.Mass{W: 1, V: 1}) {
+	if net.Send(0, 3, 5, pushsumrevert.Mass{W: 1, V: 1}) {
 		t.Fatalf("cross-cut send delivered")
 	}
 	if tcp.Kills() <= before {

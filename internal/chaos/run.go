@@ -7,7 +7,6 @@ import (
 
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
@@ -126,21 +125,14 @@ func RunWith(s Scenario, seed uint64, opts RunOpts) (*Report, error) {
 	lambda := 0.0
 	byzantine := 0
 	switch s.Protocol {
-	case ProtoPushSum:
-		if opts.Columnar {
-			cfg.Columnar = pushsum.NewColumnarAverage(values)
-		} else {
-			agents := make([]gossip.Agent, s.N)
-			for i := range agents {
-				agents[i] = pushsum.NewAverage(gossip.NodeID(i), values[i])
+	case ProtoPushSum, ProtoRevert:
+		// Push-Sum is Push-Sum-Revert at λ = 0, whatever the scenario's
+		// Lambda says; only the revert protocol reads it.
+		if s.Protocol == ProtoRevert {
+			lambda = s.Lambda
+			if lambda == 0 {
+				lambda = 0.1
 			}
-			byzantine = applyAdversaries(s, agents)
-			cfg.Agents = agents
-		}
-	case ProtoRevert:
-		lambda = s.Lambda
-		if lambda == 0 {
-			lambda = 0.1
 		}
 		rcfg := pushsumrevert.Config{Lambda: lambda}
 		if opts.Columnar {

@@ -10,15 +10,15 @@ import (
 	"dynagg/internal/metrics"
 	"dynagg/internal/overlay"
 	"dynagg/internal/protocol/epoch"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/sketch"
 	"dynagg/internal/stats"
 )
 
 // AblationPushPull (A1) compares push against push/pull gossip for
-// static Push-Sum, checking Karp et al.'s claim (§III-A) that
-// push/pull roughly halves initial convergence time.
+// static Push-Sum (Push-Sum-Revert at λ = 0), checking Karp et al.'s
+// claim (§III-A) that push/pull roughly halves initial convergence
+// time.
 func AblationPushPull(sc Scale) Result {
 	res := Result{
 		Name:   fmt.Sprintf("push vs push/pull convergence of static Push-Sum (n=%d)", sc.N),
@@ -35,12 +35,13 @@ func AblationPushPull(sc Scale) Result {
 			Workers:    sc.Workers,
 			AfterRound: []gossip.Hook{metrics.DeviationHook(&series, truth.Average)},
 		}
+		cfg := pushsumrevert.Config{Lambda: 0, PushPull: model == gossip.PushPull}
 		if sc.Columnar {
-			engineCfg.Columnar = pushsum.NewColumnarAverage(values)
+			engineCfg.Columnar = pushsumrevert.NewColumnar(values, cfg)
 		} else {
 			agents := make([]gossip.Agent, sc.N)
 			for i := range agents {
-				agents[i] = pushsum.NewAverage(gossip.NodeID(i), values[i])
+				agents[i] = pushsumrevert.New(gossip.NodeID(i), values[i], cfg)
 			}
 			engineCfg.Agents = agents
 		}

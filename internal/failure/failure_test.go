@@ -5,7 +5,7 @@ import (
 
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
-	"dynagg/internal/protocol/pushsum"
+	"dynagg/internal/protocol/pushsumrevert"
 )
 
 // newEngine builds a minimal engine over the population so hooks can be
@@ -14,7 +14,7 @@ func newEngine(t *testing.T, u *env.Uniform, hooks []gossip.Hook) *gossip.Engine
 	t.Helper()
 	agents := make([]gossip.Agent, u.Size())
 	for i := range agents {
-		agents[i] = pushsum.NewAverage(gossip.NodeID(i), float64(i))
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), float64(i), pushsumrevert.Config{})
 	}
 	e, err := gossip.NewEngine(gossip.Config{
 		Env: u, Agents: agents, Model: gossip.Push, Seed: 1, BeforeRound: hooks,

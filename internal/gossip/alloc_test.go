@@ -11,7 +11,6 @@ import (
 	"dynagg/internal/protocol/invertavg"
 	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
@@ -114,8 +113,8 @@ func TestColumnarAllocBudget(t *testing.T) {
 		return pushsumrevert.Config{Lambda: 0.02, PushPull: model == gossip.PushPull}
 	}
 	builders := map[string]budgetCase{
-		"pushsum": {both, func(gossip.Model) gossip.ColumnarAgent {
-			return pushsum.NewColumnarAverage(values)
+		"pushsum": {both, func(model gossip.Model) gossip.ColumnarAgent {
+			return pushsumrevert.NewColumnar(values, pushsumrevert.Config{Lambda: 0, PushPull: model == gossip.PushPull})
 		}},
 		"pushsumrevert": {both, func(model gossip.Model) gossip.ColumnarAgent {
 			return pushsumrevert.NewColumnar(values, revertFor(model))
@@ -155,16 +154,17 @@ func TestColumnarAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPushSumAllocBudget pins the Push-Sum hot path: the paper's
-// baseline protocol must gossip through the round engine without
-// per-message heap traffic.
+// TestPushSumAllocBudget pins the Push-Sum hot path (Push-Sum-Revert
+// at λ = 0): the paper's baseline protocol must gossip through the
+// round engine without per-message heap traffic.
 func TestPushSumAllocBudget(t *testing.T) {
 	const n = 512
 	for _, model := range []gossip.Model{gossip.Push, gossip.PushPull} {
 		for _, workers := range []int{0, 1, 2} {
 			agents := make([]gossip.Agent, n)
 			for i := range agents {
-				agents[i] = pushsum.NewAverage(gossip.NodeID(i), float64(i%101))
+				agents[i] = pushsumrevert.New(gossip.NodeID(i), float64(i%101),
+					pushsumrevert.Config{Lambda: 0, PushPull: model == gossip.PushPull})
 			}
 			got := allocsPerHostRound(t, agents, model, workers)
 			if budget := allocBudget(workers); got > budget {
@@ -220,7 +220,7 @@ func TestDeviationHookAllocatesNothing(t *testing.T) {
 	const n, rounds = 512, 64
 	agents := make([]gossip.Agent, n)
 	for i := range agents {
-		agents[i] = pushsum.NewAverage(gossip.NodeID(i), float64(i%101))
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), float64(i%101), pushsumrevert.Config{})
 	}
 	series := stats.Series{X: make([]float64, 0, rounds), Y: make([]float64, 0, rounds)}
 	engine, err := gossip.NewEngine(gossip.Config{

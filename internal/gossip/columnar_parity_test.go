@@ -13,7 +13,6 @@ import (
 	"dynagg/internal/protocol/invertavg"
 	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
@@ -22,11 +21,12 @@ import (
 
 // colCase pairs a protocol's classic (one agent per host) and
 // columnar (one struct for the population) constructions, with the
-// gossip models the protocol supports.
+// gossip models the protocol supports. The constructors take the model
+// a case runs under, for configurations that depend on it.
 type colCase struct {
 	models   []gossip.Model
-	agents   func(n int) []gossip.Agent
-	columnar func(n int) gossip.ColumnarAgent
+	agents   func(n int, model gossip.Model) []gossip.Agent
+	columnar func(n int, model gossip.Model) gossip.ColumnarAgent
 }
 
 func parityValues(n int) []float64 {
@@ -64,6 +64,9 @@ func columnarCases(t *testing.T) map[string]colCase {
 			return pushsumrevert.Config{Lambda: 0.02}
 		}
 	}
+	pushSumCfg := func(model gossip.Model) pushsumrevert.Config {
+		return pushsumrevert.Config{Lambda: 0, PushPull: model == gossip.PushPull}
+	}
 	multiValues := func(n int) map[string][]float64 {
 		vs := values(n)
 		qs := make([]float64, n)
@@ -73,68 +76,69 @@ func columnarCases(t *testing.T) map[string]colCase {
 		return map[string][]float64{"load": vs, "queue": qs}
 	}
 	cases := map[string]colCase{
+		// Push-Sum is Push-Sum-Revert at λ = 0.
 		"pushsum": {
 			models: both,
-			agents: func(n int) []gossip.Agent {
+			agents: func(n int, model gossip.Model) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i, v := range values(n) {
-					agents[i] = pushsum.NewAverage(gossip.NodeID(i), v)
+					agents[i] = pushsumrevert.New(gossip.NodeID(i), v, pushSumCfg(model))
 				}
 				return agents
 			},
-			columnar: func(n int) gossip.ColumnarAgent {
-				return pushsum.NewColumnarAverage(values(n))
+			columnar: func(n int, model gossip.Model) gossip.ColumnarAgent {
+				return pushsumrevert.NewColumnar(values(n), pushSumCfg(model))
 			},
 		},
 		"sketchreset": {
 			models: both,
-			agents: func(n int) []gossip.Agent {
+			agents: func(n int, _ gossip.Model) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i := range agents {
 					agents[i] = sketchreset.New(gossip.NodeID(i), srCfg)
 				}
 				return agents
 			},
-			columnar: func(n int) gossip.ColumnarAgent {
+			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
 				return sketchreset.NewColumnar(n, srCfg)
 			},
 		},
 		"sketchcount": {
 			models: both,
-			agents: func(n int) []gossip.Agent {
+			agents: func(n int, _ gossip.Model) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i := range agents {
 					agents[i] = sketchcount.NewCount(gossip.NodeID(i), scParams)
 				}
 				return agents
 			},
-			columnar: func(n int) gossip.ColumnarAgent {
+			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
 				return sketchcount.NewColumnarCount(n, scParams)
 			},
 		},
 		"extremes": {
 			models: both,
-			agents: func(n int) []gossip.Agent {
+			agents: func(n int, _ gossip.Model) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i, v := range values(n) {
 					agents[i] = extremes.New(gossip.NodeID(i), v, exCfg)
 				}
 				return agents
 			},
-			columnar: func(n int) gossip.ColumnarAgent {
+			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
 				return extremes.NewColumnar(values(n), exCfg)
 			},
 		},
 		"epoch": {
 			models: pushOnly, // the classic Node implements no exchange
-			agents: func(n int) []gossip.Agent {
+			agents: func(n int, _ gossip.Model) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i, v := range values(n) {
 					agents[i] = epoch.New(gossip.NodeID(i), v, epoch.Config{Length: 6})
 				}
 				return agents
 			},
-			columnar: func(n int) gossip.ColumnarAgent {
+			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
 				return epoch.NewColumnar(values(n), epoch.Config{Length: 6})
 			},
 		},
@@ -147,14 +151,14 @@ func columnarCases(t *testing.T) map[string]colCase {
 		}
 		cases["pushsumrevert-"+variant] = colCase{
 			models: models,
-			agents: func(n int) []gossip.Agent {
+			agents: func(n int, _ gossip.Model) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i, v := range values(n) {
 					agents[i] = pushsumrevert.New(gossip.NodeID(i), v, cfg)
 				}
 				return agents
 			},
-			columnar: func(n int) gossip.ColumnarAgent {
+			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
 				return pushsumrevert.NewColumnar(values(n), cfg)
 			},
 		}
@@ -167,14 +171,14 @@ func columnarCases(t *testing.T) map[string]colCase {
 		}
 		cases["moments-"+variant] = colCase{
 			models: models,
-			agents: func(n int) []gossip.Agent {
+			agents: func(n int, _ gossip.Model) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i, v := range values(n) {
 					agents[i] = moments.New(gossip.NodeID(i), v, cfg)
 				}
 				return agents
 			},
-			columnar: func(n int) gossip.ColumnarAgent {
+			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
 				return moments.NewColumnar(values(n), cfg)
 			},
 		}
@@ -187,20 +191,20 @@ func columnarCases(t *testing.T) map[string]colCase {
 		}
 		cases["invertavg-"+variant] = colCase{
 			models: []gossip.Model{model},
-			agents: func(n int) []gossip.Agent {
+			agents: func(n int, _ gossip.Model) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i, v := range values(n) {
 					agents[i] = invertavg.New(gossip.NodeID(i), v, srCfg, avgCfg)
 				}
 				return agents
 			},
-			columnar: func(n int) gossip.ColumnarAgent {
+			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
 				return invertavg.NewColumnar(values(n), srCfg, avgCfg)
 			},
 		}
 		cases["multi-"+variant] = colCase{
 			models: []gossip.Model{model},
-			agents: func(n int) []gossip.Agent {
+			agents: func(n int, _ gossip.Model) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				vals := multiValues(n)
 				for i := range agents {
@@ -211,7 +215,7 @@ func columnarCases(t *testing.T) map[string]colCase {
 				}
 				return agents
 			},
-			columnar: func(n int) gossip.ColumnarAgent {
+			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
 				return multi.NewColumnar(multiValues(n), srCfg, avgCfg)
 			},
 		}
@@ -235,9 +239,9 @@ func columnarEngine(t *testing.T, c colCase, model gossip.Model, n, rounds, work
 		},
 	}
 	if columnar {
-		cfg.Columnar = c.columnar(n)
+		cfg.Columnar = c.columnar(n, model)
 	} else {
-		cfg.Agents = c.agents(n)
+		cfg.Agents = c.agents(n, model)
 	}
 	engine, err := gossip.NewEngine(cfg)
 	if err != nil {
@@ -358,7 +362,7 @@ func TestMultiColumnarAggregatesMatchClassic(t *testing.T) {
 // ColExchanger.
 func TestColumnarConfigValidation(t *testing.T) {
 	values := []float64{1, 2, 3, 4}
-	col := pushsum.NewColumnarAverage(values)
+	col := pushsumrevert.NewColumnar(values, pushsumrevert.Config{})
 	if _, err := gossip.NewEngine(gossip.Config{
 		Env: env.NewUniform(4), Columnar: col, Model: gossip.PushPull,
 	}); err != nil {
@@ -374,7 +378,7 @@ func TestColumnarConfigValidation(t *testing.T) {
 	if _, err := gossip.NewEngine(gossip.Config{
 		Env:      env.NewUniform(4),
 		Columnar: col,
-		Agents:   []gossip.Agent{pushsum.NewAverage(0, 1)},
+		Agents:   []gossip.Agent{pushsumrevert.New(0, 1, pushsumrevert.Config{})},
 	}); err == nil {
 		t.Error("Columnar+Agents engine accepted")
 	}

@@ -9,7 +9,7 @@ import (
 	"dynagg/internal/failure"
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/pushsum"
+	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 )
@@ -31,7 +31,7 @@ func runFingerprint(t *testing.T, protocol string, model gossip.Model, n, rounds
 		id := gossip.NodeID(i)
 		switch protocol {
 		case "pushsum":
-			agents[i] = pushsum.NewAverage(id, float64(i%97))
+			agents[i] = pushsumrevert.New(id, float64(i%97), pushsumrevert.Config{PushPull: model == gossip.PushPull})
 		case "sketchreset":
 			agents[i] = sketchreset.New(id, sketchreset.Config{
 				Params:      sketch.Params{Bins: 8, Levels: 12},
@@ -113,7 +113,7 @@ func TestParallelWorkersExceedHosts(t *testing.T) {
 	environment := env.NewUniform(5)
 	agents := make([]gossip.Agent, 5)
 	for i := range agents {
-		agents[i] = pushsum.NewAverage(gossip.NodeID(i), float64(i))
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), float64(i), pushsumrevert.Config{})
 	}
 	engine, err := gossip.NewEngine(gossip.Config{Env: environment, Agents: agents, Workers: 32})
 	if err != nil {
@@ -147,8 +147,8 @@ func TestParallelWorkersExceedHosts(t *testing.T) {
 func TestNegativeWorkersRejected(t *testing.T) {
 	environment := env.NewUniform(2)
 	agents := []gossip.Agent{
-		pushsum.NewAverage(0, 1),
-		pushsum.NewAverage(1, 2),
+		pushsumrevert.New(0, 1, pushsumrevert.Config{}),
+		pushsumrevert.New(1, 2, pushsumrevert.Config{}),
 	}
 	_, err := gossip.NewEngine(gossip.Config{Env: environment, Agents: agents, Workers: -1})
 	if err == nil {

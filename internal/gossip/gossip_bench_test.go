@@ -6,7 +6,7 @@ import (
 
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
-	"dynagg/internal/protocol/pushsum"
+	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/sysmem"
 	"dynagg/internal/xrand"
 )
@@ -98,18 +98,20 @@ func benchValues(n int) []float64 {
 	return vs
 }
 
-// benchPushSumEngine builds a real Push-Sum engine over the uniform
-// environment on either execution path, under either gossip model.
+// benchPushSumEngine builds a real Push-Sum engine (Push-Sum-Revert at
+// λ = 0) over the uniform environment on either execution path, under
+// either gossip model.
 func benchPushSumEngine(b *testing.B, n, workers int, model gossip.Model, columnar bool) *gossip.Engine {
 	b.Helper()
 	vs := benchValues(n)
 	cfg := gossip.Config{Env: env.NewUniform(n), Model: model, Seed: 1, Workers: workers}
+	pcfg := pushsumrevert.Config{Lambda: 0, PushPull: model == gossip.PushPull}
 	if columnar {
-		cfg.Columnar = pushsum.NewColumnarAverage(vs)
+		cfg.Columnar = pushsumrevert.NewColumnar(vs, pcfg)
 	} else {
 		agents := make([]gossip.Agent, n)
 		for i := range agents {
-			agents[i] = pushsum.NewAverage(gossip.NodeID(i), vs[i])
+			agents[i] = pushsumrevert.New(gossip.NodeID(i), vs[i], pcfg)
 		}
 		cfg.Agents = agents
 	}

@@ -11,7 +11,7 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/gossip/live/transport"
-	"dynagg/internal/protocol/pushsum"
+	"dynagg/internal/protocol/pushsumrevert"
 )
 
 // tickPace returns the wall-clock duty cycle for TCP convergence
@@ -436,7 +436,7 @@ func TestLiveColumnarOverTCPConverges(t *testing.T) {
 	}
 	defer tcp.Close()
 	e, err := New(Config{
-		Env: env.NewUniform(n), Population: NewColumnarPopulation(pushsum.NewColumnarAverage(values)),
+		Env: env.NewUniform(n), Population: NewColumnarPopulation(pushsumrevert.NewColumnar(values, pushsumrevert.Config{})),
 		Model: gossip.Push, Seed: 13, Ticks: 80, Transport: tcp,
 	})
 	if err != nil {

@@ -38,8 +38,8 @@ import (
 // Deliver (self shares only) may be called several times in between,
 // over consecutive sub-ranges (see colShard.tick).
 //
-// pushsum.Columnar, pushsumrevert.Columnar, and sketchreset.Columnar
-// implement it.
+// pushsumrevert.Columnar (Push-Sum too, at λ = 0) and
+// sketchreset.Columnar implement it.
 type ColumnarProtocol interface {
 	gossip.ColumnarAgent
 	// WireKind tags this protocol's batch records; a batch whose first

@@ -9,7 +9,6 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/gossip/live/transport"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
@@ -50,7 +49,7 @@ func TestLiveColumnarPushSumOverUDPWithLossConverges(t *testing.T) {
 	}
 	defer lt.Close()
 	e, err := New(Config{
-		Env: env.NewUniform(n), Population: NewColumnarPopulation(pushsum.NewColumnarAverage(values)),
+		Env: env.NewUniform(n), Population: NewColumnarPopulation(pushsumrevert.NewColumnar(values, pushsumrevert.Config{})),
 		Model: gossip.Push, Seed: 11, Ticks: 80, Transport: lt,
 	})
 	if err != nil {
@@ -80,7 +79,7 @@ func TestLiveColumnarChannelGroupsConverges(t *testing.T) {
 	const n = 1024
 	values, truth := liveValues(n)
 	e, err := New(Config{
-		Env: env.NewUniform(n), Population: NewColumnarPopulation(pushsum.NewColumnarAverage(values)),
+		Env: env.NewUniform(n), Population: NewColumnarPopulation(pushsumrevert.NewColumnar(values, pushsumrevert.Config{})),
 		Model: gossip.Push, Seed: 3, Ticks: 60,
 		Transport: transport.NewChannelGroups(n, 0, 4),
 	})
@@ -164,7 +163,7 @@ func TestLiveColumnarValidation(t *testing.T) {
 	const n = 16
 	values, _ := liveValues(n)
 	mkPop := func() Population {
-		return NewColumnarPopulation(pushsum.NewColumnarAverage(values))
+		return NewColumnarPopulation(pushsumrevert.NewColumnar(values, pushsumrevert.Config{}))
 	}
 	ch := transport.NewChannelGroups(n, 0, 2)
 

@@ -9,7 +9,6 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/gossip/live/transport"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
@@ -18,7 +17,7 @@ import (
 
 func TestNewValidation(t *testing.T) {
 	u := env.NewUniform(2)
-	agents := []gossip.Agent{pushsum.NewAverage(0, 1), pushsum.NewAverage(1, 2)}
+	agents := []gossip.Agent{pushsumrevert.New(0, 1, pushsumrevert.Config{}), pushsumrevert.New(1, 2, pushsumrevert.Config{})}
 
 	if _, err := New(Config{Population: NewAgentPopulation(agents), Ticks: 5}); err == nil {
 		t.Error("nil env accepted")
@@ -41,10 +40,10 @@ func TestNewRejectsUnknownModel(t *testing.T) {
 	u := env.NewUniform(2)
 	for name, mk := range map[string]func() Population{
 		"agents": func() Population {
-			return NewAgentPopulation([]gossip.Agent{pushsum.NewAverage(0, 1), pushsum.NewAverage(1, 2)})
+			return NewAgentPopulation([]gossip.Agent{pushsumrevert.New(0, 1, pushsumrevert.Config{}), pushsumrevert.New(1, 2, pushsumrevert.Config{})})
 		},
 		"columnar": func() Population {
-			return NewColumnarPopulation(pushsum.NewColumnarAverage([]float64{1, 2}))
+			return NewColumnarPopulation(pushsumrevert.NewColumnar([]float64{1, 2}, pushsumrevert.Config{}))
 		},
 	} {
 		for _, model := range []gossip.Model{-1, gossip.PushPull + 1, 7} {
@@ -83,7 +82,7 @@ func TestPushSumConvergesUnderPush(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v := float64(i % 100)
 		truth += v
-		agents[i] = pushsum.NewAverage(gossip.NodeID(i), v)
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), v, pushsumrevert.Config{})
 	}
 	truth /= n
 	e, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 1, Ticks: 60})
@@ -186,7 +185,7 @@ func TestContextCancellation(t *testing.T) {
 	u := env.NewUniform(n)
 	agents := make([]gossip.Agent, n)
 	for i := 0; i < n; i++ {
-		agents[i] = pushsum.NewAverage(gossip.NodeID(i), 1)
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), 1, pushsumrevert.Config{})
 	}
 	e, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 4, Ticks: 1 << 30})
 	if err != nil {
@@ -211,7 +210,7 @@ func TestTinyInboxDrops(t *testing.T) {
 	u := env.NewUniform(n)
 	agents := make([]gossip.Agent, n)
 	for i := 0; i < n; i++ {
-		agents[i] = pushsum.NewAverage(gossip.NodeID(i), float64(i))
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), float64(i), pushsumrevert.Config{})
 	}
 	e, err := New(Config{
 		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 5, Ticks: 50,
@@ -236,7 +235,7 @@ func TestEstimatesSkipsDeadHosts(t *testing.T) {
 	u := env.NewUniform(n)
 	agents := make([]gossip.Agent, n)
 	for i := 0; i < n; i++ {
-		agents[i] = pushsum.NewAverage(gossip.NodeID(i), 1)
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), 1, pushsumrevert.Config{})
 	}
 	u.Population.Fail(0)
 	u.Population.Fail(1)
@@ -294,7 +293,7 @@ func TestBoundedWorkersConverge(t *testing.T) {
 
 func TestNegativeWorkersRejected(t *testing.T) {
 	u := env.NewUniform(2)
-	agents := []gossip.Agent{pushsum.NewAverage(0, 1), pushsum.NewAverage(1, 2)}
+	agents := []gossip.Agent{pushsumrevert.New(0, 1, pushsumrevert.Config{}), pushsumrevert.New(1, 2, pushsumrevert.Config{})}
 	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Ticks: 5, Workers: -1}); err == nil {
 		t.Error("negative Workers accepted")
 	}

@@ -11,7 +11,7 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/gossip/live/transport"
-	"dynagg/internal/protocol/pushsum"
+	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 )
@@ -24,7 +24,7 @@ func pushSumAgents(n int) ([]gossip.Agent, float64) {
 	for i := 0; i < n; i++ {
 		v := float64(i % 100)
 		truth += v
-		agents[i] = pushsum.NewAverage(gossip.NodeID(i), v)
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), v, pushsumrevert.Config{})
 	}
 	return agents, truth / float64(n)
 }

@@ -8,7 +8,6 @@ import (
 	"dynagg/internal/protocol/extremes"
 	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
@@ -19,8 +18,11 @@ import (
 // self-describing: the receiver needs no out-of-band agreement about
 // which protocol is running to decode (or reject) a payload.
 const (
-	kindPushSumMass uint8 = iota + 1
-	kindRevertMass
+	// Kind 1 tagged plain Push-Sum mass before Push-Sum became
+	// Push-Sum-Revert at λ = 0 (kindRevertMass). It is retired, not
+	// reused: a kind-1 envelope decodes as unknown, and the kinds below
+	// keep their numbers.
+	kindRevertMass uint8 = iota + 2
 	kindMomentsMass
 	kindResetCounters
 	kindSketchBits
@@ -53,12 +55,6 @@ func appendEnvelope(dst []byte, from, to gossip.NodeID, tick int, payload any) (
 		return wire.Header{Kind: kind, To: int32(to), From: int32(from), Tick: int32(tick)}
 	}
 	switch p := payload.(type) {
-	case pushsum.Mass:
-		dst = wire.AppendHeader(dst, hdr(kindPushSumMass))
-		return wire.AppendMass(dst, p.W, p.V), nil
-	case *pushsum.Mass:
-		dst = wire.AppendHeader(dst, hdr(kindPushSumMass))
-		return wire.AppendMass(dst, p.W, p.V), nil
 	case pushsumrevert.Mass:
 		dst = wire.AppendHeader(dst, hdr(kindRevertMass))
 		return wire.AppendMass(dst, p.W, p.V), nil
@@ -124,12 +120,6 @@ func decodeEnvelope(src []byte) (wire.Header, any, error) {
 // payload boxing entirely).
 func decodePayload(h wire.Header, rest []byte) (wire.Header, any, error) {
 	switch h.Kind {
-	case kindPushSumMass:
-		w, v, _, err := wire.DecodeMass(rest)
-		if err != nil {
-			return wire.Header{}, nil, err
-		}
-		return h, pushsum.Mass{W: w, V: v}, nil
 	case kindRevertMass:
 		w, v, _, err := wire.DecodeMass(rest)
 		if err != nil {

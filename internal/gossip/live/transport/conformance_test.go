@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"dynagg/internal/gossip"
-	"dynagg/internal/protocol/pushsum"
+	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/wire"
 )
 
@@ -85,7 +85,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func mass(i int) pushsum.Mass { return pushsum.Mass{W: 1, V: float64(i)} }
+func mass(i int) pushsumrevert.Mass { return pushsumrevert.Mass{W: 1, V: float64(i)} }
 
 // drainBatches polls DrainBatch on the group until want bodies have
 // arrived, returning copies.

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,4 +145,16 @@ func TestTCPFramesAreByteIdentical(t *testing.T) {
 	}
 	check("membership", payload[:len(payload)-1], golden(t,
 		"010900000000030004", selfAddr, "0408", peerAddr, "080c0e3132372e302e302e313a343334330100"))
+}
+
+// TestRetiredKindIsUnknown pins that envelope kind 1 stays retired. It
+// tagged plain Push-Sum mass before Push-Sum became Push-Sum-Revert at
+// λ = 0, so a well-formed kind-1 mass envelope must decode as an
+// unknown kind, never as some other payload.
+func TestRetiredKindIsUnknown(t *testing.T) {
+	env := wire.AppendHeader(nil, wire.Header{Kind: 1, To: 6, From: 1, Tick: 9})
+	env = wire.AppendMass(env, 0.5, 24.75)
+	if _, payload, err := decodeEnvelope(env); err == nil || !strings.Contains(err.Error(), "unknown payload kind 1") {
+		t.Fatalf("kind-1 envelope decoded as %T (err %v), want an unknown-kind error", payload, err)
+	}
 }

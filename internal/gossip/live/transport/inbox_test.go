@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"dynagg/internal/gossip"
-	"dynagg/internal/protocol/pushsum"
+	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/wire"
 )
 
@@ -16,7 +16,7 @@ import (
 // capacity, and must charge Dropped at most once per delivery unless
 // it is a batch whose message count its own body makes plausible.
 func FuzzInboxDeliver(f *testing.F) {
-	env, _ := appendEnvelope(nil, 9, 1, 3, pushsum.Mass{W: 0.5, V: 2})
+	env, _ := appendEnvelope(nil, 9, 1, 3, pushsumrevert.Mass{W: 0.5, V: 2})
 	f.Add(env)
 	f.Add(env[:len(env)-3])
 	f.Add(append(wire.AppendHeader(nil, wire.Header{Kind: kindColumnarBatch, To: 8, From: 2}), 1, 5, 6))

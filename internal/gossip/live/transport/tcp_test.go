@@ -12,7 +12,6 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/extremes"
 	"dynagg/internal/protocol/moments"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
@@ -76,8 +75,8 @@ func TestTCPTransportRoundTripsEveryPayloadKind(t *testing.T) {
 	sk := sketch.New(sketch.Params{Bins: 4, Levels: 8})
 	sk.Insert(12345)
 	payloads := []any{
-		pushsum.Mass{W: 0.5, V: 2.25},
-		&pushsum.Mass{W: 1, V: -3},
+		pushsumrevert.Mass{W: 0.5, V: 2.25},
+		&pushsumrevert.Mass{W: 1, V: -3},
 		pushsumrevert.Mass{W: 0.125, V: 7},
 		moments.Mass{W: 1, V: 2, Q: 4},
 		[]uint8{0, 0, 3, 255, 255, 9},
@@ -92,11 +91,7 @@ func TestTCPTransportRoundTripsEveryPayloadKind(t *testing.T) {
 		}
 		got := drainOne(t, tr, to)
 		switch want := payload.(type) {
-		case pushsum.Mass:
-			if got != want {
-				t.Errorf("payload %d: got %v, want %v", i, got, want)
-			}
-		case *pushsum.Mass:
+		case *pushsumrevert.Mass:
 			if got != *want {
 				t.Errorf("payload %d: got %v, want %v", i, got, *want)
 			}
@@ -143,10 +138,10 @@ func TestTCPTwoTransportsHandshake(t *testing.T) {
 	a, b := tcpPair(t)
 	defer a.Close()
 	defer b.Close()
-	if got := sendUntilDelivered(t, a, b, 1, 6, pushsum.Mass{W: 0.5, V: 5}); got != (pushsum.Mass{W: 0.5, V: 5}) {
+	if got := sendUntilDelivered(t, a, b, 1, 6, pushsumrevert.Mass{W: 0.5, V: 5}); got != (pushsumrevert.Mass{W: 0.5, V: 5}) {
 		t.Errorf("b received %v", got)
 	}
-	if got := sendUntilDelivered(t, b, a, 6, 1, pushsum.Mass{W: 0.25, V: 9}); got != (pushsum.Mass{W: 0.25, V: 9}) {
+	if got := sendUntilDelivered(t, b, a, 6, 1, pushsumrevert.Mass{W: 0.25, V: 9}); got != (pushsumrevert.Mass{W: 0.25, V: 9}) {
 		t.Errorf("a received %v", got)
 	}
 }
@@ -203,7 +198,7 @@ func TestTCPPartialReadsAcrossFrameBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	env, err := appendEnvelope(nil, 0, 2, 9, pushsum.Mass{W: 0.75, V: 11})
+	env, err := appendEnvelope(nil, 0, 2, 9, pushsumrevert.Mass{W: 0.75, V: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +216,7 @@ func TestTCPPartialReadsAcrossFrameBoundaries(t *testing.T) {
 	for deadline := time.Now().Add(10 * time.Second); n < 2 && time.Now().Before(deadline); {
 		tr.Drain(2, func(p any) {
 			n++
-			if p != (pushsum.Mass{W: 0.75, V: 11}) {
+			if p != (pushsumrevert.Mass{W: 0.75, V: 11}) {
 				t.Errorf("reassembled payload %d = %v", n, p)
 			}
 		})
@@ -263,7 +258,7 @@ func TestTCPCorruptStreamDropsConnection(t *testing.T) {
 func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	a, b := tcpPair(t, WithReconnectBackoff(2*time.Millisecond, 50*time.Millisecond))
 	defer a.Close()
-	sendUntilDelivered(t, a, b, 1, 6, pushsum.Mass{W: 1, V: 1})
+	sendUntilDelivered(t, a, b, 1, 6, pushsumrevert.Mass{W: 1, V: 1})
 
 	addr := b.GroupAddr(1)
 	if err := b.Close(); err != nil {
@@ -291,7 +286,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	// notice the dead connection and redial. Drop counts are not
 	// asserted — a frame can die in the flush after being counted
 	// Sent, so a short outage may legally record zero drops.
-	if got := sendUntilDelivered(t, a, b2, 1, 6, pushsum.Mass{W: 2, V: 3}); got != (pushsum.Mass{W: 2, V: 3}) {
+	if got := sendUntilDelivered(t, a, b2, 1, 6, pushsumrevert.Mass{W: 2, V: 3}); got != (pushsumrevert.Mass{W: 2, V: 3}) {
 		t.Errorf("post-restart delivery = %v", got)
 	}
 }
@@ -340,7 +335,7 @@ func TestTCPSlowPeerDoesNotStallOtherGroups(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50_000; i++ {
-			a.Send(0, 3, i, pushsum.Mass{W: 1, V: float64(i)})
+			a.Send(0, 3, i, pushsumrevert.Mass{W: 1, V: float64(i)})
 		}
 	}()
 	select {
@@ -348,7 +343,7 @@ func TestTCPSlowPeerDoesNotStallOtherGroups(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("sends toward the slow peer blocked")
 	}
-	if got := sendUntilDelivered(t, a, b, 0, 5, pushsum.Mass{W: 3, V: 4}); got != (pushsum.Mass{W: 3, V: 4}) {
+	if got := sendUntilDelivered(t, a, b, 0, 5, pushsumrevert.Mass{W: 3, V: 4}); got != (pushsumrevert.Mass{W: 3, V: 4}) {
 		t.Errorf("healthy peer received %v", got)
 	}
 }
@@ -357,14 +352,14 @@ func TestTCPKillLinkSeversAndRedials(t *testing.T) {
 	a, b := tcpPair(t, WithReconnectBackoff(2*time.Millisecond, 50*time.Millisecond))
 	defer a.Close()
 	defer b.Close()
-	sendUntilDelivered(t, a, b, 1, 6, pushsum.Mass{W: 1, V: 1})
+	sendUntilDelivered(t, a, b, 1, 6, pushsumrevert.Mass{W: 1, V: 1})
 	if !a.KillLink(6) {
 		t.Fatal("KillLink found no live connection after a delivery")
 	}
 	if a.Kills() != 1 {
 		t.Errorf("Kills = %d, want 1", a.Kills())
 	}
-	if got := sendUntilDelivered(t, a, b, 1, 6, pushsum.Mass{W: 5, V: 6}); got != (pushsum.Mass{W: 5, V: 6}) {
+	if got := sendUntilDelivered(t, a, b, 1, 6, pushsumrevert.Mass{W: 5, V: 6}); got != (pushsumrevert.Mass{W: 5, V: 6}) {
 		t.Errorf("post-kill delivery = %v", got)
 	}
 }
@@ -376,9 +371,9 @@ func TestLossyOverTCPKillsLinks(t *testing.T) {
 	a, b := tcpPair(t)
 	defer a.Close()
 	defer b.Close()
-	sendUntilDelivered(t, a, b, 1, 6, pushsum.Mass{W: 1, V: 1}) // establish the link
+	sendUntilDelivered(t, a, b, 1, 6, pushsumrevert.Mass{W: 1, V: 1}) // establish the link
 	lt := &Lossy{T: a, P: 1}
-	if lt.Send(1, 6, 0, pushsum.Mass{W: 1, V: 1}) {
+	if lt.Send(1, 6, 0, pushsumrevert.Mass{W: 1, V: 1}) {
 		t.Error("P=1 send accepted")
 	}
 	if a.Kills() != 1 {
@@ -434,10 +429,10 @@ func TestTCPAnnounceBootstrapsMembership(t *testing.T) {
 	}
 
 	// Cross-traffic over bootstrapped links, both directions.
-	if got := sendUntilDelivered(t, j1, seed, 5, 1, pushsum.Mass{W: 1, V: 2}); got != (pushsum.Mass{W: 1, V: 2}) {
+	if got := sendUntilDelivered(t, j1, seed, 5, 1, pushsumrevert.Mass{W: 1, V: 2}); got != (pushsumrevert.Mass{W: 1, V: 2}) {
 		t.Errorf("joiner→seed = %v", got)
 	}
-	if got := sendUntilDelivered(t, seed, j2, 1, 10, pushsum.Mass{W: 3, V: 4}); got != (pushsum.Mass{W: 3, V: 4}) {
+	if got := sendUntilDelivered(t, seed, j2, 1, 10, pushsumrevert.Mass{W: 3, V: 4}); got != (pushsumrevert.Mass{W: 3, V: 4}) {
 		t.Errorf("seed→joiner2 = %v", got)
 	}
 }
@@ -632,7 +627,7 @@ func TestTCPSendAfterCloseDrops(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Send(0, 1, 0, pushsum.Mass{W: 1, V: 1}) {
+	if tr.Send(0, 1, 0, pushsumrevert.Mass{W: 1, V: 1}) {
 		t.Error("send after Close accepted")
 	}
 }

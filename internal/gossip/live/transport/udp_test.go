@@ -10,7 +10,6 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/extremes"
 	"dynagg/internal/protocol/moments"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
@@ -48,8 +47,8 @@ func TestUDPTransportRoundTripsEveryPayloadKind(t *testing.T) {
 	sk := sketch.New(sketch.Params{Bins: 4, Levels: 8})
 	sk.Insert(12345)
 	payloads := []any{
-		pushsum.Mass{W: 0.5, V: 2.25},
-		&pushsum.Mass{W: 1, V: -3},
+		pushsumrevert.Mass{W: 0.5, V: 2.25},
+		&pushsumrevert.Mass{W: 1, V: -3},
 		pushsumrevert.Mass{W: 0.125, V: 7},
 		moments.Mass{W: 1, V: 2, Q: 4},
 		[]uint8{0, 0, 3, 255, 255, 9},
@@ -69,11 +68,7 @@ func TestUDPTransportRoundTripsEveryPayloadKind(t *testing.T) {
 		}
 		got := drainOne(t, u, to)
 		switch want := payload.(type) {
-		case pushsum.Mass:
-			if got != want {
-				t.Errorf("payload %d: got %v, want %v", i, got, want)
-			}
-		case *pushsum.Mass:
+		case *pushsumrevert.Mass:
 			if got != *want {
 				t.Errorf("payload %d: got %v, want %v", i, got, *want)
 			}
@@ -148,7 +143,7 @@ func TestUDPQueueOverflowDrops(t *testing.T) {
 	defer u.Close()
 	const burst = 64
 	for i := 0; i < burst; i++ {
-		u.Send(0, 1, i, pushsum.Mass{W: 1, V: float64(i)})
+		u.Send(0, 1, i, pushsumrevert.Mass{W: 1, V: float64(i)})
 	}
 	// The reader must shed everything beyond the 1-slot queue without
 	// blocking; delivery is asynchronous, so poll until the books
@@ -189,16 +184,16 @@ func TestUDPTwoTransportsHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !a.Send(1, 6, 3, pushsum.Mass{W: 0.5, V: 5}) {
+	if !a.Send(1, 6, 3, pushsumrevert.Mass{W: 0.5, V: 5}) {
 		t.Fatal("a -> b send failed")
 	}
-	if got := drainOne(t, b, 6); got != (pushsum.Mass{W: 0.5, V: 5}) {
+	if got := drainOne(t, b, 6); got != (pushsumrevert.Mass{W: 0.5, V: 5}) {
 		t.Errorf("b received %v", got)
 	}
-	if !b.Send(6, 1, 4, pushsum.Mass{W: 0.25, V: 9}) {
+	if !b.Send(6, 1, 4, pushsumrevert.Mass{W: 0.25, V: 9}) {
 		t.Fatal("b -> a send failed")
 	}
-	if got := drainOne(t, a, 1); got != (pushsum.Mass{W: 0.25, V: 9}) {
+	if got := drainOne(t, a, 1); got != (pushsumrevert.Mass{W: 0.25, V: 9}) {
 		t.Errorf("a received %v", got)
 	}
 }
@@ -209,10 +204,10 @@ func TestUDPSendToUnknownGroupAddrDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer u.Close()
-	if u.Send(0, 3, 0, pushsum.Mass{W: 1, V: 1}) {
+	if u.Send(0, 3, 0, pushsumrevert.Mass{W: 1, V: 1}) {
 		t.Error("send to address-less group accepted")
 	}
-	if u.Send(0, 99, 0, pushsum.Mass{W: 1, V: 1}) {
+	if u.Send(0, 99, 0, pushsumrevert.Mass{W: 1, V: 1}) {
 		t.Error("send to host outside every group accepted")
 	}
 	if u.Dropped() != 2 {
@@ -297,7 +292,7 @@ func TestUDPSendAfterCloseDrops(t *testing.T) {
 	if err := u.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if u.Send(0, 1, 0, pushsum.Mass{W: 1, V: 1}) {
+	if u.Send(0, 1, 0, pushsumrevert.Mass{W: 1, V: 1}) {
 		t.Error("send after Close accepted")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"dynagg/internal/protocol/invertavg"
 	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
@@ -40,7 +39,7 @@ func TestEmitAppendMatchesEmit(t *testing.T) {
 	}
 	protocols := map[string]func(i int) gossip.Agent{
 		"pushsum": func(i int) gossip.Agent {
-			return pushsum.NewAverage(gossip.NodeID(i), float64(i%53))
+			return pushsumrevert.New(gossip.NodeID(i), float64(i%53), pushsumrevert.Config{})
 		},
 		"pushsumrevert": func(i int) gossip.Agent {
 			return pushsumrevert.New(gossip.NodeID(i), float64(i%53),

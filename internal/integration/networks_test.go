@@ -11,7 +11,6 @@ import (
 	"dynagg/internal/protocol/invertavg"
 	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
-	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
@@ -188,7 +187,7 @@ func TestPushSumBaseline(t *testing.T) {
 	e := env.NewUniform(n)
 	values := uniformValues(n, 6)
 	net := newNetwork(t, e, 7, func(id gossip.NodeID) gossip.Agent {
-		return pushsum.NewAverage(id, values[id])
+		return pushsumrevert.New(id, values[id], pushsumrevert.Config{PushPull: true})
 	})
 	net.Run(25)
 	truth := metrics.NewTruth(values, e.Population)

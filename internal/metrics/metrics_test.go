@@ -7,7 +7,7 @@ import (
 
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
-	"dynagg/internal/protocol/pushsum"
+	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 	"dynagg/internal/stats"
@@ -39,7 +39,7 @@ func newAvgEngine(t *testing.T, values []float64, hooks []gossip.Hook) (*gossip.
 	u := env.NewUniform(len(values))
 	agents := make([]gossip.Agent, len(values))
 	for i, v := range values {
-		agents[i] = pushsum.NewAverage(gossip.NodeID(i), v)
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), v, pushsumrevert.Config{})
 	}
 	e, err := gossip.NewEngine(gossip.Config{
 		Env: u, Agents: agents, Model: gossip.Push, Seed: 1, AfterRound: hooks,
@@ -121,7 +121,7 @@ func TestGroupDeviationHook(t *testing.T) {
 
 	agents := make([]gossip.Agent, 4)
 	for i, v := range values {
-		agents[i] = pushsum.NewAverage(gossip.NodeID(i), v)
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), v, pushsumrevert.Config{PushPull: true})
 	}
 	var s, sizes stats.Series
 	e, err := gossip.NewEngine(gossip.Config{
@@ -158,7 +158,7 @@ func TestGroupDeviationHookSampling(t *testing.T) {
 	values := []float64{0, 10, 100, 200}
 	agents := make([]gossip.Agent, 4)
 	for i, v := range values {
-		agents[i] = pushsum.NewAverage(gossip.NodeID(i), v)
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), v, pushsumrevert.Config{PushPull: true})
 	}
 	var s stats.Series
 	e, err := gossip.NewEngine(gossip.Config{
