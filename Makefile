@@ -158,8 +158,8 @@ heal-soak:
 # the gateway API reference's example payloads must round-trip against
 # the real handlers (TestGatewayAPIDocExamples).
 doc-lint:
-	$(GO) run ./cmd/doclint internal/backoff internal/chaos internal/env internal/gateway internal/gossip internal/gossip/live internal/gossip/live/health internal/gossip/live/transport \
-		$(wildcard internal/protocol/*) internal/supervise internal/wire
+	$(GO) run ./cmd/doclint internal/backoff internal/chaos internal/env internal/failure internal/gateway internal/gossip internal/gossip/live internal/gossip/live/health internal/gossip/live/transport \
+		internal/groups internal/metrics internal/overlay $(wildcard internal/protocol/*) internal/sketch internal/stats internal/supervise internal/sysmem internal/trace internal/wire internal/xrand
 	$(GO) test -run 'TestDocsLinksResolve|TestREADMEStaysQuickstart' .
 	$(GO) test -run 'TestGatewayAPIDocExamples' ./internal/gateway
 

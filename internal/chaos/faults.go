@@ -54,6 +54,15 @@ func (fe *faultEnv) Alive(id gossip.NodeID, round int) bool {
 	return fe.inner.Alive(id, round) && fe.awake(id, round)
 }
 
+// AliveRange implements gossip.Environment: the base liveness, then
+// the hosts asleep this round cleared.
+func (fe *faultEnv) AliveRange(lo, hi, round int, dst []bool) {
+	fe.inner.AliveRange(lo, hi, round, dst)
+	for i := range dst[:hi-lo] {
+		dst[i] = dst[i] && fe.awake(gossip.NodeID(lo+i), round)
+	}
+}
+
 // Pick implements gossip.Environment: draws from the base
 // environment, rejecting peers that are across an active partition or
 // asleep under clock skew. Every rejected draw counts against the

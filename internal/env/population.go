@@ -45,6 +45,10 @@ func (p *Population) AliveCount() int { return len(p.ids) }
 // Alive reports whether the host participates.
 func (p *Population) Alive(id gossip.NodeID) bool { return p.alive[id] }
 
+// AliveRange implements gossip.Environment for Uniform, Grid, Mobile
+// and TraceEnv: their liveness is the population's, whatever the round.
+func (p *Population) AliveRange(lo, hi, round int, dst []bool) { copy(dst[:hi-lo], p.alive[lo:hi]) }
+
 // Fail silently removes a host. Failing a dead host is a no-op.
 func (p *Population) Fail(id gossip.NodeID) {
 	if !p.alive[id] {

@@ -15,8 +15,8 @@
 // []ColMsg column carrying the destination, the source, and an inline
 // (W, V) mass. Mass protocols read the mass; matrix protocols
 // (Count-Sketch-Reset) use From to index their own population-wide
-// state block. The engine filters dead destinations and counts
-// traffic centrally, exactly as the classic path does.
+// state block. The engine counts traffic centrally, exactly as the
+// classic path does, and Deliver skips messages to dead hosts.
 //
 // Determinism contract: the columnar backend is byte-identical to the
 // classic one. Both run under the same executor (round.go): peer picks
@@ -78,8 +78,8 @@ type ColRound struct {
 	// iterate Live.
 	Alive []bool
 	// Out is the emission column for the current EmitRange call.
-	// Kernels append with plain append(); the engine counts, filters
-	// dead destinations, and routes afterwards.
+	// Kernels append with plain append(); the engine counts and routes
+	// afterwards.
 	Out []ColMsg
 
 	env  Environment
@@ -102,26 +102,24 @@ func NewColRound(model Model, env Environment, rngs []*xrand.Rand, alive []bool,
 	return &ColRound{Model: model, Alive: alive, env: env, rngs: rngs, live: make([]NodeID, 0, hosts)}
 }
 
-// Sample reads Environment.Alive(id, rc.Round) for every host of
-// [lo, hi) into Alive[lo:hi] and into the list Live serves, and returns
-// how many are alive. It is the only writer of both: a driver samples
-// the range it owns once per round, before BeginRange, and nothing may
-// write Alive or the list behind it. Different drivers' ranges must not
-// overlap, and each driver has its own ColRound.
+// Sample copies the liveness of [lo, hi) into Alive[lo:hi] (one
+// Environment.AliveRange call), builds the list Live serves from it,
+// and returns how many are alive. It is the only writer of both: a
+// driver samples the range it owns once per round, before BeginRange,
+// and nothing may write Alive or the list behind it. Different drivers'
+// ranges must not overlap, and each driver has its own ColRound.
 func (rc *ColRound) Sample(lo, hi int) int {
 	if cap(rc.live) < hi-lo {
 		rc.live = make([]NodeID, 0, hi-lo)
 	}
 	ids, alive := rc.live[:hi-lo], rc.Alive[lo:hi]
+	rc.env.AliveRange(lo, hi, rc.Round, alive)
 	// Nothing but the cursor hangs off the liveness test, so it compiles
 	// branch-free: after a failure wave liveness is a coin flip per host,
 	// and a mispredicted branch costs more than the sample.
 	k := 0
-	for i := range alive {
-		id := NodeID(lo + i)
-		a := rc.env.Alive(id, rc.Round)
-		alive[i] = a
-		ids[k] = id
+	for i, a := range alive {
+		ids[k] = NodeID(lo + i)
 		if a {
 			k++
 		}
@@ -162,7 +160,7 @@ func (rc *ColRound) Rng(id NodeID) *xrand.Rand { return rc.rngs[id] }
 //
 // The engine calls, every push round, in order: BeginRange covering
 // every host; EmitRange covering every host (appending to rc.Out);
-// Deliver with the surviving messages in emitter order; EndRange
+// Deliver with the emitted messages in emitter order; EndRange
 // covering every host. With Workers > 1 the Begin/Emit/End phases are
 // invoked once per contiguous shard range concurrently, and Deliver is
 // invoked per destination shard with that shard's messages — kernels
@@ -186,8 +184,10 @@ type ColumnarAgent interface {
 	// protocol specifies).
 	EmitRange(rc *ColRound, lo, hi int)
 	// Deliver folds a batch of messages into their destinations'
-	// per-round columns. Messages arrive in emitter order; all
-	// destinations are alive this round.
+	// per-round columns. Messages arrive in emitter order, and some may
+	// be addressed to a host that is dead this round, for example a
+	// departed peer the environment still offered. Fold only m with
+	// rc.Alive[m.To]: the others are lost.
 	Deliver(rc *ColRound, msgs []ColMsg)
 	// EndRange folds received state into host state and refreshes
 	// estimates for hosts [lo, hi).
@@ -199,7 +199,7 @@ type ColumnarAgent interface {
 
 // Pair is one push/pull exchange on the columnar plane: initiator A
 // meets peer B. Both endpoints are alive when the engine schedules the
-// pair.
+// pair; a pick of a dead peer makes no pair.
 type Pair struct {
 	A NodeID
 	B NodeID

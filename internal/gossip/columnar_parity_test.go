@@ -17,6 +17,7 @@ import (
 	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
+	"dynagg/internal/xrand"
 )
 
 // colCase pairs a protocol's classic (one agent per host) and
@@ -223,13 +224,41 @@ func columnarCases(t *testing.T) map[string]colCase {
 	return cases
 }
 
+// blindUniform is env.Uniform whose Pick cannot see departures: it
+// draws uniformly from every host but self, dead ones included, from
+// the host's own PRNG on either backend.
+type blindUniform struct{ *env.Uniform }
+
+func (b blindUniform) Pick(id gossip.NodeID, _ int, rng *xrand.Rand) (gossip.NodeID, bool) {
+	n := b.Size()
+	if n < 2 {
+		return 0, false
+	}
+	peer := gossip.NodeID(rng.Intn(n - 1))
+	if peer >= id {
+		peer++
+	}
+	return peer, true
+}
+
 // columnarEngine builds one engine over the shared failure-wave +
 // churn schedule on either execution path.
 func columnarEngine(t *testing.T, c colCase, model gossip.Model, n, rounds, workers int, columnar bool) *gossip.Engine {
 	t.Helper()
+	return blindableEngine(t, c, model, n, rounds, workers, columnar, false)
+}
+
+// blindableEngine is columnarEngine, with the uniform environment's
+// Pick swapped for blindUniform's when blind is set.
+func blindableEngine(t *testing.T, c colCase, model gossip.Model, n, rounds, workers int, columnar, blind bool) *gossip.Engine {
+	t.Helper()
 	environment := env.NewUniform(n)
+	var picks gossip.Environment = environment
+	if blind {
+		picks = blindUniform{environment}
+	}
 	cfg := gossip.Config{
-		Env:     environment,
+		Env:     picks,
 		Model:   model,
 		Seed:    9,
 		Workers: workers,
@@ -276,7 +305,16 @@ func columnarFingerprint(t *testing.T, engine *gossip.Engine, n, rounds int) fin
 // failure wave plus continuous churn exercises dead-host gating, lost
 // messages, and revival on both paths. The population is deliberately
 // not a multiple of the worker counts.
-func TestColumnarMatchesClassic(t *testing.T) {
+func TestColumnarMatchesClassic(t *testing.T) { testColumnarParity(t, false) }
+
+// TestColumnarMatchesClassicUnderBlindPicks runs the same matrix with
+// peers drawn blind to departures, so every round addresses messages
+// and push/pull initiations to dead hosts. Churn revives hosts, so a
+// kernel that folds into a dead host, or an exchange with one, shows
+// up in a later estimate.
+func TestColumnarMatchesClassicUnderBlindPicks(t *testing.T) { testColumnarParity(t, true) }
+
+func testColumnarParity(t *testing.T, blind bool) {
 	const (
 		n      = 331
 		rounds = 14
@@ -284,15 +322,18 @@ func TestColumnarMatchesClassic(t *testing.T) {
 	for name, c := range columnarCases(t) {
 		for _, model := range c.models {
 			t.Run(fmt.Sprintf("%s/%s", name, model), func(t *testing.T) {
-				want := columnarFingerprint(t, columnarEngine(t, c, model, n, rounds, 0, false), n, rounds)
+				engine := func(workers int, columnar bool) *gossip.Engine {
+					return blindableEngine(t, c, model, n, rounds, workers, columnar, blind)
+				}
+				want := columnarFingerprint(t, engine(0, false), n, rounds)
 				// The classic parallel executor is pinned elsewhere, but
 				// one sample here keeps all three executors in one table.
 				fps := map[string]fingerprint{
-					"classic/workers=4": columnarFingerprint(t, columnarEngine(t, c, model, n, rounds, 4, false), n, rounds),
+					"classic/workers=4": columnarFingerprint(t, engine(4, false), n, rounds),
 				}
 				for _, workers := range []int{0, 1, 4} {
 					key := fmt.Sprintf("columnar/workers=%d", workers)
-					fps[key] = columnarFingerprint(t, columnarEngine(t, c, model, n, rounds, workers, true), n, rounds)
+					fps[key] = columnarFingerprint(t, engine(workers, true), n, rounds)
 				}
 				for key, got := range fps {
 					if got.messages != want.messages {
@@ -311,6 +352,56 @@ func TestColumnarMatchesClassic(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPushPullSkipsDepartedPeers: a push/pull initiation to a departed
+// peer the environment still offers is a contact that carries nothing,
+// on either backend. The dead hosts keep their endowment, and only
+// exchanges with live peers count messages.
+func TestPushPullSkipsDepartedPeers(t *testing.T) {
+	const n, rounds = 6, 3
+	dead := []gossip.NodeID{1, 4}
+	values := parityValues(n)
+	cfg := pushsumrevert.Config{Lambda: 0.02, PushPull: true}
+	var counts [][2]int64
+	for _, columnar := range []bool{false, true} {
+		uniform := env.NewUniform(n)
+		for _, id := range dead {
+			uniform.Fail(id)
+		}
+		ecfg := gossip.Config{Env: blindUniform{uniform}, Model: gossip.PushPull, Seed: 3}
+		var mass func(gossip.NodeID) pushsumrevert.Mass
+		if columnar {
+			col := pushsumrevert.NewColumnar(values, cfg)
+			ecfg.Columnar, mass = col, col.Mass
+		} else {
+			for i, v := range values {
+				ecfg.Agents = append(ecfg.Agents, pushsumrevert.New(gossip.NodeID(i), v, cfg))
+			}
+			mass = func(id gossip.NodeID) pushsumrevert.Mass { return ecfg.Agents[id].(*pushsumrevert.Node).Mass() }
+		}
+		e, err := gossip.NewEngine(ecfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(rounds)
+		for _, id := range dead {
+			if got, want := mass(id), (pushsumrevert.Mass{W: 1, V: values[id]}); got != want {
+				t.Errorf("columnar=%v: dead host %d holds %+v, want its endowment %+v", columnar, id, got, want)
+			}
+		}
+		if got, want := e.Contacts(), int64((n-len(dead))*rounds); got != want {
+			t.Errorf("columnar=%v: Contacts = %d, want %d", columnar, got, want)
+		}
+		if e.Messages() >= 2*e.Contacts() {
+			t.Errorf("columnar=%v: Messages = %d for %d contacts: initiations to dead peers exchanged state",
+				columnar, e.Messages(), e.Contacts())
+		}
+		counts = append(counts, [2]int64{e.Contacts(), e.Messages()})
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("(contacts, messages): classic %v, columnar %v", counts[0], counts[1])
 	}
 }
 

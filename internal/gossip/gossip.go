@@ -107,6 +107,9 @@ type Environment interface {
 	Size() int
 	// Alive reports whether the host participates in the given round.
 	Alive(id NodeID, round int) bool
+	// AliveRange sets dst[i] = Alive(lo+i, round) for every host of
+	// [lo, hi): the round engine's liveness sample, one call per range.
+	AliveRange(lo, hi, round int, dst []bool)
 	// Pick draws one gossip partner for the host, or ok=false if the
 	// host currently has no reachable peer.
 	Pick(id NodeID, round int, rng *xrand.Rand) (NodeID, bool)

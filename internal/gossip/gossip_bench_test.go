@@ -65,7 +65,12 @@ type benchEnv struct{ n int }
 
 func (e benchEnv) Size() int                     { return e.n }
 func (e benchEnv) Alive(gossip.NodeID, int) bool { return true }
-func (e benchEnv) Advance(int)                   {}
+func (e benchEnv) AliveRange(lo, hi, _ int, dst []bool) {
+	for i := range dst[:hi-lo] {
+		dst[i] = true
+	}
+}
+func (e benchEnv) Advance(int) {}
 func (e benchEnv) Pick(id gossip.NodeID, _ int, rng *xrand.Rand) (gossip.NodeID, bool) {
 	for {
 		c := gossip.NodeID(rng.Intn(e.n))

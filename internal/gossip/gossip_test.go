@@ -1,7 +1,6 @@
 package gossip
 
 import (
-	"slices"
 	"testing"
 
 	"dynagg/internal/xrand"
@@ -19,6 +18,11 @@ func newTestEnv(n int) *testEnv { return &testEnv{n: n, dead: map[NodeID]bool{}}
 func (e *testEnv) Size() int                       { return e.n }
 func (e *testEnv) Alive(id NodeID, round int) bool { return !e.dead[id] }
 func (e *testEnv) Advance(round int)               {}
+func (e *testEnv) AliveRange(lo, hi, round int, dst []bool) {
+	for i := range dst[:hi-lo] {
+		dst[i] = !e.dead[NodeID(lo+i)]
+	}
+}
 func (e *testEnv) Pick(id NodeID, round int, rng *xrand.Rand) (NodeID, bool) {
 	candidates := make([]NodeID, 0, e.n)
 	for c := NodeID(0); int(c) < e.n; c++ {
@@ -318,86 +322,6 @@ func TestEstimates(t *testing.T) {
 	}
 	if v, ok := e.EstimateOf(4); !ok || v != 4 {
 		t.Errorf("EstimateOf(4) = %v, %v", v, ok)
-	}
-}
-
-// TestColRoundLiveMatchesAlive pins the contract every kernel loop
-// rests on: after Sample(lo, hi), Live of any range is exactly the
-// ascending filter of Alive over it (within the sampled range), Sample
-// returns the live count and writes no bitmap entry outside [lo, hi),
-// and a steady-state Sample or Live allocates nothing.
-func TestColRoundLiveMatchesAlive(t *testing.T) {
-	const n, lo, hi = 300, 37, 261
-	rng := xrand.New(5)
-	patterns := map[string]func(id int) bool{
-		"all-dead":    func(int) bool { return false },
-		"all-alive":   func(int) bool { return true },
-		"alternating": func(id int) bool { return id%2 == 1 },
-		"random-half": func(int) bool { return rng.Bool() },
-	}
-	for name, pattern := range patterns {
-		env := newTestEnv(n)
-		for id := 0; id < n; id++ {
-			if !pattern(id) {
-				env.dead[NodeID(id)] = true
-			}
-		}
-		alive := make([]bool, n)
-		rc := NewColRound(Push, env, nil, alive, hi-lo)
-		// Sample twice, the second time over a narrower range: Live must
-		// follow the latest sample.
-		for _, r := range [][2]int{{lo, hi}, {lo + 5, hi - 9}} {
-			before := slices.Clone(alive)
-			live := rc.Sample(r[0], r[1])
-			sampled := make([]bool, n) // Alive within the sampled range
-			want := 0
-			for id := range alive {
-				switch {
-				case id < r[0] || id >= r[1]:
-					if alive[id] != before[id] {
-						t.Fatalf("%s: Sample(%d, %d) wrote Alive[%d] outside its range", name, r[0], r[1], id)
-					}
-				case alive[id] == env.dead[NodeID(id)]:
-					t.Fatalf("%s: Sample(%d, %d) left Alive[%d] = %v", name, r[0], r[1], id, alive[id])
-				case alive[id]:
-					sampled[id] = true
-					want++
-				}
-			}
-			if live != want {
-				t.Errorf("%s: Sample(%d, %d) = %d, want %d", name, r[0], r[1], live, want)
-			}
-			check := func(a, b int) {
-				t.Helper()
-				var want []NodeID
-				for id := max(a, 0); id < min(b, n); id++ {
-					if sampled[id] {
-						want = append(want, NodeID(id))
-					}
-				}
-				if got := rc.Live(a, b); !slices.Equal(got, want) {
-					t.Errorf("%s: Live(%d, %d) = %v, want %v", name, a, b, got, want)
-				}
-			}
-			check(r[0], r[1])
-			check(0, n)
-			for id := r[0] - 1; id <= r[1]; id++ {
-				check(id, id)   // empty
-				check(id, id+1) // one host, dead or alive
-				check(id, r[1]) // starts on every host
-				check(r[0], id) // ends on every host
-			}
-			for k := 0; k < 200; k++ {
-				a := r[0] + rng.Intn(r[1]-r[0]+1)
-				check(a, a+rng.Intn(r[1]-a+1))
-			}
-		}
-		if allocs := testing.AllocsPerRun(20, func() {
-			rc.Sample(lo, hi)
-			rc.Live(lo+3, hi-4)
-		}); allocs != 0 {
-			t.Errorf("%s: Sample and Live allocate %v times, want 0", name, allocs)
-		}
 	}
 }
 

@@ -12,10 +12,10 @@
 // Determinism does not depend on the shard count: every host owns a
 // private PRNG split (host behaviour never depends on iteration
 // order), environments are read-only between Advance calls — liveness
-// is sampled once per round into a bitmap all phases share, plus each
-// shard's ascending list of its live hosts, which is how every phase
-// visits them — and the two order-sensitive steps are order-identical
-// for any k:
+// is copied once per round, a range per shard (Environment.AliveRange),
+// into a bitmap all phases share, plus each shard's ascending list of
+// its live hosts, which is how every phase visits them — and the two
+// order-sensitive steps are order-identical for any k:
 //
 //   - Push delivery: each shard buckets its emissions by destination
 //     shard, and the destination's worker drains source shards in shard
@@ -31,6 +31,10 @@
 //     buildWaves): exchanges inside a wave share no endpoint, so running
 //     them concurrently commutes, and conflicting exchanges keep their
 //     initiator order across waves.
+//
+// A message or initiation to a host dead this round is lost: the
+// classic route drops it, a columnar Deliver skips it, and a push/pull
+// pick of a dead peer makes no pair.
 package gossip
 
 import (
@@ -49,12 +53,12 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 type shard struct {
 	idx, lo, hi int
 
-	// live and messages are this round's push counters: live hosts in
-	// the range, and messages they emitted (lost ones included).
-	live, messages int64
+	// contacts and messages are this round's counters: contacts the
+	// shard's hosts initiated and messages they sent, lost ones included.
+	contacts, messages int64
 
 	// out[d] (classic) or colOut[d] (columnar) buffers what this shard
-	// emitted for live hosts of shard d, in emission order. The shard's
+	// emitted for hosts of shard d, in emission order. The shard's
 	// own slot is also its emission scratch: agents and kernels append
 	// there and the route step compacts it in place, so one shard never
 	// copies a message.
@@ -128,23 +132,14 @@ func (e *Engine) pushRound() {
 	e.forShards((*Engine).begin)
 	e.forShards((*Engine).emit)
 	e.forShards((*Engine).deliver)
-	for s := range e.shards {
-		// Every live host initiated one contact; every emitted message
-		// counts, including those lost to dead destinations.
-		e.contacts += e.shards[s].live
-		e.messages += e.shards[s].messages
-	}
+	e.tally()
 }
 
 // pushPullRound is the push/pull round: begin → pick → exchange → end.
 func (e *Engine) pushPullRound() {
 	e.forShards((*Engine).begin)
 	e.forShards((*Engine).pickPeers)
-	for s := range e.shards {
-		initiated := int64(len(e.shards[s].pairs))
-		e.contacts += initiated
-		e.messages += 2 * initiated // state travels both ways
-	}
+	e.tally()
 	if k := len(e.shards); k == 1 {
 		e.exchange(&e.shards[0], e.shards[0].pairs)
 	} else {
@@ -162,14 +157,22 @@ func (e *Engine) pushPullRound() {
 	e.forShards((*Engine).end)
 }
 
+// tally adds the shards' round counters to the engine's totals.
+func (e *Engine) tally() {
+	for s := range e.shards {
+		e.contacts += e.shards[s].contacts
+		e.messages += e.shards[s].messages
+	}
+}
+
 // begin samples the environment's liveness for the shard's hosts —
 // Environment.Alive is stable between Advance calls, so later phases
 // read the sample instead of asking again — and starts the round on the
-// live ones.
+// live ones, each one contact under push (pickPeers recounts).
 func (e *Engine) begin(sh *shard) {
 	rc := &sh.rc
 	rc.Round = e.round
-	sh.live = int64(rc.Sample(sh.lo, sh.hi))
+	sh.contacts = int64(rc.Sample(sh.lo, sh.hi))
 	if e.col != nil {
 		e.col.BeginRange(rc, sh.lo, sh.hi)
 		return
@@ -180,12 +183,12 @@ func (e *Engine) begin(sh *shard) {
 }
 
 // emit collects the shard's emissions in its own outbox slot and
-// routes them: messages to dead hosts are dropped — silently, that is
-// the point of the dynamic protocols — messages for the shard's own
-// hosts are compacted in place (stable, so emitter order is kept) and
-// the rest move to the slot of the shard owning the destination.
+// routes them: messages for the shard's own hosts are compacted in
+// place (stable, so emitter order is kept) and the rest move to the
+// slot of the shard owning the destination. Classic envelopes to dead
+// hosts are dropped here — silently, that is the point of the dynamic
+// protocols — and columnar ones by Deliver.
 func (e *Engine) emit(sh *shard) {
-	alive := e.alive
 	// id is one of the shard's own hosts iff uint32(id-lo) < size; kept
 	// in locals so the route loops test it in registers.
 	lo, size := NodeID(sh.lo), uint32(sh.hi-sh.lo)
@@ -193,15 +196,16 @@ func (e *Engine) emit(sh *shard) {
 		rc := &sh.rc
 		rc.Out = sh.colOut[sh.idx][:0]
 		e.col.EmitRange(rc, sh.lo, sh.hi)
-		sh.messages = int64(len(rc.Out))
+		sh.messages, sh.colOut[sh.idx] = int64(len(rc.Out)), rc.Out
+		if len(e.shards) == 1 {
+			return
+		}
 		out, kept := rc.Out, 0
 		for _, m := range out {
-			switch {
-			case !alive[m.To]:
-			case uint32(m.To-lo) < size:
+			if uint32(m.To-lo) < size {
 				out[kept] = m
 				kept++
-			default:
+			} else {
 				d := e.shardOf(m.To)
 				sh.colOut[d] = append(sh.colOut[d], m)
 			}
@@ -209,6 +213,7 @@ func (e *Engine) emit(sh *shard) {
 		rc.Out, sh.colOut[sh.idx] = out[:kept], out[:kept]
 		return
 	}
+	alive := e.alive
 	r, box := e.round, sh.out[sh.idx][:0]
 	sh.messages = 0
 	for _, id := range sh.rc.Live(sh.lo, sh.hi) {
@@ -263,15 +268,20 @@ func (e *Engine) deliver(dst *shard) {
 
 // pickPeers draws one peer for every live host of the shard. Picks
 // consume only the initiator's private PRNG and read-only environment
-// state, so they are the same for any shard count.
+// state, so they are the same for any shard count. Every drawn peer is
+// a contact, but only a live one makes a pair.
 func (e *Engine) pickPeers(sh *shard) {
-	pairs := sh.pairs[:0]
-	for _, id := range sh.rc.Live(sh.lo, sh.hi) {
-		if peer, ok := sh.rc.Pick(id); ok {
-			pairs = append(pairs, Pair{A: id, B: peer})
+	rc, pairs, picked := &sh.rc, sh.pairs[:0], 0
+	for _, id := range rc.Live(sh.lo, sh.hi) {
+		if peer, ok := rc.Pick(id); ok {
+			picked++
+			if rc.Alive[peer] {
+				pairs = append(pairs, Pair{A: id, B: peer})
+			}
 		}
 	}
 	sh.pairs = pairs
+	sh.contacts, sh.messages = int64(picked), 2*int64(len(pairs)) // state travels both ways
 }
 
 // exchange executes a batch of exchanges strictly in slice order: one

@@ -138,6 +138,7 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 		to, from := m.To, m.From
 		ep := c.outEpoch[from]
 		switch {
+		case !rc.Alive[to]:
 		case ep < c.inEpoch[to]:
 			// Stale epoch: discard.
 		case ep > c.inEpoch[to]:

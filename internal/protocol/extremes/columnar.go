@@ -195,6 +195,9 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 // fits) and normalize — exactly Node.Receive, in emitter order.
 func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 	for _, m := range msgs {
+		if !rc.Alive[m.To] {
+			continue
+		}
 		to, from := int(m.To), int(m.From)
 		n := int(c.tlen[to])
 		sn := int(c.snapLen[from])

@@ -73,9 +73,11 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 // sub-protocol by the countTag bit, in emitter order.
 func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 	for _, m := range msgs {
-		if m.From&countTag != 0 {
+		switch {
+		case !rc.Alive[m.To]:
+		case m.From&countTag != 0:
 			c.count.DeliverFrom(m.To, m.From&^countTag)
-		} else {
+		default:
 			c.avg.DeliverMsg(m)
 		}
 	}

@@ -112,6 +112,9 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 // mass into its destination's inbox columns, in emitter order.
 func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 	for _, m := range msgs {
+		if !rc.Alive[m.To] {
+			continue
+		}
 		c.inW[m.To] += c.outW[m.From]
 		c.inV[m.To] += c.outV[m.From]
 		c.inQ[m.To] += c.outQ[m.From]

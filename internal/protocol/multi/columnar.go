@@ -199,6 +199,9 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 	λ := c.avgCfg.Lambda
 	adaptive := c.avgCfg.Adaptive
 	for _, m := range msgs {
+		if !rc.Alive[m.To] {
+			continue
+		}
 		to := m.To
 		from := m.From &^ sketchBit
 		if m.From&sketchBit != 0 {

@@ -167,13 +167,18 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 }
 
 // Deliver implements gossip.ColumnarAgent: the variant-specific
-// receive fold of Node.Receive over the message column.
+// receive fold of Node.Receive over the message column, skipping mass
+// addressed to a host that is dead this round.
 func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
+	alive := rc.Alive
 	if c.cfg.Adaptive {
 		// §III-A: add λ/2 of the initial mass per message received,
 		// damping the received mass by (1-λ).
 		λ := c.cfg.Lambda
 		for _, m := range msgs {
+			if !alive[m.To] {
+				continue
+			}
 			c.inW[m.To] += (1-λ)*m.Mass.W + (λ/2)*c.w0[m.To]
 			c.inV[m.To] += (1-λ)*m.Mass.V + (λ/2)*c.mv0[m.To]
 			c.inMsgs[m.To]++
@@ -181,6 +186,9 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 		return
 	}
 	for _, m := range msgs {
+		if !alive[m.To] {
+			continue
+		}
 		c.inW[m.To] += m.Mass.W
 		c.inV[m.To] += m.Mass.V
 		c.inMsgs[m.To]++

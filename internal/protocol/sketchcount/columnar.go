@@ -103,6 +103,9 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 	m := c.params.Bins
 	for _, msg := range msgs {
+		if !rc.Alive[msg.To] {
+			continue
+		}
 		dst := c.bins[int(msg.To)*m : (int(msg.To)+1)*m]
 		src := c.shadow[int(msg.From)*m : (int(msg.From)+1)*m]
 		for j, b := range src {

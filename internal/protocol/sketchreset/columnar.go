@@ -149,13 +149,16 @@ func (c *Columnar) Snapshot(id gossip.NodeID) {
 // the result is bit-for-bit what Node.minMerge produces.
 func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 	for _, m := range msgs {
-		c.DeliverFrom(m.To, m.From)
+		if rc.Alive[m.To] {
+			c.DeliverFrom(m.To, m.From)
+		}
 	}
 }
 
 // DeliverFrom min-merges host from's shadow (start-of-round) matrix
 // into host to's live matrix — one message's worth of Deliver, exposed
-// for composite protocols that route a mixed message column.
+// for composite protocols that route a mixed message column (which
+// drop messages to dead hosts themselves).
 func (c *Columnar) DeliverFrom(to, from gossip.NodeID) {
 	wire.MinCounters(c.counters[int(to)*c.stride:(int(to)+1)*c.stride],
 		c.shadow[int(from)*c.stride:(int(from)+1)*c.stride])
