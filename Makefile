@@ -94,7 +94,7 @@ bench-gate:
 # pattern covers both population backends — the classic per-agent
 # tests and the columnar batch-plane tests live side by side in the
 # live package. The second line soaks the columnar parity suite — all
-# 9 protocols × push/push-pull × workers 0/1/4, engine- and
+# 8 protocols × push/push-pull × workers 0/1/4, engine- and
 # driver-level — plus the engine and figure goldens at workers 4 (each
 # shard samples its own range into the shared liveness bitmap) and the
 # ColRound liveness contract, under race, since the sharded columnar
@@ -158,7 +158,7 @@ heal-soak:
 # the gateway API reference's example payloads must round-trip against
 # the real handlers (TestGatewayAPIDocExamples).
 doc-lint:
-	$(GO) run ./cmd/doclint internal/backoff internal/chaos internal/env internal/failure internal/gateway internal/gossip internal/gossip/live internal/gossip/live/health internal/gossip/live/transport \
+	$(GO) run ./cmd/doclint internal/backoff internal/chaos internal/env internal/experiments internal/failure internal/gateway internal/gossip internal/gossip/live internal/gossip/live/health internal/gossip/live/transport \
 		internal/groups internal/metrics internal/overlay $(wildcard internal/protocol/*) internal/sketch internal/stats internal/supervise internal/sysmem internal/trace internal/wire internal/xrand
 	$(GO) test -run 'TestDocsLinksResolve|TestREADMEStaysQuickstart' .
 	$(GO) test -run 'TestGatewayAPIDocExamples' ./internal/gateway

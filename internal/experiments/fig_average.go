@@ -25,6 +25,8 @@ const (
 	Correlated
 )
 
+// String returns the model's name, "correlated" or "uncorrelated", as
+// series labels print it.
 func (m FailureModel) String() string {
 	if m == Correlated {
 		return "correlated"

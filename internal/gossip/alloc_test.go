@@ -8,7 +8,6 @@ import (
 	"dynagg/internal/metrics"
 	"dynagg/internal/protocol/epoch"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/invertavg"
 	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
@@ -133,9 +132,6 @@ func TestColumnarAllocBudget(t *testing.T) {
 		}},
 		"epoch": {pushOnly, func(gossip.Model) gossip.ColumnarAgent {
 			return epoch.NewColumnar(values, epoch.Config{Length: 8})
-		}},
-		"invertavg": {both, func(model gossip.Model) gossip.ColumnarAgent {
-			return invertavg.NewColumnar(values, srCfg, revertFor(model))
 		}},
 		"multi": {both, func(model gossip.Model) gossip.ColumnarAgent {
 			return multi.NewColumnar(multiValues, srCfg, revertFor(model))

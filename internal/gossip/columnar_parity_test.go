@@ -10,7 +10,6 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/epoch"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/invertavg"
 	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
@@ -189,19 +188,6 @@ func columnarCases(t *testing.T) map[string]colCase {
 		model := gossip.Push
 		if avgCfg.PushPull {
 			model = gossip.PushPull
-		}
-		cases["invertavg-"+variant] = colCase{
-			models: []gossip.Model{model},
-			agents: func(n int, _ gossip.Model) []gossip.Agent {
-				agents := make([]gossip.Agent, n)
-				for i, v := range values(n) {
-					agents[i] = invertavg.New(gossip.NodeID(i), v, srCfg, avgCfg)
-				}
-				return agents
-			},
-			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
-				return invertavg.NewColumnar(values(n), srCfg, avgCfg)
-			},
 		}
 		cases["multi-"+variant] = colCase{
 			models: []gossip.Model{model},

@@ -19,8 +19,6 @@ var engineGoldens = map[string]string{
 	"epoch/push":                       "45d5c3960524683068ea287ac0b9709621322fe0139393cbbb34f4d7c391d588",
 	"extremes/push":                    "9e270efbe7c1f50d70bd8508f0ae3e5faa8c7cc92077ee52d90215124a90ad25",
 	"extremes/push-pull":               "3882de8b9be56239369d735644219f1d9f21b07c93286b1f05266e6483d88aa3",
-	"invertavg-push/push":              "8f054c2ce165bf4c89564746f0842ee2b429c09be1e8fc2b8ced7044a9a528a2",
-	"invertavg-pushpull/push-pull":     "423cc718f5dc0074474525d29493183c1c429ae6a81177545d28333306d0a410",
 	"moments-push/push":                "69b9c8e373289c5982099dfb7e3d8fe3d1d7f686e67c86fc5aa043945ac4a001",
 	"moments-pushpull/push-pull":       "ffe3f7420f35112d0157d01af51007d07af37dfac67db02a01f77ce66ca82cb7",
 	"multi-push/push":                  "e69d5643db2721ce4d2cc2e8e79b903d66d898e3d983f15a8b6ec26d5a42cd8c",

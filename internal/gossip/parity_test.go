@@ -8,7 +8,6 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/epoch"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/invertavg"
 	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
@@ -67,10 +66,6 @@ func TestEmitAppendMatchesEmit(t *testing.T) {
 		},
 		"sketchreset": func(i int) gossip.Agent {
 			return sketchreset.New(gossip.NodeID(i), srCfg)
-		},
-		"invertavg": func(i int) gossip.Agent {
-			return invertavg.New(gossip.NodeID(i), float64(i%53), srCfg,
-				pushsumrevert.Config{Lambda: 0.02})
 		},
 		"multi": func(i int) gossip.Agent {
 			return multi.New(gossip.NodeID(i),

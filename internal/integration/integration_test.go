@@ -15,7 +15,6 @@ import (
 	"dynagg/internal/metrics"
 	"dynagg/internal/overlay"
 	"dynagg/internal/protocol/epoch"
-	"dynagg/internal/protocol/invertavg"
 	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
@@ -136,21 +135,32 @@ func TestGridInvertAverageSum(t *testing.T) {
 	grid := env.NewGrid(side, side, side)
 	n := grid.Size()
 	values := make([]float64, n)
-	var want float64
+	var want, survivors float64
 	for i := range values {
 		values[i] = float64(i%5 + 1)
 		want += values[i]
+		if i < n/2 {
+			survivors += values[i]
+		}
 	}
 	cutoff := func(k int) float64 { return 20 + float64(k)/2 }
 	net := newNetwork(t, grid, 5, func(id gossip.NodeID) gossip.Agent {
-		return invertavg.New(id, values[id],
+		return invertAverage(id, values[id],
 			sketchreset.Config{Params: sketch.DefaultParams, Cutoff: cutoff, Identifiers: 1},
 			pushsumrevert.Config{Lambda: 0.05, PushPull: true})
 	})
 	net.Run(50)
-	est, ok := net.EstimateOf(0)
+	est, ok := estimateOf(net, 0)
 	if !ok || math.Abs(est-want) > 0.5*want {
 		t.Errorf("grid sum estimate %v, want ≈ %v", est, want)
+	}
+	for id := n / 2; id < n; id++ {
+		grid.Population.Fail(gossip.NodeID(id))
+	}
+	net.Run(40)
+	est, ok = estimateOf(net, 0)
+	if !ok || est >= want || math.Abs(est-survivors) > 0.5*survivors {
+		t.Errorf("post-failure grid sum estimate %v, want below %v and ≈ %v", est, want, survivors)
 	}
 }
 
@@ -269,7 +279,7 @@ func TestAllAggregatesAgree(t *testing.T) {
 			return sketchreset.New(id, countConfig)
 		}, n, 0.35 * n},
 		{"sum", func(id gossip.NodeID) gossip.Agent {
-			return invertavg.New(id, values[id], countConfig, avgCfg)
+			return invertAverage(id, values[id], countConfig, avgCfg)
 		}, sum, 0.4 * sum},
 		{"stddev", func(id gossip.NodeID) gossip.Agent {
 			return moments.New(id, values[id], moments.Config{Lambda: 0.01, PushPull: true})
@@ -278,7 +288,7 @@ func TestAllAggregatesAgree(t *testing.T) {
 	for _, c := range checks {
 		net := newNetwork(t, env.NewUniform(n), 8, c.agent)
 		net.Run(30)
-		est, ok := net.EstimateOf(7)
+		est, ok := estimateOf(net, 7)
 		if !ok {
 			t.Errorf("%s: no estimate", c.name)
 			continue

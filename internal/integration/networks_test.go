@@ -8,7 +8,6 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/metrics"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/invertavg"
 	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
@@ -56,6 +55,24 @@ func liveRead(e *gossip.Engine, id gossip.NodeID, read func(*multi.Node, string)
 		return 0, false
 	}
 	return read(e.Agent(id).(*multi.Node), name)
+}
+
+// sumName is the one aggregate of an Invert-Average host.
+const sumName = "sum"
+
+// invertAverage builds the paper's Invert-Average host (§IV-B): multi
+// with one named aggregate, whose Sum is the estimate.
+func invertAverage(id gossip.NodeID, value float64, countCfg sketchreset.Config, avgCfg pushsumrevert.Config) gossip.Agent {
+	return multi.New(id, map[string]float64{sumName: value}, countCfg, avgCfg)
+}
+
+// estimateOf reads host id's estimate: the Invert-Average sum off a
+// multi host, the agent's own estimate otherwise.
+func estimateOf(e *gossip.Engine, id gossip.NodeID) (float64, bool) {
+	if _, ok := e.Agent(id).(*multi.Node); ok {
+		return liveRead(e, id, (*multi.Node).Sum, sumName)
+	}
+	return e.EstimateOf(id)
 }
 
 func TestAverageNetworkConverges(t *testing.T) {
@@ -161,7 +178,7 @@ func TestSumNetworkAllMethods(t *testing.T) {
 		agent func(id gossip.NodeID) gossip.Agent
 	}{
 		{"invert-average", func(id gossip.NodeID) gossip.Agent {
-			return invertavg.New(id, values[id], countConfig, pushsumrevert.Config{Lambda: 0.01, PushPull: true})
+			return invertAverage(id, values[id], countConfig, pushsumrevert.Config{Lambda: 0.01, PushPull: true})
 		}},
 		{"multiple-insertions", func(id gossip.NodeID) gossip.Agent {
 			return sketchreset.New(id, sketchreset.Config{Params: sketch.DefaultParams, Identifiers: int(values[id])})
@@ -172,7 +189,7 @@ func TestSumNetworkAllMethods(t *testing.T) {
 	} {
 		net := newNetwork(t, env.NewUniform(n), 5, m.agent)
 		net.Run(25)
-		est, ok := net.EstimateOf(10)
+		est, ok := estimateOf(net, 10)
 		if !ok {
 			t.Fatalf("%s: no estimate", m.name)
 		}

@@ -39,10 +39,8 @@ type colAgg struct {
 // PRNG stream, bundle count, and delivery folds are byte-identical to
 // a population of *Node agents.
 //
-// FullTransfer averaging configurations are rejected: bundling
-// collapses the N independent parcels (the classic path's map-keyed
-// bundles silently drop N-1 of them), so neither path supports the
-// combination meaningfully.
+// FullTransfer averaging configs are refused, as by New: one shared
+// peer would collapse the N parcels into one bundle.
 type Columnar struct {
 	avgCfg pushsumrevert.Config
 	count  *sketchreset.Columnar
@@ -60,9 +58,7 @@ func NewColumnar(values map[string][]float64, countCfg sketchreset.Config, avgCf
 	if err := avgCfg.Validate(); err != nil {
 		panic(err)
 	}
-	if avgCfg.FullTransfer {
-		panic("multi: FullTransfer averaging has no columnar form (bundles collapse the parcels)")
-	}
+	refuseFullTransfer(avgCfg)
 	if countCfg.Identifiers == 0 {
 		countCfg.Identifiers = 1
 	}

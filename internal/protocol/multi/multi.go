@@ -12,7 +12,8 @@
 // additional aggregate costs two floats per message.
 //
 // Every named aggregate yields both a running average (the raw
-// Push-Sum-Revert estimate) and a running sum (average × size).
+// Push-Sum-Revert estimate) and a running sum (average × size). With
+// one name, Sum is the paper's Invert-Average estimate (§IV-B).
 //
 // Two deployment extensions support a query gateway (internal/gateway):
 // NewObserver builds a host that owns no sketch identifiers and whose
@@ -93,13 +94,25 @@ var (
 	_ gossip.AppendEmitter = (*Node)(nil)
 )
 
+// refuseFullTransfer panics on a Full-Transfer averaging config, which
+// every constructor refuses: all aggregates share one peer per round,
+// so the N parcels would land in one bundle that keeps one of them,
+// and Full-Transfer retains nothing at home.
+func refuseFullTransfer(avgCfg pushsumrevert.Config) {
+	if avgCfg.FullTransfer {
+		panic("multi: FullTransfer averaging is not supported (one shared peer collapses the parcels into one bundle)")
+	}
+}
+
 // New returns a multi-aggregate host. values maps aggregate names to
 // this host's data value for that aggregate; all hosts must register
 // the same name set (or rely on SetResolver to converge on it).
+// FullTransfer averaging configs are refused.
 func New(id gossip.NodeID, values map[string]float64, countCfg sketchreset.Config, avgCfg pushsumrevert.Config) *Node {
 	if len(values) == 0 {
 		panic("multi: no aggregates registered")
 	}
+	refuseFullTransfer(avgCfg)
 	if countCfg.Identifiers == 0 {
 		countCfg.Identifiers = 1
 	}
@@ -123,7 +136,9 @@ func New(id gossip.NodeID, values map[string]float64, countCfg sketchreset.Confi
 // observer. names may be empty — mass arriving for any name the
 // observer has not seen auto-registers a zero-weight aggregate, so an
 // observer discovers the population's aggregate set by listening.
+// FullTransfer averaging configs are refused, as by New.
 func NewObserver(id gossip.NodeID, names []string, countCfg sketchreset.Config, avgCfg pushsumrevert.Config) *Node {
+	refuseFullTransfer(avgCfg)
 	countCfg.Identifiers = 0
 	n := &Node{
 		id:       id,
@@ -264,17 +279,11 @@ func (n *Node) gather(round int, rng *xrand.Rand, pick gossip.PeerPicker) {
 	start := 0
 	for _, name := range n.names {
 		sub = n.aggs[name].EmitAppend(sub, round, rng, sharedPick)
+		// Without FullTransfer each name sends at most one parcel per
+		// destination, and names arrive in ascending order.
 		for _, env := range sub[start:] {
 			b := n.bundleFor(env.To)
-			m := NamedMass{Name: name, Mass: *env.Payload.(*pushsumrevert.Mass)}
-			// Names arrive in ascending order, so a second parcel for
-			// one destination (FullTransfer) can only repeat the last
-			// entry; as ever, the later parcel replaces the earlier.
-			if k := len(b.Masses) - 1; k >= 0 && b.Masses[k].Name == name {
-				b.Masses[k] = m
-			} else {
-				b.Masses = append(b.Masses, m)
-			}
+			b.Masses = append(b.Masses, NamedMass{Name: name, Mass: *env.Payload.(*pushsumrevert.Mass)})
 		}
 		start = len(sub)
 	}

@@ -64,6 +64,36 @@ func TestNamesSortedAndAccessors(t *testing.T) {
 	if n.Count() == nil {
 		t.Error("Count nil")
 	}
+	// Identifiers: 0 defaults to one owned identifier on both backends.
+	if n.Count().Owned() < 1 {
+		t.Error("New: default Identifiers registered no identifier")
+	}
+	c := NewColumnar(map[string][]float64{"a": {1, 2}}, sketchreset.Config{Params: sketch.DefaultParams}, pushsumrevert.Config{})
+	if c.Count().Owned(0) < 1 {
+		t.Error("NewColumnar: default Identifiers registered no identifier")
+	}
+}
+
+// Full-Transfer is refused by every constructor with one message: the
+// shared peer draw would put all N parcels in one bundle, which keeps
+// one mass per name.
+func TestNewRefusesFullTransfer(t *testing.T) {
+	countCfg := sketchreset.Config{Params: sketch.DefaultParams}
+	avgCfg := pushsumrevert.Config{FullTransfer: true, Parcels: 4, Window: 3}
+	refusal := func(build func()) (msg any) {
+		defer func() { msg = recover() }()
+		build()
+		return nil
+	}
+	want := refusal(func() { NewColumnar(map[string][]float64{"v": {1, 2}}, countCfg, avgCfg) })
+	for name, build := range map[string]func(){
+		"New":         func() { New(0, map[string]float64{"v": 1}, countCfg, avgCfg) },
+		"NewObserver": func() { NewObserver(0, []string{"v"}, countCfg, avgCfg) },
+	} {
+		if got := refusal(build); got == nil || got != want {
+			t.Errorf("%s: panic %v, want %v", name, got, want)
+		}
+	}
 }
 
 // The core contract: several aggregates converge concurrently, sharing
@@ -99,6 +129,23 @@ func TestConcurrentAggregatesConverge(t *testing.T) {
 	}
 	if est, ok := node.Estimate(); !ok || est != size {
 		t.Errorf("Estimate %v, %v; want the size estimate %v", est, ok, size)
+	}
+	// Sum is exactly Average × Size: Invert-Average's estimate.
+	for _, name := range node.Names() {
+		sum, _ := node.Sum(name)
+		if avg, _ := node.Average(name); sum != avg*size {
+			t.Errorf("%s: Sum %v != Average %v × Size %v", name, sum, avg, size)
+		}
+	}
+
+	// A strongly reverting population of all-zero values keeps every
+	// estimate finite.
+	zeros, _ := build(t, 100, func(int) map[string]float64 { return map[string]float64{"v": 0} }, 0.5, true, 5)
+	zeros.Run(10)
+	for id, a := range zeros.Agents() {
+		if sum, ok := a.(*Node).Sum("v"); ok && (math.IsNaN(sum) || math.IsInf(sum, 0)) {
+			t.Errorf("host %d sum %v not finite", id, sum)
+		}
 	}
 }
 

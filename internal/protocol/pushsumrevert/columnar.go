@@ -195,10 +195,9 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 	}
 }
 
-// DeliverMsg folds a single message, for composite protocols
-// (invertavg) that route a mixed message column and dispatch
-// per-message instead of handing over whole batches.
-func (c *Columnar) DeliverMsg(m gossip.ColMsg) {
+// deliverMsg folds a single message: DeliverWire's fold of one
+// decoded mass.
+func (c *Columnar) deliverMsg(m gossip.ColMsg) {
 	if c.cfg.Adaptive {
 		λ := c.cfg.Lambda
 		c.inW[m.To] += (1-λ)*m.Mass.W + (λ/2)*c.w0[m.To]

@@ -20,7 +20,7 @@ func (c *Columnar) AppendWire(dst []byte, m gossip.ColMsg) []byte {
 }
 
 // DeliverWire folds one received mass into host to's inbox columns via
-// the variant-aware DeliverMsg (Adaptive reversion reads only the
+// the variant-aware deliverMsg (Adaptive reversion reads only the
 // destination's own initial-mass columns, so the fold is safe across
 // tick and process boundaries).
 func (c *Columnar) DeliverWire(to gossip.NodeID, src []byte) ([]byte, error) {
@@ -28,6 +28,6 @@ func (c *Columnar) DeliverWire(to gossip.NodeID, src []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.DeliverMsg(gossip.ColMsg{To: to, Mass: gossip.Mass{W: w, V: v}})
+	c.deliverMsg(gossip.ColMsg{To: to, Mass: gossip.Mass{W: w, V: v}})
 	return rest, nil
 }

@@ -136,8 +136,8 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 
 // Snapshot copies host id's live matrix into the shadow block — the
 // columnar form of the classic path's per-message snapshot payload.
-// Composite protocols (invertavg, multi) that drive their own emission
-// loop call it before addressing a payload-free message From id.
+// A composite protocol (multi) that drives its own emission loop calls
+// it before addressing a payload-free message From id.
 func (c *Columnar) Snapshot(id gossip.NodeID) {
 	copy(c.shadow[int(id)*c.stride:(int(id)+1)*c.stride], c.counters[int(id)*c.stride:(int(id)+1)*c.stride])
 }
