@@ -8,7 +8,6 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
@@ -84,11 +83,11 @@ func benchBuild(o benchOpts, model gossip.Model, values []float64) (gossip.Confi
 			agents(func(i int) gossip.Agent { return extremes.New(gossip.NodeID(i), values[i], ecfg) })
 		}
 	case "moments":
-		mcfg := moments.Config{Lambda: 0.01, PushPull: pushPull}
+		mcfg := pushsumrevert.Config{Lambda: 0.01, PushPull: pushPull}
 		if o.columnar {
-			cfg.Columnar = moments.NewColumnar(values, mcfg)
+			cfg.Columnar = pushsumrevert.NewColumnarMoments(values, mcfg)
 		} else {
-			agents(func(i int) gossip.Agent { return moments.New(gossip.NodeID(i), values[i], mcfg) })
+			agents(func(i int) gossip.Agent { return pushsumrevert.NewMoments(gossip.NodeID(i), values[i], mcfg) })
 		}
 	default:
 		return cfg, fmt.Errorf("bench: unknown -protocol %q (pushsum, revert, sketchreset, sketchcount, extremes, moments)", o.protocol)

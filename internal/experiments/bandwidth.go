@@ -6,7 +6,6 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
@@ -57,14 +56,17 @@ func AblationBandwidth(n int, seed uint64) Result {
 		m := engine.Agents()[0].(*pushsumrevert.Node).Mass()
 		rows = append(rows, row{"push-sum-revert (mass)", len(wire.AppendMass(nil, m.W, m.V))})
 	}
-	// Moments: a three-component mass vector.
+	// Moments: Push-Sum-Revert's mass vector with the second value q.
 	{
 		agents := make([]gossip.Agent, n)
 		for i := range agents {
-			agents[i] = moments.New(gossip.NodeID(i), values[i], moments.Config{Lambda: 0.1})
+			agents[i] = pushsumrevert.NewMoments(gossip.NodeID(i), values[i], pushsumrevert.Config{Lambda: 0.1})
 		}
 		engine := runEngine(agents, gossip.Push)
-		m := engine.Agents()[0].(*moments.Node).Mass()
+		// The payload the host would gossip next carries its q share.
+		isolated := func() (gossip.NodeID, bool) { return 0, false }
+		out := engine.Agents()[0].(*pushsumrevert.Node).Emit(engine.Round(), nil, isolated)
+		m := out[0].Payload.(pushsumrevert.MomentsMass)
 		rows = append(rows, row{"moments (mass w,v,q)", len(wire.AppendMass3(nil, m.W, m.V, m.Q))})
 	}
 	// Extremes: the candidate table.

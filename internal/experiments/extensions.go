@@ -8,7 +8,7 @@ import (
 	"dynagg/internal/failure"
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/moments"
+	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 	"dynagg/internal/stats"
@@ -38,9 +38,10 @@ func meanAbsErrorHook(series *stats.Series, n int, truth func() float64) gossip.
 
 // AblationMoments (A6) extends Figure 10's correlated-failure scenario
 // to the second moment: dynamic standard-deviation tracking via
-// three-component Push-Sum-Revert. Failing the top-valued half changes
-// the true stddev from ≈28.9 (U[0,100)) to ≈14.4 (U[0,50)); the static
-// protocol keeps reporting the old spread, the dynamic one re-converges.
+// Push-Sum-Revert carrying a second value (pushsumrevert.NewMoments).
+// Failing the top-valued half changes the true stddev from ≈28.9
+// (U[0,100)) to ≈14.4 (U[0,50)); the static protocol keeps reporting
+// the old spread, the dynamic one re-converges.
 func AblationMoments(sc Scale) Result {
 	res := Result{
 		Name:   fmt.Sprintf("dynamic stddev under correlated failures (n=%d, fail %d at round %d)", sc.N, sc.N/2, sc.FailAt),
@@ -50,7 +51,7 @@ func AblationMoments(sc Scale) Result {
 	for _, lambda := range []float64{0, 0.01, 0.1} {
 		values := uniformValues(sc.N, sc.Seed+7)
 		environment := env.NewUniform(sc.N)
-		cfg := moments.Config{Lambda: lambda, PushPull: true}
+		cfg := pushsumrevert.Config{Lambda: lambda, PushPull: true}
 		series := stats.Series{Label: fmt.Sprintf("λ=%.4f", lambda)}
 		trueStdDev := func() float64 {
 			var sum, sq float64
@@ -77,11 +78,11 @@ func AblationMoments(sc Scale) Result {
 			AfterRound: []gossip.Hook{meanAbsErrorHook(&series, sc.N, trueStdDev)},
 		}
 		if sc.Columnar {
-			engineCfg.Columnar = moments.NewColumnar(values, cfg)
+			engineCfg.Columnar = pushsumrevert.NewColumnarMoments(values, cfg)
 		} else {
 			agents := make([]gossip.Agent, sc.N)
 			for i := range agents {
-				agents[i] = moments.New(gossip.NodeID(i), values[i], cfg)
+				agents[i] = pushsumrevert.NewMoments(gossip.NodeID(i), values[i], cfg)
 			}
 			engineCfg.Agents = agents
 		}

@@ -8,7 +8,6 @@ import (
 	"dynagg/internal/metrics"
 	"dynagg/internal/protocol/epoch"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchcount"
@@ -128,7 +127,7 @@ func TestColumnarAllocBudget(t *testing.T) {
 			return extremes.NewColumnar(values, extremes.Config{Mode: extremes.Max})
 		}},
 		"moments": {both, func(model gossip.Model) gossip.ColumnarAgent {
-			return moments.NewColumnar(values, moments.Config{Lambda: 0.02, PushPull: model == gossip.PushPull})
+			return pushsumrevert.NewColumnarMoments(values, revertFor(model))
 		}},
 		"epoch": {pushOnly, func(gossip.Model) gossip.ColumnarAgent {
 			return epoch.NewColumnar(values, epoch.Config{Length: 8})

@@ -10,7 +10,6 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/epoch"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchcount"
@@ -164,7 +163,7 @@ func columnarCases(t *testing.T) map[string]colCase {
 		}
 	}
 	for _, variant := range []string{"push", "pushpull"} {
-		cfg := moments.Config{Lambda: 0.02, PushPull: variant == "pushpull"}
+		cfg := pushsumrevert.Config{Lambda: 0.02, PushPull: variant == "pushpull"}
 		models := pushOnly
 		if cfg.PushPull {
 			models = []gossip.Model{gossip.PushPull}
@@ -174,12 +173,12 @@ func columnarCases(t *testing.T) map[string]colCase {
 			agents: func(n int, _ gossip.Model) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i, v := range values(n) {
-					agents[i] = moments.New(gossip.NodeID(i), v, cfg)
+					agents[i] = pushsumrevert.NewMoments(gossip.NodeID(i), v, cfg)
 				}
 				return agents
 			},
 			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
-				return moments.NewColumnar(values(n), cfg)
+				return pushsumrevert.NewColumnarMoments(values(n), cfg)
 			},
 		}
 	}

@@ -38,7 +38,8 @@ import (
 // Deliver (self shares only) may be called several times in between,
 // over consecutive sub-ranges (see colShard.tick).
 //
-// pushsumrevert.Columnar (Push-Sum too, at λ = 0) and
+// pushsumrevert.Columnar (Push-Sum too, at λ = 0, and Moments, built
+// by NewColumnarMoments, with its own record kind) and
 // sketchreset.Columnar implement it.
 type ColumnarProtocol interface {
 	gossip.ColumnarAgent

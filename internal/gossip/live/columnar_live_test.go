@@ -121,6 +121,42 @@ func TestLiveColumnarRevertConverges(t *testing.T) {
 	}
 }
 
+// TestLiveColumnarMomentsConverges runs Push-Sum-Revert's second value
+// q across the batch plane: cross-group records carry (w, v, q) under
+// WireKindMoments, so the standard deviation each host estimates must
+// land within 5% of the population's. A record that dropped q would
+// leave the cross-group mass without it and the estimate near zero.
+// Paced, so no driver runs its ticks before the others start sending:
+// a host that only hears its own group reverts toward its own value and
+// underestimates the spread.
+func TestLiveColumnarMomentsConverges(t *testing.T) {
+	const n = 1024
+	values, mean := liveValues(n)
+	var sq float64
+	for _, v := range values {
+		sq += (v - mean) * (v - mean)
+	}
+	truth := math.Sqrt(sq / n)
+	e, err := New(Config{
+		Env: env.NewUniform(n),
+		Population: NewColumnarPopulation(
+			pushsumrevert.NewColumnarMoments(values, pushsumrevert.Config{Lambda: 0.01})),
+		Model: gossip.Push, Seed: 17, Ticks: 80, TickEvery: time.Millisecond,
+		Transport: transport.NewChannelGroups(n, 0, 4),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sd := meanOf(t, e.Estimates())
+	if !(math.Abs(sd-truth) <= 0.05*truth) { // a NaN fails too
+		t.Errorf("mean stddev estimate %v, want ≈ %v", sd, truth)
+	}
+	t.Logf("stddev %.3f truth %.3f", sd, truth)
+}
+
 // TestLiveColumnarSketchResetPacedConverges covers the third wire
 // hook: Count-Sketch-Reset's RLE age matrices ride the batch plane and
 // min-merge straight off the wire into the destination columns. Paced

@@ -204,15 +204,17 @@ func TestColumnarTickAllocatesNothing(t *testing.T) {
 }
 
 // FuzzDeliverBatch feeds a shard's inbound fold arbitrary batch bodies
-// — what a socket can deliver — for both a fixed-width protocol
-// (Push-Sum-Revert) and a run-length one (Count-Sketch-Reset). Whatever
-// the bytes, deliverBatch must not panic and must not touch a column
-// outside the draining shard's [lo, hi): the hosts either side of it
-// (and the population's first and last) are sentinels whose state must
-// come through unchanged.
+// — what a socket can deliver — for fixed-width protocols
+// (Push-Sum-Revert, and its moments form with a third value q) and a
+// run-length one (Count-Sketch-Reset). Whatever the bytes, deliverBatch
+// must not panic and must not touch a column outside the draining
+// shard's [lo, hi): the hosts either side of it (and the population's
+// first and last) are sentinels whose state must come through
+// unchanged.
 func FuzzDeliverBatch(f *testing.F) {
 	const n, lo, hi = 48, 16, 32
 	mass := wire.AppendMass(nil, 0.5, 21)
+	mass3 := wire.AppendMass3(nil, 0.5, 21, 900)
 	record := func(kind uint8, to uint64, payload []byte) []byte {
 		return append(binary.AppendUvarint([]byte{kind}, to), payload...)
 	}
@@ -221,6 +223,9 @@ func FuzzDeliverBatch(f *testing.F) {
 	f.Add(record(pushsumrevert.WireKindRevert, 15, mass))
 	f.Add(record(pushsumrevert.WireKindRevert, 1<<40, mass))
 	f.Add(record(pushsumrevert.WireKindRevert, 20, mass[:9]))
+	f.Add(record(pushsumrevert.WireKindMoments, 20, mass3))
+	f.Add(record(pushsumrevert.WireKindMoments, 40, mass3))
+	f.Add(record(pushsumrevert.WireKindMoments, 20, mass3[:17]))
 	f.Add(record(sketchreset.WireKindSketchReset, 17, wire.AppendCounters(nil, make([]uint8, 32*16))))
 	f.Add(record(sketchreset.WireKindSketchReset, 40, wire.AppendCounters(nil, make([]uint8, 32*16))))
 	f.Add([]byte{})
@@ -246,6 +251,8 @@ func FuzzDeliverBatch(f *testing.F) {
 	}
 	revert := pushsumrevert.NewColumnar(values, pushsumrevert.Config{Lambda: 0.05})
 	revertShard := shardOf(revert)
+	moments := pushsumrevert.NewColumnarMoments(values, pushsumrevert.Config{Lambda: 0.05})
+	momentsShard := shardOf(moments)
 	reset := sketchreset.NewColumnar(n, sketchreset.Config{Params: sketch.Params{Bins: 32, Levels: 16}, Identifiers: 1})
 	resetShard := shardOf(reset)
 	sentinels := []gossip.NodeID{0, lo - 1, hi, n - 1}
@@ -266,6 +273,21 @@ func FuzzDeliverBatch(f *testing.F) {
 	if m := revert.Mass(20); m.W != 0.5 || m.V != 21 {
 		f.Fatalf("in-range record folded as %+v, want {0.5 21}", m)
 	}
+	// A moments shard folds q too, and discards a kind-2 batch whole.
+	moments.BeginRange(momentsShard.rc, 0, n)
+	momentsShard.deliverBatch(record(pushsumrevert.WireKindMoments, 20, mass3))
+	momentsShard.deliverBatch(record(pushsumrevert.WireKindRevert, 21, mass))
+	moments.EndRange(momentsShard.rc, 0, n)
+	// (w, v, q) = (0.5, 21, 900): mean 42, variance 1800 − 42² = 36.
+	if m := moments.Mass(20); m.W != 0.5 || m.V != 21 {
+		f.Fatalf("in-range moments record folded as %+v, want {0.5 21}", m)
+	}
+	if sd, ok := moments.Estimate(20); !ok || sd != 6 {
+		f.Fatalf("in-range moments record gave stddev %v, want 6", sd)
+	}
+	if m := moments.Mass(21); m.W != 0 || m.V != 0 {
+		f.Fatalf("kind-2 batch folded into a moments shard as %+v", m)
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// Push-Sum-Revert: an emptied inbox that nothing was folded into
@@ -276,6 +298,26 @@ func FuzzDeliverBatch(f *testing.F) {
 		for _, id := range sentinels {
 			if m := revert.Mass(id); m.W != 0 || m.V != 0 {
 				t.Fatalf("host %d outside shard [%d,%d) received mass %+v", id, lo, hi, m)
+			}
+		}
+
+		// Moments: each sentinel gets a canary (w, v, q) = (1, 0, 0), so
+		// its estimate is readable after EndRange: any mass a record
+		// leaks there moves (w, v) off (1, 0), and any positive q moves
+		// the standard deviation off 0.
+		canary := wire.AppendMass3(nil, 1, 0, 0)
+		moments.BeginRange(momentsShard.rc, 0, n)
+		momentsShard.deliverBatch(body)
+		for _, id := range sentinels {
+			if _, err := moments.DeliverWire(id, canary); err != nil {
+				t.Fatal(err)
+			}
+		}
+		moments.EndRange(momentsShard.rc, 0, n)
+		for _, id := range sentinels {
+			m := moments.Mass(id)
+			if sd, _ := moments.Estimate(id); m.W != 1 || m.V != 0 || sd != 0 {
+				t.Fatalf("host %d outside shard [%d,%d) received moments mass %+v (stddev %v)", id, lo, hi, m, sd)
 			}
 		}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -147,14 +148,27 @@ func TestTCPFramesAreByteIdentical(t *testing.T) {
 		"010900000000030004", selfAddr, "0408", peerAddr, "080c0e3132372e302e302e313a343334330100"))
 }
 
-// TestRetiredKindIsUnknown pins that envelope kind 1 stays retired. It
-// tagged plain Push-Sum mass before Push-Sum became Push-Sum-Revert at
-// λ = 0, so a well-formed kind-1 mass envelope must decode as an
-// unknown kind, never as some other payload.
+// TestRetiredKindIsUnknown pins that the retired envelope kinds stay
+// retired: a well-formed body of each one's old form must decode as an
+// unknown kind, never as some other payload. Kind 1 tagged plain
+// Push-Sum mass, kind 3 moments (w, v, q) mass, kind 5 a sketch's level
+// count and bit vector, kind 6 an extremes candidate table.
 func TestRetiredKindIsUnknown(t *testing.T) {
-	env := wire.AppendHeader(nil, wire.Header{Kind: 1, To: 6, From: 1, Tick: 9})
-	env = wire.AppendMass(env, 0.5, 24.75)
-	if _, payload, err := decodeEnvelope(env); err == nil || !strings.Contains(err.Error(), "unknown payload kind 1") {
-		t.Fatalf("kind-1 envelope decoded as %T (err %v), want an unknown-kind error", payload, err)
+	cases := []struct {
+		kind uint8
+		body []byte
+	}{
+		{1, wire.AppendMass(nil, 0.5, 24.75)},
+		{3, wire.AppendMass3(nil, 0.5, 24.75, 1300.5)},
+		{5, wire.AppendSketchBits([]byte{8}, []uint64{0x0f, 0x03, 0x01, 0x00})},
+		{6, wire.AppendCandidates(nil, []wire.Candidate{{Value: 9.5, Owner: 3, Age: 2}, {Value: -1, Owner: 7}})},
+	}
+	for _, c := range cases {
+		env := wire.AppendHeader(nil, wire.Header{Kind: c.kind, To: 6, From: 1, Tick: 9})
+		env = append(env, c.body...)
+		want := fmt.Sprintf("unknown payload kind %d", c.kind)
+		if _, payload, err := decodeEnvelope(env); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("kind-%d envelope decoded as %T (err %v), want an unknown-kind error", c.kind, payload, err)
+		}
 	}
 }

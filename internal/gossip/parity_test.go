@@ -8,7 +8,6 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/epoch"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchcount"
@@ -53,7 +52,7 @@ func TestEmitAppendMatchesEmit(t *testing.T) {
 				pushsumrevert.Config{Lambda: 0.02, Adaptive: true})
 		},
 		"moments": func(i int) gossip.Agent {
-			return moments.New(gossip.NodeID(i), float64(i%53), moments.Config{Lambda: 0.02})
+			return pushsumrevert.NewMoments(gossip.NodeID(i), float64(i%53), pushsumrevert.Config{Lambda: 0.02})
 		},
 		"epoch": func(i int) gossip.Agent {
 			return epoch.New(gossip.NodeID(i), float64(i%53), epoch.Config{Length: 6})

@@ -15,7 +15,6 @@ import (
 	"dynagg/internal/metrics"
 	"dynagg/internal/overlay"
 	"dynagg/internal/protocol/epoch"
-	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
@@ -282,7 +281,7 @@ func TestAllAggregatesAgree(t *testing.T) {
 			return invertAverage(id, values[id], countConfig, avgCfg)
 		}, sum, 0.4 * sum},
 		{"stddev", func(id gossip.NodeID) gossip.Agent {
-			return moments.New(id, values[id], moments.Config{Lambda: 0.01, PushPull: true})
+			return pushsumrevert.NewMoments(id, values[id], pushsumrevert.Config{Lambda: 0.01, PushPull: true})
 		}, stddev, 3},
 	}
 	for _, c := range checks {

@@ -8,7 +8,6 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/metrics"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchcount"
@@ -258,7 +257,7 @@ func TestStdDevConverges(t *testing.T) {
 	want := math.Sqrt(sq/n - mean*mean)
 
 	net := newNetwork(t, env.NewUniform(n), 1, func(id gossip.NodeID) gossip.Agent {
-		return moments.New(id, values[id], moments.Config{Lambda: 0.01, PushPull: true})
+		return pushsumrevert.NewMoments(id, values[id], pushsumrevert.Config{Lambda: 0.01, PushPull: true})
 	})
 	net.Run(40)
 	est, ok := net.EstimateOf(0)
@@ -269,8 +268,8 @@ func TestStdDevConverges(t *testing.T) {
 		t.Errorf("stddev estimate %v, want ≈ %v", est, want)
 	}
 	// The richer API is reachable through the engine.
-	node := net.Agent(0).(*moments.Node)
-	if m, _ := node.Mean(); math.Abs(m-mean) > 0.1*mean {
+	node := net.Agent(0).(*pushsumrevert.Node)
+	if m, _, _ := node.Moments(); math.Abs(m-mean) > 0.1*mean {
 		t.Errorf("mean via node %v, want ≈ %v", m, mean)
 	}
 }

@@ -8,10 +8,10 @@ import (
 // owns the whole population's mass vectors, reversion targets, and
 // Full-Transfer windows as dense columns (gossip.ColumnarAgent). All
 // variants are supported — basic λ reversion, Adaptive
-// (indegree-scaled) reversion, Full-Transfer, and PushPull (pairwise
+// (indegree-scaled) reversion, Full-Transfer, PushPull (pairwise
 // exchanges via gossip.ColExchanger, reversion applied once per round
-// at range end) — and each is byte-identical to a population of *Node
-// agents on the classic path.
+// at range end) and NewColumnarMoments' second value — and each is
+// byte-identical to a population of *Node agents on the classic path.
 type Columnar struct {
 	cfg Config
 
@@ -27,6 +27,11 @@ type Columnar struct {
 
 	est    []float64
 	hasEst []bool
+
+	// The second value of NewColumnarMoments, nil otherwise: each
+	// kernel tests it once per call. outQ holds the q carried by each
+	// of host i's messages this round, written by EmitRange.
+	q0, q, inQ, outQ []float64
 }
 
 var _ gossip.ColExchanger = (*Columnar)(nil)
@@ -95,6 +100,9 @@ func (c *Columnar) Reset(id gossip.NodeID) {
 		}
 		c.histPos[i], c.histLen[i] = 0, 0
 	}
+	if c.q != nil {
+		c.q[i], c.inQ[i] = c.q0[i], 0
+	}
 	c.est[i], c.hasEst[i] = c.v0[i], true
 }
 
@@ -103,6 +111,9 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 	clear(c.inW[lo:hi])
 	clear(c.inV[lo:hi])
 	clear(c.inMsgs[lo:hi])
+	if c.inQ != nil {
+		clear(c.inQ[lo:hi])
+	}
 }
 
 // EmitRange implements gossip.ColumnarAgent: the variant-specific
@@ -146,7 +157,9 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 		}
 	default:
 		// Basic: the reverted mass is split between peer and self.
-		for _, id := range rc.Live(lo, hi) {
+		start := len(out)
+		live := rc.Live(lo, hi)
+		for _, id := range live {
 			half := gossip.Mass{
 				W: ((1-λ)*c.w[id] + λ*c.w0[id]) / 2,
 				V: ((1-λ)*c.v[id] + λ*c.mv0[id]) / 2,
@@ -162,6 +175,9 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 				gossip.ColMsg{To: id, From: id, Mass: half},
 			)
 		}
+		if c.q != nil {
+			c.emitQ(live, out[start:])
+		}
 	}
 	rc.Out = out
 }
@@ -171,6 +187,13 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 // addressed to a host that is dead this round.
 func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 	alive := rc.Alive
+	if c.inQ != nil {
+		for _, m := range msgs {
+			if alive[m.To] {
+				c.inQ[m.To] += c.outQ[m.From]
+			}
+		}
+	}
 	if c.cfg.Adaptive {
 		// §III-A: add λ/2 of the initial mass per message received,
 		// damping the received mass by (1-λ).
@@ -222,6 +245,12 @@ func (c *Columnar) ExchangePairs(rc *gossip.ColRound, pairs []gossip.Pair) {
 		c.w[a], c.w[b] = mw, mw
 		c.v[a], c.v[b] = mv, mv
 	}
+	if q := c.q; q != nil {
+		for _, pr := range pairs {
+			mq := (q[pr.A] + q[pr.B]) / 2
+			q[pr.A], q[pr.B] = mq, mq
+		}
+	}
 }
 
 // EndRange implements gossip.ColumnarAgent.
@@ -235,6 +264,11 @@ func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {
 			c.w[i] = λ*c.w0[i] + (1-λ)*c.w[i]
 			c.v[i] = λ*c.mv0[i] + (1-λ)*c.v[i]
 			c.refreshEstimate(int(i))
+		}
+		if q := c.q; q != nil {
+			for _, i := range live {
+				q[i] = λ*c.q0[i] + (1-λ)*q[i]
+			}
 		}
 		return
 	}
@@ -264,10 +298,19 @@ func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {
 		c.v[i] = c.inV[i]
 		c.refreshEstimate(int(i))
 	}
+	if c.q != nil {
+		for _, i := range live {
+			c.q[i] = c.inQ[i]
+		}
+	}
 }
 
-// Estimate implements gossip.ColumnarAgent.
+// Estimate implements gossip.ColumnarAgent. A moments population
+// reports the standard deviation, computed on read.
 func (c *Columnar) Estimate(id gossip.NodeID) (float64, bool) {
+	if c.q != nil {
+		return stdDev(c.w[id], c.v[id], c.q[id])
+	}
 	return c.est[id], c.hasEst[id]
 }
 

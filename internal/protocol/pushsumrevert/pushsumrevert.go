@@ -30,6 +30,12 @@
 //     Hosts with high indegree — which receive extra mass that works
 //     against reversion — revert proportionally harder; expected total
 //     reversion stays λ per round.
+//
+// NewMoments and NewColumnarMoments add a second value q under the same
+// weight, with q₀ = w₀·v₀², which yields the variance and standard
+// deviation:
+//
+//	v/w → E[x]    q/w → E[x²]    Var = q/w − (v/w)²
 package pushsumrevert
 
 import (
@@ -129,6 +135,9 @@ type Node struct {
 
 	est    float64
 	hasEst bool
+
+	// mom is the second value of a NewMoments host, nil otherwise.
+	mom *momentState
 }
 
 var (
@@ -201,6 +210,9 @@ func (n *Node) Reset() {
 	if n.w0 > 0 {
 		n.est, n.hasEst = n.v0, true
 	}
+	if m := n.mom; m != nil {
+		m.q, m.inQ = m.q0, 0
+	}
 }
 
 // ID returns the host id.
@@ -222,6 +234,9 @@ func (n *Node) Config() Config { return n.cfg }
 func (n *Node) BeginRound(round int) {
 	n.inW, n.inV = 0, 0
 	n.inMsgs = 0
+	if n.mom != nil {
+		n.mom.inQ = 0
+	}
 }
 
 // Emit implements gossip.Agent: EmitAppend with every payload detached
@@ -229,7 +244,12 @@ func (n *Node) BeginRound(round int) {
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	out := n.EmitAppend(nil, round, rng, pick)
 	for i := range out {
-		out[i].Payload = *out[i].Payload.(*Mass)
+		switch p := out[i].Payload.(type) {
+		case *Mass:
+			out[i].Payload = *p
+		case *MomentsMass:
+			out[i].Payload = *p
+		}
 	}
 	return out
 }
@@ -280,17 +300,19 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 	peer, ok := pick()
 	if !ok {
 		n.out = Mass{W: 2 * half.W, V: 2 * half.V}
-		return append(dst, gossip.Envelope{To: n.id, Payload: &n.out})
+		return append(dst, gossip.Envelope{To: n.id, Payload: n.payload(true)})
 	}
 	n.out = half
+	p := n.payload(false)
 	return append(dst,
-		gossip.Envelope{To: peer, Payload: &n.out},
-		gossip.Envelope{To: n.id, Payload: &n.out},
+		gossip.Envelope{To: peer, Payload: p},
+		gossip.Envelope{To: n.id, Payload: p},
 	)
 }
 
 // Receive implements gossip.Agent. Both the boxed Mass of Emit and
-// the scratch-backed *Mass of EmitAppend are accepted.
+// the scratch-backed *Mass of EmitAppend are accepted, and a moments
+// host's MomentsMass in either form.
 func (n *Node) Receive(payload any) {
 	var m Mass
 	switch p := payload.(type) {
@@ -298,6 +320,12 @@ func (n *Node) Receive(payload any) {
 		m = *p
 	case Mass:
 		m = p
+	case *MomentsMass:
+		m = p.Mass
+		n.mom.inQ += p.Q
+	case MomentsMass:
+		m = p.Mass
+		n.mom.inQ += p.Q
 	default:
 		panic(fmt.Sprintf("pushsumrevert: unexpected payload %T", payload))
 	}
@@ -339,6 +367,9 @@ func (n *Node) EndRound(round int) {
 		return
 	}
 	n.w, n.v = n.inW, n.inV
+	if n.mom != nil {
+		n.mom.q = n.mom.inQ
+	}
 	n.refreshEstimate()
 }
 
@@ -351,6 +382,10 @@ func (n *Node) Exchange(peer gossip.Exchanger) {
 	mv := (n.v + p.v) / 2
 	n.w, p.w = mw, mw
 	n.v, p.v = mv, mv
+	if n.mom != nil {
+		mq := (n.mom.q + p.mom.q) / 2
+		n.mom.q, p.mom.q = mq, mq
+	}
 }
 
 // endRoundPull applies the once-per-round reversion decay used under
@@ -359,6 +394,9 @@ func (n *Node) endRoundPull() {
 	λ := n.cfg.Lambda
 	n.w = λ*n.w0 + (1-λ)*n.w
 	n.v = λ*n.mv0 + (1-λ)*n.v
+	if m := n.mom; m != nil {
+		m.q = λ*m.q0 + (1-λ)*m.q
+	}
 	n.refreshEstimate()
 }
 
@@ -381,5 +419,11 @@ func (n *Node) refreshWindowEstimate() {
 	}
 }
 
-// Estimate implements gossip.Agent.
-func (n *Node) Estimate() (float64, bool) { return n.est, n.hasEst }
+// Estimate implements gossip.Agent. A moments host reports the
+// standard deviation, computed on read.
+func (n *Node) Estimate() (float64, bool) {
+	if n.mom != nil {
+		return stdDev(n.w, n.v, n.mom.q)
+	}
+	return n.est, n.hasEst
+}

@@ -5,17 +5,30 @@ import (
 	"dynagg/internal/wire"
 )
 
-// WireKindRevert tags Push-Sum-Revert records in live columnar
-// batches.
-const WireKindRevert uint8 = 2
+// WireKindRevert and WireKindMoments tag Push-Sum-Revert records in
+// live columnar batches: (w, v) masses, and (w, v, q) masses of a
+// NewColumnarMoments population.
+const (
+	WireKindRevert  uint8 = 2
+	WireKindMoments uint8 = 3
+)
 
 // WireKind implements the live engine's ColumnarProtocol wire hooks.
-func (c *Columnar) WireKind() uint8 { return WireKindRevert }
+func (c *Columnar) WireKind() uint8 {
+	if c.q != nil {
+		return WireKindMoments
+	}
+	return WireKindRevert
+}
 
 // AppendWire appends message m's payload — its (w, v) mass, 16 fixed
-// bytes. All variants put plain mass on the wire; the Adaptive
-// variant's damping happens on receipt, indexed by the destination.
+// bytes, or 24 with a moments population's q read from m.From's outQ.
+// All variants put plain mass on the wire; the Adaptive variant's
+// damping happens on receipt, indexed by the destination.
 func (c *Columnar) AppendWire(dst []byte, m gossip.ColMsg) []byte {
+	if c.outQ != nil {
+		return wire.AppendMass3(dst, m.Mass.W, m.Mass.V, c.outQ[m.From])
+	}
 	return wire.AppendMass(dst, m.Mass.W, m.Mass.V)
 }
 
@@ -24,6 +37,15 @@ func (c *Columnar) AppendWire(dst []byte, m gossip.ColMsg) []byte {
 // destination's own initial-mass columns, so the fold is safe across
 // tick and process boundaries).
 func (c *Columnar) DeliverWire(to gossip.NodeID, src []byte) ([]byte, error) {
+	if c.inQ != nil {
+		w, v, q, rest, err := wire.DecodeMass3(src)
+		if err != nil {
+			return nil, err
+		}
+		c.deliverMsg(gossip.ColMsg{To: to, Mass: gossip.Mass{W: w, V: v}})
+		c.inQ[to] += q
+		return rest, nil
+	}
 	w, v, rest, err := wire.DecodeMass(src)
 	if err != nil {
 		return nil, err

@@ -232,14 +232,6 @@ func (s *Sketch) Bits() []uint64 {
 	return out
 }
 
-// LoadBits overwrites the sketch's bins; len(bits) must equal Bins.
-func (s *Sketch) LoadBits(bits []uint64) {
-	if len(bits) != len(s.bins) {
-		panic(fmt.Sprintf("sketch: LoadBits got %d bins, want %d", len(bits), len(s.bins)))
-	}
-	copy(s.bins, bits)
-}
-
 // ExpectedRelativeError returns the analytic stochastic-averaging
 // error bound ≈ 0.78/√m for the sketch's bin count (9.7% at m=64).
 func (p Params) ExpectedRelativeError() float64 {

@@ -307,25 +307,24 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// Bits is bin-major with level 0 in the low bit: setting every bit it
+// reports, position by position, rebuilds the sketch.
 func TestBitsRoundTrip(t *testing.T) {
 	a := New(DefaultParams)
 	for i := uint64(0); i < 100; i++ {
 		a.Insert(i)
 	}
 	b := New(DefaultParams)
-	b.LoadBits(a.Bits())
-	if !a.Equal(b) {
-		t.Fatal("Bits/LoadBits round trip failed")
-	}
-}
-
-func TestLoadBitsPanicsOnWrongLen(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LoadBits wrong length did not panic")
+	for bin, word := range a.Bits() {
+		for level := 0; level < DefaultParams.Levels; level++ {
+			if word&(1<<level) != 0 {
+				b.SetBit(Position{Bin: bin, Level: level})
+			}
 		}
-	}()
-	New(DefaultParams).LoadBits(make([]uint64, 3))
+	}
+	if !a.Equal(b) {
+		t.Fatal("Bits did not round trip through SetBit")
+	}
 }
 
 func TestExpectedRelativeError(t *testing.T) {
