@@ -93,12 +93,13 @@ bench-gate:
 # race in `make ci` and its decoders get fuzz-smoke below.) The 'Live'
 # pattern covers both population backends — the classic per-agent
 # tests and the columnar batch-plane tests live side by side in the
-# live package. The second line soaks the columnar parity suite — all
-# 8 protocols × push/push-pull × workers 0/1/4, engine- and
-# driver-level — plus the engine and figure goldens at workers 4 (each
-# shard samples its own range into the shared liveness bitmap) and the
-# ColRound liveness contract, under race, since the sharded columnar
-# executors are the other concurrency-heavy surface.
+# live package. The second line soaks the columnar parity suite — 7
+# columnar protocols × push/push-pull × workers 0/1/4 (multi's rows
+# classic-only), engine- and driver-level — plus the engine and
+# figure goldens at workers 4 (each shard samples its own range into
+# the shared liveness bitmap) and the ColRound liveness contract,
+# under race, since the sharded columnar executors are the other
+# concurrency-heavy surface.
 live-soak:
 	$(GO) test -race -count=2 -timeout 15m -run 'Live|Transport|Batch|Lossy|UDP' ./internal/gossip/live/...
 	$(GO) test -race -count=2 -timeout 15m -run 'Columnar|Golden|ColRound' ./internal/gossip ./internal/experiments

@@ -109,9 +109,10 @@
 //	            always run on one shard
 //	-backend B  population backend in every mode: agents (default;
 //	            per-host boxed agents) or columnar (struct-of-arrays
-//	            columns; every protocol, both gossip models — push/pull
-//	            runs the pair-batch wave executor); round-engine results
-//	            are byte-identical, measured ~3x faster at N=1M
+//	            columns; every protocol but multi, both gossip models —
+//	            push/pull runs the pair-batch wave executor);
+//	            round-engine results are byte-identical, measured ~3x
+//	            faster at N=1M
 //	-cpuprofile FILE  write a CPU profile of the run
 //	-memprofile FILE  write an end-of-run heap profile
 //	-dataset D  trace dataset 1-3 (fig11 experiments; default 1)
@@ -152,7 +153,7 @@ func run(args []string) error {
 	rounds := fs.Int("rounds", 0, "override round count")
 	seed := fs.Uint64("seed", 1, "PRNG seed")
 	workers := fs.Int("workers", 0, "engine shards for Scale-driven experiments: 0 one shard run inline, -1 one per CPU, k>0 exactly k (same results at any setting; fig6/fig11/bins/overlay/gridcutoff/bandwidth run on one shard regardless)")
-	backend := fs.String("backend", "agents", "population backend: agents (per-host boxed agents) or columnar (dense struct-of-arrays columns; every protocol, both gossip models; byte-identical round results, flat-loop speed)")
+	backend := fs.String("backend", "agents", "population backend: agents (per-host boxed agents) or columnar (dense struct-of-arrays columns; every protocol but multi, both gossip models; byte-identical round results, flat-loop speed)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	dataset := fs.Int("dataset", 1, "trace dataset 1-3")

@@ -46,7 +46,7 @@ func applyAdversaries(s Scenario, agents []gossip.Agent) int {
 			case AdvReplay:
 				agents[i] = &replayAgent{inner: agents[i], start: a.Start}
 			case AdvSketchBits:
-				agents[i] = &sketchBitsAgent{inner: agents[i], start: a.Start}
+				agents[i] = &fakeBitsAgent{inner: agents[i], start: a.Start}
 			}
 		}
 		lo += k
@@ -131,23 +131,23 @@ func (a *replayAgent) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) [
 	return out
 }
 
-// sketchBitsAgent zeroes every age counter in its emitted sketch
+// fakeBitsAgent zeroes every age counter in its emitted sketch
 // snapshots — claiming every bit at every level was sourced this
 // round. Min-merge spreads the fabricated bits through the honest
 // population and the size estimate inflates toward the sketch
 // ceiling; the damage metric records the blow-up.
-type sketchBitsAgent struct {
+type fakeBitsAgent struct {
 	inner gossip.Agent
 	start int
 }
 
-func (a *sketchBitsAgent) unwrap() gossip.Agent      { return a.inner }
-func (a *sketchBitsAgent) BeginRound(round int)      { a.inner.BeginRound(round) }
-func (a *sketchBitsAgent) Receive(payload any)       { a.inner.Receive(payload) }
-func (a *sketchBitsAgent) EndRound(round int)        { a.inner.EndRound(round) }
-func (a *sketchBitsAgent) Estimate() (float64, bool) { return a.inner.Estimate() }
+func (a *fakeBitsAgent) unwrap() gossip.Agent      { return a.inner }
+func (a *fakeBitsAgent) BeginRound(round int)      { a.inner.BeginRound(round) }
+func (a *fakeBitsAgent) Receive(payload any)       { a.inner.Receive(payload) }
+func (a *fakeBitsAgent) EndRound(round int)        { a.inner.EndRound(round) }
+func (a *fakeBitsAgent) Estimate() (float64, bool) { return a.inner.Estimate() }
 
-func (a *sketchBitsAgent) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
+func (a *fakeBitsAgent) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	out := a.inner.Emit(round, rng, pick)
 	if round < a.start {
 		return out

@@ -111,10 +111,11 @@ type Scale struct {
 	Workers int
 	// Columnar selects the struct-of-arrays execution path
 	// (gossip.Config.Columnar) — byte-identical results, flat-loop
-	// speed. Every protocol has a columnar form and both gossip models
-	// run on the columnar engine (push/pull through the pair-batch
-	// ColExchanger executor), so all Scale-driven figure and ablation
-	// drivers honor the flag.
+	// speed. Every protocol a figure or ablation driver runs has a
+	// columnar form (only multi, which none runs, has not) and both
+	// gossip models run on the columnar engine (push/pull through the
+	// pair-batch ColExchanger executor), so all Scale-driven figure and
+	// ablation drivers honor the flag.
 	Columnar bool
 }
 

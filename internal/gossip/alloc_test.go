@@ -8,7 +8,6 @@ import (
 	"dynagg/internal/metrics"
 	"dynagg/internal/protocol/epoch"
 	"dynagg/internal/protocol/extremes"
-	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
@@ -98,7 +97,6 @@ func TestColumnarAllocBudget(t *testing.T) {
 		Params:      sketch.Params{Bins: 16, Levels: 16},
 		Identifiers: 1,
 	}
-	multiValues := map[string][]float64{"load": values, "queue": values}
 	type budgetCase struct {
 		models []gossip.Model
 		mk     func(model gossip.Model) gossip.ColumnarAgent
@@ -131,9 +129,6 @@ func TestColumnarAllocBudget(t *testing.T) {
 		}},
 		"epoch": {pushOnly, func(gossip.Model) gossip.ColumnarAgent {
 			return epoch.NewColumnar(values, epoch.Config{Length: 8})
-		}},
-		"multi": {both, func(model gossip.Model) gossip.ColumnarAgent {
-			return multi.NewColumnar(multiValues, srCfg, revertFor(model))
 		}},
 	}
 	for name, bc := range builders {

@@ -21,7 +21,9 @@ import (
 // colCase pairs a protocol's classic (one agent per host) and
 // columnar (one struct for the population) constructions, with the
 // gossip models the protocol supports. The constructors take the model
-// a case runs under, for configurations that depend on it.
+// a case runs under, for configurations that depend on it. columnar is
+// nil for a protocol with no columnar form, whose case runs its
+// classic engines only.
 type colCase struct {
 	models   []gossip.Model
 	agents   func(n int, model gossip.Model) []gossip.Agent
@@ -37,9 +39,10 @@ func parityValues(n int) []float64 {
 }
 
 // columnarCases enumerates the full protocol × model matrix: every
-// protocol with a columnar form, in every configuration variant, under
-// every gossip model its classic form supports. Keys name the
-// subtests.
+// protocol, in every configuration variant, under every gossip model
+// its classic form supports. Every protocol but multi has a columnar
+// form; multi's cases have no columnar builder and pin the classic
+// executors only. Keys name the subtests.
 func columnarCases(t *testing.T) map[string]colCase {
 	t.Helper()
 	values := parityValues
@@ -201,9 +204,6 @@ func columnarCases(t *testing.T) map[string]colCase {
 				}
 				return agents
 			},
-			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
-				return multi.NewColumnar(multiValues(n), srCfg, avgCfg)
-			},
 		}
 	}
 	return cases
@@ -289,7 +289,8 @@ func columnarFingerprint(t *testing.T, engine *gossip.Engine, n, rounds int) fin
 // sequential engine over the same seed and failure schedule. A mid-run
 // failure wave plus continuous churn exercises dead-host gating, lost
 // messages, and revival on both paths. The population is deliberately
-// not a multiple of the worker counts.
+// not a multiple of the worker counts. A protocol with no columnar
+// form compares its classic parallel engine only.
 func TestColumnarMatchesClassic(t *testing.T) { testColumnarParity(t, false) }
 
 // TestColumnarMatchesClassicUnderBlindPicks runs the same matrix with
@@ -316,9 +317,11 @@ func testColumnarParity(t *testing.T, blind bool) {
 				fps := map[string]fingerprint{
 					"classic/workers=4": columnarFingerprint(t, engine(4, false), n, rounds),
 				}
-				for _, workers := range []int{0, 1, 4} {
-					key := fmt.Sprintf("columnar/workers=%d", workers)
-					fps[key] = columnarFingerprint(t, engine(workers, true), n, rounds)
+				if c.columnar != nil {
+					for _, workers := range []int{0, 1, 4} {
+						key := fmt.Sprintf("columnar/workers=%d", workers)
+						fps[key] = columnarFingerprint(t, engine(workers, true), n, rounds)
+					}
 				}
 				for key, got := range fps {
 					if got.messages != want.messages {
@@ -387,49 +390,6 @@ func TestPushPullSkipsDepartedPeers(t *testing.T) {
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("(contacts, messages): classic %v, columnar %v", counts[0], counts[1])
-	}
-}
-
-// TestMultiColumnarAggregatesMatchClassic pins the parts of the
-// multi-aggregate state the engine-level fingerprint cannot see:
-// Estimate reports only the shared network-size half, so the per-name
-// running averages and sums are compared host by host here, on both
-// gossip models.
-func TestMultiColumnarAggregatesMatchClassic(t *testing.T) {
-	const (
-		n      = 211
-		rounds = 12
-	)
-	for _, model := range []gossip.Model{gossip.Push, gossip.PushPull} {
-		t.Run(model.String(), func(t *testing.T) {
-			name := "multi-push"
-			if model == gossip.PushPull {
-				name = "multi-pushpull"
-			}
-			c := columnarCases(t)[name]
-			classic := columnarEngine(t, c, model, n, rounds, 0, false)
-			classic.Run(rounds)
-			columnar := columnarEngine(t, c, model, n, rounds, 0, true)
-			columnar.Run(rounds)
-			col := columnar.Columnar().(*multi.Columnar)
-			for id := 0; id < n; id++ {
-				node := classic.Agent(gossip.NodeID(id)).(*multi.Node)
-				for _, agg := range col.Names() {
-					wantAvg, wantOK := node.Average(agg)
-					gotAvg, gotOK := col.Average(agg, gossip.NodeID(id))
-					if wantOK != gotOK || math.Float64bits(wantAvg) != math.Float64bits(gotAvg) {
-						t.Fatalf("host %d %s average: columnar (%v, %v), classic (%v, %v)",
-							id, agg, gotAvg, gotOK, wantAvg, wantOK)
-					}
-					wantSum, wantOK := node.Sum(agg)
-					gotSum, gotOK := col.Sum(agg, gossip.NodeID(id))
-					if wantOK != gotOK || math.Float64bits(wantSum) != math.Float64bits(gotSum) {
-						t.Fatalf("host %d %s sum: columnar (%v, %v), classic (%v, %v)",
-							id, agg, gotSum, gotOK, wantSum, wantOK)
-					}
-				}
-			}
-		})
 	}
 }
 

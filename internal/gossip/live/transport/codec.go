@@ -14,6 +14,11 @@ import (
 // self-describing: the receiver needs no out-of-band agreement about
 // which protocol is running to decode (or reject) a payload.
 //
+// Kinds 2 and 4 belong to the protocols: a Push-Sum-Revert mass is
+// pushsumrevert.WireKindRevert and a Count-Sketch-Reset counter matrix
+// is sketchreset.WireKindSketchReset, the numbers their records carry
+// in columnar batches too.
+//
 // Kinds 1, 3, 5 and 6 are retired, not reused: an envelope of any of
 // them decodes as unknown, and the other kinds keep their numbers.
 // Kind 1 tagged plain Push-Sum mass before Push-Sum became
@@ -23,9 +28,9 @@ import (
 // extremes candidate tables, which no live path sent.
 const (
 	_ uint8 = iota + 1
-	kindRevertMass
+	_       // pushsumrevert.WireKindRevert
 	_
-	kindResetCounters
+	_ // sketchreset.WireKindSketchReset
 	_
 	_
 	// kindColumnarBatch tags a Batcher datagram: the header's To is
@@ -57,16 +62,16 @@ func appendEnvelope(dst []byte, from, to gossip.NodeID, tick int, payload any) (
 	}
 	switch p := payload.(type) {
 	case pushsumrevert.Mass:
-		dst = wire.AppendHeader(dst, hdr(kindRevertMass))
+		dst = wire.AppendHeader(dst, hdr(pushsumrevert.WireKindRevert))
 		return wire.AppendMass(dst, p.W, p.V), nil
 	case *pushsumrevert.Mass:
-		dst = wire.AppendHeader(dst, hdr(kindRevertMass))
+		dst = wire.AppendHeader(dst, hdr(pushsumrevert.WireKindRevert))
 		return wire.AppendMass(dst, p.W, p.V), nil
 	case []uint8:
-		dst = wire.AppendHeader(dst, hdr(kindResetCounters))
+		dst = wire.AppendHeader(dst, hdr(sketchreset.WireKindSketchReset))
 		return wire.AppendCounters(dst, p), nil
 	case *sketchreset.Counters:
-		dst = wire.AppendHeader(dst, hdr(kindResetCounters))
+		dst = wire.AppendHeader(dst, hdr(sketchreset.WireKindSketchReset))
 		return wire.AppendCounters(dst, p.Ages), nil
 	case multi.Bundle:
 		return multi.AppendBundle(wire.AppendHeader(dst, hdr(kindMultiBundle)), &p)
@@ -95,13 +100,13 @@ func decodeEnvelope(src []byte) (wire.Header, any, error) {
 // payload boxing entirely).
 func decodePayload(h wire.Header, rest []byte) (wire.Header, any, error) {
 	switch h.Kind {
-	case kindRevertMass:
+	case pushsumrevert.WireKindRevert:
 		w, v, _, err := wire.DecodeMass(rest)
 		if err != nil {
 			return wire.Header{}, nil, err
 		}
 		return h, pushsumrevert.Mass{W: w, V: v}, nil
-	case kindResetCounters:
+	case sketchreset.WireKindSketchReset:
 		p, err := sketchreset.NewPacked(rest)
 		if err != nil {
 			return wire.Header{}, nil, err

@@ -229,7 +229,7 @@ func TestUDPForgedDatagramDoesNotPanicReceivers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	forged := wire.AppendHeader(nil, wire.Header{Kind: kindResetCounters, To: 1, From: 0, Tick: 0})
+	forged := wire.AppendHeader(nil, wire.Header{Kind: sketchreset.WireKindSketchReset, To: 1, From: 0, Tick: 0})
 	forged = wire.AppendCounters(forged, make([]uint8, 4096)) // nobody's sketch is this big
 	if _, err := raw.Write(forged); err != nil {
 		t.Fatal(err)

@@ -64,13 +64,9 @@ func TestNamesSortedAndAccessors(t *testing.T) {
 	if n.Count() == nil {
 		t.Error("Count nil")
 	}
-	// Identifiers: 0 defaults to one owned identifier on both backends.
+	// Identifiers: 0 defaults to one owned identifier.
 	if n.Count().Owned() < 1 {
 		t.Error("New: default Identifiers registered no identifier")
-	}
-	c := NewColumnar(map[string][]float64{"a": {1, 2}}, sketchreset.Config{Params: sketch.DefaultParams}, pushsumrevert.Config{})
-	if c.Count().Owned(0) < 1 {
-		t.Error("NewColumnar: default Identifiers registered no identifier")
 	}
 }
 
@@ -85,7 +81,7 @@ func TestNewRefusesFullTransfer(t *testing.T) {
 		build()
 		return nil
 	}
-	want := refusal(func() { NewColumnar(map[string][]float64{"v": {1, 2}}, countCfg, avgCfg) })
+	want := refusal(func() { refuseFullTransfer(avgCfg) })
 	for name, build := range map[string]func(){
 		"New":         func() { New(0, map[string]float64{"v": 1}, countCfg, avgCfg) },
 		"NewObserver": func() { NewObserver(0, []string{"v"}, countCfg, avgCfg) },

@@ -128,18 +128,11 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 		if !ok {
 			continue
 		}
-		c.Snapshot(id)
+		i := int(id)
+		copy(c.shadow[i*c.stride:(i+1)*c.stride], c.counters[i*c.stride:(i+1)*c.stride])
 		out = append(out, gossip.ColMsg{To: peer, From: id})
 	}
 	rc.Out = out
-}
-
-// Snapshot copies host id's live matrix into the shadow block — the
-// columnar form of the classic path's per-message snapshot payload.
-// A composite protocol (multi) that drives its own emission loop calls
-// it before addressing a payload-free message From id.
-func (c *Columnar) Snapshot(id gossip.NodeID) {
-	copy(c.shadow[int(id)*c.stride:(int(id)+1)*c.stride], c.counters[int(id)*c.stride:(int(id)+1)*c.stride])
 }
 
 // Deliver implements gossip.ColumnarAgent: element-wise min of the
@@ -149,19 +142,12 @@ func (c *Columnar) Snapshot(id gossip.NodeID) {
 // the result is bit-for-bit what Node.minMerge produces.
 func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 	for _, m := range msgs {
-		if rc.Alive[m.To] {
-			c.DeliverFrom(m.To, m.From)
+		if !rc.Alive[m.To] {
+			continue
 		}
+		to, from := int(m.To), int(m.From)
+		wire.MinCounters(c.counters[to*c.stride:(to+1)*c.stride], c.shadow[from*c.stride:(from+1)*c.stride])
 	}
-}
-
-// DeliverFrom min-merges host from's shadow (start-of-round) matrix
-// into host to's live matrix — one message's worth of Deliver, exposed
-// for composite protocols that route a mixed message column (which
-// drop messages to dead hosts themselves).
-func (c *Columnar) DeliverFrom(to, from gossip.NodeID) {
-	wire.MinCounters(c.counters[int(to)*c.stride:(int(to)+1)*c.stride],
-		c.shadow[int(from)*c.stride:(int(from)+1)*c.stride])
 }
 
 // ExchangePairs implements gossip.ColExchanger: mutual min-merge of

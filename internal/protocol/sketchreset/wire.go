@@ -27,12 +27,12 @@ func (c *Columnar) AppendWire(dst []byte, m gossip.ColMsg) []byte {
 }
 
 // DeliverWire min-merges one received matrix straight into host to's
-// live block — wire.DecodeCountersMin is DeliverFrom with the wire as
-// the source, no intermediate matrix. to's owned indices are pinned to
-// zero and a min can never raise them, so no re-pin is needed; a
-// record delayed in flight carries ages a few ticks stale, which only
-// weakens its min contribution (the same grace the classic queue gives
-// payloads).
+// live block — wire.DecodeCountersMin is Deliver's min-merge with the
+// wire as the source, no intermediate matrix. to's owned indices are
+// pinned to zero and a min can never raise them, so no re-pin is
+// needed; a record delayed in flight carries ages a few ticks stale,
+// which only weakens its min contribution (the same grace the classic
+// queue gives payloads).
 func (c *Columnar) DeliverWire(to gossip.NodeID, src []byte) ([]byte, error) {
 	dst := c.counters[int(to)*c.stride : (int(to)+1)*c.stride]
 	return wire.DecodeCountersMin(dst, src)

@@ -7,8 +7,8 @@ import (
 
 // TestDecodeCountersMin pins the in-place merge the live columnar path
 // uses for Count-Sketch-Reset: decoding into an occupied block keeps
-// the element-wise minimum, exactly DeliverFrom with the wire as the
-// source.
+// the element-wise minimum, exactly the columnar Deliver's min-merge
+// with the wire as the source.
 func TestDecodeCountersMin(t *testing.T) {
 	prior := []uint8{5, 0, 255, 7, 7, 200}
 	incoming := []uint8{3, 9, 255, 7, 8, 0}
