@@ -477,7 +477,7 @@ func (m *membership) announce(seedAddr string, lo, hi gossip.NodeID, selfAddr st
 	if _, err := c.Write(wire.AppendFrame(nil, payload)); err != nil {
 		return err
 	}
-	scan := frameScanner{max: m.st.maxFrame}
+	scan := frameScanner{max: DefaultMaxFrame}
 	for {
 		n, err := c.Read(scan.room())
 		if n > 0 {

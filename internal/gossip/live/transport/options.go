@@ -31,8 +31,7 @@ type settings struct {
 
 	readBuffer int // UDP
 
-	maxFrame    int // TCP
-	dialTimeout time.Duration
+	dialTimeout time.Duration // TCP
 	backoffMin  time.Duration
 	backoffMax  time.Duration
 }
@@ -105,13 +104,6 @@ func WithQueueCapacity(n int) Option {
 // drops before the transport sees anything), which is the point.
 func WithReadBuffer(n int) UDPOption {
 	return udpOption(func(s *settings) { s.readBuffer = n })
-}
-
-// WithMaxFrame bounds the TCP transport's frame size, send and
-// receive; 0 keeps DefaultMaxFrame. Oversized sends drop; an oversized
-// *claim* on a received stream is corruption and kills the connection.
-func WithMaxFrame(n int) TCPOption {
-	return tcpOption(func(s *settings) { s.maxFrame = n })
 }
 
 // WithDialTimeout bounds each connection attempt (and the announce

@@ -37,7 +37,6 @@ const (
 // down the same connection. A broken connection is not an error, it is
 // the medium: frames sent into the outage window drop, counted.
 type streams struct {
-	maxFrame    int
 	dialTimeout time.Duration
 	redial      backoff.Policy
 	outboxCap   int
@@ -88,10 +87,10 @@ type outFrame struct {
 	msgs int
 }
 
-func newStreams(maxFrame int, dialTimeout time.Duration, redial backoff.Policy, outboxCap int,
+func newStreams(dialTimeout time.Duration, redial backoff.Policy, outboxCap int,
 	bufs *sync.Pool, onFrame func(frame []byte, reply func(frame []byte))) *streams {
 	return &streams{
-		maxFrame: maxFrame, dialTimeout: dialTimeout, redial: redial, outboxCap: outboxCap,
+		dialTimeout: dialTimeout, redial: redial, outboxCap: outboxCap,
 		bufs: bufs, onFrame: onFrame,
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
@@ -163,12 +162,12 @@ func (s *streams) newFrame() (bp *[]byte, buf []byte) {
 // the peer's outbox without blocking. Acceptance means the frame is in
 // flight toward the writer — its msgs are counted sent only once
 // handed to the kernel, and dropped if the outbox is full, the frame
-// exceeds maxFrame, the connection is down and unredialable, or the
+// exceeds DefaultMaxFrame, the connection is down and unredialable, or the
 // write fails.
 func (p *streamPeer) send(bp *[]byte, buf []byte, msgs int) bool {
 	s := p.s
 	*bp = buf
-	if len(buf)-frameSlack > s.maxFrame {
+	if len(buf)-frameSlack > DefaultMaxFrame {
 		s.bufs.Put(bp)
 		s.dropped.Add(int64(msgs))
 		return false
@@ -402,7 +401,7 @@ func (s *streams) readConn(c net.Conn) {
 		c.SetWriteDeadline(time.Now().Add(tcpWriteDeadline))
 		c.Write(wire.AppendFrame(nil, frame))
 	}
-	scan := frameScanner{max: s.maxFrame}
+	scan := frameScanner{max: DefaultMaxFrame}
 	for {
 		n, err := c.Read(scan.room())
 		if n > 0 {

@@ -9,8 +9,10 @@ import (
 	"dynagg/internal/wire"
 )
 
-// TCP defaults. MaxFrame leaves room for the largest batch frame plus
-// slack; the backoff range keeps a dead peer from being hammered while
+// TCP defaults. DefaultMaxFrame bounds every frame, send and receive,
+// with room for the largest batch frame plus slack: oversized sends
+// drop, and an oversized *claim* on a received stream is corruption
+// and kills the connection. The backoff range keeps a dead peer from being hammered while
 // letting a restarted one be reacquired within a couple of ticks.
 const (
 	DefaultMaxFrame    = 1 << 20
@@ -81,7 +83,7 @@ var (
 // stream-specific knobs:
 //
 //	NewTCP(transport.WithGroups(a, b), transport.WithLocal(0))
-//	NewTCP(transport.WithLoopbackGroups(1024, 8), transport.WithMaxFrame(1<<16))
+//	NewTCP(transport.WithLoopbackGroups(1024, 8), transport.WithDialTimeout(time.Second))
 //
 // then binds one listener per local group and starts its acceptor and
 // one writer per known group. Peer groups whose Addr is unknown (or
@@ -94,9 +96,6 @@ func NewTCP(opts ...TCPOption) (*TCP, error) {
 	}
 	if err := validateLayout(set.groups, set.local); err != nil {
 		return nil, err
-	}
-	if set.maxFrame <= 0 {
-		set.maxFrame = DefaultMaxFrame
 	}
 	if set.dialTimeout <= 0 {
 		set.dialTimeout = DefaultDialTimeout
@@ -112,7 +111,7 @@ func NewTCP(opts ...TCPOption) (*TCP, error) {
 	}
 	t := &TCP{in: newInbox(localSpans(set.groups, set.local), set.queueCapacity)}
 	// Outboxes share the receive queues' capacity.
-	t.st = newStreams(set.maxFrame, set.dialTimeout,
+	t.st = newStreams(set.dialTimeout,
 		backoff.Policy{Min: set.backoffMin, Max: set.backoffMax, Jitter: 0.1},
 		t.in.capacity, &t.in.bufs, t.handleFrame)
 	t.locals = make(map[gossip.NodeID]bool, len(set.local))
@@ -243,15 +242,9 @@ func (t *TCP) BatchGroup(g int) (lo, hi gossip.NodeID) {
 	return gr.Lo, gr.Hi
 }
 
-// MaxBatchBody implements Batcher: the UDP ceiling (so chan, udp, and
-// tcp runs batch identically) unless MaxFrame is tighter.
-func (t *TCP) MaxBatchBody() int {
-	m := maxUDPPayload - maxBatchHeader
-	if f := t.st.maxFrame - maxBatchHeader; f < m {
-		m = f
-	}
-	return m
-}
+// MaxBatchBody implements Batcher: the UDP ceiling, so chan, udp, and
+// tcp runs batch identically (DefaultMaxFrame is far above it).
+func (t *TCP) MaxBatchBody() int { return maxUDPPayload - maxBatchHeader }
 
 // SendBatch implements Batcher: one frame carrying a whole shard's
 // wave, queued on the destination group's outbox. The header's To is

@@ -46,11 +46,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Node is one epoch-based averaging host.
-type Node struct {
-	id  gossip.NodeID
-	cfg Config
-	v0  float64
+// prepare fills cfg's default Maturity and panics on an invalid
+// configuration.
+func (cfg *Config) prepare() {
+	if cfg.Maturity == 0 {
+		cfg.Maturity = cfg.Length / 2
+	}
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+}
+
+// host is one host's epoch-based averaging state and arithmetic,
+// shared by Node (one host) and Columnar (a slice of them).
+type host struct {
+	v0 float64
 
 	epoch int
 	age   int // rounds spent in the current epoch
@@ -60,11 +70,102 @@ type Node struct {
 	inEpoch  int // highest epoch seen in this round's inbox
 	received bool
 
-	// out is the scratch payload referenced by EmitAppend envelopes.
+	// out is the payload carried by every message the host emits this
+	// round: Node's EmitAppend envelopes point at it, and Columnar's
+	// Deliver reads it through ColMsg.From.
 	out Message
 
 	prevEst    float64
 	hasPrevEst bool
+}
+
+// newHost is a host with data value v0 at the start of epoch 0.
+func newHost(v0 float64) host { return host{v0: v0, w: 1, v: v0} }
+
+// reset begins a new epoch from the host's initial state.
+func (h *host) reset(epoch int) {
+	if h.w > 1e-12 {
+		h.prevEst = h.v / h.w
+		h.hasPrevEst = true
+	}
+	h.epoch = epoch
+	h.age = 0
+	h.w, h.v = 1, h.v0
+}
+
+// begin advances the local epoch clock, restarting after length rounds.
+func (h *host) begin(length int) {
+	h.inW, h.inV = 0, 0
+	h.inEpoch = h.epoch
+	h.received = false
+	h.age++
+	if h.age >= length {
+		h.reset(h.epoch + 1)
+	}
+}
+
+// emit sets the round's payload: half the mass when a peer was
+// picked, all of it (returning to self) when the host is isolated.
+func (h *host) emit(split bool) {
+	if !split {
+		h.out = Message{Epoch: h.epoch, W: h.w, V: h.v}
+		return
+	}
+	h.out = Message{Epoch: h.epoch, W: h.w / 2, V: h.v / 2}
+}
+
+// receive folds one message: mass from older epochs is dropped, mass
+// from a newer epoch preempts everything accumulated so far.
+func (h *host) receive(m Message) {
+	switch {
+	case m.Epoch < h.inEpoch:
+		return // stale epoch: discard
+	case m.Epoch > h.inEpoch:
+		h.inEpoch = m.Epoch
+		h.inW, h.inV = m.W, m.V
+		h.received = true
+	default:
+		h.inW += m.W
+		h.inV += m.V
+		h.received = true
+	}
+}
+
+// end adopts a newer epoch by restarting from the initial state plus
+// the received mass, otherwise replaces the mass with the inbox.
+func (h *host) end() {
+	if !h.received {
+		return
+	}
+	if h.inEpoch > h.epoch {
+		h.reset(h.inEpoch)
+		h.w += h.inW
+		h.v += h.inV
+		return
+	}
+	h.w, h.v = h.inW, h.inV
+}
+
+// estimate is the current epoch's running ratio once mature, otherwise
+// the previous epoch's final estimate.
+func (h *host) estimate(maturity int) (float64, bool) {
+	if h.age >= maturity && h.w > 1e-12 {
+		return h.v / h.w, true
+	}
+	if h.hasPrevEst {
+		return h.prevEst, true
+	}
+	if h.w > 1e-12 {
+		return h.v / h.w, true
+	}
+	return 0, false
+}
+
+// Node is one epoch-based averaging host.
+type Node struct {
+	id  gossip.NodeID
+	cfg Config
+	host
 }
 
 var (
@@ -74,13 +175,8 @@ var (
 
 // New returns an epoch-averaging host with data value v0.
 func New(id gossip.NodeID, v0 float64, cfg Config) *Node {
-	if cfg.Maturity == 0 {
-		cfg.Maturity = cfg.Length / 2
-	}
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Node{id: id, cfg: cfg, v0: v0, w: 1, v: v0}
+	cfg.prepare()
+	return &Node{id: id, cfg: cfg, host: newHost(v0)}
 }
 
 // ID returns the host id.
@@ -89,27 +185,8 @@ func (n *Node) ID() gossip.NodeID { return n.id }
 // Epoch returns the host's current epoch number.
 func (n *Node) Epoch() int { return n.epoch }
 
-// reset begins a new epoch from the host's initial state.
-func (n *Node) reset(epoch int) {
-	if n.w > 1e-12 {
-		n.prevEst = n.v / n.w
-		n.hasPrevEst = true
-	}
-	n.epoch = epoch
-	n.age = 0
-	n.w, n.v = 1, n.v0
-}
-
 // BeginRound implements gossip.Agent: advance the local epoch clock.
-func (n *Node) BeginRound(round int) {
-	n.inW, n.inV = 0, 0
-	n.inEpoch = n.epoch
-	n.received = false
-	n.age++
-	if n.age >= n.cfg.Length {
-		n.reset(n.epoch + 1)
-	}
-}
+func (n *Node) BeginRound(round int) { n.begin(n.cfg.Length) }
 
 // Emit implements gossip.Agent: EmitAppend with every payload detached
 // from the host's scratch into an independent Message value.
@@ -125,11 +202,10 @@ func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip
 // halves, as round-scoped payloads pointing at per-host scratch.
 func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	peer, ok := pick()
+	n.emit(ok)
 	if !ok {
-		n.out = Message{Epoch: n.epoch, W: n.w, V: n.v}
 		return append(dst, gossip.Envelope{To: n.id, Payload: &n.out})
 	}
-	n.out = Message{Epoch: n.epoch, W: n.w / 2, V: n.v / 2}
 	return append(dst,
 		gossip.Envelope{To: peer, Payload: &n.out},
 		gossip.Envelope{To: n.id, Payload: &n.out},
@@ -141,57 +217,19 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 // boxed Message of Emit and the scratch-backed *Message of EmitAppend
 // are accepted.
 func (n *Node) Receive(payload any) {
-	var m Message
 	switch p := payload.(type) {
 	case *Message:
-		m = *p
+		n.receive(*p)
 	case Message:
-		m = p
+		n.receive(p)
 	default:
 		panic(fmt.Sprintf("epoch: unexpected payload %T", payload))
-	}
-	switch {
-	case m.Epoch < n.inEpoch:
-		return // stale epoch: discard
-	case m.Epoch > n.inEpoch:
-		// Newer epoch preempts everything accumulated so far.
-		n.inEpoch = m.Epoch
-		n.inW, n.inV = m.W, m.V
-		n.received = true
-	default:
-		n.inW += m.W
-		n.inV += m.V
-		n.received = true
 	}
 }
 
 // EndRound implements gossip.Agent.
-func (n *Node) EndRound(round int) {
-	if !n.received {
-		return
-	}
-	if n.inEpoch > n.epoch {
-		// Adopt the newer epoch: restart from the initial state plus
-		// the received mass.
-		n.reset(n.inEpoch)
-		n.w += n.inW
-		n.v += n.inV
-		return
-	}
-	n.w, n.v = n.inW, n.inV
-}
+func (n *Node) EndRound(round int) { n.end() }
 
 // Estimate implements gossip.Agent: the current epoch's running ratio
 // once mature, otherwise the previous epoch's final estimate.
-func (n *Node) Estimate() (float64, bool) {
-	if n.age >= n.cfg.Maturity && n.w > 1e-12 {
-		return n.v / n.w, true
-	}
-	if n.hasPrevEst {
-		return n.prevEst, true
-	}
-	if n.w > 1e-12 {
-		return n.v / n.w, true
-	}
-	return 0, false
-}
+func (n *Node) Estimate() (float64, bool) { return n.estimate(n.cfg.Maturity) }

@@ -1,48 +1,38 @@
 package extremes
 
 import (
+	"slices"
+
 	"dynagg/internal/gossip"
 )
 
-// colCandidate is the columnar plane's compact candidate: the same
-// (value, owner, age) triple as Candidate with the integers narrowed
-// so a row of them stays cache-resident. Ages never exceed the round
-// count, so int32 is exact.
-type colCandidate struct {
-	value float64
-	owner int32
-	age   int32
-}
-
-// Columnar is the struct-of-arrays form of the dynamic extremum
-// protocol: every host's candidate table is a fixed-stride row of ONE
-// flat population block (gossip.ColumnarAgent + gossip.ColExchanger).
-// Rows are 2×TableSize+1 wide — the normalized table occupies the
-// first TableSize slots and the rest is in-place merge headroom (two
-// full tables plus the re-pinned own entry), so receiving a snapshot
-// (Deliver) or a pairwise exchange never allocates. Gossip messages carry no payload on the columnar plane;
-// Deliver merges the emitter's start-of-round snapshot row (shadow
-// block) into the destination, exactly the classic path's table copy.
+// Columnar is the dynamic extremum protocol over a whole population:
+// every host's candidate table is a fixed-stride row of ONE flat
+// population block (gossip.ColumnarAgent + gossip.ColExchanger). Rows
+// are 2×TableSize+1 wide — the normalized table occupies the first
+// TableSize slots and the rest is in-place merge headroom (two full
+// tables plus the re-pinned own entry), so receiving a snapshot
+// (Deliver) or a pairwise exchange never allocates. Gossip messages
+// carry no payload on the columnar plane; Deliver merges the emitter's
+// start-of-round snapshot row (shadow block) into the destination,
+// exactly the classic path's table copy.
 //
-// normalize here is Node.normalize's algorithm (map-free: linear dedup
-// over ≤ 2×TableSize+1 entries) over the narrower rows, computing the
-// same deterministic function of the candidate multiset — dedup by
-// owner keeping the youngest age, re-pin the own entry at age zero,
-// drop aged-out candidates, sort best-first with the owner tie-break,
-// truncate — so tables, and therefore estimates, are byte-identical to
-// a population of *Node agents on the classic path.
+// Aging and normalization are the package's age and normalize, the
+// code Node runs, applied to a row; so tables, and therefore
+// estimates, are byte-identical to a population of *Node agents on the
+// classic path.
 type Columnar struct {
 	cfg    Config
 	value  []float64
 	stride int // row width = 2*TableSize + 1
 
-	table []colCandidate // n*stride; host i's table is the row prefix
+	table []Candidate // n*stride; host i's table is the row prefix
 	tlen  []int32
 
 	// snap holds each host's emission-time table snapshot (≤ TableSize
 	// entries per host), the columnar form of the classic snapshot
 	// payload.
-	snap    []colCandidate
+	snap    []Candidate
 	snapLen []int32
 }
 
@@ -60,13 +50,13 @@ func NewColumnar(vs []float64, cfg Config) *Columnar {
 		cfg:     cfg,
 		value:   append([]float64(nil), vs...),
 		stride:  2*cfg.TableSize + 1,
-		table:   make([]colCandidate, n*(2*cfg.TableSize+1)),
+		table:   make([]Candidate, n*(2*cfg.TableSize+1)),
 		tlen:    make([]int32, n),
-		snap:    make([]colCandidate, n*cfg.TableSize),
+		snap:    make([]Candidate, n*cfg.TableSize),
 		snapLen: make([]int32, n),
 	}
-	for i, v := range vs {
-		c.table[i*c.stride] = colCandidate{value: v, owner: int32(i), age: 0}
+	for i := range vs {
+		c.table[i*c.stride] = c.own(i)
 		c.tlen[i] = 1
 	}
 	return c
@@ -77,97 +67,34 @@ func (c *Columnar) Len() int { return len(c.tlen) }
 
 // Table returns a copy of host id's candidate table, best first.
 func (c *Columnar) Table(id gossip.NodeID) []Candidate {
-	base := int(id) * c.stride
-	out := make([]Candidate, c.tlen[id])
-	for j := range out {
-		cc := c.table[base+j]
-		out[j] = Candidate{Value: cc.value, Owner: gossip.NodeID(cc.owner), Age: int(cc.age)}
-	}
-	return out
+	return slices.Clone(c.row(int(id)))
 }
 
-// better reports whether a beats b, mirroring Node.better.
-func (c *Columnar) better(a, b colCandidate) bool {
-	if a.value != b.value {
-		if c.cfg.Mode == Max {
-			return a.value > b.value
-		}
-		return a.value < b.value
-	}
-	return a.owner < b.owner
-}
-
-// normalize rebuilds host i's row from whatever multiset currently
-// occupies it: dedup by owner keeping the youngest age, re-pin the own
-// entry, drop aged-out candidates, sort best-first, truncate to the
-// table size. In place, no allocation.
-func (c *Columnar) normalize(i int) {
+// row is host i's table, capped at the row width so that nothing
+// written through it can spill into the next host's row.
+func (c *Columnar) row(i int) []Candidate {
 	base := i * c.stride
-	row := c.table[base : base+int(c.tlen[i])]
-	// Dedup foreign candidates by owner, keeping the minimum age
-	// (per-owner value is fixed, so duplicates differ only in age);
-	// own entries are discarded here and re-pinned below.
-	kept := 0
-	for _, cand := range row {
-		if cand.owner == int32(i) {
-			continue
-		}
-		dup := false
-		for k := 0; k < kept; k++ {
-			if row[k].owner == cand.owner {
-				if cand.age < row[k].age {
-					row[k].age = cand.age
-				}
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			row[kept] = cand
-			kept++
-		}
-	}
-	// Drop aged-out candidates, then add the own candidate (always
-	// live at age 0).
-	live := 0
-	for k := 0; k < kept; k++ {
-		if int(row[k].age) > c.cfg.Cutoff {
-			continue
-		}
-		row[live] = row[k]
-		live++
-	}
-	row = c.table[base : base+live+1]
-	row[live] = colCandidate{value: c.value[i], owner: int32(i), age: 0}
-	// Insertion sort: owners are unique, so better is a strict total
-	// order and the result matches Node.normalize's exactly.
-	for j := 1; j < len(row); j++ {
-		cand := row[j]
-		k := j
-		for ; k > 0 && c.better(cand, row[k-1]); k-- {
-			row[k] = row[k-1]
-		}
-		row[k] = cand
-	}
-	n := len(row)
-	if n > c.cfg.TableSize {
-		n = c.cfg.TableSize
-	}
-	c.tlen[i] = int32(n)
+	return c.table[base : base+int(c.tlen[i]) : base+c.stride]
+}
+
+// own is host i's own candidate, pinned at age zero.
+func (c *Columnar) own(i int) Candidate {
+	return Candidate{Value: c.value[i], Owner: gossip.NodeID(i)}
+}
+
+// normalize rebuilds host i's row from the multiset it holds. The
+// headroom always fits the re-pinned own entry, so the result stays in
+// the row.
+func (c *Columnar) normalize(i int) {
+	c.tlen[i] = int32(len(normalize(c.row(i), c.own(i), &c.cfg)))
 }
 
 // BeginRange implements gossip.ColumnarAgent: age every foreign
 // candidate, then normalize (Node.BeginRound).
 func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 	for _, id := range rc.Live(lo, hi) {
-		i := int(id)
-		base := i * c.stride
-		for j := 0; j < int(c.tlen[i]); j++ {
-			if c.table[base+j].owner != int32(i) {
-				c.table[base+j].age++
-			}
-		}
-		c.normalize(i)
+		age(c.row(int(id)), id)
+		c.normalize(int(id))
 	}
 }
 
@@ -182,9 +109,7 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 			continue
 		}
 		i := int(id)
-		n := int(c.tlen[i])
-		copy(c.snap[i*c.cfg.TableSize:i*c.cfg.TableSize+n], c.table[i*c.stride:i*c.stride+n])
-		c.snapLen[i] = int32(n)
+		c.snapLen[i] = int32(copy(c.snap[i*c.cfg.TableSize:], c.row(i)))
 		out = append(out, gossip.ColMsg{To: peer, From: id})
 	}
 	rc.Out = out
@@ -199,10 +124,8 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 			continue
 		}
 		to, from := int(m.To), int(m.From)
-		n := int(c.tlen[to])
-		sn := int(c.snapLen[from])
-		copy(c.table[to*c.stride+n:to*c.stride+n+sn], c.snap[from*c.cfg.TableSize:from*c.cfg.TableSize+sn])
-		c.tlen[to] = int32(n + sn)
+		snap := c.snap[from*c.cfg.TableSize : from*c.cfg.TableSize+int(c.snapLen[from])]
+		c.tlen[to] = int32(len(append(c.row(to), snap...)))
 		c.normalize(to)
 	}
 }
@@ -217,23 +140,18 @@ func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {}
 func (c *Columnar) ExchangePairs(rc *gossip.ColRound, pairs []gossip.Pair) {
 	for _, pr := range pairs {
 		a, b := int(pr.A), int(pr.B)
-		alen, blen := int(c.tlen[a]), int(c.tlen[b])
 		// Append a's table to b's row first, then b's (still intact)
 		// table to a's row.
-		copy(c.table[b*c.stride+blen:b*c.stride+blen+alen], c.table[a*c.stride:a*c.stride+alen])
-		copy(c.table[a*c.stride+alen:a*c.stride+alen+blen], c.table[b*c.stride:b*c.stride+blen])
-		c.tlen[a] = int32(alen + blen)
-		c.tlen[b] = int32(alen + blen)
+		ra, rb := c.row(a), c.row(b)
+		c.tlen[b] = int32(len(append(rb, ra...)))
+		c.tlen[a] = int32(len(append(ra, rb...)))
 		c.normalize(a)
 		c.normalize(b)
 	}
 }
 
 // Best returns host id's current best candidate.
-func (c *Columnar) Best(id gossip.NodeID) Candidate {
-	cc := c.table[int(id)*c.stride]
-	return Candidate{Value: cc.value, Owner: gossip.NodeID(cc.owner), Age: int(cc.age)}
-}
+func (c *Columnar) Best(id gossip.NodeID) Candidate { return c.table[int(id)*c.stride] }
 
 // Estimate implements gossip.ColumnarAgent: the best live candidate's
 // value.
@@ -241,5 +159,5 @@ func (c *Columnar) Estimate(id gossip.NodeID) (float64, bool) {
 	if c.tlen[id] == 0 {
 		return 0, false
 	}
-	return c.table[int(id)*c.stride].value, true
+	return c.table[int(id)*c.stride].Value, true
 }

@@ -59,11 +59,13 @@ const DefaultCutoff = 30
 // DefaultTableSize is the default number of candidates retained.
 const DefaultTableSize = 8
 
-// Candidate is one (value, owner) pair with its gossip age.
+// Candidate is one (value, owner) pair with its gossip age: 16 bytes,
+// the layout of wire.Candidate, so a table row stays cache-resident.
+// Ages never exceed the round count, so int32 is exact.
 type Candidate struct {
 	Value float64
 	Owner gossip.NodeID
-	Age   int
+	Age   int32
 }
 
 // Config parametrizes an extremes host.
@@ -138,7 +140,7 @@ func New(id gossip.NodeID, value float64, cfg Config) *Node {
 	}
 	cfg.fillDefaults()
 	n := &Node{id: id, value: value, cfg: cfg}
-	n.table = []Candidate{{Value: value, Owner: id, Age: 0}}
+	n.table = []Candidate{n.own()}
 	return n
 }
 
@@ -149,17 +151,13 @@ func (n *Node) ID() gossip.NodeID { return n.id }
 func (n *Node) Value() float64 { return n.value }
 
 // Table returns a copy of the candidate table, best first.
-func (n *Node) Table() []Candidate {
-	out := make([]Candidate, len(n.table))
-	copy(out, n.table)
-	return out
-}
+func (n *Node) Table() []Candidate { return slices.Clone(n.table) }
 
-// better reports whether a beats b for this node's mode, with owner id
-// as a deterministic tie-break.
-func (n *Node) better(a, b Candidate) bool {
+// better reports whether a beats b under mode, with owner id as a
+// deterministic tie-break.
+func better(a, b Candidate, mode Mode) bool {
 	if a.Value != b.Value {
-		if n.cfg.Mode == Max {
+		if mode == Max {
 			return a.Value > b.Value
 		}
 		return a.Value < b.Value
@@ -167,19 +165,28 @@ func (n *Node) better(a, b Candidate) bool {
 	return a.Owner < b.Owner
 }
 
-// normalize rebuilds the table from whatever multiset currently
-// occupies it: dedup by owner keeping the youngest age, re-pin the own
-// entry, drop aged-out candidates, sort best-first, truncate to the
-// table size. In place and map-free (a linear dedup: the multiset is
-// at most two tables and the own entry), the same algorithm as
-// Columnar.normalize over the wider Candidate rows.
-func (n *Node) normalize() {
+// age increments the age of every candidate in row not owned by owner.
+func age(row []Candidate, owner gossip.NodeID) {
+	for i := range row {
+		if row[i].Owner != owner {
+			row[i].Age++
+		}
+	}
+}
+
+// normalize rebuilds a table from whatever multiset occupies row:
+// dedup by owner keeping the youngest candidate whole (the first on
+// ties), re-pin own at age zero, drop aged-out candidates, sort
+// best-first, truncate to the table size. In place and map-free (a
+// linear dedup: the multiset is at most two tables and the own entry);
+// the result is row's prefix, or a new slice only if the own entry does
+// not fit in row's capacity.
+func normalize(row []Candidate, own Candidate, cfg *Config) []Candidate {
 	// Dedup foreign candidates by owner, keeping the first of minimum
 	// age; own entries are discarded here and re-pinned below.
-	row := n.table
 	kept := 0
 	for _, cand := range row {
-		if cand.Owner == n.id {
+		if cand.Owner == own.Owner {
 			continue
 		}
 		dup := false
@@ -201,36 +208,38 @@ func (n *Node) normalize() {
 	// live at age 0).
 	live := 0
 	for k := 0; k < kept; k++ {
-		if row[k].Age > n.cfg.Cutoff {
+		if int(row[k].Age) > cfg.Cutoff {
 			continue
 		}
 		row[live] = row[k]
 		live++
 	}
-	row = append(row[:live], Candidate{Value: n.value, Owner: n.id, Age: 0})
+	row = append(row[:live], own)
 	// Insertion sort: owners are unique, so better is a strict total
 	// order and any correct sort yields this one table.
 	for j := 1; j < len(row); j++ {
 		cand := row[j]
 		k := j
-		for ; k > 0 && n.better(cand, row[k-1]); k-- {
+		for ; k > 0 && better(cand, row[k-1], cfg.Mode); k-- {
 			row[k] = row[k-1]
 		}
 		row[k] = cand
 	}
-	if len(row) > n.cfg.TableSize {
-		row = row[:n.cfg.TableSize]
+	if len(row) > cfg.TableSize {
+		row = row[:cfg.TableSize]
 	}
-	n.table = row
+	return row
 }
+
+// own is the host's own candidate, pinned at age zero.
+func (n *Node) own() Candidate { return Candidate{Value: n.value, Owner: n.id} }
+
+// normalize rebuilds the host's table from the multiset it holds.
+func (n *Node) normalize() { n.table = normalize(n.table, n.own(), &n.cfg) }
 
 // BeginRound implements gossip.Agent: age every foreign candidate.
 func (n *Node) BeginRound(round int) {
-	for i := range n.table {
-		if n.table[i].Owner != n.id {
-			n.table[i].Age++
-		}
-	}
+	age(n.table, n.id)
 	n.normalize()
 }
 

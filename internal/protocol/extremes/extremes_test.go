@@ -193,7 +193,7 @@ func TestReceiveIdempotentOrderInsensitive(t *testing.T) {
 				out = append(out, Candidate{
 					Value: float64(owner) * 3,
 					Owner: owner,
-					Age:   int(r % 10),
+					Age:   int32(r % 10),
 				})
 			}
 			return out

@@ -24,16 +24,16 @@ func referenceNormalize(n *Node, multiset []Candidate) []Candidate {
 	byOwner[n.id] = Candidate{Value: n.value, Owner: n.id, Age: 0}
 	var table []Candidate
 	for _, c := range byOwner {
-		if c.Age > n.cfg.Cutoff {
+		if int(c.Age) > n.cfg.Cutoff {
 			continue
 		}
 		table = append(table, c)
 	}
 	slices.SortFunc(table, func(a, b Candidate) int {
-		if n.better(a, b) {
+		if better(a, b, n.cfg.Mode) {
 			return -1
 		}
-		if n.better(b, a) {
+		if better(b, a, n.cfg.Mode) {
 			return 1
 		}
 		return 0
@@ -45,11 +45,12 @@ func referenceNormalize(n *Node, multiset []Candidate) []Candidate {
 }
 
 // TestNormalizeMatchesMapAndSortReference compares the map-free
-// normalize with the map + SortFunc one it replaced over generated
-// candidate multisets: duplicate owners with different ages, the own
-// entry arriving at an age above zero (or not at all), ages on either
-// side of the cutoff, more live entries than the table holds, values
-// tied across owners, both modes.
+// normalize, through both Node and a Columnar row, with the map +
+// SortFunc one it replaced over generated candidate multisets:
+// duplicate owners with different ages, forged duplicates carrying
+// another value, the own entry arriving at an age above zero (or not
+// at all), ages on either side of the cutoff, more live entries than
+// the table holds, values tied across owners, both modes.
 func TestNormalizeMatchesMapAndSortReference(t *testing.T) {
 	const owners = 14 // few enough that duplicates are the rule
 	for _, mode := range []Mode{Max, Min} {
@@ -74,13 +75,13 @@ func TestNormalizeMatchesMapAndSortReference(t *testing.T) {
 					c := Candidate{Value: values[owner], Owner: owner}
 					switch rng.Intn(5) {
 					case 0:
-						c.Age = n.cfg.Cutoff - 1
+						c.Age = int32(n.cfg.Cutoff - 1)
 					case 1:
-						c.Age = n.cfg.Cutoff
+						c.Age = int32(n.cfg.Cutoff)
 					case 2:
-						c.Age = n.cfg.Cutoff + 1
+						c.Age = int32(n.cfg.Cutoff + 1)
 					default:
-						c.Age = rng.Intn(n.cfg.Cutoff + 3)
+						c.Age = int32(rng.Intn(n.cfg.Cutoff + 3))
 					}
 					if rng.Intn(16) == 0 {
 						// A forged duplicate: another value under the same
@@ -95,6 +96,17 @@ func TestNormalizeMatchesMapAndSortReference(t *testing.T) {
 				if !sameTable(n.table, want) {
 					t.Fatalf("%v cutoff %d size %d, host %d, multiset %v:\n got  %v\n want %v",
 						mode, n.cfg.Cutoff, n.cfg.TableSize, id, multiset, n.table, want)
+				}
+				// The same multiset as host 0 of a one-host Columnar, its
+				// row widened to hold the multiset and the own entry.
+				c := NewColumnar(values[:1], cfg)
+				c.stride = len(multiset) + 1
+				c.table = append(append([]Candidate(nil), multiset...), Candidate{})
+				c.tlen[0] = int32(len(multiset))
+				c.normalize(0)
+				if want := referenceNormalize(New(0, values[0], cfg), multiset); !sameTable(c.Table(0), want) {
+					t.Fatalf("columnar %v cutoff %d size %d, multiset %v:\n got  %v\n want %v",
+						mode, c.cfg.Cutoff, c.cfg.TableSize, multiset, c.Table(0), want)
 				}
 			}
 		}

@@ -5,14 +5,15 @@ import (
 	"dynagg/internal/wire"
 )
 
-// Columnar is the struct-of-arrays form of Count-Sketch-Reset: the
-// whole population's m×L age matrices live in ONE flat []uint8 block
-// (host-major, bin-major within a host) instead of one heap slice per
-// host, and the round phases run as flat loops over it
-// (gossip.ColumnarAgent). Gossip messages carry no payload at all on
-// the columnar plane — Deliver min-merges the emitter's start-of-round
-// block (double-buffered in shadow) into the destination's block,
-// which is exactly what the classic path's snapshot payloads did, one
+// Columnar is Count-Sketch-Reset over a whole population: every
+// host's m×L age matrix lives in ONE flat []uint8 block (host-major,
+// bin-major within a host) instead of one heap slice per host, and the
+// round phases run as flat loops over it (gossip.ColumnarAgent),
+// calling the placement, pinning and exchange helpers Node calls.
+// Gossip messages carry no payload at all on the columnar plane —
+// Deliver min-merges the emitter's start-of-round block
+// (double-buffered in shadow) into the destination's block, which is
+// exactly what the classic path's snapshot payloads did, one
 // cache-hostile allocation at a time.
 //
 // Push/pull is supported through gossip.ColExchanger: each pair
@@ -61,28 +62,10 @@ func NewColumnar(n int, cfg Config) *Columnar {
 		ownedOff: make([]int32, n+1),
 		est:      make([]float64, n),
 	}
-	for i := range c.counters {
-		c.counters[i] = Never
-	}
 	for id := 0; id < n; id++ {
-		base := id * stride
-		start := len(c.owned)
-		for j := 0; j < cfg.Identifiers; j++ {
-			pos := p.Place((uint64(id)+1)<<20 | uint64(j))
-			idx := int32(pos.Bin*p.Levels + pos.Level)
-			dup := false
-			for _, o := range c.owned[start:] {
-				if o == idx {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				c.owned = append(c.owned, idx)
-			}
-			c.counters[base+int(idx)] = 0
-		}
+		c.owned = place(c.owned, id, &cfg)
 		c.ownedOff[id+1] = int32(len(c.owned))
+		initBlock(c.block(id), c.ownedOf(id))
 		c.refreshEstimate(id)
 	}
 	return c
@@ -93,9 +76,16 @@ func (c *Columnar) Len() int { return len(c.est) }
 
 // Owned returns the number of distinct (bin, level) indices host id
 // sources.
-func (c *Columnar) Owned(id gossip.NodeID) int {
-	return int(c.ownedOff[id+1] - c.ownedOff[id])
-}
+func (c *Columnar) Owned(id gossip.NodeID) int { return len(c.ownedOf(int(id))) }
+
+// block is host i's age matrix.
+func (c *Columnar) block(i int) []uint8 { return c.counters[i*c.stride : (i+1)*c.stride] }
+
+// snapshot is host i's start-of-round matrix in the shadow block.
+func (c *Columnar) snapshot(i int) []uint8 { return c.shadow[i*c.stride : (i+1)*c.stride] }
+
+// ownedOf is the list of indices host i sources.
+func (c *Columnar) ownedOf(i int) []int32 { return c.owned[c.ownedOff[i]:c.ownedOff[i+1]] }
 
 // CounterAt returns host id's age counter at (bin, level).
 func (c *Columnar) CounterAt(id gossip.NodeID, bin, level int) uint8 {
@@ -107,12 +97,9 @@ func (c *Columnar) CounterAt(id gossip.NodeID, bin, level int) uint8 {
 // back to zero.
 func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 	for _, id := range rc.Live(lo, hi) {
-		i := int(id)
-		block := c.counters[i*c.stride : (i+1)*c.stride]
+		block := c.block(int(id))
 		wire.AgeCounters(block)
-		for _, idx := range c.owned[c.ownedOff[i]:c.ownedOff[i+1]] {
-			block[idx] = 0
-		}
+		pin(block, c.ownedOf(int(id)))
 	}
 }
 
@@ -128,8 +115,7 @@ func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
 		if !ok {
 			continue
 		}
-		i := int(id)
-		copy(c.shadow[i*c.stride:(i+1)*c.stride], c.counters[i*c.stride:(i+1)*c.stride])
+		copy(c.snapshot(int(id)), c.block(int(id)))
 		out = append(out, gossip.ColMsg{To: peer, From: id})
 	}
 	rc.Out = out
@@ -145,8 +131,7 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 		if !rc.Alive[m.To] {
 			continue
 		}
-		to, from := int(m.To), int(m.From)
-		wire.MinCounters(c.counters[to*c.stride:(to+1)*c.stride], c.shadow[from*c.stride:(from+1)*c.stride])
+		wire.MinCounters(c.block(int(m.To)), c.snapshot(int(m.From)))
 	}
 }
 
@@ -155,16 +140,8 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 // afterwards — exactly Node.Exchange, over flat blocks.
 func (c *Columnar) ExchangePairs(rc *gossip.ColRound, pairs []gossip.Pair) {
 	for _, pr := range pairs {
-		a := c.counters[int(pr.A)*c.stride : (int(pr.A)+1)*c.stride]
-		b := c.counters[int(pr.B)*c.stride : (int(pr.B)+1)*c.stride]
-		wire.MinCounters(a, b)
-		copy(b, a)
-		for _, idx := range c.owned[c.ownedOff[pr.A]:c.ownedOff[pr.A+1]] {
-			a[idx] = 0
-		}
-		for _, idx := range c.owned[c.ownedOff[pr.B]:c.ownedOff[pr.B+1]] {
-			b[idx] = 0
-		}
+		a, b := int(pr.A), int(pr.B)
+		exchange(c.block(a), c.block(b), c.ownedOf(a), c.ownedOf(b))
 	}
 }
 
@@ -191,5 +168,5 @@ func (c *Columnar) BitSet(id gossip.NodeID, bin, level int) bool {
 // refreshEstimate re-derives host i's estimate from its block. Eager,
 // unlike Node's: Estimate(id) has readers that hold no lock.
 func (c *Columnar) refreshEstimate(i int) {
-	c.est[i] = estimate(c.counters[i*c.stride:(i+1)*c.stride], c.cutoff, c.cfg.Scale)
+	c.est[i] = estimate(c.block(i), c.cutoff, c.cfg.Scale)
 }

@@ -151,23 +151,54 @@ func New(id gossip.NodeID, cfg Config) *Node {
 		id:       id,
 		cfg:      cfg,
 		counters: make([]uint8, p.Bins*p.Levels),
+		owned:    place(nil, int(id), &cfg),
 		cutoff:   cutoff,
 		stale:    true,
 	}
-	for i := range n.counters {
-		n.counters[i] = Never
-	}
-	seen := make(map[int32]bool)
+	initBlock(n.counters, n.owned)
+	return n
+}
+
+// place appends host id's sourced indices to owned: the bin-major
+// index of one (bin, level) per identifier, deterministic per (host
+// id, identifier index), each index once (a linear dedup over the
+// host's own indices).
+func place(owned []int32, id int, cfg *Config) []int32 {
+	p := cfg.Params
+	start := len(owned)
 	for j := 0; j < cfg.Identifiers; j++ {
 		pos := p.Place((uint64(id)+1)<<20 | uint64(j))
-		idx := int32(pos.Bin*p.Levels + pos.Level)
-		if !seen[idx] {
-			seen[idx] = true
-			n.owned = append(n.owned, idx)
+		if idx := int32(pos.Bin*p.Levels + pos.Level); !slices.Contains(owned[start:], idx) {
+			owned = append(owned, idx)
 		}
-		n.counters[idx] = 0
 	}
-	return n
+	return owned
+}
+
+// initBlock sets a host's age block to Figure 5's initial state: every
+// counter Never, except the owned ones pinned at zero.
+func initBlock(block []uint8, owned []int32) {
+	for i := range block {
+		block[i] = Never
+	}
+	pin(block, owned)
+}
+
+// pin zeroes the counters a host sources.
+func pin(block []uint8, owned []int32) {
+	for _, idx := range owned {
+		block[idx] = 0
+	}
+}
+
+// exchange min-merges two hosts' blocks into each other ("the peer can
+// also respond by sending its own array") and re-pins both owned sets,
+// after which the blocks agree except at owned indices.
+func exchange(a, b []uint8, ownedA, ownedB []int32) {
+	wire.MinCounters(a, b)
+	copy(b, a)
+	pin(a, ownedA)
+	pin(b, ownedB)
 }
 
 // ID returns the host id.
@@ -183,20 +214,13 @@ func (n *Node) CounterAt(bin, level int) uint8 {
 }
 
 // BeginRound implements gossip.Agent: age every counter the host does
-// not source (Figure 5 step 2).
+// not source (Figure 5 step 2), saturating at MaxAge. Owned counters
+// are pinned back to zero afterwards (cheaper than testing ownership
+// in the hot loop).
 func (n *Node) BeginRound(round int) {
-	n.age()
-}
-
-// age increments all non-owned counters, saturating at MaxAge.
-func (n *Node) age() {
 	n.stale = true
 	wire.AgeCounters(n.counters)
-	// Owned counters are pinned back to zero (cheaper than testing
-	// ownership in the hot loop).
-	for _, idx := range n.owned {
-		n.counters[idx] = 0
-	}
+	pin(n.counters, n.owned)
 }
 
 // Emit implements gossip.Agent: EmitAppend with the snapshot detached
@@ -253,9 +277,7 @@ func (n *Node) minMerge(other []uint8) {
 	}
 	n.stale = true
 	wire.MinCounters(n.counters, other)
-	for _, idx := range n.owned {
-		n.counters[idx] = 0
-	}
+	pin(n.counters, n.owned)
 }
 
 // EndRound implements gossip.Agent. Figure 5 steps 6-7 run on demand,
@@ -263,20 +285,11 @@ func (n *Node) minMerge(other []uint8) {
 // fold here.
 func (n *Node) EndRound(round int) {}
 
-// Exchange implements gossip.Exchanger: mutual min-merge ("the peer
-// can also respond by sending its own array"), after which both
-// matrices agree except at owned indices.
+// Exchange implements gossip.Exchanger: mutual min-merge.
 func (n *Node) Exchange(peer gossip.Exchanger) {
 	p := peer.(*Node)
 	n.stale, p.stale = true, true
-	wire.MinCounters(n.counters, p.counters)
-	copy(p.counters, n.counters)
-	for _, idx := range n.owned {
-		n.counters[idx] = 0
-	}
-	for _, idx := range p.owned {
-		p.counters[idx] = 0
-	}
+	exchange(n.counters, p.counters, n.owned, p.owned)
 }
 
 // bitSet reports whether a counter of the given age counts as a set

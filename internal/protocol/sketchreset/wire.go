@@ -22,8 +22,7 @@ func (c *Columnar) WireKind() uint8 { return WireKindSketchReset }
 // tick, immediately after EmitRange snapshotted it — exactly when the
 // live engine calls AppendWire.
 func (c *Columnar) AppendWire(dst []byte, m gossip.ColMsg) []byte {
-	from := int(m.From)
-	return wire.AppendCounters(dst, c.shadow[from*c.stride:(from+1)*c.stride])
+	return wire.AppendCounters(dst, c.snapshot(int(m.From)))
 }
 
 // DeliverWire min-merges one received matrix straight into host to's
@@ -34,8 +33,7 @@ func (c *Columnar) AppendWire(dst []byte, m gossip.ColMsg) []byte {
 // which only weakens its min contribution (the same grace the classic
 // queue gives payloads).
 func (c *Columnar) DeliverWire(to gossip.NodeID, src []byte) ([]byte, error) {
-	dst := c.counters[int(to)*c.stride : (int(to)+1)*c.stride]
-	return wire.DecodeCountersMin(dst, src)
+	return wire.DecodeCountersMin(c.block(int(to)), src)
 }
 
 // MaxWireCounters bounds the counter matrix a datagram may carry (the

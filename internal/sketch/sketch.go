@@ -111,11 +111,22 @@ type Sketch struct {
 }
 
 // New returns an empty sketch with the given parameters.
-func New(p Params) *Sketch {
+func New(p Params) *Sketch { return &NewBlock(p, 1)[0] }
+
+// NewBlock returns n empty sketches with the given parameters whose
+// bins share one contiguous allocation, host-major: the layout of a
+// population of sketches kept as one flat block. Each sketch's bins are
+// capped at its own width, so no sketch can write into its neighbour.
+func NewBlock(p Params, n int) []Sketch {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Sketch{params: p, bins: make([]uint64, p.Bins)}
+	bins := make([]uint64, n*p.Bins)
+	block := make([]Sketch, n)
+	for i := range block {
+		block[i] = Sketch{params: p, bins: bins[i*p.Bins : (i+1)*p.Bins : (i+1)*p.Bins]}
+	}
+	return block
 }
 
 // Params returns the sketch's configuration.

@@ -327,6 +327,58 @@ func TestBitsRoundTrip(t *testing.T) {
 	}
 }
 
+// Writing one sketch of a block leaves its neighbours untouched, even
+// when every bin of the written sketch is set.
+func TestBlockSketchesAreIndependent(t *testing.T) {
+	p := Params{Bins: 4, Levels: 8}
+	block := NewBlock(p, 3)
+	full := New(p)
+	for j := 0; j < 10000; j++ {
+		full.Insert(uint64(j))
+	}
+	block[1].Merge(full)
+	block[1].InsertValue(7, 50)
+	empty := New(p)
+	for _, i := range []int{0, 2} {
+		if !block[i].Equal(empty) {
+			t.Errorf("neighbour %d changed: %v", i, block[i].Bits())
+		}
+	}
+	if !block[1].Equal(full) {
+		t.Errorf("written sketch %v, want %v", block[1].Bits(), full.Bits())
+	}
+}
+
+// A block sketch behaves bit for bit like a New sketch under the same
+// Insert, InsertValue and Merge, and estimates the same; CopyFrom
+// works between two blocks.
+func TestBlockSketchMatchesNew(t *testing.T) {
+	p := Params{Bins: 16, Levels: 20}
+	block, other := NewBlock(p, 2), NewBlock(p, 2)
+	s := New(p)
+	peer := New(p)
+	for j := uint64(0); j < 300; j++ {
+		block[0].Insert(j)
+		s.Insert(j)
+	}
+	block[0].InsertValue(9, 40)
+	s.InsertValue(9, 40)
+	for j := uint64(1000); j < 1400; j++ {
+		block[1].Insert(j)
+		peer.Insert(j)
+	}
+	block[0].Merge(&block[1])
+	s.Merge(peer)
+	if !block[0].Equal(s) || block[0].Estimate() != s.Estimate() {
+		t.Fatalf("block sketch %v (estimate %v), New sketch %v (estimate %v)",
+			block[0].Bits(), block[0].Estimate(), s.Bits(), s.Estimate())
+	}
+	other[1].CopyFrom(&block[0])
+	if !other[1].Equal(s) || !other[0].Equal(New(p)) {
+		t.Errorf("CopyFrom across blocks: got %v beside %v", other[1].Bits(), other[0].Bits())
+	}
+}
+
 func TestExpectedRelativeError(t *testing.T) {
 	got := Params{Bins: 64, Levels: 24}.ExpectedRelativeError()
 	if math.Abs(got-0.0975) > 0.001 {
