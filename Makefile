@@ -44,11 +44,14 @@ race:
 # workload at its full sizes and seed, on both backends, against the
 # SHA-256s in bench/testdata/round_figures_golden.json (read-only) — so
 # a change that moves a figure fails here, naming the figure, before
-# the benchmark's own correctness check sees it. `go test ./...` runs
-# it too; it skips itself under -short and under the race detector
-# (40 s there, single-goroutine), hence this uncached non-race run.
+# the benchmark's own correctness check sees it. Beside them, the
+# Count-Sketch-Reset cutoff sweeps the benchmark does not run
+# (grid-cutoff ablation, Figure 11's size column on traces 2 and 3)
+# against digests in internal/experiments. `go test ./...` runs both;
+# they skip themselves under -short and under the race detector (40 s
+# there, single-goroutine), hence this uncached non-race run.
 figure-golden:
-	$(GO) test -count=1 -run 'TestFigureDigestsMatchBenchGolden' ./internal/experiments
+	$(GO) test -count=1 -run 'TestFigureDigestsMatchBenchGolden|TestCutoffSweepDigestsGolden' ./internal/experiments
 
 # The benchmark module's own tests (all five workloads at toy size plus
 # the compare/quartile tests, ~11 s) under the offline environment

@@ -33,7 +33,7 @@ func AblationPushPull(sc Scale) Result {
 		engineCfg := gossip.Config{
 			Env: environment, Model: model, Seed: sc.Seed,
 			Workers:    sc.Workers,
-			AfterRound: []gossip.Hook{metrics.DeviationHook(&series, truth.Average)},
+			AfterRound: []gossip.Hook{metrics.DeviationHook(&series, truth.Average, (*gossip.Engine).EstimateOf)},
 		}
 		cfg := pushsumrevert.Config{Lambda: 0, PushPull: model == gossip.PushPull}
 		if sc.Columnar {
@@ -85,7 +85,7 @@ func AblationAdaptive(sc Scale) Result {
 			Env: environment, Model: gossip.Push, Seed: sc.Seed,
 			Workers:     sc.Workers,
 			BeforeRound: []gossip.Hook{failure.TopValuedAt(sc.FailAt, 0.5, environment.Population, values)},
-			AfterRound:  []gossip.Hook{metrics.DeviationHook(&series, truth.Average)},
+			AfterRound:  []gossip.Hook{metrics.DeviationHook(&series, truth.Average, (*gossip.Engine).EstimateOf)},
 		}
 		if sc.Columnar {
 			engineCfg.Columnar = pushsumrevert.NewColumnar(values, cfg)
@@ -171,7 +171,7 @@ func AblationEpoch(sc Scale) Result {
 			Env: environment, Model: gossip.Push, Seed: sc.Seed,
 			Workers:     sc.Workers,
 			BeforeRound: []gossip.Hook{failure.TopValuedAt(sc.FailAt, 0.5, environment.Population, values)},
-			AfterRound:  []gossip.Hook{metrics.DeviationHook(&series, truth.Average)},
+			AfterRound:  []gossip.Hook{metrics.DeviationHook(&series, truth.Average, (*gossip.Engine).EstimateOf)},
 		}
 		if sc.Columnar {
 			engineCfg.Columnar = epoch.NewColumnar(values, epoch.Config{Length: length})

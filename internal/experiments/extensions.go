@@ -165,7 +165,8 @@ func AblationExtremes(sc Scale) Result {
 // the estimate collapses), while over-generous cutoffs slow the decay
 // after failures. The experiment sweeps the cutoff intercept on a
 // side×side torus, measuring count error before and after failing half
-// the grid.
+// the grid. The cutoff is read-side only, so one simulation is read
+// once per intercept.
 func AblationGridCutoff(side int, seed uint64) Result {
 	n := side * side
 	res := Result{
@@ -176,46 +177,49 @@ func AblationGridCutoff(side int, seed uint64) Result {
 	var preSeries, postSeries stats.Series
 	preSeries.Label = "steady-state error (pre-failure)"
 	postSeries.Label = "error 30 rounds after failure"
-	for _, c := range []int{7, 15, 25, 40, 60} {
-		intercept := float64(c)
-		cutoff := func(k int) float64 { return intercept + float64(k)/2 }
-		grid := env.NewGrid(side, side, side)
-		agents := make([]gossip.Agent, n)
-		for i := range agents {
-			agents[i] = sketchreset.New(gossip.NodeID(i), sketchreset.Config{
-				Params: sketch.DefaultParams, Identifiers: 1, Cutoff: cutoff,
-			})
-		}
-		engine, err := gossip.NewEngine(gossip.Config{
-			Env: grid, Agents: agents, Model: gossip.PushPull, Seed: seed,
-		})
-		if err != nil {
-			panic(err)
-		}
-		meanRelErr := func(truth float64) float64 {
-			var sum float64
-			cnt := 0
-			for id, a := range engine.Agents() {
-				if !grid.Population.Alive(gossip.NodeID(id)) {
-					continue
-				}
-				if est, ok := a.Estimate(); ok {
-					sum += math.Abs(est - truth)
-					cnt++
-				}
+	cfg := sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 1}
+	intercepts := []float64{7, 15, 25, 40, 60}
+	reads := make([]sketchreset.Readout, len(intercepts))
+	for i, c := range intercepts {
+		read := cfg
+		read.Cutoff = func(k int) float64 { return c + float64(k)/2 }
+		reads[i] = sketchreset.NewReadout(read)
+	}
+	grid := env.NewGrid(side, side, side)
+	agents := make([]gossip.Agent, n)
+	for i := range agents {
+		agents[i] = sketchreset.New(gossip.NodeID(i), cfg)
+	}
+	engine, err := gossip.NewEngine(gossip.Config{
+		Env: grid, Agents: agents, Model: gossip.PushPull, Seed: seed,
+	})
+	if err != nil {
+		panic(err)
+	}
+	meanRelErr := func(read sketchreset.Readout, truth float64) float64 {
+		var sum float64
+		cnt := 0
+		for id := 0; id < n; id++ {
+			if est, ok := read.EstimateOf(engine, gossip.NodeID(id)); ok {
+				sum += math.Abs(est - truth)
+				cnt++
 			}
-			if cnt == 0 {
-				return 1
-			}
-			return sum / float64(cnt) / truth
 		}
-		engine.Run(40)
-		preSeries.Append(intercept, meanRelErr(float64(n)))
-		for i := 0; i < n; i += 2 {
-			grid.Population.Fail(gossip.NodeID(i))
+		if cnt == 0 {
+			return 1
 		}
-		engine.Run(30)
-		postSeries.Append(intercept, meanRelErr(float64(n/2)))
+		return sum / float64(cnt) / truth
+	}
+	engine.Run(40)
+	for i, read := range reads {
+		preSeries.Append(intercepts[i], meanRelErr(read, float64(n)))
+	}
+	for i := 0; i < n; i += 2 {
+		grid.Population.Fail(gossip.NodeID(i))
+	}
+	engine.Run(30)
+	for i, read := range reads {
+		postSeries.Append(intercepts[i], meanRelErr(read, float64(n/2)))
 	}
 	res.Series = append(res.Series, preSeries, postSeries)
 	res.Notef("too-small intercepts flicker (§IV-A: cutoff must match propagation rate); too-large intercepts heal slowly")

@@ -132,7 +132,7 @@ func runAveragingOnce(opts AveragingOptions, lambda float64) stats.Series {
 		Env: environment, Model: model, Seed: opts.Seed,
 		Workers:     opts.Workers,
 		BeforeRound: []gossip.Hook{failHook},
-		AfterRound:  []gossip.Hook{metrics.DeviationHook(&series, truth.Average)},
+		AfterRound:  []gossip.Hook{metrics.DeviationHook(&series, truth.Average, (*gossip.Engine).EstimateOf)},
 	}
 	if opts.Columnar {
 		engineCfg.Columnar = pushsumrevert.NewColumnar(values, cfg)

@@ -21,43 +21,29 @@ func newRand(seed uint64) *xrand.Rand { return xrand.New(seed) }
 // live host count); after FailAt rounds, half the hosts are removed.
 // Two lines: naive sketch counting (no decay; the estimate never
 // recovers) and propagation limiting with the f(k)=7+k/4 cutoff (the
-// estimate reverts within ~10 rounds).
+// estimate reverts within ~10 rounds). The cutoff is read-side only,
+// so one simulation feeds both lines, each through its own Readout.
 func Fig9(sc Scale) Result {
 	res := Result{
 		Name:   fmt.Sprintf("dynamic counting under failure (n=%d, fail %d at round %d)", sc.N, sc.N/2, sc.FailAt),
 		XLabel: "round",
 		YLabel: "stddev from true sum",
 	}
-	for _, limited := range []bool{true, false} {
-		label := "propagation limiting off"
-		if limited {
-			label = "propagation limiting on"
-		}
-		series := runCountingOnce(sc, limited, label)
-		res.Series = append(res.Series, series)
-	}
-	on, off := res.Series[0], res.Series[1]
-	res.Notef("limiting on: post-failure tail stddev %.0f (reverts)", on.TailMean(5))
-	res.Notef("limiting off: post-failure tail stddev %.0f (stuck at pre-failure count)", off.TailMean(5))
-	return res
-}
-
-func runCountingOnce(sc Scale, limited bool, label string) stats.Series {
 	environment := env.NewUniform(sc.N)
-	values := onesValues(sc.N)
-	truth := metrics.NewTruth(values, environment.Population)
-
-	cfg := sketchreset.Config{
-		Params:      sketch.DefaultParams,
-		Identifiers: 1,
-		NoDecay:     !limited,
-	}
-	series := stats.Series{Label: label}
+	truth := metrics.NewTruth(onesValues(sc.N), environment.Population)
+	cfg := sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 1}
+	static := cfg
+	static.NoDecay = true
+	on := stats.Series{Label: "propagation limiting on"}
+	off := stats.Series{Label: "propagation limiting off"}
 	engineCfg := gossip.Config{
 		Env: environment, Model: gossip.PushPull, Seed: sc.Seed,
 		Workers:     sc.Workers,
 		BeforeRound: []gossip.Hook{failure.RandomAt(sc.FailAt, 0.5, environment.Population, sc.Seed+13)},
-		AfterRound:  []gossip.Hook{metrics.DeviationHook(&series, truth.Sum)},
+		AfterRound: []gossip.Hook{
+			metrics.DeviationHook(&on, truth.Sum, sketchreset.NewReadout(cfg).EstimateOf),
+			metrics.DeviationHook(&off, truth.Sum, sketchreset.NewReadout(static).EstimateOf),
+		},
 	}
 	if sc.Columnar {
 		engineCfg.Columnar = sketchreset.NewColumnar(sc.N, cfg)
@@ -73,7 +59,10 @@ func runCountingOnce(sc Scale, limited bool, label string) stats.Series {
 		panic(err)
 	}
 	engine.Run(sc.Rounds)
-	return series
+	res.Series = append(res.Series, on, off)
+	res.Notef("limiting on: post-failure tail stddev %.0f (reverts)", on.TailMean(5))
+	res.Notef("limiting off: post-failure tail stddev %.0f (stuck at pre-failure count)", off.TailMean(5))
+	return res
 }
 
 func onesValues(n int) []float64 {

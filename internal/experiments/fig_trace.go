@@ -65,7 +65,7 @@ func Fig11Avg(dataset int, seed uint64) Result {
 		engine, err := gossip.NewEngine(gossip.Config{
 			Env: tenv, Agents: agents, Model: gossip.PushPull, Seed: seed,
 			AfterRound: []gossip.Hook{
-				metrics.GroupDeviationHook(&series, sizePtr, tenv, values, metrics.GroupAverage, perHour),
+				metrics.GroupDeviationHook(&series, sizePtr, tenv, values, metrics.GroupAverage, perHour, (*gossip.Engine).EstimateOf),
 			},
 		})
 		if err != nil {
@@ -91,6 +91,8 @@ func Fig11Avg(dataset int, seed uint64) Result {
 // device registers 100 identifiers to sharpen the estimate on these
 // tiny networks (the paper's adjustment). Three settings: reversion
 // off (static sketch), on (cutoff 7+k/4) and slow (doubled cutoff).
+// The settings differ only in how bits are read, so one simulation
+// feeds all three, each through its own Readout.
 func Fig11Sum(dataset int, seed uint64) Result {
 	params := TraceDataset(dataset)
 	tr := trace.Generate(params)
@@ -103,6 +105,7 @@ func Fig11Sum(dataset int, seed uint64) Result {
 	res.Notef("trace is synthetic (CRAWDAD substitution, see DESIGN.md)")
 	res.Notef("each device registers 100 identifiers; estimates scaled back by 100")
 
+	cfg := sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 100, Scale: 100}
 	type mode struct {
 		label   string
 		noDecay bool
@@ -113,47 +116,33 @@ func Fig11Sum(dataset int, seed uint64) Result {
 		{label: "reversion on", cutoff: sketchreset.DefaultCutoff},
 		{label: "reversion slow", cutoff: func(k int) float64 { return 14 + float64(k)/2 }},
 	}
-	var sizeSeries *stats.Series
+	tenv := env.NewTraceEnv(tr, 0, 0)
+	values := onesValues(tr.N)
+	perHour := int(math.Round(float64(3600) / tenv.Interval().Seconds()))
+	size := stats.Series{Label: "avg group size"}
+	sizePtr := &size // recorded by the first hook only
+	series := make([]stats.Series, len(modes))
+	hooks := make([]gossip.Hook, len(modes))
 	for i, m := range modes {
-		tenv := env.NewTraceEnv(tr, 0, 0)
-		values := onesValues(tr.N)
-
-		agents := make([]gossip.Agent, tr.N)
-		for j := range agents {
-			agents[j] = sketchreset.New(gossip.NodeID(j), sketchreset.Config{
-				Params:      sketch.DefaultParams,
-				Identifiers: 100,
-				Scale:       100,
-				Cutoff:      m.cutoff,
-				NoDecay:     m.noDecay,
-			})
-		}
-		series := stats.Series{Label: m.label}
-		var size stats.Series
-		size.Label = "avg group size"
-		perHour := int(math.Round(float64(3600) / tenv.Interval().Seconds()))
-		sizePtr := &size
-		if i != 0 {
-			sizePtr = nil
-		}
-		engine, err := gossip.NewEngine(gossip.Config{
-			Env: tenv, Agents: agents, Model: gossip.PushPull, Seed: seed,
-			AfterRound: []gossip.Hook{
-				metrics.GroupDeviationHook(&series, sizePtr, tenv, values, metrics.GroupSize, perHour),
-			},
-		})
-		if err != nil {
-			panic(err)
-		}
-		engine.Run(tenv.Rounds())
-		res.Series = append(res.Series, series)
-		if i == 0 {
-			sizeSeries = &size
-		}
+		read := cfg
+		read.Cutoff, read.NoDecay = m.cutoff, m.noDecay
+		series[i].Label = m.label
+		hooks[i] = metrics.GroupDeviationHook(&series[i], sizePtr, tenv, values, metrics.GroupSize, perHour,
+			sketchreset.NewReadout(read).EstimateOf)
+		sizePtr = nil
 	}
-	if sizeSeries != nil {
-		res.Series = append(res.Series, *sizeSeries)
+	agents := make([]gossip.Agent, tr.N)
+	for j := range agents {
+		agents[j] = sketchreset.New(gossip.NodeID(j), cfg)
 	}
+	engine, err := gossip.NewEngine(gossip.Config{
+		Env: tenv, Agents: agents, Model: gossip.PushPull, Seed: seed, AfterRound: hooks,
+	})
+	if err != nil {
+		panic(err)
+	}
+	engine.Run(tenv.Rounds())
+	res.Series = append(series, size)
 	for i, m := range modes {
 		res.Notef("%s: mean hourly stddev %.3f", m.label, stats.Mean(res.Series[i].Y))
 	}

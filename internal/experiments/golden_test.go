@@ -65,3 +65,37 @@ func TestFigureDigestsMatchBenchGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestCutoffSweepDigestsGolden pins the printed output of the
+// Count-Sketch-Reset cutoff sweeps that the benchmark's golden does not
+// cover: the grid-cutoff ablation and Figure 11's size column on the
+// two smaller traces, each at a seed of its own. Their read-outs share
+// one simulation, so a change that lets the cutoff leak into aging or
+// peer choice moves these bytes.
+func TestCutoffSweepDigestsGolden(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("runs three trace- and grid-sized drivers")
+	}
+	cases := []struct {
+		name string
+		run  func() Result
+		want string
+	}{
+		{"ablation-gridcutoff side 28 seed 7", func() Result { return AblationGridCutoff(28, 7) },
+			"fbf487a735306d9f745fbdd8171495ae9efd8728ee410774d73d45344d63a8af"},
+		{"fig11sum dataset 2 seed 3", func() Result { return Fig11Sum(2, 3) },
+			"95fbba8a70f86bd3999682635b9d56892796778b96bca0ce8f1a68c3a0a223df"},
+		{"fig11sum dataset 3 seed 3", func() Result { return Fig11Sum(3, 3) },
+			"908a94a4db825d32b562f20b3f6e1c3caf2827bfa1a04ea73d62cb9f0c445eea"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := WriteResult(&buf, c.run(), FormatTable); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: output digest %s, golden %s", c.name, got, c.want)
+		}
+	}
+}

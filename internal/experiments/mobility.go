@@ -53,7 +53,7 @@ func AblationMobility(sc Scale) Result {
 				pushsumrevert.Config{Lambda: lambda, PushPull: true})
 		}
 		series := stats.Series{Label: fmt.Sprintf("λ=%.4f", lambda)}
-		hooks := []gossip.Hook{metrics.DeviationHook(&series, truth.Average)}
+		hooks := []gossip.Hook{metrics.DeviationHook(&series, truth.Average, (*gossip.Engine).EstimateOf)}
 		if i == 0 {
 			hooks = append(hooks, func(round int, e *gossip.Engine) {
 				degSeries.Append(float64(round), mob.MeanDegree())

@@ -13,6 +13,7 @@ import (
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 	"dynagg/internal/stats"
+	"dynagg/internal/trace"
 )
 
 // allocBudgetPerHostRound is the steady-state allocation budget of the
@@ -218,7 +219,7 @@ func TestDeviationHookAllocatesNothing(t *testing.T) {
 		Agents:     agents,
 		Model:      gossip.Push,
 		Seed:       3,
-		AfterRound: []gossip.Hook{metrics.DeviationHook(&series, func() float64 { return 50 })},
+		AfterRound: []gossip.Hook{metrics.DeviationHook(&series, func() float64 { return 50 }, (*gossip.Engine).EstimateOf)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,5 +227,71 @@ func TestDeviationHookAllocatesNothing(t *testing.T) {
 	engine.Run(4) // the outbox and the hook's scratch reach capacity
 	if got := testing.AllocsPerRun(rounds/2, func() { engine.Step() }); got != 0 {
 		t.Errorf("%.2f allocations per round with DeviationHook attached, want 0", got)
+	}
+}
+
+// readoutEngine builds a classic Count-Sketch-Reset engine over env
+// whose hosts use cfg, with hooks attached.
+func readoutEngine(t *testing.T, environment gossip.Environment, cfg sketchreset.Config, hooks ...gossip.Hook) *gossip.Engine {
+	t.Helper()
+	agents := make([]gossip.Agent, environment.Size())
+	for i := range agents {
+		agents[i] = sketchreset.New(gossip.NodeID(i), cfg)
+	}
+	engine, err := gossip.NewEngine(gossip.Config{
+		Env: environment, Agents: agents, Model: gossip.PushPull, Seed: 3, AfterRound: hooks,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine.Run(4) // the outbox and the hook's scratch reach capacity
+	return engine
+}
+
+// TestReadoutDeviationHookAllocatesNothing is
+// TestDeviationHookAllocatesNothing with the estimates read through a
+// sketchreset.Readout other than the hosts' own, the way a cutoff sweep
+// reads one simulation: the reader adds nothing per round.
+func TestReadoutDeviationHookAllocatesNothing(t *testing.T) {
+	const rounds = 64
+	cfg := sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 1}
+	static := cfg
+	static.NoDecay = true
+	series := stats.Series{X: make([]float64, 0, rounds), Y: make([]float64, 0, rounds)}
+	engine := readoutEngine(t, env.NewUniform(512), cfg,
+		metrics.DeviationHook(&series, func() float64 { return 512 }, sketchreset.NewReadout(static).EstimateOf))
+	if got := testing.AllocsPerRun(rounds/2, func() { engine.Step() }); got != 0 {
+		t.Errorf("%.2f allocations per round with a Readout-driven DeviationHook attached, want 0", got)
+	}
+}
+
+// TestReadoutGroupDeviationHookAddsNoAllocations pins the reader's
+// share of GroupDeviationHook at zero. The hook itself allocates every
+// sampled round (the trace environment rebuilds its group assignment),
+// so the pin compares a Readout-driven hook with one reading through
+// (*gossip.Engine).EstimateOf, sampling every round, against an engine
+// with no hook at all, which allocates nothing.
+func TestReadoutGroupDeviationHookAddsNoAllocations(t *testing.T) {
+	const rounds = 64
+	tr := trace.Generate(trace.Dataset1())
+	cfg := sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 1}
+	slow := cfg
+	slow.Cutoff = func(k int) float64 { return 14 + float64(k)/2 }
+	perRound := func(read metrics.EstimateReader) float64 {
+		tenv := env.NewTraceEnv(tr, 0, 0)
+		var hooks []gossip.Hook
+		if read != nil {
+			series := stats.Series{X: make([]float64, 0, 2*rounds), Y: make([]float64, 0, 2*rounds)}
+			hooks = append(hooks, metrics.GroupDeviationHook(&series, nil, tenv, make([]float64, tr.N), metrics.GroupSize, 1, read))
+		}
+		engine := readoutEngine(t, tenv, cfg, hooks...)
+		return testing.AllocsPerRun(rounds/2, func() { engine.Step() })
+	}
+	if got := perRound(nil); got != 0 {
+		t.Fatalf("%.2f allocations per round on the trace engine with no hook, want 0", got)
+	}
+	own, readout := perRound((*gossip.Engine).EstimateOf), perRound(sketchreset.NewReadout(slow).EstimateOf)
+	if readout != own {
+		t.Errorf("%.2f allocations per round with a Readout-driven GroupDeviationHook, %.2f reading through EstimateOf; the reader should add none", readout, own)
 	}
 }

@@ -56,7 +56,7 @@ func TestTracePipeline(t *testing.T) {
 	engine, err := gossip.NewEngine(gossip.Config{
 		Env: tenv, Agents: agents, Model: gossip.PushPull, Seed: 3,
 		AfterRound: []gossip.Hook{
-			metrics.GroupDeviationHook(&dev, nil, tenv, values, metrics.GroupAverage, 120),
+			metrics.GroupDeviationHook(&dev, nil, tenv, values, metrics.GroupAverage, 120, (*gossip.Engine).EstimateOf),
 		},
 	})
 	if err != nil {

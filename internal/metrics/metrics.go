@@ -47,14 +47,26 @@ func (t *Truth) Sum() float64 {
 // Count returns the live host count.
 func (t *Truth) Count() float64 { return float64(t.pop.AliveCount()) }
 
+// EstimateReader reads host id's estimate off an engine, reporting
+// false for a host that is dead or has none. (*gossip.Engine).EstimateOf
+// reads what the protocol itself reports; a protocol's read side (e.g.
+// sketchreset.Readout.EstimateOf) can read the same simulation another
+// way, so one run can feed several series.
+type EstimateReader func(e *gossip.Engine, id gossip.NodeID) (float64, bool)
+
 // DeviationHook returns an AfterRound hook appending, each round, the
-// RMS deviation of all live estimates from truth() to the series. The
-// hook owns the scratch the estimates are gathered into, so a round
-// allocates nothing once it has grown.
-func DeviationHook(s *stats.Series, truth func() float64) gossip.Hook {
+// RMS deviation of all live estimates, as read by estimateOf, from
+// truth() to the series. The hook owns the scratch the estimates are
+// gathered into, so a round allocates nothing once it has grown.
+func DeviationHook(s *stats.Series, truth func() float64, estimateOf EstimateReader) gossip.Hook {
 	var ests []float64
 	return func(round int, e *gossip.Engine) {
-		ests = e.AppendEstimates(ests[:0])
+		ests = ests[:0]
+		for id, n := 0, e.Env().Size(); id < n; id++ {
+			if v, ok := estimateOf(e, gossip.NodeID(id)); ok {
+				ests = append(ests, v)
+			}
+		}
 		s.Append(float64(round), stats.DeviationFrom(ests, truth()))
 	}
 }
@@ -98,9 +110,10 @@ const (
 // environments: every sampleEvery rounds it recomputes the 10-minute
 // groups, derives each live host's correct group aggregate, and
 // appends the RMS deviation of host estimates from their own group's
-// truth. The x coordinate is simulated hours. If sizeSeries is non-nil
-// the per-host mean group size is recorded alongside.
-func GroupDeviationHook(s, sizeSeries *stats.Series, tenv *env.TraceEnv, values []float64, kind GroupKind, sampleEvery int) gossip.Hook {
+// truth, reading estimates through estimateOf. The x coordinate is
+// simulated hours. If sizeSeries is non-nil the per-host mean group
+// size is recorded alongside.
+func GroupDeviationHook(s, sizeSeries *stats.Series, tenv *env.TraceEnv, values []float64, kind GroupKind, sampleEvery int, estimateOf EstimateReader) gossip.Hook {
 	if sampleEvery < 1 {
 		sampleEvery = 1
 	}
@@ -114,8 +127,7 @@ func GroupDeviationHook(s, sizeSeries *stats.Series, tenv *env.TraceEnv, values 
 		var sumSq float64
 		var n int
 		for id := 0; id < tenv.Size(); id++ {
-			// EstimateOf gates on liveness, and works on either backend.
-			est, ok := e.EstimateOf(gossip.NodeID(id))
+			est, ok := estimateOf(e, gossip.NodeID(id))
 			if !ok || math.IsNaN(est) || math.IsInf(est, 0) {
 				continue
 			}

@@ -54,7 +54,7 @@ func TestDeviationHookRecordsEveryRound(t *testing.T) {
 	values := []float64{0, 100}
 	var s stats.Series
 	truthFn := func() float64 { return 50 }
-	e, _ := newAvgEngine(t, values, []gossip.Hook{DeviationHook(&s, truthFn)})
+	e, _ := newAvgEngine(t, values, []gossip.Hook{DeviationHook(&s, truthFn, (*gossip.Engine).EstimateOf)})
 	e.Run(5)
 	if s.Len() != 5 {
 		t.Fatalf("series length %d, want 5", s.Len())
@@ -127,7 +127,7 @@ func TestGroupDeviationHook(t *testing.T) {
 	e, err := gossip.NewEngine(gossip.Config{
 		Env: tenv, Agents: agents, Model: gossip.PushPull, Seed: 2,
 		AfterRound: []gossip.Hook{
-			GroupDeviationHook(&s, &sizes, tenv, values, GroupAverage, 1),
+			GroupDeviationHook(&s, &sizes, tenv, values, GroupAverage, 1, (*gossip.Engine).EstimateOf),
 		},
 	})
 	if err != nil {
@@ -164,7 +164,7 @@ func TestGroupDeviationHookSampling(t *testing.T) {
 	e, err := gossip.NewEngine(gossip.Config{
 		Env: tenv, Agents: agents, Model: gossip.PushPull, Seed: 2,
 		AfterRound: []gossip.Hook{
-			GroupDeviationHook(&s, nil, tenv, values, GroupSum, 10),
+			GroupDeviationHook(&s, nil, tenv, values, GroupSum, 10, (*gossip.Engine).EstimateOf),
 		},
 	})
 	if err != nil {
@@ -190,7 +190,7 @@ func TestGroupDeviationHookOnColumnarEngine(t *testing.T) {
 		var s stats.Series
 		ecfg := gossip.Config{
 			Env: tenv, Model: gossip.PushPull, Seed: 2,
-			AfterRound: []gossip.Hook{GroupDeviationHook(&s, nil, tenv, values, GroupSize, 5)},
+			AfterRound: []gossip.Hook{GroupDeviationHook(&s, nil, tenv, values, GroupSize, 5, (*gossip.Engine).EstimateOf)},
 		}
 		if columnar {
 			ecfg.Columnar = sketchreset.NewColumnar(tr.N, cfg)

@@ -56,7 +56,7 @@ func BenchmarkEstimate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		estimateSink = estimate(n1.counters, n1.cutoff, n1.cfg.Scale)
+		estimateSink = n1.read.estimate(n1.counters)
 	}
 }
 

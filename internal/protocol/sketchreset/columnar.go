@@ -40,8 +40,8 @@ type Columnar struct {
 	owned    []int32
 	ownedOff []int32
 
-	cutoff []float64 // precomputed f(k) per level
-	est    []float64
+	read Readout
+	est  []float64
 }
 
 var _ gossip.ColExchanger = (*Columnar)(nil)
@@ -50,7 +50,7 @@ var _ gossip.ColExchanger = (*Columnar)(nil)
 // hosts, all sharing cfg. Identifier placement matches New exactly:
 // deterministic per (host id, identifier index).
 func NewColumnar(n int, cfg Config) *Columnar {
-	cutoff := cfg.prepare()
+	read := cfg.prepare()
 	p := cfg.Params
 	stride := p.Bins * p.Levels
 	c := &Columnar{
@@ -58,7 +58,7 @@ func NewColumnar(n int, cfg Config) *Columnar {
 		stride:   stride,
 		counters: make([]uint8, n*stride),
 		shadow:   make([]uint8, n*stride),
-		cutoff:   cutoff,
+		read:     read,
 		ownedOff: make([]int32, n+1),
 		est:      make([]float64, n),
 	}
@@ -162,11 +162,11 @@ func (c *Columnar) Estimate(id gossip.NodeID) (float64, bool) {
 // BitSet reports whether host id's derived bit at (bin, level) is
 // currently considered set (age within cutoff).
 func (c *Columnar) BitSet(id gossip.NodeID, bin, level int) bool {
-	return bitSet(c.CounterAt(id, bin, level), c.cutoff[level])
+	return c.read.bitSet(c.CounterAt(id, bin, level), level)
 }
 
 // refreshEstimate re-derives host i's estimate from its block. Eager,
 // unlike Node's: Estimate(id) has readers that hold no lock.
 func (c *Columnar) refreshEstimate(i int) {
-	c.est[i] = estimate(c.block(i), c.cutoff, c.cfg.Scale)
+	c.est[i] = c.read.estimate(c.block(i))
 }

@@ -38,7 +38,7 @@ func referenceEstimate(p sketch.Params, cutoff []float64, scale float64, counter
 }
 
 func (n *Node) referenceEstimate() float64 {
-	return referenceEstimate(n.cfg.Params, n.cutoff, n.cfg.Scale, n.CounterAt)
+	return referenceEstimate(n.cfg.Params, n.read.cutoff, n.read.scale, n.CounterAt)
 }
 
 // randomMatrix fills a matrix with ages that straddle every cutoff in
@@ -159,7 +159,7 @@ func TestNodeAndColumnarEstimateAlike(t *testing.T) {
 			for bin := 0; bin < cfg.Params.Bins; bin++ {
 				for k := 0; k < cfg.Params.Levels; k++ {
 					c := matrix[bin*cfg.Params.Levels+k]
-					set := c != Never && float64(c) <= n.cutoff[k]
+					set := c != Never && float64(c) <= n.read.cutoff[k]
 					if n.BitSet(bin, k) != set || col.BitSet(id, bin, k) != set {
 						t.Fatalf("%s: trial %d: bit (%d,%d) age %d: Node %v, Columnar %v, want %v",
 							name, trial, bin, k, c, n.BitSet(bin, k), col.BitSet(id, bin, k), set)

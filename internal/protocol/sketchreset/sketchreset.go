@@ -49,7 +49,12 @@ const (
 // propagation age for bit k under uniform gossip: f(k) = 7 + k/4.
 func DefaultCutoff(k int) float64 { return 7 + float64(k)/4 }
 
-// Config configures a Count-Sketch-Reset host.
+// Config configures a Count-Sketch-Reset host. Params and Identifiers
+// shape the age matrix and what a host sources; Cutoff, NoDecay and
+// Scale are read-side only. They decide how an estimate is read off
+// the matrix (a Readout) and never touch aging, merging or peer
+// choice, so populations that differ only in them hold the same
+// counters round for round.
 type Config struct {
 	// Params sizes the underlying sketch (bins m × levels L).
 	Params sketch.Params
@@ -63,8 +68,9 @@ type Config struct {
 	// Scale divides the raw estimate; set to Identifiers when using
 	// per-host identifier inflation, or 1 for sums. Zero means 1.
 	Scale float64
-	// NoDecay disables aging (cutoff = ∞): static Sketch-Count
-	// semantics for baseline comparison.
+	// NoDecay reads the matrix with cutoff = ∞: counters still age,
+	// but every counter other than Never counts as a set bit, which
+	// is static Sketch-Count semantics for baseline comparison.
 	NoDecay bool
 }
 
@@ -80,9 +86,9 @@ func (c Config) Validate() error {
 }
 
 // prepare validates the configuration (a bad one panics, as in every
-// constructor), fills its defaults in place and returns the cutoff
-// table both planes evaluate against: f(k) per level, ∞ under NoDecay.
-func (c *Config) prepare() []float64 {
+// constructor), fills its defaults in place and returns the read side
+// both planes evaluate against.
+func (c *Config) prepare() Readout {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
@@ -92,15 +98,72 @@ func (c *Config) prepare() []float64 {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	cutoff := make([]float64, c.Params.Levels)
-	for k := range cutoff {
+	r := Readout{cutoff: make([]float64, c.Params.Levels), scale: c.Scale}
+	for k := range r.cutoff {
 		if c.NoDecay {
-			cutoff[k] = math.Inf(1)
+			r.cutoff[k] = math.Inf(1)
 		} else {
-			cutoff[k] = c.Cutoff(k)
+			r.cutoff[k] = c.Cutoff(k)
 		}
 	}
-	return cutoff
+	return r
+}
+
+// Readout is the read side of a Config: the cutoff table f(k) per level
+// (∞ under NoDecay) and the Scale an estimate is divided by. It reads
+// an age matrix and never writes one, so one simulation can be read
+// through several Readouts, one per cutoff of a sweep.
+type Readout struct {
+	cutoff []float64
+	scale  float64
+}
+
+// NewReadout returns cfg's read side, filled in as New fills it.
+func NewReadout(cfg Config) Readout { return cfg.prepare() }
+
+// EstimateOf reads live host id's current matrix through r, on either
+// backend of a Count-Sketch-Reset engine built with the same Params.
+// It has the shape of (*gossip.Engine).EstimateOf, so a metrics hook
+// can take either.
+func (r Readout) EstimateOf(e *gossip.Engine, id gossip.NodeID) (float64, bool) {
+	if !e.Env().Alive(id, e.Round()) {
+		return 0, false
+	}
+	if c, ok := e.Columnar().(*Columnar); ok {
+		return r.estimate(c.block(int(id))), true
+	}
+	return r.estimate(e.Agent(id).(*Node).counters), true
+}
+
+// bitSet reports whether a counter of the given age counts as a set
+// bit at level k.
+func (r Readout) bitSet(age uint8, k int) bool {
+	return age != Never && float64(age) <= r.cutoff[k]
+}
+
+// estimate derives the bit array of one host's m×L age block (Figure 5
+// steps 6-7: bit k set iff its age is at or below f(k)), applies
+// Flajolet-Martin's R per bin, and estimates m·2^avg(R)/ϕ, scaled by
+// the identifier inflation factor. Node and Columnar both read through
+// it, so the two planes cannot disagree.
+func (r Readout) estimate(block []uint8) float64 {
+	levels := len(r.cutoff)
+	bins := len(block) / levels
+	var sumR int
+	for base := 0; base < len(block); base += levels {
+		// Bits beyond the first unset bit may still be set; R only
+		// counts the contiguous prefix, exactly as in the bit sketch.
+		k := 0
+		for k < levels && r.bitSet(block[base+k], k) {
+			k++
+		}
+		sumR += k
+	}
+	if sumR == 0 {
+		return 0
+	}
+	avgR := float64(sumR) / float64(bins)
+	return float64(bins) * math.Exp2(avgR) / sketch.Phi / r.scale
 }
 
 // Node is one Count-Sketch-Reset host. Its gossip payload is the full
@@ -114,7 +177,7 @@ type Node struct {
 	// owned marks the indices this host sources (pinned to 0).
 	owned []int32
 
-	cutoff []float64 // precomputed f(k) per level
+	read Readout
 
 	// snap is the reusable snapshot sent by EmitAppend; its Ages
 	// buffer is allocated lazily and rewritten every round.
@@ -145,14 +208,14 @@ var (
 // deterministic per (host id, identifier index), matching the FM
 // distributions.
 func New(id gossip.NodeID, cfg Config) *Node {
-	cutoff := cfg.prepare()
+	read := cfg.prepare()
 	p := cfg.Params
 	n := &Node{
 		id:       id,
 		cfg:      cfg,
 		counters: make([]uint8, p.Bins*p.Levels),
 		owned:    place(nil, int(id), &cfg),
-		cutoff:   cutoff,
+		read:     read,
 		stale:    true,
 	}
 	initBlock(n.counters, n.owned)
@@ -292,37 +355,6 @@ func (n *Node) Exchange(peer gossip.Exchanger) {
 	exchange(n.counters, p.counters, n.owned, p.owned)
 }
 
-// bitSet reports whether a counter of the given age counts as a set
-// bit under cutoff f(k).
-func bitSet(age uint8, cutoff float64) bool {
-	return age != Never && float64(age) <= cutoff
-}
-
-// estimate derives the bit array of one host's m×L age block (Figure 5
-// steps 6-7: bit k set iff its age is at or below f(k) = cutoff[k]),
-// applies Flajolet-Martin's R per bin, and estimates m·2^avg(R)/ϕ,
-// scaled by the identifier inflation factor. Node and Columnar both
-// call it, so the two planes cannot disagree.
-func estimate(block []uint8, cutoff []float64, scale float64) float64 {
-	levels := len(cutoff)
-	bins := len(block) / levels
-	var sumR int
-	for base := 0; base < len(block); base += levels {
-		// Bits beyond the first unset bit may still be set; R only
-		// counts the contiguous prefix, exactly as in the bit sketch.
-		r := 0
-		for r < levels && bitSet(block[base+r], cutoff[r]) {
-			r++
-		}
-		sumR += r
-	}
-	if sumR == 0 {
-		return 0
-	}
-	avgR := float64(sumR) / float64(bins)
-	return float64(bins) * math.Exp2(avgR) / sketch.Phi / scale
-}
-
 // Estimate implements gossip.Agent: the estimate of the matrix as it
 // stands. A Count-Sketch-Reset host always has one (0 before any bit
 // is heard). The call may refresh the cached value, so it needs the
@@ -330,7 +362,7 @@ func estimate(block []uint8, cutoff []float64, scale float64) float64 {
 // round or tick boundary, under the host's lock).
 func (n *Node) Estimate() (float64, bool) {
 	if n.stale {
-		n.est = estimate(n.counters, n.cutoff, n.cfg.Scale)
+		n.est = n.read.estimate(n.counters)
 		n.stale = false
 	}
 	return n.est, true
@@ -339,5 +371,5 @@ func (n *Node) Estimate() (float64, bool) {
 // BitSet reports whether the derived bit at (bin, level) is currently
 // considered set (age within cutoff).
 func (n *Node) BitSet(bin, level int) bool {
-	return bitSet(n.CounterAt(bin, level), n.cutoff[level])
+	return n.read.bitSet(n.CounterAt(bin, level), level)
 }
