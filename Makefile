@@ -23,15 +23,21 @@ loc:
 	done
 
 # Example main packages compile as part of ci, and the in-process ones
-# run (about a second together), so example rot — a build break, a
-# panic, an error exit — fails ci instead of surprising readers. The
+# run (about a second together) with their stdout compared byte for
+# byte against examples/<name>/stdout.golden, so example rot — a build
+# break, a panic, an error exit, or a transcript that moved — fails ci
+# instead of surprising readers. Every transcript is deterministic; a
+# change that moves one on purpose re-records it with
+# `go run ./examples/<name> > examples/<name>/stdout.golden`. The
 # socket examples run in their soak lanes.
 RUN_EXAMPLES = quickstart roadhazard fleettelemetry mediaplayer sizeestimation
 examples:
 	$(GO) build ./examples/...
-	@for ex in $(RUN_EXAMPLES); do \
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for ex in $(RUN_EXAMPLES); do \
 		echo "run examples/$$ex"; \
-		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
+		$(GO) run ./examples/$$ex > "$$out" || exit 1; \
+		cmp "$$out" examples/$$ex/stdout.golden || exit 1; \
 	done
 
 test:

@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 )
@@ -23,7 +25,12 @@ func runJSON(t *testing.T, s Scenario, seed uint64, opts RunOpts) []byte {
 
 // TestScenarioDeterminism pins the contract: same Scenario + seed ⇒
 // byte-identical Report, on both backends and independent of the
-// round executor's worker count.
+// round executor's worker count. It also pins the reports themselves:
+// the SHA-256 of every catalog report at seed 42 on the classic
+// backend, and of every adversary-free scenario's report on the
+// columnar one (adversaries need per-host agents), against digests
+// recorded below. A change that should not move results must leave
+// them all unchanged.
 func TestScenarioDeterminism(t *testing.T) {
 	for _, name := range Names() {
 		s, _ := ByName(name)
@@ -37,16 +44,59 @@ func TestScenarioDeterminism(t *testing.T) {
 			if !bytes.Equal(a, c) {
 				t.Fatalf("workers=3 report differs from sequential:\n%s\nvs\n%s", a, c)
 			}
+			checkReportDigest(t, "classic", name, a, classicReportDigests)
 		})
 	}
 	t.Run("columnar", func(t *testing.T) {
-		s, _ := ByName("partition-heal")
-		a := runJSON(t, s, 42, RunOpts{Columnar: true})
-		b := runJSON(t, s, 42, RunOpts{Columnar: true})
-		if !bytes.Equal(a, b) {
-			t.Fatalf("columnar report not deterministic:\n%s\nvs\n%s", a, b)
+		for _, name := range Names() {
+			s, _ := ByName(name)
+			if len(s.Adversaries) > 0 {
+				continue
+			}
+			a := runJSON(t, s, 42, RunOpts{Columnar: true})
+			if name == "partition-heal" {
+				b := runJSON(t, s, 42, RunOpts{Columnar: true})
+				if !bytes.Equal(a, b) {
+					t.Fatalf("columnar report not deterministic:\n%s\nvs\n%s", a, b)
+				}
+			}
+			checkReportDigest(t, "columnar", name, a, columnarReportDigests)
 		}
 	})
+}
+
+// checkReportDigest compares a report's SHA-256 with its recorded
+// value in want.
+func checkReportDigest(t *testing.T, backend, name string, report []byte, want map[string]string) {
+	t.Helper()
+	sum := sha256.Sum256(report)
+	if got := hex.EncodeToString(sum[:]); got != want[name] {
+		t.Errorf("%s report of %s at seed 42: sha256 %s, recorded %s", backend, name, got, want[name])
+	}
+}
+
+// classicReportDigests and columnarReportDigests are the recorded
+// SHA-256s of Report.JSON at seed 42.
+var classicReportDigests = map[string]string{
+	"byzantine-lying-1": "99ab59c08bca136ae03650e3e644208c829b4eb4b320857ca0d631be6ff4ef9e",
+	"byzantine-lying-5": "058379429f0406d64726fc5e1560eca5cc2d94402c924b9c2f0cea4ca10f2451",
+	"byzantine-replay":  "b10431264b3241c4c9a1680765e3fc1ca469fd70a92ca3ccea825976a80fbda1",
+	"byzantine-sketch":  "a0474fed3554dc00198a620e75c25a2a03f8f08d1b818c1e1003fbe52ceec4be",
+	"churn-storm":       "61384cdc01e37a922257f0053112f2eff387766f36c06193cee4975b98099bab",
+	"clock-skew":        "56c5fe87441c2a3160e3b7e7e5dca34f39a418c2c0ea90ab41df7b0a3f937a0a",
+	"crash-restart":     "8d590ead30e71d51909dd6b57cd7407c869233fe4310b9402f9dc829aa17339f",
+	"partition-heal":    "e9e94f01b3aa6df6555bf88b8b4136f2ef016439c82fc2747143678538513d9a",
+	"regional-outage":   "fa11bc3d7bfce409f77ca1262e74e1330ad02beb1a3484c5dbfbf3a4c276f82a",
+	"sketch-partition":  "d000e41ba2df8bbcccd5f8f51335b6f1f50ffb08258974aca8c2059d6f062c49",
+}
+
+var columnarReportDigests = map[string]string{
+	"churn-storm":      "5d0ab903f9661fc98156b7f27595c00666967e82b2ebdecac84e75c4ffc3e4b5",
+	"clock-skew":       "510a9c2c12b76ccb12e428ee6196e28b12e9175c9f37190de58f3da9d151d1eb",
+	"crash-restart":    "8eb8c74f7a291cfd06eccc2c8813d364c7c6c22b1a64f5732d17b43ca50c0f06",
+	"partition-heal":   "f9dba45e5bb1b5268bce2251632ec4ef37e2349df89458afc789e157bafc198f",
+	"regional-outage":  "0544705968c166c251896c7b7c26bd9dd08b0d38617b070d43f69be52615e0da",
+	"sketch-partition": "f2e261acff34350a8d13ac0656b9d052b245860fd64ed0eaec8eca56d01bb6e4",
 }
 
 // TestScenarioHonestAuditClean asserts the defense's specificity:

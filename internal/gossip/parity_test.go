@@ -19,12 +19,13 @@ import (
 // plain gossip.Agent, forcing the engine down the Emit adapter path.
 type emitOnly struct{ gossip.Agent }
 
-// TestEmitAppendMatchesEmit pins the equivalence of each protocol's
-// two emission paths: the allocating Emit (used by the live engine and
-// the engine's adapter) and the scratch-backed EmitAppend (the round
-// engine's hot path) must produce byte-identical runs. Every protocol
-// duplicates its emission math across the two methods, and this is the
-// test that keeps the copies from drifting apart.
+// TestEmitAppendMatchesEmit pins the engine's two routing paths for
+// per-host agents against each other: an agent seen only as a
+// gossip.Agent goes through the adapter that calls Emit and routes its
+// detached payloads, and one that is a gossip.AppendEmitter has its
+// scratch-backed EmitAppend envelopes routed directly. Every protocol's
+// Emit is EmitAppend plus payload detaching, so the emission math is
+// shared; the two runs must still be byte-identical.
 func TestEmitAppendMatchesEmit(t *testing.T) {
 	const (
 		n      = 97

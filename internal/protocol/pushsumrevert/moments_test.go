@@ -45,7 +45,7 @@ func buildMoments(t *testing.T, values []float64, cfg Config, model gossip.Model
 			agents[i] = NewMoments(gossip.NodeID(i), v, cfg)
 			ecfg.Agents[i] = agents[i]
 		}
-		mass = func(id int) (w, v, q float64) { return agents[id].w, agents[id].v, agents[id].mom.q }
+		mass = func(id int) (w, v, q float64) { c := &agents[id].c; return c.w[0], c.v[0], c.q[0] }
 	}
 	engine, err := gossip.NewEngine(ecfg)
 	if err != nil {
@@ -89,17 +89,17 @@ func TestMomentsInitialState(t *testing.T) {
 	if n.ID() != 3 {
 		t.Errorf("ID = %d", n.ID())
 	}
-	if m := n.Mass(); m.W != 1 || m.V != 4 || n.mom.q != 16 {
-		t.Errorf("initial mass = %+v, q %v, want {1 4} and 16", m, n.mom.q)
+	if m := n.Mass(); m.W != 1 || m.V != 4 || n.c.q[0] != 16 {
+		t.Errorf("initial mass = %+v, q %v, want {1 4} and 16", m, n.c.q[0])
 	}
 	if mean, variance, ok := n.Moments(); !ok || mean != 4 || variance != 0 {
 		t.Errorf("Moments = %v, %v, %v, want 4, 0 (a single host)", mean, variance, ok)
 	}
 	// Reset restores q along with (w, v).
-	n.mom.q = 99
+	n.c.q[0] = 99
 	n.Reset()
-	if n.mom.q != 16 {
-		t.Errorf("q after Reset = %v, want 16", n.mom.q)
+	if n.c.q[0] != 16 {
+		t.Errorf("q after Reset = %v, want 16", n.c.q[0])
 	}
 	c := NewColumnarMoments([]float64{4, 2}, Config{Weight: 2})
 	if mean, variance, ok := moments(c.w[1], c.v[1], c.q[1]); !ok || mean != 2 || variance != 0 || c.q[1] != 8 {
@@ -248,8 +248,8 @@ func TestMomentsIsolatedHostKeepsMass(t *testing.T) {
 		}
 		n.EndRound(r)
 	}
-	if m := n.Mass(); math.Abs(m.W-1) > 1e-9 || math.Abs(m.V-5) > 1e-9 || math.Abs(n.mom.q-25) > 1e-9 {
-		t.Errorf("isolated mass drifted: %+v, q %v", m, n.mom.q)
+	if m := n.Mass(); math.Abs(m.W-1) > 1e-9 || math.Abs(m.V-5) > 1e-9 || math.Abs(n.c.q[0]-25) > 1e-9 {
+		t.Errorf("isolated mass drifted: %+v, q %v", m, n.c.q[0])
 	}
 	// A one-host population has no peer to pick, so the columnar kernels
 	// take the isolated path every round.
@@ -263,9 +263,9 @@ func TestMomentsIsolatedHostKeepsMass(t *testing.T) {
 func TestVarianceNeverNegative(t *testing.T) {
 	prop := func(w, v, q float64) bool {
 		n := NewMoments(0, 1, Config{})
-		n.w = math.Abs(w) + 0.5
-		n.v = v
-		n.mom.q = q
+		n.c.w[0] = math.Abs(w) + 0.5
+		n.c.v[0] = v
+		n.c.q[0] = q
 		_, variance, ok := n.Moments()
 		return ok && variance >= 0
 	}

@@ -109,35 +109,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Node is one Push-Sum-Revert host.
+// Node is one Push-Sum-Revert host: one host's columns, on which its
+// methods call a Columnar's per-host steps at index 0. It adds the peer
+// picks, the envelopes and out, the scratch they point at (&out.Mass,
+// or &out for a moments host).
 type Node struct {
+	c   hosts[[1]float64, [1]int32, [1]bool]
 	id  gossip.NodeID
-	cfg Config
-	v0  float64
-	w0  float64
-	mv0 float64 // initial value mass w₀·v₀, the reversion target for v
-
-	w, v float64
-
-	inW, inV float64
-	inMsgs   int
-
-	// out is the scratch payload referenced by EmitAppend envelopes
-	// (every envelope of a round carries the same mass value, so one
-	// scratch slot suffices even for Full-Transfer's N parcels).
-	out Mass
-
-	// Full-Transfer estimate window: the last Window rounds in which
-	// mass arrived, as a ring buffer.
-	histW, histV []float64
-	histPos      int
-	histLen      int
-
-	est    float64
-	hasEst bool
-
-	// mom is the second value of a NewMoments host, nil otherwise.
-	mom *momentState
+	out MomentsMass
 }
 
 var (
@@ -148,20 +127,12 @@ var (
 
 // New returns a Push-Sum-Revert host with data value v0.
 func New(id gossip.NodeID, v0 float64, cfg Config) *Node {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	w0 := cfg.Weight
-	if w0 == 0 {
-		w0 = 1
-	}
-	n := &Node{id: id, cfg: cfg, v0: v0, w0: w0, mv0: w0 * v0, w: w0, v: w0 * v0}
-	if cfg.FullTransfer {
-		n.histW = make([]float64, cfg.Window)
-		n.histV = make([]float64, cfg.Window)
-	}
-	n.est = v0
-	n.hasEst = true
+	return newNode(id, v0, weight(cfg), cfg, false)
+}
+
+func newNode(id gossip.NodeID, v0, w0 float64, cfg Config, moments bool) *Node {
+	n := &Node{id: id}
+	n.c.init([]float64{v0}, w0, cfg, moments)
 	return n
 }
 
@@ -174,73 +145,37 @@ func New(id gossip.NodeID, v0 float64, cfg Config) *Node {
 // the first mass actually arrives (w > 0), so callers can distinguish
 // "not yet converged" from a real value.
 //
-// Because the reversion step decays toward zero mass, an observer
-// destroys a λ fraction of whatever mass it holds each round; the
-// population's own reversion regenerates it, exactly the silent-
-// departure scenario §III is built to absorb.
+// Reverting toward zero mass, an observer destroys a λ fraction of the
+// mass it holds each round, which the population's own reversion
+// regenerates, as after a silent departure (§III).
 func NewObserver(id gossip.NodeID, cfg Config) *Node {
 	cfg.Weight = 0
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	n := &Node{id: id, cfg: cfg}
-	if cfg.FullTransfer {
-		n.histW = make([]float64, cfg.Window)
-		n.histV = make([]float64, cfg.Window)
-	}
-	return n
+	return newNode(id, 0, 0, cfg, false)
 }
 
-// Reset restores the host to its freshly-constructed state: held and
-// in-flight gossip mass is discarded, the initial endowment (w₀, w₀·v₀)
-// re-sourced, and the Full-Transfer window cleared. It models a crashed
-// process restarting from its local data value — the round-engine twin
-// of the live cluster's kill-and-Replace choreography. Observers
-// (w₀ = 0) reset to an empty, not-yet-converged state.
-func (n *Node) Reset() {
-	n.w, n.v = n.w0, n.mv0
-	n.inW, n.inV = 0, 0
-	n.inMsgs = 0
-	n.out = Mass{}
-	for i := range n.histW {
-		n.histW[i], n.histV[i] = 0, 0
-	}
-	n.histPos, n.histLen = 0, 0
-	n.est, n.hasEst = 0, false
-	if n.w0 > 0 {
-		n.est, n.hasEst = n.v0, true
-	}
-	if m := n.mom; m != nil {
-		m.q, m.inQ = m.q0, 0
-	}
-}
+// Reset restores the host to its freshly built state (Columnar.Reset),
+// the round engine's twin of the live cluster's kill-and-Replace.
+func (n *Node) Reset() { n.c.Reset(0) }
 
 // ID returns the host id.
 func (n *Node) ID() gossip.NodeID { return n.id }
 
 // Value returns the host's initial data value v₀.
-func (n *Node) Value() float64 { return n.v0 }
+func (n *Node) Value() float64 { return n.c.v0[0] }
 
 // Weight returns the host's initial weight w₀.
-func (n *Node) Weight() float64 { return n.w0 }
+func (n *Node) Weight() float64 { return n.c.w0 }
 
 // Mass returns the host's current mass vector.
-func (n *Node) Mass() Mass { return Mass{W: n.w, V: n.v} }
+func (n *Node) Mass() Mass { return n.c.Mass(0) }
 
 // Config returns the node's configuration.
-func (n *Node) Config() Config { return n.cfg }
+func (n *Node) Config() Config { return n.c.cfg }
 
 // BeginRound implements gossip.Agent.
-func (n *Node) BeginRound(round int) {
-	n.inW, n.inV = 0, 0
-	n.inMsgs = 0
-	if n.mom != nil {
-		n.mom.inQ = 0
-	}
-}
+func (n *Node) BeginRound(round int) { n.c.emptyInbox(0) }
 
-// Emit implements gossip.Agent: EmitAppend with every payload detached
-// from the host's scratch into an independent Mass value.
+// Emit implements gossip.Agent: EmitAppend with its payloads detached.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	out := n.EmitAppend(nil, round, rng, pick)
 	for i := range out {
@@ -256,54 +191,37 @@ func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip
 
 // EmitAppend implements gossip.AppendEmitter, with round-scoped
 // payloads pointing at per-host scratch, so the steady state performs
-// no heap allocation.
+// no heap allocation. Messages follow Columnar.EmitRange's order.
 func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	λ := n.cfg.Lambda
-	if n.cfg.FullTransfer {
-		// Figure 4: the entire (reverted) mass leaves as N parcels to
-		// independently selected peers; nothing is retained.
-		N := n.cfg.Parcels
-		n.out = Mass{
-			W: ((1-λ)*n.w + λ*n.w0) / float64(N),
-			V: ((1-λ)*n.v + λ*n.mv0) / float64(N),
-		}
-		for i := 0; i < N; i++ {
-			if peer, ok := pick(); ok {
-				dst = append(dst, gossip.Envelope{To: peer, Payload: &n.out})
-			} else {
-				// No reachable peer: this parcel stays home rather
-				// than evaporating.
-				dst = append(dst, gossip.Envelope{To: n.id, Payload: &n.out})
+	c := &n.c
+	var p any = &n.out.Mass
+	if c.cfg.FullTransfer {
+		n.out.Mass = Mass(c.parcel(0))
+		for range c.cfg.Parcels {
+			to, ok := pick()
+			if !ok {
+				to = n.id
 			}
+			dst = append(dst, gossip.Envelope{To: to, Payload: p})
 		}
 		return dst
 	}
-	if n.cfg.Adaptive {
-		// Reversion is applied on receipt, scaled by indegree; the
-		// message itself is plain Push-Sum mass.
-		peer, ok := pick()
-		if !ok {
-			n.out = Mass{W: n.w, V: n.v}
-			return append(dst, gossip.Envelope{To: n.id, Payload: &n.out})
-		}
-		n.out = Mass{W: n.w / 2, V: n.v / 2}
-		return append(dst,
-			gossip.Envelope{To: peer, Payload: &n.out},
-			gossip.Envelope{To: n.id, Payload: &n.out},
-		)
-	}
-	// Figure 3: the reverted mass is split between peer and self.
-	half := Mass{
-		W: ((1-λ)*n.w + λ*n.w0) / 2,
-		V: ((1-λ)*n.v + λ*n.mv0) / 2,
-	}
 	peer, ok := pick()
-	if !ok {
-		n.out = Mass{W: 2 * half.W, V: 2 * half.V}
-		return append(dst, gossip.Envelope{To: n.id, Payload: n.payload(true)})
+	switch {
+	case c.cfg.Adaptive:
+		n.out.Mass = Mass(c.rawShare(0, !ok))
+	case !ok:
+		n.out.Mass = Mass(double(c.share(0)))
+	default:
+		n.out.Mass = Mass(c.share(0))
 	}
-	n.out = half
-	p := n.payload(false)
+	if c.moment != nil {
+		c.shareQ(0, !ok)
+		n.out.Q, p = c.outQ[0], &n.out
+	}
+	if !ok {
+		return append(dst, gossip.Envelope{To: n.id, Payload: p})
+	}
 	return append(dst,
 		gossip.Envelope{To: peer, Payload: p},
 		gossip.Envelope{To: n.id, Payload: p},
@@ -314,116 +232,38 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 // the scratch-backed *Mass of EmitAppend are accepted, and a moments
 // host's MomentsMass in either form.
 func (n *Node) Receive(payload any) {
-	var m Mass
+	var m MomentsMass
 	switch p := payload.(type) {
 	case *Mass:
-		m = *p
+		m.Mass = *p
 	case Mass:
-		m = p
+		m.Mass = p
 	case *MomentsMass:
-		m = p.Mass
-		n.mom.inQ += p.Q
+		m = *p
 	case MomentsMass:
-		m = p.Mass
-		n.mom.inQ += p.Q
+		m = p
 	default:
 		panic(fmt.Sprintf("pushsumrevert: unexpected payload %T", payload))
 	}
-	if n.cfg.Adaptive {
-		// §III-A: add λ/2 of the initial mass per message received,
-		// damping the received mass by (1-λ) so that with the expected
-		// two messages per round the update matches the fixed-λ rule.
-		λ := n.cfg.Lambda
-		n.inW += (1-λ)*m.W + (λ/2)*n.w0
-		n.inV += (1-λ)*m.V + (λ/2)*n.mv0
+	if c := &n.c; c.cfg.Adaptive || c.moment != nil {
+		c.receive(0, gossip.Mass(m.Mass), m.Q)
 	} else {
-		n.inW += m.W
-		n.inV += m.V
+		c.fold(0, gossip.Mass(m.Mass)) // receive's plain case, inlined
 	}
-	n.inMsgs++
 }
 
 // EndRound implements gossip.Agent.
-func (n *Node) EndRound(round int) {
-	if n.cfg.PushPull {
-		// Mass was updated in place by Exchange; apply the reversion
-		// decay exactly once per round.
-		n.endRoundPull()
-		return
-	}
-	if n.cfg.FullTransfer {
-		// The host keeps only what arrived; rounds with no arrivals
-		// leave it empty-handed until the next delivery.
-		n.w, n.v = n.inW, n.inV
-		if n.inMsgs > 0 && n.inW > 0 {
-			n.histW[n.histPos] = n.inW
-			n.histV[n.histPos] = n.inV
-			n.histPos = (n.histPos + 1) % n.cfg.Window
-			if n.histLen < n.cfg.Window {
-				n.histLen++
-			}
-		}
-		n.refreshWindowEstimate()
-		return
-	}
-	n.w, n.v = n.inW, n.inV
-	if n.mom != nil {
-		n.mom.q = n.mom.inQ
-	}
-	n.refreshEstimate()
-}
+func (n *Node) EndRound(round int) { n.c.end([]gossip.NodeID{0}) }
 
 // Exchange implements gossip.Exchanger: pairwise mass averaging.
-// Under push/pull the engine never calls Emit/Receive; EndRound
-// applies the reversion decay to the post-exchange mass.
 func (n *Node) Exchange(peer gossip.Exchanger) {
-	p := peer.(*Node)
-	mw := (n.w + p.w) / 2
-	mv := (n.v + p.v) / 2
-	n.w, p.w = mw, mw
-	n.v, p.v = mv, mv
-	if n.mom != nil {
-		mq := (n.mom.q + p.mom.q) / 2
-		n.mom.q, p.mom.q = mq, mq
-	}
-}
-
-// endRoundPull applies the once-per-round reversion decay used under
-// the push/pull model.
-func (n *Node) endRoundPull() {
-	λ := n.cfg.Lambda
-	n.w = λ*n.w0 + (1-λ)*n.w
-	n.v = λ*n.mv0 + (1-λ)*n.v
-	if m := n.mom; m != nil {
-		m.q = λ*m.q0 + (1-λ)*m.q
-	}
-	n.refreshEstimate()
-}
-
-func (n *Node) refreshEstimate() {
-	if n.w > 1e-12 {
-		n.est = n.v / n.w
-		n.hasEst = true
-	}
-}
-
-func (n *Node) refreshWindowEstimate() {
-	var sw, sv float64
-	for i := 0; i < n.histLen; i++ {
-		sw += n.histW[i]
-		sv += n.histV[i]
-	}
-	if sw > 1e-12 {
-		n.est = sv / sw
-		n.hasEst = true
+	p := &peer.(*Node).c
+	n.c.exchange(0, p, 0)
+	if n.c.moment != nil {
+		average(&n.c.q[0], &p.q[0])
 	}
 }
 
 // Estimate implements gossip.Agent. A moments host reports the
 // standard deviation, computed on read.
-func (n *Node) Estimate() (float64, bool) {
-	if n.mom != nil {
-		return stdDev(n.w, n.v, n.mom.q)
-	}
-	return n.est, n.hasEst
-}
+func (n *Node) Estimate() (float64, bool) { return n.c.Estimate(0) }

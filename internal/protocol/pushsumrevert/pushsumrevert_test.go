@@ -442,12 +442,12 @@ func TestWeightValidation(t *testing.T) {
 func TestReversionDecaysPerturbation(t *testing.T) {
 	n := New(0, 10, Config{Lambda: 0.5, PushPull: true})
 	// Perturb the node's mass far from its initial value.
-	n.w, n.v = 3, -50
+	n.c.w[0], n.c.v[0] = 3, -50
 	for r := 0; r < 40; r++ {
 		n.BeginRound(r)
 		n.EndRound(r) // push/pull mode: reversion applies at round end
 	}
-	if math.Abs(n.w-1) > 1e-6 || math.Abs(n.v-10) > 1e-6 {
-		t.Errorf("mass did not revert: w=%v v=%v, want 1, 10", n.w, n.v)
+	if m := n.Mass(); math.Abs(m.W-1) > 1e-6 || math.Abs(m.V-10) > 1e-6 {
+		t.Errorf("mass did not revert: w=%v v=%v, want 1, 10", m.W, m.V)
 	}
 }

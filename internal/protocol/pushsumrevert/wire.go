@@ -15,7 +15,7 @@ const (
 
 // WireKind implements the live engine's ColumnarProtocol wire hooks.
 func (c *Columnar) WireKind() uint8 {
-	if c.q != nil {
+	if c.moment != nil {
 		return WireKindMoments
 	}
 	return WireKindRevert
@@ -26,30 +26,26 @@ func (c *Columnar) WireKind() uint8 {
 // All variants put plain mass on the wire; the Adaptive variant's
 // damping happens on receipt, indexed by the destination.
 func (c *Columnar) AppendWire(dst []byte, m gossip.ColMsg) []byte {
-	if c.outQ != nil {
+	if c.moment != nil {
 		return wire.AppendMass3(dst, m.Mass.W, m.Mass.V, c.outQ[m.From])
 	}
 	return wire.AppendMass(dst, m.Mass.W, m.Mass.V)
 }
 
-// DeliverWire folds one received mass into host to's inbox columns via
-// the variant-aware deliverMsg (Adaptive reversion reads only the
-// destination's own initial-mass columns, so the fold is safe across
-// tick and process boundaries).
+// DeliverWire folds one received mass into host to's inbox (the
+// Adaptive fold reads only the destination's own columns, so it is safe
+// across tick and process boundaries).
 func (c *Columnar) DeliverWire(to gossip.NodeID, src []byte) ([]byte, error) {
-	if c.inQ != nil {
+	if c.moment != nil {
 		w, v, q, rest, err := wire.DecodeMass3(src)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			c.receive(to, gossip.Mass{W: w, V: v}, q)
 		}
-		c.deliverMsg(gossip.ColMsg{To: to, Mass: gossip.Mass{W: w, V: v}})
-		c.inQ[to] += q
-		return rest, nil
+		return rest, err
 	}
 	w, v, rest, err := wire.DecodeMass(src)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		c.receive(to, gossip.Mass{W: w, V: v}, 0)
 	}
-	c.deliverMsg(gossip.ColMsg{To: to, Mass: gossip.Mass{W: w, V: v}})
-	return rest, nil
+	return rest, err
 }
