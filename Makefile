@@ -106,12 +106,14 @@ bench-gate:
 # columnar protocols × push/push-pull × workers 0/1/4 (multi's rows
 # classic-only), engine- and driver-level — plus the engine and
 # figure goldens at workers 4 (each shard samples its own range into
-# the shared liveness bitmap) and the ColRound liveness contract,
-# under race, since the sharded columnar executors are the other
-# concurrency-heavy surface.
+# the shared liveness bitmap), the ColRound liveness contract, the
+# executor's workers 0/1/4/8 determinism tests and the push/pull
+# batch-order test (batches from one goroutine, in initiator order,
+# at every shard count), under race, since the sharded executor is
+# the other concurrency-heavy surface.
 live-soak:
 	$(GO) test -race -count=2 -timeout 15m -run 'Live|Transport|Batch|Lossy|UDP' ./internal/gossip/live/...
-	$(GO) test -race -count=2 -timeout 15m -run 'Columnar|Golden|ColRound' ./internal/gossip ./internal/experiments
+	$(GO) test -race -count=2 -timeout 15m -run 'Columnar|Golden|ColRound|Parallel|PushPullBatches' ./internal/gossip ./internal/experiments
 
 # Multi-process cluster soak: the three-OS-process TCP bootstrap
 # example under the race detector (each member process is itself a

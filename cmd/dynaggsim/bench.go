@@ -138,8 +138,8 @@ func runEngineBench(out io.Writer, o benchOpts) error {
 	if err != nil {
 		return err
 	}
-	// Warm-up: emission columns, outboxes, and wave storage grow
-	// to capacity.
+	// Warm-up: emission columns, outboxes, and pair batches grow to
+	// capacity.
 	engine.Run(2)
 
 	start := time.Now()

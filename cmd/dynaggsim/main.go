@@ -110,7 +110,7 @@
 //	-backend B  population backend in every mode: agents (default;
 //	            per-host boxed agents) or columnar (struct-of-arrays
 //	            columns; every protocol but multi, both gossip models —
-//	            push/pull runs the pair-batch wave executor);
+//	            push/pull runs each shard's exchanges as one pair batch);
 //	            round-engine results are byte-identical, measured ~3x
 //	            faster at N=1M
 //	-cpuprofile FILE  write a CPU profile of the run

@@ -46,8 +46,6 @@ type AveragingOptions struct {
 	FullTransfer bool
 	Parcels      int
 	Window       int
-	// Adaptive uses indegree-scaled reversion instead (ablation A2).
-	Adaptive bool
 }
 
 // Fig8 reproduces Figure 8: dynamic averaging under uncorrelated
@@ -78,9 +76,6 @@ func Averaging(opts AveragingOptions) Result {
 		opts.Model, opts.N, opts.N/2, opts.FailAt)
 	if opts.FullTransfer {
 		name += fmt.Sprintf(", full-transfer N=%d T=%d", opts.Parcels, opts.Window)
-	}
-	if opts.Adaptive {
-		name += ", adaptive λ"
 	}
 	res := Result{Name: name, XLabel: "round", YLabel: "stddev from true average"}
 
@@ -115,9 +110,6 @@ func runAveragingOnce(opts AveragingOptions, lambda float64) stats.Series {
 			Lambda: lambda, FullTransfer: true,
 			Parcels: opts.Parcels, Window: opts.Window,
 		}
-	} else if opts.Adaptive {
-		model = gossip.Push
-		cfg = pushsumrevert.Config{Lambda: lambda, Adaptive: true}
 	}
 
 	series := stats.Series{Label: fmt.Sprintf("λ=%.4f", lambda)}

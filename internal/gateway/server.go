@@ -85,9 +85,6 @@ type Config struct {
 	// by default via New — an observer that crashed and restarted on a
 	// new port reclaims its span instead of dying on ErrSpanConflict.
 	Replace bool
-	// BootstrapTimeout bounds the membership wait (0 means the
-	// live.Bootstrap default).
-	BootstrapTimeout time.Duration
 	// Health tunes the failure detector behind the degraded flag; its
 	// HeartbeatEvery should match the workers' keepalive cadence. The
 	// zero value matches the 1s bootstrap default.
@@ -171,7 +168,6 @@ func New(cfg Config) (*Server, error) {
 			Span:    span,
 			Total:   cfg.Workers,
 			Replace: cfg.Replace,
-			Timeout: cfg.BootstrapTimeout,
 		},
 	})
 	if err != nil {

@@ -84,10 +84,9 @@ func allocsPerHostRoundColumnar(t *testing.T, col gossip.ColumnarAgent, model go
 // TestColumnarAllocBudget pins the columnar hot path to the same
 // steady-state budget as the classic message plane, for every columnar
 // protocol on every gossip model it supports: the flat-column round —
-// including the push/pull pair-batch executor's wave scheduling — must
-// not allocate once the emission column, pair batches, and wave
-// storage have grown to capacity, at any shard count — and exactly
-// nothing on one shard.
+// including the push/pull pair batches — must not allocate once the
+// emission column and pair batches have grown to capacity, at any
+// shard count — and exactly nothing on one shard.
 func TestColumnarAllocBudget(t *testing.T) {
 	const n = 512
 	values := make([]float64, n)

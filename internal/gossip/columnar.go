@@ -30,10 +30,9 @@
 //
 // Push/pull runs on the columnar plane too, through ColExchanger: the
 // engine draws every initiator's peer, materialises the round's
-// exchanges as flat []Pair batches — one initiator-ordered batch on one
-// shard; deterministic conflict-free waves on several — and the
-// protocol executes each batch as one kernel over its columns, with no
-// per-pair Exchanger interface calls.
+// exchanges as flat []Pair batches — one per shard, handed over in
+// initiator order — and the protocol executes each batch as one kernel
+// over its columns, with no per-pair Exchanger interface calls.
 package gossip
 
 import (
@@ -211,13 +210,11 @@ type Pair struct {
 // the round's exchanges as flat batches; EndRange covering every host.
 // EmitRange and Deliver are never called under push/pull.
 //
-// Batch contract: pairs within one ExchangePairs call may share
-// endpoints and MUST be executed strictly in slice order (a one-shard
-// engine hands the whole round as one initiator-ordered batch). With
-// Workers > 1 the engine schedules exchanges into conflict-free waves
-// and may split one wave across concurrent ExchangePairs calls — those batches are endpoint-disjoint by
-// construction, so kernels must only touch the two endpoints' state
-// per pair.
+// Batch contract: ExchangePairs calls come from one goroutine, one
+// batch per shard, and the batches arrive in initiator order (a
+// one-shard engine hands the whole round as one batch). Pairs may
+// share endpoints, within a batch and across batches, and MUST be
+// executed strictly in slice order.
 type ColExchanger interface {
 	ColumnarAgent
 	ExchangePairs(rc *ColRound, pairs []Pair)

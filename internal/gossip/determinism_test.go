@@ -3,7 +3,11 @@ package gossip_test
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dynagg/internal/env"
 	"dynagg/internal/failure"
@@ -153,5 +157,90 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	_, err := gossip.NewEngine(gossip.Config{Env: environment, Agents: agents, Workers: -1})
 	if err == nil {
 		t.Fatal("negative Workers accepted")
+	}
+}
+
+// pairRecorder is a columnar push/pull protocol with no state: it
+// records every ExchangePairs batch, per round, and notes any call
+// that starts while another is still running.
+type pairRecorder struct {
+	n        int
+	mu       sync.Mutex
+	rounds   [][]gossip.Pair // rounds[r]: round r's batches, concatenated
+	inFlight atomic.Int32
+	overlap  atomic.Bool
+}
+
+func (p *pairRecorder) Len() int                                  { return p.n }
+func (p *pairRecorder) BeginRange(*gossip.ColRound, int, int)     {}
+func (p *pairRecorder) EmitRange(*gossip.ColRound, int, int)      {}
+func (p *pairRecorder) Deliver(*gossip.ColRound, []gossip.ColMsg) {}
+func (p *pairRecorder) EndRange(*gossip.ColRound, int, int)       {}
+func (p *pairRecorder) Estimate(gossip.NodeID) (float64, bool)    { return 0, false }
+func (p *pairRecorder) ExchangePairs(rc *gossip.ColRound, pairs []gossip.Pair) {
+	if p.inFlight.Add(1) > 1 {
+		p.overlap.Store(true)
+	}
+	defer p.inFlight.Add(-1)
+	// Hold the call open a moment, so a concurrent one would be seen.
+	time.Sleep(50 * time.Microsecond)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.rounds) <= rc.Round {
+		p.rounds = append(p.rounds, nil)
+	}
+	p.rounds[rc.Round] = append(p.rounds[rc.Round], pairs...)
+}
+
+// TestPushPullBatchesMatchAcrossWorkers pins the ColExchanger batch
+// contract at every shard count: a round's ExchangePairs batches,
+// concatenated, are the one-shard sequence (initiator order, endpoints
+// shared freely), and no two calls ever run at once.
+func TestPushPullBatchesMatchAcrossWorkers(t *testing.T) {
+	const (
+		n      = 403
+		rounds = 8
+	)
+	record := func(workers int) *pairRecorder {
+		environment := env.NewUniform(n)
+		rec := &pairRecorder{n: n}
+		engine, err := gossip.NewEngine(gossip.Config{
+			Env:      environment,
+			Columnar: rec,
+			Model:    gossip.PushPull,
+			Seed:     7,
+			Workers:  workers,
+			BeforeRound: []gossip.Hook{
+				failure.RandomAt(rounds/2, 0.33, environment.Population, 11),
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine.Run(rounds)
+		return rec
+	}
+	want := record(0)
+	if len(want.rounds) != rounds {
+		t.Fatalf("workers=0: batches in %d rounds, want %d", len(want.rounds), rounds)
+	}
+	for r, pairs := range want.rounds {
+		if !slices.IsSortedFunc(pairs, func(a, b gossip.Pair) int { return int(a.A) - int(b.A) }) {
+			t.Fatalf("workers=0: round %d's pairs are not in initiator order", r)
+		}
+	}
+	for _, workers := range []int{1, 4, 8} {
+		got := record(workers)
+		if got.overlap.Load() {
+			t.Errorf("workers=%d: ExchangePairs calls overlapped", workers)
+		}
+		if len(got.rounds) != len(want.rounds) {
+			t.Fatalf("workers=%d: batches in %d rounds, want %d", workers, len(got.rounds), len(want.rounds))
+		}
+		for r := range want.rounds {
+			if !slices.Equal(got.rounds[r], want.rounds[r]) {
+				t.Errorf("workers=%d: round %d's batches differ from the one-shard sequence", workers, r)
+			}
+		}
 	}
 }

@@ -208,14 +208,9 @@ type Engine struct {
 	alive []bool
 
 	// workers is what Workers reports; shards is the executor state,
-	// max(workers, 1) of them. lastWave (per-host index of the last
-	// wave touching it), waves and wave (the one being executed) serve
-	// the push/pull scheduler of a multi-shard engine.
-	workers  int
-	shards   []shard
-	lastWave []int32
-	waves    [][]Pair
-	wave     []Pair
+	// max(workers, 1) of them.
+	workers int
+	shards  []shard
 }
 
 // NewEngine validates the configuration and builds an engine.
@@ -282,9 +277,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 	} else if e.model == PushPull {
 		e.colEx = cfg.Columnar.(ColExchanger) // checked by validateColumnar
-	}
-	if k > 1 && e.model == PushPull {
-		e.lastWave = make([]int32, n)
 	}
 	e.newShards(k)
 	return e, nil

@@ -5,9 +5,11 @@
 // barrier after it. With one shard (Config.Workers 0 or 1) every phase
 // runs inline on the caller's goroutine: no goroutine, no closure,
 // nothing copied between shards. With k > 1 shards the same methods
-// fork-join over k goroutines. Both backends run the same phases; a
-// phase branches on the backend only where the message type differs
-// (Envelope for classic agents, ColMsg for a columnar protocol).
+// fork-join over k goroutines, except the push/pull exchange step,
+// which always runs on the caller's goroutine. Both backends run the
+// same phases; a phase branches on the backend only where the message
+// type differs (Envelope for classic agents, ColMsg for a columnar
+// protocol).
 //
 // Determinism does not depend on the shard count: every host owns a
 // private PRNG split (host behaviour never depends on iteration
@@ -26,11 +28,9 @@
 //     byte-identical rather than approximately equal.)
 //   - Push/pull exchange: peers are picked per shard (a pick consumes
 //     only the initiator's PRNG), giving the round's exchanges in
-//     initiator order. One shard executes them as that one ordered
-//     batch. k > 1 shards schedule them into conflict-free waves (see
-//     buildWaves): exchanges inside a wave share no endpoint, so running
-//     them concurrently commutes, and conflicting exchanges keep their
-//     initiator order across waves.
+//     initiator order. They run on the caller's goroutine, shard by
+//     shard, each shard's pairs as one ordered batch; shards are
+//     contiguous, so shard order is initiator order for any k.
 //
 // A message or initiation to a host dead this round is lost: the
 // classic route drops it, a columnar Deliver skips it, and a push/pull
@@ -140,19 +140,8 @@ func (e *Engine) pushPullRound() {
 	e.forShards((*Engine).begin)
 	e.forShards((*Engine).pickPeers)
 	e.tally()
-	if k := len(e.shards); k == 1 {
-		e.exchange(&e.shards[0], e.shards[0].pairs)
-	} else {
-		for _, e.wave = range e.buildWaves() {
-			// Conflict chains leave a tail of tiny waves; those run inline —
-			// a goroutine fan-out per handful of exchanges costs more than
-			// the exchanges, and intra-wave order is free.
-			if len(e.wave) < 2*k {
-				e.exchange(&e.shards[0], e.wave)
-			} else {
-				e.forShards((*Engine).exchangeChunk)
-			}
-		}
+	for s := range e.shards {
+		e.exchange(&e.shards[s])
 	}
 	e.forShards((*Engine).end)
 }
@@ -284,26 +273,19 @@ func (e *Engine) pickPeers(sh *shard) {
 	sh.contacts, sh.messages = int64(picked), 2*int64(len(pairs)) // state travels both ways
 }
 
-// exchange executes a batch of exchanges strictly in slice order: one
-// ExchangePairs kernel call on the columnar backend, one Exchange per
-// pair on classic agents. sh lends the round context.
-func (e *Engine) exchange(sh *shard, pairs []Pair) {
+// exchange executes the shard's exchanges strictly in initiator
+// order: one ExchangePairs kernel call on the columnar backend, one
+// Exchange per pair on classic agents.
+func (e *Engine) exchange(sh *shard) {
 	if e.col != nil {
-		if len(pairs) > 0 {
-			e.colEx.ExchangePairs(&sh.rc, pairs)
+		if len(sh.pairs) > 0 {
+			e.colEx.ExchangePairs(&sh.rc, sh.pairs)
 		}
 		return
 	}
-	for _, p := range pairs {
+	for _, p := range sh.pairs {
 		e.agents[p.A].(Exchanger).Exchange(e.agents[p.B].(Exchanger))
 	}
-}
-
-// exchangeChunk executes the shard's contiguous share of the current
-// wave; a wave's exchanges share no endpoint, so any split commutes.
-func (e *Engine) exchangeChunk(sh *shard) {
-	k, w := len(e.shards), e.wave
-	e.exchange(sh, w[sh.idx*len(w)/k:(sh.idx+1)*len(w)/k])
 }
 
 // end folds the round's received state on the shard's live hosts.
@@ -315,34 +297,4 @@ func (e *Engine) end(sh *shard) {
 	for _, id := range sh.rc.Live(sh.lo, sh.hi) {
 		e.agents[id].EndRound(e.round)
 	}
-}
-
-// buildWaves schedules the round's exchanges (the shards' pairs, which
-// in shard order are in initiator order) into conflict-free waves: an
-// exchange lands in the first wave after the last wave touching either
-// endpoint. Executing the waves in order, with any parallelism inside
-// one, is therefore byte-identical to executing all exchanges in
-// initiator order. The scheduler is sequential and cheap; wave storage
-// is reused across rounds.
-func (e *Engine) buildWaves() [][]Pair {
-	for i := range e.lastWave {
-		e.lastWave[i] = -1
-	}
-	waves := e.waves[:0]
-	for s := range e.shards {
-		for _, p := range e.shards[s].pairs {
-			w := max(e.lastWave[p.A], e.lastWave[p.B]) + 1
-			if int(w) == len(waves) {
-				var wave []Pair
-				if len(waves) < cap(waves) {
-					wave = waves[:w+1][w][:0] // an earlier round's storage
-				}
-				waves = append(waves, wave)
-			}
-			waves[w] = append(waves[w], p)
-			e.lastWave[p.A], e.lastWave[p.B] = w, w
-		}
-	}
-	e.waves = waves
-	return waves
 }
