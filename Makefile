@@ -166,13 +166,16 @@ heal-soak:
 
 # Documentation lint: every exported identifier in the contract
 # packages must carry a doc comment (cmd/doclint), every relative link
-# in README/docs must resolve, the README must stay a quickstart, and
+# in README/docs must resolve, the README must stay a quickstart, every
+# `dynaggsim <mode> ...` line in README, docs/ and this Makefile must
+# parse against that mode's flags (TestDocumentedInvocationsParse), and
 # the gateway API reference's example payloads must round-trip against
 # the real handlers (TestGatewayAPIDocExamples).
 doc-lint:
 	$(GO) run ./cmd/doclint internal/backoff internal/chaos internal/env internal/experiments internal/failure internal/gateway internal/gossip internal/gossip/live internal/gossip/live/health internal/gossip/live/transport \
 		internal/groups internal/metrics internal/overlay $(wildcard internal/protocol/*) internal/sketch internal/stats internal/supervise internal/sysmem internal/trace internal/wire internal/xrand
 	$(GO) test -run 'TestDocsLinksResolve|TestREADMEStaysQuickstart' .
+	$(GO) test -run 'TestDocumentedInvocationsParse' ./cmd/dynaggsim
 	$(GO) test -run 'TestGatewayAPIDocExamples' ./internal/gateway
 
 # Native Go fuzzing smoke pass: 10 seconds per wire decoder, enough to

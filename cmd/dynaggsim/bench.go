@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"time"
@@ -25,6 +26,18 @@ type benchOpts struct {
 	workers  int
 	columnar bool
 	seed     uint64
+}
+
+func benchFlags(fs *flag.FlagSet) func(io.Writer) error {
+	var o benchOpts
+	fs.StringVar(&o.protocol, "protocol", "pushsum", "protocol: pushsum, revert, sketchreset, sketchcount, extremes, moments (pushsum is revert at λ = 0)")
+	fs.StringVar(&o.model, "model", "push", "gossip model: push or pushpull")
+	countVar(fs, &o.n, "n", 1000000, "host `count`")
+	countVar(fs, &o.rounds, "rounds", 10, "timed round `count`, after two warm-up rounds")
+	workersVar(fs, &o.workers, "engine shards: 0 one shard run inline, -1 one per CPU, k>0 exactly k")
+	backendVar(fs, &o.columnar)
+	fs.Uint64Var(&o.seed, "seed", 1, "PRNG seed")
+	return func(out io.Writer) error { return runEngineBench(out, o) }
 }
 
 // benchSketchParams keeps the million-host sketch benchmark inside
@@ -103,15 +116,9 @@ func benchBuild(o benchOpts, model gossip.Model, values []float64) (gossip.Confi
 // motivated the columnar engine; combine with
 // -cpuprofile/-memprofile to regenerate it.
 func runEngineBench(out io.Writer, o benchOpts) error {
-	if o.n <= 0 {
-		o.n = 1000000
-	}
-	if o.rounds <= 0 {
-		o.rounds = 10
-	}
 	var model gossip.Model
 	switch o.model {
-	case "", "push":
+	case "push":
 		model = gossip.Push
 	case "pushpull":
 		model = gossip.PushPull

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -13,11 +14,22 @@ import (
 type chaosOpts struct {
 	scenario string // catalog name or path to a scenario JSON file
 	seed     uint64
-	columnar bool
-	workers  int
-	n        int    // override Scenario.N when > 0
-	rounds   int    // override Scenario.Rounds when > 0
-	format   string // "table" (human summary) or "json" (full Report)
+	run      chaos.RunOpts // -backend, -workers
+	n        int           // override Scenario.N when > 0
+	rounds   int           // override Scenario.Rounds when > 0
+	format   string        // "table" (human summary) or "json" (full Report)
+}
+
+func chaosFlags(fs *flag.FlagSet) func(io.Writer) error {
+	var o chaosOpts
+	fs.StringVar(&o.scenario, "scenario", "", "catalog scenario name or path to a scenario JSON file (see internal/chaos and docs/scenarios.md)")
+	fs.Uint64Var(&o.seed, "seed", 1, "PRNG seed; the whole run and its report are a function of it")
+	backendVar(fs, &o.run.Columnar)
+	workersVar(fs, &o.run.Workers, "engine shards: 0 one shard run inline, -1 one per CPU, k>0 exactly k")
+	fs.IntVar(&o.n, "n", 0, "host count (0 keeps the scenario's)")
+	fs.IntVar(&o.rounds, "rounds", 0, "round count (0 keeps the scenario's)")
+	fs.StringVar(&o.format, "format", "table", "output format: table (summary) or json (the full report)")
+	return func(out io.Writer) error { return runChaos(out, o) }
 }
 
 // runChaos resolves a scenario (catalog name first, then file path),
@@ -38,7 +50,7 @@ func runChaos(out io.Writer, o chaosOpts) error {
 		s.Rounds = o.rounds
 	}
 
-	rep, err := chaos.RunWith(s, o.seed, chaos.RunOpts{Columnar: o.columnar, Workers: o.workers})
+	rep, err := chaos.RunWith(s, o.seed, o.run)
 	if err != nil {
 		return err
 	}
@@ -52,7 +64,7 @@ func runChaos(out io.Writer, o chaosOpts) error {
 		if _, err := out.Write(append(data, '\n')); err != nil {
 			return err
 		}
-	case "", "table":
+	case "table":
 		printChaosSummary(out, s, rep)
 	default:
 		return fmt.Errorf("chaos: -format must be table or json, got %q", o.format)

@@ -2,47 +2,42 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"os/signal"
+	"strings"
 	"syscall"
-	"time"
 
 	"dynagg/internal/gateway"
 )
 
-// gatewayOpts parametrizes the `gateway` mode: join a running TCP
-// cluster as a zero-mass observer span and serve its converged
-// estimates over HTTP.
-type gatewayOpts struct {
-	n          int    // worker population size (observer takes slot n)
-	seeds      string // comma-separated bootstrap seed addresses
-	listen     string // observer span's TCP bind; "" = 127.0.0.1:0
-	listenHTTP string // query API bind
-	aggregates string // comma-separated initial aggregate names
-	pace       time.Duration
-	seed       uint64
+// gatewayFlags is the `gateway` mode: join a running TCP cluster as a
+// zero-mass observer span and serve its converged estimates over HTTP.
+// Its flags bind straight into the gateway's Config.
+func gatewayFlags(fs *flag.FlagSet) func(io.Writer) error {
+	cfg := gateway.Config{Replace: true} // a restarted gateway reclaims its span
+	countVar(fs, &cfg.Workers, "n", 256, "worker population `size` (the observer takes slot n)")
+	seeds := fs.String("seeds", "", "the cluster's comma-separated bootstrap seed addresses (required)")
+	fs.StringVar(&cfg.Listen, "listen", "", "the observer span's TCP listen address; default 127.0.0.1:0")
+	listenHTTP := fs.String("listen-http", "127.0.0.1:8080", "HTTP listen address for the query API")
+	aggregates := fs.String("aggregates", "load", "comma-separated initial aggregate names")
+	fs.DurationVar(&cfg.TickEvery, "pace", gateway.DefaultTickEvery, "observer tick duty cycle; should match the workers' -pace")
+	fs.Uint64Var(&cfg.Seed, "seed", 1, "PRNG seed")
+	return func(out io.Writer) error {
+		cfg.Seeds, cfg.Aggregates = splitNames(*seeds), splitNames(*aggregates)
+		return runGateway(out, cfg, *listenHTTP)
+	}
 }
 
 // runGateway builds the observer gateway, bootstraps it into the
-// cluster, and serves HTTP until SIGINT/SIGTERM.
-func runGateway(out io.Writer, o gatewayOpts) error {
-	if o.seeds == "" {
+// cluster, and serves HTTP on listenHTTP until SIGINT/SIGTERM.
+func runGateway(out io.Writer, cfg gateway.Config, listenHTTP string) error {
+	if len(cfg.Seeds) == 0 {
 		return fmt.Errorf("gateway: -seeds is required (the cluster's shared seed list)")
 	}
-	if o.n <= 0 {
-		o.n = 256
-	}
-	s, err := gateway.New(gateway.Config{
-		Workers:    o.n,
-		Seeds:      splitNames(o.seeds),
-		Listen:     o.listen,
-		Aggregates: splitNames(o.aggregates),
-		TickEvery:  o.pace,
-		Seed:       o.seed,
-		Replace:    true, // a restarted gateway reclaims its span
-	})
+	s, err := gateway.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -52,11 +47,11 @@ func runGateway(out io.Writer, o gatewayOpts) error {
 	defer stop()
 
 	fmt.Fprintf(out, "gateway: observer span [%d,%d) listening on %s, bootstrapping from %s\n",
-		o.n, o.n+1, s.TransportAddr(), o.seeds)
+		cfg.Workers, cfg.Workers+1, s.TransportAddr(), strings.Join(cfg.Seeds, ","))
 	if err := s.Start(ctx); err != nil {
 		return fmt.Errorf("gateway: bootstrap: %w", err)
 	}
-	ln, err := net.Listen("tcp", o.listenHTTP)
+	ln, err := net.Listen("tcp", listenHTTP)
 	if err != nil {
 		return fmt.Errorf("gateway: http listen: %w", err)
 	}

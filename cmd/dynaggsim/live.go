@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"strconv"
@@ -26,7 +27,7 @@ import (
 // on the command line.
 type liveOpts struct {
 	protocol   string // pushsum (revert at λ = 0) | revert | sketchreset | multi
-	backend    string // agents | columnar
+	columnar   bool   // -backend: agents (false) | columnar
 	transport  string // chan | udp | tcp
 	loss       float64
 	wan        string // canned WAN preset name, or ""
@@ -51,6 +52,30 @@ type liveOpts struct {
 	observerSlots int
 }
 
+func liveFlags(fs *flag.FlagSet) func(io.Writer) error {
+	var o liveOpts
+	fs.StringVar(&o.protocol, "protocol", "pushsum", "protocol: pushsum, revert, sketchreset, multi (pushsum is revert at λ = 0)")
+	backendVar(fs, &o.columnar)
+	fs.StringVar(&o.transport, "transport", "chan", "transport: chan (in-process channels), udp (wire-encoded loopback datagrams), or tcp (length-prefixed frames over cached connections)")
+	fs.Float64Var(&o.loss, "loss", 0, "per-message drop probability injected over the transport")
+	fs.StringVar(&o.wan, "wan", "", "canned WAN preset layered over the transport: lan, 3g, or sat (loss+delay+jitter; mutually exclusive with -loss)")
+	countVar(fs, &o.groups, "udp-groups", 4, "UDP/TCP loopback transports: host group `count` (= sockets/listeners)")
+	fs.DurationVar(&o.pace, "pace", 0, "tick duty cycle; 0 = free-running (sketchreset, multi, and agents over tcp default to 4ms)")
+	countVar(fs, &o.n, "n", 256, "host `count`")
+	countVar(fs, &o.ticks, "ticks", 60, "tick `count` per host")
+	workersVar(fs, &o.workers, "goroutines ticking the hosts: 0 one per host (agents) or per group (columnar), -1 one per CPU, k>0 at most k")
+	fs.Uint64Var(&o.seed, "seed", 1, "PRNG seed")
+	fs.IntVar(&o.rcvbuf, "rcvbuf", 0, "UDP socket receive buffer in bytes; 0 = auto (4 MiB for the columnar backend)")
+	fs.StringVar(&o.seeds, "seeds", "", "TCP bootstrap: comma-separated seed addresses shared by every process of the deployment (requires -span and -transport=tcp)")
+	fs.StringVar(&o.span, "span", "", "TCP bootstrap: this process's host range lo:hi of the -n population (requires -seeds)")
+	fs.StringVar(&o.listen, "listen", "", "TCP listen address for this process's span; default 127.0.0.1:0 (a seed process must listen on its advertised seed address)")
+	fs.BoolVar(&o.replace, "replace", false, "cluster member: announce with restart semantics — seeds update a stale registration of this span to our address instead of reporting a conflict (set by the supervisor on respawns)")
+	fs.DurationVar(&o.reannounce, "reannounce", 0, "cluster member: keepalive re-announce cadence, the failure detector's heartbeat (0 = 1s default)")
+	fs.StringVar(&o.aggregates, "aggregates", "load", "-protocol=multi: comma-separated aggregate names (hosts register gateway.DemoValue per name)")
+	fs.IntVar(&o.observerSlots, "observer-slots", 0, "cluster member: extra environment slots above -n reserved for observer spans (gateway processes); every process of a deployment must agree")
+	return func(out io.Writer) error { return runLive(out, o) }
+}
+
 // parseSpan parses the -span flag's "lo:hi" form against the
 // population size.
 func parseSpan(s string, n int) (live.Span, error) {
@@ -69,48 +94,36 @@ func parseSpan(s string, n int) (live.Span, error) {
 	return live.Span{Lo: gossip.NodeID(lo), Hi: gossip.NodeID(hi)}, nil
 }
 
-// resolveLossTransport layers -wan / -loss over a base transport with
-// the shared validation both CLI modes use: the two flags are mutually
-// exclusive (a preset already sets a loss rate), and unknown preset
-// names list the valid ones. It returns the (possibly wrapped)
-// transport and the effective injected loss rate.
+// resolveLossTransport layers -wan / -loss over a base transport: the
+// two flags are mutually exclusive (a preset already sets a loss
+// rate), unknown preset names list the valid ones, and a loss rate
+// outside [0,1] is refused by NewLossy. It returns the (possibly
+// wrapped) transport and the effective injected loss rate.
 func resolveLossTransport(tr transport.Transport, wan string, loss float64, seed uint64) (transport.Transport, float64, error) {
+	opt := transport.WithLoss(loss)
 	switch {
-	case wan != "" && loss > 0:
+	case wan != "" && loss != 0:
 		return nil, 0, fmt.Errorf("-wan and -loss are mutually exclusive (the preset already sets a loss rate)")
 	case wan != "":
 		p, ok := transport.ProfileByName(wan)
 		if !ok {
 			return nil, 0, fmt.Errorf("unknown -wan preset %q (%s)", wan, strings.Join(transport.ProfileNames(), ", "))
 		}
-		lt, err := transport.NewLossy(tr, transport.WithProfile(p), transport.WithLossSeed(seed))
-		if err != nil {
-			return nil, 0, err
-		}
-		return lt, p.Loss, nil
-	case loss > 0:
-		lt, err := transport.NewLossy(tr, transport.WithLoss(loss), transport.WithLossSeed(seed))
-		if err != nil {
-			return nil, 0, err
-		}
-		return lt, loss, nil
+		opt, loss = transport.WithProfile(p), p.Loss
+	case loss == 0:
+		return tr, 0, nil
 	}
-	return tr, 0, nil
+	lt, err := transport.NewLossy(tr, opt, transport.WithLossSeed(seed))
+	if err != nil {
+		return nil, 0, err
+	}
+	return lt, loss, nil
 }
 
 // runLive executes one live-engine run and prints a small report:
 // the resolved configuration, the mean estimate against the truth,
 // the transport's sent/dropped books, throughput, and peak RSS.
 func runLive(out io.Writer, o liveOpts) error {
-	if o.n <= 0 {
-		o.n = 256
-	}
-	if o.ticks <= 0 {
-		o.ticks = 60
-	}
-	if o.groups <= 0 {
-		o.groups = 4
-	}
 	// Count-Sketch-Reset bounds counter ages assuming loosely equal
 	// iteration rates across the population, so it defaults to a paced
 	// duty cycle; the mass protocols are rate-independent and default
@@ -118,15 +131,12 @@ func runLive(out io.Writer, o liveOpts) error {
 	if o.pace == 0 && (o.protocol == "sketchreset" || o.protocol == "multi") {
 		o.pace = 4 * time.Millisecond
 	}
-	if o.transport == "" {
-		o.transport = "chan"
-	}
 	// TCP sends queue for an asynchronous writer goroutine, so a
 	// free-running agent population finishes its ticks before the first
 	// dial completes and most traffic drops on the outbox. Pace it like
 	// a deployed duty cycle by default (columnar drains batches inline
 	// per shard wave and keeps up unpaced).
-	if o.pace == 0 && o.transport == "tcp" && o.backend == "agents" {
+	if o.pace == 0 && o.transport == "tcp" && !o.columnar {
 		o.pace = 4 * time.Millisecond
 	}
 
@@ -139,7 +149,7 @@ func runLive(out io.Writer, o liveOpts) error {
 		if o.transport != "tcp" {
 			return fmt.Errorf("live: -seeds/-span require -transport=tcp (bootstrap is the TCP membership layer; UDP spans exchange addresses out of band)")
 		}
-		if o.backend == "columnar" {
+		if o.columnar {
 			return fmt.Errorf("live: the columnar backend drives the full population in one process; -seeds/-span need -backend=agents")
 		}
 		var err error
@@ -176,7 +186,7 @@ func runLive(out io.Writer, o liveOpts) error {
 	// counting runs shrink the sketch the same way the engine bench
 	// does.
 	sketchParams := sketch.DefaultParams
-	if o.backend == "columnar" && o.n > 200_000 {
+	if o.columnar && o.n > 200_000 {
 		sketchParams = benchSketchParams
 	}
 
@@ -188,8 +198,7 @@ func runLive(out io.Writer, o liveOpts) error {
 
 	var pop live.Population
 	var truth float64
-	switch o.backend {
-	case "agents":
+	if !o.columnar {
 		agents := make([]gossip.Agent, o.n)
 		switch o.protocol {
 		case "pushsum", "revert":
@@ -238,7 +247,7 @@ func runLive(out io.Writer, o liveOpts) error {
 			agents = agents[span.Lo:span.Hi]
 		}
 		pop = live.NewAgentPopulation(agents)
-	case "columnar":
+	} else {
 		switch o.protocol {
 		case "multi":
 			return fmt.Errorf("live: -protocol=multi requires -backend=agents (no columnar form yet)")
@@ -256,7 +265,7 @@ func runLive(out io.Writer, o liveOpts) error {
 	}
 
 	rcvbuf, queue := o.rcvbuf, 0
-	if o.backend == "columnar" {
+	if o.columnar {
 		// A whole shard's wave lands on one socket between drains;
 		// give the kernel room for it.
 		if rcvbuf == 0 {
@@ -328,12 +337,8 @@ func runLive(out io.Writer, o liveOpts) error {
 	var selfAddr string
 	if cluster {
 		cfg.Span = span
-		var seeds []string
-		for _, s := range strings.Split(o.seeds, ",") {
-			seeds = append(seeds, strings.TrimSpace(s))
-		}
 		cfg.Bootstrap = &live.Bootstrap{
-			Seeds: seeds, Span: span, Total: o.n,
+			Seeds: splitNames(o.seeds), Span: span, Total: o.n,
 			Replace: o.replace, ReAnnounce: o.reannounce,
 		}
 		// Our own group is table index 0 at construction, but merging a
@@ -357,8 +362,12 @@ func runLive(out io.Writer, o liveOpts) error {
 		// carrying connection instead of silently dropping a frame.
 		lossNote = " (tcp: link-kill)"
 	}
+	backend := "agents"
+	if o.columnar {
+		backend = "columnar"
+	}
 	fmt.Fprintf(out, "live config: protocol=%s backend=%s transport=%s n=%d ticks=%d groups=%d\n",
-		o.protocol, o.backend, name, o.n, o.ticks, o.groups)
+		o.protocol, backend, name, o.n, o.ticks, o.groups)
 	fmt.Fprintf(out, "             loss=%.4f%s pace=%v workers=%d seed=%d rcvbuf=%d\n",
 		injectedLoss, lossNote, o.pace, o.workers, o.seed, rcvbuf)
 	if cluster {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dynaggsim <experiment> [flags]
+//	dynaggsim <mode> [flags]
 //
 // Experiments:
 //
@@ -96,37 +96,41 @@
 //
 // Flags:
 //
+// Each mode has its own flag set and accepts only the flags it reads;
+// `dynaggsim <mode> -h` lists them with that mode's defaults. Every
+// mode takes -o FILE (output to FILE instead of stdout), -cpuprofile
+// FILE and -memprofile FILE (a CPU profile of the run, an end-of-run
+// heap profile). Every figure and ablation mode takes -seed S and
+// -format F (table, csv or json); fig6 adds -full, fig11* -dataset D
+// (trace dataset 1-3), ablation-gridcutoff -n as its grid side
+// (default 28) and ablation-bandwidth -n as its host count (default
+// 2000). The Scale-driven ones (fig8/9/10*, ablation-pushpull/adaptive/
+// epoch/moments/extremes/mobility) and all add:
+//
 //	-full       paper-scale populations (100,000 hosts; slower)
-//	-n N        override host count
-//	-rounds R   override round count
-//	-seed S     PRNG seed
+//	-n N        host count (default 10,000, or 100,000 with -full)
+//	-rounds R   round count (default 60)
 //	-workers W  engine shards: 0 one shard, inline (default), -1 one
 //	            per CPU, k>0 exactly k; results are byte-identical
-//	            at any setting. Applies to the Scale-driven experiments
-//	            (fig8/9/10*, ablation-pushpull/adaptive/epoch/moments/
-//	            extremes/mobility); the fixed-size drivers (fig6,
-//	            fig11*, ablation-bins/overlay/gridcutoff/bandwidth)
-//	            always run on one shard
-//	-backend B  population backend in every mode: agents (default;
-//	            per-host boxed agents) or columnar (struct-of-arrays
-//	            columns; every protocol but multi, both gossip models —
-//	            push/pull runs each shard's exchanges as one pair batch);
-//	            round-engine results are byte-identical, measured ~3x
-//	            faster at N=1M
-//	-cpuprofile FILE  write a CPU profile of the run
-//	-memprofile FILE  write an end-of-run heap profile
-//	-dataset D  trace dataset 1-3 (fig11 experiments; default 1)
-//	-format F   output format: table (default), csv, json
-//	-o FILE     write output to FILE instead of stdout
+//	            at any setting (bench and chaos take it too)
+//	-backend B  population backend: agents (default; per-host boxed
+//	            agents) or columnar (struct-of-arrays columns; every
+//	            protocol but multi, both gossip models — push/pull runs
+//	            each shard's exchanges as one pair batch); round-engine
+//	            results are byte-identical, measured ~3x faster at N=1M
+//	            (bench, chaos and live take it too)
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strconv"
 	"time"
 
 	"dynagg/internal/experiments"
@@ -135,88 +139,76 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "dynaggsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
-	if len(args) == 0 {
-		usage()
-		return fmt.Errorf("missing experiment name")
+// mode is one dynaggsim subcommand. flags registers on fs exactly the
+// flags the mode reads, bound into its options with its defaults, and
+// returns the step that runs it once fs is parsed. fig, set for figure
+// and ablation modes only, is the experiment all runs on its own options.
+type mode struct {
+	name, summary string
+	flags         func(fs *flag.FlagSet) func(out io.Writer) error
+	fig           func(out io.Writer, o *figOpts) error
+}
+
+// modes is the CLI, in usage order; init fills it because all walks it.
+var modes []mode
+
+func init() {
+	modes = []mode{
+		{"fig6", "bit-counter distribution CDFs (Count-Sketch-Reset cutoff)", figFlags(fullFlag, runFig6), runFig6},
+		scaled("fig8", "dynamic averaging, uncorrelated failures", experiments.Fig8),
+		scaled("fig9", "dynamic counting under failure", experiments.Fig9),
+		scaled("fig10a", "dynamic averaging, correlated failures (basic)", experiments.Fig10a),
+		scaled("fig10b", "dynamic averaging, correlated failures (full-transfer)", experiments.Fig10b),
+		figure("fig11avg", "trace-driven dynamic average", datasetFlag, func(o *figOpts) experiments.Result {
+			return experiments.Fig11Avg(o.dataset, o.sc.Seed)
+		}),
+		figure("fig11sum", "trace-driven dynamic size estimate", datasetFlag, func(o *figOpts) experiments.Result {
+			return experiments.Fig11Sum(o.dataset, o.sc.Seed)
+		}),
+		scaled("ablation-pushpull", "push vs push/pull convergence of static Push-Sum", experiments.AblationPushPull),
+		scaled("ablation-adaptive", "fixed vs adaptive λ reversion, correlated failures", experiments.AblationAdaptive),
+		figure("ablation-bins", "FM sketch error vs bin count", nil, func(o *figOpts) experiments.Result {
+			return experiments.AblationBins(20, 20000, o.sc.Seed)
+		}),
+		scaled("ablation-epoch", "epoch length vs reversion, correlated failures", experiments.AblationEpoch),
+		figure("ablation-overlay", "TAG spanning tree vs gossip under churn, 50x50 grid", nil, func(o *figOpts) experiments.Result {
+			return experiments.AblationOverlay(50, o.sc.Seed)
+		}),
+		scaled("ablation-moments", "dynamic stddev (moments), correlated failures", experiments.AblationMoments),
+		scaled("ablation-extremes", "dynamic max with age-out, correlated failures", experiments.AblationExtremes),
+		figure("ablation-gridcutoff", "grid count vs sketch cutoff intercept", func(fs *flag.FlagSet, o *figOpts) {
+			countVar(fs, &o.side, "n", o.side, "grid `side`")
+		}, func(o *figOpts) experiments.Result { return experiments.AblationGridCutoff(o.side, o.sc.Seed) }),
+		figure("ablation-bandwidth", "wire bytes per gossip message by protocol", func(fs *flag.FlagSet, o *figOpts) {
+			countVar(fs, &o.hosts, "n", o.hosts, "host `count`")
+		}, func(o *figOpts) experiments.Result { return experiments.AblationBandwidth(o.hosts, o.sc.Seed) }),
+		scaled("ablation-mobility", "dynamic averaging under random-waypoint mobility", experiments.AblationMobility),
+		{"all", "every figure and ablation above at one scale", figFlags(scaleFlags, runAll), nil},
+		{"live", "a protocol on the live engine over chan, udp or tcp", liveFlags, nil},
+		{"supervise", "a self-healing cluster of live member processes", superviseFlags, nil},
+		{"gateway", "HTTP query gateway over a live tcp cluster", gatewayFlags, nil},
+		{"chaos", "a seeded fault/adversary scenario on the round engine", chaosFlags, nil},
+		{"bench", "raw gossip rounds of one protocol (default 1,000,000 hosts)", benchFlags, nil},
+		{"trace-gen", "generate a synthetic contact trace", traceGenFlags, nil},
+		{"trace-info", "summarize a contact trace file", traceInfoFlags, nil},
 	}
-	name := args[0]
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	full := fs.Bool("full", false, "paper-scale populations (100,000 hosts)")
-	n := fs.Int("n", 0, "override host count")
-	rounds := fs.Int("rounds", 0, "override round count")
-	seed := fs.Uint64("seed", 1, "PRNG seed")
-	workers := fs.Int("workers", 0, "engine shards for Scale-driven experiments: 0 one shard run inline, -1 one per CPU, k>0 exactly k (same results at any setting; fig6/fig11/bins/overlay/gridcutoff/bandwidth run on one shard regardless)")
-	backend := fs.String("backend", "agents", "population backend: agents (per-host boxed agents) or columnar (dense struct-of-arrays columns; every protocol but multi, both gossip models; byte-identical round results, flat-loop speed)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
-	dataset := fs.Int("dataset", 1, "trace dataset 1-3")
-	format := fs.String("format", "table", "output format: table, csv, json")
-	outPath := fs.String("o", "", "write output to file instead of stdout")
-	inPath := fs.String("in", "", "input trace file (trace-info)")
-	contacts := fs.Bool("contacts", false, "parse -in as a CRAWDAD contact table")
-	protocol := fs.String("protocol", "pushsum", "protocol for bench/live modes (bench: pushsum, revert, sketchreset, sketchcount, extremes, moments; live: pushsum, revert, sketchreset; pushsum is revert at λ = 0)")
-	benchModel := fs.String("model", "push", "bench gossip model: push or pushpull")
-	transportName := fs.String("transport", "chan", "live transport: chan (in-process channels), udp (wire-encoded loopback datagrams), or tcp (length-prefixed frames over cached connections)")
-	loss := fs.Float64("loss", 0, "live per-message drop probability injected over the transport")
-	wan := fs.String("wan", "", "live canned WAN preset layered over the transport: lan, 3g, or sat (loss+delay+jitter; mutually exclusive with -loss)")
-	groups := fs.Int("udp-groups", 4, "live UDP/TCP loopback transports: host groups (= sockets/listeners)")
-	pace := fs.Duration("pace", 0, "live tick duty cycle; 0 = free-running (sketchreset defaults to 4ms)")
-	ticks := fs.Int("ticks", 0, "live ticks per host (default 60)")
-	rcvbuf := fs.Int("rcvbuf", 0, "live UDP socket receive buffer in bytes; 0 = auto (4 MiB for the columnar backend)")
-	seeds := fs.String("seeds", "", "live/gateway TCP bootstrap: comma-separated seed addresses shared by every process of the deployment (live: requires -span and -transport=tcp)")
-	spanFlag := fs.String("span", "", "live TCP bootstrap: this process's host range lo:hi of the -n population (requires -seeds)")
-	listen := fs.String("listen", "", "live/gateway TCP: listen address for this process's span; default 127.0.0.1:0 (a seed process must listen on its advertised seed address)")
-	listenHTTP := fs.String("listen-http", "127.0.0.1:8080", "gateway: HTTP listen address for the query API")
-	aggregates := fs.String("aggregates", "load", "live -protocol=multi / gateway: comma-separated aggregate names (hosts register gateway.DemoValue per name)")
-	observerSlots := fs.Int("observer-slots", 0, "live cluster member: extra environment slots above -n reserved for observer spans (gateway processes); every process of a deployment must agree")
-	scenario := fs.String("scenario", "", "chaos: catalog scenario name or path to a scenario JSON file (see internal/chaos and docs/scenarios.md)")
-	replace := fs.Bool("replace", false, "live cluster member: announce with restart semantics — seeds update a stale registration of this span to our address instead of reporting a conflict (set by the supervisor on respawns)")
-	reannounce := fs.Duration("reannounce", 0, "live cluster member: keepalive re-announce cadence, the failure detector's heartbeat (0 = 1s default)")
-	membersN := fs.Int("members", 0, "supervise: member process count, spans split evenly (0 = 2)")
-	heartbeat := fs.Duration("heartbeat", 0, "supervise: members' keepalive cadence and the failure detector's expected heartbeat (0 = 250ms)")
-	killAfter := fs.Duration("kill-after", 0, "supervise: chaos injection — kill the -kill member this long into the run (0 = no kill)")
-	killName := fs.String("kill", "", "supervise: member name to kill at -kill-after (\"\" = m0)")
-	restartBudget := fs.Int("restart-budget", 0, "supervise: restarts allowed per member per minute before the run fails (0 = default 5)")
-	if err := fs.Parse(args[1:]); err != nil {
+}
+
+func run(args []string) error {
+	c, err := parse(args)
+	if err != nil {
 		return err
 	}
-	if *backend != "agents" && *backend != "columnar" {
-		return fmt.Errorf("%s: unknown -backend %q (agents, columnar)", name, *backend)
-	}
-	columnar := *backend == "columnar"
-	// Loss injection only exists on the live path; catching the flags
-	// here stops a silently ignored `bench -loss 0.2` from reading as a
-	// loss measurement.
-	if name != "live" && (*loss != 0 || *wan != "") {
-		return fmt.Errorf("%s: -loss and -wan apply only to the live experiment", name)
-	}
-	if name != "live" && name != "gateway" && (*seeds != "" || *spanFlag != "" || *listen != "") {
-		return fmt.Errorf("%s: -seeds, -span, and -listen apply only to the live and gateway modes", name)
-	}
-	if name != "live" && *observerSlots != 0 {
-		return fmt.Errorf("%s: -observer-slots applies only to the live experiment", name)
-	}
-	if name != "chaos" && *scenario != "" {
-		return fmt.Errorf("%s: -scenario applies only to the chaos mode", name)
-	}
-	if name != "live" && (*replace || *reannounce != 0) {
-		return fmt.Errorf("%s: -replace and -reannounce apply only to the live experiment", name)
-	}
-	if name != "supervise" && (*membersN != 0 || *heartbeat != 0 || *killAfter != 0 || *killName != "" || *restartBudget != 0) {
-		return fmt.Errorf("%s: -members, -heartbeat, -kill-after, -kill, and -restart-budget apply only to the supervise mode", name)
-	}
-
 	// Profiling wraps every mode, so the N=1M engine profile (or any
 	// figure driver's) is one flag away.
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if c.cpuprofile != "" {
+		f, err := os.Create(c.cpuprofile)
 		if err != nil {
 			return err
 		}
@@ -226,9 +218,9 @@ func run(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
+	if c.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(c.memprofile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "dynaggsim: memprofile:", err)
 				return
@@ -242,221 +234,168 @@ func run(args []string) error {
 	}
 
 	out := io.Writer(os.Stdout)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
+	if c.outPath != "" {
+		f, err := os.Create(c.outPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		out = f
 	}
-	emit := func(r experiments.Result) error {
-		return experiments.WriteResult(out, r, experiments.Format(*format))
-	}
+	return c.step(out)
+}
 
-	sc := experiments.Default()
-	if *full {
-		sc = experiments.Full()
-	}
-	if *n > 0 {
-		sc.N = *n
-	}
-	if *rounds > 0 {
-		sc.Rounds = *rounds
-	}
-	sc.Seed = *seed
-	sc.Columnar = columnar
-	switch {
-	case *workers < 0:
-		sc.Workers = gossip.DefaultWorkers()
-	default:
-		sc.Workers = *workers
-	}
+// command is a parsed command line: the mode's step and the flags
+// every mode takes.
+type command struct {
+	step                            func(out io.Writer) error
+	outPath, cpuprofile, memprofile string
+}
 
-	switch name {
-	case "trace-gen":
-		return traceGen(out, *dataset, *seed, *n)
-	case "trace-info":
-		return traceInfo(out, *inPath, *contacts)
-	case "bench":
-		return runEngineBench(out, benchOpts{
-			protocol: *protocol, model: *benchModel, n: *n, rounds: *rounds,
-			workers: sc.Workers, columnar: columnar, seed: *seed,
-		})
-	case "live":
-		return runLive(out, liveOpts{
-			protocol: *protocol, backend: *backend, transport: *transportName,
-			loss: *loss, wan: *wan, groups: *groups, pace: *pace, n: *n,
-			ticks: *ticks, workers: sc.Workers, seed: *seed, rcvbuf: *rcvbuf,
-			seeds: *seeds, span: *spanFlag, listen: *listen,
-			aggregates: *aggregates, observerSlots: *observerSlots,
-			replace: *replace, reannounce: *reannounce,
-		})
-	case "chaos":
-		return runChaos(out, chaosOpts{
-			scenario: *scenario, seed: *seed, columnar: columnar,
-			workers: sc.Workers, n: *n, rounds: *rounds, format: *format,
-		})
-	case "gateway":
-		return runGateway(out, gatewayOpts{
-			n: *n, seeds: *seeds, listen: *listen, listenHTTP: *listenHTTP,
-			aggregates: *aggregates, pace: *pace, seed: *seed,
-		})
-	case "supervise":
-		return runSupervise(out, superviseOpts{
-			n: *n, members: *membersN, protocol: *protocol,
-			ticks: *ticks, pace: *pace, heartbeat: *heartbeat,
-			killAfter: *killAfter, killName: *killName,
-			budget: *restartBudget, seed: *seed,
-		})
+// parse resolves args[0] to a mode and parses the rest against the
+// mode's flag set, doing none of the mode's work.
+func parse(args []string) (*command, error) {
+	if len(args) == 0 {
+		usage()
+		return nil, fmt.Errorf("missing experiment name")
 	}
+	i := slices.IndexFunc(modes, func(m mode) bool { return m.name == args[0] })
+	if i < 0 {
+		usage()
+		return nil, fmt.Errorf("unknown experiment %q", args[0])
+	}
+	fs, c := flagSet(modes[i])
+	if err := fs.Parse(args[1:]); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("%s: unexpected argument %q", fs.Name(), fs.Arg(0))
+	}
+	return c, nil
+}
 
-	switch name {
-	case "fig6":
-		opts := experiments.DefaultFig6()
-		if *full {
-			opts = experiments.FullFig6()
+// flagSet builds m's flag set: the flags every mode takes, then m's.
+func flagSet(m mode) (*flag.FlagSet, *command) {
+	fs := flag.NewFlagSet(m.name, flag.ContinueOnError)
+	c := new(command)
+	fs.StringVar(&c.outPath, "o", "", "write output to this file instead of stdout")
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile taken at the end of the run to this file")
+	c.step = m.flags(fs)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: dynaggsim %s [flags]: %s\n", m.name, m.summary)
+		fs.PrintDefaults()
+	}
+	return fs, c
+}
+
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: dynaggsim <mode> [flags]; dynaggsim <mode> -h lists a mode's flags\nmodes:")
+	for _, m := range modes {
+		fmt.Fprintf(os.Stderr, "  %-20s %s\n", m.name, m.summary)
+	}
+}
+
+// figOpts is what the figure and ablation experiments read. A mode
+// binds to flags only the fields its experiment reads; all binds the
+// Scale's and runs every experiment, the others at their defaults.
+type figOpts struct {
+	sc     experiments.Scale // -seed, -rounds, -workers, -backend
+	full   bool
+	n      int // Scale-driven -n; 0 keeps the scale's host count
+	format string
+	// The fixed-size experiments' own knobs: fig11's trace dataset,
+	// ablation-gridcutoff's grid side, ablation-bandwidth's host count.
+	dataset, side, hosts int
+	all                  bool // run by all: fig6 leaves out its CDF dump
+}
+
+// figFlags registers the flags every figure and ablation mode reads
+// (-seed, -format) plus extra's, and returns a step running run.
+func figFlags(extra func(*flag.FlagSet, *figOpts), run func(io.Writer, *figOpts) error) func(*flag.FlagSet) func(io.Writer) error {
+	return func(fs *flag.FlagSet) func(io.Writer) error {
+		o := &figOpts{sc: experiments.Default(), dataset: 1, side: 28, hosts: 2000}
+		fs.Uint64Var(&o.sc.Seed, "seed", o.sc.Seed, "PRNG seed")
+		fs.StringVar(&o.format, "format", "table", "output format: table, csv, json")
+		if extra != nil {
+			extra(fs, o)
 		}
-		opts.Seed = *seed
-		frs, table := experiments.Fig6(opts)
-		if err := emit(table); err != nil {
+		return func(out io.Writer) error { return run(out, o) }
+	}
+}
+
+// figure is a figure or ablation mode whose experiment returns one
+// result.
+func figure(name, summary string, extra func(*flag.FlagSet, *figOpts), experiment func(*figOpts) experiments.Result) mode {
+	run := func(out io.Writer, o *figOpts) error {
+		return experiments.WriteResult(out, experiment(o), experiments.Format(o.format))
+	}
+	return mode{name, summary, figFlags(extra, run), run}
+}
+
+// scaled is a Scale-driven figure or ablation mode.
+func scaled(name, summary string, experiment func(experiments.Scale) experiments.Result) mode {
+	return figure(name, summary, scaleFlags, func(o *figOpts) experiments.Result {
+		sc := o.sc
+		if o.full {
+			sc.N = experiments.Full().N
+		}
+		if o.n > 0 {
+			sc.N = o.n
+		}
+		return experiment(sc)
+	})
+}
+
+func fullFlag(fs *flag.FlagSet, o *figOpts) {
+	fs.BoolVar(&o.full, "full", false, "paper-scale populations (100,000 hosts)")
+}
+
+func datasetFlag(fs *flag.FlagSet, o *figOpts) {
+	fs.IntVar(&o.dataset, "dataset", o.dataset, "trace dataset 1-3")
+}
+
+func scaleFlags(fs *flag.FlagSet, o *figOpts) {
+	fullFlag(fs, o)
+	fs.IntVar(&o.n, "n", 0, "host count (0: 10,000, or 100,000 with -full)")
+	countVar(fs, &o.sc.Rounds, "rounds", o.sc.Rounds, "round `count`")
+	workersVar(fs, &o.sc.Workers, "engine shards: 0 one shard run inline, -1 one per CPU, k>0 exactly k (same results at any setting)")
+	backendVar(fs, &o.sc.Columnar)
+}
+
+// runAll runs every figure and ablation mode, in table order, on o.
+func runAll(out io.Writer, o *figOpts) error {
+	o.all = true
+	for _, m := range modes {
+		if m.fig == nil {
+			continue
+		}
+		if err := m.fig(out, o); err != nil {
 			return err
 		}
-		intercept, invSlope := experiments.FitCutoff(frs, 0.99)
-		fmt.Fprintf(out, "# fitted cutoff: f(k) = %.1f + k/%.1f (paper: 7 + k/4)\n", intercept, invSlope)
-		printFig6CDFs(out, frs)
-	case "fig8":
-		return emit(experiments.Fig8(sc))
-	case "fig9":
-		return emit(experiments.Fig9(sc))
-	case "fig10a":
-		return emit(experiments.Fig10a(sc))
-	case "fig10b":
-		return emit(experiments.Fig10b(sc))
-	case "fig11avg":
-		return emit(experiments.Fig11Avg(*dataset, *seed))
-	case "fig11sum":
-		return emit(experiments.Fig11Sum(*dataset, *seed))
-	case "ablation-pushpull":
-		return emit(experiments.AblationPushPull(sc))
-	case "ablation-adaptive":
-		return emit(experiments.AblationAdaptive(sc))
-	case "ablation-bins":
-		return emit(experiments.AblationBins(20, 20000, *seed))
-	case "ablation-epoch":
-		return emit(experiments.AblationEpoch(sc))
-	case "ablation-overlay":
-		return emit(experiments.AblationOverlay(50, *seed))
-	case "ablation-moments":
-		return emit(experiments.AblationMoments(sc))
-	case "ablation-extremes":
-		return emit(experiments.AblationExtremes(sc))
-	case "ablation-gridcutoff":
-		side := 28
-		if *n > 0 {
-			side = *n
+		if o.format == "table" {
+			fmt.Fprintln(out)
 		}
-		return emit(experiments.AblationGridCutoff(side, *seed))
-	case "ablation-bandwidth":
-		bn := 2000
-		if *n > 0 {
-			bn = *n
-		}
-		return emit(experiments.AblationBandwidth(bn, *seed))
-	case "ablation-mobility":
-		return emit(experiments.AblationMobility(sc))
-	case "all":
-		return runAll(out, sc, *full, *seed)
-	default:
-		usage()
-		return fmt.Errorf("unknown experiment %q", name)
 	}
 	return nil
 }
 
-// traceGen writes a synthetic contact trace in the interchange format.
-func traceGen(out io.Writer, dataset int, seed uint64, n int) error {
-	if dataset < 1 || dataset > 3 {
-		return fmt.Errorf("trace-gen: -dataset must be 1..3, got %d", dataset)
-	}
-	params := experiments.TraceDataset(dataset)
-	params.Seed = seed
-	if n > 1 {
-		params.N = n
-	}
-	return trace.Write(out, trace.Generate(params))
-}
-
-// traceInfo summarizes a trace file: device count, duration, event
-// volume, and hourly connectivity statistics.
-func traceInfo(out io.Writer, path string, contacts bool) error {
-	if path == "" {
-		return fmt.Errorf("trace-info: -in file required")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var tr *trace.Trace
-	if contacts {
-		tr, err = trace.ReadContacts(path, f)
-	} else {
-		tr, err = trace.Read(f)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "name:     %s\n", tr.Name)
-	fmt.Fprintf(out, "devices:  %d\n", tr.N)
-	fmt.Fprintf(out, "duration: %v (%.1f hours)\n", tr.Duration, tr.Duration.Hours())
-	fmt.Fprintf(out, "events:   %d\n", len(tr.Events))
-
-	c := trace.NewCursor(tr)
-	fmt.Fprintf(out, "%6s  %10s  %12s\n", "hour", "links up", "mean degree")
-	hours := int(tr.Duration.Hours())
-	for h := 0; h <= hours; h++ {
-		c.AdvanceTo(time.Duration(h) * time.Hour)
-		links := 0
-		for d := 0; d < tr.N; d++ {
-			links += c.Degree(d)
-		}
-		fmt.Fprintf(out, "%6d  %10d  %12.2f\n", h, links/2, float64(links)/float64(tr.N))
-	}
-	return nil
-}
-
-func runAll(out io.Writer, sc experiments.Scale, full bool, seed uint64) error {
+// runFig6 prints Figure 6's table; in table format the fitted cutoff
+// follows as a comment line and, outside all, the per-bit CDFs.
+func runFig6(out io.Writer, o *figOpts) error {
 	opts := experiments.DefaultFig6()
-	if full {
+	if o.full {
 		opts = experiments.FullFig6()
 	}
-	opts.Seed = seed
+	opts.Seed = o.sc.Seed
 	frs, table := experiments.Fig6(opts)
-	experiments.PrintResult(out, table)
+	if err := experiments.WriteResult(out, table, experiments.Format(o.format)); err != nil || o.format != "table" {
+		return err
+	}
 	intercept, invSlope := experiments.FitCutoff(frs, 0.99)
-	fmt.Fprintf(out, "# fitted cutoff: f(k) = %.1f + k/%.1f (paper: 7 + k/4)\n\n", intercept, invSlope)
-
-	for _, r := range []experiments.Result{
-		experiments.Fig8(sc),
-		experiments.Fig9(sc),
-		experiments.Fig10a(sc),
-		experiments.Fig10b(sc),
-		experiments.Fig11Avg(1, seed),
-		experiments.Fig11Sum(1, seed),
-		experiments.AblationPushPull(sc),
-		experiments.AblationAdaptive(sc),
-		experiments.AblationBins(20, 20000, seed),
-		experiments.AblationEpoch(sc),
-		experiments.AblationOverlay(50, seed),
-		experiments.AblationMoments(sc),
-		experiments.AblationExtremes(sc),
-		experiments.AblationGridCutoff(28, seed),
-		experiments.AblationBandwidth(2000, seed),
-		experiments.AblationMobility(sc),
-	} {
-		experiments.PrintResult(out, r)
-		fmt.Fprintln(out)
+	fmt.Fprintf(out, "# fitted cutoff: f(k) = %.1f + k/%.1f (paper: 7 + k/4)\n", intercept, invSlope)
+	if !o.all {
+		printFig6CDFs(out, frs)
 	}
 	return nil
 }
@@ -482,36 +421,110 @@ func printFig6CDFs(out io.Writer, frs []experiments.Fig6Result) {
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dynaggsim <experiment> [-full] [-n N] [-rounds R] [-seed S] [-workers W] [-backend agents|columnar]
-                          [-dataset D] [-format table|csv|json] [-o FILE]
-                          [-cpuprofile FILE] [-memprofile FILE]
-experiments: fig6 fig8 fig9 fig10a fig10b fig11avg fig11sum
-             ablation-pushpull ablation-adaptive ablation-bins
-             ablation-epoch ablation-overlay ablation-moments
-             ablation-extremes ablation-gridcutoff ablation-bandwidth
-             ablation-mobility all
-engine bench: bench [-protocol pushsum|revert|sketchreset|sketchcount|extremes|moments]
-             (pushsum is revert at λ = 0)
-             [-model push|pushpull] [-backend agents|columnar]
-             [-n N (default 1,000,000)] [-rounds R] [-workers W] [-seed S]
-live engine: live [-protocol pushsum|revert|sketchreset|multi]
-             (pushsum is revert at λ = 0)
-             [-backend agents|columnar]
-             [-transport chan|udp|tcp] [-loss P | -wan lan|3g|sat]
-             [-udp-groups G] [-rcvbuf BYTES] [-pace DUR] [-ticks T]
-             [-n N] [-workers W] [-seed S]
-             [-cpuprofile FILE] [-memprofile FILE]
-             [-span LO:HI -seeds ADDRS [-listen ADDR]]  (tcp cluster member)
-             [-replace] [-reannounce DUR]               (supervised member)
-             [-aggregates NAMES] [-observer-slots K]    (multi protocol)
-gateway:     gateway -seeds ADDRS [-n N] [-listen ADDR]
-             [-listen-http ADDR] [-aggregates NAMES] [-pace DUR] [-seed S]
-supervise:   supervise [-n N] [-members M] [-protocol P] [-ticks T]
-             [-pace DUR] [-heartbeat DUR] [-kill-after DUR] [-kill NAME]
-             [-restart-budget B] [-seed S]
-chaos:       chaos -scenario NAME|FILE [-seed S] [-backend agents|columnar] [-workers W]
-             [-n N] [-rounds R] [-format table|json]
-trace tools: trace-gen [-dataset D] [-o FILE]
-             trace-info -in FILE [-contacts]`)
+// count is an int flag that must be positive: a host, round, tick or
+// group count of zero would run nothing, or divide by it.
+type count int
+
+func (c *count) String() string { return strconv.Itoa(int(*c)) }
+
+func (c *count) Set(s string) error {
+	v, err := strconv.Atoi(s)
+	if err == nil && v <= 0 {
+		err = errors.New("must be positive")
+	}
+	*c = count(v)
+	return err
+}
+
+// countVar registers a count flag bound to p with the given default.
+func countVar(fs *flag.FlagSet, p *int, name string, value int, usage string) {
+	*p = value
+	fs.Var((*count)(p), name, usage)
+}
+
+// workersVar registers -workers bound to p: k >= 0 as given, any
+// negative count one per CPU.
+func workersVar(fs *flag.FlagSet, p *int, usage string) {
+	fs.Func("workers", usage, func(s string) error {
+		k, err := strconv.Atoi(s)
+		if k < 0 {
+			k = gossip.DefaultWorkers()
+		}
+		*p = k
+		return err
+	})
+}
+
+// backendVar registers -backend bound to columnar: agents (the
+// default) or columnar.
+func backendVar(fs *flag.FlagSet, columnar *bool) {
+	fs.Func("backend", "population backend: agents (default; per-host boxed agents) or columnar (dense struct-of-arrays columns; every protocol but multi, both gossip models; byte-identical round results, flat-loop speed)", func(s string) error {
+		if s != "agents" && s != "columnar" {
+			return fmt.Errorf("unknown backend %q (agents, columnar)", s)
+		}
+		*columnar = s == "columnar"
+		return nil
+	})
+}
+
+// traceGenFlags is trace-gen: write a synthetic contact trace in the
+// interchange format.
+func traceGenFlags(fs *flag.FlagSet) func(io.Writer) error {
+	dataset := fs.Int("dataset", 1, "trace dataset 1-3")
+	seed := fs.Uint64("seed", 1, "PRNG seed")
+	n := fs.Int("n", 0, "device count (0 keeps the dataset's)")
+	return func(out io.Writer) error {
+		if *dataset < 1 || *dataset > 3 {
+			return fmt.Errorf("trace-gen: -dataset must be 1..3, got %d", *dataset)
+		}
+		params := experiments.TraceDataset(*dataset)
+		params.Seed = *seed
+		if *n > 1 {
+			params.N = *n
+		}
+		return trace.Write(out, trace.Generate(params))
+	}
+}
+
+// traceInfoFlags is trace-info: summarize a trace file — device
+// count, duration, event volume, and hourly connectivity statistics.
+func traceInfoFlags(fs *flag.FlagSet) func(io.Writer) error {
+	in := fs.String("in", "", "input trace file")
+	contacts := fs.Bool("contacts", false, "parse -in as a CRAWDAD contact table")
+	return func(out io.Writer) error {
+		if *in == "" {
+			return fmt.Errorf("trace-info: -in file required")
+		}
+		f, err := os.Open(*in)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		var tr *trace.Trace
+		if *contacts {
+			tr, err = trace.ReadContacts(*in, f)
+		} else {
+			tr, err = trace.Read(f)
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "name:     %s\n", tr.Name)
+		fmt.Fprintf(out, "devices:  %d\n", tr.N)
+		fmt.Fprintf(out, "duration: %v (%.1f hours)\n", tr.Duration, tr.Duration.Hours())
+		fmt.Fprintf(out, "events:   %d\n", len(tr.Events))
+
+		c := trace.NewCursor(tr)
+		fmt.Fprintf(out, "%6s  %10s  %12s\n", "hour", "links up", "mean degree")
+		hours := int(tr.Duration.Hours())
+		for h := 0; h <= hours; h++ {
+			c.AdvanceTo(time.Duration(h) * time.Hour)
+			links := 0
+			for d := 0; d < tr.N; d++ {
+				links += c.Degree(d)
+			}
+			fmt.Fprintf(out, "%6d  %10d  %12.2f\n", h, links/2, float64(links)/float64(tr.N))
+		}
+		return nil
+	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -28,9 +29,46 @@ type superviseOpts struct {
 	pace      time.Duration // member tick duty cycle
 	heartbeat time.Duration // keepalive cadence = detector HeartbeatEvery
 	killAfter time.Duration // chaos: kill -kill this long into the run (0 = no kill)
-	killName  string        // member to kill ("" = m0)
-	budget    int           // restarts per member per minute (0 = default)
+	killName  string        // member to kill at killAfter
+	budget    int           // restarts per member per minute
 	seed      uint64
+}
+
+func superviseFlags(fs *flag.FlagSet) func(io.Writer) error {
+	var o superviseOpts
+	countVar(fs, &o.n, "n", 64, "counted population `size`")
+	countVar(fs, &o.members, "members", 2, "member process `count`, spans split evenly")
+	fs.StringVar(&o.protocol, "protocol", "pushsum", "protocol each member runs (see live -h)")
+	countVar(fs, &o.ticks, "ticks", 300, "tick `count` per member engine run")
+	fs.DurationVar(&o.pace, "pace", 20*time.Millisecond, "member tick duty cycle")
+	fs.DurationVar(&o.heartbeat, "heartbeat", 250*time.Millisecond, "members' keepalive cadence and the failure detector's expected heartbeat")
+	fs.DurationVar(&o.killAfter, "kill-after", 0, "chaos injection: kill the -kill member this long into the run (0 = no kill)")
+	fs.StringVar(&o.killName, "kill", "m0", "member name to kill at -kill-after")
+	fs.IntVar(&o.budget, "restart-budget", supervise.DefaultRestartBudget, "restarts allowed per member per minute before the run fails")
+	fs.Uint64Var(&o.seed, "seed", 1, "PRNG seed; incarnation i of a member runs seed+i")
+	return func(out io.Writer) error { return runSupervise(out, o) }
+}
+
+// memberArgs is the argv the supervisor re-execs this binary with for
+// one incarnation of member m: a `live` cluster member over TCP on m's
+// span, bootstrapping from the supervisor's seed address, with
+// -replace from the first restart on.
+func memberArgs(o superviseOpts, m supervise.Member, seedAddr string, incarnation int) []string {
+	args := []string{
+		"live", "-transport=tcp", "-backend=agents",
+		"-protocol=" + o.protocol,
+		"-n=" + strconv.Itoa(o.n),
+		fmt.Sprintf("-span=%d:%d", m.Lo, m.Hi),
+		"-seeds=" + seedAddr,
+		"-ticks=" + strconv.Itoa(o.ticks),
+		"-pace=" + o.pace.String(),
+		"-reannounce=" + o.heartbeat.String(),
+		"-seed=" + strconv.FormatUint(o.seed+uint64(incarnation), 10),
+	}
+	if incarnation > 0 {
+		args = append(args, "-replace")
+	}
+	return args
 }
 
 // runSupervise builds the member fleet, supervises it to completion,
@@ -39,29 +77,13 @@ type superviseOpts struct {
 // with -replace added from the first restart so the seeds accept the
 // fresh incarnation's address over the dead one's.
 func runSupervise(out io.Writer, o superviseOpts) error {
-	if o.n <= 0 {
-		o.n = 64
-	}
-	if o.members <= 0 {
-		o.members = 2
-	}
 	if o.members > o.n {
 		return fmt.Errorf("supervise: -members %d exceeds population %d", o.members, o.n)
 	}
-	if o.protocol == "" {
-		o.protocol = "pushsum"
-	}
-	if o.ticks <= 0 {
-		o.ticks = 300
-	}
-	if o.pace <= 0 {
-		o.pace = 20 * time.Millisecond
-	}
-	if o.heartbeat <= 0 {
-		o.heartbeat = 250 * time.Millisecond
-	}
-	if o.killName == "" {
-		o.killName = "m0"
+	// A negative cadence would disable the members' keepalives (or fail
+	// every member at start) and turn the run into a restart storm.
+	if o.pace < 0 || o.heartbeat < 0 {
+		return fmt.Errorf("supervise: -pace and -heartbeat must be >= 0")
 	}
 	exe, err := os.Executable()
 	if err != nil {
@@ -89,21 +111,7 @@ func runSupervise(out io.Writer, o superviseOpts) error {
 		Detector:      health.Config{HeartbeatEvery: o.heartbeat},
 		RestartBudget: o.budget,
 		Spawn: func(m supervise.Member, incarnation int) (*exec.Cmd, error) {
-			args := []string{
-				"live", "-transport=tcp", "-backend=agents",
-				"-protocol=" + o.protocol,
-				"-n=" + strconv.Itoa(o.n),
-				fmt.Sprintf("-span=%d:%d", m.Lo, m.Hi),
-				"-seeds=" + sup.SeedAddr(),
-				"-ticks=" + strconv.Itoa(o.ticks),
-				"-pace=" + o.pace.String(),
-				"-reannounce=" + o.heartbeat.String(),
-				"-seed=" + strconv.FormatUint(o.seed+uint64(incarnation), 10),
-			}
-			if incarnation > 0 {
-				args = append(args, "-replace")
-			}
-			cmd := exec.Command(exe, args...)
+			cmd := exec.Command(exe, memberArgs(o, m, sup.SeedAddr(), incarnation)...)
 			// Member reports would interleave with the supervision log;
 			// drop them and keep stderr for member errors.
 			cmd.Stdout = io.Discard

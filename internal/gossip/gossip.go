@@ -167,8 +167,8 @@ type Config struct {
 	// k goroutines (DefaultWorkers picks a GOMAXPROCS-sized count).
 	// Results are byte-identical for every value: each host owns a
 	// private PRNG split, push deliveries are merged in emitter order,
-	// and push/pull exchanges follow a deterministic conflict schedule
-	// equivalent to initiator order.
+	// and push/pull exchanges run on the caller's goroutine, shard by
+	// shard, in initiator order.
 	Workers int
 	// BeforeRound hooks run after Env.Advance but before any agent
 	// acts, in registration order.

@@ -58,12 +58,6 @@ func ProfileNames() []string {
 	return names
 }
 
-// Wrap layers the profile's loss, delay, and jitter over t as a Lossy
-// injector with the given PRNG seed.
-func (p Profile) Wrap(t Transport, seed uint64) *Lossy {
-	return &Lossy{T: t, P: p.Loss, Seed: seed, Delay: p.Delay, Jitter: p.Jitter}
-}
-
 // Validate reports whether the profile is usable.
 func (p Profile) Validate() error {
 	if p.Loss < 0 || p.Loss > 1 {

@@ -6,8 +6,8 @@ import (
 )
 
 // TestProfilePresets pins the canned WAN presets table-driven: each
-// preset is valid, resolvable by name, and Wrap hands its three knobs
-// to the Lossy injector unchanged.
+// preset is valid, resolvable by name, and WithProfile hands its three
+// knobs to the Lossy injector unchanged.
 func TestProfilePresets(t *testing.T) {
 	cases := []struct {
 		profile  Profile
@@ -45,9 +45,12 @@ func TestProfilePresets(t *testing.T) {
 						p.Loss, p.Delay, Profile3G.Loss, Profile3G.Delay)
 				}
 			}
-			l := p.Wrap(NewChannel(2, 4), 7)
+			l, err := NewLossy(NewChannel(2, 4), WithProfile(p), WithLossSeed(7))
+			if err != nil {
+				t.Fatalf("NewLossy(WithProfile) = %v", err)
+			}
 			if l.T == nil || l.P != p.Loss || l.Delay != p.Delay || l.Jitter != p.Jitter || l.Seed != 7 {
-				t.Errorf("Wrap() = %+v", l)
+				t.Errorf("NewLossy(WithProfile) = %+v", l)
 			}
 			if err := l.Validate(); err != nil {
 				t.Errorf("wrapped injector invalid: %v", err)
@@ -71,7 +74,10 @@ func TestProfilePresets(t *testing.T) {
 func TestProfileLANDelivers(t *testing.T) {
 	const msgs = 64
 	inner := NewChannel(2, msgs)
-	l := ProfileLAN.Wrap(inner, 3)
+	l, err := NewLossy(inner, WithProfile(ProfileLAN), WithLossSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	accepted := 0
 	for i := 0; i < msgs; i++ {
 		if l.Send(0, 1, i, i) {
