@@ -107,10 +107,12 @@ bench-gate:
 # classic-only), engine- and driver-level — plus the engine and
 # figure goldens at workers 4 (each shard samples its own range into
 # the shared liveness bitmap), the ColRound liveness contract, the
-# executor's workers 0/1/4/8 determinism tests and the push/pull
+# executor's workers 0/1/4/8 determinism tests, the push/pull
 # batch-order test (batches from one goroutine, in initiator order,
-# at every shard count), under race, since the sharded executor is
-# the other concurrency-heavy surface.
+# at every shard count) and the columnar allocation pins (steady-state
+# budget, and the first round's one reserved message column), under
+# race, since the sharded executor is the other concurrency-heavy
+# surface.
 live-soak:
 	$(GO) test -race -count=2 -timeout 15m -run 'Live|Transport|Batch|Lossy|UDP' ./internal/gossip/live/...
 	$(GO) test -race -count=2 -timeout 15m -run 'Columnar|Golden|ColRound|Parallel|PushPullBatches' ./internal/gossip ./internal/experiments

@@ -145,8 +145,9 @@ func runEngineBench(out io.Writer, o benchOpts) error {
 	if err != nil {
 		return err
 	}
-	// Warm-up: emission columns, outboxes, and pair batches grow to
-	// capacity.
+	// Warm-up: a columnar kernel reserves its emission column once, in
+	// round 0 (fan-out × live hosts); the classic outboxes and the
+	// cross-shard slots grow by append over the first rounds.
 	engine.Run(2)
 
 	start := time.Now()

@@ -1,7 +1,9 @@
 package gossip_test
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
@@ -81,14 +83,18 @@ func allocsPerHostRoundColumnar(t *testing.T, col gossip.ColumnarAgent, model go
 	return perStep / float64(n)
 }
 
-// TestColumnarAllocBudget pins the columnar hot path to the same
-// steady-state budget as the classic message plane, for every columnar
-// protocol on every gossip model it supports: the flat-column round —
-// including the push/pull pair batches — must not allocate once the
-// emission column and pair batches have grown to capacity, at any
-// shard count — and exactly nothing on one shard.
-func TestColumnarAllocBudget(t *testing.T) {
-	const n = 512
+// budgetCase is one row of the columnar allocation tests: the gossip
+// models the protocol supports, its fan-out bound (the most messages
+// one live host emits in a push round), and its constructor.
+type budgetCase struct {
+	models []gossip.Model
+	fanout int
+	mk     func(model gossip.Model) gossip.ColumnarAgent
+}
+
+// budgetCases returns every columnar protocol over n hosts, keyed by
+// name.
+func budgetCases(n int) map[string]budgetCase {
 	values := make([]float64, n)
 	for i := range values {
 		values[i] = float64(i % 101)
@@ -97,10 +103,6 @@ func TestColumnarAllocBudget(t *testing.T) {
 		Params:      sketch.Params{Bins: 16, Levels: 16},
 		Identifiers: 1,
 	}
-	type budgetCase struct {
-		models []gossip.Model
-		mk     func(model gossip.Model) gossip.ColumnarAgent
-	}
 	both := []gossip.Model{gossip.Push, gossip.PushPull}
 	pushOnly := []gossip.Model{gossip.Push}
 	// Variants whose config differs by model (PushPull reversion) build
@@ -108,30 +110,42 @@ func TestColumnarAllocBudget(t *testing.T) {
 	revertFor := func(model gossip.Model) pushsumrevert.Config {
 		return pushsumrevert.Config{Lambda: 0.02, PushPull: model == gossip.PushPull}
 	}
-	builders := map[string]budgetCase{
-		"pushsum": {both, func(model gossip.Model) gossip.ColumnarAgent {
+	return map[string]budgetCase{
+		"pushsum": {both, 2, func(model gossip.Model) gossip.ColumnarAgent {
 			return pushsumrevert.NewColumnar(values, pushsumrevert.Config{Lambda: 0, PushPull: model == gossip.PushPull})
 		}},
-		"pushsumrevert": {both, func(model gossip.Model) gossip.ColumnarAgent {
+		"pushsumrevert": {both, 2, func(model gossip.Model) gossip.ColumnarAgent {
 			return pushsumrevert.NewColumnar(values, revertFor(model))
 		}},
-		"sketchreset": {both, func(gossip.Model) gossip.ColumnarAgent {
+		"fulltransfer": {pushOnly, 4, func(gossip.Model) gossip.ColumnarAgent {
+			return pushsumrevert.NewColumnar(values, pushsumrevert.Config{Lambda: 0.1, FullTransfer: true, Parcels: 4, Window: 3})
+		}},
+		"sketchreset": {both, 1, func(gossip.Model) gossip.ColumnarAgent {
 			return sketchreset.NewColumnar(n, srCfg)
 		}},
-		"sketchcount": {both, func(gossip.Model) gossip.ColumnarAgent {
+		"sketchcount": {both, 1, func(gossip.Model) gossip.ColumnarAgent {
 			return sketchcount.NewColumnarCount(n, sketch.Params{Bins: 16, Levels: 16})
 		}},
-		"extremes": {both, func(gossip.Model) gossip.ColumnarAgent {
+		"extremes": {both, 1, func(gossip.Model) gossip.ColumnarAgent {
 			return extremes.NewColumnar(values, extremes.Config{Mode: extremes.Max})
 		}},
-		"moments": {both, func(model gossip.Model) gossip.ColumnarAgent {
+		"moments": {both, 2, func(model gossip.Model) gossip.ColumnarAgent {
 			return pushsumrevert.NewColumnarMoments(values, revertFor(model))
 		}},
-		"epoch": {pushOnly, func(gossip.Model) gossip.ColumnarAgent {
+		"epoch": {pushOnly, 2, func(gossip.Model) gossip.ColumnarAgent {
 			return epoch.NewColumnar(values, epoch.Config{Length: 8})
 		}},
 	}
-	for name, bc := range builders {
+}
+
+// TestColumnarAllocBudget pins the columnar hot path to the same
+// steady-state budget as the classic message plane, for every columnar
+// protocol on every gossip model it supports: the flat-column round —
+// including the push/pull pair batches — must not allocate once the
+// first rounds have sized the emission column and the cross-shard
+// slots, at any shard count — and exactly nothing on one shard.
+func TestColumnarAllocBudget(t *testing.T) {
+	for name, bc := range budgetCases(512) {
 		for _, model := range bc.models {
 			for _, workers := range []int{0, 1, 2} {
 				got := allocsPerHostRoundColumnar(t, bc.mk(model), model, workers)
@@ -142,6 +156,56 @@ func TestColumnarAllocBudget(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestColumnarFirstRoundAllocs pins what a fresh one-shard engine's
+// first push round allocates: the message column, reserved once by
+// EmitRange at fan-out × live hosts, and nothing else. A kernel that
+// grows the column by append from empty instead makes about a dozen
+// mallocs and four times the column's bytes at this size. The race
+// detector keeps slices.Grow's temporary, which doubles both readings,
+// so the budget is two mallocs and twice the column.
+func TestColumnarFirstRoundAllocs(t *testing.T) {
+	const n = 4096
+	msgBytes := uint64(unsafe.Sizeof(gossip.ColMsg{}))
+	for name, bc := range budgetCases(n) {
+		for _, workers := range []int{0, 1} {
+			mallocs, bytes := firstRoundAllocs(t, bc.mk(gossip.Push), workers)
+			// The runtime's background goroutines (the scavenger, GC
+			// workers) now and then allocate a few bytes inside the
+			// window, so the reading is the least of three fresh engines.
+			for range 2 {
+				m, b := firstRoundAllocs(t, bc.mk(gossip.Push), workers)
+				mallocs, bytes = min(mallocs, m), min(bytes, b)
+			}
+			if budget := 2 * uint64(bc.fanout) * n * msgBytes; mallocs > 2 || bytes > budget {
+				t.Errorf("%s workers=%d: first round made %d mallocs and %d B, budget 2 and %d B",
+					name, workers, mallocs, bytes, budget)
+			}
+		}
+	}
+}
+
+// firstRoundAllocs builds a push engine over col and returns the
+// mallocs and bytes its first Step allocates.
+func firstRoundAllocs(t *testing.T, col gossip.ColumnarAgent, workers int) (mallocs, bytes uint64) {
+	t.Helper()
+	engine, err := gossip.NewEngine(gossip.Config{
+		Env:      env.NewUniform(col.Len()),
+		Columnar: col,
+		Model:    gossip.Push,
+		Seed:     3,
+		Workers:  workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC() // a collection starting inside Step would count its own mallocs
+	runtime.ReadMemStats(&before)
+	engine.Step()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestPushSumAllocBudget pins the Push-Sum hot path (Push-Sum-Revert

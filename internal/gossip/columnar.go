@@ -77,12 +77,13 @@ type ColRound struct {
 	// iterate Live.
 	Alive []bool
 	// Out is the emission column for the current EmitRange call.
-	// Kernels append with plain append(); the engine counts and routes
+	// Kernels reserve their range's emission on it once and then
+	// append (see ColumnarAgent); the engine counts and routes
 	// afterwards.
 	Out []ColMsg
 
 	env  Environment
-	rngs []*xrand.Rand
+	rngs []xrand.Rand
 
 	// live lists, ascending, the hosts of [lo, hi) the last Sample found
 	// alive.
@@ -92,12 +93,13 @@ type ColRound struct {
 
 // NewColRound builds a round context for drivers that tick columnar
 // kernels outside the round engine — the live engine's
-// ColumnarPopulation shards. rngs must hold one generator per host,
-// indexed by NodeID, from the same Split streams the engine would
-// build; alive is the population-wide bitmap Sample fills, and hosts
-// the size of the range the driver samples (its live list is sized to
-// it). The caller owns Round and Out between kernel calls.
-func NewColRound(model Model, env Environment, rngs []*xrand.Rand, alive []bool, hosts int) *ColRound {
+// ColumnarPopulation shards. rngs is the population's flat PRNG block,
+// one generator per host indexed by NodeID, from the same Split streams
+// the engine would build; it is shared, not copied. alive is the
+// population-wide bitmap Sample fills, and hosts the size of the range
+// the driver samples (its live list is sized to it). The caller owns
+// Round and Out between kernel calls.
+func NewColRound(model Model, env Environment, rngs []xrand.Rand, alive []bool, hosts int) *ColRound {
 	return &ColRound{Model: model, Alive: alive, env: env, rngs: rngs, live: make([]NodeID, 0, hosts)}
 }
 
@@ -146,12 +148,12 @@ func (rc *ColRound) Live(lo, hi int) []NodeID {
 // consuming id's private PRNG — the same stream, in the same order,
 // as the classic path's PeerPicker.
 func (rc *ColRound) Pick(id NodeID) (NodeID, bool) {
-	return rc.env.Pick(id, rc.Round, rc.rngs[id])
+	return rc.env.Pick(id, rc.Round, &rc.rngs[id])
 }
 
 // Rng returns host id's private generator, for kernels that draw
 // randomness beyond peer selection.
-func (rc *ColRound) Rng(id NodeID) *xrand.Rand { return rc.rngs[id] }
+func (rc *ColRound) Rng(id NodeID) *xrand.Rand { return &rc.rngs[id] }
 
 // ColumnarAgent is the bulk-protocol contract: one value owns the
 // dense state of the entire population and executes round phases as
@@ -180,7 +182,11 @@ type ColumnarAgent interface {
 	// EmitRange computes emissions for hosts [lo, hi), appending them
 	// to rc.Out in ascending host order. Every live host in the range
 	// initiates exactly one gossip contact (plus any self-messages its
-	// protocol specifies).
+	// protocol specifies). It appends at most fan-out ×
+	// len(rc.Live(lo, hi)) messages, the fan-out being the most one
+	// host emits, and reserves them before the first append
+	// (slices.Grow): grown by append from empty, the first round's
+	// column would allocate about four times its final size.
 	EmitRange(rc *ColRound, lo, hi int)
 	// Deliver folds a batch of messages into their destinations'
 	// per-round columns. Messages arrive in emitter order, and some may

@@ -77,11 +77,9 @@ type ColumnarPopulation struct {
 	e     *Engine
 	b     transport.Batcher
 
-	// rngStore is the population's PRNG block (16 bytes per host, one
-	// allocation); rngs holds per-host pointers into it for
-	// gossip.NewColRound.
-	rngStore []xrand.Rand
-	rngs     []*xrand.Rand
+	// rngs is the population's PRNG block (16 bytes per host, one
+	// allocation), shared by every driver's gossip.ColRound.
+	rngs []xrand.Rand
 	// alive is the population-wide liveness bitmap; each driver samples
 	// its own host range into it every tick (gossip.ColRound.Sample).
 	alive []bool
@@ -146,12 +144,10 @@ func (p *ColumnarPopulation) bind(e *Engine) error {
 	}
 	p.e = e
 	p.b = b
-	p.rngStore = make([]xrand.Rand, n)
-	p.rngs = make([]*xrand.Rand, n)
+	p.rngs = make([]xrand.Rand, n)
 	root := xrand.New(cfg.Seed)
-	for i := 0; i < n; i++ {
-		p.rngStore[i] = *root.Split(uint64(i))
-		p.rngs[i] = &p.rngStore[i]
+	for i := range p.rngs {
+		p.rngs[i] = *root.Split(uint64(i))
 	}
 	p.alive = make([]bool, n)
 	p.ticks = make([]int32, n)

@@ -58,7 +58,7 @@ type AgentPopulation struct {
 	agents []gossip.Agent
 	e      *Engine
 	locks  []sync.Mutex
-	rngs   []*xrand.Rand
+	rngs   []xrand.Rand // one flat block, 16 bytes per host
 	// n counts messages that never touch the transport: a host's own
 	// retained share and push/pull exchange legs.
 	n atomic.Int64
@@ -102,10 +102,10 @@ func (p *AgentPopulation) bind(e *Engine) error {
 	}
 	p.e = e
 	p.locks = make([]sync.Mutex, n)
-	p.rngs = make([]*xrand.Rand, n)
+	p.rngs = make([]xrand.Rand, n)
 	root := xrand.New(cfg.Seed)
-	for i := 0; i < n; i++ {
-		p.rngs[i] = root.Split(uint64(e.lo) + uint64(i))
+	for i := range p.rngs {
+		p.rngs[i] = *root.Split(uint64(e.lo) + uint64(i))
 	}
 	return nil
 }
@@ -165,9 +165,9 @@ func (s *agentShard) tick(t int) {
 			continue
 		}
 		if e.cfg.Model == gossip.Push {
-			p.pushTick(p.agents[i], id, t, p.rngs[i])
+			p.pushTick(p.agents[i], id, t, &p.rngs[i])
 		} else {
-			p.pullTick(p.agents[i], id, t, p.rngs[i])
+			p.pullTick(p.agents[i], id, t, &p.rngs[i])
 		}
 	}
 }

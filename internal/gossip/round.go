@@ -211,9 +211,9 @@ func (e *Engine) emit(sh *shard) {
 		// Through EmitAppend when the agent supports it, otherwise through
 		// Emit (one slice and one box per payload, the legacy cost).
 		if ae := e.emitters[id]; ae != nil {
-			box = ae.EmitAppend(box, r, e.rngs[id], sh.pick)
+			box = ae.EmitAppend(box, r, &e.rngs[id], sh.pick)
 		} else {
-			box = append(box, e.agents[id].Emit(r, e.rngs[id], sh.pick)...)
+			box = append(box, e.agents[id].Emit(r, &e.rngs[id], sh.pick)...)
 		}
 		sh.messages += int64(len(box) - start)
 		kept := start

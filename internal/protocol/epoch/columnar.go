@@ -1,6 +1,8 @@
 package epoch
 
 import (
+	"slices"
+
 	"dynagg/internal/gossip"
 )
 
@@ -49,8 +51,9 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 // EmitRange implements gossip.ColumnarAgent: epoch-tagged Push-Sum
 // halves, in the same peer-then-self order as Node.EmitAppend.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
-	out := rc.Out
-	for _, id := range rc.Live(lo, hi) {
+	live := rc.Live(lo, hi)
+	out := slices.Grow(rc.Out, 2*len(live)) // a peer message and a self-message
+	for _, id := range live {
 		peer, ok := rc.Pick(id)
 		c.h[id].emit(ok)
 		if ok {

@@ -102,8 +102,9 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 // table into the shadow rows, then address one payload-free message to
 // a random peer. Isolated hosts emit nothing, as in Node.Emit.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
-	out := rc.Out
-	for _, id := range rc.Live(lo, hi) {
+	live := rc.Live(lo, hi)
+	out := slices.Grow(rc.Out, len(live)) // one message per live host at most
+	for _, id := range live {
 		peer, ok := rc.Pick(id)
 		if !ok {
 			continue

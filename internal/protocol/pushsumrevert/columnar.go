@@ -3,6 +3,7 @@ package pushsumrevert
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dynagg/internal/gossip"
 )
@@ -318,10 +319,16 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
 }
 
 // EmitRange implements gossip.ColumnarAgent: each live host's shares,
-// one message per peer pick, in Node.EmitAppend's envelope order.
+// one message per peer pick, in Node.EmitAppend's envelope order. A
+// host sends at most Parcels messages under Full-Transfer and two
+// otherwise, reserved before the first append.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
-	out := rc.Out
 	live := rc.Live(lo, hi)
+	fanout := 2
+	if c.cfg.FullTransfer {
+		fanout = c.cfg.Parcels
+	}
+	out := slices.Grow(rc.Out, fanout*len(live))
 	switch {
 	case c.cfg.FullTransfer:
 		for _, id := range live {

@@ -99,9 +99,9 @@ func TestResetMatchesFreshHost(t *testing.T) {
 			// round's input are what it folds.
 			round := func(c *Columnar, r int) {
 				in := resetInput(r)
-				rngs := make([]*xrand.Rand, n)
+				rngs := make([]xrand.Rand, n)
 				for i := range rngs {
-					rngs[i] = xrand.New(uint64(r)).Split(uint64(i))
+					rngs[i] = *xrand.New(uint64(r)).Split(uint64(i))
 				}
 				rc := gossip.NewColRound(gossip.Push, env.NewUniform(n), rngs, make([]bool, n), n)
 				rc.Round = r

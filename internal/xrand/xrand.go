@@ -43,7 +43,15 @@ func New(seed uint64) *Rand {
 // NewStream returns a generator seeded from seed on the given stream.
 // Different streams with the same seed produce independent sequences.
 func NewStream(seed, stream uint64) *Rand {
-	r := &Rand{inc: (splitmix(stream) << 1) | 1}
+	r := seeded(seed, stream)
+	return &r
+}
+
+// seeded is NewStream by value. Keeping the arithmetic out of NewStream
+// and Split leaves both small enough to inline, so a caller that copies
+// the generator into a block of its own (*r.Split(i)) allocates nothing.
+func seeded(seed, stream uint64) Rand {
+	r := Rand{inc: (splitmix(stream) << 1) | 1}
 	r.state = splitmix(seed) + r.inc
 	r.Uint32()
 	return r
@@ -62,7 +70,13 @@ func splitmix(x uint64) uint64 {
 // a host id). The derived stream is stable: Split(i) on generators with
 // equal state yields equal streams.
 func (r *Rand) Split(i uint64) *Rand {
-	return NewStream(r.state^splitmix(i), splitmix(i)^r.inc)
+	s := r.split(i)
+	return &s
+}
+
+// split is Split by value.
+func (r *Rand) split(i uint64) Rand {
+	return seeded(r.state^splitmix(i), splitmix(i)^r.inc)
 }
 
 // Uint32 returns the next 32 uniformly distributed bits.

@@ -69,6 +69,21 @@ func TestSplitStable(t *testing.T) {
 	}
 }
 
+// TestSplitIntoBlockAllocatesNothing pins what the engines' per-host
+// PRNG blocks rely on: a split copied into a slot of a flat block is
+// not heap-allocated first.
+func TestSplitIntoBlockAllocatesNothing(t *testing.T) {
+	root, block := New(5), make([]Rand, 4)
+	got := testing.AllocsPerRun(100, func() {
+		for i := range block {
+			block[i] = *root.Split(uint64(i))
+		}
+	})
+	if got != 0 {
+		t.Errorf("%.0f allocations per %d splits into a block, want 0", got, len(block))
+	}
+}
+
 func TestIntnRange(t *testing.T) {
 	r := New(3)
 	f := func(nRaw uint16) bool {
