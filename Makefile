@@ -102,7 +102,12 @@ bench-gate:
 # race in `make ci` and its decoders get fuzz-smoke below.) The 'Live'
 # pattern covers both population backends — the classic per-agent
 # tests and the columnar batch-plane tests live side by side in the
-# live package. The second line soaks the columnar parity suite — 7
+# live package — and the multi-aggregate run over the two transports
+# that hold payloads past Send (channel queues, delayed loss
+# injection), which is race-clean only if both detach what they keep;
+# 'Detach|MatrixGarbage' adds multi's own pins of that contract (a
+# detached bundle survives the host's next round; Emit allocates no
+# snapshot). The second line soaks the columnar parity suite — 7
 # columnar protocols × push/push-pull × workers 0/1/4 (multi's rows
 # classic-only), engine- and driver-level — plus the engine and
 # figure goldens at workers 4 (each shard samples its own range into
@@ -110,11 +115,12 @@ bench-gate:
 # executor's workers 0/1/4/8 determinism tests, the push/pull
 # batch-order test (batches from one goroutine, in initiator order,
 # at every shard count) and the columnar allocation pins (steady-state
-# budget, and the first round's one reserved message column), under
+# budget, and the first round's reserved message column and, at k > 1
+# shards, its cross-shard slots sized once), under
 # race, since the sharded executor is the other concurrency-heavy
 # surface.
 live-soak:
-	$(GO) test -race -count=2 -timeout 15m -run 'Live|Transport|Batch|Lossy|UDP' ./internal/gossip/live/...
+	$(GO) test -race -count=2 -timeout 15m -run 'Live|Transport|Batch|Lossy|UDP|Detach|MatrixGarbage' ./internal/gossip/live/... ./internal/protocol/multi
 	$(GO) test -race -count=2 -timeout 15m -run 'Columnar|Golden|ColRound|Parallel|PushPullBatches' ./internal/gossip ./internal/experiments
 
 # Multi-process cluster soak: the three-OS-process TCP bootstrap

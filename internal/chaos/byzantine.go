@@ -114,11 +114,15 @@ func (a *replayAgent) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) [
 		return a.inner.Emit(round, rng, pick)
 	}
 	if a.captured == nil {
-		// Emit payloads are detached values, so keeping them is safe
-		// across the inner node's later rounds.
+		// Emit payloads may alias the inner node's scratch, which its
+		// later rounds rewrite: the capture keeps detached copies.
 		out := a.inner.Emit(round, rng, pick)
 		for _, env := range out {
-			a.captured = append(a.captured, env.Payload)
+			p := env.Payload
+			if d, ok := p.(gossip.Detacher); ok {
+				p = d.Detach()
+			}
+			a.captured = append(a.captured, p)
 		}
 		return out
 	}

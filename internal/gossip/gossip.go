@@ -49,11 +49,21 @@ type PeerPicker func() (NodeID, bool)
 // EndRound on every live agent.
 // Emission is computed entirely from state at the start of the round —
 // agents must not apply received payloads until EndRound.
+//
+// Payload lifetime: a payload returned by Emit (or appended by
+// EmitAppend) may alias agent-owned scratch memory and is valid until
+// the agent's next BeginRound. Every consumer that reads a payload
+// within that window — the round engine, an encoding transport, a
+// self-delivery — uses it as it is; a holder that keeps one longer (an
+// in-process queue, a delayed delivery, a recorded replay) detaches it
+// first through Detacher.
 type Agent interface {
 	// BeginRound resets per-round state (such as the inbox).
 	BeginRound(round int)
 	// Emit returns this round's outgoing messages. pick draws peers
-	// from the environment; rng is the host's private generator.
+	// from the environment; rng is the host's private generator. The
+	// returned slice and its payloads are valid until the agent's next
+	// BeginRound.
 	Emit(round int, rng *xrand.Rand, pick PeerPicker) []Envelope
 	// Receive accepts one payload delivered during the current round.
 	Receive(payload any)
@@ -62,6 +72,14 @@ type Agent interface {
 	// Estimate returns the host's current estimate of the aggregate;
 	// ok is false before any estimate exists.
 	Estimate() (value float64, ok bool)
+}
+
+// Detacher is implemented by a payload that may alias its emitter's
+// scratch memory. Detach returns a copy of the same dynamic type that
+// owns its memory, safe to keep past the emitter's next BeginRound. A
+// payload that does not implement Detacher already owns its memory.
+type Detacher interface {
+	Detach() any
 }
 
 // Exchanger is implemented by agents that additionally support the
@@ -75,25 +93,17 @@ type Exchanger interface {
 }
 
 // AppendEmitter is the allocation-free emission contract. Instead of
-// returning a freshly allocated slice, the agent appends this round's
-// envelopes onto an engine-owned scratch slice and returns it —
-// exactly the append(dst, ...) idiom of the standard library.
-//
-// Payload lifetime is the difference from Emit: payloads appended by
-// EmitAppend may alias agent-owned scratch memory (a per-host Mass
-// field, a reused snapshot buffer) and are only valid until the
-// agent's next BeginRound. The round engine delivers every message
-// within the emitting round, so it can use EmitAppend everywhere; the
-// asynchronous live engine cannot (messages cross tick boundaries in
-// channels) and keeps calling Emit, whose payloads must have
-// independent lifetime.
+// returning a slice, the agent appends this round's envelopes onto an
+// engine-owned scratch slice and returns it — exactly the
+// append(dst, ...) idiom of the standard library. Its payloads have
+// Emit's lifetime (see Agent); the two differ only in who owns the
+// envelope slice.
 //
 // Agents implementing AppendEmitter must still implement Emit — the
 // engine falls back to it for agents that don't implement this
 // interface, so the Agent contract stays satisfiable unchanged. The
 // protocol packages write the emission once, in EmitAppend, and derive
-// Emit from it: EmitAppend(nil, ...) with every scratch-backed payload
-// detached into an independent value.
+// Emit from it.
 type AppendEmitter interface {
 	Agent
 	EmitAppend(dst []Envelope, round int, rng *xrand.Rand, pick PeerPicker) []Envelope

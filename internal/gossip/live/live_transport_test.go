@@ -11,6 +11,7 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/gossip/live/transport"
+	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
@@ -218,6 +219,59 @@ func TestLiveExplicitChannelTransportMatchesDefault(t *testing.T) {
 	}
 	if e.Dropped() != ch.Dropped() {
 		t.Errorf("engine Dropped %d != transport Dropped %d", e.Dropped(), ch.Dropped())
+	}
+}
+
+// TestLiveMultiBundlesDetachOnHoldingTransports runs the deployable
+// protocol over the two transports that keep a payload past Send: the
+// channel's queues, and a delaying loss injector in front of them.
+// multi's Emit payloads alias the sender's scratch, which its next tick
+// rewrites while the receiver still holds the bundle, so the run is
+// race-clean (under -race, one goroutine per host) only if each holder
+// detaches what it keeps — and the population still finds the average.
+func TestLiveMultiBundlesDetachOnHoldingTransports(t *testing.T) {
+	const n = 64
+	for name, wrap := range map[string]func(*transport.Channel) transport.Transport{
+		"chan": func(ch *transport.Channel) transport.Transport { return ch },
+		"lossy-delayed": func(ch *transport.Channel) transport.Transport {
+			return &transport.Lossy{T: ch, Delay: 200 * time.Microsecond}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			agents := make([]gossip.Agent, n)
+			var truth float64
+			for i := range agents {
+				v := float64(i % 100)
+				truth += v
+				agents[i] = multi.New(gossip.NodeID(i), map[string]float64{"a": v, "b": -v},
+					sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 1},
+					pushsumrevert.Config{Lambda: 0.01})
+			}
+			truth /= n
+			tr := wrap(transport.NewChannel(n, 0))
+			e, err := New(Config{
+				Env: env.NewUniform(n), Population: NewAgentPopulation(agents), Model: gossip.Push,
+				Seed: 5, Ticks: 80, Transport: tr,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Close(); err != nil { // waits out delayed deliveries
+				t.Fatal(err)
+			}
+			avgs := make([]float64, 0, n)
+			for _, a := range agents {
+				if avg, ok := a.(*multi.Node).Average("a"); ok {
+					avgs = append(avgs, avg)
+				}
+			}
+			if mean := meanOf(t, avgs); math.Abs(mean-truth) > 0.2*truth {
+				t.Errorf("mean of Average(\"a\") %v, want ≈ %v", mean, truth)
+			}
+		})
 	}
 }
 

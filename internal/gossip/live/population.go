@@ -183,11 +183,12 @@ func (p *AgentPopulation) pushTick(agent gossip.Agent, id gossip.NodeID, tick in
 	// Drain whatever arrived since the last tick.
 	e.tr.Drain(id, agent.Receive)
 	pick := func() (gossip.NodeID, bool) { return e.cfg.Env.Pick(id, tick, rng) }
-	// Deliberately Emit, not EmitAppend: payloads sit in transport
-	// queues across tick boundaries here, so they need independent
-	// lifetime. gossip.AppendEmitter payloads may alias emitter scratch
-	// that is rewritten next tick — only the synchronous round engine,
-	// which delivers within the emitting round, may use them.
+	// The payloads may alias the agent's scratch, which its next
+	// BeginRound rewrites. Everything below reads them before that on
+	// this goroutine — self-delivery in place, and Send, where an
+	// encoding transport reads them in place too — and a transport that
+	// queues or delays a payload past Send detaches it itself
+	// (gossip.Detacher).
 	envs := agent.Emit(tick, rng, pick)
 	// Self messages are the host's own retained share: they must land
 	// in the same round (before EndRound folds the inbox) and must

@@ -85,9 +85,11 @@ func (l *Lossy) Send(from, to gossip.NodeID, tick int, payload any) bool {
 		return false
 	}
 	if wait > 0 {
+		// The payload outlives this call, and its emitter's next round.
+		held := detach(payload)
 		time.AfterFunc(wait, func() {
 			defer l.delayed.Done()
-			l.T.Send(from, to, tick, payload)
+			l.T.Send(from, to, tick, held)
 		})
 		// In flight: it will be counted sent or dropped on arrival.
 		return true

@@ -16,13 +16,13 @@
 // overflow shed and counted per message, one dispatch for everything
 // read off a socket, one Drain loop and one DrainBatch loop — and the
 // media differ only in how a message reaches it. Channel pushes the
-// payload value straight onto the destination queue; UDP is sockets
-// plus a reader per socket; TCP is a stream layer (stream.go: frames
-// between addresses, writers with dial/backoff/coalescing, readers)
-// and a membership layer (membership.go: the group table, the announce
-// handshake) composed with the plane. The group-table helpers
-// (groups.go) and the construction options (options.go) are shared
-// the same way.
+// payload value, detached (see Transport), straight onto the
+// destination queue; UDP is sockets plus a reader per socket; TCP is a
+// stream layer (stream.go: frames between addresses, writers with
+// dial/backoff/coalescing, readers) and a membership layer
+// (membership.go: the group table, the announce handshake) composed
+// with the plane. The group-table helpers (groups.go) and the
+// construction options (options.go) are shared the same way.
 //
 // The channel transport decides a message's fate at a single station,
 // so each message is counted exactly once (sent XOR dropped); a
@@ -48,6 +48,11 @@ const DefaultQueue = 256
 // share in-process within the emitting tick (mass must not evaporate),
 // so implementations only see cross-host traffic.
 //
+// A payload handed to Send is an Emit payload, valid only until its
+// emitter's next BeginRound (see gossip.Agent): a transport that
+// encodes it inside Send reads it in place, and one that keeps the
+// value past Send returning keeps its gossip.Detacher copy.
+//
 // Implementations must be safe for concurrent use: every host's driver
 // goroutine calls Send and Drain without external synchronization.
 type Transport interface {
@@ -69,9 +74,10 @@ type Transport interface {
 }
 
 // Channel is the in-process transport: the shared receive plane plus a
-// Send that skips the codec — payloads are queued as the values Emit
-// returned. It remains the live engine's default and keeps live runs
-// free of sockets.
+// Send that skips the codec — payloads are queued detached, as the
+// values their gossip.Detacher returns (or as they are, for a payload
+// that owns its memory). It remains the live engine's default and keeps
+// live runs free of sockets.
 type Channel struct {
 	// in.spans doubles as the batch plane's partition: every group is
 	// local.
@@ -99,18 +105,29 @@ func NewChannelGroups(hosts, capacity, groups int) *Channel {
 	return &Channel{in: newInbox(contiguousGroups(hosts, groups, ""), capacity)}
 }
 
-// Send implements Transport: a non-blocking push onto the destination
-// host's queue. A host outside [0, hosts) is a counted drop.
+// Send implements Transport: a non-blocking push of the detached
+// payload onto the destination host's queue. A host outside [0, hosts)
+// is a counted drop.
 func (c *Channel) Send(from, to gossip.NodeID, tick int, payload any) bool {
 	if c.closed.Load() {
 		c.in.drop(1)
 		return false
 	}
-	if !c.in.push(to, payload) {
+	if !c.in.push(to, detach(payload)) {
 		return false
 	}
 	c.sent.Add(1)
 	return true
+}
+
+// detach returns a payload that owns its memory: the gossip.Detacher
+// copy of one that may alias its emitter's scratch, the payload itself
+// otherwise.
+func detach(payload any) any {
+	if d, ok := payload.(gossip.Detacher); ok {
+		return d.Detach()
+	}
+	return payload
 }
 
 // Drain implements Transport.

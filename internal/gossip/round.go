@@ -64,6 +64,9 @@ type shard struct {
 	// copies a message.
 	out    [][]Envelope
 	colOut [][]ColMsg
+	// sized is set once the columnar route has given the cross-shard
+	// slots their first capacity (sizeSlots).
+	sized bool
 
 	// pick is the peer picker handed to this shard's classic agents and
 	// pickID the host it draws for — rewritten per host instead of
@@ -190,6 +193,9 @@ func (e *Engine) emit(sh *shard) {
 			return
 		}
 		out, kept := rc.Out, 0
+		if !sh.sized {
+			e.sizeSlots(sh, out)
+		}
 		for _, m := range out {
 			if uint32(m.To-lo) < size {
 				out[kept] = m
@@ -231,6 +237,23 @@ func (e *Engine) emit(sh *shard) {
 		box = box[:kept]
 	}
 	sh.out[sh.idx] = box
+}
+
+// sizeSlots reserves each of the shard's cross-shard slots exactly
+// what the shard's first routed round sends that way, so the route does
+// not grow them by append from empty; later rounds append into that
+// capacity and grow it only when a round sends more.
+func (e *Engine) sizeSlots(sh *shard, out []ColMsg) {
+	need := make([]int, len(e.shards))
+	for _, m := range out {
+		need[e.shardOf(m.To)]++
+	}
+	for d, c := range need {
+		if d != sh.idx && cap(sh.colOut[d]) < c {
+			sh.colOut[d] = make([]ColMsg, 0, c)
+		}
+	}
+	sh.sized = true
 }
 
 // deliver drains, in shard order (= emitter order), what every shard

@@ -48,6 +48,22 @@ type Bundle struct {
 	Masses []NamedMass
 }
 
+// Detach implements gossip.Detacher: a Bundle that owns its memory,
+// the mass slice and the counter matrix copied out of the emitting
+// host's scratch. A holder that keeps an Emit payload past the
+// emitter's next BeginRound (an in-process queue, a delayed delivery)
+// calls it; a transport that encodes inside Send does not need to.
+func (b Bundle) Detach() any {
+	d := Bundle{Count: b.Count, Masses: slices.Clone(b.Masses)}
+	switch c := b.Count.(type) {
+	case []uint8:
+		d.Count = slices.Clone(c)
+	case *sketchreset.Counters:
+		d.Count = slices.Clone(c.Ages)
+	}
+	return d
+}
+
 // NamedMass is one aggregate's share of a bundle.
 type NamedMass struct {
 	Name string
@@ -83,6 +99,8 @@ type Node struct {
 	// reallocated).
 	subBuf  []gossip.Envelope
 	bundles []outBundle
+	// envs is Emit's envelope slice, reused across rounds.
+	envs []gossip.Envelope
 	// rx stages one mass decoded from a packed bundle, so handing it to
 	// the aggregate by pointer allocates nothing.
 	rx pushsumrevert.Mass
@@ -219,19 +237,21 @@ func (n *Node) BeginRound(round int) {
 // Emit implements gossip.Agent. All sub-protocols address the same
 // peer per envelope slot so the combined state travels as one radio
 // message; the sketch payload rides with the peer's bundle. The
-// envelopes are the gather EmitAppend performs, deep-copied so they own
-// their memory: Count is a fresh []uint8 snapshot.
+// envelopes are the gather EmitAppend performs, as Bundle values whose
+// Count is the sketch host's []uint8 snapshot and whose Masses is the
+// emission scratch: like the envelope slice, they alias the host's
+// memory until its next BeginRound (Bundle.Detach copies them out).
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	n.gather(round, rng, pick)
-	out := make([]gossip.Envelope, len(n.bundles))
+	out := n.envs[:0]
 	for i := range n.bundles {
-		src := &n.bundles[i]
-		b := Bundle{Masses: slices.Clone(src.p.Masses)}
-		if c, ok := src.p.Count.(*sketchreset.Counters); ok {
-			b.Count = slices.Clone(c.Ages)
+		b := n.bundles[i].p
+		if c, ok := b.Count.(*sketchreset.Counters); ok {
+			b.Count = c.Ages
 		}
-		out[i] = gossip.Envelope{To: src.to, Payload: b}
+		out = append(out, gossip.Envelope{To: n.bundles[i].to, Payload: b})
 	}
+	n.envs = out
 	return out
 }
 
@@ -310,9 +330,9 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 	return dst
 }
 
-// Receive implements gossip.Agent. The boxed Bundle of Emit, the
-// scratch-backed *Bundle of EmitAppend and the wire-form *Packed a
-// socket transport delivers are all accepted. Mass for an unregistered
+// Receive implements gossip.Agent. The Bundle of Emit (or its
+// detached copy), the *Bundle of EmitAppend and the wire-form *Packed
+// a socket transport delivers are all accepted. Mass for an unregistered
 // name auto-registers it on an observer, consults the resolver on a
 // regular host, and is otherwise dropped.
 func (n *Node) Receive(p any) {

@@ -3,6 +3,7 @@ package multi
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -136,4 +137,94 @@ func TestEmitAllocBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { n.Emit(1, nil, pick) }); got > 8 {
 		t.Errorf("Emit allocates %v times per call, budget 8", got)
 	}
+}
+
+// TestEmitMakesNoMatrixGarbage pins what Emit's payloads cost now that
+// they alias the host's scratch: a steady-state Emit of a 12-name host
+// over the default 64×24 sketch allocates only the boxes that carry the
+// bundles through Envelope.Payload — no counter snapshot (1,536 B), no
+// mass slice, no envelope slice.
+func TestEmitMakesNoMatrixGarbage(t *testing.T) {
+	values := make(map[string]float64, 12)
+	for i := range 12 {
+		values[fmt.Sprintf("agg-%02d", i)] = float64(i)
+	}
+	n := New(0, values, sketchreset.Config{Params: sketch.DefaultParams}, pushsumrevert.Config{Lambda: 0.05})
+	pick := func() (gossip.NodeID, bool) { return 1, true }
+	n.BeginRound(0)
+	n.Emit(0, nil, pick) // grow the scratch once
+	const calls = 1000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for r := 1; r <= calls; r++ {
+		n.BeginRound(r)
+		n.Emit(r, nil, pick)
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 256 {
+		t.Errorf("Emit allocates %d B per call, budget < 256 B", perCall)
+	}
+}
+
+// TestBundleDetachIsIndependent pins what a holder of an Emit payload
+// relies on: the detached bundle owns its memory, so the host's next
+// round — BeginRound, a Receive, Emit — rewrites the emitted bundle's
+// scratch and leaves the detached copy as it was.
+func TestBundleDetachIsIndependent(t *testing.T) {
+	countCfg := sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 1}
+	avgCfg := pushsumrevert.Config{Lambda: 0.05}
+	host := New(0, map[string]float64{"load": 3, "temp": -1}, countCfg, avgCfg)
+	peer := New(7, map[string]float64{"load": 40, "temp": 9}, sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 16}, avgCfg)
+	pick := func() (gossip.NodeID, bool) { return 1, true }
+
+	host.BeginRound(0)
+	var emitted Bundle
+	for _, env := range host.Emit(0, nil, pick) {
+		if b := env.Payload.(Bundle); b.Count != nil {
+			emitted = b
+		}
+	}
+	if emitted.Count == nil {
+		t.Fatal("no bundle carried the sketch")
+	}
+	detached, ok := emitted.Detach().(Bundle)
+	if !ok {
+		t.Fatalf("Detach returned %T, want Bundle", emitted.Detach())
+	}
+	want := Bundle{Count: slices.Clone(emitted.Count.([]uint8)), Masses: slices.Clone(emitted.Masses)}
+	if diff := bundleDiff(detached, want); diff != "" {
+		t.Fatalf("detached bundle differs from the emitted one: %s", diff)
+	}
+
+	host.BeginRound(1)
+	peer.BeginRound(1)
+	for _, env := range peer.Emit(1, nil, func() (gossip.NodeID, bool) { return 0, true }) {
+		host.Receive(env.Payload)
+	}
+	host.Emit(1, nil, pick)
+	if bundleDiff(emitted, want) == "" {
+		t.Fatal("the next round left the emitted bundle's scratch as it was; the test shows nothing")
+	}
+	if diff := bundleDiff(detached, want); diff != "" {
+		t.Errorf("the host's next round changed the detached bundle: %s", diff)
+	}
+}
+
+// bundleDiff describes the first difference between two bundles with
+// []uint8 matrices, or returns "" when they are equal.
+func bundleDiff(got, want Bundle) string {
+	g, w := got.Count.([]uint8), want.Count.([]uint8)
+	if !slices.Equal(g, w) {
+		for j := range min(len(g), len(w)) {
+			if g[j] != w[j] {
+				return fmt.Sprintf("counter %d is %d, want %d", j, g[j], w[j])
+			}
+		}
+		return fmt.Sprintf("matrix has %d counters, want %d", len(g), len(w))
+	}
+	if !slices.Equal(got.Masses, want.Masses) {
+		return fmt.Sprintf("masses %v, want %v", got.Masses, want.Masses)
+	}
+	return ""
 }
