@@ -45,16 +45,20 @@ const auditTolerance = 1e-6
 type massAudit struct {
 	lambda  float64
 	w0, mv0 []float64 // per-host reversion targets
-	expW    float64
-	expV    float64
-	report  AuditReport
+	// massOf reads host id's true mass, from the population as built
+	// under any Byzantine wrappers, so the audit sees real state.
+	massOf func(id gossip.NodeID) pushsumrevert.Mass
+	expW   float64
+	expV   float64
+	report AuditReport
 }
 
-func newMassAudit(lambda float64, w0, mv0 []float64) *massAudit {
+func newMassAudit(lambda float64, w0, mv0 []float64, massOf func(gossip.NodeID) pushsumrevert.Mass) *massAudit {
 	return &massAudit{
 		lambda: lambda,
 		w0:     w0,
 		mv0:    mv0,
+		massOf: massOf,
 		report: AuditReport{Applicable: true, Tolerance: auditTolerance, FirstViolation: -1},
 	}
 }
@@ -71,12 +75,9 @@ func (a *massAudit) before(r int, e *gossip.Engine) {
 			if !env.Alive(nid, r) {
 				continue
 			}
-			w, v, ok := massOf(e, nid)
-			if !ok {
-				return
-			}
-			sumW += a.lambda * (a.w0[id] - w)
-			sumV += a.lambda * (a.mv0[id] - v)
+			m := a.massOf(nid)
+			sumW += a.lambda * (a.w0[id] - m.W)
+			sumV += a.lambda * (a.mv0[id] - m.V)
 		}
 	}
 	a.expW, a.expV = sumW, sumV
@@ -100,31 +101,13 @@ func (a *massAudit) after(r int, e *gossip.Engine) {
 func (a *massAudit) totals(e *gossip.Engine) (sumW, sumV float64) {
 	n := e.Env().Size()
 	for id := 0; id < n; id++ {
-		w, v, ok := massOf(e, gossip.NodeID(id))
-		if !ok {
-			return 0, 0
-		}
-		sumW += w
-		sumV += v
+		m := a.massOf(gossip.NodeID(id))
+		sumW += m.W
+		sumV += m.V
 	}
 	return sumW, sumV
 }
 
 func relDrift(actual, expected float64) float64 {
 	return math.Abs(actual-expected) / math.Max(1, math.Abs(expected))
-}
-
-// massOf reads host id's true mass vector on either backend,
-// unwrapping Byzantine agents so the audit sees real state, not the
-// lie. ok is false for protocols without mass semantics.
-func massOf(e *gossip.Engine, id gossip.NodeID) (w, v float64, ok bool) {
-	if col := e.Columnar(); col != nil {
-		c, ok := col.(*pushsumrevert.Columnar)
-		if !ok {
-			return 0, 0, false
-		}
-		m := c.Mass(id)
-		return m.W, m.V, true
-	}
-	return agentMass(e.Agent(id))
 }

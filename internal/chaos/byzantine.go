@@ -3,13 +3,14 @@ package chaos
 import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/pushsumrevert"
+	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/xrand"
 )
 
 // byzantineAgent is the common wrapper shape: it delegates the whole
 // Agent surface to the honest inner node and corrupts only the
-// emission path, so the audit can read the host's true state through
-// unwrap while the network sees the lie. Wrappers deliberately do not
+// emission path, so SumMass's census can read the host's true state
+// through unwrap while the network sees the lie. Wrappers deliberately do not
 // implement gossip.AppendEmitter — the engine falls back to Emit, the
 // only path the corruption covers.
 type byzantineAgent interface {
@@ -18,7 +19,7 @@ type byzantineAgent interface {
 }
 
 // honest peels every Byzantine wrapper off ag, returning the real
-// node whose state the audit reads and a crash-restart resets.
+// node whose state SumMass censuses.
 func honest(ag gossip.Agent) gossip.Agent {
 	for {
 		b, isByz := ag.(byzantineAgent)
@@ -83,11 +84,11 @@ func (a *lyingAgent) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []
 	return out
 }
 
-// lieAboutMass rewrites a mass payload's value component to claim the
+// lieAboutMass returns a mass payload whose value component claims the
 // host's reading is value; unknown payload shapes pass through.
 func lieAboutMass(payload any, value float64) any {
-	if m, ok := payload.(pushsumrevert.Mass); ok {
-		return pushsumrevert.Mass{W: m.W, V: m.W * value}
+	if m, ok := payload.(*pushsumrevert.Mass); ok {
+		return &pushsumrevert.Mass{W: m.W, V: m.W * value}
 	}
 	return payload
 }
@@ -157,12 +158,11 @@ func (a *fakeBitsAgent) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker)
 		return out
 	}
 	for i := range out {
-		if ages, ok := out[i].Payload.([]uint8); ok {
-			// Emit allocates a fresh snapshot per call; zeroing it in
-			// place corrupts only the emitted copy, not agent state.
-			for j := range ages {
-				ages[j] = 0
-			}
+		if c, ok := out[i].Payload.(*sketchreset.Counters); ok {
+			// The snapshot is the host's emission scratch, rewritten
+			// from its matrix every round: zeroing it corrupts only the
+			// emitted copy, not agent state.
+			clear(c.Ages)
 		}
 	}
 	return out

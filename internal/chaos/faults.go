@@ -6,7 +6,6 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/failure"
 	"dynagg/internal/gossip"
-	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/xrand"
 )
 
@@ -158,9 +157,11 @@ func skewAwake(id, round int, f *Fault) bool {
 }
 
 // populationHooks builds the BeforeRound hooks for the faults that
-// mutate the live/dead population (outages, churn storms). seed salts
-// the churn PRNG so distinct storms in one scenario stay independent.
-func populationHooks(s Scenario, pop *env.Population, seed uint64) []gossip.Hook {
+// mutate the live/dead population (outages, churn storms, crash
+// restarts). seed salts the churn PRNG so distinct storms in one
+// scenario stay independent; reset restores one host's protocol state
+// for a crash restart (nil when the protocol has none to reset).
+func populationHooks(s Scenario, pop *env.Population, seed uint64, reset func(gossip.NodeID)) []gossip.Hook {
 	var hooks []gossip.Hook
 	for i, f := range s.Faults {
 		switch f.Kind {
@@ -173,7 +174,7 @@ func populationHooks(s Scenario, pop *env.Population, seed uint64) []gossip.Hook
 			}
 			hooks = append(hooks, failure.ChurnStorm(f.Start, f.Period, burst, f.Rate, pop, seed+uint64(i)*0x9e3779b97f4a7c15))
 		case FaultCrashRestart:
-			hooks = append(hooks, crashRestart(f.Start, f.End, f.Lo, f.Hi, pop))
+			hooks = append(hooks, crashRestart(f.Start, f.End, f.Lo, f.Hi, pop, reset))
 		}
 	}
 	return hooks
@@ -183,11 +184,13 @@ func populationHooks(s Scenario, pop *env.Population, seed uint64) []gossip.Hook
 // fault on the round engine: the region fails at start — silence,
 // exactly like RegionOutage — and revives at end with RESET protocol
 // state, so the region's accumulated gossip mass is gone and only the
-// initial endowment returns. Running as a fault hook (before the
-// audit's expectation hook) keeps the mass audit clean: the audit
-// measures the post-reset totals, just as the live audit censuses a
-// respawned member's fresh endowment.
-func crashRestart(start, end, lo, hi int, pop *env.Population) gossip.Hook {
+// initial endowment returns. reset restores one honest host, so the
+// adversary behaviour of a wrapped one resumes on the fresh state, as
+// a re-infected restarted process would. Running as a fault hook
+// (before the audit's expectation hook) keeps the mass audit clean:
+// the audit measures the post-reset totals, just as the live audit
+// censuses a respawned member's fresh endowment.
+func crashRestart(start, end, lo, hi int, pop *env.Population, reset func(gossip.NodeID)) gossip.Hook {
 	return func(r int, e *gossip.Engine) {
 		switch r {
 		case start:
@@ -196,25 +199,9 @@ func crashRestart(start, end, lo, hi int, pop *env.Population) gossip.Hook {
 			}
 		case end:
 			for id := lo; id < hi; id++ {
-				resetHost(e, gossip.NodeID(id))
+				reset(gossip.NodeID(id))
 				pop.Revive(gossip.NodeID(id))
 			}
 		}
-	}
-}
-
-// resetHost restores host id's protocol state to its initial
-// endowment on either backend, unwrapping Byzantine shims so the real
-// node resets (the adversary behaviour resumes on the fresh state,
-// as a re-infected restarted process would).
-func resetHost(e *gossip.Engine, id gossip.NodeID) {
-	if col := e.Columnar(); col != nil {
-		if c, ok := col.(*pushsumrevert.Columnar); ok {
-			c.Reset(id)
-		}
-		return
-	}
-	if n, ok := honest(e.Agent(id)).(*pushsumrevert.Node); ok {
-		n.Reset()
 	}
 }

@@ -124,6 +124,13 @@ func RunWith(s Scenario, seed uint64, opts RunOpts) (*Report, error) {
 	cfg := gossip.Config{Env: fe, Seed: seed, Workers: opts.Workers}
 	lambda := 0.0
 	byzantine := 0
+	// The mass reader and the crash-restart reset act on the population
+	// as built, under any Byzantine wrappers: the audit reads true
+	// state and a restart resets the real host.
+	var (
+		massOf func(gossip.NodeID) pushsumrevert.Mass
+		reset  func(gossip.NodeID)
+	)
 	switch s.Protocol {
 	case ProtoPushSum, ProtoRevert:
 		// Push-Sum is Push-Sum-Revert at λ = 0, whatever the scenario's
@@ -136,12 +143,17 @@ func RunWith(s Scenario, seed uint64, opts RunOpts) (*Report, error) {
 		}
 		rcfg := pushsumrevert.Config{Lambda: lambda}
 		if opts.Columnar {
-			cfg.Columnar = pushsumrevert.NewColumnar(values, rcfg)
+			c := pushsumrevert.NewColumnar(values, rcfg)
+			cfg.Columnar, massOf, reset = c, c.Mass, c.Reset
 		} else {
+			nodes := make([]*pushsumrevert.Node, s.N)
 			agents := make([]gossip.Agent, s.N)
 			for i := range agents {
-				agents[i] = pushsumrevert.New(gossip.NodeID(i), values[i], rcfg)
+				nodes[i] = pushsumrevert.New(gossip.NodeID(i), values[i], rcfg)
+				agents[i] = nodes[i]
 			}
+			massOf = func(id gossip.NodeID) pushsumrevert.Mass { return nodes[id].Mass() }
+			reset = func(id gossip.NodeID) { nodes[id].Reset() }
 			byzantine = applyAdversaries(s, agents)
 			cfg.Agents = agents
 		}
@@ -159,7 +171,7 @@ func RunWith(s Scenario, seed uint64, opts RunOpts) (*Report, error) {
 		}
 	}
 
-	cfg.BeforeRound = populationHooks(s, pop, seed)
+	cfg.BeforeRound = populationHooks(s, pop, seed, reset)
 
 	var audit *massAudit
 	if s.Protocol != ProtoSketchReset {
@@ -169,7 +181,7 @@ func RunWith(s Scenario, seed uint64, opts RunOpts) (*Report, error) {
 			w0[i] = 1
 			mv0[i] = values[i]
 		}
-		audit = newMassAudit(lambda, w0, mv0)
+		audit = newMassAudit(lambda, w0, mv0, massOf)
 		cfg.BeforeRound = append(cfg.BeforeRound, audit.before)
 		cfg.AfterRound = append(cfg.AfterRound, audit.after)
 	}

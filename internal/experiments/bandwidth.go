@@ -66,7 +66,7 @@ func AblationBandwidth(n int, seed uint64) Result {
 		// The payload the host would gossip next carries its q share.
 		isolated := func() (gossip.NodeID, bool) { return 0, false }
 		out := engine.Agents()[0].(*pushsumrevert.Node).Emit(engine.Round(), nil, isolated)
-		m := out[0].Payload.(pushsumrevert.MomentsMass)
+		m := out[0].Payload.(*pushsumrevert.MomentsMass)
 		rows = append(rows, row{"moments (mass w,v,q)", len(wire.AppendMass3(nil, m.W, m.V, m.Q))})
 	}
 	// Extremes: the candidate table.

@@ -66,6 +66,10 @@ type Agent interface {
 	// BeginRound.
 	Emit(round int, rng *xrand.Rand, pick PeerPicker) []Envelope
 	// Receive accepts one payload delivered during the current round.
+	// A payload the protocol cannot use — another protocol's, or a
+	// well-formed message of the wrong shape from a mis-configured
+	// peer or a forged datagram — is ignored, one more way a radio
+	// message can be lost; network input never reaches a panic.
 	Receive(payload any)
 	// EndRound folds the received payloads into the host state.
 	EndRound(round int)

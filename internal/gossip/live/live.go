@@ -29,12 +29,12 @@
 // real loopback socket in its internal/wire encoding, transport.TCP
 // frames the same encodings onto reliable streams, and transport.Lossy
 // injects message loss over any of them. What a host's Receive is handed depends on
-// the transport: the channel transport delivers the value Emit
-// returned, while the socket transports decode small payloads back to
-// that value but deliver the two that carry a counter matrix still in
-// wire form (sketchreset.Packed, multi.Packed — validated by the
-// transport's reader, folded in place by Receive, see
-// docs/architecture.md). With Config.Span, several engines — in
+// the transport: the channel transport delivers the detached copy of
+// what Emit returned, while the socket transports decode a mass to a
+// pushsumrevert.Mass value and deliver the two payloads that carry a
+// counter matrix still in wire form (sketchreset.Packed, multi.Packed
+// — validated by the transport's reader, folded in place by Receive,
+// see docs/architecture.md). With Config.Span, several engines — in
 // several OS processes — can each drive a slice of one population over
 // UDP (addresses exchanged out of band) or TCP (membership formed by
 // Config.Bootstrap), which makes this a distributed system rather than
@@ -43,10 +43,10 @@
 // Restrictions compared to the round engine: the environment must be
 // time-invariant (Uniform or Grid; contact traces need the global
 // clock that rounds provide), and per-run results are not reproducible
-// because goroutine scheduling is not. The live engine also always
-// drives agents through Emit rather than gossip.AppendEmitter:
-// messages cross tick boundaries in transports, so payloads must not
-// alias emitter-owned scratch.
+// because goroutine scheduling is not. The live engine drives agents
+// through Emit, whose payloads may alias the emitter's scratch until
+// its next tick: a transport that holds one across ticks (the channel
+// queues, a delayed loss injector) keeps its gossip.Detacher copy.
 package live
 
 import (

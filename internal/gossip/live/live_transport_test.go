@@ -11,8 +11,11 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/gossip/live/transport"
+	"dynagg/internal/protocol/epoch"
+	"dynagg/internal/protocol/extremes"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
+	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 )
@@ -222,56 +225,106 @@ func TestLiveExplicitChannelTransportMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestLiveMultiBundlesDetachOnHoldingTransports runs the deployable
-// protocol over the two transports that keep a payload past Send: the
-// channel's queues, and a delaying loss injector in front of them.
-// multi's Emit payloads alias the sender's scratch, which its next tick
-// rewrites while the receiver still holds the bundle, so the run is
+// TestLivePayloadsDetachOnHoldingTransports runs every protocol with a
+// pointer payload over the two transports that keep a payload past
+// Send: the channel's queues, and a delaying loss injector in front of
+// them. Emit payloads alias the sender's scratch, which its next tick
+// rewrites while the receiver still holds the message, so the run is
 // race-clean (under -race, one goroutine per host) only if each holder
-// detaches what it keeps — and the population still finds the average.
-func TestLiveMultiBundlesDetachOnHoldingTransports(t *testing.T) {
-	const n = 64
-	for name, wrap := range map[string]func(*transport.Channel) transport.Transport{
-		"chan": func(ch *transport.Channel) transport.Transport { return ch },
-		"lossy-delayed": func(ch *transport.Channel) transport.Transport {
+// detaches what it keeps through the payload's Detach. Paced ticks keep
+// the hosts interleaved, and every host must end near what the round
+// engine's population of the same protocol agrees on.
+func TestLivePayloadsDetachOnHoldingTransports(t *testing.T) {
+	const n, ticks = 64, 40
+	pace := time.Millisecond
+	if raceEnabled {
+		pace = 5 * time.Millisecond
+	}
+	count := sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 1}
+	revert := pushsumrevert.Config{Lambda: 0.01}
+	protocols := []struct {
+		name  string
+		build func(id gossip.NodeID, v float64) gossip.Agent
+		// read picks the estimate compared (nil: Estimate).
+		read func(gossip.Agent) (float64, bool)
+	}{
+		{"revert", func(id gossip.NodeID, v float64) gossip.Agent { return pushsumrevert.New(id, v, revert) }, nil},
+		{"moments", func(id gossip.NodeID, v float64) gossip.Agent { return pushsumrevert.NewMoments(id, v, revert) }, nil},
+		{"sketchreset", func(id gossip.NodeID, _ float64) gossip.Agent { return sketchreset.New(id, count) }, nil},
+		{"sketchcount", func(id gossip.NodeID, _ float64) gossip.Agent { return sketchcount.NewCount(id, sketch.DefaultParams) }, nil},
+		{"epoch", func(id gossip.NodeID, v float64) gossip.Agent { return epoch.New(id, v, epoch.Config{Length: 30}) }, nil},
+		{"extremes", func(id gossip.NodeID, v float64) gossip.Agent {
+			return extremes.New(id, v, extremes.Config{Mode: extremes.Max})
+		}, nil},
+		{"multi", func(id gossip.NodeID, v float64) gossip.Agent {
+			return multi.New(id, map[string]float64{"a": v, "b": -v}, count, revert)
+		}, func(a gossip.Agent) (float64, bool) { return a.(*multi.Node).Average("a") }},
+	}
+	transports := []struct {
+		name string
+		wrap func(*transport.Channel) transport.Transport
+	}{
+		{"chan", func(ch *transport.Channel) transport.Transport { return ch }},
+		{"lossy-delayed", func(ch *transport.Channel) transport.Transport {
 			return &transport.Lossy{T: ch, Delay: 200 * time.Microsecond}
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
+		}},
+	}
+	for _, pr := range protocols {
+		read := pr.read
+		if read == nil {
+			read = gossip.Agent.Estimate
+		}
+		population := func() []gossip.Agent {
 			agents := make([]gossip.Agent, n)
-			var truth float64
 			for i := range agents {
-				v := float64(i % 100)
-				truth += v
-				agents[i] = multi.New(gossip.NodeID(i), map[string]float64{"a": v, "b": -v},
-					sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 1},
-					pushsumrevert.Config{Lambda: 0.01})
+				agents[i] = pr.build(gossip.NodeID(i), float64(1+i%100))
 			}
-			truth /= n
-			tr := wrap(transport.NewChannel(n, 0))
-			e, err := New(Config{
-				Env: env.NewUniform(n), Population: NewAgentPopulation(agents), Model: gossip.Push,
-				Seed: 5, Ticks: 80, Transport: tr,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if err := tr.Close(); err != nil { // waits out delayed deliveries
-				t.Fatal(err)
-			}
-			avgs := make([]float64, 0, n)
+			return agents
+		}
+		estimates := func(agents []gossip.Agent) []float64 {
+			ests := make([]float64, 0, len(agents))
 			for _, a := range agents {
-				if avg, ok := a.(*multi.Node).Average("a"); ok {
-					avgs = append(avgs, avg)
+				if est, ok := read(a); ok {
+					ests = append(ests, est)
 				}
 			}
-			if mean := meanOf(t, avgs); math.Abs(mean-truth) > 0.2*truth {
-				t.Errorf("mean of Average(\"a\") %v, want ≈ %v", mean, truth)
-			}
-		})
+			return ests
+		}
+		ref := population()
+		eng, err := gossip.NewEngine(gossip.Config{Env: env.NewUniform(n), Agents: ref, Model: gossip.Push, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run(ticks)
+		want := meanOf(t, estimates(ref))
+		for _, tc := range transports {
+			t.Run(pr.name+"/"+tc.name, func(t *testing.T) {
+				agents := population()
+				tr := tc.wrap(transport.NewChannel(n, 0))
+				e, err := New(Config{
+					Env: env.NewUniform(n), Population: NewAgentPopulation(agents), Model: gossip.Push,
+					Seed: 5, Ticks: ticks, TickEvery: pace, Transport: tr, Workers: 0,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Run(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if err := tr.Close(); err != nil { // waits out delayed deliveries
+					t.Fatal(err)
+				}
+				ests := estimates(agents)
+				var relErr float64
+				for _, est := range ests {
+					relErr += math.Abs(est-want) / want / float64(len(ests))
+				}
+				if len(ests) < n || relErr > 0.25 {
+					t.Errorf("%d/%d hosts estimate, mean relative error %.3f against the round engine's %v; want every host within 25%%",
+						len(ests), n, relErr, want)
+				}
+			})
+		}
 	}
 }
 

@@ -52,10 +52,9 @@ const (
 	kindMultiBundle
 )
 
-// appendEnvelope encodes header + payload for one cross-host message.
-// Both the value payloads of Emit and the pointer payloads of
-// EmitAppend are accepted; an unknown payload type is an error (the
-// caller counts it as a drop).
+// appendEnvelope encodes header + payload for one cross-host message:
+// an Emit payload, or a Push-Sum-Revert Mass value. An unknown payload
+// type is an error (the caller counts it as a drop).
 func appendEnvelope(dst []byte, from, to gossip.NodeID, tick int, payload any) ([]byte, error) {
 	hdr := func(kind uint8) wire.Header {
 		return wire.Header{Kind: kind, To: int32(to), From: int32(from), Tick: int32(tick)}
@@ -67,9 +66,6 @@ func appendEnvelope(dst []byte, from, to gossip.NodeID, tick int, payload any) (
 	case *pushsumrevert.Mass:
 		dst = wire.AppendHeader(dst, hdr(pushsumrevert.WireKindRevert))
 		return wire.AppendMass(dst, p.W, p.V), nil
-	case []uint8:
-		dst = wire.AppendHeader(dst, hdr(sketchreset.WireKindSketchReset))
-		return wire.AppendCounters(dst, p), nil
 	case *sketchreset.Counters:
 		dst = wire.AppendHeader(dst, hdr(sketchreset.WireKindSketchReset))
 		return wire.AppendCounters(dst, p.Ages), nil
@@ -82,10 +78,10 @@ func appendEnvelope(dst []byte, from, to gossip.NodeID, tick int, payload any) (
 	}
 }
 
-// decodeEnvelope parses one datagram into its header and a payload
-// value of a Go type the protocol's Receive accepts: the type Emit
-// produces, except that the two payloads carrying a counter matrix are
-// validated and handed over still packed (sketchreset.Packed,
+// decodeEnvelope parses one datagram into its header and a payload of
+// a Go type the protocol's Receive accepts: a mass as a
+// pushsumrevert.Mass value, and the two payloads carrying a counter
+// matrix validated and handed over still packed (sketchreset.Packed,
 // multi.Packed) for Receive to fold straight off the wire bytes.
 func decodeEnvelope(src []byte) (wire.Header, any, error) {
 	h, rest, err := wire.DecodeHeader(src)

@@ -85,11 +85,16 @@ func (l *Lossy) Send(from, to gossip.NodeID, tick int, payload any) bool {
 		return false
 	}
 	if wait > 0 {
-		// The payload outlives this call, and its emitter's next round.
+		// The payload outlives this call, and its emitter's next round:
+		// detach it once here, and hand a Channel the copy as owned.
 		held := detach(payload)
 		time.AfterFunc(wait, func() {
 			defer l.delayed.Done()
-			l.T.Send(from, to, tick, held)
+			if c, ok := l.T.(*Channel); ok {
+				c.push(to, held)
+			} else {
+				l.T.Send(from, to, tick, held)
+			}
 		})
 		// In flight: it will be counted sent or dropped on arrival.
 		return true

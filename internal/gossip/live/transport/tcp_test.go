@@ -73,7 +73,7 @@ func TestTCPTransportRoundTripsEveryPayloadKind(t *testing.T) {
 		pushsumrevert.Mass{W: 0.5, V: 2.25},
 		&pushsumrevert.Mass{W: 1, V: -3},
 		pushsumrevert.Mass{W: 0.125, V: 7},
-		[]uint8{0, 0, 3, 255, 255, 9},
+		&sketchreset.Counters{Ages: []uint8{0, 0, 3, 255, 255, 9}},
 	}
 	for i, payload := range payloads {
 		to := gossip.NodeID(i % 8)
@@ -91,12 +91,12 @@ func TestTCPTransportRoundTripsEveryPayloadKind(t *testing.T) {
 			if got != want {
 				t.Errorf("payload %d: got %v, want %v", i, got, want)
 			}
-		case []uint8:
+		case *sketchreset.Counters:
 			if _, ok := got.(*sketchreset.Packed); !ok {
 				t.Fatalf("payload %d: got %T %v", i, got, got)
 			}
-			if g := unpackCounters(got, 2, 3); !bytes.Equal(g, want) {
-				t.Errorf("payload %d: counters %v, want %v", i, g, want)
+			if g := unpackCounters(got, 2, len(want.Ages)/2); !bytes.Equal(g, want.Ages) {
+				t.Errorf("payload %d: counters %v, want %v", i, g, want.Ages)
 			}
 		}
 	}

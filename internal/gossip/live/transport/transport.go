@@ -109,11 +109,16 @@ func NewChannelGroups(hosts, capacity, groups int) *Channel {
 // payload onto the destination host's queue. A host outside [0, hosts)
 // is a counted drop.
 func (c *Channel) Send(from, to gossip.NodeID, tick int, payload any) bool {
+	return c.push(to, detach(payload))
+}
+
+// push queues a payload that already owns its memory.
+func (c *Channel) push(to gossip.NodeID, payload any) bool {
 	if c.closed.Load() {
 		c.in.drop(1)
 		return false
 	}
-	if !c.in.push(to, detach(payload)) {
+	if !c.in.push(to, payload) {
 		return false
 	}
 	c.sent.Add(1)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,5 +63,31 @@ func TestLossyValidate(t *testing.T) {
 	}
 	if err := (&Lossy{T: NewChannel(1, 1), P: 1.5}).Validate(); err == nil {
 		t.Error("P > 1 accepted")
+	}
+}
+
+// detachCounter is a payload that counts the copies holders make of it.
+type detachCounter struct{ n *atomic.Int64 }
+
+func (p detachCounter) Detach() any { p.n.Add(1); return p }
+
+// TestLossyOverChannelDetachesOnce pins one copy per held message: a
+// delayed message is detached when the injector holds it and the
+// channel queues that copy as it is; an undelayed one is detached by
+// the channel alone.
+func TestLossyOverChannelDetachesOnce(t *testing.T) {
+	const msgs = 16
+	for _, delay := range []time.Duration{0, time.Millisecond} {
+		var copies atomic.Int64
+		l := &Lossy{T: NewChannel(2, msgs), Delay: delay}
+		for i := range msgs {
+			l.Send(0, 1, i, detachCounter{&copies})
+		}
+		l.Close() // waits for delayed deliveries
+		got := 0
+		l.Drain(1, func(any) { got++ })
+		if got != msgs || copies.Load() != msgs {
+			t.Errorf("delay %v: %d delivered, %d copies; want %d and %d", delay, got, copies.Load(), msgs, msgs)
+		}
 	}
 }

@@ -25,6 +25,9 @@ type Message struct {
 	W, V  float64
 }
 
+// Detach implements gossip.Detacher: a copy of the emitter's scratch.
+func (m *Message) Detach() any { c := *m; return &c }
+
 // Config parametrizes the epoch protocol.
 type Config struct {
 	// Length is the number of rounds per epoch.
@@ -188,14 +191,9 @@ func (n *Node) Epoch() int { return n.epoch }
 // BeginRound implements gossip.Agent: advance the local epoch clock.
 func (n *Node) BeginRound(round int) { n.begin(n.cfg.Length) }
 
-// Emit implements gossip.Agent: EmitAppend with every payload detached
-// from the host's scratch into an independent Message value.
+// Emit implements gossip.Agent: EmitAppend onto a fresh slice.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	out := n.EmitAppend(nil, round, rng, pick)
-	for i := range out {
-		out[i].Payload = *out[i].Payload.(*Message)
-	}
-	return out
+	return n.EmitAppend(nil, round, rng, pick)
 }
 
 // EmitAppend implements gossip.AppendEmitter: epoch-tagged Push-Sum
@@ -213,17 +211,11 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 }
 
 // Receive implements gossip.Agent: mass from older epochs is dropped;
-// mass from a newer epoch triggers adoption at round end. Both the
-// boxed Message of Emit and the scratch-backed *Message of EmitAppend
-// are accepted.
+// mass from a newer epoch triggers adoption at round end. A payload
+// other than EmitAppend's *Message is ignored.
 func (n *Node) Receive(payload any) {
-	switch p := payload.(type) {
-	case *Message:
-		n.receive(*p)
-	case Message:
-		n.receive(p)
-	default:
-		panic(fmt.Sprintf("epoch: unexpected payload %T", payload))
+	if m, ok := payload.(*Message); ok {
+		n.receive(*m)
 	}
 }
 

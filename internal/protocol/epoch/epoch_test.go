@@ -164,7 +164,7 @@ func TestStaleEpochMassDiscarded(t *testing.T) {
 	n := New(0, 10, Config{Length: 100, Maturity: 1})
 	n.epoch = 5
 	n.BeginRound(0)
-	n.Receive(Message{Epoch: 3, W: 100, V: 100})
+	n.Receive(&Message{Epoch: 3, W: 100, V: 100})
 	n.EndRound(0)
 	if n.w == 100 {
 		t.Error("stale mass adopted")
@@ -175,9 +175,9 @@ func TestStaleEpochMassDiscarded(t *testing.T) {
 func TestNewerEpochPreempts(t *testing.T) {
 	n := New(0, 10, Config{Length: 100, Maturity: 1})
 	n.BeginRound(0)
-	n.Receive(Message{Epoch: 0, W: 0.5, V: 5})
-	n.Receive(Message{Epoch: 2, W: 0.25, V: 1})
-	n.Receive(Message{Epoch: 0, W: 0.5, V: 5}) // stale relative to 2 now
+	n.Receive(&Message{Epoch: 0, W: 0.5, V: 5})
+	n.Receive(&Message{Epoch: 2, W: 0.25, V: 1})
+	n.Receive(&Message{Epoch: 0, W: 0.5, V: 5}) // stale relative to 2 now
 	n.EndRound(0)
 	if n.Epoch() != 2 {
 		t.Fatalf("epoch = %d, want 2", n.Epoch())

@@ -111,6 +111,9 @@ type Table struct {
 	Candidates []Candidate
 }
 
+// Detach implements gossip.Detacher: a table that owns its candidates.
+func (t *Table) Detach() any { return &Table{Candidates: slices.Clone(t.Candidates)} }
+
 // Node is one dynamic-extremum host.
 type Node struct {
 	id    gossip.NodeID
@@ -243,14 +246,9 @@ func (n *Node) BeginRound(round int) {
 	n.normalize()
 }
 
-// Emit implements gossip.Agent: EmitAppend with the table snapshot
-// detached from the host's reused buffer into a fresh []Candidate.
+// Emit implements gossip.Agent: EmitAppend onto a fresh slice.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	out := n.EmitAppend(nil, round, rng, pick)
-	for i := range out {
-		out[i].Payload = slices.Clone(out[i].Payload.(*Table).Candidates)
-	}
-	return out
+	return n.EmitAppend(nil, round, rng, pick)
 }
 
 // EmitAppend implements gossip.AppendEmitter: the full candidate table
@@ -267,18 +265,13 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 
 // Receive implements gossip.Agent: merge the incoming table. Merging is
 // idempotent and order-insensitive (set union + min-age + truncation),
-// so applying on arrival is safe. Both the boxed []Candidate of Emit
-// and the scratch-backed *Table of EmitAppend are accepted.
+// so applying on arrival is safe. A payload other than EmitAppend's
+// *Table is ignored.
 func (n *Node) Receive(payload any) {
-	switch p := payload.(type) {
-	case *Table:
-		n.table = append(n.table, p.Candidates...)
-	case []Candidate:
-		n.table = append(n.table, p...)
-	default:
-		panic(fmt.Sprintf("extremes: unexpected payload %T", payload))
+	if t, ok := payload.(*Table); ok {
+		n.table = append(n.table, t.Candidates...)
+		n.normalize()
 	}
-	n.normalize()
 }
 
 // EndRound implements gossip.Agent.

@@ -169,7 +169,7 @@ func TestTableBounded(t *testing.T) {
 	for i := 1; i <= 50; i++ {
 		incoming = append(incoming, Candidate{Value: float64(i), Owner: gossip.NodeID(i), Age: 0})
 	}
-	n.Receive(incoming)
+	n.Receive(&Table{Candidates: incoming})
 	if got := len(n.Table()); got > 4 {
 		t.Errorf("table size %d, want <= 4", got)
 	}
@@ -181,7 +181,7 @@ func TestTableBounded(t *testing.T) {
 // Merge properties: receive is idempotent and order-insensitive.
 func TestReceiveIdempotentOrderInsensitive(t *testing.T) {
 	prop := func(rawA, rawB []uint8) bool {
-		mk := func(raw []uint8) []Candidate {
+		mk := func(raw []uint8) *Table {
 			var out []Candidate
 			for i, r := range raw {
 				if i >= 6 {
@@ -196,7 +196,7 @@ func TestReceiveIdempotentOrderInsensitive(t *testing.T) {
 					Age:   int32(r % 10),
 				})
 			}
-			return out
+			return &Table{Candidates: out}
 		}
 		a, b := mk(rawA), mk(rawB)
 
@@ -290,7 +290,7 @@ func TestAccessorsAndIsolatedEmit(t *testing.T) {
 	if len(envs) != 1 || envs[0].To != 9 {
 		t.Fatalf("Emit = %+v", envs)
 	}
-	sent := envs[0].Payload.([]Candidate)
+	sent := envs[0].Payload.(*Table).Candidates
 	if len(sent) != 1 || sent[0].Owner != 4 {
 		t.Errorf("payload = %+v", sent)
 	}
@@ -298,7 +298,7 @@ func TestAccessorsAndIsolatedEmit(t *testing.T) {
 
 func TestTieBreakDeterministic(t *testing.T) {
 	a := New(0, 5, Config{Mode: Max})
-	a.Receive([]Candidate{{Value: 5, Owner: 9, Age: 0}})
+	a.Receive(&Table{Candidates: []Candidate{{Value: 5, Owner: 9, Age: 0}}})
 	if best := a.Best(); best.Owner != 0 {
 		t.Errorf("tie broke to owner %d, want 0 (lowest id)", best.Owner)
 	}

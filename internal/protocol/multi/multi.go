@@ -25,7 +25,6 @@
 package multi
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -101,6 +100,10 @@ type Node struct {
 	bundles []outBundle
 	// envs is Emit's envelope slice, reused across rounds.
 	envs []gossip.Envelope
+	// countBox is the sketch host's snapshot matrix boxed once for
+	// Bundle.Count: the buffer is made on the first emission and never
+	// moves, so Emit need not box it again every round.
+	countBox any
 	// rx stages one mass decoded from a packed bundle, so handing it to
 	// the aggregate by pointer allocates nothing.
 	rx pushsumrevert.Mass
@@ -247,7 +250,10 @@ func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip
 	for i := range n.bundles {
 		b := n.bundles[i].p
 		if c, ok := b.Count.(*sketchreset.Counters); ok {
-			b.Count = c.Ages
+			if n.countBox == nil {
+				n.countBox = c.Ages
+			}
+			b.Count = n.countBox
 		}
 		out = append(out, gossip.Envelope{To: n.bundles[i].to, Payload: b})
 	}
@@ -332,9 +338,10 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 
 // Receive implements gossip.Agent. The Bundle of Emit (or its
 // detached copy), the *Bundle of EmitAppend and the wire-form *Packed
-// a socket transport delivers are all accepted. Mass for an unregistered
-// name auto-registers it on an observer, consults the resolver on a
-// regular host, and is otherwise dropped.
+// a socket transport delivers are accepted; any other payload is
+// ignored. Mass for an unregistered name auto-registers it on an
+// observer, consults the resolver on a regular host, and is otherwise
+// dropped.
 func (n *Node) Receive(p any) {
 	var pl Bundle
 	switch v := p.(type) {
@@ -346,7 +353,7 @@ func (n *Node) Receive(p any) {
 	case Bundle:
 		pl = v
 	default:
-		panic(fmt.Sprintf("multi: unexpected payload %T", p))
+		return
 	}
 	if pl.Count != nil {
 		n.count.Receive(pl.Count)

@@ -143,7 +143,9 @@ func TestEmitAllocBudget(t *testing.T) {
 // they alias the host's scratch: a steady-state Emit of a 12-name host
 // over the default 64×24 sketch allocates only the boxes that carry the
 // bundles through Envelope.Payload — no counter snapshot (1,536 B), no
-// mass slice, no envelope slice.
+// mass slice, no envelope slice. Those are two boxes, the peer's bundle
+// and the self bundle: the matrix's slice header is boxed once per
+// host, not once per call.
 func TestEmitMakesNoMatrixGarbage(t *testing.T) {
 	values := make(map[string]float64, 12)
 	for i := range 12 {
@@ -164,6 +166,10 @@ func TestEmitMakesNoMatrixGarbage(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 256 {
 		t.Errorf("Emit allocates %d B per call, budget < 256 B", perCall)
+	}
+	r := calls
+	if got := testing.AllocsPerRun(100, func() { r++; n.BeginRound(r); n.Emit(r, nil, pick) }); got > 2 {
+		t.Errorf("Emit allocates %v times per call, budget 2", got)
 	}
 }
 

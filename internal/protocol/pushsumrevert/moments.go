@@ -9,6 +9,10 @@ type MomentsMass struct {
 	Q float64
 }
 
+// Detach implements gossip.Detacher. It is declared here because the
+// one promoted from Mass would return a *Mass and drop Q.
+func (m *MomentsMass) Detach() any { c := *m; return &c }
+
 // NewMoments returns a Push-Sum-Revert host with data value v0 that
 // also gossips q under the same weight, λ, peers and message order, so
 // its Estimate is the network's standard deviation (§II names it among

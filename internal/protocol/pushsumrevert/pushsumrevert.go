@@ -51,6 +51,9 @@ type Mass struct {
 	V float64
 }
 
+// Detach implements gossip.Detacher: a copy of the emitter's scratch.
+func (m *Mass) Detach() any { c := *m; return &c }
+
 // Config selects the protocol variant.
 type Config struct {
 	// Lambda is the reversion constant λ ∈ [0, 1]. Zero reproduces
@@ -175,18 +178,9 @@ func (n *Node) Config() Config { return n.c.cfg }
 // BeginRound implements gossip.Agent.
 func (n *Node) BeginRound(round int) { n.c.emptyInbox(0) }
 
-// Emit implements gossip.Agent: EmitAppend with its payloads detached.
+// Emit implements gossip.Agent: EmitAppend onto a fresh slice.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	out := n.EmitAppend(nil, round, rng, pick)
-	for i := range out {
-		switch p := out[i].Payload.(type) {
-		case *Mass:
-			out[i].Payload = *p
-		case *MomentsMass:
-			out[i].Payload = *p
-		}
-	}
-	return out
+	return n.EmitAppend(nil, round, rng, pick)
 }
 
 // EmitAppend implements gossip.AppendEmitter, with round-scoped
@@ -228,9 +222,9 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 	)
 }
 
-// Receive implements gossip.Agent. Both the boxed Mass of Emit and
-// the scratch-backed *Mass of EmitAppend are accepted, and a moments
-// host's MomentsMass in either form.
+// Receive implements gossip.Agent. It takes the *Mass (or a moments
+// host's *MomentsMass) of EmitAppend and the Mass value a socket
+// transport decodes; any other payload is ignored.
 func (n *Node) Receive(payload any) {
 	var m MomentsMass
 	switch p := payload.(type) {
@@ -240,10 +234,8 @@ func (n *Node) Receive(payload any) {
 		m.Mass = p
 	case *MomentsMass:
 		m = *p
-	case MomentsMass:
-		m = p
 	default:
-		panic(fmt.Sprintf("pushsumrevert: unexpected payload %T", payload))
+		return
 	}
 	if c := &n.c; c.cfg.Adaptive || c.moment != nil {
 		c.receive(0, gossip.Mass(m.Mass), m.Q)

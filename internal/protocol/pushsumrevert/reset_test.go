@@ -64,7 +64,7 @@ func TestResetMatchesFreshHost(t *testing.T) {
 						}
 					}
 					if tc.moments {
-						n.Receive(in)
+						n.Receive(&in)
 					} else {
 						n.Receive(in.Mass)
 					}

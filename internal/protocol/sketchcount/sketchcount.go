@@ -73,14 +73,9 @@ func (n *Node) Sketch() *sketch.Sketch { return n.s }
 // BeginRound implements gossip.Agent.
 func (n *Node) BeginRound(round int) {}
 
-// Emit implements gossip.Agent: EmitAppend with the snapshot detached
-// from the host's reused buffer into a fresh clone.
+// Emit implements gossip.Agent: EmitAppend onto a fresh slice.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	out := n.EmitAppend(nil, round, rng, pick)
-	for i := range out {
-		out[i].Payload = out[i].Payload.(*sketch.Sketch).Clone()
-	}
-	return out
+	return n.EmitAppend(nil, round, rng, pick)
 }
 
 // EmitAppend implements gossip.AppendEmitter: the whole sketch goes to
@@ -102,16 +97,12 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 
 // Receive implements gossip.Agent. OR-merging immediately is safe:
 // the engine delivers only after all hosts have emitted, and the merge
-// is order-insensitive and idempotent. A sketch of a different shape
-// can only come from the network (a mis-configured peer or a forged
-// datagram) and is ignored rather than merged — one more way a radio
-// message can be lost.
+// is order-insensitive and idempotent. A payload other than a sketch
+// of this host's shape is ignored (see gossip.Agent).
 func (n *Node) Receive(payload any) {
-	s := payload.(*sketch.Sketch)
-	if s.Params() != n.s.Params() {
-		return
+	if s, ok := payload.(*sketch.Sketch); ok && s.Params() == n.s.Params() {
+		n.s.Merge(s)
 	}
-	n.s.Merge(s)
 }
 
 // EndRound implements gossip.Agent.

@@ -198,6 +198,9 @@ type Counters struct {
 	Ages []uint8
 }
 
+// Detach implements gossip.Detacher: a matrix that owns its memory.
+func (c *Counters) Detach() any { return &Counters{Ages: slices.Clone(c.Ages)} }
+
 var (
 	_ gossip.Agent         = (*Node)(nil)
 	_ gossip.Exchanger     = (*Node)(nil)
@@ -286,14 +289,9 @@ func (n *Node) BeginRound(round int) {
 	pin(n.counters, n.owned)
 }
 
-// Emit implements gossip.Agent: EmitAppend with the snapshot detached
-// from the host's reused buffer into a fresh []uint8.
+// Emit implements gossip.Agent: EmitAppend onto a fresh slice.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
-	out := n.EmitAppend(nil, round, rng, pick)
-	for i := range out {
-		out[i].Payload = slices.Clone(out[i].Payload.(*Counters).Ages)
-	}
-	return out
+	return n.EmitAppend(nil, round, rng, pick)
 }
 
 // EmitAppend implements gossip.AppendEmitter: the aged counter matrix
@@ -314,9 +312,10 @@ func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pic
 
 // Receive implements gossip.Agent: element-wise min (Figure 5 step 5).
 // Min-merge is order-insensitive and idempotent, so merging on arrival
-// is safe under the engine's emit-then-deliver ordering. The boxed
-// []uint8 of Emit, the scratch-backed *Counters of EmitAppend and the
-// wire-form *Packed a socket transport delivers are all accepted.
+// is safe under the engine's emit-then-deliver ordering. It takes the
+// *Counters of EmitAppend, the wire-form *Packed a socket transport
+// delivers and the []uint8 matrix a multi.Bundle carries; any other
+// payload, or a matrix of another shape, is ignored (see gossip.Agent).
 func (n *Node) Receive(payload any) {
 	switch p := payload.(type) {
 	case *Packed:
@@ -325,16 +324,10 @@ func (n *Node) Receive(payload any) {
 		n.minMerge(p.Ages)
 	case []uint8:
 		n.minMerge(p)
-	default:
-		panic(fmt.Sprintf("sketchreset: unexpected payload %T", payload))
 	}
 }
 
 func (n *Node) minMerge(other []uint8) {
-	// A matrix of the wrong shape can only come from the network (a
-	// peer configured with different sketch.Params, or a forged
-	// datagram); merging it would be meaningless or panic, so it is
-	// ignored — one more way a radio message can be lost.
 	if len(other) != len(n.counters) {
 		return
 	}

@@ -384,7 +384,7 @@ func TestPackedReceiveMatchesMatrixReceive(t *testing.T) {
 		for i, p := range peers {
 			p.BeginRound(round)
 			p.Exchange(peers[(i+1+round)%len(peers)])
-			matrix := p.Emit(round, nil, func() (gossip.NodeID, bool) { return 0, true })[0].Payload.([]uint8)
+			matrix := p.Emit(round, nil, func() (gossip.NodeID, bool) { return 0, true })[0].Payload.(*Counters).Ages
 			packed, err := NewPacked(append(wire.AppendCounters(nil, matrix), 0xEE))
 			if err != nil {
 				t.Fatal(err)

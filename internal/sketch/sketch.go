@@ -139,6 +139,10 @@ func (s *Sketch) Clone() *Sketch {
 	return c
 }
 
+// Detach implements gossip.Detacher for a sketch sent as a gossip
+// payload, which may be its emitter's reused snapshot: a Clone.
+func (s *Sketch) Detach() any { return s.Clone() }
+
 // CopyFrom overwrites s with other's bits, reusing s's storage. Both
 // must share Params. This is the allocation-free counterpart of Clone
 // for snapshot buffers that are reused across gossip rounds.

@@ -26,7 +26,7 @@ func convergedMatrices(tb testing.TB) (a, b []uint8) {
 	e.Run(rounds)
 	snapshot := func(id gossip.NodeID) []uint8 {
 		out := agents[id].Emit(rounds, e.Rng(id), func() (gossip.NodeID, bool) { return 0, true })
-		return out[0].Payload.([]uint8)
+		return out[0].Payload.(*sketchreset.Counters).Ages
 	}
 	return snapshot(1), snapshot(2)
 }
