@@ -123,16 +123,34 @@ live-soak:
 	$(GO) test -race -count=2 -timeout 15m -run 'Live|Transport|Batch|Lossy|UDP|Detach|MatrixGarbage' ./internal/gossip/live/... ./internal/protocol/multi
 	$(GO) test -race -count=2 -timeout 15m -run 'Columnar|Golden|ColRound|Parallel|PushPullBatches' ./internal/gossip ./internal/experiments
 
-# Multi-process cluster soak: the three-OS-process TCP bootstrap
-# example under the race detector (each member process is itself a
-# race-built binary), then the TCP transport and bootstrap test
-# surface — connection cache, reconnect, frame scanner, membership,
-# span registration, and the transport contract table (which live-soak
-# runs too: its name matches 'Transport') — twice under race. This is the lane that proves
+# Multi-process cluster soak, every process race-built. First
+# `dynaggsim supervise` serves as the bootstrap seed of three
+# `dynaggsim live -span -seeds` members (re-runs of the same binary)
+# until all three complete; a member that crashes, or exits 66 on a
+# detected data race, is restarted by the supervisor, so the lane also
+# requires 0 restarts. Then the three member command lines of
+# docs/deployments.md run by hand against each other, and each
+# member's span mean must be within 10 % of the population's (the
+# outer two spans alone sit 67 % off). Then the TCP transport and
+# bootstrap test surface — connection cache, reconnect, frame scanner,
+# membership, span registration, and the transport contract table
+# (which live-soak runs too: its name matches 'Transport') — twice
+# under race. This is the lane that proves
 # the stream transport's concurrency story end to end: real listeners,
 # real dials, real process boundaries.
 cluster-soak:
-	$(GO) run -race ./examples/live_cluster
+	@set -e; dir=$$(mktemp -d); pids=; trap 'kill $$pids 2>/dev/null || true; rm -rf "$$dir"' EXIT; \
+	$(GO) build -race -o $$dir/dynaggsim ./cmd/dynaggsim; \
+	$$dir/dynaggsim supervise -n 96 -members 3 -ticks 60 > $$dir/supervise.txt || { cat $$dir/supervise.txt; exit 1; }; \
+	cat $$dir/supervise.txt; \
+	grep -q 'completed 3  restarts 0  failed 0' $$dir/supervise.txt || { echo "cluster-soak: a supervised member crashed or was restarted" >&2; exit 1; }; \
+	for span in 0:32 32:64 64:96; do \
+		listen=; [ $$span != 0:32 ] || listen="-listen 127.0.0.1:19321"; \
+		$$dir/dynaggsim live -transport=tcp -n 96 -span $$span $$listen -seeds 127.0.0.1:19321 > $$dir/member-$$span.txt & pids="$$pids $$!"; \
+	done; \
+	for pid in $$pids; do wait $$pid; done; \
+	cat $$dir/member-*.txt; \
+	awk '/rel.err/ { n++; e = $$NF; sub(/%/, "", e); if (e + 0 > 10) bad = 1 } END { exit bad || n != 3 }' $$dir/member-*.txt || { echo "cluster-soak: a member's span mean is more than 10% off the truth" >&2; exit 1; }
 	$(GO) test -race -count=2 -timeout 10m -run 'TCP|Bootstrap|FrameScanner|Membership|Announce|TransportContract' ./internal/gossip/live/...
 
 # Gateway soak (CI's gateway lane): the three-process-cluster +

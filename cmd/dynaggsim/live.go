@@ -97,10 +97,10 @@ func parseSpan(s string, n int) (live.Span, error) {
 // resolveLossTransport layers -wan / -loss over a base transport: the
 // two flags are mutually exclusive (a preset already sets a loss
 // rate), unknown preset names list the valid ones, and a loss rate
-// outside [0,1] is refused by NewLossy. It returns the (possibly
+// outside [0,1] is refused by Lossy.Validate. It returns the (possibly
 // wrapped) transport and the effective injected loss rate.
 func resolveLossTransport(tr transport.Transport, wan string, loss float64, seed uint64) (transport.Transport, float64, error) {
-	opt := transport.WithLoss(loss)
+	lt := &transport.Lossy{T: tr, P: loss, Seed: seed}
 	switch {
 	case wan != "" && loss != 0:
 		return nil, 0, fmt.Errorf("-wan and -loss are mutually exclusive (the preset already sets a loss rate)")
@@ -109,15 +109,14 @@ func resolveLossTransport(tr transport.Transport, wan string, loss float64, seed
 		if !ok {
 			return nil, 0, fmt.Errorf("unknown -wan preset %q (%s)", wan, strings.Join(transport.ProfileNames(), ", "))
 		}
-		opt, loss = transport.WithProfile(p), p.Loss
+		lt.P, lt.Delay, lt.Jitter = p.Loss, p.Delay, p.Jitter
 	case loss == 0:
 		return tr, 0, nil
 	}
-	lt, err := transport.NewLossy(tr, opt, transport.WithLossSeed(seed))
-	if err != nil {
+	if err := lt.Validate(); err != nil {
 		return nil, 0, err
 	}
-	return lt, loss, nil
+	return lt, lt.P, nil
 }
 
 // runLive executes one live-engine run and prints a small report:

@@ -39,7 +39,7 @@
 //	       names the host range it drives, -listen its TCP address,
 //	       and -seeds the shared seed list every process
 //	       bootstraps its membership from (see
-//	       live.Bootstrap and examples/live_cluster); -reannounce sets
+//	       live.Bootstrap and docs/deployments.md); -reannounce sets
 //	       the keepalive heartbeat cadence and -replace announces with
 //	       restart semantics (a supervised respawn taking over its dead
 //	       predecessor's span)

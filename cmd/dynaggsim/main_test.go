@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dynagg/internal/gossip/live/transport"
 )
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
@@ -104,29 +106,50 @@ func TestOutputFormats(t *testing.T) {
 }
 
 // TestRunLiveTransports smoke-runs the live engine through the CLI
-// over both transports, with and without injected loss. Estimate
-// quality is asserted in package live; here we check the plumbing and
-// that the report reaches the writer.
+// over both transports, with and without injected loss or a WAN
+// preset. Estimate quality is asserted in package live; here we check
+// the plumbing, that the report reaches the writer, and that it names
+// the injected loss rate.
 func TestRunLiveTransports(t *testing.T) {
 	dir := t.TempDir()
-	cases := [][]string{
-		{"live", "-n", "128", "-ticks", "30"},
-		{"live", "-n", "128", "-ticks", "30", "-transport", "udp", "-udp-groups", "2"},
-		{"live", "-n", "128", "-ticks", "30", "-transport", "udp", "-loss", "0.2"},
-		{"live", "-n", "128", "-ticks", "30", "-protocol", "revert", "-loss", "0.1"},
+	cases := []struct {
+		args []string
+		loss string
+	}{
+		{[]string{"live", "-n", "128", "-ticks", "30"}, "loss=0.0000"},
+		{[]string{"live", "-n", "128", "-ticks", "30", "-transport", "udp", "-udp-groups", "2"}, "loss=0.0000"},
+		{[]string{"live", "-n", "128", "-ticks", "30", "-transport", "udp", "-loss", "0.2"}, "loss=0.2000"},
+		{[]string{"live", "-n", "128", "-ticks", "30", "-protocol", "revert", "-loss", "0.1"}, "loss=0.1000"},
+		{[]string{"live", "-n", "128", "-ticks", "30", "-wan", "3g"}, "loss=0.0200"},
 	}
-	for i, args := range cases {
+	for i, c := range cases {
 		path := filepath.Join(dir, "live.txt")
-		if err := run(append(args, "-o", path)); err != nil {
-			t.Fatalf("run(%v): %v", args, err)
+		if err := run(append(c.args, "-o", path)); err != nil {
+			t.Fatalf("run(%v): %v", c.args, err)
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(string(data), "mean estimate") {
-			t.Errorf("case %d: report missing estimate:\n%s", i, data)
+		if !strings.Contains(string(data), "mean estimate") || !strings.Contains(string(data), c.loss) {
+			t.Errorf("case %d: report missing estimate or %s:\n%s", i, c.loss, data)
 		}
+	}
+
+	// The report names only the loss rate; a preset's delay and jitter
+	// must reach the injector too.
+	tr, loss, err := resolveLossTransport(transport.NewChannel(4, 0), "3g", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt, ok := tr.(*transport.Lossy)
+	if !ok {
+		t.Fatalf("-wan 3g: got a %T, want a *transport.Lossy", tr)
+	}
+	p := transport.Profile3G
+	if loss != p.Loss || lt.P != p.Loss || lt.Delay != p.Delay || lt.Jitter != p.Jitter {
+		t.Errorf("-wan 3g: P, Delay, Jitter = %v, %v, %v (reported loss %v), want %v, %v, %v",
+			lt.P, lt.Delay, lt.Jitter, loss, p.Loss, p.Delay, p.Jitter)
 	}
 }
 
@@ -160,6 +183,12 @@ func TestRunLiveRejectsBadKnobs(t *testing.T) {
 	}
 	if err := run([]string{"live", "-loss", "1.5", "-n", "16", "-ticks", "1"}); err == nil {
 		t.Error("loss probability above 1 accepted")
+	}
+	if err := run([]string{"live", "-wan", "3g", "-loss", "0.1", "-n", "16", "-ticks", "1"}); err == nil {
+		t.Error("-wan together with -loss accepted")
+	}
+	if err := run([]string{"live", "-wan", "5g", "-n", "16", "-ticks", "1"}); err == nil {
+		t.Error("unknown -wan preset accepted")
 	}
 	for _, mode := range []string{"live", "bench", "fig8", "chaos"} {
 		if err := run([]string{mode, "-backend", "gpu"}); err == nil {

@@ -13,7 +13,7 @@
 //	go run ./examples/gateway [-load-duration 5s]
 //
 // The launcher spawns the three workers (who bootstrap membership from
-// a static seed address, exactly as in examples/live_cluster), then
+// a static seed address, as `dynaggsim live -seeds` members do), then
 // joins as the observer, waits for reads to converge, registers a NEW
 // aggregate through POST /aggregate/cpu and watches it propagate into
 // the worker population and back, and finally runs a load smoke
@@ -72,8 +72,11 @@ func main() {
 	}
 }
 
-// reserveAddr picks a free loopback port for the seed member (see
-// examples/live_cluster).
+// reserveAddr picks a free loopback port for the seed member by
+// binding an ephemeral listener and releasing it. The seed member
+// re-binds the same port moments later; every member is handed this
+// one address up front, which is what a deployment's static seed list
+// looks like.
 func reserveAddr() (string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -13,13 +13,13 @@ import (
 
 // Bootstrap is the membership configuration for a multi-process Span
 // deployment over TCP: instead of a parent process shuttling ephemeral
-// addresses between children over stdio (the examples/live_udp
-// handshake), every process is told the same static seed list, then
-// announces its own [Lo,Hi) span and listen address to each seed and
-// retries until the full population is mapped. Seeds accumulate the
-// announcements, so any process that can reach one live seed learns
-// everyone — and a process that starts before its seed simply retries
-// into the void until the seed is up.
+// addresses between children (the handshake a UDP Span deployment
+// needs before SetGroupAddr), every process is told the same static
+// seed list, then announces its own [Lo,Hi) span and listen address to
+// each seed and retries until the full population is mapped. Seeds
+// accumulate the announcements, so any process that can reach one live
+// seed learns everyone — and a process that starts before its seed
+// simply retries into the void until the seed is up.
 type Bootstrap struct {
 	// Seeds are the TCP addresses to announce to. Every process of the
 	// deployment should use the same list; a seed process lists its own

@@ -165,8 +165,9 @@ func TestBootstrapSeedPushesMembership(t *testing.T) {
 
 // bootstrapEngines builds `spans` engines over one population, each
 // with its own single-group TCP transport and a Bootstrap pointing at
-// the first span's listener — the in-test model of the three-process
-// examples/live_cluster demo. Caller runs them concurrently.
+// the first span's listener — the in-test model of three
+// `dynaggsim live -span -seeds` processes. Caller runs them
+// concurrently.
 func bootstrapEngines(t *testing.T, n int, spans []Span, seedAddr string, trs []*transport.TCP) ([]*Engine, float64) {
 	t.Helper()
 	agents, truth := pushSumAgents(n)
@@ -206,10 +207,11 @@ func runEngines(t *testing.T, engines []*Engine) {
 }
 
 // TestLiveBootstrappedSpanEnginesOverTCPConverge is the in-process
-// model of examples/live_cluster: three engines, three spans, three
-// TCP transports, membership formed entirely by announcing to the
-// first engine's listener — no address shuttling — then Push-Sum
-// converges across the bootstrapped links.
+// model of the three `dynaggsim live -span -seeds` members in
+// docs/deployments.md: three engines, three spans, three TCP
+// transports, membership formed entirely by announcing to the first
+// engine's listener — no address shuttling — then Push-Sum converges
+// across the bootstrapped links.
 func TestLiveBootstrappedSpanEnginesOverTCPConverge(t *testing.T) {
 	const n = 96
 	spans := []Span{{Lo: 0, Hi: 32}, {Lo: 32, Hi: 64}, {Lo: 64, Hi: 96}}
@@ -244,7 +246,8 @@ func TestLiveBootstrappedSpanEnginesOverTCPConverge(t *testing.T) {
 // TestLiveBootstrapLateSeed starts the joiner engines first: their
 // announce loops retry into the void until the seed process appears,
 // then membership completes and the run converges — the "processes
-// start in any order" property the stdio handshake could never offer.
+// start in any order" property a UDP address exchange could never
+// offer.
 func TestLiveBootstrapLateSeed(t *testing.T) {
 	const n = 96
 	spans := []Span{{Lo: 0, Hi: 32}, {Lo: 32, Hi: 64}, {Lo: 64, Hi: 96}}
@@ -397,10 +400,7 @@ func TestLivePushSumOverTCPWithLossConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tcp.Close()
-	lt, err := transport.NewLossy(tcp, transport.WithLoss(0.05), transport.WithLossSeed(12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	lt := &transport.Lossy{T: tcp, P: 0.05, Seed: 12}
 	defer lt.Close()
 	e, err := New(Config{
 		Env: env.NewUniform(n), Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 11, Ticks: 80,

@@ -43,10 +43,7 @@ func TestLiveColumnarPushSumOverUDPWithLossConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer udp.Close()
-	lt, err := transport.NewLossy(udp, transport.WithLoss(0.2), transport.WithLossSeed(12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	lt := &transport.Lossy{T: udp, P: 0.2, Seed: 12}
 	defer lt.Close()
 	e, err := New(Config{
 		Env: env.NewUniform(n), Population: NewColumnarPopulation(pushsumrevert.NewColumnar(values, pushsumrevert.Config{})),

@@ -30,10 +30,7 @@ func TestUDPBatchOversizeDropsWhole(t *testing.T) {
 func TestLossyBatchDropRate(t *testing.T) {
 	const batches, msgsPer, p = 2000, 3, 0.5
 	inner := NewChannelGroups(8, 2*batches, 1)
-	l, err := NewLossy(inner, WithLoss(p), WithLossSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := &Lossy{T: inner, P: p, Seed: 7}
 	body := []byte("xyz")
 	for i := 0; i < batches; i++ {
 		l.SendBatch(0, i, msgsPer, body)

@@ -1,25 +1,19 @@
-// Option-style construction: the socket transports and the loss
-// injector are assembled from options only, so call sites read as a
-// configuration sentence:
+// Option-style construction: the socket transports are assembled from
+// options only, so call sites read as a configuration sentence:
 //
 //	tr, err := transport.NewUDP(
 //		transport.WithLoopbackGroups(1_000_000, 8),
 //		transport.WithReadBuffer(4<<20))
-//	lt, err := transport.NewLossy(tr, transport.WithLoss(0.2), transport.WithLossSeed(12))
 //
 // The knobs both socket transports share — group layout, locality,
 // queue capacity — are Options, accepted by NewUDP and NewTCP alike;
 // medium-specific knobs (SO_RCVBUF, stream framing and reconnect
 // pacing) stay UDPOption or TCPOption, so the compiler rejects a
-// datagram knob on a stream transport. The Lossy struct
-// fields stay exported: a literal is still the shortest way to wrap a
-// transport in a test.
+// datagram knob on a stream transport. The loss injector has no
+// options: it is a Lossy literal, checked by its Validate.
 package transport
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // settings is what the options assemble: the shared layout and queue
 // knobs plus each medium's own. Zero fields mean the documented
@@ -120,50 +114,4 @@ func WithReconnectBackoff(min, max time.Duration) TCPOption {
 		s.backoffMin = min
 		s.backoffMax = max
 	})
-}
-
-// LossyOption configures NewLossy.
-type LossyOption func(*Lossy)
-
-// WithLoss sets the per-send drop probability in [0, 1].
-func WithLoss(p float64) LossyOption { return func(l *Lossy) { l.P = p } }
-
-// WithLossSeed seeds the injector's private PRNG.
-func WithLossSeed(seed uint64) LossyOption { return func(l *Lossy) { l.Seed = seed } }
-
-// WithDelay postpones each surviving delivery by delay plus a uniform
-// random extra in [0, jitter).
-func WithDelay(delay, jitter time.Duration) LossyOption {
-	return func(l *Lossy) {
-		l.Delay = delay
-		l.Jitter = jitter
-	}
-}
-
-// WithProfile applies a canned WAN preset — ProfileLAN, Profile3G,
-// ProfileSat, or anything ProfileByName resolves — setting loss,
-// delay, and jitter in one option.
-func WithProfile(p Profile) LossyOption {
-	return func(l *Lossy) {
-		l.P = p.Loss
-		l.Delay = p.Delay
-		l.Jitter = p.Jitter
-	}
-}
-
-// NewLossy layers a validated loss/delay injector over inner. With no
-// options it forwards everything — loss comes from WithLoss or
-// WithProfile.
-func NewLossy(inner Transport, opts ...LossyOption) (*Lossy, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("transport: NewLossy inner transport is nil")
-	}
-	l := &Lossy{T: inner}
-	for _, opt := range opts {
-		opt(l)
-	}
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	return l, nil
 }

@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestNewUDPOptionsMatchLoopbackHelper pins the option-style
 // constructor against the loopback helper it generalizes: the same
@@ -42,36 +39,5 @@ func TestNewUDPValidation(t *testing.T) {
 	}
 	if _, err := NewUDP(WithGroups(Group{Lo: 0, Hi: 8})); err == nil {
 		t.Error("NewUDP with no local group accepted")
-	}
-}
-
-// TestNewLossyOptions pins the lossy constructor: nil inner and
-// out-of-range probabilities are rejected, and WithProfile installs
-// the preset's full loss/delay/jitter triple.
-func TestNewLossyOptions(t *testing.T) {
-	if _, err := NewLossy(nil, WithLoss(0.1)); err == nil {
-		t.Error("nil inner transport accepted")
-	}
-	ch := NewChannel(4, 0)
-	if _, err := NewLossy(ch, WithLoss(1.5)); err == nil {
-		t.Error("loss probability 1.5 accepted")
-	}
-	l, err := NewLossy(ch, WithProfile(Profile3G), WithLossSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.P != Profile3G.Loss || l.Delay != Profile3G.Delay || l.Jitter != Profile3G.Jitter {
-		t.Errorf("profile not applied: P=%v Delay=%v Jitter=%v, want %+v",
-			l.P, l.Delay, l.Jitter, Profile3G)
-	}
-	if l.Seed != 42 {
-		t.Errorf("Seed = %d, want 42", l.Seed)
-	}
-	m, err := NewLossy(ch, WithLoss(0.25), WithDelay(2*time.Millisecond, time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.P != 0.25 || m.Delay != 2*time.Millisecond || m.Jitter != time.Millisecond {
-		t.Errorf("options not applied: P=%v Delay=%v Jitter=%v", m.P, m.Delay, m.Jitter)
 	}
 }

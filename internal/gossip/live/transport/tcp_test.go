@@ -597,19 +597,6 @@ func TestTCPConfigValidation(t *testing.T) {
 	}
 }
 
-func TestTCPSendAfterCloseDrops(t *testing.T) {
-	tr, err := NewTCPLoopback(2, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Send(0, 1, 0, pushsumrevert.Mass{W: 1, V: 1}) {
-		t.Error("send after Close accepted")
-	}
-}
-
 // feedScanner plays one socket read of exactly p into the scanner, the
 // way readConn does: straight into the spare capacity room offers.
 func feedScanner(t testing.TB, s *frameScanner, p []byte) {
