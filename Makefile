@@ -107,7 +107,10 @@ bench-gate:
 # injection), which is race-clean only if both detach what they keep;
 # 'Detach|MatrixGarbage' adds multi's own pins of that contract (a
 # detached bundle survives the host's next round; Emit allocates no
-# snapshot). The second line soaks the columnar parity suite — 7
+# snapshot); 'FIFO' adds the receive queue's own tests (the ring
+# against a slice reference, its per-host footprint, and senders racing
+# a drain with every accepted payload delivered once, in order). The
+# second line soaks the columnar parity suite — 7
 # columnar protocols × push/push-pull × workers 0/1/4 (multi's rows
 # classic-only), engine- and driver-level — plus the engine and
 # figure goldens at workers 4 (each shard samples its own range into
@@ -120,7 +123,7 @@ bench-gate:
 # race, since the sharded executor is the other concurrency-heavy
 # surface.
 live-soak:
-	$(GO) test -race -count=2 -timeout 15m -run 'Live|Transport|Batch|Lossy|UDP|Detach|MatrixGarbage' ./internal/gossip/live/... ./internal/protocol/multi
+	$(GO) test -race -count=2 -timeout 15m -run 'Live|Transport|Batch|Lossy|UDP|Detach|MatrixGarbage|FIFO' ./internal/gossip/live/... ./internal/protocol/multi
 	$(GO) test -race -count=2 -timeout 15m -run 'Columnar|Golden|ColRound|Parallel|PushPullBatches' ./internal/gossip ./internal/experiments
 
 # Multi-process cluster soak, every process race-built. First

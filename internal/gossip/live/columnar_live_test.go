@@ -138,7 +138,7 @@ func TestLiveColumnarMomentsConverges(t *testing.T) {
 		Env: env.NewUniform(n),
 		Population: NewColumnarPopulation(
 			pushsumrevert.NewColumnarMoments(values, pushsumrevert.Config{Lambda: 0.01})),
-		Model: gossip.Push, Seed: 17, Ticks: 80, TickEvery: time.Millisecond,
+		Model: gossip.Push, Seed: 17, Ticks: 80, TickEvery: tickPace(),
 		Transport: transport.NewChannelGroups(n, 0, 4),
 	})
 	if err != nil {

@@ -45,6 +45,31 @@ func meanOf(t *testing.T, ests []float64) float64 {
 	return mean / float64(len(ests))
 }
 
+// checkAgreement fails unless every host's estimate is within 1e-5
+// (relative) of the mean estimate and that mean is within 2 % of the
+// truth. Paced Push-Sum at a few hundred hosts ends with every host
+// within 1e-6 of the mean (worst of 52 runs of the two chan tests, 6
+// of them under -race: 8.7e-7; the UDP span test reads ≤ 2.5e-7);
+// hosts that never hear from each other keep their v₀, spread over
+// the whole input range, so the mean alone would pass with no
+// message delivered. A NaN estimate fails too.
+func checkAgreement(t *testing.T, ests []float64, truth float64) {
+	t.Helper()
+	mean := meanOf(t, ests)
+	spread := 0.0
+	for _, est := range ests {
+		if d := math.Abs(est-mean) / mean; !(d <= spread) {
+			spread = d
+		}
+	}
+	if !(spread <= 1e-5) {
+		t.Errorf("hosts disagree: one is %.3g off the mean estimate %v, want ≤ 1e-5", spread, mean)
+	}
+	if math.Abs(mean-truth) > 0.02*truth {
+		t.Errorf("mean estimate %v, want within 2%% of %v", mean, truth)
+	}
+}
+
 // TestLivePushSumOverUDPWithLossConverges is the tentpole integration
 // contract: Push-Sum at N=256 with every cross-host message traveling
 // as a wire-encoded datagram through real loopback sockets (four host
@@ -195,18 +220,7 @@ func TestLiveSpanEnginesOverUDPConverge(t *testing.T) {
 	}
 	wg.Wait()
 
-	ests := append(ea.Estimates(), eb.Estimates()...)
-	mean := meanOf(t, ests)
-	spread := 0.0 // max propagates a NaN estimate, which then fails
-	for _, est := range ests {
-		spread = max(spread, math.Abs(est-mean)/mean)
-	}
-	if !(spread <= 1e-5) {
-		t.Errorf("hosts disagree: one is %.3g off the mean estimate %v, want ≤ 1e-5", spread, mean)
-	}
-	if math.Abs(mean-truth) > 0.02*truth {
-		t.Errorf("mean estimate %v, want within 2%% of %v", mean, truth)
-	}
+	checkAgreement(t, append(ea.Estimates(), eb.Estimates()...), truth)
 	if trA.Sent() == 0 || trB.Sent() == 0 {
 		t.Errorf("both spans must transmit: sent %d / %d", trA.Sent(), trB.Sent())
 	}
@@ -223,7 +237,7 @@ func TestLiveExplicitChannelTransportMatchesDefault(t *testing.T) {
 	ch := transport.NewChannel(n, 0)
 	e, err := New(Config{
 		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 1, Ticks: 60,
-		Transport: ch,
+		Transport: ch, TickEvery: tickPace(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,10 +245,7 @@ func TestLiveExplicitChannelTransportMatchesDefault(t *testing.T) {
 	if err := e.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	mean := meanOf(t, e.Estimates())
-	if math.Abs(mean-truth) > 0.2*truth {
-		t.Errorf("mean estimate %v, want ≈ %v", mean, truth)
-	}
+	checkAgreement(t, e.Estimates(), truth)
 	if e.Sent() <= ch.Sent() {
 		t.Errorf("engine Sent %d must include self shares beyond transport's %d", e.Sent(), ch.Sent())
 	}

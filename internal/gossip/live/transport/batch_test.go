@@ -7,23 +7,6 @@ import (
 	"dynagg/internal/gossip"
 )
 
-// TestUDPBatchOversizeDropsWhole pins the size ceiling: a body past
-// MaxBatchBody can't fit one datagram, so the whole batch drops with
-// its messages counted.
-func TestUDPBatchOversizeDropsWhole(t *testing.T) {
-	u, err := NewUDPLoopback(8, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
-	if u.SendBatch(0, 0, 9, make([]byte, u.MaxBatchBody()+1)) {
-		t.Fatal("oversized batch accepted")
-	}
-	if got := u.Dropped(); got != 9 {
-		t.Errorf("Dropped = %d, want 9", got)
-	}
-}
-
 // TestLossyBatchDropRate pins the injector's batch semantics: one loss
 // draw per batch, all of its messages charged together, and the
 // per-message drop rate converging to P.

@@ -13,6 +13,9 @@ import (
 // queue per local span, non-blocking enqueue, overflow shed and counted
 // per message. Channel, UDP and TCP differ only in how a message gets
 // here (a direct push, a datagram reader, a stream frame handler).
+// Both kinds of queue are one type, fifo, whose memory follows its
+// peak occupancy: a queue that never holds more than two messages
+// costs two slots, however large the capacity.
 //
 // The inbox also owns the transport's drop counter: senders charge it
 // for messages that die before reaching any queue (closed transport,
@@ -24,15 +27,14 @@ type inbox struct {
 	// table grows and shifts indices.
 	spans    []Group
 	capacity int
-	batchQ   []chan batchItem
+	batchQ   []fifo[*[]byte]
 	// hostQ, parallel to spans, holds one queue per local host. It is
 	// built on first use (a unicast delivery or a Drain): a million-host
-	// columnar run moves everything over the batch plane, and a
-	// quarter-gigabyte of buffered channels per 64k hosts must not be
-	// paid for a plane that never carries a message. Classic engines
-	// hit Drain on their first tick, so for them the plane exists
-	// microseconds into Run.
-	hostQ     [][]chan any
+	// columnar run moves everything over the batch plane and must not
+	// pay even an empty queue's 48 bytes per host for a plane that
+	// never carries a message. Classic engines hit Drain on their first
+	// tick, so for them the plane exists microseconds into Run.
+	hostQ     [][]fifo[any]
 	hostQOnce sync.Once
 	// bufs pools byte buffers: queued batch bodies here, and the send
 	// side's encode scratch (UDP datagrams, TCP frames).
@@ -42,8 +44,60 @@ type inbox struct {
 	overflow atomic.Int64
 }
 
-// batchItem is one queued batch body, in a pooled buffer.
-type batchItem struct{ buf *[]byte }
+// fifo is a bounded first-in-first-out queue safe for concurrent use.
+// Its ring starts empty and doubles on demand up to the capacity each
+// push is given, and never shrinks, so a queue costs the slots its
+// fullest moment needed.
+type fifo[T any] struct {
+	mu    sync.Mutex
+	ring  []T
+	head  int
+	count int
+}
+
+// push appends v unless the queue already holds capacity items.
+func (q *fifo[T]) push(v T, capacity int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.count == len(q.ring) {
+		if q.count >= capacity {
+			return false
+		}
+		q.grow(capacity)
+	}
+	i := q.head + q.count
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = v
+	q.count++
+	return true
+}
+
+// grow doubles the full ring, at most to capacity, unwrapping it.
+func (q *fifo[T]) grow(capacity int) {
+	ring := make([]T, min(max(2*len(q.ring), 1), capacity))
+	n := copy(ring, q.ring[q.head:])
+	copy(ring[n:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
+}
+
+// pop removes and returns the oldest item, zeroing its slot so the
+// ring holds no reference to it; ok is false when the queue is empty.
+func (q *fifo[T]) pop() (v T, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.count == 0 {
+		return v, false
+	}
+	var zero T
+	v, q.ring[q.head] = q.ring[q.head], zero
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.count--
+	return v, true
+}
 
 // newInbox builds the receive plane for the given local spans (sorted
 // by Lo) with one capacity (0 means DefaultQueue) for every queue.
@@ -51,10 +105,7 @@ func newInbox(spans []Group, capacity int) *inbox {
 	if capacity <= 0 {
 		capacity = DefaultQueue
 	}
-	in := &inbox{spans: spans, capacity: capacity, batchQ: make([]chan batchItem, len(spans))}
-	for i := range in.batchQ {
-		in.batchQ[i] = make(chan batchItem, capacity)
-	}
+	in := &inbox{spans: spans, capacity: capacity, batchQ: make([]fifo[*[]byte], len(spans))}
 	in.bufs.New = func() any {
 		b := make([]byte, 0, 512)
 		return &b
@@ -72,21 +123,18 @@ func (in *inbox) shed(n int) {
 }
 
 // hostQueue returns the host's queue, nil when no local span owns it.
-func (in *inbox) hostQueue(id gossip.NodeID) chan any {
+func (in *inbox) hostQueue(id gossip.NodeID) *fifo[any] {
 	i := groupOf(in.spans, id)
 	if i < 0 {
 		return nil
 	}
 	in.hostQOnce.Do(func() {
-		in.hostQ = make([][]chan any, len(in.spans))
+		in.hostQ = make([][]fifo[any], len(in.spans))
 		for s, sp := range in.spans {
-			in.hostQ[s] = make([]chan any, sp.Hi-sp.Lo)
-			for h := range in.hostQ[s] {
-				in.hostQ[s][h] = make(chan any, in.capacity)
-			}
+			in.hostQ[s] = make([]fifo[any], sp.Hi-sp.Lo)
 		}
 	})
-	return in.hostQ[i][id-in.spans[i].Lo]
+	return &in.hostQ[i][id-in.spans[i].Lo]
 }
 
 // spanAt returns the index of the local span starting at lo, or -1.
@@ -106,13 +154,11 @@ func (in *inbox) push(to gossip.NodeID, payload any) bool {
 		in.drop(1)
 		return false
 	}
-	select {
-	case q <- payload:
-		return true
-	default:
+	if !q.push(payload, in.capacity) {
 		in.shed(1)
 		return false
 	}
+	return true
 }
 
 // pushBatch copies a batch body into a pooled buffer and queues it for
@@ -126,14 +172,12 @@ func (in *inbox) pushBatch(lo gossip.NodeID, msgs int, body []byte) bool {
 	}
 	bp := in.bufs.Get().(*[]byte)
 	*bp = append((*bp)[:0], body...)
-	select {
-	case in.batchQ[i] <- batchItem{buf: bp}:
-		return true
-	default:
+	if !in.batchQ[i].push(bp, in.capacity) {
 		in.bufs.Put(bp)
 		in.shed(msgs)
 		return false
 	}
+	return true
 }
 
 // deliver dispatches one message received off a socket, header already
@@ -162,19 +206,15 @@ func (in *inbox) deliver(h wire.Header, body []byte) {
 }
 
 // drain invokes fn for every payload queued for the host, in arrival
-// order, without blocking for more.
+// order, without blocking for more. It pops one payload per call, so a
+// payload pushed while it runs is delivered too.
 func (in *inbox) drain(id gossip.NodeID, fn func(payload any)) {
 	q := in.hostQueue(id)
 	if q == nil {
 		return
 	}
-	for {
-		select {
-		case p := <-q:
-			fn(p)
-		default:
-			return
-		}
+	for p, ok := q.pop(); ok; p, ok = q.pop() {
+		fn(p)
 	}
 }
 
@@ -186,13 +226,9 @@ func (in *inbox) drainBatch(lo gossip.NodeID, fn func(body []byte)) {
 	if i < 0 {
 		return
 	}
-	for {
-		select {
-		case it := <-in.batchQ[i]:
-			fn(*it.buf)
-			in.bufs.Put(it.buf)
-		default:
-			return
-		}
+	q := &in.batchQ[i]
+	for bp, ok := q.pop(); ok; bp, ok = q.pop() {
+		fn(*bp)
+		in.bufs.Put(bp)
 	}
 }

@@ -148,20 +148,6 @@ func TestTCPBatchRoundTrip(t *testing.T) {
 	t.Fatalf("batch never delivered (sent=%d dropped=%d)", a.Sent(), b.Dropped())
 }
 
-func TestTCPOversizeBatchDrops(t *testing.T) {
-	tr, err := NewTCPLoopback(4, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if tr.SendBatch(1, 0, 5, make([]byte, tr.MaxBatchBody()+1)) {
-		t.Error("oversize batch accepted")
-	}
-	if tr.Dropped() != 5 {
-		t.Errorf("Dropped = %d, want 5 (per-message accounting)", tr.Dropped())
-	}
-}
-
 // TestTCPPartialReadsAcrossFrameBoundaries dribbles a valid frame into
 // a listener one byte at a time: the scanner must reassemble it across
 // reads, never mis-split it.
