@@ -65,7 +65,7 @@ func liveFlags(fs *flag.FlagSet) func(io.Writer) error {
 	countVar(fs, &o.ticks, "ticks", 60, "tick `count` per host")
 	workersVar(fs, &o.workers, "goroutines ticking the hosts: 0 one per host (agents) or per group (columnar), -1 one per CPU, k>0 at most k")
 	fs.Uint64Var(&o.seed, "seed", 1, "PRNG seed")
-	fs.IntVar(&o.rcvbuf, "rcvbuf", 0, "UDP socket receive buffer in bytes; 0 = auto (4 MiB for the columnar backend)")
+	fs.IntVar(&o.rcvbuf, "rcvbuf", 0, "UDP socket receive buffer in bytes; 0 = 4 MiB (the kernel caps it at net.core.rmem_max)")
 	fs.StringVar(&o.seeds, "seeds", "", "TCP bootstrap: comma-separated seed addresses shared by every process of the deployment (requires -span and -transport=tcp)")
 	fs.StringVar(&o.span, "span", "", "TCP bootstrap: this process's host range lo:hi of the -n population (requires -seeds)")
 	fs.StringVar(&o.listen, "listen", "", "TCP listen address for this process's span; default 127.0.0.1:0 (a seed process must listen on its advertised seed address)")
@@ -264,12 +264,11 @@ func runLive(out io.Writer, o liveOpts) error {
 	}
 
 	rcvbuf, queue := o.rcvbuf, 0
+	if rcvbuf == 0 {
+		// A datagram the kernel drops is never seen, and its mass is lost.
+		rcvbuf = 4 << 20
+	}
 	if o.columnar {
-		// A whole shard's wave lands on one socket between drains;
-		// give the kernel room for it.
-		if rcvbuf == 0 {
-			rcvbuf = 4 << 20
-		}
 		// A columnar tick arrives at each group as one burst of
 		// whole-shard batches; the default 256-batch queue sheds most
 		// of a million-host wave, so give the socket transports' drains

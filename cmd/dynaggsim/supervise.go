@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"strconv"
+	"strings"
 	"time"
 
 	"dynagg/internal/gossip"
@@ -20,7 +23,7 @@ import (
 // seed, re-execs this binary as `live` cluster members (one per span),
 // watches their keepalive heartbeats through the failure detector, and
 // restarts any member it pronounces dead — optionally after murdering
-// one on cue to demonstrate the heal.
+// one on cue to demonstrate the heal — then judges their estimates.
 type superviseOpts struct {
 	n         int           // counted population size
 	members   int           // member process count (spans split evenly)
@@ -38,7 +41,7 @@ func superviseFlags(fs *flag.FlagSet) func(io.Writer) error {
 	var o superviseOpts
 	countVar(fs, &o.n, "n", 64, "counted population `size`")
 	countVar(fs, &o.members, "members", 2, "member process `count`, spans split evenly")
-	fs.StringVar(&o.protocol, "protocol", "pushsum", "protocol each member runs (see live -h)")
+	fs.StringVar(&o.protocol, "protocol", "revert", "protocol each member runs (see live -h); pushsum cannot heal a kill: the mass a killed member held is lost for good")
 	countVar(fs, &o.ticks, "ticks", 300, "tick `count` per member engine run")
 	fs.DurationVar(&o.pace, "pace", 20*time.Millisecond, "member tick duty cycle")
 	fs.DurationVar(&o.heartbeat, "heartbeat", 250*time.Millisecond, "members' keepalive cadence and the failure detector's expected heartbeat")
@@ -71,11 +74,50 @@ func memberArgs(o superviseOpts, m supervise.Member, seedAddr string, incarnatio
 	return args
 }
 
+// convergeBound is the largest rel.err, in percent, a judged row of a
+// member may end the run with: chaos_cluster's bound on a span's mean.
+const convergeBound = 10.0
+
+// judge reads the rel.err rows a `live` member printed: its `mean
+// estimate` row, or a multi member's `aggregate` rows. It returns the
+// member's summary row, failed if a row is above convergeBound (or NaN)
+// or there is none. A size row is not judged: PCSA over 64 bins reads
+// about 40 % high at n ≈ 100, the sketch's bias, not unconvergence.
+func judge(protocol, report string) (row string, failed bool) {
+	prefix, note := "mean estimate ", ""
+	switch protocol {
+	case "sketchreset":
+		return "not judged: its size estimate is a sketch count, biased high at small n", false
+	case "multi":
+		prefix, note = "aggregate ", " (its size row is a sketch count, not judged)"
+	}
+	worst, rows := 0.0, 0
+	for _, line := range strings.Split(report, "\n") {
+		_, rest, ok := strings.Cut(line, "rel.err ")
+		pct, _, _ := strings.Cut(rest, "%")
+		v, err := strconv.ParseFloat(pct, 64)
+		if !ok || err != nil || !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		if rows++; math.IsNaN(v) || v > worst {
+			worst = v
+		}
+	}
+	switch {
+	case rows == 0:
+		return "FAILED: printed no rel.err row", true
+	case !(worst <= convergeBound):
+		return fmt.Sprintf("FAILED: rel.err %.2f%% above %.0f%%", worst, convergeBound), true
+	}
+	return fmt.Sprintf("converged: rel.err %.2f%%%s", worst, note), false
+}
+
 // runSupervise builds the member fleet, supervises it to completion,
-// and reports restarts and heal latencies. The spawner re-execs this
-// same binary: `dynaggsim live -transport=tcp -span=... -seeds=<sup>`,
-// with -replace added from the first restart so the seeds accept the
-// fresh incarnation's address over the dead one's.
+// reports restarts and heal latencies, and fails naming any member
+// whose last report judge fails. The spawner re-execs this binary:
+// `dynaggsim live -transport=tcp -span=... -seeds=<sup>`, with -replace
+// added from the first restart so the seeds accept the fresh
+// incarnation's address over the dead one's.
 func runSupervise(out io.Writer, o superviseOpts) error {
 	if o.members > o.n {
 		return fmt.Errorf("supervise: -members %d exceeds population %d", o.members, o.n)
@@ -105,16 +147,27 @@ func runSupervise(out io.Writer, o superviseOpts) error {
 	}
 
 	var sup *supervise.Supervisor
+	var start time.Time
+	// Each member's last stdout, read once Run returns: Spawn runs on
+	// Run's goroutine, and Run waits for every monitor's copy to end.
+	outs := make(map[string]*bytes.Buffer, len(members))
 	cfg := supervise.Config{
 		Total:         o.n,
 		Members:       members,
 		Detector:      health.Config{HeartbeatEvery: o.heartbeat},
 		RestartBudget: o.budget,
 		Spawn: func(m supervise.Member, incarnation int) (*exec.Cmd, error) {
-			cmd := exec.Command(exe, memberArgs(o, m, sup.SeedAddr(), incarnation)...)
+			mo := o
+			if incarnation > 0 && o.pace > 0 {
+				// A respawn runs the ticks left of the run, so it ends
+				// with the survivors instead of alone.
+				mo.ticks = max(o.ticks-int(time.Since(start)/o.pace), 1)
+			}
+			cmd := exec.Command(exe, memberArgs(mo, m, sup.SeedAddr(), incarnation)...)
 			// Member reports would interleave with the supervision log;
-			// drop them and keep stderr for member errors.
-			cmd.Stdout = io.Discard
+			// keep them for the judge.
+			outs[m.Name] = new(bytes.Buffer)
+			cmd.Stdout = outs[m.Name]
 			cmd.Stderr = os.Stderr
 			return cmd, nil
 		},
@@ -137,7 +190,7 @@ func runSupervise(out io.Writer, o superviseOpts) error {
 		}()
 	}
 
-	start := time.Now()
+	start = time.Now()
 	runErr := sup.Run(context.Background())
 	elapsed := time.Since(start)
 
@@ -147,6 +200,17 @@ func runSupervise(out io.Writer, o superviseOpts) error {
 	for _, h := range stats.Heals {
 		fmt.Fprintf(out, "heal %-4s incarnation %d  detect %v  recover %v\n",
 			h.Member, h.Incarnation, h.DetectLatency().Round(time.Millisecond), h.RecoverLatency().Round(time.Millisecond))
+	}
+	var failed []string
+	for _, m := range members {
+		row, bad := judge(o.protocol, outs[m.Name].String())
+		fmt.Fprintf(out, "member %-4s %s\n", m.Name, row)
+		if bad {
+			failed = append(failed, m.Name+" "+row)
+		}
+	}
+	if runErr == nil && len(failed) > 0 {
+		runErr = fmt.Errorf("supervise: not converged: %s", strings.Join(failed, "; "))
 	}
 	return runErr
 }

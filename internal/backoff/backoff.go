@@ -136,10 +136,6 @@ func (b *Backoff) Next() time.Duration {
 	return d
 }
 
-// Attempt returns how many delays have been handed out since the last
-// Reset.
-func (b *Backoff) Attempt() int { return b.attempt }
-
 // Reset rewinds the schedule to the first attempt, for retry loops
 // that succeed and later fail again (a reconnect that held for a
 // while should not resume at the cap).

@@ -103,12 +103,12 @@ func TestResetRewindsSchedule(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Next()
 	}
-	if b.Attempt() != 6 {
-		t.Fatalf("Attempt() = %d, want 6", b.Attempt())
+	if b.attempt != 6 {
+		t.Fatalf("attempt = %d, want 6", b.attempt)
 	}
 	b.Reset()
-	if b.Attempt() != 0 {
-		t.Fatalf("Attempt() after Reset = %d, want 0", b.Attempt())
+	if b.attempt != 0 {
+		t.Fatalf("attempt after Reset = %d, want 0", b.attempt)
 	}
 	// Jitter is 0, so the restarted schedule reproduces the first delay.
 	if got := b.Next(); got != first {

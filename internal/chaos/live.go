@@ -8,16 +8,6 @@ import (
 	"dynagg/internal/protocol/pushsumrevert"
 )
 
-// Corrupt applies the scenario's adversary schedule to an agent slice
-// — the live-engine counterpart of what RunWith does internally
-// before building the round engine. It replaces the leading hosts
-// with Byzantine wrappers (one contiguous block per adversary) and
-// returns how many hosts were corrupted. Rounds in the adversary
-// schedule map to live ticks.
-func Corrupt(s Scenario, agents []gossip.Agent) int {
-	return applyAdversaries(s, agents)
-}
-
 // SumMass censuses the total (w, v) mass held by an agent slice,
 // unwrapping Byzantine agents so the census sees true state. ok is
 // false if any agent has no mass semantics.

@@ -228,8 +228,8 @@ func TestLiveChaosByzantineFlagged(t *testing.T) {
 	}
 	agents, _ := liveScenarioAgents(n, s.Lambda, seed)
 	w0, v0, _ := SumMass(agents)
-	if got := Corrupt(s, agents); got == 0 {
-		t.Fatalf("Corrupt touched no hosts")
+	if got := applyAdversaries(s, agents); got == 0 {
+		t.Fatalf("applyAdversaries touched no hosts")
 	}
 
 	tr := transport.NewChannel(n, 1024)

@@ -299,10 +299,10 @@ func TestTraceEnvGroups(t *testing.T) {
 	e := NewTraceEnv(tr, 30*time.Second, 5*time.Minute)
 	e.Advance(0)
 	asg := e.Groups()
-	if !asg.SameGroup(0, 1) {
+	if asg.GroupOf(0) != asg.GroupOf(1) {
 		t.Error("linked devices 0,1 in different groups")
 	}
-	if asg.SameGroup(0, 2) {
+	if asg.GroupOf(0) == asg.GroupOf(2) {
 		t.Error("isolated device 2 grouped with 0")
 	}
 }

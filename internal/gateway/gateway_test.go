@@ -59,8 +59,7 @@ func startCluster(t *testing.T, workers int, spans []live.Span, names []string) 
 		tr, err := transport.NewTCP(
 			transport.WithGroups(transport.Group{Lo: s.Lo, Hi: s.Hi, Addr: "127.0.0.1:0"}),
 			transport.WithLocal(0),
-			transport.WithReconnectBackoff(2*time.Millisecond, 50*time.Millisecond),
-			transport.WithDialTimeout(time.Second))
+			transport.WithReconnectBackoff(2*time.Millisecond, 50*time.Millisecond))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,8 +35,7 @@ func newSpanTCP(t *testing.T, lo, hi gossip.NodeID, bind string) *transport.TCP 
 	tr, err := transport.NewTCP(
 		transport.WithGroups(transport.Group{Lo: lo, Hi: hi, Addr: bind}),
 		transport.WithLocal(0),
-		transport.WithReconnectBackoff(2*time.Millisecond, 50*time.Millisecond),
-		transport.WithDialTimeout(time.Second))
+		transport.WithReconnectBackoff(2*time.Millisecond, 50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

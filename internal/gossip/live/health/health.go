@@ -281,15 +281,6 @@ func (d *Detector) Snapshot() Snapshot {
 	return out
 }
 
-// Epoch re-evaluates and returns the current membership epoch.
-func (d *Detector) Epoch() uint64 {
-	now := d.cfg.Now()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.evaluate(now)
-	return d.epoch
-}
-
 // DeadSpans re-evaluates and returns the spans currently judged Dead,
 // sorted by Lo.
 func (d *Detector) DeadSpans() []SpanHealth {
@@ -301,15 +292,4 @@ func (d *Detector) DeadSpans() []SpanHealth {
 		}
 	}
 	return dead
-}
-
-// Forget drops a span from the detector — for supervisors that have
-// decommissioned a member and do not want its corpse re-flagged.
-func (d *Detector) Forget(lo gossip.NodeID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.spans[lo]; ok {
-		delete(d.spans, lo)
-		d.epoch++
-	}
 }

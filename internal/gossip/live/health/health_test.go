@@ -224,23 +224,6 @@ func TestMaxGapClampsOutage(t *testing.T) {
 	}
 }
 
-func TestForget(t *testing.T) {
-	clk := newVirtualClock()
-	d := New(Config{Now: clk.Now})
-	d.Observe(0, 4, "a", 0)
-	d.Observe(4, 8, "b", 0)
-	e := d.Epoch()
-	d.Forget(0)
-	if d.Epoch() <= e {
-		t.Fatal("Forget did not advance the epoch")
-	}
-	snap := d.Snapshot()
-	if len(snap.Spans) != 1 || snap.Spans[0].Lo != 4 {
-		t.Fatalf("Snapshot after Forget = %+v, want only span 4", snap.Spans)
-	}
-	d.Forget(0) // idempotent
-}
-
 func TestStateString(t *testing.T) {
 	for st, want := range map[State]string{Alive: "alive", Suspect: "suspect", Dead: "dead", State(9): "state(9)"} {
 		if got := st.String(); got != want {
@@ -270,7 +253,6 @@ func TestConcurrentObserveSnapshot(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			d.Snapshot()
-			d.Epoch()
 			d.DeadSpans()
 		}
 	}()

@@ -386,16 +386,12 @@ func (m *membership) RegisterGroup(lo, hi gossip.NodeID, addr string) error {
 	return m.registerGroup(lo, hi, addr, false)
 }
 
-// ReplaceGroup is RegisterGroup with restart semantics: an exact span
-// match at a different address updates the stored address and severs
-// the stale cached connection, instead of reporting ErrSpanConflict.
-// Overlapping (non-identical) spans still conflict. This is how a
-// process that crashed and came back on a new ephemeral port — an
-// observer gateway, typically — reclaims its span.
-func (m *membership) ReplaceGroup(lo, hi gossip.NodeID, addr string) error {
-	return m.registerGroup(lo, hi, addr, true)
-}
-
+// registerGroup is RegisterGroup, and with replace it has restart
+// semantics: an exact span match at a different address updates the
+// stored address and severs the stale cached connection, instead of
+// reporting ErrSpanConflict. Overlapping (non-identical) spans still
+// conflict. This is how a process that crashed and came back on a new
+// ephemeral port — an observer gateway, typically — reclaims its span.
 func (m *membership) registerGroup(lo, hi gossip.NodeID, addr string, replace bool) error {
 	if lo < 0 || hi <= lo {
 		return fmt.Errorf("transport: span [%d,%d) is empty", lo, hi)
@@ -459,19 +455,19 @@ func (m *membership) Announce(seedAddr string, lo, hi gossip.NodeID, selfAddr st
 
 // AnnounceReplace is Announce with restart semantics: the seed treats
 // an exact span match at a new address as this process reclaiming its
-// span (see ReplaceGroup) rather than as ErrSpanConflict, and pushes
+// span (see registerGroup) rather than as ErrSpanConflict, and pushes
 // the updated table to the rest of the membership.
 func (m *membership) AnnounceReplace(seedAddr string, lo, hi gossip.NodeID, selfAddr string) error {
 	return m.announce(seedAddr, lo, hi, selfAddr, true)
 }
 
 func (m *membership) announce(seedAddr string, lo, hi gossip.NodeID, selfAddr string, replace bool) error {
-	c, err := net.DialTimeout("tcp", seedAddr, m.st.dialTimeout)
+	c, err := net.DialTimeout("tcp", seedAddr, DefaultDialTimeout)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	c.SetDeadline(time.Now().Add(m.st.dialTimeout + 2*time.Second))
+	c.SetDeadline(time.Now().Add(DefaultDialTimeout + 2*time.Second))
 	payload := wire.AppendHeader(nil, wire.Header{Kind: kindAnnounce})
 	payload = appendAnnounce(payload, lo, hi, selfAddr, replace)
 	if _, err := c.Write(wire.AppendFrame(nil, payload)); err != nil {

@@ -393,7 +393,7 @@ func TestAnnounceReplaceReclaimsSpan(t *testing.T) {
 		t.Errorf("member has observer at %q, want %q", got, obs2Addr)
 	}
 	// A local span can never be replaced out from under its owner.
-	if err := seed.ReplaceGroup(0, 4, "127.0.0.1:1"); err == nil {
+	if err := seed.registerGroup(0, 4, "127.0.0.1:1", true); err == nil {
 		t.Error("local span replacement was accepted")
 	}
 }

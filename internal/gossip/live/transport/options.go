@@ -25,9 +25,8 @@ type settings struct {
 
 	readBuffer int // UDP
 
-	dialTimeout time.Duration // TCP
-	backoffMin  time.Duration
-	backoffMax  time.Duration
+	backoffMin time.Duration // TCP
+	backoffMax time.Duration
 }
 
 // UDPOption configures NewUDP. Options apply in argument order; later
@@ -98,12 +97,6 @@ func WithQueueCapacity(n int) Option {
 // drops before the transport sees anything), which is the point.
 func WithReadBuffer(n int) UDPOption {
 	return udpOption(func(s *settings) { s.readBuffer = n })
-}
-
-// WithDialTimeout bounds each connection attempt (and the announce
-// round-trip of the bootstrap protocol); 0 keeps DefaultDialTimeout.
-func WithDialTimeout(d time.Duration) TCPOption {
-	return tcpOption(func(s *settings) { s.dialTimeout = d })
 }
 
 // WithReconnectBackoff sets the exponential redial pacing after a

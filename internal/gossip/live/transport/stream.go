@@ -37,9 +37,8 @@ const (
 // down the same connection. A broken connection is not an error, it is
 // the medium: frames sent into the outage window drop, counted.
 type streams struct {
-	dialTimeout time.Duration
-	redial      backoff.Policy
-	outboxCap   int
+	redial    backoff.Policy
+	outboxCap int
 	// bufs pools frame buffers; the owner lends its pool so a buffer
 	// freed by a writer can serve the receive side and vice versa.
 	bufs    *sync.Pool
@@ -87,10 +86,10 @@ type outFrame struct {
 	msgs int
 }
 
-func newStreams(dialTimeout time.Duration, redial backoff.Policy, outboxCap int,
+func newStreams(redial backoff.Policy, outboxCap int,
 	bufs *sync.Pool, onFrame func(frame []byte, reply func(frame []byte))) *streams {
 	return &streams{
-		dialTimeout: dialTimeout, redial: redial, outboxCap: outboxCap,
+		redial: redial, outboxCap: outboxCap,
 		bufs: bufs, onFrame: onFrame,
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
@@ -213,7 +212,7 @@ func (p *streamPeer) dial() net.Conn {
 	if addr == "" {
 		return nil
 	}
-	c, err := net.DialTimeout("tcp", addr, p.s.dialTimeout)
+	c, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 	if err != nil {
 		return nil
 	}

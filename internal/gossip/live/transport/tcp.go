@@ -12,8 +12,10 @@ import (
 // TCP defaults. DefaultMaxFrame bounds every frame, send and receive,
 // with room for the largest batch frame plus slack: oversized sends
 // drop, and an oversized *claim* on a received stream is corruption
-// and kills the connection. The backoff range keeps a dead peer from being hammered while
-// letting a restarted one be reacquired within a couple of ticks.
+// and kills the connection. DefaultDialTimeout bounds each connection
+// attempt and the bootstrap announce round-trip. The backoff range
+// keeps a dead peer from being hammered while letting a restarted one
+// be reacquired within a couple of ticks.
 const (
 	DefaultMaxFrame    = 1 << 20
 	DefaultDialTimeout = 2 * time.Second
@@ -83,7 +85,7 @@ var (
 // stream-specific knobs:
 //
 //	NewTCP(transport.WithGroups(a, b), transport.WithLocal(0))
-//	NewTCP(transport.WithLoopbackGroups(1024, 8), transport.WithDialTimeout(time.Second))
+//	NewTCP(transport.WithLoopbackGroups(1024, 8))
 //
 // then binds one listener per local group and starts its acceptor and
 // one writer per known group. Peer groups whose Addr is unknown (or
@@ -97,9 +99,6 @@ func NewTCP(opts ...TCPOption) (*TCP, error) {
 	if err := validateLayout(set.groups, set.local); err != nil {
 		return nil, err
 	}
-	if set.dialTimeout <= 0 {
-		set.dialTimeout = DefaultDialTimeout
-	}
 	if set.backoffMin <= 0 {
 		set.backoffMin = DefaultBackoffMin
 	}
@@ -111,8 +110,7 @@ func NewTCP(opts ...TCPOption) (*TCP, error) {
 	}
 	t := &TCP{in: newInbox(localSpans(set.groups, set.local), set.queueCapacity)}
 	// Outboxes share the receive queues' capacity.
-	t.st = newStreams(set.dialTimeout,
-		backoff.Policy{Min: set.backoffMin, Max: set.backoffMax, Jitter: 0.1},
+	t.st = newStreams(backoff.Policy{Min: set.backoffMin, Max: set.backoffMax, Jitter: 0.1},
 		t.in.capacity, &t.in.bufs, t.handleFrame)
 	t.locals = make(map[gossip.NodeID]bool, len(set.local))
 	v := &groupView{groups: append([]Group(nil), set.groups...)}

@@ -500,7 +500,7 @@ func TestTCPAnnounceLateSeed(t *testing.T) {
 	seedAddr := probe.Addr().String()
 	probe.Close()
 
-	j := mustTCP(t, WithGroups(Group{Lo: 4, Hi: 8, Addr: "127.0.0.1:0"}), WithLocal(0), WithDialTimeout(500*time.Millisecond))
+	j := mustTCP(t, WithGroups(Group{Lo: 4, Hi: 8, Addr: "127.0.0.1:0"}), WithLocal(0))
 	defer j.Close()
 	err = j.Announce(seedAddr, 4, 8, j.GroupAddr(0))
 	if err == nil {

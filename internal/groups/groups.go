@@ -6,8 +6,6 @@
 // measured against its own group's aggregate.
 package groups
 
-import "sort"
-
 // DefaultWindow is the paper's 10-minute edge-union horizon, in
 // seconds.
 const DefaultWindowSeconds = 600
@@ -90,16 +88,6 @@ func (a Assignment) Members(g int) []int {
 	return out
 }
 
-// Sizes returns a copy of the per-group sizes.
-func (a Assignment) Sizes() []int {
-	out := make([]int, len(a.sizes))
-	copy(out, a.sizes)
-	return out
-}
-
-// SameGroup reports whether devices i and j are grouped together.
-func (a Assignment) SameGroup(i, j int) bool { return a.group[i] == a.group[j] }
-
 // MeanGroupSizePerHost returns the average, over hosts, of the size of
 // the host's own group — the "average peer count" series plotted
 // alongside Figure 11. (Larger groups weigh more because more hosts
@@ -113,62 +101,4 @@ func (a Assignment) MeanGroupSizePerHost() float64 {
 		sum += a.sizes[g]
 	}
 	return float64(sum) / float64(len(a.group))
-}
-
-// MeanComponentSize returns the unweighted average component size.
-func (a Assignment) MeanComponentSize() float64 {
-	if len(a.sizes) == 0 {
-		return 0
-	}
-	var sum int
-	for _, s := range a.sizes {
-		sum += s
-	}
-	return float64(sum) / float64(len(a.sizes))
-}
-
-// GroupAggregate computes, for every group, an aggregate of the given
-// per-device values using the supplied fold (e.g. mean or sum), and
-// returns the per-device view of it: result[i] is the aggregate over
-// device i's group.
-func (a Assignment) GroupAggregate(values []float64, fold func(members []float64) float64) []float64 {
-	perGroup := make([]float64, a.Groups())
-	buf := make([][]float64, a.Groups())
-	for i, v := range values {
-		g := a.group[i]
-		buf[g] = append(buf[g], v)
-	}
-	for g := range perGroup {
-		perGroup[g] = fold(buf[g])
-	}
-	out := make([]float64, len(values))
-	for i := range values {
-		out[i] = perGroup[a.group[i]]
-	}
-	return out
-}
-
-// CanonicalEdges sorts and deduplicates an edge list into canonical
-// (a<b) ascending order, for deterministic comparisons in tests.
-func CanonicalEdges(edges [][2]int) [][2]int {
-	out := make([][2]int, 0, len(edges))
-	seen := make(map[[2]int]bool, len(edges))
-	for _, e := range edges {
-		a, b := e[0], e[1]
-		if a > b {
-			a, b = b, a
-		}
-		key := [2]int{a, b}
-		if a != b && !seen[key] {
-			seen[key] = true
-			out = append(out, key)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }

@@ -14,10 +14,10 @@ func TestAssignBasic(t *testing.T) {
 	if a.Groups() != 3 {
 		t.Fatalf("Groups = %d, want 3", a.Groups())
 	}
-	if !a.SameGroup(0, 2) || !a.SameGroup(3, 4) {
+	if a.GroupOf(0) != a.GroupOf(2) || a.GroupOf(3) != a.GroupOf(4) {
 		t.Error("connected devices not grouped")
 	}
-	if a.SameGroup(0, 3) || a.SameGroup(4, 5) {
+	if a.GroupOf(0) == a.GroupOf(3) || a.GroupOf(4) == a.GroupOf(5) {
 		t.Error("disconnected devices grouped")
 	}
 	// Group ids are ordered by smallest member: {0,1,2}=0, {3,4}=1, {5}=2.
@@ -25,7 +25,7 @@ func TestAssignBasic(t *testing.T) {
 		t.Errorf("group ids: %d %d %d", a.GroupOf(0), a.GroupOf(3), a.GroupOf(5))
 	}
 	if a.SizeOf(0) != 3 || a.SizeOf(1) != 2 || a.SizeOf(2) != 1 {
-		t.Errorf("sizes: %v", a.Sizes())
+		t.Errorf("sizes: %v", a.sizes)
 	}
 	if m := a.Members(1); len(m) != 2 || m[0] != 3 || m[1] != 4 {
 		t.Errorf("Members(1) = %v", m)
@@ -37,8 +37,8 @@ func TestAssignNoEdges(t *testing.T) {
 	if a.Groups() != 4 {
 		t.Errorf("Groups = %d, want 4 singletons", a.Groups())
 	}
-	if a.MeanGroupSizePerHost() != 1 || a.MeanComponentSize() != 1 {
-		t.Error("singleton means wrong")
+	if a.MeanGroupSizePerHost() != 1 {
+		t.Error("singleton mean wrong")
 	}
 }
 
@@ -47,8 +47,8 @@ func TestAssignEmpty(t *testing.T) {
 	if a.N() != 0 || a.Groups() != 0 {
 		t.Error("empty assignment malformed")
 	}
-	if a.MeanGroupSizePerHost() != 0 || a.MeanComponentSize() != 0 {
-		t.Error("empty means should be 0")
+	if a.MeanGroupSizePerHost() != 0 {
+		t.Error("empty mean should be 0")
 	}
 }
 
@@ -99,7 +99,7 @@ func TestAssignMatchesBFS(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if (comp[i] == comp[j]) != asg.SameGroup(i, j) {
+				if (comp[i] == comp[j]) != (asg.GroupOf(i) == asg.GroupOf(j)) {
 					return false
 				}
 			}
@@ -125,7 +125,7 @@ func TestSizesPartition(t *testing.T) {
 		}
 		asg := Assign(n, edges)
 		total := 0
-		for g, s := range asg.Sizes() {
+		for g, s := range asg.sizes {
 			if s <= 0 {
 				return false
 			}
@@ -141,47 +141,11 @@ func TestSizesPartition(t *testing.T) {
 	}
 }
 
-func TestGroupAggregate(t *testing.T) {
-	a := Assign(5, [][2]int{{0, 1}, {2, 3}})
-	values := []float64{10, 20, 1, 3, 7}
-	mean := func(xs []float64) float64 {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	got := a.GroupAggregate(values, mean)
-	want := []float64{15, 15, 2, 2, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("GroupAggregate[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestMeanGroupSizePerHostWeighting(t *testing.T) {
 	// Groups {0,1,2} and {3}: host-weighted mean = (3+3+3+1)/4 = 2.5,
-	// component mean = (3+1)/2 = 2.
+	// where the component mean would be (3+1)/2 = 2.
 	a := Assign(4, [][2]int{{0, 1}, {1, 2}})
 	if got := a.MeanGroupSizePerHost(); got != 2.5 {
 		t.Errorf("MeanGroupSizePerHost = %v, want 2.5", got)
-	}
-	if got := a.MeanComponentSize(); got != 2 {
-		t.Errorf("MeanComponentSize = %v, want 2", got)
-	}
-}
-
-func TestCanonicalEdges(t *testing.T) {
-	in := [][2]int{{3, 1}, {1, 3}, {2, 2}, {0, 4}, {1, 3}}
-	got := CanonicalEdges(in)
-	want := [][2]int{{0, 4}, {1, 3}}
-	if len(got) != len(want) {
-		t.Fatalf("CanonicalEdges = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("CanonicalEdges = %v, want %v", got, want)
-		}
 	}
 }

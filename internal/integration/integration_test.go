@@ -223,8 +223,8 @@ func TestOverlayVsGossipOnTraceTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Reached() != 9 {
-		t.Fatalf("tree reached %d of 9", tree.Reached())
+	if len(tree.Order) != 9 {
+		t.Fatalf("tree reached %d of 9", len(tree.Order))
 	}
 	exact := tree.Collect(values, func(id gossip.NodeID) bool { return true })
 	if exact.Average() != 5 {

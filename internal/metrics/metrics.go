@@ -71,25 +71,6 @@ func DeviationHook(s *stats.Series, truth func() float64, estimateOf EstimateRea
 	}
 }
 
-// EstimateMeanHook returns an AfterRound hook recording the mean live
-// estimate each round (used to inspect convergence targets). It keeps
-// its own scratch, like DeviationHook.
-func EstimateMeanHook(s *stats.Series) gossip.Hook {
-	var ests []float64
-	return func(round int, e *gossip.Engine) {
-		ests = e.AppendEstimates(ests[:0])
-		s.Append(float64(round), stats.Mean(ests))
-	}
-}
-
-// MessageRateHook returns an AfterRound hook recording cumulative
-// message counts, for bandwidth comparisons.
-func MessageRateHook(s *stats.Series) gossip.Hook {
-	return func(round int, e *gossip.Engine) {
-		s.Append(float64(round), float64(e.Messages()))
-	}
-}
-
 // GroupKind selects which per-group aggregate the trace experiments
 // measure against.
 type GroupKind int

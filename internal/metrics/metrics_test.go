@@ -71,37 +71,6 @@ func TestDeviationHookRecordsEveryRound(t *testing.T) {
 	}
 }
 
-func TestEstimateMeanHook(t *testing.T) {
-	values := []float64{10, 20, 30}
-	var s stats.Series
-	e, _ := newAvgEngine(t, values, []gossip.Hook{EstimateMeanHook(&s)})
-	e.Run(3)
-	if s.Len() != 3 {
-		t.Fatalf("series length %d", s.Len())
-	}
-	// Conservation of mass: the mean estimate stays near the true mean.
-	for i, y := range s.Y {
-		if math.Abs(y-20) > 15 {
-			t.Errorf("round %d mean estimate %v implausible", i, y)
-		}
-	}
-}
-
-func TestMessageRateHookMonotone(t *testing.T) {
-	values := []float64{1, 2, 3, 4}
-	var s stats.Series
-	e, _ := newAvgEngine(t, values, []gossip.Hook{MessageRateHook(&s)})
-	e.Run(4)
-	for i := 1; i < s.Len(); i++ {
-		if s.Y[i] < s.Y[i-1] {
-			t.Errorf("cumulative messages decreased at round %d", i)
-		}
-	}
-	if s.Y[s.Len()-1] == 0 {
-		t.Error("no messages recorded")
-	}
-}
-
 // Build a trace with two permanent cliques so group truth is exact.
 func twoCliqueTrace() *trace.Trace {
 	d := 2 * time.Hour

@@ -69,9 +69,6 @@ func Build(topo Topology, root gossip.NodeID) (*Tree, error) {
 	return t, nil
 }
 
-// Reached returns the number of hosts in the tree.
-func (t *Tree) Reached() int { return len(t.Order) }
-
 // MaxDepth returns the tree height (0 for a bare root).
 func (t *Tree) MaxDepth() int {
 	d := 0

@@ -65,8 +65,8 @@ func TestBuildLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Reached() != 5 {
-		t.Errorf("Reached = %d, want 5", tree.Reached())
+	if len(tree.Order) != 5 {
+		t.Errorf("reached %d, want 5", len(tree.Order))
 	}
 	if tree.MaxDepth() != 4 {
 		t.Errorf("MaxDepth = %d, want 4", tree.MaxDepth())
@@ -91,8 +91,8 @@ func TestBuildSkipsDeadAndUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Reached() != 2 {
-		t.Errorf("Reached = %d, want 2 (hosts 0,1)", tree.Reached())
+	if len(tree.Order) != 2 {
+		t.Errorf("reached %d, want 2 (hosts 0,1)", len(tree.Order))
 	}
 	if tree.Depth[3] != -1 || tree.Depth[4] != -1 {
 		t.Error("unreachable hosts appear in tree")

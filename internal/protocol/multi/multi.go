@@ -179,9 +179,6 @@ func NewObserver(id gossip.NodeID, names []string, countCfg sketchreset.Config, 
 	return n
 }
 
-// Observer reports whether this host was built by NewObserver.
-func (n *Node) Observer() bool { return n.observer }
-
 // Register adds a named aggregate at runtime and reports whether it
 // was new. On a regular host the aggregate starts with this host's
 // local value and unit weight; on an observer the value is ignored and

@@ -37,8 +37,8 @@ func TestObserverConvergesWithoutBias(t *testing.T) {
 		return map[string]float64{"load": float64(i % 10), "temp": 20 + float64(i%5)}
 	}
 	engine, obs := buildWithObserver(t, n, mk, 0.05, []string{"load", "temp"}, 7)
-	if !obs.Observer() {
-		t.Fatal("Observer() = false")
+	if !obs.observer {
+		t.Fatal("observer = false")
 	}
 	if _, ok := obs.Average("load"); ok {
 		t.Fatal("observer reported an estimate before any gossip")

@@ -168,9 +168,8 @@ func (s *Sketch) InsertValue(owner uint64, v int) {
 	}
 }
 
-// SetBit turns on one explicit position (used by protocols that manage
-// their own placement).
-func (s *Sketch) SetBit(pos Position) {
+// setBit turns on one explicit position.
+func (s *Sketch) setBit(pos Position) {
 	s.bins[pos.Bin] |= 1 << uint(pos.Level)
 }
 

@@ -123,9 +123,9 @@ func TestR(t *testing.T) {
 	if s.R(0) != 0 {
 		t.Fatalf("empty bin R = %d, want 0", s.R(0))
 	}
-	s.SetBit(Position{Bin: 0, Level: 0})
-	s.SetBit(Position{Bin: 0, Level: 1})
-	s.SetBit(Position{Bin: 0, Level: 3}) // gap at 2
+	s.setBit(Position{Bin: 0, Level: 0})
+	s.setBit(Position{Bin: 0, Level: 1})
+	s.setBit(Position{Bin: 0, Level: 3}) // gap at 2
 	if s.R(0) != 2 {
 		t.Fatalf("R = %d, want 2", s.R(0))
 	}
@@ -138,7 +138,7 @@ func TestRFullBin(t *testing.T) {
 	p := Params{Bins: 1, Levels: 8}
 	s := New(p)
 	for k := 0; k < p.Levels; k++ {
-		s.SetBit(Position{Bin: 0, Level: k})
+		s.setBit(Position{Bin: 0, Level: k})
 	}
 	if s.R(0) != p.Levels {
 		t.Fatalf("full bin R = %d, want %d", s.R(0), p.Levels)
@@ -318,12 +318,12 @@ func TestBitsRoundTrip(t *testing.T) {
 	for bin, word := range a.Bits() {
 		for level := 0; level < DefaultParams.Levels; level++ {
 			if word&(1<<level) != 0 {
-				b.SetBit(Position{Bin: bin, Level: level})
+				b.setBit(Position{Bin: bin, Level: level})
 			}
 		}
 	}
 	if !a.Equal(b) {
-		t.Fatal("Bits did not round trip through SetBit")
+		t.Fatal("Bits did not round trip through setBit")
 	}
 }
 

@@ -246,20 +246,6 @@ func (s *Series) Append(x, y float64) {
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.X) }
 
-// YAt returns the y value at the largest x not exceeding the query, or
-// 0 if the series is empty or starts after x. X must be appended in
-// increasing order.
-func (s *Series) YAt(x float64) float64 {
-	idx := sort.SearchFloat64s(s.X, x)
-	if idx < len(s.X) && s.X[idx] == x {
-		return s.Y[idx]
-	}
-	if idx == 0 {
-		return 0
-	}
-	return s.Y[idx-1]
-}
-
 // TailMean returns the mean of the last k points of the series (or all
 // points if it has fewer), useful for reading converged plateaus.
 func (s *Series) TailMean(k int) float64 {
@@ -270,21 +256,6 @@ func (s *Series) TailMean(k int) float64 {
 		k = s.Len()
 	}
 	return Mean(s.Y[s.Len()-k:])
-}
-
-// MinY returns the smallest y value and its x position; ok is false
-// for an empty series.
-func (s *Series) MinY() (x, y float64, ok bool) {
-	if s.Len() == 0 {
-		return 0, 0, false
-	}
-	x, y = s.X[0], s.Y[0]
-	for i := 1; i < s.Len(); i++ {
-		if s.Y[i] < y {
-			x, y = s.X[i], s.Y[i]
-		}
-	}
-	return x, y, true
 }
 
 // FirstBelow returns the first x at which y drops to or below

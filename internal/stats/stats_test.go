@@ -283,24 +283,11 @@ func TestSeries(t *testing.T) {
 	if s.Len() != 5 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if s.YAt(2) != 8 {
-		t.Errorf("YAt(2) = %v", s.YAt(2))
-	}
-	if s.YAt(2.5) != 8 {
-		t.Errorf("YAt(2.5) = %v (should hold last value)", s.YAt(2.5))
-	}
-	if s.YAt(-1) != 0 {
-		t.Errorf("YAt before start = %v", s.YAt(-1))
-	}
 	if got := s.TailMean(2); !almostEqual(got, 6.5, 1e-12) {
 		t.Errorf("TailMean(2) = %v", got)
 	}
 	if got := s.TailMean(100); !almostEqual(got, 8, 1e-12) {
 		t.Errorf("TailMean(100) = %v", got)
-	}
-	x, y, ok := s.MinY()
-	if !ok || x != 4 || y != 6 {
-		t.Errorf("MinY = (%v, %v, %v)", x, y, ok)
 	}
 	fx, found := s.FirstBelow(8)
 	if !found || fx != 2 {
@@ -315,9 +302,6 @@ func TestSeriesEmpty(t *testing.T) {
 	var s Series
 	if s.TailMean(3) != 0 {
 		t.Error("empty TailMean should be 0")
-	}
-	if _, _, ok := s.MinY(); ok {
-		t.Error("empty MinY should be !ok")
 	}
 	if _, ok := s.FirstBelow(1); ok {
 		t.Error("empty FirstBelow should be !ok")
