@@ -29,7 +29,7 @@ loc:
 # instead of surprising readers. Every transcript is deterministic; a
 # change that moves one on purpose re-records it with
 # `go run ./examples/<name> > examples/<name>/stdout.golden`. The
-# socket examples run in their soak lanes.
+# socket example, chaos_cluster, runs in heal-soak.
 RUN_EXAMPLES = quickstart roadhazard fleettelemetry mediaplayer sizeestimation
 examples:
 	$(GO) build ./examples/...
@@ -152,15 +152,73 @@ cluster-soak:
 	grep -q 'completed 2  restarts 1  failed 0' $$dir/heal.txt || { echo "cluster-soak: the killed member was not respawned exactly once" >&2; exit 1; }
 	$(GO) test -race -count=2 -timeout 10m -run 'TCP|Bootstrap|FrameScanner|Membership|Announce|TransportContract' ./internal/gossip/live/...
 
-# Gateway soak (CI's gateway lane): the three-process-cluster +
-# HTTP-gateway example with every process race-built, then the HTTP
-# handler / observer-span / bootstrap-edge tests twice under race, then
-# a 5-second closed-loop load smoke (TestLoadSmoke asserts >0
-# successful reads, zero errors, and a clean shutdown).
+# Gateway soak (CI's gateway lane). First the deployment of
+# docs/deployments.md's "A gateway deployment by hand", its command
+# lines as written but race-built: three `dynaggsim live
+# -protocol=multi -observer-slots 1` members and `dynaggsim gateway` on
+# the documented ports. Against those processes, the checks a reader
+# would make with curl and loadgen:
+# - GET /aggregate/load serves, within 30 s, a 200 whose average is
+#   within 30 % of 3.5 (gateway.DemoMean of every name at n = 96);
+# - POST /aggregate/cpu returns 201, and cpu then converges the same
+#   way: the observer holds no mass, so that 200 proves the new name
+#   reached the members' resolvers and their mass came back;
+# - a 2 s loadgen run reports (0 errors) (its exit status says only
+#   that one read succeeded);
+# - SIGINT shuts the gateway down cleanly, and each member exits 0
+#   when its 2000 ticks (about 20 s) are done. Members' rel.err rows
+#   are printed, not judged.
+# On a failed check the trap prints the processes' output and kills
+# what still runs (by pid: dash's $(jobs -p) is empty). Then the HTTP
+# handler / observer-span / bootstrap-edge tests twice under race
+# (among them the converged-read and dynamic-registration tests, in
+# process over real TCP sockets), then a 5-second closed-loop load
+# smoke (TestLoadSmoke asserts >0 successful reads, zero errors, and
+# a clean shutdown).
 gateway-soak:
-	$(GO) run -race ./examples/gateway
+	@set -e; dir=$$(mktemp -d); pids=; url=http://127.0.0.1:39080/aggregate; \
+	trap 'st=$$?; kill $$pids 2>/dev/null || true; [ $$st = 0 ] || tail -n 20 "$$dir"/*.txt; rm -rf "$$dir"' EXIT; \
+	$(GO) build -race -o $$dir/dynaggsim ./cmd/dynaggsim; \
+	$(GO) build -race -o $$dir/loadgen ./cmd/loadgen; \
+	$$dir/dynaggsim live -protocol=multi -transport=tcp -n 96 -span 0:32 -observer-slots 1 \
+	               -listen 127.0.0.1:19321 -seeds 127.0.0.1:19321 -ticks 2000 -pace 10ms > $$dir/m0.txt 2>&1 & pids="$$pids $$!"; \
+	$$dir/dynaggsim live -protocol=multi -transport=tcp -n 96 -span 32:64 -observer-slots 1 \
+	               -seeds 127.0.0.1:19321 -ticks 2000 -pace 10ms > $$dir/m1.txt 2>&1 & pids="$$pids $$!"; \
+	$$dir/dynaggsim live -protocol=multi -transport=tcp -n 96 -span 64:96 -observer-slots 1 \
+	               -seeds 127.0.0.1:19321 -ticks 2000 -pace 10ms > $$dir/m2.txt 2>&1 & pids="$$pids $$!"; \
+	members=$$pids; \
+	$$dir/dynaggsim gateway -n 96 -seeds 127.0.0.1:19321 -listen-http 127.0.0.1:39080 \
+	                    -aggregates load -pace 10ms > $$dir/gateway.txt 2>&1 & gw=$$!; pids="$$pids $$gw"; \
+	await() { \
+		end=$$(( $$(date +%s) + 30 )); \
+		while [ $$(date +%s) -lt $$end ]; do \
+			code=$$(curl -s -o $$dir/body -w '%{http_code}' $$url/$$1 || true); \
+			avg=$$(sed -n 's/.*"average":\([^,]*\),.*/\1/p' $$dir/body 2>/dev/null || true); \
+			if [ "$$code" = 200 ] && awk -v a="$$avg" 'BEGIN { exit !(a >= 2.45 && a <= 4.55) }'; then \
+				echo "GET /aggregate/$$1 -> $$(cat $$dir/body)"; return 0; \
+			fi; \
+			sleep 0.1; \
+		done; \
+		echo "gateway-soak: /aggregate/$$1 served no average within 30 % of 3.5 in 30 s (last: $$code)" >&2; return 1; \
+	}; \
+	await load; \
+	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST $$url/cpu); \
+	echo "POST /aggregate/cpu -> $$code"; \
+	[ "$$code" = 201 ] || { echo "gateway-soak: POST /aggregate/cpu returned $$code, want 201" >&2; exit 1; }; \
+	await cpu; \
+	load=$$($$dir/loadgen -url $$url/load -clients 8 -duration 2s 2>&1 || true); \
+	echo "loadgen: $$load"; \
+	case "$$load" in *"(0 errors)"*) ;; *) echo "gateway-soak: loadgen saw errors or no successful read" >&2; exit 1 ;; esac; \
+	kill -INT $$gw; \
+	wait $$gw || { echo "gateway-soak: the gateway exited nonzero after SIGINT" >&2; exit 1; }; \
+	cat $$dir/gateway.txt; \
+	grep -q 'gateway: shut down cleanly' $$dir/gateway.txt || { echo "gateway-soak: the gateway did not shut down cleanly" >&2; exit 1; }; \
+	i=0; for p in $$members; do \
+		wait $$p || { echo "gateway-soak: member $$i exited nonzero" >&2; exit 1; }; \
+		echo "member $$i:"; cat $$dir/m$$i.txt; i=$$((i + 1)); \
+	done; pids=
 	$(GO) test -race -count=2 -timeout 10m ./internal/gateway
-	GATEWAY_LOAD_SECONDS=5 $(GO) test -race -timeout 5m -run 'TestLoadSmoke' -v ./internal/gateway
+	GATEWAY_LOAD_SECONDS=5 $(GO) test -race -count=1 -timeout 5m -run 'TestLoadSmoke' -v ./internal/gateway
 
 # Chaos lane (CI's chaos job): the scenario engine's test matrix —
 # determinism pinning, honest-audit/Byzantine-flagging, partition-heal
@@ -192,7 +250,8 @@ heal-soak:
 # Documentation lint: every exported identifier in the contract
 # packages must carry a doc comment (cmd/doclint), every relative link
 # in README/docs must resolve, the README must stay a quickstart, every
-# `dynaggsim <mode> ...` line in README, docs/ and this Makefile must
+# `dynaggsim <mode> ...` command in README, docs/ and this Makefile
+# (each one of a line's `;`/`&&`/`||`/`&`/`|`-joined commands) must
 # parse against that mode's flags (TestDocumentedInvocationsParse), and
 # the gateway API reference's example payloads must round-trip against
 # the real handlers (TestGatewayAPIDocExamples).

@@ -210,13 +210,11 @@ func TestDocumentedInvocationsParse(t *testing.T) {
 	lines = append(lines, makefileRecipes(t, "../../Makefile")...)
 	found := 0
 	for _, l := range lines {
-		args := invocation(l.text)
-		if args == nil {
-			continue
-		}
-		found++
-		if _, err := parse(args); err != nil && !errors.Is(err, flag.ErrHelp) {
-			t.Errorf("%s: dynaggsim %s: %v", l.where, strings.Join(args, " "), err)
+		for _, args := range invocations(l.text) {
+			found++
+			if _, err := parse(args); err != nil && !errors.Is(err, flag.ErrHelp) {
+				t.Errorf("%s: dynaggsim %s: %v", l.where, strings.Join(args, " "), err)
+			}
 		}
 	}
 	if found < 20 {
@@ -294,27 +292,35 @@ func makefileRecipes(t *testing.T, file string) []docLine {
 // <placeholder>).
 var modeNameRE = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
 
-// invocation returns the argv, mode first, of the dynaggsim command in
-// a shell line — however it is invoked (`dynaggsim`, `$ go run
+// invocations returns the argv, mode first, of every dynaggsim command
+// in a shell line — however it is invoked (`dynaggsim`, `$ go run
 // ./cmd/dynaggsim`, `go run -race ./cmd/dynaggsim`, a built binary's
-// path) — cut at the first shell operator or comment; nil when the line
-// runs no mode.
-func invocation(line string) []string {
+// path). The line is cut at its comment and split into commands at the
+// shell operators `;`, `&&`, `||`, `&` and `|`; each argv ends at the
+// command's first redirection.
+func invocations(line string) [][]string {
 	fields := strings.Fields(line)
-	for i, f := range fields {
-		if path.Base(f) != "dynaggsim" || i+1 == len(fields) || !modeNameRE.MatchString(fields[i+1]) {
-			continue
-		}
-		var args []string
-		for _, a := range fields[i+1:] {
-			if strings.ContainsAny(a[:1], "#>&|;") || strings.HasPrefix(a, "2>") {
-				break
-			}
-			args = append(args, a)
-		}
-		return args
+	if i := slices.IndexFunc(fields, func(f string) bool { return strings.HasPrefix(f, "#") }); i >= 0 {
+		fields = fields[:i]
 	}
-	return nil
+	isOperator := func(r rune) bool { return strings.ContainsRune(";&|", r) }
+	isRedirect := func(a string) bool { return strings.ContainsAny(a[:1], "<>") || strings.HasPrefix(a, "2>") }
+	var out [][]string
+	for _, cmd := range strings.FieldsFunc(strings.Join(fields, " "), isOperator) {
+		words := strings.Fields(cmd)
+		for i, w := range words {
+			if path.Base(w) != "dynaggsim" || i+1 == len(words) || !modeNameRE.MatchString(words[i+1]) {
+				continue
+			}
+			args := words[i+1:]
+			if end := slices.IndexFunc(args, isRedirect); end >= 0 {
+				args = args[:end]
+			}
+			out = append(out, args)
+			break
+		}
+	}
+	return out
 }
 
 func readLines(t *testing.T, file string) []string {

@@ -3,11 +3,11 @@ package gateway
 import "hash/fnv"
 
 // DemoValue is the deterministic per-host value the demo deployments
-// (the dynaggsim gateway/live CLI modes, examples/gateway, and the
-// gateway tests) register for an aggregate: a stable function of the
-// aggregate name and host id, so every process of a deployment agrees
-// on the ground truth without coordination, and tests can compute the
-// expected population mean exactly.
+// (the dynaggsim gateway/live CLI modes and the gateway tests) register
+// for an aggregate: a stable function of the aggregate name and host
+// id, so every process of a deployment agrees on the ground truth
+// without coordination, and tests can compute the expected population
+// mean exactly.
 //
 // Values are small integers in [0, 8): host id mixed with the name's
 // FNV hash, modulo 8.

@@ -81,8 +81,8 @@ type Config struct {
 	SmoothWindow int
 	// Seed drives the observer's gossip randomness.
 	Seed uint64
-	// Replace controls restart semantics (live.Bootstrap.Replace): on
-	// by default via New — an observer that crashed and restarted on a
+	// Replace is passed to live.Bootstrap.Replace as is, so the zero
+	// value is off. Set, an observer that crashed and restarted on a
 	// new port reclaims its span instead of dying on ErrSpanConflict.
 	Replace bool
 	// Health tunes the failure detector behind the degraded flag; its

@@ -42,7 +42,7 @@ func (n *Node) referenceEstimate() float64 {
 }
 
 // randomMatrix fills a matrix with ages that straddle every cutoff in
-// use (7+k/4 … 14+k/2 over 12 levels) and the saturated MaxAge; never
+// use (7+k/4 … 14+k/2 over 12 levels) and the saturated maxAge; never
 // in 16 cells hold Never instead. A mostly-Never matrix merges in a few
 // bits at a time, so a sequence of merges and agings keeps the estimate
 // moving instead of pinning every counter near zero.
@@ -53,7 +53,7 @@ func randomMatrix(rng *xrand.Rand, size, never int) []uint8 {
 		case rng.Intn(16) < never:
 			m[i] = Never
 		case rng.Intn(8) == 0:
-			m[i] = MaxAge
+			m[i] = maxAge
 		default:
 			m[i] = uint8(rng.Intn(24))
 		}

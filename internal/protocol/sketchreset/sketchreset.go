@@ -39,10 +39,10 @@ import (
 
 // Never is the counter sentinel meaning "no source ever heard from":
 // the initialization value ∞ of Figure 5. Real ages saturate at
-// MaxAge so they can never be confused with Never.
+// maxAge so they can never be confused with Never.
 const (
 	Never  = wire.CounterNever
-	MaxAge = wire.CounterMaxAge
+	maxAge = wire.CounterMaxAge
 )
 
 // DefaultCutoff is the paper's experimentally derived maximum
@@ -280,7 +280,7 @@ func (n *Node) CounterAt(bin, level int) uint8 {
 }
 
 // BeginRound implements gossip.Agent: age every counter the host does
-// not source (Figure 5 step 2), saturating at MaxAge. Owned counters
+// not source (Figure 5 step 2), saturating at maxAge. Owned counters
 // are pinned back to zero afterwards (cheaper than testing ownership
 // in the hot loop).
 func (n *Node) BeginRound(round int) {

@@ -287,12 +287,12 @@ func TestIdentifierInflationAndScale(t *testing.T) {
 	}
 }
 
-// Counters saturate at MaxAge rather than wrapping to a live value.
+// Counters saturate at maxAge rather than wrapping to a live value.
 func TestCounterSaturation(t *testing.T) {
 	n := New(0, Config{Params: smallParams, Identifiers: 0})
 	buf := make([]uint8, smallParams.Bins*smallParams.Levels)
 	for i := range buf {
-		buf[i] = MaxAge - 1
+		buf[i] = maxAge - 1
 	}
 	n.Receive(buf)
 	for r := 0; r < 5; r++ {
@@ -301,8 +301,8 @@ func TestCounterSaturation(t *testing.T) {
 	}
 	for bin := 0; bin < smallParams.Bins; bin++ {
 		for k := 0; k < smallParams.Levels; k++ {
-			if c := n.CounterAt(bin, k); c != MaxAge {
-				t.Fatalf("counter at (%d,%d) = %d, want saturated %d", bin, k, c, MaxAge)
+			if c := n.CounterAt(bin, k); c != maxAge {
+				t.Fatalf("counter at (%d,%d) = %d, want saturated %d", bin, k, c, maxAge)
 			}
 		}
 	}

@@ -150,13 +150,6 @@ func (r *Rand) Prob(p float64) bool {
 	return r.Float64() < p
 }
 
-// ExpFloat64 returns an exponentially distributed float64 with rate 1,
-// via inversion. Multiply by the desired mean.
-func (r *Rand) ExpFloat64() float64 {
-	// 1 - Float64() is in (0, 1], so the log is finite.
-	return -math.Log(1 - r.Float64())
-}
-
 // NormFloat64 returns a standard normal variate using the polar
 // (Marsaglia) method.
 func (r *Rand) NormFloat64() float64 {
@@ -180,14 +173,6 @@ func (r *Rand) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle randomizes the order of n elements using swap, Fisher-Yates.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Sample fills dst with a uniform sample of distinct ints from [0, n)

@@ -295,36 +295,6 @@ func TestSamplePanicsWhenTooLarge(t *testing.T) {
 	New(1).Sample(make([]int, 5), 3)
 }
 
-func TestShufflePreservesElements(t *testing.T) {
-	r := New(55)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle lost elements: sum=%d", sum)
-	}
-}
-
-func TestExpFloat64Positive(t *testing.T) {
-	r := New(9)
-	var sum float64
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 negative: %v", v)
-		}
-		sum += v
-	}
-	mean := sum / draws
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("ExpFloat64 mean = %v, want ~1", mean)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(12)
 	var sum, sumsq float64
