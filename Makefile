@@ -28,8 +28,7 @@ loc:
 # break, a panic, an error exit, or a transcript that moved — fails ci
 # instead of surprising readers. Every transcript is deterministic; a
 # change that moves one on purpose re-records it with
-# `go run ./examples/<name> > examples/<name>/stdout.golden`. The
-# socket example, chaos_cluster, runs in heal-soak.
+# `go run ./examples/<name> > examples/<name>/stdout.golden`.
 RUN_EXAMPLES = quickstart roadhazard fleettelemetry mediaplayer sizeestimation
 examples:
 	$(GO) build ./examples/...
@@ -129,13 +128,12 @@ live-soak:
 # Multi-process cluster soak, every process race-built. `dynaggsim
 # supervise` serves as the bootstrap seed of `dynaggsim live -span
 # -seeds` members (re-runs of the same binary) and exits 0 only if
-# every member completes and converges: each member's rel.err within
-# 10 % of the truth. First three members run undisturbed; a member
-# that crashes, or exits 66 on a detected data race, is restarted by
-# the supervisor, so the lane also requires 0 restarts. Then two
-# members, one killed 2 s in: the supervisor must detect and respawn
-# it exactly once, and the healed cluster must still converge. Then
-# the TCP transport and bootstrap test surface — connection cache,
+# every member completes and converges — each member's rel.err within
+# 10 % of the truth — under a clean mass audit. Three members run
+# undisturbed; a member that crashes, or exits 66 on a detected data
+# race, is restarted by the supervisor, so the lane also requires 0
+# restarts. (The killed run is heal-soak's.) Then the TCP transport
+# and bootstrap test surface — connection cache,
 # reconnect, frame scanner, membership, span registration, and the
 # transport contract table (which live-soak runs too: its name matches
 # 'Transport') — twice under race. This is the lane that proves the
@@ -146,10 +144,7 @@ cluster-soak:
 	$(GO) build -race -o $$dir/dynaggsim ./cmd/dynaggsim; \
 	$$dir/dynaggsim supervise -n 96 -members 3 -ticks 60 > $$dir/supervise.txt || { cat $$dir/supervise.txt; exit 1; }; \
 	cat $$dir/supervise.txt; \
-	grep -q 'completed 3  restarts 0  failed 0' $$dir/supervise.txt || { echo "cluster-soak: a supervised member crashed or was restarted" >&2; exit 1; }; \
-	$$dir/dynaggsim supervise -n 64 -members 2 -kill-after 2s > $$dir/heal.txt || { cat $$dir/heal.txt; exit 1; }; \
-	cat $$dir/heal.txt; \
-	grep -q 'completed 2  restarts 1  failed 0' $$dir/heal.txt || { echo "cluster-soak: the killed member was not respawned exactly once" >&2; exit 1; }
+	grep -q 'completed 3  restarts 0  failed 0' $$dir/supervise.txt || { echo "cluster-soak: a supervised member crashed or was restarted" >&2; exit 1; }
 	$(GO) test -race -count=2 -timeout 10m -run 'TCP|Bootstrap|FrameScanner|Membership|Announce|TransportContract' ./internal/gossip/live/...
 
 # Gateway soak (CI's gateway lane). First the deployment of
@@ -225,7 +220,7 @@ gateway-soak:
 # convergence across protocol families, live transport fault
 # injection — twice under race; then one seeded dynaggsim run per
 # fault family so the CLI surface of each fault kind is exercised end
-# to end. (The supervised multi-process scenario moved to heal-soak.)
+# to end. (The multi-process heal runs in heal-soak.)
 chaos-soak:
 	$(GO) test -race -count=2 -timeout 15m ./internal/chaos
 	$(GO) run ./cmd/dynaggsim chaos -scenario=partition-heal -seed 1
@@ -238,14 +233,26 @@ chaos-soak:
 # failure detector, retry-policy, and supervisor test matrices twice
 # under race — including the detector's false-positive table under
 # clock skew and churn storms, and the supervisor's real
-# kill/detect/respawn cycles over OS processes — then the supervised
-# chaos_cluster example with every process race-built: partition heals
-# and a member SIGKILLed mid-run is detected, respawned, and reclaims
-# its span via Replace bootstrap with no launcher intervention, under
-# a clean cluster-wide mass audit.
+# kill/detect/respawn cycles over OS processes. Then the live chaos
+# tests twice under race: a partition window over three TCP span
+# engines must destroy traffic, sever links, heal to within 10 % of
+# the truth on every span, and pass the mass audit. Then one
+# supervised run with every process race-built: three `dynaggsim
+# live` members, m2 SIGKILLed 2 s in, must be detected and respawned
+# exactly once and healed (the respawn reclaims its span via Replace
+# bootstrap and is seen alive: a `heal m2` line), and supervise's exit
+# 0 means every member converged and the mass audit over the members'
+# censuses is clean.
 heal-soak:
 	$(GO) test -race -count=2 -timeout 15m ./internal/backoff ./internal/gossip/live/health ./internal/supervise
-	$(GO) run -race ./examples/chaos_cluster
+	$(GO) test -race -count=2 -timeout 10m -run 'TestLiveChaos' ./internal/chaos
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -race -o $$dir/dynaggsim ./cmd/dynaggsim; \
+	$$dir/dynaggsim supervise -n 96 -members 3 -kill-after 2s -kill m2 > $$dir/heal.txt || { cat $$dir/heal.txt; exit 1; }; \
+	cat $$dir/heal.txt; \
+	grep -q 'restarts 1  failed 0' $$dir/heal.txt || { echo "heal-soak: the killed member was not respawned exactly once" >&2; exit 1; }; \
+	grep -q '^heal m2 ' $$dir/heal.txt || { echo "heal-soak: the respawned member was never seen alive" >&2; exit 1; }; \
+	grep -q '^mass audit: ratio' $$dir/heal.txt || { echo "heal-soak: the members printed no mass census" >&2; exit 1; }
 
 # Documentation lint: every exported identifier in the contract
 # packages must carry a doc comment (cmd/doclint), every relative link

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"dynagg/internal/chaos"
 	"dynagg/internal/env"
 	"dynagg/internal/gateway"
 	"dynagg/internal/gossip"
@@ -121,7 +122,8 @@ func resolveLossTransport(tr transport.Transport, wan string, loss float64, seed
 
 // runLive executes one live-engine run and prints a small report:
 // the resolved configuration, the mean estimate against the truth,
-// the transport's sent/dropped books, throughput, and peak RSS.
+// the transport's sent/dropped books, throughput, and peak RSS, and
+// for a mass protocol on agents the span's mass census.
 func runLive(out io.Writer, o liveOpts) error {
 	// Count-Sketch-Reset bounds counter ages assuming loosely equal
 	// iteration rates across the population, so it defaults to a paced
@@ -197,6 +199,10 @@ func runLive(out io.Writer, o liveOpts) error {
 
 	var pop live.Population
 	var truth float64
+	// The span's mass endowment (ΣW, ΣV), when its agents have mass
+	// semantics: the census row's baseline.
+	var w0, v0 float64
+	var hasMass bool
 	if !o.columnar {
 		agents := make([]gossip.Agent, o.n)
 		switch o.protocol {
@@ -245,6 +251,7 @@ func runLive(out io.Writer, o liveOpts) error {
 			// agents live in the other processes of the deployment.
 			agents = agents[span.Lo:span.Hi]
 		}
+		w0, v0, hasMass = chaos.SumMass(agents)
 		pop = live.NewAgentPopulation(agents)
 	} else {
 		switch o.protocol {
@@ -427,6 +434,14 @@ func runLive(out io.Writer, o liveOpts) error {
 		e.Sent(), e.Dropped(), elapsed.Round(time.Millisecond), rss)
 	if tcp, ok := transport.AsTCP(tr); ok && injectedLoss > 0 {
 		fmt.Fprintf(out, "link kills %d (loss over tcp severs connections)\n", tcp.Kills())
+	}
+	if hasMass {
+		// The census counts what the agents hold and what their queues
+		// still hold: a host that finished its ticks stopped draining.
+		// supervise sums these rows into its members' mass audit.
+		w, v, _ := chaos.SumMass(pop.(*live.AgentPopulation).Agents())
+		qw, qv := chaos.InFlightMass(tr, o.n)
+		fmt.Fprintf(out, "mass endowment w %.4f v %.4f  census w %.4f v %.4f\n", w0, v0, w+qw, v+qv)
 	}
 	return nil
 }

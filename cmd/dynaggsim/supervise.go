@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"dynagg/internal/chaos"
 	"dynagg/internal/gossip"
 	"dynagg/internal/gossip/live/health"
 	"dynagg/internal/supervise"
@@ -23,7 +24,8 @@ import (
 // seed, re-execs this binary as `live` cluster members (one per span),
 // watches their keepalive heartbeats through the failure detector, and
 // restarts any member it pronounces dead — optionally after murdering
-// one on cue to demonstrate the heal — then judges their estimates.
+// one on cue to demonstrate the heal — then judges their estimates and
+// audits their mass.
 type superviseOpts struct {
 	n         int           // counted population size
 	members   int           // member process count (spans split evenly)
@@ -75,7 +77,9 @@ func memberArgs(o superviseOpts, m supervise.Member, seedAddr string, incarnatio
 }
 
 // convergeBound is the largest rel.err, in percent, a judged row of a
-// member may end the run with: chaos_cluster's bound on a span's mean.
+// member may end the run with. The mass audit reuses it: the cluster's
+// mass ratio is the mean every estimate converges to, so a ratio drift
+// moves every estimate by as much.
 const convergeBound = 10.0
 
 // judge reads the rel.err rows a `live` member printed: its `mean
@@ -112,12 +116,40 @@ func judge(protocol, report string) (row string, failed bool) {
 	return fmt.Sprintf("converged: rel.err %.2f%%%s", worst, note), false
 }
 
+// auditMass sums the `mass` rows the members printed (each span's
+// endowment and end-of-run census) and judges the cluster's mass ratio
+// with chaos.LiveMassAudit. It is not applicable when no member printed
+// one: sketchreset and multi have no mass census.
+func auditMass(reports []string) (row string, flagged bool) {
+	var w0, v0, w1, v1 float64
+	rows := 0
+	for _, report := range reports {
+		for _, line := range strings.Split(report, "\n") {
+			var a, b, c, d float64
+			if _, err := fmt.Sscanf(line, "mass endowment w %g v %g census w %g v %g", &a, &b, &c, &d); err == nil {
+				w0, v0, w1, v1 = w0+a, v0+b, w1+c, v1+d
+				rows++
+			}
+		}
+	}
+	if rows == 0 {
+		return "not applicable", false
+	}
+	audit := chaos.LiveMassAudit(w0, v0, w1, v1, convergeBound/100)
+	row = fmt.Sprintf("ratio %.4f -> %.4f, drift %.3g (tol %g)", v0/w0, v1/w1, audit.MaxDrift, audit.Tolerance)
+	if audit.Violations != 0 {
+		return row + " FLAGGED", true
+	}
+	return row, false
+}
+
 // runSupervise builds the member fleet, supervises it to completion,
 // reports restarts and heal latencies, and fails naming any member
-// whose last report judge fails. The spawner re-execs this binary:
-// `dynaggsim live -transport=tcp -span=... -seeds=<sup>`, with -replace
-// added from the first restart so the seeds accept the fresh
-// incarnation's address over the dead one's.
+// whose last report judge fails, and the mass audit if it flags. The
+// spawner re-execs this binary: `dynaggsim live -transport=tcp
+// -span=... -seeds=<sup>`, with -replace added from the first restart
+// so the seeds accept the fresh incarnation's address over the dead
+// one's.
 func runSupervise(out io.Writer, o superviseOpts) error {
 	if o.members > o.n {
 		return fmt.Errorf("supervise: -members %d exceeds population %d", o.members, o.n)
@@ -165,7 +197,7 @@ func runSupervise(out io.Writer, o superviseOpts) error {
 			}
 			cmd := exec.Command(exe, memberArgs(mo, m, sup.SeedAddr(), incarnation)...)
 			// Member reports would interleave with the supervision log;
-			// keep them for the judge.
+			// keep them for the judge and the mass audit.
 			outs[m.Name] = new(bytes.Buffer)
 			cmd.Stdout = outs[m.Name]
 			cmd.Stderr = os.Stderr
@@ -202,15 +234,22 @@ func runSupervise(out io.Writer, o superviseOpts) error {
 			h.Member, h.Incarnation, h.DetectLatency().Round(time.Millisecond), h.RecoverLatency().Round(time.Millisecond))
 	}
 	var failed []string
-	for _, m := range members {
-		row, bad := judge(o.protocol, outs[m.Name].String())
+	reports := make([]string, len(members))
+	for i, m := range members {
+		reports[i] = outs[m.Name].String()
+		row, bad := judge(o.protocol, reports[i])
 		fmt.Fprintf(out, "member %-4s %s\n", m.Name, row)
 		if bad {
 			failed = append(failed, m.Name+" "+row)
 		}
 	}
+	audit, flagged := auditMass(reports)
+	fmt.Fprintf(out, "mass audit: %s\n", audit)
+	if flagged {
+		failed = append(failed, "mass audit "+audit)
+	}
 	if runErr == nil && len(failed) > 0 {
-		runErr = fmt.Errorf("supervise: not converged: %s", strings.Join(failed, "; "))
+		runErr = fmt.Errorf("supervise: failed: %s", strings.Join(failed, "; "))
 	}
 	return runErr
 }

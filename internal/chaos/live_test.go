@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,9 +82,10 @@ func TestNetOutageFilter(t *testing.T) {
 	}
 }
 
-// TestNetUnwrapsToTCP pins the AsTCP plumbing: the gateway (and the
-// chaos example) must reach the TCP core through a chaos.Net wrapper,
-// and blocked sends must sever the cached connection via LinkKiller.
+// TestNetUnwrapsToTCP pins the AsTCP plumbing: the gateway (and a
+// bootstrapped span engine) must reach the TCP core through a
+// chaos.Net wrapper, and blocked sends must sever the cached
+// connection via LinkKiller.
 func TestNetUnwrapsToTCP(t *testing.T) {
 	tcp, err := transport.NewTCPLoopback(4, 2, 16)
 	if err != nil {
@@ -141,73 +143,145 @@ func liveScenarioAgents(n int, lambda float64, seed uint64) ([]gossip.Agent, flo
 }
 
 // liveCensus totals the system mass after a run: agent-held state
-// plus whatever is stranded in transport queues (hosts that finish
-// their ticks stop draining, so in-flight mass is substantial).
-func liveCensus(t *testing.T, agents []gossip.Agent, tr transport.Transport) (w, v float64) {
+// plus whatever is stranded in the transports' queues (hosts that
+// finish their ticks stop draining, so in-flight mass is substantial).
+func liveCensus(t *testing.T, agents []gossip.Agent, trs ...transport.Transport) (w, v float64) {
 	t.Helper()
 	w, v, ok := SumMass(agents)
 	if !ok {
 		t.Fatalf("census failed (wrappers not unwrapped?)")
 	}
-	fw, fv := InFlightMass(tr, len(agents))
-	return w + fw, v + fv
+	for _, tr := range trs {
+		fw, fv := InFlightMass(tr, len(agents))
+		w, v = w+fw, v+fv
+	}
+	return w, v
 }
 
-// TestLiveChaosHonestMassAudit runs a partitioned-then-healed live
-// engine over a chaos.Net and asserts the end-of-run census: the cut
+// TestLiveChaosHonestMassAudit runs partitioned-then-healed live
+// engines over chaos.Net and asserts the end-of-run census: the cut
 // destroys messages and reversion regenerates mass, but the system
 // mass ratio stays pinned to the endowment's, so the audit must stay
-// clean — and the population mean must be back near truth.
+// clean — and every span's mean must be back near truth. The tcp case
+// is a three-process cluster in one process: three span engines, each
+// on its own TCP transport bootstrapped from the first, so the cut
+// severs real connections (Kills) on every side.
 func TestLiveChaosHonestMassAudit(t *testing.T) {
-	const (
-		n     = 64
-		ticks = 80
-		seed  = 99
-	)
-	s := Scenario{
-		Name: "live-partition", N: n, Rounds: ticks, Protocol: ProtoRevert, Lambda: 0.2,
-		Faults: []Fault{{Kind: FaultPartition, Start: 10, End: 30, Parts: 2}},
-	}
-	agents, truth := liveScenarioAgents(n, s.Lambda, seed)
-	w0, v0, ok := SumMass(agents)
-	if !ok {
-		t.Fatalf("census failed on honest agents")
-	}
+	for _, tc := range []struct {
+		name  string
+		s     Scenario
+		seed  uint64
+		spans int           // 0: one engine over channels; k: k TCP span engines
+		pace  time.Duration // tick duty cycle
+		bound float64       // largest relative error of a span's mean
+	}{
+		{name: "chan", seed: 99, bound: 0.05, s: Scenario{
+			Name: "live-partition", N: 64, Rounds: 80, Protocol: ProtoRevert, Lambda: 0.2,
+			Faults: []Fault{{Kind: FaultPartition, Start: 10, End: 30, Parts: 2}},
+		}},
+		{name: "tcp", seed: 7, spans: 3, pace: 10 * time.Millisecond, bound: 0.1, s: Scenario{
+			Name: "cluster-partition-heal", N: 96, Rounds: 150, Protocol: ProtoRevert, Lambda: 0.1,
+			Faults: []Fault{{Kind: FaultPartition, Start: 20, End: 70, Parts: 3}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.s.N
+			agents, truth := liveScenarioAgents(n, tc.s.Lambda, tc.seed)
+			w0, v0, ok := SumMass(agents)
+			if !ok {
+				t.Fatalf("census failed on honest agents")
+			}
 
-	net := NewNet(transport.NewChannel(n, 1024), n, s)
-	eng, err := live.New(live.Config{
-		Population: live.NewAgentPopulation(agents),
-		Env:        env.NewUniform(n),
-		Seed:       seed,
-		Ticks:      ticks,
-		Transport:  net,
-	})
-	if err != nil {
-		t.Fatalf("live.New: %v", err)
-	}
-	if err := eng.Run(context.Background()); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+			var nets []*Net
+			var tcps []*transport.TCP
+			var engines []*live.Engine
+			cfg := live.Config{
+				Env: env.NewUniform(n), Model: gossip.Push, Seed: tc.seed,
+				Ticks: tc.s.Rounds, TickEvery: tc.pace,
+			}
+			if tc.spans == 0 {
+				nets = append(nets, NewNet(transport.NewChannel(n, 1024), n, tc.s))
+				cfg.Population, cfg.Transport = live.NewAgentPopulation(agents), nets[0]
+				eng, err := live.New(cfg)
+				if err != nil {
+					t.Fatalf("live.New: %v", err)
+				}
+				engines = append(engines, eng)
+			}
+			for i := 0; i < tc.spans; i++ {
+				span := live.Span{Lo: gossip.NodeID(i * n / tc.spans), Hi: gossip.NodeID((i + 1) * n / tc.spans)}
+				tcp, err := transport.NewTCP(
+					transport.WithGroups(transport.Group{Lo: span.Lo, Hi: span.Hi, Addr: "127.0.0.1:0"}),
+					transport.WithLocal(0),
+					transport.WithReconnectBackoff(20*time.Millisecond, 200*time.Millisecond))
+				if err != nil {
+					t.Fatalf("NewTCP: %v", err)
+				}
+				tcps = append(tcps, tcp)
+				nets = append(nets, NewNet(tcp, n, tc.s))
+				defer nets[i].Close()
+				cfg.Population = live.NewAgentPopulation(agents[span.Lo:span.Hi])
+				cfg.Transport, cfg.Span, cfg.Workers = nets[i], span, 4
+				cfg.Bootstrap = &live.Bootstrap{
+					Seeds: []string{tcps[0].GroupAddr(0)}, Span: span, Total: n,
+					Retry: 10 * time.Millisecond, Timeout: 20 * time.Second,
+				}
+				eng, err := live.New(cfg)
+				if err != nil {
+					t.Fatalf("live.New: %v", err)
+				}
+				engines = append(engines, eng)
+			}
+			var wg sync.WaitGroup
+			for _, eng := range engines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := eng.Run(context.Background()); err != nil {
+						t.Errorf("Run: %v", err)
+					}
+				}()
+			}
+			wg.Wait()
 
-	if lost := net.Lost(); lost[0].Count == 0 {
-		t.Fatalf("partition destroyed no messages")
-	}
-	w1, v1 := liveCensus(t, agents, net)
-	audit := LiveMassAudit(w0, v0, w1, v1, 0.1)
-	if audit.Violations != 0 {
-		t.Fatalf("honest live run flagged: %+v (mass %g/%g -> %g/%g)", audit, w0, v0, w1, v1)
-	}
+			var lost, kills int64
+			trs := make([]transport.Transport, len(nets))
+			for i, net := range nets {
+				lost += net.Lost()[0].Count
+				trs[i] = net
+			}
+			w1, v1 := liveCensus(t, agents, trs...)
+			for _, tcp := range tcps {
+				kills += tcp.Kills()
+			}
+			if lost == 0 {
+				t.Fatalf("partition destroyed no messages")
+			}
+			if tc.spans > 0 && kills == 0 {
+				t.Fatalf("partition severed no TCP links: chaos.Net did not reach the transport core")
+			}
+			audit := LiveMassAudit(w0, v0, w1, v1, 0.1)
+			t.Logf("lost %d  kills %d  mass ratio %.4f -> %.4f (drift %.3g)", lost, kills, v0/w0, v1/w1, audit.MaxDrift)
+			if audit.Violations != 0 {
+				t.Fatalf("honest live run flagged: %+v (mass %g/%g -> %g/%g)", audit, w0, v0, w1, v1)
+			}
 
-	// Reversion heals destroyed mass, so the population mean must be
-	// back near truth despite the mid-run cut.
-	ests := eng.Estimates()
-	mean := 0.0
-	for _, e := range ests {
-		mean += e
-	}
-	mean /= float64(len(ests))
-	if rel := math.Abs(mean-truth) / truth; rel > 0.05 {
-		t.Fatalf("post-heal mean %g strays %.1f%% from truth %g", mean, 100*rel, truth)
+			// Reversion heals destroyed mass, so each span's mean must be
+			// back near truth despite the mid-run cut.
+			for i, eng := range engines {
+				ests := eng.Estimates()
+				mean := 0.0
+				for _, e := range ests {
+					mean += e
+				}
+				mean /= float64(len(ests))
+				rel := math.Abs(mean-truth) / truth
+				t.Logf("engine %d: mean %.4f  truth %.4f  rel.err %.2f%%", i, mean, truth, 100*rel)
+				if rel > tc.bound {
+					t.Errorf("engine %d: post-heal mean %g strays %.1f%% from truth %g", i, mean, 100*rel, truth)
+				}
+			}
+		})
 	}
 }
 

@@ -8,13 +8,15 @@
 // The supervisor is deliberately outside the counted population: its
 // transport listens on an observer span at [Total, Total+1), which
 // Covers ignores, so members gate their bootstrap on each other, never
-// on the supervisor, and no gossip traffic is ever aimed at it.
+// on the supervisor, and no gossip traffic is ever aimed at it. It
+// spawns its members on its own host, so that listener binds an
+// ephemeral loopback port (127.0.0.1:0); members get it from SeedAddr.
 //
 // Restart-storm protection is budgeted, not unbounded: each member
-// gets RestartBudget restarts per BudgetWindow with jittered backoff
-// between attempts; a member that burns the budget is declared failed
-// and the whole supervision run stops with an error naming it, because
-// a crash loop is a bug to surface, not a condition to mask.
+// gets RestartBudget restarts per DefaultBudgetWindow with jittered
+// backoff between attempts; a member that burns the budget is declared
+// failed and the whole supervision run stops with an error naming it,
+// because a crash loop is a bug to surface, not a condition to mask.
 package supervise
 
 import (
@@ -51,7 +53,8 @@ type Member struct {
 // so an io.Writer there is safe without pipe plumbing.
 type Spawner func(m Member, incarnation int) (*exec.Cmd, error)
 
-// Defaults for Config's zero fields.
+// Defaults for Config's zero fields, and the sliding window the
+// restart budget applies over.
 const (
 	DefaultRestartBudget = 5
 	DefaultBudgetWindow  = time.Minute
@@ -63,10 +66,6 @@ type Config struct {
 	// Total is the counted population size; member spans live in
 	// [0, Total) and the supervisor's observer listener at Total.
 	Total int
-	// Listen is the supervisor's bind address ("127.0.0.1:0" for an
-	// ephemeral port). Members receive the resolved address via
-	// SeedAddr.
-	Listen string
 	// Members are the processes to supervise. Spans must be
 	// non-overlapping and inside [0, Total).
 	Members []Member
@@ -75,12 +74,9 @@ type Config struct {
 	// Detector tunes the failure detector; its HeartbeatEvery should
 	// match the members' bootstrap ReAnnounce cadence.
 	Detector health.Config
-	// RestartBudget caps restarts per member per BudgetWindow
+	// RestartBudget caps restarts per member per DefaultBudgetWindow
 	// (0 means DefaultRestartBudget).
 	RestartBudget int
-	// BudgetWindow is the sliding window the budget applies over
-	// (0 means DefaultBudgetWindow).
-	BudgetWindow time.Duration
 	// RestartBackoff paces restart attempts for one member; it resets
 	// when the member is observed healthy again. Zero means
 	// {Min: 250ms, Max: 5s, Jitter: 0.25}.
@@ -216,9 +212,6 @@ func New(cfg Config) (*Supervisor, error) {
 	if cfg.RestartBudget <= 0 {
 		cfg.RestartBudget = DefaultRestartBudget
 	}
-	if cfg.BudgetWindow <= 0 {
-		cfg.BudgetWindow = DefaultBudgetWindow
-	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = DefaultPoll
 	}
@@ -227,9 +220,6 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	if err := cfg.RestartBackoff.Validate(); err != nil {
 		return nil, fmt.Errorf("supervise: RestartBackoff: %w", err)
-	}
-	if cfg.Listen == "" {
-		cfg.Listen = "127.0.0.1:0"
 	}
 	if cfg.RecoveryGrace <= 0 {
 		hb := cfg.Detector.HeartbeatEvery
@@ -244,7 +234,7 @@ func New(cfg Config) (*Supervisor, error) {
 
 	obs := gossip.NodeID(cfg.Total)
 	tr, err := transport.NewTCP(
-		transport.WithGroups(transport.Group{Lo: obs, Hi: obs + 1, Addr: cfg.Listen}),
+		transport.WithGroups(transport.Group{Lo: obs, Hi: obs + 1, Addr: "127.0.0.1:0"}),
 		transport.WithLocal(0))
 	if err != nil {
 		return nil, fmt.Errorf("supervise: %w", err)
@@ -410,7 +400,7 @@ func (s *Supervisor) step() (done bool, err error) {
 		case phaseDone:
 		case phaseFailed:
 			return false, fmt.Errorf("supervise: member %s exhausted its restart budget (%d in %v)",
-				m.spec.Name, s.cfg.RestartBudget, s.cfg.BudgetWindow)
+				m.spec.Name, s.cfg.RestartBudget, DefaultBudgetWindow)
 		case phaseRunning:
 			running++
 			s.stepRunning(m, verdict, now)
@@ -478,7 +468,7 @@ func (s *Supervisor) stepDown(m *memberState, verdict map[gossip.NodeID]health.S
 	// Budget: restarts inside the sliding window.
 	keep := m.restarts[:0]
 	for _, t := range m.restarts {
-		if now.Sub(t) < s.cfg.BudgetWindow {
+		if now.Sub(t) < DefaultBudgetWindow {
 			keep = append(keep, t)
 		}
 	}
@@ -487,7 +477,7 @@ func (s *Supervisor) stepDown(m *memberState, verdict map[gossip.NodeID]health.S
 		m.phase = phaseFailed
 		s.stats.Failed = append(s.stats.Failed, m.spec.Name)
 		s.cfg.Logf("supervise: %s failed permanently (%d restarts in %v)",
-			m.spec.Name, len(m.restarts), s.cfg.BudgetWindow)
+			m.spec.Name, len(m.restarts), DefaultBudgetWindow)
 		return
 	}
 	m.restarts = append(m.restarts, now)

@@ -199,7 +199,6 @@ func TestSupervisorRestartBudget(t *testing.T) {
 		},
 		Detector:       health.Config{HeartbeatEvery: 50 * time.Millisecond},
 		RestartBudget:  3,
-		BudgetWindow:   time.Minute,
 		RestartBackoff: backoff.Policy{Min: 5 * time.Millisecond, Max: 20 * time.Millisecond, Jitter: 0.25},
 		Poll:           5 * time.Millisecond,
 		Logf:           t.Logf,
