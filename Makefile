@@ -286,7 +286,7 @@ doc-lint:
 # package) feeds the columnar shard's inbound fold arbitrary batch
 # bodies: no panic, no column write outside the shard's host range.
 FUZZ_TARGETS = FuzzDecodeCounters FuzzDecodeCountersMin FuzzDecodeCandidates FuzzDecodeHeader FuzzDecodeSketchBits FuzzDecodeMass FuzzDecodeFrame
-TRANSPORT_FUZZ_TARGETS = FuzzFrameScanner FuzzInboxDeliver FuzzDecodeMultiBundle FuzzPackedBundleMatchesDecoder
+TRANSPORT_FUZZ_TARGETS = FuzzFrameScanner FuzzInboxDeliver FuzzDecodeMultiBundle FuzzPackedBundleMatchesDecoder FuzzDecodeAnnounce FuzzDecodeMembership
 LIVE_FUZZ_TARGETS = FuzzDeliverBatch
 CHAOS_FUZZ_TARGETS = FuzzDecodeScenario
 fuzz-smoke:

@@ -118,13 +118,12 @@ func startCluster(t *testing.T, workers int, spans []live.Span, names []string) 
 func startGateway(t *testing.T, c *cluster, workers int, names []string) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(Config{
-		Workers:      workers,
-		Seeds:        []string{c.seedAddr},
-		Aggregates:   names,
-		TickEvery:    tickPace(),
-		SmoothWindow: 8,
-		Seed:         7,
-		Replace:      true,
+		Workers:    workers,
+		Seeds:      []string{c.seedAddr},
+		Aggregates: names,
+		TickEvery:  tickPace(),
+		Seed:       7,
+		Replace:    true,
 	})
 	if err != nil {
 		t.Fatal(err)

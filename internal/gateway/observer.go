@@ -27,9 +27,8 @@ import (
 //     tick even when the population mean is exact. The served value
 //     is the ring mean; "converged" means the ring has filled once.
 type observerAgent struct {
-	mu     sync.Mutex
-	node   *multi.Node
-	window int
+	mu   sync.Mutex
+	node *multi.Node
 
 	curTick int
 	// size is the network-size estimate as of the last EndRound. The
@@ -41,9 +40,10 @@ type observerAgent struct {
 	rings     map[string]*ring
 }
 
-// ring is a fixed trailing window of per-tick estimates.
+// ring is the trailing window of the last DefaultSmoothWindow per-tick
+// estimates.
 type ring struct {
-	buf []float64
+	buf [DefaultSmoothWindow]float64
 	n   int // samples pushed, capped at len(buf) for mean purposes
 	i   int
 }
@@ -69,10 +69,9 @@ func (r *ring) mean() float64 {
 
 func (r *ring) full() bool { return r.n == len(r.buf) }
 
-func newObserverAgent(node *multi.Node, window int) *observerAgent {
+func newObserverAgent(node *multi.Node) *observerAgent {
 	return &observerAgent{
 		node:      node,
-		window:    window,
 		lastHeard: make(map[string]int),
 		rings:     make(map[string]*ring),
 	}
@@ -135,7 +134,7 @@ func (o *observerAgent) EndRound(round int) {
 		}
 		r := o.rings[name]
 		if r == nil {
-			r = &ring{buf: make([]float64, o.window)}
+			r = &ring{}
 			o.rings[name] = r
 		}
 		r.push(avg)

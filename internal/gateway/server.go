@@ -22,7 +22,7 @@
 // mass and accumulated a full smoothing window) — never a stale or
 // fabricated 200. A single observer's instantaneous estimate carries
 // gossip sampling noise, so served values are a trailing-window mean
-// over the last SmoothWindow ticks; /statusz reports per-aggregate
+// over the last DefaultSmoothWindow ticks; /statusz reports per-aggregate
 // staleness (ticks since mass last arrived) alongside.
 //
 // Degradation is graceful and loud: a failure detector (package
@@ -74,11 +74,6 @@ type Config struct {
 	// TickEvery paces the observer's gossip ticks; it should match the
 	// workers' pacing. Zero means DefaultTickEvery.
 	TickEvery time.Duration
-	// SmoothWindow is how many trailing per-tick estimates are averaged
-	// into served values (zero means DefaultSmoothWindow). Reads return
-	// 503 until the window has filled once, so it also sets how many
-	// mass-bearing ticks "converged" requires.
-	SmoothWindow int
 	// Seed drives the observer's gossip randomness.
 	Seed uint64
 	// Replace is passed to live.Bootstrap.Replace as is, so the zero
@@ -93,10 +88,15 @@ type Config struct {
 
 // Defaults for the zero Config fields.
 const (
-	DefaultLambda       = 0.05
-	DefaultTickEvery    = 20 * time.Millisecond
-	DefaultSmoothWindow = 8
+	DefaultLambda    = 0.05
+	DefaultTickEvery = 20 * time.Millisecond
 )
+
+// DefaultSmoothWindow is how many trailing per-tick estimates are
+// averaged into served values. Reads return 503 until the window has
+// filled once, so it is also how many mass-bearing ticks "converged"
+// requires.
+const DefaultSmoothWindow = 8
 
 // Server is a running gateway: the observer engine plus the HTTP
 // front end reading its state.
@@ -138,9 +138,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TickEvery == 0 {
 		cfg.TickEvery = DefaultTickEvery
 	}
-	if cfg.SmoothWindow <= 0 {
-		cfg.SmoothWindow = DefaultSmoothWindow
-	}
 	lo := gossip.NodeID(cfg.Workers)
 	tcp, err := transport.NewTCP(
 		transport.WithGroups(transport.Group{Lo: lo, Hi: lo + 1, Addr: cfg.Listen}),
@@ -152,7 +149,7 @@ func New(cfg Config) (*Server, error) {
 		sketchreset.Config{Params: sketch.DefaultParams},
 		pushsumrevert.Config{Lambda: cfg.Lambda},
 	)
-	obs := newObserverAgent(node, cfg.SmoothWindow)
+	obs := newObserverAgent(node)
 	span := live.Span{Lo: lo, Hi: lo + 1}
 	eng, err := live.New(live.Config{
 		Population: live.NewAgentPopulation([]gossip.Agent{obs}),

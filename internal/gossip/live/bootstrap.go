@@ -109,12 +109,7 @@ func (b *Bootstrap) Run(ctx context.Context, tr *transport.TCP) error {
 	if timeout <= 0 {
 		timeout = DefaultBootstrapTimeout
 	}
-	self := ""
-	for _, g := range tr.Groups() {
-		if g.Lo == b.Span.Lo && g.Hi == b.Span.Hi {
-			self = g.Addr
-		}
-	}
+	self := b.selfAddr(tr)
 	if self == "" {
 		return fmt.Errorf("live: bootstrap span [%d,%d) is not a listening group of the transport",
 			b.Span.Lo, b.Span.Hi)
@@ -135,12 +130,7 @@ func (b *Bootstrap) Run(ctx context.Context, tr *transport.TCP) error {
 				if seed == self {
 					continue // our own listener already knows us
 				}
-				var err error
-				if b.Replace {
-					err = tr.AnnounceReplace(seed, b.Span.Lo, b.Span.Hi, self)
-				} else {
-					err = tr.Announce(seed, b.Span.Lo, b.Span.Hi, self)
-				}
+				err := b.announce(tr, seed, self)
 				if errors.Is(err, transport.ErrSpanConflict) {
 					return fmt.Errorf("live: bootstrap: %w", err)
 				}
@@ -204,12 +194,7 @@ func (b *Bootstrap) KeepAlive(ctx context.Context, tr *transport.TCP) {
 	if every <= 0 {
 		return
 	}
-	self := ""
-	for _, g := range tr.Groups() {
-		if g.Lo == b.Span.Lo && g.Hi == b.Span.Hi {
-			self = g.Addr
-		}
-	}
+	self := b.selfAddr(tr)
 	if self == "" {
 		return
 	}
@@ -230,13 +215,29 @@ func (b *Bootstrap) KeepAlive(ctx context.Context, tr *transport.TCP) {
 			if seed == self {
 				continue
 			}
-			if b.Replace {
-				_ = tr.AnnounceReplace(seed, b.Span.Lo, b.Span.Hi, self)
-			} else {
-				_ = tr.Announce(seed, b.Span.Lo, b.Span.Hi, self)
-			}
+			_ = b.announce(tr, seed, self)
 		}
 	}
+}
+
+// selfAddr is this span's listen address in the transport's table, ""
+// if the span is not one of its groups.
+func (b *Bootstrap) selfAddr(tr *transport.TCP) string {
+	for _, g := range tr.Groups() {
+		if g.Lo == b.Span.Lo && g.Hi == b.Span.Hi {
+			return g.Addr
+		}
+	}
+	return ""
+}
+
+// announce announces this span to one seed, with restart semantics
+// when Replace is set.
+func (b *Bootstrap) announce(tr *transport.TCP, seed, self string) error {
+	if b.Replace {
+		return tr.AnnounceReplace(seed, b.Span.Lo, b.Span.Hi, self)
+	}
+	return tr.Announce(seed, b.Span.Lo, b.Span.Hi, self)
 }
 
 // describeCoverage renders the known membership for timeout errors.

@@ -67,8 +67,15 @@ const (
 	// inter-arrival gap into the suspicion and death thresholds.
 	DefaultSuspectFactor = 3.0
 	DefaultDeadFactor    = 6.0
-	// DefaultAlpha is the EWMA weight of the newest gap.
-	DefaultAlpha = 0.25
+)
+
+const (
+	// alpha is the EWMA weight of the newest inter-arrival gap.
+	alpha = 0.25
+	// maxGapBeats clamps one observed gap to this many HeartbeatEvery
+	// before it enters the EWMA, so a single long outage does not
+	// poison the estimate into never suspecting anyone again.
+	maxGapBeats = 10
 )
 
 // Config tunes a Detector. The zero value works for the default 1s
@@ -88,13 +95,6 @@ type Config struct {
 	// DeadFactor likewise gates the Dead verdict; it must exceed
 	// SuspectFactor. 0 means DefaultDeadFactor.
 	DeadFactor float64
-	// Alpha is the EWMA weight of the newest inter-arrival gap,
-	// in (0, 1]. 0 means DefaultAlpha.
-	Alpha float64
-	// MaxGap clamps one observed gap before it enters the EWMA, so a
-	// single long outage does not poison the estimate into never
-	// suspecting anyone again. 0 means 10 × HeartbeatEvery.
-	MaxGap time.Duration
 	// Now is the clock (tests inject a virtual one). nil means
 	// time.Now.
 	Now func() time.Time
@@ -112,12 +112,6 @@ func (c Config) normalized() Config {
 	}
 	if c.DeadFactor < c.SuspectFactor {
 		c.DeadFactor = c.SuspectFactor
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = DefaultAlpha
-	}
-	if c.MaxGap <= 0 {
-		c.MaxGap = 10 * c.HeartbeatEvery
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -222,13 +216,11 @@ func (d *Detector) Observe(lo, hi gossip.NodeID, addr string, age time.Duration)
 	if gap <= 0 {
 		return
 	}
-	if gap > d.cfg.MaxGap {
-		gap = d.cfg.MaxGap
-	}
+	gap = min(gap, maxGapBeats*d.cfg.HeartbeatEvery)
 	if st.meanGap == 0 {
 		st.meanGap = gap
 	} else {
-		st.meanGap = time.Duration((1-d.cfg.Alpha)*float64(st.meanGap) + d.cfg.Alpha*float64(gap))
+		st.meanGap = time.Duration((1-alpha)*float64(st.meanGap) + alpha*float64(gap))
 	}
 	st.lastSeen = seen
 	st.hi = hi

@@ -2,10 +2,9 @@ package transport
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,25 +56,18 @@ func appendSpanAddr(dst []byte, lo, hi gossip.NodeID, addr string) []byte {
 
 // decodeSpanAddr decodes one triple, returning the remaining bytes.
 func decodeSpanAddr(src []byte) (lo, hi gossip.NodeID, addr string, rest []byte, err error) {
-	l, n := binary.Uvarint(src)
-	if n <= 0 || l > 1<<31-1 {
-		return 0, 0, "", nil, fmt.Errorf("transport: membership span lo")
+	var v [3]uint64 // lo, hi, address length
+	for i, limit := range [3]uint64{1<<31 - 1, 1<<31 - 1, maxAddrLen} {
+		var n int
+		if v[i], n = binary.Uvarint(src); n <= 0 || v[i] > limit {
+			return 0, 0, "", nil, fmt.Errorf("transport: membership %s", [3]string{"span lo", "span hi", "addr length"}[i])
+		}
+		src = src[n:]
 	}
-	src = src[n:]
-	h, n := binary.Uvarint(src)
-	if n <= 0 || h > 1<<31-1 {
-		return 0, 0, "", nil, fmt.Errorf("transport: membership span hi")
-	}
-	src = src[n:]
-	al, n := binary.Uvarint(src)
-	if n <= 0 || al > maxAddrLen {
-		return 0, 0, "", nil, fmt.Errorf("transport: membership addr length")
-	}
-	src = src[n:]
-	if uint64(len(src)) < al {
+	if uint64(len(src)) < v[2] {
 		return 0, 0, "", nil, fmt.Errorf("transport: membership addr truncated")
 	}
-	return gossip.NodeID(l), gossip.NodeID(h), string(src[:al]), src[al:], nil
+	return gossip.NodeID(v[0]), gossip.NodeID(v[1]), string(src[:v[2]]), src[v[2]:], nil
 }
 
 // appendAnnounce encodes the announce payload. The trailing flag byte
@@ -105,7 +97,7 @@ func decodeAnnounce(src []byte) (lo, hi gossip.NodeID, addr string, replace bool
 // freshness in milliseconds since its last direct announce at the
 // sender (AgeUnknown when the sender has no observation). Ages ride as
 // a trailing section — one uvarint per kept entry, encoded as age+1
-// with 0 meaning unknown — the same additive-extension trick as the
+// (saturating at maxAgeMillis) with 0 meaning unknown — the same additive-extension trick as the
 // announce replace flag: decoders that predate the section ignore
 // trailing bytes, and its absence decodes as all-unknown.
 func appendMembership(dst []byte, groups []Group, ages []int64) []byte {
@@ -126,20 +118,8 @@ func appendMembership(dst []byte, groups []Group, ages []int64) []byte {
 		return dst
 	}
 	for i, g := range groups {
-		if g.Addr == "" {
-			continue
-		}
-		age := AgeUnknown
-		if i < len(ages) {
-			age = ages[i]
-		}
-		switch {
-		case age < 0:
-			dst = binary.AppendUvarint(dst, 0)
-		case age > maxAgeMillis:
-			dst = binary.AppendUvarint(dst, maxAgeMillis+1)
-		default:
-			dst = binary.AppendUvarint(dst, uint64(age)+1)
+		if g.Addr != "" {
+			dst = binary.AppendUvarint(dst, uint64(min(max(ages[i], AgeUnknown), maxAgeMillis)+1))
 		}
 	}
 	return dst
@@ -200,9 +180,6 @@ func decodeMembership(src []byte) (entries []Group, ages []int64, reject string,
 func decodeMembershipAges(src []byte, count int) []int64 {
 	ages := make([]int64, count)
 	for i := range ages {
-		ages[i] = AgeUnknown
-	}
-	for i := 0; i < count; i++ {
 		v, n := binary.Uvarint(src)
 		if n <= 0 || v > maxAgeMillis+1 {
 			for j := range ages {
@@ -211,19 +188,10 @@ func decodeMembershipAges(src []byte, count int) []int64 {
 			return ages
 		}
 		src = src[n:]
-		if v > 0 {
-			ages[i] = int64(v - 1)
-		}
+		ages[i] = int64(v) - 1
 	}
 	return ages
 }
-
-// ErrSpanConflict reports a membership registration that contradicts
-// the table: the same span at a different address, or a range
-// overlapping an existing group. Bootstrap treats it as fatal — two
-// processes claiming one host range is a deployment bug, not a
-// transient.
-var ErrSpanConflict = errors.New("transport: span conflict")
 
 // SpanObserver receives span liveness observations from the membership
 // plane: one call per direct announce heard on a listener (age 0) and
@@ -235,147 +203,110 @@ var ErrSpanConflict = errors.New("transport: span conflict")
 // consumer.
 type SpanObserver func(lo, hi gossip.NodeID, addr string, age time.Duration)
 
-// membership is the TCP transport's membership layer: the mutable
-// group table (who owns which host span, at which address), the
-// announce handshake that fills it, and the freshness bookkeeping
-// failure detectors ride. Its exported methods are promoted to *TCP,
-// which embeds it.
-//
-// It sees the stream layer through a peer handle per group and three
-// calls: peer.send queues a frame toward a group, peer.sever cuts a
-// stale connection, and handleAnnounce answers through the reply
-// function the stream layer hands its frame callback. (Opening a peer
-// for a new group and re-aiming one at a new address are the handle's
-// own lifecycle.) The one connection it makes itself is Announce's
-// one-shot round trip to a seed.
+// membership is the TCP transport's membership layer, the shell around
+// the span table (spantable.go): it serializes events into the table,
+// turns the effects it returns into streams.open, peer.setAddr and
+// peer.sever, runs the announce handshake that feeds it, and reads the
+// clock and calls the span observer on its behalf. Its exported
+// methods are promoted to *TCP, which embeds it. The one connection it
+// makes itself is Announce's round trip to a seed; a seed answers an
+// announce through the reply function the stream layer hands its
+// frame callback.
 type membership struct {
 	st *streams
-	// locals holds the Lo of every span this process listens for,
-	// frozen after construction.
-	locals map[gossip.NodeID]bool
-
-	// view is the immutable snapshot of the table; registerGroup swaps
-	// in a rebuilt copy under mu. Hot paths load once per call.
+	// view is the current table with its peers; apply swaps in the
+	// next one under mu. Hot paths load once per call.
 	view atomic.Pointer[groupView]
 	mu   sync.Mutex
-
-	// announceAt records the last direct announce heard per span
-	// (keyed by Lo, value unix nanos) — the freshness a seed reports in
-	// the membership age section so non-seeds can run failure detectors
-	// on relayed knowledge.
-	announceAt sync.Map
-
-	// spanObs, when set, receives one call per liveness observation
-	// (direct announces and relayed membership ages). See
-	// SetSpanObserver.
+	// spanObs receives one call per liveness observation (see
+	// SetSpanObserver).
 	spanObs atomic.Pointer[SpanObserver]
 }
 
-// groupView is one immutable snapshot of the membership table: groups
-// sorted by Lo (their Addr as first registered — peers hold the
-// current one), peers parallel to them.
+// groupView is one immutable snapshot of membership: the span table
+// and, parallel to its spans, the stream peer toward each. The table
+// is the one record of a span's address; a peer's is its writer's dial
+// target, set only from the table's effects.
 type groupView struct {
-	groups []Group
-	peers  []*streamPeer
+	spanTable
+	peers []*streamPeer
+}
+
+// apply feeds one event to the table under mu and carries out its
+// effect, returning the view it stored (the current one if the event
+// was refused).
+func (m *membership) apply(ev spanEvent) (*groupView, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v := m.view.Load()
+	next, eff, err := v.spanTable.apply(ev)
+	if err != nil {
+		return v, err
+	}
+	nv := &groupView{spanTable: next, peers: v.peers}
+	switch {
+	case eff.insert:
+		p := m.st.open(ev.Addr)
+		if p == nil {
+			return v, fmt.Errorf("transport: closed")
+		}
+		nv.peers = slices.Insert(slices.Clip(v.peers), eff.at, p)
+	case eff.readdress:
+		// Sever the cached connection toward the stale address; the
+		// writer redials the new one. Not counted in Kills(): that is
+		// loss injection.
+		v.peers[eff.at].setAddr(ev.Addr)
+		v.peers[eff.at].sever()
+	}
+	m.view.Store(nv)
+	return nv, nil
 }
 
 // SetSpanObserver installs the liveness observer (nil removes it).
 // Install it before announce traffic starts; observations made while
 // no observer is set are not replayed.
-func (m *membership) SetSpanObserver(fn SpanObserver) {
-	if fn == nil {
-		m.spanObs.Store(nil)
-		return
-	}
-	m.spanObs.Store(&fn)
-}
+func (m *membership) SetSpanObserver(fn SpanObserver) { m.spanObs.Store(&fn) }
 
 // observeSpan feeds one liveness observation to the installed
 // observer, if any.
 func (m *membership) observeSpan(lo, hi gossip.NodeID, addr string, age time.Duration) {
-	if fp := m.spanObs.Load(); fp != nil {
+	if fp := m.spanObs.Load(); fp != nil && *fp != nil {
 		(*fp)(lo, hi, addr, age)
 	}
 }
 
-// ages returns, parallel to groups, each span's freshness in
-// milliseconds: 0 for this process's own listening spans (we are
-// always current about ourselves), elapsed-since-last-announce for
-// spans that have announced directly to us, AgeUnknown otherwise.
-func (m *membership) ages(groups []Group) []int64 {
-	now := time.Now()
-	ages := make([]int64, len(groups))
-	for i, g := range groups {
-		ages[i] = AgeUnknown
-		if m.locals[g.Lo] {
-			ages[i] = 0
-			continue
-		}
-		if v, ok := m.announceAt.Load(g.Lo); ok {
-			if ms := now.Sub(time.Unix(0, v.(int64))).Milliseconds(); ms >= 0 {
-				ages[i] = ms
-			} else {
-				ages[i] = 0
-			}
-		}
-	}
-	return ages
-}
-
 // Groups returns a snapshot of the membership table with current
 // addresses.
-func (m *membership) Groups() []Group {
-	v := m.view.Load()
-	out := make([]Group, len(v.groups))
-	for i, g := range v.groups {
-		g.Addr = v.peers[i].address()
-		out[i] = g
-	}
-	return out
-}
+func (m *membership) Groups() []Group { return m.view.Load().groups() }
 
 // GroupAddr returns the group's address ("" if unknown) — for a local
 // group, the actual bound listener address, which is what a peer
 // process needs to be told.
 func (m *membership) GroupAddr(group int) string {
-	v := m.view.Load()
-	if group < 0 || group >= len(v.peers) {
-		return ""
+	if v := m.view.Load(); group >= 0 && group < len(v.spans) {
+		return v.spans[group].Addr
 	}
-	return v.peers[group].address()
+	return ""
 }
 
-// SetGroupAddr supplies (or replaces) a group's address by index.
+// SetGroupAddr supplies (or replaces) a remote group's address by
+// index. A local group's address is its listener's and is not
+// replaced: that is ErrSpanConflict.
 func (m *membership) SetGroupAddr(group int, addr string) error {
 	v := m.view.Load()
-	if group < 0 || group >= len(v.peers) {
+	if group < 0 || group >= len(v.spans) {
 		return fmt.Errorf("transport: group index %d out of range", group)
 	}
 	if _, err := net.ResolveTCPAddr("tcp", addr); err != nil {
 		return fmt.Errorf("transport: group %d addr %q: %w", group, addr, err)
 	}
-	v.peers[group].setAddr(addr)
-	return nil
+	g := v.spans[group]
+	return m.registerGroup(g.Lo, g.Hi, addr, true)
 }
 
 // Covers reports whether the known groups tile [0, total) with every
-// address resolved — the bootstrap completion condition. Groups at or
-// above total (observer spans) neither help nor hurt: an observer
-// joining mid-bootstrap must not flip anyone's coverage back to false.
-func (m *membership) Covers(total int) bool {
-	v := m.view.Load()
-	at := gossip.NodeID(0)
-	for i, g := range v.groups {
-		if int(at) >= total {
-			break
-		}
-		if g.Lo != at || v.peers[i].address() == "" {
-			return false
-		}
-		at = g.Hi
-	}
-	return int(at) >= total
-}
+// address known; observer spans at or above total are not waited for.
+func (m *membership) Covers(total int) bool { return m.view.Load().covers(total) }
 
 // RegisterGroup adds (or confirms) one peer group's span and address.
 // Re-registering an identical span is idempotent; the same span at a
@@ -386,62 +317,13 @@ func (m *membership) RegisterGroup(lo, hi gossip.NodeID, addr string) error {
 	return m.registerGroup(lo, hi, addr, false)
 }
 
-// registerGroup is RegisterGroup, and with replace it has restart
-// semantics: an exact span match at a different address updates the
-// stored address and severs the stale cached connection, instead of
-// reporting ErrSpanConflict. Overlapping (non-identical) spans still
-// conflict. This is how a process that crashed and came back on a new
-// ephemeral port — an observer gateway, typically — reclaims its span.
+// registerGroup is RegisterGroup, and with replace an exact span match
+// at a new address takes the address instead of conflicting: how a
+// process that came back on a new port (an observer gateway,
+// typically) reclaims its span.
 func (m *membership) registerGroup(lo, hi gossip.NodeID, addr string, replace bool) error {
-	if lo < 0 || hi <= lo {
-		return fmt.Errorf("transport: span [%d,%d) is empty", lo, hi)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v := m.view.Load()
-	for i, g := range v.groups {
-		if lo >= g.Hi || g.Lo >= hi {
-			continue
-		}
-		if lo != g.Lo || hi != g.Hi {
-			return fmt.Errorf("%w: span [%d,%d) overlaps registered [%d,%d)",
-				ErrSpanConflict, lo, hi, g.Lo, g.Hi)
-		}
-		p := v.peers[i]
-		switch cur := p.address(); {
-		case addr == "" || addr == cur:
-		case cur == "":
-			p.setAddr(addr)
-		case !replace:
-			return fmt.Errorf("%w: span [%d,%d) already registered at %s, announced from %s",
-				ErrSpanConflict, lo, hi, cur, addr)
-		case m.locals[g.Lo]:
-			// Nobody replaces this process's own listening span out
-			// from under it.
-			return fmt.Errorf("%w: span [%d,%d) is local, refused replacement from %s",
-				ErrSpanConflict, lo, hi, addr)
-		default:
-			// Sever the cached connection toward the stale address; the
-			// writer redials the new one. Not counted in Kills(): that
-			// is loss injection.
-			p.setAddr(addr)
-			p.sever()
-		}
-		return nil
-	}
-	p := m.st.open(addr)
-	if p == nil {
-		return fmt.Errorf("transport: closed")
-	}
-	i := sort.Search(len(v.groups), func(i int) bool { return v.groups[i].Lo >= lo })
-	nv := &groupView{
-		groups: make([]Group, 0, len(v.groups)+1),
-		peers:  make([]*streamPeer, 0, len(v.peers)+1),
-	}
-	nv.groups = append(append(append(nv.groups, v.groups[:i]...), Group{Lo: lo, Hi: hi, Addr: addr}), v.groups[i:]...)
-	nv.peers = append(append(append(nv.peers, v.peers[:i]...), p), v.peers[i:]...)
-	m.view.Store(nv)
-	return nil
+	_, err := m.apply(spanEvent{Group: Group{Lo: lo, Hi: hi, Addr: addr}, replace: replace})
+	return err
 }
 
 // Announce performs one bootstrap round-trip against a seed: dial,
@@ -475,19 +357,16 @@ func (m *membership) announce(seedAddr string, lo, hi gossip.NodeID, selfAddr st
 	}
 	scan := frameScanner{max: DefaultMaxFrame}
 	for {
-		n, err := c.Read(scan.room())
-		if n > 0 {
-			scan.filled(n)
-			frame, ferr := scan.next()
-			if ferr != nil {
-				return ferr
-			}
-			if frame != nil {
-				return m.mergeReply(frame)
-			}
-		}
-		if err != nil {
+		n, rerr := c.Read(scan.room())
+		scan.filled(n)
+		frame, err := scan.next()
+		switch {
+		case err != nil:
 			return err
+		case frame != nil:
+			return m.mergeReply(frame)
+		case rerr != nil:
+			return rerr
 		}
 	}
 }
@@ -519,10 +398,10 @@ func (m *membership) mergeMembership(payload []byte) error {
 	}
 	var first error
 	for i, e := range entries {
-		if err := m.registerGroup(e.Lo, e.Hi, e.Addr, true); err != nil && first == nil {
+		if _, err := m.apply(spanEvent{Group: e, replace: true}); err != nil && first == nil {
 			first = err
 		}
-		if i < len(ages) && ages[i] >= 0 {
+		if ages[i] >= 0 {
 			m.observeSpan(e.Lo, e.Hi, e.Addr, time.Duration(ages[i])*time.Millisecond)
 		}
 	}
@@ -531,46 +410,38 @@ func (m *membership) mergeMembership(payload []byte) error {
 
 // handleAnnounce is the seed side of the bootstrap handshake: register
 // the announced span, answer through reply with either the membership
-// table or the rejection. False means the payload was undecodable.
+// table or the rejection, and push an accepted table to the other
+// members. False means the payload was undecodable.
 func (m *membership) handleAnnounce(payload []byte, reply func(frame []byte)) bool {
 	lo, hi, addr, replace, err := decodeAnnounce(payload)
 	if err != nil {
 		return false
 	}
 	frame := wire.AppendHeader(nil, wire.Header{Kind: kindMembership})
-	regErr := m.registerGroup(lo, hi, addr, replace)
-	if regErr != nil {
-		reply(appendMembershipReject(frame, regErr.Error()))
+	// A direct announce, keepalives included, is a heartbeat: the table
+	// records when it was heard and the observer is fed.
+	now := time.Now()
+	v, err := m.apply(spanEvent{Group: Group{Lo: lo, Hi: hi, Addr: addr}, replace: replace, heard: now})
+	if err != nil {
+		reply(appendMembershipReject(frame, err.Error()))
 		return true
 	}
-	// A direct announce is a heartbeat: record when we heard this span
-	// (the freshness the age section reports) and feed the observer.
-	// Idempotent keepalive re-announces land here too — that is the
-	// detector's steady diet.
-	m.announceAt.Store(lo, time.Now().UnixNano())
 	m.observeSpan(lo, hi, addr, 0)
-	gs := m.Groups()
-	reply(appendMembership(frame, gs, m.ages(gs)))
-	m.pushMembership()
+	frame = appendMembership(frame, v.spans, v.ages(now))
+	reply(frame)
+	m.pushMembership(v, frame)
 	return true
 }
 
-// pushMembership broadcasts the current membership table to every
-// remote peer with a known address, over the regular writer outboxes
-// (msgs=0, so Sent/Dropped stay protocol-only; the receive side merges
-// unsolicited kindMembership frames). A seed calls this after each
-// accepted announce: the announce REPLY only reaches the one process
-// that just dialed in, so members registered earlier would otherwise
-// depend on their re-announce cadence to learn later spans — and a
-// seed that completes its run and exits between a slow member's
-// retries leaves that member waiting on coverage forever.
-func (m *membership) pushMembership() {
-	frame := wire.AppendHeader(nil, wire.Header{Kind: kindMembership})
-	gs := m.Groups()
-	frame = appendMembership(frame, gs, m.ages(gs))
-	v := m.view.Load()
+// pushMembership sends a membership frame to every remote peer of v
+// with a known address, over the regular outboxes (msgs=0, so
+// Sent/Dropped stay protocol-only). The announce reply reaches only
+// the process that dialed in; without the push, members registered
+// earlier would learn later spans only at their re-announce cadence —
+// or never, if the seed exits between a slow member's retries.
+func (m *membership) pushMembership(v *groupView, frame []byte) {
 	for i, p := range v.peers {
-		if m.locals[v.groups[i].Lo] || p.address() == "" {
+		if v.state[i].local || v.spans[i].Addr == "" {
 			continue
 		}
 		bp, buf := m.st.newFrame()

@@ -132,21 +132,9 @@ func (s *streams) open(addr string) *streamPeer {
 	return p
 }
 
-// address returns the peer's current address, "" if unknown.
-func (p *streamPeer) address() string {
-	if ap := p.addr.Load(); ap != nil {
-		return *ap
-	}
-	return ""
-}
-
 // setAddr re-aims the peer; the writer dials the new address the next
 // time it has no connection (sever forces that).
-func (p *streamPeer) setAddr(addr string) {
-	if addr != "" {
-		p.addr.Store(&addr)
-	}
-}
+func (p *streamPeer) setAddr(addr string) { p.addr.Store(&addr) }
 
 // newFrame returns a pooled buffer with frameSlack bytes reserved; the
 // caller appends the frame's payload to buf and hands both to send (or
@@ -208,7 +196,7 @@ func (p *streamPeer) kill() bool {
 
 // dial attempts one connection toward the peer's current address.
 func (p *streamPeer) dial() net.Conn {
-	addr := p.address()
+	addr := *p.addr.Load()
 	if addr == "" {
 		return nil
 	}

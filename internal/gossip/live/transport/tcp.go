@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dynagg/internal/backoff"
@@ -55,22 +56,26 @@ type Unwrapper interface {
 // writer goroutine that coalesces every queued frame into one buffered
 // write burst; a broken connection is not an error, it is the medium:
 // frames sent into the outage window drop (counted), and the writer
-// redials with exponential backoff. The membership layer
-// (membership.go, embedded: RegisterGroup, Announce, Covers, Groups
-// and the rest of the table's methods are its own) maps host spans to
-// those peers. The receive plane (inbox.go) is the one every transport
-// shares. Loss injection composes the same way as for datagrams —
-// Lossy over TCP converts drop draws into KillLink, so "20% loss"
-// reads as "links fail this often", with the reconnect window, not a
-// silent per-datagram coin flip, as the outage.
+// redials with exponential backoff. The membership layer maps host
+// spans to those peers, in two parts: the span table (spantable.go),
+// a pure value whose one writer, apply, takes an event and returns the
+// next table and what the peers must do; and the shell around it
+// (membership.go, embedded: RegisterGroup, Announce, Covers, Groups and
+// the rest of the table's methods are its own), which serializes
+// events, opens and re-aims peers, runs the announce handshake and
+// reads the clock. The receive plane (inbox.go) is the one every
+// transport shares. Loss injection composes the same way as for
+// datagrams — Lossy over TCP converts drop draws into KillLink, so
+// "20% loss" reads as "links fail this often", with the reconnect
+// window, not a silent per-datagram coin flip, as the outage.
 //
 // Unlike UDP, the group table is mutable: RegisterGroup (fed by the
 // Announce bootstrap handshake) inserts peer groups discovered at run
 // time. Registration must finish before a Population binds — batch
 // group indices shift as groups are inserted.
 type TCP struct {
-	// membership holds the group table and, as its st field, the stream
-	// layer the table's peers belong to.
+	// membership holds the span table with its peers and, as its st
+	// field, the stream layer those peers belong to.
 	membership
 	in *inbox
 }
@@ -103,32 +108,29 @@ func NewTCP(opts ...TCPOption) (*TCP, error) {
 		set.backoffMin = DefaultBackoffMin
 	}
 	if set.backoffMax < set.backoffMin {
-		set.backoffMax = DefaultBackoffMax
-		if set.backoffMax < set.backoffMin {
-			set.backoffMax = set.backoffMin
-		}
+		set.backoffMax = max(DefaultBackoffMax, set.backoffMin)
 	}
 	t := &TCP{in: newInbox(localSpans(set.groups, set.local), set.queueCapacity)}
 	// Outboxes share the receive queues' capacity.
 	t.st = newStreams(backoff.Policy{Min: set.backoffMin, Max: set.backoffMax, Jitter: 0.1},
 		t.in.capacity, &t.in.bufs, t.handleFrame)
-	t.locals = make(map[gossip.NodeID]bool, len(set.local))
-	v := &groupView{groups: append([]Group(nil), set.groups...)}
-	for _, gi := range set.local {
-		// Listen resolves the port (":0" ephemeral); record the real
-		// address so peers can be told it.
-		bound, err := t.st.listen(v.groups[gi].Addr)
+	t.view.Store(&groupView{})
+	for i, g := range set.groups {
+		local := slices.Contains(set.local, i)
+		var err error
+		if local {
+			// Listen resolves the port (":0" ephemeral); the table
+			// records the real address so peers can be told it.
+			g.Addr, err = t.st.listen(g.Addr)
+		}
+		if err == nil {
+			_, err = t.apply(spanEvent{Group: g, local: local})
+		}
 		if err != nil {
 			t.st.close()
-			return nil, fmt.Errorf("transport: bind group %d: %w", gi, err)
+			return nil, fmt.Errorf("transport: bind group %d: %w", i, err)
 		}
-		v.groups[gi].Addr = bound
-		t.locals[v.groups[gi].Lo] = true
 	}
-	for _, g := range v.groups {
-		v.peers = append(v.peers, t.st.open(g.Addr))
-	}
-	t.view.Store(v)
 	t.st.serve()
 	return t, nil
 }
@@ -169,7 +171,7 @@ func (t *TCP) handleFrame(frame []byte, reply func(frame []byte)) {
 // write fails; gossip tolerates all of it by design.
 func (t *TCP) Send(from, to gossip.NodeID, tick int, payload any) bool {
 	v := t.view.Load()
-	gi := groupOf(v.groups, to)
+	gi := groupOf(v.spans, to)
 	if gi < 0 || t.st.closed.Load() {
 		t.in.drop(1)
 		return false
@@ -191,7 +193,7 @@ func (t *TCP) Drain(id gossip.NodeID, fn func(payload any)) { t.in.drain(id, fn)
 // the group owning `to`.
 func (t *TCP) KillLink(to gossip.NodeID) bool {
 	v := t.view.Load()
-	gi := groupOf(v.groups, to)
+	gi := groupOf(v.spans, to)
 	return gi >= 0 && v.peers[gi].kill()
 }
 
@@ -232,11 +234,11 @@ func AsTCP(tr Transport) (*TCP, bool) {
 }
 
 // BatchGroups implements Batcher.
-func (t *TCP) BatchGroups() int { return len(t.view.Load().groups) }
+func (t *TCP) BatchGroups() int { return len(t.view.Load().spans) }
 
 // BatchGroup implements Batcher.
 func (t *TCP) BatchGroup(g int) (lo, hi gossip.NodeID) {
-	gr := t.view.Load().groups[g]
+	gr := t.view.Load().spans[g]
 	return gr.Lo, gr.Hi
 }
 
@@ -251,21 +253,21 @@ func (t *TCP) MaxBatchBody() int { return maxUDPPayload - maxBatchHeader }
 // drops of all msgs messages, mirroring Send.
 func (t *TCP) SendBatch(group, tick, msgs int, body []byte) bool {
 	v := t.view.Load()
-	if t.st.closed.Load() || group < 0 || group >= len(v.groups) || len(body) > t.MaxBatchBody() {
+	if t.st.closed.Load() || group < 0 || group >= len(v.spans) || len(body) > t.MaxBatchBody() {
 		t.in.drop(msgs)
 		return false
 	}
 	bp, buf := t.st.newFrame()
 	buf = wire.AppendHeader(buf, wire.Header{
-		Kind: kindColumnarBatch, To: int32(v.groups[group].Lo), From: int32(msgs), Tick: int32(tick),
+		Kind: kindColumnarBatch, To: int32(v.spans[group].Lo), From: int32(msgs), Tick: int32(tick),
 	})
 	return v.peers[group].send(bp, append(buf, body...), msgs)
 }
 
 // DrainBatch implements Batcher.
 func (t *TCP) DrainBatch(group int, fn func(body []byte)) {
-	if v := t.view.Load(); group >= 0 && group < len(v.groups) {
-		t.in.drainBatch(v.groups[group].Lo, fn)
+	if v := t.view.Load(); group >= 0 && group < len(v.spans) {
+		t.in.drainBatch(v.spans[group].Lo, fn)
 	}
 }
 
