@@ -163,16 +163,19 @@ cluster-soak:
 # - SIGINT shuts the gateway down cleanly, and each member exits 0
 #   when its 2000 ticks (about 20 s) are done. Members' rel.err rows
 #   are printed, not judged.
-# On a failed check the trap prints the processes' output and kills
-# what still runs (by pid: dash's $(jobs -p) is empty). Then the HTTP
-# handler / observer-span / bootstrap-edge tests twice under race
-# (among them the converged-read and dynamic-registration tests, in
-# process over real TCP sockets), then a 5-second closed-loop load
-# smoke (TestLoadSmoke asserts >0 successful reads, zero errors, and
-# a clean shutdown).
+# A failed check writes its `gateway-soak:` reason to stderr and to
+# $dir/reason; the trap kills what still runs (by pid: dash's
+# $(jobs -p) is empty), prints the last lines of each process's
+# output, and prints the reason last, so a truncated log still ends
+# with it. Then the HTTP handler / observer-span / bootstrap-edge
+# tests twice under race (among them the converged-read and
+# dynamic-registration tests, in process over real TCP sockets), then
+# a 5-second closed-loop load smoke (TestLoadSmoke asserts >0
+# successful reads, zero errors, and a clean shutdown).
 gateway-soak:
 	@set -e; dir=$$(mktemp -d); pids=; url=http://127.0.0.1:39080/aggregate; \
-	trap 'st=$$?; kill $$pids 2>/dev/null || true; [ $$st = 0 ] || tail -n 20 "$$dir"/*.txt; rm -rf "$$dir"' EXIT; \
+	trap 'st=$$?; kill $$pids 2>/dev/null || true; [ $$st = 0 ] || { tail -n 20 "$$dir"/*.txt; cat "$$dir/reason" >&2 2>/dev/null || true; }; rm -rf "$$dir"' EXIT; \
+	fail() { echo "gateway-soak: $$*" | tee "$$dir/reason" >&2; exit 1; }; \
 	$(GO) build -race -o $$dir/dynaggsim ./cmd/dynaggsim; \
 	$(GO) build -race -o $$dir/loadgen ./cmd/loadgen; \
 	$$dir/dynaggsim live -protocol=multi -transport=tcp -n 96 -span 0:32 -observer-slots 1 \
@@ -194,22 +197,22 @@ gateway-soak:
 			fi; \
 			sleep 0.1; \
 		done; \
-		echo "gateway-soak: /aggregate/$$1 served no average within 30 % of 3.5 in 30 s (last: $$code)" >&2; return 1; \
+		fail "/aggregate/$$1 served no average within 30 % of 3.5 in 30 s (last: $$code)"; \
 	}; \
 	await load; \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST $$url/cpu); \
 	echo "POST /aggregate/cpu -> $$code"; \
-	[ "$$code" = 201 ] || { echo "gateway-soak: POST /aggregate/cpu returned $$code, want 201" >&2; exit 1; }; \
+	[ "$$code" = 201 ] || fail "POST /aggregate/cpu returned $$code, want 201"; \
 	await cpu; \
 	load=$$($$dir/loadgen -url $$url/load -clients 8 -duration 2s 2>&1 || true); \
 	echo "loadgen: $$load"; \
-	case "$$load" in *"(0 errors)"*) ;; *) echo "gateway-soak: loadgen saw errors or no successful read" >&2; exit 1 ;; esac; \
+	case "$$load" in *"(0 errors)"*) ;; *) fail "loadgen saw errors or no successful read" ;; esac; \
 	kill -INT $$gw; \
-	wait $$gw || { echo "gateway-soak: the gateway exited nonzero after SIGINT" >&2; exit 1; }; \
+	wait $$gw || fail "the gateway exited nonzero after SIGINT"; \
 	cat $$dir/gateway.txt; \
-	grep -q 'gateway: shut down cleanly' $$dir/gateway.txt || { echo "gateway-soak: the gateway did not shut down cleanly" >&2; exit 1; }; \
+	grep -q 'gateway: shut down cleanly' $$dir/gateway.txt || fail "the gateway did not shut down cleanly"; \
 	i=0; for p in $$members; do \
-		wait $$p || { echo "gateway-soak: member $$i exited nonzero" >&2; exit 1; }; \
+		wait $$p || fail "member $$i exited nonzero"; \
 		echo "member $$i:"; cat $$dir/m$$i.txt; i=$$((i + 1)); \
 	done; pids=
 	$(GO) test -race -count=2 -timeout 10m ./internal/gateway

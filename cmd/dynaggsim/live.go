@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -51,6 +52,8 @@ type liveOpts struct {
 	// that peers gossip with but the bootstrap does not wait for.
 	aggregates    string
 	observerSlots int
+
+	format string // table (the report) or json (its one-line record)
 }
 
 func liveFlags(fs *flag.FlagSet) func(io.Writer) error {
@@ -74,6 +77,7 @@ func liveFlags(fs *flag.FlagSet) func(io.Writer) error {
 	fs.DurationVar(&o.reannounce, "reannounce", 0, "cluster member: keepalive re-announce cadence, the failure detector's heartbeat (0 = 1s default)")
 	fs.StringVar(&o.aggregates, "aggregates", "load", "-protocol=multi: comma-separated aggregate names (hosts register gateway.DemoValue per name)")
 	fs.IntVar(&o.observerSlots, "observer-slots", 0, "cluster member: extra environment slots above -n reserved for observer spans (gateway processes); every process of a deployment must agree")
+	fs.StringVar(&o.format, "format", "table", "output format: table (the report) or json (the same report as one JSON line)")
 	return func(out io.Writer) error { return runLive(out, o) }
 }
 
@@ -120,11 +124,14 @@ func resolveLossTransport(tr transport.Transport, wan string, loss float64, seed
 	return lt, lt.P, nil
 }
 
-// runLive executes one live-engine run and prints a small report:
-// the resolved configuration, the mean estimate against the truth,
-// the transport's sent/dropped books, throughput, and peak RSS, and
-// for a mass protocol on agents the span's mass census.
+// runLive executes one live-engine run and prints its record (see
+// liveRecord): the resolved configuration, the mean estimate against
+// the truth, the transport's sent/dropped books, elapsed time and peak
+// RSS, and for a mass protocol on agents the span's mass census.
 func runLive(out io.Writer, o liveOpts) error {
+	if o.format != "table" && o.format != "json" {
+		return fmt.Errorf("live: -format must be table or json, got %q", o.format)
+	}
 	// Count-Sketch-Reset bounds counter ages assuming loosely equal
 	// iteration rates across the population, so it defaults to a paced
 	// duty cycle; the mass protocols are rate-independent and default
@@ -339,7 +346,21 @@ func runLive(out io.Writer, o liveOpts) error {
 		Env: u, Population: pop, Model: gossip.Push, Seed: o.seed,
 		Ticks: o.ticks, Workers: o.workers, Transport: tr, TickEvery: o.pace,
 	}
-	var selfAddr string
+	rec := liveRecord{
+		Protocol: o.protocol, Backend: "agents", Transport: o.transport,
+		N: o.n, Ticks: o.ticks, Groups: o.groups, Loss: injectedLoss,
+		Pace: o.pace, Workers: o.workers, Seed: o.seed, RcvBuf: rcvbuf,
+	}
+	if o.columnar {
+		rec.Backend = "columnar"
+	}
+	if o.wan != "" {
+		rec.Transport += "+" + o.wan
+	}
+	tcp, isTCP := transport.AsTCP(tr)
+	if isTCP && injectedLoss > 0 {
+		rec.LinkKills = new(int64)
+	}
 	if cluster {
 		cfg.Span = span
 		cfg.Bootstrap = &live.Bootstrap{
@@ -349,57 +370,164 @@ func runLive(out io.Writer, o liveOpts) error {
 		// Our own group is table index 0 at construction, but merging a
 		// seed's membership can insert lower spans and shift it — so the
 		// listen address must be captured before Run bootstraps.
-		tcp, _ := transport.AsTCP(tr)
-		selfAddr = tcp.GroupAddr(0)
+		rec.Span, rec.Listen, rec.Seeds = &span, tcp.GroupAddr(0), o.seeds
 	}
 	e, err := live.New(cfg)
 	if err != nil {
 		return err
 	}
-
-	name := o.transport
-	if o.wan != "" {
-		name += "+" + o.wan
-	}
-	lossNote := ""
-	if o.transport == "tcp" && injectedLoss > 0 {
-		// On a stream transport an injected "datagram loss" severs the
-		// carrying connection instead of silently dropping a frame.
-		lossNote = " (tcp: link-kill)"
-	}
-	backend := "agents"
-	if o.columnar {
-		backend = "columnar"
-	}
-	fmt.Fprintf(out, "live config: protocol=%s backend=%s transport=%s n=%d ticks=%d groups=%d\n",
-		o.protocol, backend, name, o.n, o.ticks, o.groups)
-	fmt.Fprintf(out, "             loss=%.4f%s pace=%v workers=%d seed=%d rcvbuf=%d\n",
-		injectedLoss, lossNote, o.pace, o.workers, o.seed, rcvbuf)
-	if cluster {
-		fmt.Fprintf(out, "bootstrap:   span [%d,%d) listening on %s  seeds %s\n",
-			span.Lo, span.Hi, selfAddr, o.seeds)
+	if o.format == "table" {
+		rec.writeHeader(out)
 	}
 
 	start := time.Now()
 	if err := e.Run(context.Background()); err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
+	rec.Elapsed = time.Since(start).Round(time.Millisecond)
 
 	ests := e.Estimates()
-	var mean float64
 	for _, v := range ests {
-		mean += v
+		rec.Mean += v
 	}
 	if len(ests) > 0 {
-		mean /= float64(len(ests))
+		rec.Mean /= float64(len(ests))
 	}
-	rss := sysmem.PeakRSSBytes()
-	if tcp, ok := transport.AsTCP(tr); ok && cluster {
+	rec.Truth, rec.RelErrPct = truth, 100*relErr(rec.Mean, truth)
+	rec.PeakRSS = sysmem.PeakRSSBytes()
+	if cluster {
 		// The resolved view the bootstrap converged on: every span of
 		// the population and the address serving it.
+		rec.Membership = tcp.Groups()
+	}
+	if o.protocol == "multi" {
+		// Per-aggregate running averages over the locally driven hosts,
+		// against the exact DemoValue population means.
+		ap := pop.(*live.AgentPopulation)
+		for _, name := range splitNames(o.aggregates) {
+			a := aggregateRecord{Name: name, Truth: gateway.DemoMean(name, o.n), Of: len(ap.Agents())}
+			for _, ag := range ap.Agents() {
+				if v, ok := ag.(*multi.Node).Average(name); ok {
+					a.Mean += v
+					a.Hosts++
+				}
+			}
+			if a.Hosts > 0 {
+				a.Mean /= float64(a.Hosts)
+			}
+			a.RelErrPct = 100 * relErr(a.Mean, a.Truth)
+			rec.Aggregates = append(rec.Aggregates, a)
+		}
+	}
+	rec.Sent, rec.Dropped = e.Sent(), e.Dropped()
+	if rec.LinkKills != nil {
+		*rec.LinkKills = tcp.Kills()
+	}
+	if hasMass {
+		// The census counts what the agents hold and what their queues
+		// still hold: a host that finished its ticks stopped draining.
+		w, v, _ := chaos.SumMass(pop.(*live.AgentPopulation).Agents())
+		qw, qv := chaos.InFlightMass(tr, o.n)
+		rec.Mass = &massRecord{EndowmentW: w0, EndowmentV: v0, CensusW: w + qw, CensusV: v + qv}
+	}
+	if o.format == "json" {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		_, err = out.Write(append(data, '\n'))
+		return err
+	}
+	rec.writeResult(out)
+	return nil
+}
+
+// liveRecord is one `live` run's end-of-run result, exactly what its
+// report table shows: the table is its rendering for people, and
+// -format json prints it as one JSON line, the form supervise judges.
+type liveRecord struct {
+	// The resolved configuration: the table's header.
+	Protocol  string        `json:"protocol"`
+	Backend   string        `json:"backend"`
+	Transport string        `json:"transport"` // "+preset" appended under -wan
+	N         int           `json:"n"`
+	Ticks     int           `json:"ticks"`
+	Groups    int           `json:"groups"`
+	Loss      float64       `json:"loss"` // the injected loss rate
+	Pace      time.Duration `json:"pace_ns"`
+	Workers   int           `json:"workers"`
+	Seed      uint64        `json:"seed"`
+	RcvBuf    int           `json:"rcvbuf"`
+
+	// A cluster member's bootstrap: its span, the address it listens
+	// on, the seed list, and the membership view it converged on.
+	Span       *live.Span        `json:"span,omitempty"`
+	Listen     string            `json:"listen,omitempty"`
+	Seeds      string            `json:"seeds,omitempty"`
+	Membership []transport.Group `json:"membership,omitempty"`
+
+	// The mean of the driven hosts' estimates against the truth, and
+	// for -protocol=multi one row per aggregate.
+	Mean       float64           `json:"mean"`
+	Truth      float64           `json:"truth"`
+	RelErrPct  float64           `json:"rel_err_pct"`
+	Aggregates []aggregateRecord `json:"aggregates,omitempty"`
+
+	Sent    int64         `json:"sent"`
+	Dropped int64         `json:"dropped"`
+	Elapsed time.Duration `json:"elapsed_ns"` // rounded to the millisecond
+	PeakRSS int64         `json:"peak_rss_bytes"`
+	// LinkKills is set over tcp with injected loss, which severs the
+	// carrying connection instead of dropping a frame.
+	LinkKills *int64 `json:"link_kills,omitempty"`
+	// Mass is the span's mass census, set for the mass protocols
+	// (pushsum, revert) on agents.
+	Mass *massRecord `json:"mass,omitempty"`
+}
+
+// aggregateRecord is one named aggregate of a multi run: the mean of
+// the Hosts of the Of driven hosts that hold an estimate, against the
+// exact population mean.
+type aggregateRecord struct {
+	Name      string  `json:"name"`
+	Mean      float64 `json:"mean"`
+	Truth     float64 `json:"truth"`
+	RelErrPct float64 `json:"rel_err_pct"`
+	Hosts     int     `json:"hosts"`
+	Of        int     `json:"of"`
+}
+
+// massRecord is a span's mass census: the (ΣW, ΣV) its hosts started
+// with, and what its agents and receive queues hold at the end.
+// supervise sums the members' records into its mass audit.
+type massRecord struct {
+	EndowmentW float64 `json:"endowment_w"`
+	EndowmentV float64 `json:"endowment_v"`
+	CensusW    float64 `json:"census_w"`
+	CensusV    float64 `json:"census_v"`
+}
+
+// writeHeader prints the table's configuration rows, before the run.
+func (r *liveRecord) writeHeader(out io.Writer) {
+	lossNote := ""
+	if r.LinkKills != nil {
+		lossNote = " (tcp: link-kill)"
+	}
+	fmt.Fprintf(out, "live config: protocol=%s backend=%s transport=%s n=%d ticks=%d groups=%d\n",
+		r.Protocol, r.Backend, r.Transport, r.N, r.Ticks, r.Groups)
+	fmt.Fprintf(out, "             loss=%.4f%s pace=%v workers=%d seed=%d rcvbuf=%d\n",
+		r.Loss, lossNote, r.Pace, r.Workers, r.Seed, r.RcvBuf)
+	if r.Span != nil {
+		fmt.Fprintf(out, "bootstrap:   span [%d,%d) listening on %s  seeds %s\n",
+			r.Span.Lo, r.Span.Hi, r.Listen, r.Seeds)
+	}
+}
+
+// writeResult prints the table's result rows, after the run.
+func (r *liveRecord) writeResult(out io.Writer) {
+	if r.Span != nil {
 		fmt.Fprintf(out, "membership: ")
-		for i, g := range tcp.Groups() {
+		for i, g := range r.Membership {
 			if i > 0 {
 				fmt.Fprintf(out, "  ")
 			}
@@ -407,43 +535,19 @@ func runLive(out io.Writer, o liveOpts) error {
 		}
 		fmt.Fprintln(out)
 	}
-	fmt.Fprintf(out, "mean estimate %.4f  truth %.4f  rel.err %.2f%%\n",
-		mean, truth, 100*relErr(mean, truth))
-	if o.protocol == "multi" {
-		// Per-aggregate running averages over the locally driven hosts,
-		// against the exact DemoValue population means.
-		ap := pop.(*live.AgentPopulation)
-		for _, name := range splitNames(o.aggregates) {
-			var s float64
-			c := 0
-			for _, a := range ap.Agents() {
-				if v, ok := a.(*multi.Node).Average(name); ok {
-					s += v
-					c++
-				}
-			}
-			if c > 0 {
-				s /= float64(c)
-			}
-			want := gateway.DemoMean(name, o.n)
-			fmt.Fprintf(out, "aggregate %-12s mean %.4f  truth %.4f  rel.err %.2f%%  (%d/%d hosts)\n",
-				name, s, want, 100*relErr(s, want), c, len(ap.Agents()))
-		}
+	fmt.Fprintf(out, "mean estimate %.4f  truth %.4f  rel.err %.2f%%\n", r.Mean, r.Truth, r.RelErrPct)
+	for _, a := range r.Aggregates {
+		fmt.Fprintf(out, "aggregate %-12s mean %.4f  truth %.4f  rel.err %.2f%%  (%d/%d hosts)\n",
+			a.Name, a.Mean, a.Truth, a.RelErrPct, a.Hosts, a.Of)
 	}
-	fmt.Fprintf(out, "sent %d  dropped %d  elapsed %v  peak_rss_bytes %d\n",
-		e.Sent(), e.Dropped(), elapsed.Round(time.Millisecond), rss)
-	if tcp, ok := transport.AsTCP(tr); ok && injectedLoss > 0 {
-		fmt.Fprintf(out, "link kills %d (loss over tcp severs connections)\n", tcp.Kills())
+	fmt.Fprintf(out, "sent %d  dropped %d  elapsed %v  peak_rss_bytes %d\n", r.Sent, r.Dropped, r.Elapsed, r.PeakRSS)
+	if r.LinkKills != nil {
+		fmt.Fprintf(out, "link kills %d (loss over tcp severs connections)\n", *r.LinkKills)
 	}
-	if hasMass {
-		// The census counts what the agents hold and what their queues
-		// still hold: a host that finished its ticks stopped draining.
-		// supervise sums these rows into its members' mass audit.
-		w, v, _ := chaos.SumMass(pop.(*live.AgentPopulation).Agents())
-		qw, qv := chaos.InFlightMass(tr, o.n)
-		fmt.Fprintf(out, "mass endowment w %.4f v %.4f  census w %.4f v %.4f\n", w0, v0, w+qw, v+qv)
+	if m := r.Mass; m != nil {
+		fmt.Fprintf(out, "mass endowment w %.4f v %.4f  census w %.4f v %.4f\n",
+			m.EndowmentW, m.EndowmentV, m.CensusW, m.CensusV)
 	}
-	return nil
 }
 
 // splitNames parses a comma-separated -aggregates list, dropping

@@ -42,7 +42,9 @@
 //	       live.Bootstrap and docs/deployments.md); -reannounce sets
 //	       the keepalive heartbeat cadence and -replace announces with
 //	       restart semantics (a supervised respawn taking over its dead
-//	       predecessor's span)
+//	       predecessor's span). -format json prints the report as
+//	       one JSON record line instead of the table: the form
+//	       supervise reads from its members
 //
 // Self-healing cluster (failure detection + supervised takeover):
 //

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -56,11 +57,12 @@ func superviseFlags(fs *flag.FlagSet) func(io.Writer) error {
 
 // memberArgs is the argv the supervisor re-execs this binary with for
 // one incarnation of member m: a `live` cluster member over TCP on m's
-// span, bootstrapping from the supervisor's seed address, with
-// -replace from the first restart on.
+// span, bootstrapping from the supervisor's seed address and printing
+// its record as one JSON line, with -replace from the first restart
+// on.
 func memberArgs(o superviseOpts, m supervise.Member, seedAddr string, incarnation int) []string {
 	args := []string{
-		"live", "-transport=tcp", "-backend=agents",
+		"live", "-transport=tcp", "-backend=agents", "-format=json",
 		"-protocol=" + o.protocol,
 		"-n=" + strconv.Itoa(o.n),
 		fmt.Sprintf("-span=%d:%d", m.Lo, m.Hi),
@@ -82,55 +84,59 @@ func memberArgs(o superviseOpts, m supervise.Member, seedAddr string, incarnatio
 // moves every estimate by as much.
 const convergeBound = 10.0
 
-// judge reads the rel.err rows a `live` member printed: its `mean
-// estimate` row, or a multi member's `aggregate` rows. It returns the
-// member's summary row, failed if a row is above convergeBound (or NaN)
-// or there is none. A size row is not judged: PCSA over 64 bins reads
-// about 40 % high at n ≈ 100, the sketch's bias, not unconvergence.
-func judge(protocol, report string) (row string, failed bool) {
-	prefix, note := "mean estimate ", ""
-	switch protocol {
+// decodeRecord decodes the record a `live -format json` member printed
+// as the last line of its stdout, nil if that line is not one.
+func decodeRecord(stdout []byte) *liveRecord {
+	line := bytes.TrimRight(stdout, "\n")
+	line = line[bytes.LastIndexByte(line, '\n')+1:]
+	var r *liveRecord
+	if json.Unmarshal(line, &r) != nil {
+		return nil
+	}
+	return r
+}
+
+// judge reads a member's record: its mean estimate's rel.err, or a
+// multi member's aggregate rows. It returns the member's summary row,
+// failed if there is no record or a judged rel.err is above
+// convergeBound (or NaN). A size estimate is not judged: PCSA over 64
+// bins reads about 40 % high at n ≈ 100, the sketch's bias, not
+// unconvergence.
+func judge(r *liveRecord) (row string, failed bool) {
+	if r == nil {
+		return "FAILED: printed no record", true
+	}
+	worst, note := r.RelErrPct, ""
+	switch r.Protocol {
 	case "sketchreset":
 		return "not judged: its size estimate is a sketch count, biased high at small n", false
 	case "multi":
-		prefix, note = "aggregate ", " (its size row is a sketch count, not judged)"
-	}
-	worst, rows := 0.0, 0
-	for _, line := range strings.Split(report, "\n") {
-		_, rest, ok := strings.Cut(line, "rel.err ")
-		pct, _, _ := strings.Cut(rest, "%")
-		v, err := strconv.ParseFloat(pct, 64)
-		if !ok || err != nil || !strings.HasPrefix(line, prefix) {
-			continue
-		}
-		if rows++; math.IsNaN(v) || v > worst {
-			worst = v
+		worst, note = 0, " (its size row is a sketch count, not judged)"
+		for _, a := range r.Aggregates {
+			if math.IsNaN(a.RelErrPct) || a.RelErrPct > worst {
+				worst = a.RelErrPct
+			}
 		}
 	}
-	switch {
-	case rows == 0:
-		return "FAILED: printed no rel.err row", true
-	case !(worst <= convergeBound):
+	if !(worst <= convergeBound) {
 		return fmt.Sprintf("FAILED: rel.err %.2f%% above %.0f%%", worst, convergeBound), true
 	}
 	return fmt.Sprintf("converged: rel.err %.2f%%%s", worst, note), false
 }
 
-// auditMass sums the `mass` rows the members printed (each span's
-// endowment and end-of-run census) and judges the cluster's mass ratio
-// with chaos.LiveMassAudit. It is not applicable when no member printed
-// one: sketchreset and multi have no mass census.
-func auditMass(reports []string) (row string, flagged bool) {
+// auditMass sums the members' mass censuses (each span's endowment and
+// end-of-run census) and judges the cluster's mass ratio with
+// chaos.LiveMassAudit. It is not applicable when no record carries one:
+// sketchreset and multi have no mass census.
+func auditMass(records []*liveRecord) (row string, flagged bool) {
 	var w0, v0, w1, v1 float64
 	rows := 0
-	for _, report := range reports {
-		for _, line := range strings.Split(report, "\n") {
-			var a, b, c, d float64
-			if _, err := fmt.Sscanf(line, "mass endowment w %g v %g census w %g v %g", &a, &b, &c, &d); err == nil {
-				w0, v0, w1, v1 = w0+a, v0+b, w1+c, v1+d
-				rows++
-			}
+	for _, r := range records {
+		if r == nil || r.Mass == nil {
+			continue
 		}
+		w0, v0, w1, v1 = w0+r.Mass.EndowmentW, v0+r.Mass.EndowmentV, w1+r.Mass.CensusW, v1+r.Mass.CensusV
+		rows++
 	}
 	if rows == 0 {
 		return "not applicable", false
@@ -145,7 +151,7 @@ func auditMass(reports []string) (row string, flagged bool) {
 
 // runSupervise builds the member fleet, supervises it to completion,
 // reports restarts and heal latencies, and fails naming any member
-// whose last report judge fails, and the mass audit if it flags. The
+// whose last record judge fails, and the mass audit if it flags. The
 // spawner re-execs this binary: `dynaggsim live -transport=tcp
 // -span=... -seeds=<sup>`, with -replace added from the first restart
 // so the seeds accept the fresh incarnation's address over the dead
@@ -180,8 +186,9 @@ func runSupervise(out io.Writer, o superviseOpts) error {
 
 	var sup *supervise.Supervisor
 	var start time.Time
-	// Each member's last stdout, read once Run returns: Spawn runs on
-	// Run's goroutine, and Run waits for every monitor's copy to end.
+	// Each member's last incarnation's stdout, read once Run returns:
+	// Spawn runs on Run's goroutine, and Run waits for every monitor's
+	// copy to end.
 	outs := make(map[string]*bytes.Buffer, len(members))
 	cfg := supervise.Config{
 		Total:         o.n,
@@ -196,7 +203,7 @@ func runSupervise(out io.Writer, o superviseOpts) error {
 				mo.ticks = max(o.ticks-int(time.Since(start)/o.pace), 1)
 			}
 			cmd := exec.Command(exe, memberArgs(mo, m, sup.SeedAddr(), incarnation)...)
-			// Member reports would interleave with the supervision log;
+			// Member records would interleave with the supervision log;
 			// keep them for the judge and the mass audit.
 			outs[m.Name] = new(bytes.Buffer)
 			cmd.Stdout = outs[m.Name]
@@ -234,16 +241,18 @@ func runSupervise(out io.Writer, o superviseOpts) error {
 			h.Member, h.Incarnation, h.DetectLatency().Round(time.Millisecond), h.RecoverLatency().Round(time.Millisecond))
 	}
 	var failed []string
-	reports := make([]string, len(members))
+	records := make([]*liveRecord, len(members))
 	for i, m := range members {
-		reports[i] = outs[m.Name].String()
-		row, bad := judge(o.protocol, reports[i])
+		if b := outs[m.Name]; b != nil {
+			records[i] = decodeRecord(b.Bytes())
+		}
+		row, bad := judge(records[i])
 		fmt.Fprintf(out, "member %-4s %s\n", m.Name, row)
 		if bad {
 			failed = append(failed, m.Name+" "+row)
 		}
 	}
-	audit, flagged := auditMass(reports)
+	audit, flagged := auditMass(records)
 	fmt.Fprintf(out, "mass audit: %s\n", audit)
 	if flagged {
 		failed = append(failed, "mass audit "+audit)

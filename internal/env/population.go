@@ -19,6 +19,9 @@ type Population struct {
 	alive []bool
 	ids   []gossip.NodeID // live ids in arbitrary order, for O(1) picks
 	pos   []int32         // index of id within ids, -1 when dead
+	// failed is set by the first Fail and never cleared: until then
+	// ids is the identity, so a pick needs no read of it.
+	failed bool
 }
 
 // NewPopulation returns a population of n hosts, all alive.
@@ -55,6 +58,7 @@ func (p *Population) Fail(id gossip.NodeID) {
 		return
 	}
 	p.alive[id] = false
+	p.failed = true
 	// Swap-remove from the live list.
 	i := p.pos[id]
 	last := len(p.ids) - 1
@@ -88,7 +92,10 @@ func (p *Population) PickOther(self gossip.NodeID, rng *xrand.Rand) (gossip.Node
 		return 0, false
 	}
 	for {
-		c := p.ids[rng.Intn(n)]
+		c := gossip.NodeID(rng.Intn(n))
+		if p.failed {
+			c = p.ids[c]
+		}
 		if c != self {
 			return c, true
 		}

@@ -25,12 +25,16 @@ import (
 //
 // Like every decoder fed from a socket, the bounds are explicit:
 // addresses cap at maxAddrLen, tables at maxMembershipEntries, reject
-// reasons at maxRejectLen. A hostile frame sizes nothing.
+// reasons at maxRejectLen. A hostile frame sizes nothing, and one
+// frame's merge stays well under a second: each insert copies the
+// table, so a merge costs the square of its entries. A span table
+// never grows past maxMembershipEntries either (spanTable.apply), so a
+// seed never encodes a table its members would refuse.
 
 const (
 	maxAddrLen           = 256
 	maxRejectLen         = 512
-	maxMembershipEntries = 1 << 16
+	maxMembershipEntries = 1024
 
 	membershipOK     = 0
 	membershipReject = 1

@@ -58,8 +58,9 @@ type spanEffect struct {
 // Re-registering a span as it is changes only its heard time; an
 // address for a span without one is taken; the same span at another
 // address is ErrSpanConflict unless the event replaces and the span
-// is not local; a partial overlap is ErrSpanConflict. A refused event
-// returns the table unchanged.
+// is not local; a partial overlap is ErrSpanConflict; a new span in a
+// table of maxMembershipEntries is refused. A refused event returns
+// the table unchanged.
 func (t spanTable) apply(ev spanEvent) (spanTable, spanEffect, error) {
 	lo, hi, addr := ev.Lo, ev.Hi, ev.Addr
 	if lo < 0 || hi <= lo {
@@ -69,6 +70,9 @@ func (t spanTable) apply(ev spanEvent) (spanTable, spanEffect, error) {
 	// first overlaps; if it starts at or after hi, the event goes there.
 	i := sort.Search(len(t.spans), func(i int) bool { return t.spans[i].Hi > lo })
 	if i == len(t.spans) || t.spans[i].Lo >= hi {
+		if len(t.spans) >= maxMembershipEntries {
+			return t, spanEffect{}, fmt.Errorf("transport: span [%d,%d) refused: the table holds %d spans, its limit", lo, hi, len(t.spans))
+		}
 		// Clipped, Insert copies: the old table keeps its arrays.
 		return spanTable{
 			spans: slices.Insert(slices.Clip(t.spans), i, ev.Group),

@@ -196,6 +196,45 @@ func TestSpanTableCovers(t *testing.T) {
 	}
 }
 
+// TestMembershipFrameAtTheCap bounds one membership frame's work,
+// with no sockets: a frame of maxMembershipEntries one-host spans
+// decodes and merges into an empty table in well under a second (each
+// insert copies the table), one entry more is refused by the decoder,
+// and a full table refuses a new span, so a seed answers that announce
+// with a rejection instead of growing a table past what its members
+// accept.
+func TestMembershipFrameAtTheCap(t *testing.T) {
+	frame := func(n int) []byte {
+		groups := make([]Group, n)
+		for i := range groups {
+			groups[i] = Group{Lo: gossip.NodeID(i), Hi: gossip.NodeID(i + 1), Addr: fmt.Sprintf("10.0.%d.%d:4000", i/256, i%256)}
+		}
+		return appendMembership(nil, groups, nil)
+	}
+	start := time.Now()
+	entries, _, _, err := decodeMembership(frame(maxMembershipEntries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tab spanTable
+	for _, e := range entries {
+		if tab, _, err = tab.apply(spanEvent{Group: e, replace: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); len(tab.spans) != maxMembershipEntries || took > time.Second {
+		t.Errorf("a %d-entry frame merged into %d spans in %v, want all of them in under 1s",
+			maxMembershipEntries, len(tab.spans), took)
+	}
+	if _, _, _, err := decodeMembership(frame(maxMembershipEntries + 1)); err == nil {
+		t.Errorf("a %d-entry frame decoded, want it refused", maxMembershipEntries+1)
+	}
+	next := spanEvent{Group: Group{Lo: maxMembershipEntries, Hi: maxMembershipEntries + 1, Addr: "10.0.9.9:4000"}}
+	if full, _, err := tab.apply(next); err == nil || len(full.spans) != maxMembershipEntries {
+		t.Errorf("a full table took span %v (err %v), want it refused", next.Group, err)
+	}
+}
+
 // hexAddr is an address as the membership codecs lay it out: a
 // one-byte length, then the bytes, in hex.
 func hexAddr(a string) string { return fmt.Sprintf("%02x%x", len(a), a) }

@@ -27,6 +27,7 @@ package extremes
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"dynagg/internal/gossip"
@@ -179,12 +180,24 @@ func age(row []Candidate, owner gossip.NodeID) {
 
 // normalize rebuilds a table from whatever multiset occupies row:
 // dedup by owner keeping the youngest candidate whole (the first on
-// ties), re-pin own at age zero, drop aged-out candidates, sort
-// best-first, truncate to the table size. In place and map-free (a
-// linear dedup: the multiset is at most two tables and the own entry);
-// the result is row's prefix, or a new slice only if the own entry does
+// ties), re-pin own at age zero, drop aged-out candidates, keep the
+// best TableSize sorted best-first. In place and linear in the row:
+// owners are deduplicated through a small open-addressing index (on the
+// stack for rows of up to 32 entries, the multiset of two tables and
+// the own entry; on the heap only for a larger forged Table), and each
+// live candidate is inserted into the sorted best-TableSize prefix. The
+// result is row's prefix, or a new slice only if the own entry does
 // not fit in row's capacity.
 func normalize(row []Candidate, own Candidate, cfg *Config) []Candidate {
+	// index holds, per hashed owner, 1 + the owner's position in the
+	// deduplicated prefix row[:kept] (0: empty). It has a power-of-two
+	// size of at least twice the row, so probe runs stay short.
+	var stack [64]int32
+	index := stack[:]
+	if len(row) > len(stack)/2 {
+		index = make([]int32, 1<<bits.Len(uint(2*len(row)-1)))
+	}
+	shift, mask := 33-bits.Len(uint(len(index))), uint32(len(index)-1)
 	// Dedup foreign candidates by owner, keeping the first of minimum
 	// age; own entries are discarded here and re-pinned below.
 	kept := 0
@@ -192,46 +205,55 @@ func normalize(row []Candidate, own Candidate, cfg *Config) []Candidate {
 		if cand.Owner == own.Owner {
 			continue
 		}
-		dup := false
-		for k := 0; k < kept; k++ {
+		for h := uint32(cand.Owner) * 0x9e3779b1 >> shift; ; h = (h + 1) & mask {
+			k := index[h] - 1
+			if k < 0 {
+				index[h] = int32(kept + 1)
+				row[kept] = cand
+				kept++
+				break
+			}
 			if row[k].Owner == cand.Owner {
 				if cand.Age < row[k].Age {
 					row[k] = cand
 				}
-				dup = true
 				break
 			}
 		}
-		if !dup {
-			row[kept] = cand
-			kept++
+	}
+	// Insert each live candidate, then own (always live at age 0), into
+	// the best-first prefix row[:m]. m never passes the candidate being
+	// read, so the prefix overwrites only entries already read. Owners
+	// are unique, so better is a strict total order and the prefix is
+	// the one best TableSize whatever the insertion order.
+	m := 0
+	for _, cand := range row[:kept] {
+		if int(cand.Age) <= cfg.Cutoff {
+			m = insertBest(row, m, cand, cfg)
 		}
 	}
-	// Drop aged-out candidates, then add the own candidate (always
-	// live at age 0).
-	live := 0
-	for k := 0; k < kept; k++ {
-		if int(row[k].Age) > cfg.Cutoff {
-			continue
+	if m == len(row) && m < cfg.TableSize {
+		row = append(row, Candidate{})
+	}
+	return row[:insertBest(row, m, own, cfg)]
+}
+
+// insertBest inserts cand into top[:m], sorted best-first and at most
+// TableSize long, and returns the prefix's new length: a full prefix
+// drops its worst entry, or cand if cand is no better.
+func insertBest(top []Candidate, m int, cand Candidate, cfg *Config) int {
+	if m == cfg.TableSize {
+		if !better(cand, top[m-1], cfg.Mode) {
+			return m
 		}
-		row[live] = row[k]
-		live++
+		m--
 	}
-	row = append(row[:live], own)
-	// Insertion sort: owners are unique, so better is a strict total
-	// order and any correct sort yields this one table.
-	for j := 1; j < len(row); j++ {
-		cand := row[j]
-		k := j
-		for ; k > 0 && better(cand, row[k-1], cfg.Mode); k-- {
-			row[k] = row[k-1]
-		}
-		row[k] = cand
+	k := m
+	for ; k > 0 && better(cand, top[k-1], cfg.Mode); k-- {
+		top[k] = top[k-1]
 	}
-	if len(row) > cfg.TableSize {
-		row = row[:cfg.TableSize]
-	}
-	return row
+	top[k] = cand
+	return m + 1
 }
 
 // own is the host's own candidate, pinned at age zero.

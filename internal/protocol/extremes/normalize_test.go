@@ -50,7 +50,9 @@ func referenceNormalize(n *Node, multiset []Candidate) []Candidate {
 // duplicate owners with different ages, forged duplicates carrying
 // another value, the own entry arriving at an age above zero (or not
 // at all), ages on either side of the cutoff, more live entries than
-// the table holds, values tied across owners, both modes.
+// the table holds, values tied across owners, both modes — and, once
+// per configuration, a forged 100-candidate row over 128 owners, too
+// large for normalize's stack index.
 func TestNormalizeMatchesMapAndSortReference(t *testing.T) {
 	const owners = 14 // few enough that duplicates are the rule
 	for _, mode := range []Mode{Max, Min} {
@@ -66,13 +68,19 @@ func TestNormalizeMatchesMapAndSortReference(t *testing.T) {
 			for i := range values {
 				values[i] = float64(rng.Intn(4)) * 12.5
 			}
-			for trial := 0; trial < 2000; trial++ {
+			for trial := 0; trial <= 2000; trial++ {
 				id := gossip.NodeID(rng.Intn(owners))
 				n := New(id, values[id], cfg)
 				multiset := make([]Candidate, rng.Intn(2*n.cfg.TableSize+6))
+				rowOwners := owners
+				if trial == 2000 {
+					multiset, rowOwners = make([]Candidate, 100), 128
+				}
 				for i := range multiset {
-					owner := gossip.NodeID(rng.Intn(owners))
-					c := Candidate{Value: values[owner], Owner: owner}
+					// Owners past the value levels (the forged row's) add
+					// their block number to their level, so ties stay common.
+					owner := gossip.NodeID(rng.Intn(rowOwners))
+					c := Candidate{Value: float64(owner/owners) + values[owner%owners], Owner: owner}
 					switch rng.Intn(5) {
 					case 0:
 						c.Age = int32(n.cfg.Cutoff - 1)
