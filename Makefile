@@ -316,8 +316,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# ./... stops at bench/go.mod, so the benchmark module is vetted on its
+# own, offline as bench-selftest builds it.
 vet:
 	$(GO) vet ./...
+	GOFLAGS=-mod=readonly GOPROXY=off GOWORK=off $(GO) -C bench vet ./...
 
 # Vulnerability scan; a separate target because it downloads the
 # scanner and vuln DB, so it needs network (CI runs it, offline

@@ -6,7 +6,7 @@
 package failure
 
 import (
-	"sort"
+	"slices"
 
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
@@ -25,7 +25,7 @@ func RandomAt(round int, frac float64, pop *env.Population, seed uint64) gossip.
 		rng := xrand.New(seed)
 		live := append([]gossip.NodeID(nil), pop.AliveIDs()...)
 		// Sort for determinism: AliveIDs order depends on history.
-		sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+		slices.Sort(live)
 		k := int(frac * float64(len(live)))
 		idx := rng.Sample(make([]int, k), len(live))
 		for _, i := range idx {
@@ -45,12 +45,14 @@ func TopValuedAt(round int, frac float64, pop *env.Population, values []float64)
 			return
 		}
 		live := append([]gossip.NodeID(nil), pop.AliveIDs()...)
-		sort.Slice(live, func(i, j int) bool {
-			vi, vj := values[live[i]], values[live[j]]
-			if vi != vj {
-				return vi > vj // highest first
+		slices.SortFunc(live, func(a, b gossip.NodeID) int {
+			switch va, vb := values[a], values[b]; {
+			case va > vb:
+				return -1 // highest first
+			case va < vb:
+				return 1
 			}
-			return live[i] < live[j]
+			return int(a) - int(b)
 		})
 		k := int(frac * float64(len(live)))
 		for _, id := range live[:k] {

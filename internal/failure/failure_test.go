@@ -1,6 +1,8 @@
 package failure
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"dynagg/internal/env"
@@ -77,6 +79,44 @@ func TestTopValuedAtFailsHighest(t *testing.T) {
 		if values[id] >= 5 {
 			t.Errorf("high-valued host %d (value %v) survived", id, values[id])
 		}
+	}
+}
+
+// TestTopValuedAtFailOrderWithTies pins the order in which TopValuedAt
+// fails hosts when values tie: value descending, then id, as a
+// reference sort.Slice with that comparator orders them.
+// Population.Fail swap-removes, so the live list left behind shows the
+// order, not just the set.
+func TestTopValuedAtFailOrderWithTies(t *testing.T) {
+	const n = 200
+	values := make([]float64, n)
+	for i := range values {
+		values[i] = float64(i * 7 % 5) // five classes of 40 tied hosts
+	}
+	scrambled := func() *env.Population {
+		p := env.NewPopulation(n)
+		for _, id := range []gossip.NodeID{3, 50, 120, 7, 199} {
+			p.Fail(id)
+		}
+		return p
+	}
+	got := scrambled()
+	TopValuedAt(4, 0.3, got, values)(4, nil)
+
+	want := scrambled()
+	live := append([]gossip.NodeID(nil), want.AliveIDs()...)
+	sort.Slice(live, func(i, j int) bool {
+		vi, vj := values[live[i]], values[live[j]]
+		if vi != vj {
+			return vi > vj
+		}
+		return live[i] < live[j]
+	})
+	for _, id := range live[:int(0.3*float64(len(live)))] {
+		want.Fail(id)
+	}
+	if !slices.Equal(got.AliveIDs(), want.AliveIDs()) {
+		t.Fatalf("live list after the hook\n got %v\nwant %v", got.AliveIDs(), want.AliveIDs())
 	}
 }
 

@@ -171,13 +171,14 @@ func (rc *ColRound) Rng(id NodeID) *xrand.Rand { return &rc.rngs[id] }
 //
 // BeginRange, EmitRange and EndRange visit the live hosts of their
 // range by iterating rc.Live(lo, hi), mirroring the classic engine's
-// dead-host gating. A BeginRange that only zeroes a per-round inbox may
-// clear the whole range instead: a dead host's inbox is never read, and
-// it is zeroed again on the round the host revives.
+// dead-host gating. A kernel may empty a per-round inbox in the
+// EndRange that consumes it rather than in BeginRange: Deliver folds
+// nothing into a dead host, so its inbox is still empty on revival.
 type ColumnarAgent interface {
 	// Len returns the population size.
 	Len() int
-	// BeginRange resets per-round columns for hosts [lo, hi).
+	// BeginRange resets per-round columns for hosts [lo, hi); an inbox
+	// the EndRange that consumes it empties needs no reset here.
 	BeginRange(rc *ColRound, lo, hi int)
 	// EmitRange computes emissions for hosts [lo, hi), appending them
 	// to rc.Out in ascending host order. Every live host in the range

@@ -68,10 +68,10 @@ type ColumnarProtocol interface {
 // Requirements: the full population (no Span), the push model
 // (push/pull pairs cross shard ownership), and a transport exposing a
 // batch plane (transport.Batcher — the channel, UDP and TCP transports
-// all qualify, plain or wrapped in transport.Lossy). Liveness must be
-// time-invariant, as everywhere in the live engine: a host that is
-// dead at one tick must be dead at every tick, or its queued inbound
-// mass would be discarded where the classic path would hold it.
+// all qualify, plain or wrapped in transport.Lossy). Liveness is
+// time-invariant, as Config.Env requires (estimates reads it at the
+// final tick). Mass DeliverWire folds into a dead host stays in its
+// inbox, as the classic path holds it in the host's transport queue.
 type ColumnarPopulation struct {
 	proto ColumnarProtocol
 	e     *Engine

@@ -15,12 +15,11 @@ import (
 // the estimates and Reset. A Columnar's columns are slices and its
 // kernels loops over the steps; a Node's are one-element arrays, held
 // inline in one allocation.
-type hosts[F []float64 | [1]float64, I []int32 | [1]int32, B []bool | [1]bool] struct {
+type hosts[F []float64 | [1]float64, B []bool | [1]bool] struct {
 	cfg Config
 	w0  float64 // every host's initial weight: cfg's, or 0 for an observer
 
 	inW, inV  F
-	inMsgs    I
 	w, v, est F
 	hasEst    B
 	v0        F
@@ -44,7 +43,7 @@ type moment struct {
 
 // init sets up hosts of data values vs and initial weight w0 in the
 // empty columns in place, allocating the variant's own.
-func (c *hosts[F, I, B]) init(vs []float64, w0 float64, cfg Config, moments bool) {
+func (c *hosts[F, B]) init(vs []float64, w0 float64, cfg Config, moments bool) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -75,7 +74,7 @@ func (c *hosts[F, I, B]) init(vs []float64, w0 float64, cfg Config, moments bool
 // process restarting from its data value: held and in-flight mass is
 // discarded, (w₀, w₀·v₀) re-sourced and the Full-Transfer window
 // emptied. An observer (w₀ = v₀ = 0) resets to no estimate.
-func (c *hosts[F, I, B]) Reset(id gossip.NodeID) {
+func (c *hosts[F, B]) Reset(id gossip.NodeID) {
 	c.emptyInbox(id)
 	if c.window != nil {
 		c.histPos[id], c.histLen[id] = 0, 0
@@ -84,7 +83,7 @@ func (c *hosts[F, I, B]) Reset(id gossip.NodeID) {
 }
 
 // restore gives host i its initial mass and estimate back.
-func (c *hosts[F, I, B]) restore(i gossip.NodeID) {
+func (c *hosts[F, B]) restore(i gossip.NodeID) {
 	c.w[i], c.v[i] = c.w0, c.w0*c.v0[i]
 	if c.moment != nil {
 		c.q[i] = c.q0[i]
@@ -93,17 +92,17 @@ func (c *hosts[F, I, B]) restore(i gossip.NodeID) {
 }
 
 // Len implements gossip.ColumnarAgent.
-func (c *hosts[F, I, B]) Len() int { return len(c.w) }
+func (c *hosts[F, B]) Len() int { return len(c.w) }
 
 // Config returns the hosts' configuration.
-func (c *hosts[F, I, B]) Config() Config { return c.cfg }
+func (c *hosts[F, B]) Config() Config { return c.cfg }
 
 // Mass returns host id's current mass vector.
-func (c *hosts[F, I, B]) Mass(id gossip.NodeID) Mass { return Mass{W: c.w[id], V: c.v[id]} }
+func (c *hosts[F, B]) Mass(id gossip.NodeID) Mass { return Mass{W: c.w[id], V: c.v[id]} }
 
 // Estimate implements gossip.ColumnarAgent. A moments host reports the
 // standard deviation, computed on read.
-func (c *hosts[F, I, B]) Estimate(id gossip.NodeID) (float64, bool) {
+func (c *hosts[F, B]) Estimate(id gossip.NodeID) (float64, bool) {
 	if c.moment != nil {
 		_, variance, ok := moments(c.w[id], c.v[id], c.q[id])
 		return math.Sqrt(variance), ok
@@ -111,9 +110,9 @@ func (c *hosts[F, I, B]) Estimate(id gossip.NodeID) (float64, bool) {
 	return c.est[id], c.hasEst[id]
 }
 
-// emptyInbox empties host i's inbox (Columnar.BeginRange a range).
-func (c *hosts[F, I, B]) emptyInbox(i gossip.NodeID) {
-	c.inW[i], c.inV[i], c.inMsgs[i] = 0, 0, 0
+// emptyInbox empties host i's inbox (Reset; end empties it as it reads).
+func (c *hosts[F, B]) emptyInbox(i gossip.NodeID) {
+	c.inW[i], c.inV[i] = 0, 0
 	if c.moment != nil {
 		c.inQ[i] = 0
 	}
@@ -124,7 +123,7 @@ func revert(x, x0, λ float64) float64 { return (1-λ)*x + λ*x0 }
 
 // reverted is host i's mass after the reversion step (w₀·v₀ is v's
 // target).
-func (c *hosts[F, I, B]) reverted(i gossip.NodeID) gossip.Mass {
+func (c *hosts[F, B]) reverted(i gossip.NodeID) gossip.Mass {
 	λ := c.cfg.Lambda
 	return gossip.Mass{W: revert(c.w[i], c.w0, λ), V: revert(c.v[i], c.w0*c.v0[i], λ)}
 }
@@ -132,14 +131,14 @@ func (c *hosts[F, I, B]) reverted(i gossip.NodeID) gossip.Mass {
 // share is host i's basic outgoing share (Figure 3): half its reverted
 // mass, to the peer and to itself; a host with no peer sends itself
 // the whole, double(share).
-func (c *hosts[F, I, B]) share(i gossip.NodeID) gossip.Mass { return divide(c.reverted(i), 2) }
+func (c *hosts[F, B]) share(i gossip.NodeID) gossip.Mass { return divide(c.reverted(i), 2) }
 
 func divide(m gossip.Mass, d float64) gossip.Mass { return gossip.Mass{W: m.W / d, V: m.V / d} }
 
 func double(half gossip.Mass) gossip.Mass { return gossip.Mass{W: 2 * half.W, V: 2 * half.V} }
 
 // shareQ writes to outQ[i] the q moments host i sends with its share.
-func (c *hosts[F, I, B]) shareQ(i gossip.NodeID, whole bool) {
+func (c *hosts[F, B]) shareQ(i gossip.NodeID, whole bool) {
 	half := revert(c.q[i], c.q0[i], c.cfg.Lambda) / 2
 	if whole {
 		half *= 2
@@ -149,7 +148,7 @@ func (c *hosts[F, I, B]) shareQ(i gossip.NodeID, whole bool) {
 
 // rawShare is Adaptive host i's share: half its unreverted mass, or the
 // whole for a host with no peer (it reverts on receipt).
-func (c *hosts[F, I, B]) rawShare(i gossip.NodeID, whole bool) gossip.Mass {
+func (c *hosts[F, B]) rawShare(i gossip.NodeID, whole bool) gossip.Mass {
 	if whole {
 		return gossip.Mass{W: c.w[i], V: c.v[i]}
 	}
@@ -158,31 +157,30 @@ func (c *hosts[F, I, B]) rawShare(i gossip.NodeID, whole bool) gossip.Mass {
 
 // parcel is one of Full-Transfer host i's Parcels equal shares of its
 // reverted mass (Figure 4); it retains nothing.
-func (c *hosts[F, I, B]) parcel(i gossip.NodeID) gossip.Mass {
+func (c *hosts[F, B]) parcel(i gossip.NodeID) gossip.Mass {
 	return divide(c.reverted(i), float64(c.cfg.Parcels))
 }
 
 // fold adds one received mass to host i's inbox.
-func (c *hosts[F, I, B]) fold(i gossip.NodeID, m gossip.Mass) {
+func (c *hosts[F, B]) fold(i gossip.NodeID, m gossip.Mass) {
 	c.inW[i] += m.W
 	c.inV[i] += m.V
-	c.inMsgs[i]++
 }
 
 // foldAdaptive is the Adaptive fold (§III-A): the mass damped by (1−λ)
 // plus λ/2 of the initial mass per message, λ per round on average.
-func (c *hosts[F, I, B]) foldAdaptive(i gossip.NodeID, m gossip.Mass) {
+func (c *hosts[F, B]) foldAdaptive(i gossip.NodeID, m gossip.Mass) {
 	λ := c.cfg.Lambda
 	c.fold(i, gossip.Mass{W: (1-λ)*m.W + (λ/2)*c.w0, V: (1-λ)*m.V + (λ/2)*(c.w0*c.v0[i])})
 }
 
-func (c *hosts[F, I, B]) foldMoments(i gossip.NodeID, m gossip.Mass, q float64) {
+func (c *hosts[F, B]) foldMoments(i gossip.NodeID, m gossip.Mass, q float64) {
 	c.fold(i, m)
 	c.inQ[i] += q
 }
 
 // receive folds one message for host to (q is its q share).
-func (c *hosts[F, I, B]) receive(to gossip.NodeID, m gossip.Mass, q float64) {
+func (c *hosts[F, B]) receive(to gossip.NodeID, m gossip.Mass, q float64) {
 	switch {
 	case c.cfg.Adaptive:
 		c.foldAdaptive(to, m)
@@ -193,8 +191,9 @@ func (c *hosts[F, I, B]) receive(to gossip.NodeID, m gossip.Mass, q float64) {
 	}
 }
 
-// end settles each host of live at round end.
-func (c *hosts[F, I, B]) end(live []gossip.NodeID) {
+// end settles each host of live at round end, emptying the inbox it
+// reads (push/pull fills none), so that no round begins by clearing one.
+func (c *hosts[F, B]) end(live []gossip.NodeID) {
 	switch {
 	case c.cfg.PushPull:
 		// Exchange moved the mass; the reversion applies once a round.
@@ -208,35 +207,37 @@ func (c *hosts[F, I, B]) end(live []gossip.NodeID) {
 			}
 		}
 	case c.cfg.FullTransfer:
-		// The host keeps only what arrived, possibly nothing.
+		// The host keeps only what arrived: nothing unless a fold raised inW.
 		for _, i := range live {
 			c.w[i], c.v[i] = c.inW[i], c.inV[i]
-			if c.inMsgs[i] > 0 && c.inW[i] > 0 {
+			if c.inW[i] > 0 {
 				c.record(i)
 			}
+			c.inW[i], c.inV[i] = 0, 0
 			c.windowEstimate(i)
 		}
 	default:
 		for _, i := range live {
 			c.settle(i, gossip.Mass{W: c.inW[i], V: c.inV[i]})
+			c.inW[i], c.inV[i] = 0, 0
 		}
 		if c.moment != nil {
 			for _, i := range live {
-				c.q[i] = c.inQ[i]
+				c.q[i], c.inQ[i] = c.inQ[i], 0
 			}
 		}
 	}
 }
 
 // settle sets host i's mass to m and refreshes its estimate.
-func (c *hosts[F, I, B]) settle(i gossip.NodeID, m gossip.Mass) {
+func (c *hosts[F, B]) settle(i gossip.NodeID, m gossip.Mass) {
 	c.w[i], c.v[i] = m.W, m.V
 	c.estimate(i, m.W, m.V)
 }
 
 // record enters host i's inbox in its Full-Transfer window, the ring
 // buffer of the last Window rounds in which mass arrived.
-func (c *hosts[F, I, B]) record(i gossip.NodeID) {
+func (c *hosts[F, B]) record(i gossip.NodeID) {
 	W := c.cfg.Window
 	j := int(i)*W + int(c.histPos[i])
 	c.histW[j], c.histV[j] = c.inW[i], c.inV[i]
@@ -248,7 +249,7 @@ func (c *hosts[F, I, B]) record(i gossip.NodeID) {
 
 // windowEstimate refreshes Full-Transfer host i's estimate from its
 // window.
-func (c *hosts[F, I, B]) windowEstimate(i gossip.NodeID) {
+func (c *hosts[F, B]) windowEstimate(i gossip.NodeID) {
 	base := int(i) * c.cfg.Window
 	var sw, sv float64
 	for j := range int(c.histLen[i]) {
@@ -259,7 +260,7 @@ func (c *hosts[F, I, B]) windowEstimate(i gossip.NodeID) {
 }
 
 // estimate sets host i's estimate to v/w while w holds weight.
-func (c *hosts[F, I, B]) estimate(i gossip.NodeID, w, v float64) {
+func (c *hosts[F, B]) estimate(i gossip.NodeID, w, v float64) {
 	if w > 1e-12 {
 		c.est[i] = v / w
 		c.hasEst[i] = true
@@ -268,7 +269,7 @@ func (c *hosts[F, I, B]) estimate(i gossip.NodeID, w, v float64) {
 
 // exchange averages the mass of host i and host j of b pairwise (Karp
 // et al.); moments hosts average their q alike.
-func (c *hosts[F, I, B]) exchange(i gossip.NodeID, b *hosts[F, I, B], j gossip.NodeID) {
+func (c *hosts[F, B]) exchange(i gossip.NodeID, b *hosts[F, B], j gossip.NodeID) {
 	average(&c.w[i], &b.w[j])
 	average(&c.v[i], &b.v[j])
 }
@@ -279,7 +280,7 @@ func average(x, y *float64) { *x = (*x + *y) / 2; *y = *x }
 // (gossip.ColumnarAgent, gossip.ColExchanger), every variant supported.
 // Its kernels are loops calling the per-host steps a Node calls.
 type Columnar struct {
-	hosts[[]float64, []int32, []bool]
+	hosts[[]float64, []bool]
 }
 
 var _ gossip.ColExchanger = (*Columnar)(nil)
@@ -292,9 +293,9 @@ func newColumnar(vs []float64, w0 float64, cfg Config, moments bool) *Columnar {
 	n := len(vs)
 	f := make([]float64, 6*n)
 	col := func(k int) []float64 { return f[k*n : (k+1)*n : (k+1)*n] }
-	c := &Columnar{hosts[[]float64, []int32, []bool]{
+	c := &Columnar{hosts[[]float64, []bool]{
 		inW: col(0), inV: col(1), w: col(2), v: col(3), est: col(4), v0: col(5),
-		inMsgs: make([]int32, n), hasEst: make([]bool, n),
+		hasEst: make([]bool, n),
 	}}
 	c.init(vs, w0, cfg, moments)
 	return c
@@ -308,15 +309,8 @@ func weight(cfg Config) float64 {
 	return cfg.Weight
 }
 
-// BeginRange implements gossip.ColumnarAgent: empty the inboxes.
-func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {
-	clear(c.inW[lo:hi])
-	clear(c.inV[lo:hi])
-	clear(c.inMsgs[lo:hi])
-	if c.moment != nil {
-		clear(c.inQ[lo:hi])
-	}
-}
+// BeginRange implements gossip.ColumnarAgent: EndRange empties the inboxes.
+func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {}
 
 // EmitRange implements gossip.ColumnarAgent: each live host's shares,
 // one message per peer pick, in Node.EmitAppend's envelope order. A

@@ -117,7 +117,7 @@ func (c Config) Validate() error {
 // picks, the envelopes and out, the scratch they point at (&out.Mass,
 // or &out for a moments host).
 type Node struct {
-	c   hosts[[1]float64, [1]int32, [1]bool]
+	c   hosts[[1]float64, [1]bool]
 	id  gossip.NodeID
 	out MomentsMass
 }
@@ -175,8 +175,8 @@ func (n *Node) Mass() Mass { return n.c.Mass(0) }
 // Config returns the node's configuration.
 func (n *Node) Config() Config { return n.c.cfg }
 
-// BeginRound implements gossip.Agent.
-func (n *Node) BeginRound(round int) { n.c.emptyInbox(0) }
+// BeginRound implements gossip.Agent: EndRound empties the inbox.
+func (n *Node) BeginRound(round int) {}
 
 // Emit implements gossip.Agent: EmitAppend onto a fresh slice.
 func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
