@@ -257,8 +257,9 @@ heal-soak:
 	grep -q '^heal m2 ' $$dir/heal.txt || { echo "heal-soak: the respawned member was never seen alive" >&2; exit 1; }; \
 	grep -q '^mass audit: ratio' $$dir/heal.txt || { echo "heal-soak: the members printed no mass census" >&2; exit 1; }
 
-# Documentation lint: every exported identifier in the contract
-# packages must carry a doc comment (cmd/doclint), every relative link
+# Documentation lint: every exported identifier in every package
+# under internal/ (as go list finds them, so a new package cannot go
+# unlinted) must carry a doc comment (cmd/doclint), every relative link
 # in README/docs must resolve, the README must stay a quickstart, every
 # `dynaggsim <mode> ...` command in README, docs/ and this Makefile
 # (each one of a line's `;`/`&&`/`||`/`&`/`|`-joined commands) must
@@ -266,8 +267,7 @@ heal-soak:
 # the gateway API reference's example payloads must round-trip against
 # the real handlers (TestGatewayAPIDocExamples).
 doc-lint:
-	$(GO) run ./cmd/doclint internal/backoff internal/chaos internal/env internal/experiments internal/failure internal/gateway internal/gossip internal/gossip/live internal/gossip/live/health internal/gossip/live/transport \
-		internal/groups internal/metrics internal/overlay $(wildcard internal/protocol/*) internal/sketch internal/stats internal/supervise internal/sysmem internal/trace internal/wire internal/xrand
+	$(GO) run ./cmd/doclint $$($(GO) list -f '{{.Dir}}' ./internal/...)
 	$(GO) test -run 'TestDocsLinksResolve|TestREADMEStaysQuickstart' .
 	$(GO) test -run 'TestDocumentedInvocationsParse' ./cmd/dynaggsim
 	$(GO) test -run 'TestGatewayAPIDocExamples' ./internal/gateway

@@ -193,7 +193,8 @@ func (g *Grid) node(x, y int) gossip.NodeID {
 }
 
 // NeighborsOf returns the four torus-adjacent hosts of id (dead or
-// alive), for overlay construction.
+// alive): the grid's topology, over which the overlay ablation builds
+// its spanning tree.
 func (g *Grid) NeighborsOf(id gossip.NodeID) []gossip.NodeID {
 	x, y := g.coord(id)
 	return []gossip.NodeID{

@@ -8,7 +8,6 @@ import (
 	"dynagg/internal/failure"
 	"dynagg/internal/gossip"
 	"dynagg/internal/metrics"
-	"dynagg/internal/overlay"
 	"dynagg/internal/protocol/epoch"
 	"dynagg/internal/protocol/pushsumrevert"
 	"dynagg/internal/sketch"
@@ -217,16 +216,12 @@ func AblationOverlay(side int, seed uint64) Result {
 		// --- Overlay: build on the intact grid, fail, then collect.
 		grid := env.NewGrid(side, side, 0)
 		values := uniformValues(grid.Size(), seed+7)
-		tree, err := overlay.Build(gridTopology{grid}, 0)
-		if err != nil {
-			panic(err)
-		}
+		collect := tagTree(grid)
 		failRandomDirect(grid.Population, frac, seed+13)
 		trueAvg := liveAverage(values, grid.Population)
-		result := tree.Collect(values, func(id gossip.NodeID) bool { return grid.Population.Alive(id) })
 		treeErr := 0.0
 		if trueAvg != 0 {
-			treeErr = math.Abs(result.Average()-trueAvg) / math.Abs(trueAvg)
+			treeErr = math.Abs(collect(values)-trueAvg) / math.Abs(trueAvg)
 		}
 		treeSeries.Append(float64(failPct), treeErr)
 
@@ -262,13 +257,45 @@ func AblationOverlay(side int, seed uint64) Result {
 	return res
 }
 
-// gridTopology adapts env.Grid to overlay.Topology.
-type gridTopology struct{ g *env.Grid }
-
-func (t gridTopology) Size() int                   { return t.g.Size() }
-func (t gridTopology) Alive(id gossip.NodeID) bool { return t.g.Population.Alive(id) }
-func (t gridTopology) Neighbors(id gossip.NodeID) []gossip.NodeID {
-	return t.g.NeighborsOf(id)
+// tagTree is the TAG baseline (Madden et al., §II a / §VI): it builds
+// a BFS spanning tree from host 0 over g, which no host has left yet,
+// and returns the tree's collection. collect folds partial sums and counts up the tree
+// in reverse BFS order, children before parents, with liveness read at
+// collection time: a host that has failed since the build forwards
+// nothing and swallows its subtree. It returns the average that reaches
+// the root, or 0 once the root itself has failed.
+func tagTree(g *env.Grid) (collect func(values []float64) float64) {
+	alive := g.Population.Alive
+	parent := make([]gossip.NodeID, g.Size())
+	reached := make([]bool, g.Size())
+	order := []gossip.NodeID{0}
+	reached[0] = true
+	for i := 0; i < len(order); i++ {
+		for _, nb := range g.NeighborsOf(order[i]) {
+			if !reached[nb] {
+				reached[nb], parent[nb] = true, order[i]
+				order = append(order, nb)
+			}
+		}
+	}
+	return func(values []float64) float64 {
+		sum, cnt := make([]float64, len(parent)), make([]int, len(parent))
+		for _, id := range order {
+			if alive(id) {
+				sum[id], cnt[id] = values[id], 1
+			}
+		}
+		for i := len(order) - 1; i > 0; i-- {
+			if id := order[i]; alive(id) {
+				sum[parent[id]] += sum[id]
+				cnt[parent[id]] += cnt[id]
+			}
+		}
+		if !alive(0) {
+			return 0
+		}
+		return sum[0] / float64(cnt[0])
+	}
 }
 
 func failRandomDirect(pop *env.Population, frac float64, seed uint64) {

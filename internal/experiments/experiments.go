@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"dynagg/internal/stats"
@@ -43,44 +42,8 @@ func PrintResult(w io.Writer, r Result) {
 	if len(r.Series) == 0 {
 		return
 	}
-	// Union of x values across series, in order.
-	xsSet := make(map[float64]bool)
-	for _, s := range r.Series {
-		for _, x := range s.X {
-			xsSet[x] = true
-		}
-	}
-	xs := make([]float64, 0, len(xsSet))
-	for x := range xsSet {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-
-	header := make([]string, 0, len(r.Series)+1)
-	header = append(header, r.XLabel)
-	for _, s := range r.Series {
-		header = append(header, s.Label)
-	}
-	fmt.Fprintln(w, strings.Join(header, "\t"))
-	// Index each series by x for sparse alignment.
-	idx := make([]map[float64]float64, len(r.Series))
-	for i, s := range r.Series {
-		m := make(map[float64]float64, s.Len())
-		for j := range s.X {
-			m[s.X[j]] = s.Y[j]
-		}
-		idx[i] = m
-	}
-	for _, x := range xs {
-		row := make([]string, 0, len(r.Series)+1)
-		row = append(row, trimFloat(x))
-		for i := range r.Series {
-			if y, ok := idx[i][x]; ok {
-				row = append(row, fmt.Sprintf("%.4f", y))
-			} else {
-				row = append(row, "-")
-			}
-		}
+	y := func(v float64) string { return fmt.Sprintf("%.4f", v) }
+	for _, row := range rows(r, trimFloat, y, "-") {
 		fmt.Fprintln(w, strings.Join(row, "\t"))
 	}
 }

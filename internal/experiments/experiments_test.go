@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"dynagg/internal/env"
+	"dynagg/internal/gossip"
 	"dynagg/internal/stats"
 )
 
@@ -258,10 +262,80 @@ func TestAblationEpoch(t *testing.T) {
 	}
 }
 
+// TestAblationOverlay pins the ablation's table, recorded before the
+// tree moved in from its own package, and the tree's exactness when
+// nothing fails: exact up to summation order, since the tree adds in
+// reverse BFS order and the true average in id order (4.0e-16 apart at
+// seed 1).
 func TestAblationOverlay(t *testing.T) {
 	res := AblationOverlay(20, 1)
-	if len(res.Notes) == 0 && len(res.Series) == 0 {
-		t.Fatal("overlay ablation produced nothing")
+	var sb strings.Builder
+	PrintResult(&sb, res)
+	const want = "3d3c11e6d17573c7dee75cdc0e102a4d262d9a9e73813ccf03f2a4c13457553c"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String()))); got != want {
+		t.Errorf("AblationOverlay(20, 1) table digest %s, want %s:\n%s", got, want, sb.String())
+	}
+	if tree := res.Series[0]; tree.X[0] != 0 || tree.Y[0] > 1e-12 {
+		t.Errorf("tree error at %v%% failures = %v, want 0 up to rounding", tree.X[0], tree.Y[0])
+	}
+}
+
+// ids returns the values 0, 1, ..., n-1: host i holds i.
+func ids(n int) []float64 {
+	values := make([]float64, n)
+	for i := range values {
+		values[i] = float64(i)
+	}
+	return values
+}
+
+func TestCollectExactOnStaticNetwork(t *testing.T) {
+	grid := env.NewGrid(8, 8, 0)
+	values := ids(64)
+	for i := range values {
+		values[i] *= values[i]
+	}
+	var sum float64
+	for _, v := range values {
+		sum += v
+	}
+	if got, want := tagTree(grid)(values), sum/64; got != want {
+		t.Errorf("static tree average %v, want exactly %v", got, want)
+	}
+}
+
+// The failure mode the paper describes: a host failing between build
+// and collection silently drops its whole subtree. On a ring of 7 the
+// BFS tree is two arms of shortest paths, 0-1-2-3 and 0-6-5-4, so a
+// failed host takes with it every host farther out on its arm, and a
+// failed leaf only itself.
+func TestCollectDropsSubtreeOfDeadHost(t *testing.T) {
+	for _, tc := range []struct {
+		fail gossip.NodeID
+		want float64 // average of the hosts still connected to the root
+	}{
+		{1, (0 + 4 + 5 + 6) / 4.0},
+		{2, (0 + 1 + 4 + 5 + 6) / 5.0},
+		{3, (0 + 1 + 2 + 4 + 5 + 6) / 6.0},
+		{6, (0 + 1 + 2 + 3) / 4.0},
+		{4, (0 + 1 + 2 + 3 + 5 + 6) / 6.0},
+	} {
+		grid := env.NewGrid(7, 1, 0)
+		collect := tagTree(grid)
+		grid.Population.Fail(tc.fail)
+		if got := collect(ids(7)); got != tc.want {
+			t.Errorf("host %d failed: tree average %v, want %v", tc.fail, got, tc.want)
+		}
+	}
+}
+
+// A failure wave can take the root itself: then nothing is collected.
+func TestCollectDeadRoot(t *testing.T) {
+	grid := env.NewGrid(3, 3, 0)
+	collect := tagTree(grid)
+	grid.Population.Fail(0)
+	if got := collect([]float64{1, 1, 1, 1, 1, 1, 1, 1, 1}); got != 0 {
+		t.Errorf("dead root collected average %v, want 0", got)
 	}
 }
 

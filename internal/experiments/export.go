@@ -9,12 +9,20 @@ import (
 	"strconv"
 )
 
-// unionX returns the sorted union of x values across all series.
-func unionX(r Result) []float64 {
+// rows lays r out as the table and CSV renderers print it: a header
+// (the x label, then each series' label), then one row per x in the
+// sorted union of the series' x values, formatted by fx, with each
+// series' sample at x formatted by fy, or missing where it has none.
+func rows(r Result, fx, fy func(float64) string, missing string) [][]string {
+	header := []string{r.XLabel}
 	set := make(map[float64]bool)
-	for _, s := range r.Series {
-		for _, x := range s.X {
+	idx := make([]map[float64]float64, len(r.Series))
+	for i, s := range r.Series {
+		header = append(header, s.Label)
+		idx[i] = make(map[float64]float64, s.Len())
+		for j, x := range s.X {
 			set[x] = true
+			idx[i][x] = s.Y[j]
 		}
 	}
 	xs := make([]float64, 0, len(set))
@@ -22,7 +30,19 @@ func unionX(r Result) []float64 {
 		xs = append(xs, x)
 	}
 	sort.Float64s(xs)
-	return xs
+	out := [][]string{header}
+	for _, x := range xs {
+		row := []string{fx(x)}
+		for _, m := range idx {
+			if y, ok := m[x]; ok {
+				row = append(row, fy(y))
+			} else {
+				row = append(row, missing)
+			}
+		}
+		out = append(out, row)
+	}
+	return out
 }
 
 // WriteCSV renders the result as CSV: a header row (the x label then
@@ -30,39 +50,8 @@ func unionX(r Result) []float64 {
 // series has no sample are empty. Notes are not representable in CSV
 // and are omitted; use WriteJSON to keep them.
 func WriteCSV(w io.Writer, r Result) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, 0, len(r.Series)+1)
-	header = append(header, r.XLabel)
-	for _, s := range r.Series {
-		header = append(header, s.Label)
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	idx := make([]map[float64]float64, len(r.Series))
-	for i, s := range r.Series {
-		m := make(map[float64]float64, s.Len())
-		for j := range s.X {
-			m[s.X[j]] = s.Y[j]
-		}
-		idx[i] = m
-	}
-	for _, x := range unionX(r) {
-		row := make([]string, 0, len(r.Series)+1)
-		row = append(row, strconv.FormatFloat(x, 'g', -1, 64))
-		for i := range r.Series {
-			if y, ok := idx[i][x]; ok {
-				row = append(row, strconv.FormatFloat(y, 'g', -1, 64))
-			} else {
-				row = append(row, "")
-			}
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	return csv.NewWriter(w).WriteAll(rows(r, g, g, ""))
 }
 
 // jsonResult is the stable JSON shape for a Result.

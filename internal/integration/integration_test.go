@@ -13,7 +13,6 @@ import (
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
 	"dynagg/internal/metrics"
-	"dynagg/internal/overlay"
 	"dynagg/internal/protocol/epoch"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
@@ -198,56 +197,6 @@ func TestMobilityEpochSynchronization(t *testing.T) {
 	if max-min > 1 {
 		t.Errorf("epochs diverged under mobility: range [%d, %d]", min, max)
 	}
-}
-
-// Overlay vs gossip on the same trace topology: on a static snapshot
-// the tree is exact while gossip carries the reversion bias; after a
-// silent failure the tree loses a subtree while gossip degrades
-// gracefully.
-func TestOverlayVsGossipOnTraceTopology(t *testing.T) {
-	// A static star trace: device 0 at the center, 8 leaves.
-	events := make([]trace.Event, 0, 8)
-	for leaf := 1; leaf <= 8; leaf++ {
-		events = append(events, trace.Event{At: 0, A: 0, B: leaf, Up: true})
-	}
-	tr := &trace.Trace{Name: "star", N: 9, Duration: time.Hour, Events: events}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	tenv := env.NewTraceEnv(tr, 30*time.Second, 10*time.Minute)
-	tenv.Advance(0)
-	values := []float64{9, 1, 2, 3, 4, 5, 6, 7, 8}
-
-	topo := traceTopology{tenv}
-	tree, err := overlay.Build(topo, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tree.Order) != 9 {
-		t.Fatalf("tree reached %d of 9", len(tree.Order))
-	}
-	exact := tree.Collect(values, func(id gossip.NodeID) bool { return true })
-	if exact.Average() != 5 {
-		t.Errorf("static tree average %v, want exactly 5", exact.Average())
-	}
-
-	// A leaf failing silently costs exactly its own contribution (a
-	// leaf forwards no one else's partials, so nothing else is lost);
-	// the interior-failure subtree loss is asserted in package overlay.
-	lost := tree.Collect(values, func(id gossip.NodeID) bool { return id != 1 })
-	if lost.Count != 8 || lost.Lost != 0 || lost.Sum != 44 {
-		t.Errorf("post-failure collect %+v, want count 8, lost 0, sum 44", lost)
-	}
-}
-
-type traceTopology struct{ tenv *env.TraceEnv }
-
-func (t traceTopology) Size() int { return t.tenv.Size() }
-func (t traceTopology) Alive(id gossip.NodeID) bool {
-	return t.tenv.Population.Alive(id)
-}
-func (t traceTopology) Neighbors(id gossip.NodeID) []gossip.NodeID {
-	return t.tenv.NeighborsOf(id)
 }
 
 // All aggregate kinds run against the same environment and agree with

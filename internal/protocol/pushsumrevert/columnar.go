@@ -317,6 +317,9 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {}
 // host sends at most Parcels messages under Full-Transfer and two
 // otherwise, reserved before the first append.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
+	if c.cfg.PushPull {
+		mismatch(true)
+	}
 	live := rc.Live(lo, hi)
 	fanout := 2
 	if c.cfg.FullTransfer {
@@ -402,6 +405,9 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 // averaging of every pair in order. The reversion decay is applied once
 // per round in EndRange, not per exchange.
 func (c *Columnar) ExchangePairs(rc *gossip.ColRound, pairs []gossip.Pair) {
+	if !c.cfg.PushPull {
+		mismatch(false)
+	}
 	for _, pr := range pairs {
 		c.exchange(pr.A, &c.hosts, pr.B)
 	}

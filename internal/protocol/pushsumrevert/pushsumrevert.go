@@ -80,8 +80,21 @@ type Config struct {
 	// PushPull declares that the node will be driven by the engine's
 	// push/pull model (pairwise Exchange calls) rather than push
 	// emission. The reversion step then runs once per round at round
-	// end. Figures 8 and 10a use this mode.
+	// end. Figures 8 and 10a use this mode. It must match the engine's
+	// Model: a push/pull host asked to emit, or a push host asked to
+	// exchange, panics in the first round, naming both settings, since
+	// either run would aggregate nothing.
 	PushPull bool
+}
+
+// mismatch panics for a host whose PushPull is pushPull driven by the
+// other model.
+func mismatch(pushPull bool) {
+	model := gossip.PushPull
+	if pushPull {
+		model = gossip.Push
+	}
+	panic(fmt.Sprintf("pushsumrevert: Config.PushPull is %t but the engine's Model is %v", pushPull, model))
 }
 
 // Validate reports whether the configuration is usable.
@@ -188,6 +201,9 @@ func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip
 // no heap allocation. Messages follow Columnar.EmitRange's order.
 func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	c := &n.c
+	if c.cfg.PushPull {
+		mismatch(true)
+	}
 	var p any = &n.out.Mass
 	if c.cfg.FullTransfer {
 		n.out.Mass = Mass(c.parcel(0))
@@ -249,6 +265,9 @@ func (n *Node) EndRound(round int) { n.c.end([]gossip.NodeID{0}) }
 
 // Exchange implements gossip.Exchanger: pairwise mass averaging.
 func (n *Node) Exchange(peer gossip.Exchanger) {
+	if !n.c.cfg.PushPull {
+		mismatch(false)
+	}
 	p := &peer.(*Node).c
 	n.c.exchange(0, p, 0)
 	if n.c.moment != nil {

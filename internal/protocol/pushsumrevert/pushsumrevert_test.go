@@ -1,13 +1,16 @@
 package pushsumrevert
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"dynagg/internal/env"
 	"dynagg/internal/gossip"
+	"dynagg/internal/stats"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -449,5 +452,61 @@ func TestReversionDecaysPerturbation(t *testing.T) {
 	}
 	if m := n.Mass(); math.Abs(m.W-1) > 1e-6 || math.Abs(m.V-10) > 1e-6 {
 		t.Errorf("mass did not revert: w=%v v=%v, want 1, 10", m.W, m.V)
+	}
+}
+
+// Config.PushPull must match the engine's model on either backend: the
+// two matched runs converge on the true average, and each mismatch,
+// which would aggregate nothing, panics in round 0 naming both
+// settings.
+func TestPushPullMustMatchModel(t *testing.T) {
+	values := make([]float64, 200)
+	for i := range values {
+		values[i] = float64(i % 10) // true average 4.5
+	}
+	for _, tc := range []struct {
+		model    gossip.Model
+		pushPull bool
+		panics   string // "" for a matched run
+	}{
+		{gossip.Push, false, ""},
+		{gossip.PushPull, true, ""},
+		{gossip.Push, true, "Config.PushPull is true but the engine's Model is push"},
+		{gossip.PushPull, false, "Config.PushPull is false but the engine's Model is push-pull"},
+	} {
+		t.Run(fmt.Sprintf("model=%v/PushPull=%t", tc.model, tc.pushPull), func(t *testing.T) {
+			onBothBackends(t, func(t *testing.T, columnar bool) {
+				cfg := Config{PushPull: tc.pushPull}
+				ecfg := gossip.Config{Env: env.NewUniform(len(values)), Model: tc.model, Seed: 3}
+				if columnar {
+					ecfg.Columnar = NewColumnar(values, cfg)
+				} else {
+					ecfg.Agents = make([]gossip.Agent, len(values))
+					for i, v := range values {
+						ecfg.Agents[i] = New(gossip.NodeID(i), v, cfg)
+					}
+				}
+				engine, err := gossip.NewEngine(ecfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.panics == "" {
+					engine.Run(50)
+					if dev := stats.DeviationFrom(engine.Estimates(), 4.5); dev > 1e-3 {
+						t.Errorf("matched run: deviation %v from the true average after 50 rounds", dev)
+					}
+					return
+				}
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.panics) {
+						t.Errorf("panic %q, want one containing %q", msg, tc.panics)
+					}
+					if r := engine.Round(); r != 0 {
+						t.Errorf("panicked after round %d, want in round 0", r)
+					}
+				}()
+				engine.Run(50)
+			})
+		})
 	}
 }

@@ -162,8 +162,7 @@ func (r Readout) estimate(block []uint8) float64 {
 	if sumR == 0 {
 		return 0
 	}
-	avgR := float64(sumR) / float64(bins)
-	return float64(bins) * math.Exp2(avgR) / sketch.Phi / r.scale
+	return sketch.EstimateFromR(bins, sumR) / r.scale
 }
 
 // Node is one Count-Sketch-Reset host. Its gossip payload is the full

@@ -213,15 +213,6 @@ func (s *Sketch) R(bin int) int {
 	return r
 }
 
-// AvgR returns the mean R over all bins.
-func (s *Sketch) AvgR() float64 {
-	var sum int
-	for i := 0; i < s.params.Bins; i++ {
-		sum += s.R(i)
-	}
-	return float64(sum) / float64(s.params.Bins)
-}
-
 // Estimate returns the estimated number of distinct identifiers
 // inserted across all merged sketches: m·2^avg(R)/ϕ. An entirely empty
 // sketch estimates 0.
@@ -236,7 +227,20 @@ func (s *Sketch) Estimate() float64 {
 	if empty {
 		return 0
 	}
-	return float64(s.params.Bins) * math.Exp2(s.AvgR()) / Phi
+	var sumR int
+	for i := range s.params.Bins {
+		sumR += s.R(i)
+	}
+	return EstimateFromR(s.params.Bins, sumR)
+}
+
+// EstimateFromR is the PCSA estimate m·2^(ΣR/m)/ϕ of m bins whose
+// Flajolet-Martin R values sum to sumR, the one place the formula is
+// written. It has no zero rule: a caller that reads an empty sketch as
+// 0 says so itself (Estimate does on all bins zero, Count-Sketch-Reset
+// on ΣR = 0; m/ϕ is what ΣR = 0 reads here).
+func EstimateFromR(bins, sumR int) float64 {
+	return float64(bins) * math.Exp2(float64(sumR)/float64(bins)) / Phi
 }
 
 // Bits returns a copy of the raw bin bit-vectors, low bit = level 0.
