@@ -245,10 +245,3 @@ func (g *Grid) Pick(id gossip.NodeID, round int, rng *xrand.Rand) (gossip.NodeID
 	// time; guarantees progress on sparse populations.
 	return g.PickOther(id, rng)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -107,14 +107,3 @@ func (e *TraceEnv) Groups() groups.Assignment {
 
 // Degree returns the current radio-range neighbor count of a device.
 func (e *TraceEnv) Degree(id gossip.NodeID) int { return e.cursor.Degree(int(id)) }
-
-// NeighborsOf returns the devices currently in radio range of id: the
-// trace's topology at the current replay time.
-func (e *TraceEnv) NeighborsOf(id gossip.NodeID) []gossip.NodeID {
-	nbrs := e.cursor.Neighbors(int(id))
-	out := make([]gossip.NodeID, len(nbrs))
-	for i, b := range nbrs {
-		out[i] = gossip.NodeID(b)
-	}
-	return out
-}

@@ -129,7 +129,7 @@ func docFixtures(t *testing.T) map[string]http.Handler {
 	prime := func(s *Server) {
 		for tick := 0; tick <= DefaultSmoothWindow; tick++ {
 			s.obs.BeginRound(tick)
-			s.obs.Receive(multi.Bundle{Masses: []multi.NamedMass{
+			s.obs.Receive(multi.Bundle{Count: workerCounts(workers), Masses: []multi.NamedMass{
 				{Name: "load", Mass: pushsumrevert.Mass{W: 0.5, V: 0.5 * DemoMean("load", workers)}},
 				{Name: "temp", Mass: pushsumrevert.Mass{W: 0.5, V: 0.5 * DemoMean("temp", workers)}},
 			}})

@@ -159,6 +159,20 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
+// workerCounts is the counter matrix a bundle carries once the size
+// sketch has spread through a population of workers: every worker's
+// sourced counters min-merged, each at age 0. An observer fed it holds
+// a size estimate above zero, as it does in a running cluster.
+func workerCounts(workers int) []uint8 {
+	cfg := sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 1}
+	all := sketchreset.New(0, cfg)
+	for i := 1; i < workers; i++ {
+		all.Exchange(sketchreset.New(gossip.NodeID(i), cfg))
+	}
+	env := all.Emit(0, nil, func() (gossip.NodeID, bool) { return 0, true })
+	return env[0].Payload.(*sketchreset.Counters).Ages
+}
+
 // waitConverged polls GET /aggregate/name until it returns 200 with a
 // value within tol (relative, floored at 0.5 absolute for near-zero
 // truths) of want, or the deadline passes.
@@ -378,6 +392,90 @@ func TestGatewayNotConvergedIs503(t *testing.T) {
 	}
 }
 
+// TestObserverZeroSizeIsNotConverged pins the observer's read path on
+// a full smoothing ring whose size estimate is 0. An observer no
+// counter matrix has reached is not converged (read, listing and
+// /statusz's flag agree); a matrix makes it servable; and once the
+// workers fall silent — nothing arrives, as when every worker has
+// exited — the matrix ages to a size of 0, the last estimate above
+// zero is served for one smoothing window (an observer's size can read
+// 0 for a tick or two in a live population), and then reads turn back
+// to not converged. No read ever serves a size of 0.
+func TestObserverZeroSizeIsNotConverged(t *testing.T) {
+	const workers = 4
+	o := newObserverAgent(multi.NewObserver(workers, []string{"load"},
+		sketchreset.Config{Params: sketch.DefaultParams}, pushsumrevert.Config{}))
+	feed := func(tick int, count any) {
+		o.BeginRound(tick)
+		o.Receive(multi.Bundle{Count: count, Masses: []multi.NamedMass{
+			{Name: "load", Mass: pushsumrevert.Mass{W: 0.5, V: 1.5}},
+		}})
+		o.EndRound(tick)
+	}
+	converged := func() bool {
+		st := o.statuses()
+		if len(st) != 1 {
+			t.Fatalf("statuses = %+v, want load alone", st)
+		}
+		return st[0].converged
+	}
+	tick := 0
+	for ; tick < DefaultSmoothWindow; tick++ {
+		feed(tick, nil)
+	}
+	if r := o.rings["load"]; r == nil || !r.full() {
+		t.Fatal("smoothing ring not full after a window of mass")
+	}
+	if body, st := o.read("load"); st != readNotConverged {
+		t.Errorf("read at size 0 = %+v (status %d), want not converged", body, st)
+	}
+	if converged() {
+		t.Error("statusz reports load converged at size 0")
+	}
+	if aggs, size, _ := o.readAll(); len(aggs) != 0 || size != 0 {
+		t.Errorf("readAll at size 0 = %+v, size %v; want nothing served", aggs, size)
+	}
+
+	feed(tick, workerCounts(workers))
+	tick++
+	body, st := o.read("load")
+	if st != readOK || body.Size <= 0 || body.Average != 3 || body.Sum != 3*body.Size {
+		t.Fatalf("read after a counter matrix = %+v (status %d), want average 3 at a size above 0", body, st)
+	}
+	if !converged() {
+		t.Error("statusz reports load unconverged after a counter matrix")
+	}
+
+	// The workers fall silent: the observer ticks on, hearing nothing.
+	bridged := 0
+	for silent := tick; ; tick++ {
+		o.BeginRound(tick)
+		o.EndRound(tick)
+		body, st := o.read("load")
+		if st != readOK {
+			break
+		}
+		if body.Size <= 0 || body.Sum != body.Average*body.Size {
+			t.Fatalf("tick %d: served %+v, a size of 0", tick, body)
+		}
+		if tick-silent > 1000 {
+			t.Fatal("a silent observer still serves reads 1000 ticks on")
+		}
+		if est, _ := o.node.Size(); est == 0 {
+			bridged++
+		}
+	}
+	if bridged != DefaultSmoothWindow {
+		t.Errorf("served the last size for %d ticks of a 0 estimate, want %d", bridged, DefaultSmoothWindow)
+	}
+	if est, _ := o.node.Size(); est != 0 {
+		t.Errorf("reads stopped at tick %d with the size estimate still %v", tick, est)
+	}
+	if converged() {
+		t.Error("statusz reports load converged after the workers fell silent")
+	}
+}
+
 // TestObserverJoinsMidEpoch starts the gateway only after the worker
 // population has been gossiping on its own: the observer's announce
 // arrives mid-epoch, membership reaches it via the seed's push, and it
@@ -451,7 +549,7 @@ func TestGatewayDegradesOnDeadWorkerSpan(t *testing.T) {
 	defer s.Close()
 	for tick := 0; tick <= DefaultSmoothWindow; tick++ {
 		s.obs.BeginRound(tick)
-		s.obs.Receive(multi.Bundle{Masses: []multi.NamedMass{
+		s.obs.Receive(multi.Bundle{Count: workerCounts(workers), Masses: []multi.NamedMass{
 			{Name: "load", Mass: pushsumrevert.Mass{W: 0.5, V: 0.5 * DemoMean("load", workers)}},
 		}})
 		s.obs.EndRound(tick)

@@ -34,7 +34,7 @@ func primedServer(tb testing.TB, names []string) *Server {
 		for _, name := range names {
 			masses = append(masses, multi.NamedMass{Name: name, Mass: pushsumrevert.Mass{W: 0.5, V: 0.5 * DemoMean(name, 64)}})
 		}
-		s.obs.Receive(multi.Bundle{Masses: masses})
+		s.obs.Receive(multi.Bundle{Count: workerCounts(64), Masses: masses})
 		s.obs.EndRound(tick)
 	}
 	return s

@@ -25,17 +25,20 @@ import (
 //     decayed share and receives on the order of one parcel per
 //     tick), so its instantaneous v/w ratio swings ±25% tick to
 //     tick even when the population mean is exact. The served value
-//     is the ring mean; "converged" means the ring has filled once.
+//     is the ring mean; "converged" means the ring has filled once
+//     and the network-size estimate is above zero.
 type observerAgent struct {
 	mu   sync.Mutex
 	node *multi.Node
 
 	curTick int
-	// size is the network-size estimate as of the last EndRound. The
-	// node derives it from the matrix as it stands, and a handler can
-	// read between a tick's aging and its merges; serving the tick-end
-	// value keeps reads from seeing that half-applied state.
+	// size is the network-size estimate as of the last EndRound that
+	// read one above zero, and sizeTick that round (see sizeLocked).
+	// The node derives it from the matrix as it stands, and a handler
+	// can read between a tick's aging and its merges; serving the
+	// tick-end value keeps reads from seeing that half-applied state.
 	size      float64
+	sizeTick  int
 	lastHeard map[string]int
 	rings     map[string]*ring
 }
@@ -126,7 +129,9 @@ func (o *observerAgent) EndRound(round int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.node.EndRound(round)
-	o.size, _ = o.node.Size()
+	if size, _ := o.node.Size(); size > 0 {
+		o.size, o.sizeTick = size, round
+	}
 	for _, name := range o.node.Names() {
 		avg, ok := o.node.Average(name)
 		if !ok {
@@ -183,7 +188,7 @@ func (o *observerAgent) readLocked(name string) (aggregateBody, readStatus) {
 		return aggregateBody{}, readNotConverged
 	}
 	r := o.rings[name]
-	if r == nil || !r.full() {
+	if !o.convergedLocked(r) {
 		return aggregateBody{}, readNotConverged
 	}
 	avg := r.mean()
@@ -202,6 +207,27 @@ func (o *observerAgent) readLocked(name string) (aggregateBody, readStatus) {
 	}, readOK
 }
 
+// sizeLocked returns the size estimate reads serve: the last one above
+// zero, while it is at most a smoothing window old, and 0 after. An
+// observer hears about one counter matrix a tick, so in a live
+// population its level-0 counters can age past f(0) between two and
+// its matrix read 0 for a tick or two; the last estimate bridges such a
+// gap. A size that stays 0 for a whole window is no population at all:
+// no worker's matrix reaches the observer, or every worker has exited.
+func (o *observerAgent) sizeLocked() float64 {
+	if o.curTick-o.sizeTick > DefaultSmoothWindow {
+		return 0
+	}
+	return o.size
+}
+
+// convergedLocked reports whether an aggregate with smoothing ring r
+// may be served: the ring has filled once and the size estimate is
+// above zero (a sum read off a size of 0 would be 0 too).
+func (o *observerAgent) convergedLocked(r *ring) bool {
+	return r != nil && r.full() && o.sizeLocked() > 0
+}
+
 // readAll snapshots every converged aggregate (names still warming up
 // are listed by /statusz, not here), plus the size estimate and tick.
 func (o *observerAgent) readAll() ([]aggregateBody, float64, int) {
@@ -213,7 +239,7 @@ func (o *observerAgent) readAll() ([]aggregateBody, float64, int) {
 			out = append(out, body)
 		}
 	}
-	return out, o.size, o.curTick
+	return out, o.sizeLocked(), o.curTick
 }
 
 // register adds a named aggregate (zero-weight, as observers hold no
@@ -253,7 +279,7 @@ func (o *observerAgent) statuses() []aggState {
 		}
 		out = append(out, aggState{
 			name:      name,
-			converged: r != nil && r.full(),
+			converged: o.convergedLocked(r),
 			staleness: staleness,
 		})
 	}

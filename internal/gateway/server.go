@@ -19,7 +19,8 @@
 //	GET  /statusz           tick, span, membership map, staleness
 //
 // Reads return 503 until the observer has actually converged (received
-// mass and accumulated a full smoothing window) — never a stale or
+// mass and accumulated a full smoothing window, and its size estimate
+// has read above zero within the last window) — never a stale or
 // fabricated 200. A single observer's instantaneous estimate carries
 // gossip sampling noise, so served values are a trailing-window mean
 // over the last DefaultSmoothWindow ticks; /statusz reports per-aggregate

@@ -120,7 +120,7 @@ func TestLiveColumnarRevertConverges(t *testing.T) {
 
 // TestLiveColumnarMomentsConverges runs Push-Sum-Revert's second value
 // q across the batch plane: cross-group records carry (w, v, q) under
-// WireKindMoments, so the standard deviation each host estimates must
+// wire.KindMoments, so the standard deviation each host estimates must
 // land within 5% of the population's. A record that dropped q would
 // leave the cross-group mass without it and the estimate near zero.
 // Paced, so no driver runs its ticks before the others start sending:

@@ -218,16 +218,16 @@ func FuzzDeliverBatch(f *testing.F) {
 	record := func(kind uint8, to uint64, payload []byte) []byte {
 		return append(binary.AppendUvarint([]byte{kind}, to), payload...)
 	}
-	f.Add(record(pushsumrevert.WireKindRevert, 20, mass))
-	f.Add(append(record(pushsumrevert.WireKindRevert, 31, mass), record(0, 32, mass)[1:]...)) // second record off the shard's end
-	f.Add(record(pushsumrevert.WireKindRevert, 15, mass))
-	f.Add(record(pushsumrevert.WireKindRevert, 1<<40, mass))
-	f.Add(record(pushsumrevert.WireKindRevert, 20, mass[:9]))
-	f.Add(record(pushsumrevert.WireKindMoments, 20, mass3))
-	f.Add(record(pushsumrevert.WireKindMoments, 40, mass3))
-	f.Add(record(pushsumrevert.WireKindMoments, 20, mass3[:17]))
-	f.Add(record(sketchreset.WireKindSketchReset, 17, wire.AppendCounters(nil, make([]uint8, 32*16))))
-	f.Add(record(sketchreset.WireKindSketchReset, 40, wire.AppendCounters(nil, make([]uint8, 32*16))))
+	f.Add(record(wire.KindMass, 20, mass))
+	f.Add(append(record(wire.KindMass, 31, mass), record(0, 32, mass)[1:]...)) // second record off the shard's end
+	f.Add(record(wire.KindMass, 15, mass))
+	f.Add(record(wire.KindMass, 1<<40, mass))
+	f.Add(record(wire.KindMass, 20, mass[:9]))
+	f.Add(record(wire.KindMoments, 20, mass3))
+	f.Add(record(wire.KindMoments, 40, mass3))
+	f.Add(record(wire.KindMoments, 20, mass3[:17]))
+	f.Add(record(wire.KindCounters, 17, wire.AppendCounters(nil, make([]uint8, 32*16))))
+	f.Add(record(wire.KindCounters, 40, wire.AppendCounters(nil, make([]uint8, 32*16))))
 	f.Add([]byte{})
 
 	values, _ := liveValues(n)
@@ -268,15 +268,15 @@ func FuzzDeliverBatch(f *testing.F) {
 
 	// The harness is live: an in-range record does land.
 	revert.BeginRange(revertShard.rc, 0, n)
-	revertShard.deliverBatch(record(pushsumrevert.WireKindRevert, 20, mass))
+	revertShard.deliverBatch(record(wire.KindMass, 20, mass))
 	revert.EndRange(revertShard.rc, 0, n)
 	if m := revert.Mass(20); m.W != 0.5 || m.V != 21 {
 		f.Fatalf("in-range record folded as %+v, want {0.5 21}", m)
 	}
 	// A moments shard folds q too, and discards a kind-2 batch whole.
 	moments.BeginRange(momentsShard.rc, 0, n)
-	momentsShard.deliverBatch(record(pushsumrevert.WireKindMoments, 20, mass3))
-	momentsShard.deliverBatch(record(pushsumrevert.WireKindRevert, 21, mass))
+	momentsShard.deliverBatch(record(wire.KindMoments, 20, mass3))
+	momentsShard.deliverBatch(record(wire.KindMass, 21, mass))
 	moments.EndRange(momentsShard.rc, 0, n)
 	// (w, v, q) = (0.5, 21, 900): mean 42, variance 1800 − 42² = 36.
 	if m := moments.Mass(20); m.W != 0.5 || m.V != 21 {

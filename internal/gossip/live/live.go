@@ -26,15 +26,17 @@
 //
 // Messages travel through a transport.Transport. The default is the
 // in-process channel transport; transport.UDP puts every payload on a
-// real loopback socket in its internal/wire encoding, transport.TCP
-// frames the same encodings onto reliable streams, and transport.Lossy
-// injects message loss over any of them. What a host's Receive is handed depends on
-// the transport: the channel transport delivers the detached copy of
-// what Emit returned, while the socket transports decode a mass to a
-// pushsumrevert.Mass value and deliver the two payloads that carry a
-// counter matrix still in wire form (sketchreset.Packed, multi.Packed
-// — validated by the transport's reader, folded in place by Receive,
-// see docs/architecture.md). With Config.Span, several engines — in
+// real loopback socket in the envelope its protocol package encodes
+// (wire.Payload), transport.TCP frames the same envelopes onto
+// reliable streams, and transport.Lossy injects message loss over any
+// of them. What a host's Receive is handed depends on the transport:
+// the channel transport delivers the detached copy of what Emit
+// returned, while the socket transports hand over what the protocol's
+// registered decoder (wire.Register) returns — a mass as a
+// pushsumrevert.Mass value, and the two payloads that carry a counter
+// matrix still in wire form (sketchreset.Packed, multi.Packed —
+// validated by the transport's reader, folded in place by Receive, see
+// docs/architecture.md). With Config.Span, several engines — in
 // several OS processes — can each drive a slice of one population over
 // UDP (addresses exchanged out of band) or TCP (membership formed by
 // Config.Bootstrap), which makes this a distributed system rather than

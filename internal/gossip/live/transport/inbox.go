@@ -182,8 +182,8 @@ func (in *inbox) pushBatch(lo gossip.NodeID, msgs int, body []byte) bool {
 
 // deliver dispatches one message received off a socket, header already
 // peeled: a batch (To is the destination span's Lo, From the message
-// count) moves to its span's queue whole, anything else goes through
-// the envelope decoder to a host queue. Input here is untrusted. An
+// count) moves to its span's queue whole, anything else through its
+// kind's registered decoder to a host queue. Input here is untrusted. An
 // undecodable payload is one drop; so is a batch claiming more
 // messages than its body has room for (a kind byte, then at least one
 // byte per record) — the claim is what drop accounting would charge,
@@ -197,7 +197,7 @@ func (in *inbox) deliver(h wire.Header, body []byte) {
 		in.pushBatch(gossip.NodeID(h.To), int(h.From), body)
 		return
 	}
-	_, payload, err := decodePayload(h, body)
+	payload, err := wire.DecodePayload(h.Kind, body)
 	if err != nil {
 		in.drop(1)
 		return

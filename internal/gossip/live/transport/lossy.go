@@ -43,7 +43,10 @@ type Lossy struct {
 	delayed sync.WaitGroup
 }
 
-var _ Transport = (*Lossy)(nil)
+var (
+	_ Transport = (*Lossy)(nil)
+	_ Unwrapper = (*Lossy)(nil)
+)
 
 // draw decides one transmission's fate — the injector's single loss
 // and delay decision, shared by Send and SendBatch. ok false means the
@@ -101,6 +104,9 @@ func (l *Lossy) Send(from, to gossip.NodeID, tick int, payload any) bool {
 	}
 	return l.T.Send(from, to, tick, payload)
 }
+
+// Unwrap implements Unwrapper: the injector forwards to T.
+func (l *Lossy) Unwrap() Transport { return l.T }
 
 // KillLink implements LinkKiller by forwarding, so injector stacks
 // keep the capability visible. It is also how the injector's own loss

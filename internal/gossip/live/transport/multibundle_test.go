@@ -103,7 +103,7 @@ func TestMultiBundleRoundTrip(t *testing.T) {
 }
 
 func TestMultiBundleAdversarialDecode(t *testing.T) {
-	hdr := wire.AppendHeader(nil, wire.Header{Kind: kindMultiBundle, To: 1, From: 2})
+	hdr := wire.AppendHeader(nil, wire.Header{Kind: wire.KindBundle, To: 1, From: 2})
 	cases := map[string][]byte{
 		"empty body":        hdr,
 		"huge agg count":    append(append([]byte{}, hdr...), 0xff, 0xff, 0xff, 0xff, 0x7f),
@@ -156,7 +156,7 @@ func TestMalformedBundleIsOneDropAndMergesNothing(t *testing.T) {
 		return fmt.Sprint(agg.Mass(), n.Names(), matrixOf(n.Count(), 2, 3))
 	}
 	frame := func(body ...byte) []byte {
-		return wire.AppendFrame(nil, append(wire.AppendHeader(nil, wire.Header{Kind: kindMultiBundle, To: 1, From: 0}), body...))
+		return wire.AppendFrame(nil, append(wire.AppendHeader(nil, wire.Header{Kind: wire.KindBundle, To: 1, From: 0}), body...))
 	}
 	// One mass for a name the host runs, then six counters announced:
 	// two good runs (which would zero four of the host's counters),
@@ -259,7 +259,7 @@ func refDecodeBundle(src []byte) (b multi.Bundle, used int, err error) {
 // FuzzDecodeMultiBundle hammers the bundle decoder with arbitrary
 // bytes: it must reject or decode, never panic or over-allocate.
 func FuzzDecodeMultiBundle(f *testing.F) {
-	hdr := wire.AppendHeader(nil, wire.Header{Kind: kindMultiBundle, To: 1, From: 2})
+	hdr := wire.AppendHeader(nil, wire.Header{Kind: wire.KindBundle, To: 1, From: 2})
 	f.Add([]byte{})
 	f.Add(append(append([]byte{}, hdr...), 0, 0))
 	f.Add(fuzzSeedBundle(hdr))

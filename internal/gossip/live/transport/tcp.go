@@ -215,7 +215,7 @@ func (t *TCP) Reconnects() int64 { return t.st.reconnects.Load() }
 // so chaos runs can tell link failure from backpressure on /statusz.
 func (t *TCP) OverflowDrops() int64 { return t.st.overflow.Load() + t.in.overflow.Load() }
 
-// AsTCP unwraps capability-forwarding layers (Lossy, or anything
+// AsTCP unwraps capability-forwarding layers (Lossy, or anything else
 // exposing Unwrap) down to the TCP transport, if one is at the bottom
 // of the stack.
 func AsTCP(tr Transport) (*TCP, bool) {
@@ -223,8 +223,6 @@ func AsTCP(tr Transport) (*TCP, bool) {
 		switch v := tr.(type) {
 		case *TCP:
 			return v, true
-		case *Lossy:
-			tr = v.T
 		case Unwrapper:
 			tr = v.Unwrap()
 		default:

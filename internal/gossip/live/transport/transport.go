@@ -24,6 +24,14 @@
 // with the plane. The group-table helpers (groups.go) and the
 // construction options (options.go) are shared the same way.
 //
+// The socket transports frame, route and count bytes; they know no
+// protocol. A payload encodes itself (wire.Payload) behind a header of
+// its own kind, and the reader decodes a body through the decoder its
+// protocol package registered for that kind (wire.Register): the kind
+// numbers live in one table in package wire, the codecs with the
+// protocols. A payload with no wire form, or a body no decoder
+// accepts, is one drop.
+//
 // The channel transport decides a message's fate at a single station,
 // so each message is counted exactly once (sent XOR dropped); a
 // networked transport has two stations — the sender's hand-off to the

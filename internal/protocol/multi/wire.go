@@ -20,6 +20,17 @@ import (
 // AppendBundle writes it, NewPacked validates it on arrival, and
 // Node.Receive folds a validated Packed into host state in place.
 
+// A socket transport hands Receive a KindBundle envelope still packed.
+func init() { wire.Register(wire.KindBundle, NewPacked) }
+
+// AppendEnvelope implements wire.Payload: a KindBundle envelope,
+// AppendBundle's form after the header. The value receiver lets Bundle
+// and *Bundle both encode.
+func (b Bundle) AppendEnvelope(dst []byte, h wire.Header) ([]byte, error) {
+	h.Kind = wire.KindBundle
+	return AppendBundle(wire.AppendHeader(dst, h), &b)
+}
+
 // maxBundleAggregates and maxAggregateNameLen bound a bundle: a hostile
 // datagram must not be able to claim an unbounded aggregate set or
 // name. Real deployments carry a handful of short names.

@@ -1,6 +1,11 @@
 package pushsumrevert
 
-import "dynagg/internal/gossip"
+import (
+	"fmt"
+
+	"dynagg/internal/gossip"
+	"dynagg/internal/wire"
+)
 
 // MomentsMass is a NewMoments host's payload: its (w, v) mass and its
 // share of the second value q.
@@ -12,6 +17,13 @@ type MomentsMass struct {
 // Detach implements gossip.Detacher. It is declared here because the
 // one promoted from Mass would return a *Mass and drop Q.
 func (m *MomentsMass) Detach() any { c := *m; return &c }
+
+// AppendEnvelope implements wire.Payload by refusing: no envelope kind
+// carries a moments mass (kind 3 is retired), and the method promoted
+// from Mass would send (w, v) and drop Q, like Detach's.
+func (m MomentsMass) AppendEnvelope([]byte, wire.Header) ([]byte, error) {
+	return nil, fmt.Errorf("pushsumrevert: no wire encoding for payload %T", m)
+}
 
 // NewMoments returns a Push-Sum-Revert host with data value v0 that
 // also gossips q under the same weight, λ, peers and message order, so

@@ -5,20 +5,30 @@ import (
 	"dynagg/internal/wire"
 )
 
-// WireKindRevert and WireKindMoments tag Push-Sum-Revert records in
-// live columnar batches: (w, v) masses, and (w, v, q) masses of a
-// NewColumnarMoments population.
-const (
-	WireKindRevert  uint8 = 2
-	WireKindMoments uint8 = 3
-)
+// A socket transport hands Receive a KindMass envelope as a Mass value.
+func init() { wire.Register(wire.KindMass, decodeMass) }
 
-// WireKind implements the live engine's ColumnarProtocol wire hooks.
+func decodeMass(body []byte) (Mass, error) {
+	w, v, _, err := wire.DecodeMass(body)
+	return Mass{W: w, V: v}, err
+}
+
+// AppendEnvelope implements wire.Payload: a KindMass envelope, the
+// mass's 16 bytes after the header. The value receiver lets Mass and
+// *Mass both encode.
+func (m Mass) AppendEnvelope(dst []byte, h wire.Header) ([]byte, error) {
+	h.Kind = wire.KindMass
+	return wire.AppendMass(wire.AppendHeader(dst, h), m.W, m.V), nil
+}
+
+// WireKind implements the live engine's ColumnarProtocol wire hooks:
+// (w, v) records are wire.KindMass, a NewColumnarMoments population's
+// (w, v, q) records wire.KindMoments.
 func (c *Columnar) WireKind() uint8 {
 	if c.moment != nil {
-		return WireKindMoments
+		return wire.KindMoments
 	}
-	return WireKindRevert
+	return wire.KindMass
 }
 
 // AppendWire appends message m's payload — its (w, v) mass, 16 fixed

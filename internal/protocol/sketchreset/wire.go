@@ -5,12 +5,19 @@ import (
 	"dynagg/internal/wire"
 )
 
-// WireKindSketchReset tags Count-Sketch-Reset records in live columnar
-// batches.
-const WireKindSketchReset uint8 = 4
+// A socket transport hands Receive a KindCounters envelope still
+// packed.
+func init() { wire.Register(wire.KindCounters, NewPacked) }
+
+// AppendEnvelope implements wire.Payload: a KindCounters envelope, the
+// matrix run-length encoded after the header.
+func (c *Counters) AppendEnvelope(dst []byte, h wire.Header) ([]byte, error) {
+	h.Kind = wire.KindCounters
+	return wire.AppendCounters(wire.AppendHeader(dst, h), c.Ages), nil
+}
 
 // WireKind implements the live engine's ColumnarProtocol wire hooks.
-func (c *Columnar) WireKind() uint8 { return WireKindSketchReset }
+func (c *Columnar) WireKind() uint8 { return wire.KindCounters }
 
 // AppendWire appends message m's payload: the run-length encoding of
 // the emitter's start-of-round age matrix. In-process columnar runs

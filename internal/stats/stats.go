@@ -1,7 +1,6 @@
 // Package stats provides the summary statistics used throughout the
-// evaluation: running moments, standard deviation against a known
-// reference value (the paper's primary error metric), empirical CDFs,
-// and quantiles.
+// evaluation: standard deviation against a known reference value (the
+// paper's primary error metric), empirical CDFs, and quantiles.
 package stats
 
 import (
@@ -9,83 +8,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Running accumulates count, mean and variance in one pass using
-// Welford's algorithm, which is numerically stable for the long
-// accumulations the simulator performs.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates x into the accumulator.
-func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	r.n++
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
-}
-
-// N returns the number of samples added.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (r *Running) Mean() float64 { return r.mean }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (r *Running) Max() float64 { return r.max }
-
-// Variance returns the population variance, or 0 with fewer than one
-// sample.
-func (r *Running) Variance() float64 {
-	if r.n < 1 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev returns the population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Merge folds other into r, as if all of other's samples had been
-// added to r (Chan et al. parallel variance combination).
-func (r *Running) Merge(other Running) {
-	if other.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = other
-		return
-	}
-	if other.min < r.min {
-		r.min = other.min
-	}
-	if other.max > r.max {
-		r.max = other.max
-	}
-	na, nb := float64(r.n), float64(other.n)
-	delta := other.mean - r.mean
-	total := na + nb
-	r.mean += delta * nb / total
-	r.m2 += other.m2 + delta*delta*na*nb/total
-	r.n += other.n
-}
 
 // DeviationFrom computes the paper's error metric over a slice of
 // estimates: the root-mean-square deviation from a known correct value

@@ -10,94 +10,6 @@ func almostEqual(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
 
-func TestRunningBasics(t *testing.T) {
-	var r Running
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(x)
-	}
-	if r.N() != 8 {
-		t.Fatalf("N = %d, want 8", r.N())
-	}
-	if !almostEqual(r.Mean(), 5, 1e-12) {
-		t.Errorf("Mean = %v, want 5", r.Mean())
-	}
-	if !almostEqual(r.StdDev(), 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", r.StdDev())
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", r.Min(), r.Max())
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.StdDev() != 0 || r.N() != 0 {
-		t.Fatal("zero Running should report zeros")
-	}
-}
-
-func TestRunningSingle(t *testing.T) {
-	var r Running
-	r.Add(3.5)
-	if r.Mean() != 3.5 || r.Variance() != 0 {
-		t.Fatalf("single-sample stats wrong: mean=%v var=%v", r.Mean(), r.Variance())
-	}
-}
-
-func TestRunningMergeMatchesSequential(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			// keep magnitudes sane so float comparison tolerances hold
-			xs = append(xs, math.Mod(x, 1e6))
-		}
-		var whole Running
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		var left, right Running
-		half := len(xs) / 2
-		for _, x := range xs[:half] {
-			left.Add(x)
-		}
-		for _, x := range xs[half:] {
-			right.Add(x)
-		}
-		left.Merge(right)
-		if left.N() != whole.N() {
-			return false
-		}
-		if whole.N() == 0 {
-			return true
-		}
-		scale := 1 + math.Abs(whole.Mean())
-		return almostEqual(left.Mean(), whole.Mean(), 1e-6*scale) &&
-			almostEqual(left.Variance(), whole.Variance(), 1e-4*(1+whole.Variance())) &&
-			left.Min() == whole.Min() && left.Max() == whole.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(1)
-	a.Add(3)
-	before := a
-	a.Merge(b) // merging empty changes nothing
-	if a != before {
-		t.Fatal("merging empty changed accumulator")
-	}
-	b.Merge(a) // merging into empty copies
-	if b != a {
-		t.Fatal("merging into empty did not copy")
-	}
-}
-
 func TestDeviationFrom(t *testing.T) {
 	got := DeviationFrom([]float64{49, 51}, 50)
 	if !almostEqual(got, 1, 1e-12) {
