@@ -261,6 +261,7 @@ heal-soak:
 # under internal/ (as go list finds them, so a new package cannot go
 # unlinted) must carry a doc comment (cmd/doclint), every relative link
 # in README/docs must resolve, the README must stay a quickstart, every
+# markdown document a Go comment outside bench/ names must exist, every
 # `dynaggsim <mode> ...` command in README, docs/ and this Makefile
 # (each one of a line's `;`/`&&`/`||`/`&`/`|`-joined commands) must
 # parse against that mode's flags (TestDocumentedInvocationsParse), and
@@ -268,7 +269,7 @@ heal-soak:
 # the real handlers (TestGatewayAPIDocExamples).
 doc-lint:
 	$(GO) run ./cmd/doclint $$($(GO) list -f '{{.Dir}}' ./internal/...)
-	$(GO) test -run 'TestDocsLinksResolve|TestREADMEStaysQuickstart' .
+	$(GO) test -run 'TestDocsLinksResolve|TestREADMEStaysQuickstart|TestGoCommentsNameExistingDocs' .
 	$(GO) test -run 'TestDocumentedInvocationsParse' ./cmd/dynaggsim
 	$(GO) test -run 'TestGatewayAPIDocExamples' ./internal/gateway
 

@@ -1,6 +1,6 @@
 // Package dynagg_bench holds the benchmark harness: one testing.B
 // benchmark per figure of the paper's evaluation (plus the ablations
-// from DESIGN.md). Run with
+// listed in dynaggsim's usage, cmd/dynaggsim). Run with
 //
 //	go test -bench=. -benchmem
 //

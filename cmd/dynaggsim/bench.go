@@ -10,7 +10,6 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/extremes"
 	"dynagg/internal/protocol/pushsumrevert"
-	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 	"dynagg/internal/stats"
@@ -30,7 +29,7 @@ type benchOpts struct {
 
 func benchFlags(fs *flag.FlagSet) func(io.Writer) error {
 	var o benchOpts
-	fs.StringVar(&o.protocol, "protocol", "pushsum", "protocol: pushsum, revert, sketchreset, sketchcount, extremes, moments (pushsum is revert at λ = 0)")
+	fs.StringVar(&o.protocol, "protocol", "pushsum", "protocol: pushsum, revert, sketchreset, extremes, moments (pushsum is revert at λ = 0; a static count gossips exactly what sketchreset does, its cutoff being read-side only)")
 	fs.StringVar(&o.model, "model", "push", "gossip model: push or pushpull")
 	countVar(fs, &o.n, "n", 1000000, "host `count`")
 	countVar(fs, &o.rounds, "rounds", 10, "timed round `count`, after two warm-up rounds")
@@ -82,12 +81,6 @@ func benchBuild(o benchOpts, model gossip.Model, values []float64) (gossip.Confi
 		} else {
 			agents(func(i int) gossip.Agent { return sketchreset.New(gossip.NodeID(i), scfg) })
 		}
-	case "sketchcount":
-		if o.columnar {
-			cfg.Columnar = sketchcount.NewColumnarCount(o.n, benchSketchParams)
-		} else {
-			agents(func(i int) gossip.Agent { return sketchcount.NewCount(gossip.NodeID(i), benchSketchParams) })
-		}
 	case "extremes":
 		ecfg := extremes.Config{Mode: extremes.Max}
 		if o.columnar {
@@ -103,7 +96,7 @@ func benchBuild(o benchOpts, model gossip.Model, values []float64) (gossip.Confi
 			agents(func(i int) gossip.Agent { return pushsumrevert.NewMoments(gossip.NodeID(i), values[i], mcfg) })
 		}
 	default:
-		return cfg, fmt.Errorf("bench: unknown -protocol %q (pushsum, revert, sketchreset, sketchcount, extremes, moments)", o.protocol)
+		return cfg, fmt.Errorf("bench: unknown -protocol %q (pushsum, revert, sketchreset, extremes, moments)", o.protocol)
 	}
 	return cfg, nil
 }

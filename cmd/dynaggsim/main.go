@@ -1,6 +1,6 @@
 // Command dynaggsim regenerates every figure of "Dynamic Approaches to
 // In-Network Aggregation" (Kennedy, Koch, Demers, ICDE 2009) plus the
-// ablations listed in DESIGN.md, printing paper-style data tables to
+// ablations listed below, printing paper-style data tables to
 // stdout (or CSV/JSON for plotting tools).
 //
 // Usage:
@@ -82,11 +82,12 @@
 // Engine benchmark (the ROADMAP's million-host target):
 //
 //	bench  raw gossip rounds of one protocol (-protocol pushsum|
-//	       revert|sketchreset|sketchcount|extremes|moments; pushsum is
-//	       revert at λ = 0) under one model (-model push|pushpull) at
-//	       -n hosts (default 1,000,000), on the classic or, with
-//	       -backend=columnar, the struct-of-arrays engine path; reports
-//	       ns/round, msgs/round, and peak RSS
+//	       revert|sketchreset|extremes|moments; pushsum is revert at
+//	       λ = 0, and a static count gossips exactly what sketchreset
+//	       does, its cutoff being read-side only) under one model
+//	       (-model push|pushpull) at -n hosts (default 1,000,000), on
+//	       the classic or, with -backend=columnar, the struct-of-arrays
+//	       engine path; reports ns/round, msgs/round, and peak RSS
 //
 // Trace tooling:
 //

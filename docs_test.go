@@ -3,11 +3,15 @@ package dynagg_bench
 // Documentation hygiene tests: the docs/ tree and README are part of
 // the repo's contract, so their structural claims are enforced here —
 // relative links must resolve, and the README must stay a quickstart
-// (the deep material lives in docs/). The gateway API reference has a
+// (the deep material lives in docs/), and a Go comment that names a
+// document must name one that exists. The gateway API reference has a
 // stronger check still: internal/gateway's TestGatewayAPIDocExamples
 // executes its documented payloads against the real handlers.
 
 import (
+	"go/scanner"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -82,4 +86,67 @@ func TestREADMEStaysQuickstart(t *testing.T) {
 			t.Errorf("README.md no longer links %s", want)
 		}
 	}
+}
+
+// mdNameRE matches a markdown file name in free text, with any
+// directory prefix: README.md, docs/protocols.md.
+var mdNameRE = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// urlRE matches a URL, whose path is not a file of this repository.
+var urlRE = regexp.MustCompile(`\S+://\S*`)
+
+// TestGoCommentsNameExistingDocs fails when a // comment in a Go file
+// outside bench/ names a markdown document that does not exist, either
+// from the repository root or from the file's own directory. A comment
+// that sends the reader to a missing document is a broken link the
+// markdown link check cannot see. String literals are not comments and
+// are not checked.
+func TestGoCommentsNameExistingDocs(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path == "bench" || name == "testdata" || (path != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fset := token.NewFileSet()
+		file := fset.AddFile(path, -1, len(src))
+		var s scanner.Scanner
+		s.Init(file, src, nil, scanner.ScanComments)
+		for {
+			pos, tok, lit := s.Scan()
+			if tok == token.EOF {
+				break
+			}
+			if tok != token.COMMENT || !strings.HasPrefix(lit, "//") {
+				continue
+			}
+			for _, name := range mdNameRE.FindAllString(urlRE.ReplaceAllString(lit, ""), -1) {
+				if docExists(name) || docExists(filepath.Join(filepath.Dir(path), name)) {
+					continue
+				}
+				t.Errorf("%s: comment names %s, which does not exist", fset.Position(pos), name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func docExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

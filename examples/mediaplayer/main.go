@@ -7,7 +7,7 @@
 //
 // The devices gossip every 30 simulated seconds over a synthetic
 // Haggle-like contact trace (41 devices at a multi-day conference, the
-// CRAWDAD cambridge/haggle substitution documented in DESIGN.md).
+// CRAWDAD cambridge/haggle substitution the trace package documents).
 // Because the network splinters into transient groups, each device's
 // estimate is judged against its own connectivity group's true average
 // rather than a global one.

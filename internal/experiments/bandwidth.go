@@ -7,7 +7,6 @@ import (
 	"dynagg/internal/gossip"
 	"dynagg/internal/protocol/extremes"
 	"dynagg/internal/protocol/pushsumrevert"
-	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 	"dynagg/internal/stats"
@@ -83,14 +82,27 @@ func AblationBandwidth(n int, seed uint64) Result {
 		}
 		rows = append(rows, row{"extremes (candidate table)", len(wire.AppendCandidates(nil, cands))})
 	}
-	// Static Sketch-Count: the bit vector.
+	// Static Sketch-Count: the bit vector, one word per bin. A static
+	// count is Count-Sketch-Reset read with an infinite cutoff, so the
+	// words are that host's derived bits.
 	{
+		p := sketch.DefaultParams
 		agents := make([]gossip.Agent, n)
 		for i := range agents {
-			agents[i] = sketchcount.NewCount(gossip.NodeID(i), sketch.DefaultParams)
+			agents[i] = sketchreset.New(gossip.NodeID(i), sketchreset.Config{
+				Params: p, Identifiers: 1, NoDecay: true,
+			})
 		}
 		engine := runEngine(agents, gossip.PushPull)
-		bits := engine.Agents()[0].(*sketchcount.Node).Sketch().Bits()
+		node := engine.Agents()[0].(*sketchreset.Node)
+		bits := make([]uint64, p.Bins)
+		for bin := range bits {
+			for k := 0; k < p.Levels; k++ {
+				if node.BitSet(bin, k) {
+					bits[bin] |= 1 << k
+				}
+			}
+		}
 		rows = append(rows, row{"sketch-count (bit vector)", len(wire.AppendSketchBits(nil, bits))})
 	}
 	// Count-Sketch-Reset: the RLE counter matrix, post-convergence.

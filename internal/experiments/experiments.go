@@ -1,9 +1,9 @@
 // Package experiments contains one driver per figure of the paper's
-// evaluation (§V) plus the ablations listed in DESIGN.md. Each driver
-// builds the workload, runs the simulation, and returns labelled data
-// series shaped like the paper's plots; PrintResult renders them as a
-// column table (x, then one column per series) that can be piped into
-// any plotting tool.
+// evaluation (§V) plus the ablations listed in dynaggsim's usage
+// (cmd/dynaggsim). Each driver builds the workload, runs the
+// simulation, and returns labelled data series shaped like the paper's
+// plots; PrintResult renders them as a column table (x, then one column
+// per series) that can be piped into any plotting tool.
 //
 // Sizes default to a laptop-scale 10,000 hosts so the full suite runs
 // in minutes; pass Full to restore the paper's 100,000.
@@ -75,10 +75,10 @@ type Scale struct {
 	// Columnar selects the struct-of-arrays execution path
 	// (gossip.Config.Columnar) — byte-identical results, flat-loop
 	// speed. Every protocol a figure or ablation driver runs has a
-	// columnar form (only multi, which none runs, has not) and both
-	// gossip models run on the columnar engine (push/pull through the
-	// pair-batch ColExchanger executor), so all Scale-driven figure and
-	// ablation drivers honor the flag.
+	// columnar form (only multi and sketchcount, which none runs, have
+	// not) and both gossip models run on the columnar engine (push/pull
+	// through the pair-batch ColExchanger executor), so all Scale-driven
+	// figure and ablation drivers honor the flag.
 	Columnar bool
 }
 

@@ -83,8 +83,8 @@ func Averaging(opts AveragingOptions) Result {
 		series := runAveragingOnce(opts, lambda)
 		res.Series = append(res.Series, series)
 	}
-	// Headline numbers for EXPERIMENTS.md: converged plateau and time
-	// to reach it.
+	// Headline numbers, printed as the result's notes: converged
+	// plateau and time to reach it.
 	for i, s := range res.Series {
 		tail := s.TailMean(5)
 		if x, ok := s.FirstBelow(tail * 1.25); ok && x > float64(opts.FailAt) {

@@ -15,7 +15,7 @@ import (
 )
 
 // TraceDataset selects one of the three synthetic Haggle-like traces
-// (the CRAWDAD substitution documented in DESIGN.md §4).
+// (the CRAWDAD substitution documented in the trace package).
 func TraceDataset(i int) trace.GenParams {
 	switch i {
 	case 1:

@@ -61,36 +61,11 @@ func TopValuedAt(round int, frac float64, pop *env.Population, values []float64)
 	}
 }
 
-// Churn returns a BeforeRound hook implementing continuous membership
-// churn from startRound on: each round, a Poisson-ish number of live
-// hosts (rate × live population) fail and the same expected number of
-// dead hosts rejoin. It keeps long-running simulations in motion
-// without draining the population.
-func Churn(startRound int, rate float64, pop *env.Population, seed uint64) gossip.Hook {
-	rng := xrand.New(seed)
-	return func(r int, e *gossip.Engine) {
-		if r < startRound {
-			return
-		}
-		n := pop.Size()
-		for i := 0; i < n; i++ {
-			id := gossip.NodeID(i)
-			if pop.Alive(id) {
-				if rng.Prob(rate) {
-					pop.Fail(id)
-				}
-			} else if rng.Prob(rate) {
-				pop.Revive(id)
-			}
-		}
-	}
-}
-
 // RegionOutage returns a BeforeRound hook implementing a correlated
 // regional outage that heals: every host in [lo, hi) fails at round
 // start and revives at round end. Hosts outside the region never
 // notice beyond their peers going silent — the datacenter-loses-power
-// model the uncorrelated Churn cannot express.
+// model uncorrelated churn cannot express.
 func RegionOutage(start, end, lo, hi int, pop *env.Population) gossip.Hook {
 	return func(r int, e *gossip.Engine) {
 		switch r {
@@ -110,7 +85,11 @@ func RegionOutage(start, end, lo, hi int, pop *env.Population) gossip.Hook {
 // bursts: from round start on, every period rounds the population
 // endures burst consecutive rounds of per-host fail/revive churn at
 // the given rate, then goes quiet again — sustained instability with
-// calm windows for recovery, unlike the continuous Churn.
+// calm windows for recovery. In a churn round each live host fails
+// with probability rate and each dead one rejoins with the same
+// probability, so the population stays in motion without draining.
+// A period of 1 with a burst of 1 never closes the gate: continuous
+// churn from round start on.
 func ChurnStorm(start, period, burst int, rate float64, pop *env.Population, seed uint64) gossip.Hook {
 	rng := xrand.New(seed)
 	return func(r int, e *gossip.Engine) {

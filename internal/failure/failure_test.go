@@ -135,11 +135,12 @@ func TestTopValuedAtTieBreaksById(t *testing.T) {
 
 func TestChurnKeepsPopulationInMotion(t *testing.T) {
 	u := env.NewUniform(200)
-	e := newEngine(t, u, []gossip.Hook{Churn(0, 0.05, u.Population, 3)})
+	e := newEngine(t, u, []gossip.Hook{ChurnStorm(0, 1, 1, 0.05, u.Population, 3)})
 	e.Run(40)
 	alive := u.AliveCount()
-	// Churn fails and revives at the same rate; the population should
-	// hover near its size, never drain.
+	// Continuous churn (period 1, burst 1) fails and revives at the
+	// same rate; the population should hover near its size, never
+	// drain.
 	if alive < 100 || alive > 200 {
 		t.Errorf("alive after churn = %d, want 100..200", alive)
 	}
@@ -157,7 +158,7 @@ func TestChurnKeepsPopulationInMotion(t *testing.T) {
 
 func TestChurnStartsAtRound(t *testing.T) {
 	u := env.NewUniform(100)
-	e := newEngine(t, u, []gossip.Hook{Churn(5, 0.5, u.Population, 4)})
+	e := newEngine(t, u, []gossip.Hook{ChurnStorm(5, 1, 1, 0.5, u.Population, 4)})
 	e.Run(5)
 	if u.AliveCount() != 100 {
 		t.Errorf("churn fired before its start round: %d alive", u.AliveCount())

@@ -123,9 +123,6 @@ func budgetCases(n int) map[string]budgetCase {
 		"sketchreset": {both, 1, func(gossip.Model) gossip.ColumnarAgent {
 			return sketchreset.NewColumnar(n, srCfg)
 		}},
-		"sketchcount": {both, 1, func(gossip.Model) gossip.ColumnarAgent {
-			return sketchcount.NewColumnarCount(n, sketch.Params{Bins: 16, Levels: 16})
-		}},
 		"extremes": {both, 1, func(gossip.Model) gossip.ColumnarAgent {
 			return extremes.NewColumnar(values, extremes.Config{Mode: extremes.Max})
 		}},

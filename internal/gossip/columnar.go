@@ -151,10 +151,6 @@ func (rc *ColRound) Pick(id NodeID) (NodeID, bool) {
 	return rc.env.Pick(id, rc.Round, &rc.rngs[id])
 }
 
-// Rng returns host id's private generator, for kernels that draw
-// randomness beyond peer selection.
-func (rc *ColRound) Rng(id NodeID) *xrand.Rand { return &rc.rngs[id] }
-
 // ColumnarAgent is the bulk-protocol contract: one value owns the
 // dense state of the entire population and executes round phases as
 // flat loops over host ranges.

@@ -40,9 +40,10 @@ func parityValues(n int) []float64 {
 
 // columnarCases enumerates the full protocol × model matrix: every
 // protocol, in every configuration variant, under every gossip model
-// its classic form supports. Every protocol but multi has a columnar
-// form; multi's cases have no columnar builder and pin the classic
-// executors only. Keys name the subtests.
+// its classic form supports. Every protocol but multi and sketchcount
+// has a columnar form; their cases have no columnar builder and pin the
+// classic executors only (a columnar static count is sketchreset with
+// NoDecay). Keys name the subtests.
 func columnarCases(t *testing.T) map[string]colCase {
 	t.Helper()
 	values := parityValues
@@ -113,9 +114,6 @@ func columnarCases(t *testing.T) map[string]colCase {
 					agents[i] = sketchcount.NewCount(gossip.NodeID(i), scParams)
 				}
 				return agents
-			},
-			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
-				return sketchcount.NewColumnarCount(n, scParams)
 			},
 		},
 		"extremes": {
@@ -249,7 +247,7 @@ func blindableEngine(t *testing.T, c colCase, model gossip.Model, n, rounds, wor
 		Workers: workers,
 		BeforeRound: []gossip.Hook{
 			failure.RandomAt(rounds/2, 0.3, environment.Population, 17),
-			failure.Churn(rounds/2+2, 0.05, environment.Population, 23),
+			failure.ChurnStorm(rounds/2+2, 1, 1, 0.05, environment.Population, 23),
 		},
 	}
 	if columnar {

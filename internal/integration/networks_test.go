@@ -10,7 +10,6 @@ import (
 	"dynagg/internal/protocol/extremes"
 	"dynagg/internal/protocol/multi"
 	"dynagg/internal/protocol/pushsumrevert"
-	"dynagg/internal/protocol/sketchcount"
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 	"dynagg/internal/xrand"
@@ -163,7 +162,8 @@ func TestCountNetworkSelfHeals(t *testing.T) {
 }
 
 // The three ways to sum: Invert-Average (§IV-B), multiple insertions
-// into a Count-Sketch-Reset sketch, and the static sketch baseline.
+// into a Count-Sketch-Reset sketch, and the static sketch baseline
+// (the same insertions read with an infinite cutoff).
 func TestSumNetworkAllMethods(t *testing.T) {
 	const n = 500
 	values := make([]float64, n)
@@ -183,7 +183,7 @@ func TestSumNetworkAllMethods(t *testing.T) {
 			return sketchreset.New(id, sketchreset.Config{Params: sketch.DefaultParams, Identifiers: int(values[id])})
 		}},
 		{"static-sketch", func(id gossip.NodeID) gossip.Agent {
-			return sketchcount.NewSum(id, sketch.DefaultParams, int(values[id]))
+			return sketchreset.New(id, sketchreset.Config{Params: sketch.DefaultParams, Identifiers: int(values[id]), NoDecay: true})
 		}},
 	} {
 		net := newNetwork(t, env.NewUniform(n), 5, m.agent)

@@ -46,6 +46,10 @@ func TestReceiveIgnoresForeignPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bigSketch := sketch.New(sketch.DefaultParams)
+	for i := uint64(0); i < 500; i++ {
+		bigSketch.Insert(i)
+	}
 	payloads := []struct {
 		name string
 		p    any
@@ -61,7 +65,7 @@ func TestReceiveIgnoresForeignPayloads(t *testing.T) {
 		{"*sketchreset.Counters", &sketchreset.Counters{Ages: ages}},
 		{"[]uint8", ages},
 		{"*sketchreset.Packed", countsPacked},
-		{"*sketch.Sketch", sketchcount.NewSum(7, sketch.DefaultParams, 500).Sketch()},
+		{"*sketch.Sketch", bigSketch},
 		{"multi.Bundle", bundle},
 		{"*multi.Bundle", &bundle},
 		{"*multi.Packed", bundlePacked},

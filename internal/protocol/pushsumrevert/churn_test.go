@@ -35,7 +35,7 @@ func TestStableUnderContinuousChurn(t *testing.T) {
 		var recent []float64
 		engine, err := gossip.NewEngine(gossip.Config{
 			Env: e, Agents: agents, Model: gossip.PushPull, Seed: 31,
-			BeforeRound: []gossip.Hook{failure.Churn(10, rate, e.Population, 37)},
+			BeforeRound: []gossip.Hook{failure.ChurnStorm(10, 1, 1, rate, e.Population, 37)},
 			AfterRound: []gossip.Hook{func(round int, eng *gossip.Engine) {
 				want := truth.Average()
 				var sum float64

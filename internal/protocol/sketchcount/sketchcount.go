@@ -2,8 +2,11 @@
 // protocol (the paper's Figure 2): hosts gossip FM counting sketches
 // and OR-merge everything they receive. Because the sketch is
 // duplicate-insensitive, redundant delivery is harmless and the
-// network size (or a sum, via multiple insertions) can be estimated at
-// every host.
+// network size can be estimated at every host.
+//
+// The package is the classic per-host form only. A static count or sum
+// on the columnar backend is Count-Sketch-Reset read with an infinite
+// cutoff (sketchreset.Config.NoDecay), which gossips the same thing.
 //
 // The protocol's weakness — and the motivation for Count-Sketch-Reset
 // — is that bits only ever turn on: once a departed host's identifier
@@ -20,9 +23,7 @@ import (
 
 // Node is one Sketch-Count host.
 type Node struct {
-	id    gossip.NodeID
-	s     *sketch.Sketch
-	scale float64 // identifiers inserted per unit of reported value
+	s *sketch.Sketch
 
 	// snap is the reusable snapshot sent by EmitAppend: a copy of the
 	// sketch taken at emission time, so receivers merging on arrival
@@ -40,35 +41,10 @@ var (
 // NewCount returns a host that contributes a single identifier, so the
 // converged estimate is the network size.
 func NewCount(id gossip.NodeID, p sketch.Params) *Node {
-	n := &Node{id: id, s: sketch.New(p), scale: 1}
+	n := &Node{s: sketch.New(p)}
 	n.s.Insert(uint64(id) + 1)
 	return n
 }
-
-// NewCountScaled returns a host that contributes c identifiers and
-// divides its estimate by c. Using c > 1 raises R without changing
-// propagation time, sharpening estimates on very small networks (the
-// paper uses c=100 for the trace runs).
-func NewCountScaled(id gossip.NodeID, p sketch.Params, c int) *Node {
-	n := &Node{id: id, s: sketch.New(p), scale: float64(c)}
-	n.s.InsertValue(uint64(id)+1, c)
-	return n
-}
-
-// NewSum returns a host that contributes value identifiers (the
-// multiple-insertions summation of §IV-B), so the converged estimate
-// is the network-wide sum.
-func NewSum(id gossip.NodeID, p sketch.Params, value int) *Node {
-	n := &Node{id: id, s: sketch.New(p), scale: 1}
-	n.s.InsertValue(uint64(id)+1, value)
-	return n
-}
-
-// ID returns the host id.
-func (n *Node) ID() gossip.NodeID { return n.id }
-
-// Sketch exposes the host's current sketch (shared, not copied).
-func (n *Node) Sketch() *sketch.Sketch { return n.s }
 
 // BeginRound implements gossip.Agent.
 func (n *Node) BeginRound(round int) {}
@@ -118,5 +94,5 @@ func (n *Node) Exchange(peer gossip.Exchanger) {
 
 // Estimate implements gossip.Agent.
 func (n *Node) Estimate() (float64, bool) {
-	return n.s.Estimate() / n.scale, true
+	return n.s.Estimate(), true
 }

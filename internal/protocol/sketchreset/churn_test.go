@@ -28,7 +28,7 @@ func TestCountTracksUnderContinuousChurn(t *testing.T) {
 		}
 		engine, err := gossip.NewEngine(gossip.Config{
 			Env: e, Agents: agents, Model: gossip.PushPull, Seed: 51,
-			BeforeRound: []gossip.Hook{failure.Churn(20, rate, e.Population, 53)},
+			BeforeRound: []gossip.Hook{failure.ChurnStorm(20, 1, 1, rate, e.Population, 53)},
 			AfterRound: []gossip.Hook{func(round int, eng *gossip.Engine) {
 				if round < 40 { // let the protocol settle into the churn regime
 					return

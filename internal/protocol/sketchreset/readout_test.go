@@ -38,7 +38,7 @@ func TestReadSideNeverFeedsBack(t *testing.T) {
 			Env: e, Model: model, Seed: 17,
 			BeforeRound: []gossip.Hook{
 				failure.RandomAt(12, 0.5, e.Population, 19),
-				failure.Churn(20, 0.05, e.Population, 23),
+				failure.ChurnStorm(20, 1, 1, 0.05, e.Population, 23),
 			},
 		}
 		var p population

@@ -176,14 +176,21 @@ func TestExchangeSymmetric(t *testing.T) {
 	}
 }
 
-func buildNetwork(t *testing.T, n int, cfg Config, seed uint64) (*gossip.Engine, *env.Uniform) {
+// buildNetwork returns a push/pull engine over n hosts of cfg on the
+// classic backend, or on the columnar one when columnar is set.
+func buildNetwork(t *testing.T, n int, cfg Config, seed uint64, columnar bool) (*gossip.Engine, *env.Uniform) {
 	t.Helper()
 	e := env.NewUniform(n)
-	agents := make([]gossip.Agent, n)
-	for i := 0; i < n; i++ {
-		agents[i] = New(gossip.NodeID(i), cfg)
+	ecfg := gossip.Config{Env: e, Model: gossip.PushPull, Seed: seed}
+	if columnar {
+		ecfg.Columnar = NewColumnar(n, cfg)
+	} else {
+		ecfg.Agents = make([]gossip.Agent, n)
+		for i := range ecfg.Agents {
+			ecfg.Agents[i] = New(gossip.NodeID(i), cfg)
+		}
 	}
-	engine, err := gossip.NewEngine(gossip.Config{Env: e, Agents: agents, Model: gossip.PushPull, Seed: seed})
+	engine, err := gossip.NewEngine(ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +199,7 @@ func buildNetwork(t *testing.T, n int, cfg Config, seed uint64) (*gossip.Engine,
 
 func TestCountConverges(t *testing.T) {
 	const n = 2000
-	engine, _ := buildNetwork(t, n, Config{Params: sketch.DefaultParams, Identifiers: 1}, 1)
+	engine, _ := buildNetwork(t, n, Config{Params: sketch.DefaultParams, Identifiers: 1}, 1, false)
 	engine.Run(25)
 	est, ok := engine.EstimateOf(0)
 	if !ok {
@@ -205,36 +212,41 @@ func TestCountConverges(t *testing.T) {
 
 // The headline self-healing behaviour (Figure 9): after half the hosts
 // fail, the estimate decays back toward the survivor count, while the
-// NoDecay baseline stays at the old count.
+// NoDecay baseline stays at the old count. NoDecay is the columnar
+// backend's only static count, so both backends are checked.
 func TestEstimateDecaysAfterFailure(t *testing.T) {
 	const n = 2000
-	run := func(noDecay bool) float64 {
-		engine, e := buildNetwork(t, n, Config{
-			Params: sketch.DefaultParams, Identifiers: 1, NoDecay: noDecay,
-		}, 2)
-		engine.Run(20)
-		for i := 0; i < n; i += 2 {
-			e.Population.Fail(gossip.NodeID(i))
-		}
-		engine.Run(25)
-		// Mean estimate over survivors.
-		ests := engine.Estimates()
-		var s float64
-		for _, v := range ests {
-			s += v
-		}
-		return s / float64(len(ests))
-	}
-	dynamic := run(false)
-	static := run(true)
-	if math.Abs(dynamic-n/2) > 0.4*n/2 {
-		t.Errorf("dynamic estimate %v after failure, want ≈ %d", dynamic, n/2)
-	}
-	if static < 0.8*n {
-		t.Errorf("static estimate %v should stay near the pre-failure %d", static, n)
-	}
-	if dynamic > static {
-		t.Errorf("dynamic estimate %v did not decay below static %v", dynamic, static)
+	for _, backend := range []string{"classic", "columnar"} {
+		t.Run(backend, func(t *testing.T) {
+			run := func(noDecay bool) float64 {
+				engine, e := buildNetwork(t, n, Config{
+					Params: sketch.DefaultParams, Identifiers: 1, NoDecay: noDecay,
+				}, 2, backend == "columnar")
+				engine.Run(20)
+				for i := 0; i < n; i += 2 {
+					e.Population.Fail(gossip.NodeID(i))
+				}
+				engine.Run(25)
+				// Mean estimate over survivors.
+				ests := engine.Estimates()
+				var s float64
+				for _, v := range ests {
+					s += v
+				}
+				return s / float64(len(ests))
+			}
+			dynamic := run(false)
+			static := run(true)
+			if math.Abs(dynamic-n/2) > 0.4*n/2 {
+				t.Errorf("dynamic estimate %v after failure, want ≈ %d", dynamic, n/2)
+			}
+			if static < 0.8*n {
+				t.Errorf("static estimate %v should stay near the pre-failure %d", static, n)
+			}
+			if dynamic > static {
+				t.Errorf("dynamic estimate %v did not decay below static %v", dynamic, static)
+			}
+		})
 	}
 }
 
@@ -279,7 +291,7 @@ func TestIdentifierInflationAndScale(t *testing.T) {
 	const n = 30
 	engine, _ := buildNetwork(t, n, Config{
 		Params: sketch.DefaultParams, Identifiers: 100, Scale: 100,
-	}, 3)
+	}, 3, false)
 	engine.Run(15)
 	est, _ := engine.EstimateOf(0)
 	if math.Abs(est-n) > 0.5*n {

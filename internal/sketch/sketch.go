@@ -111,22 +111,11 @@ type Sketch struct {
 }
 
 // New returns an empty sketch with the given parameters.
-func New(p Params) *Sketch { return &NewBlock(p, 1)[0] }
-
-// NewBlock returns n empty sketches with the given parameters whose
-// bins share one contiguous allocation, host-major: the layout of a
-// population of sketches kept as one flat block. Each sketch's bins are
-// capped at its own width, so no sketch can write into its neighbour.
-func NewBlock(p Params, n int) []Sketch {
+func New(p Params) *Sketch {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	bins := make([]uint64, n*p.Bins)
-	block := make([]Sketch, n)
-	for i := range block {
-		block[i] = Sketch{params: p, bins: bins[i*p.Bins : (i+1)*p.Bins : (i+1)*p.Bins]}
-	}
-	return block
+	return &Sketch{params: p, bins: make([]uint64, p.Bins)}
 }
 
 // Params returns the sketch's configuration.
@@ -159,10 +148,10 @@ func (s *Sketch) Insert(id uint64) {
 	s.bins[pos.Bin] |= 1 << uint(pos.Level)
 }
 
-// InsertValue records value v attributed to owner by inserting v
+// insertValue records value v attributed to owner by inserting v
 // derived identifiers, the paper's multiple-insertions summation. The
 // derived identifiers are (owner, j) pairs, disjoint across owners.
-func (s *Sketch) InsertValue(owner uint64, v int) {
+func (s *Sketch) insertValue(owner uint64, v int) {
 	for j := 0; j < v; j++ {
 		s.Insert(owner<<20 | uint64(j))
 	}
@@ -173,8 +162,8 @@ func (s *Sketch) setBit(pos Position) {
 	s.bins[pos.Bin] |= 1 << uint(pos.Level)
 }
 
-// Bit reports whether the given position is set.
-func (s *Sketch) Bit(pos Position) bool {
+// bit reports whether the given position is set.
+func (s *Sketch) bit(pos Position) bool {
 	return s.bins[pos.Bin]&(1<<uint(pos.Level)) != 0
 }
 
@@ -243,8 +232,8 @@ func EstimateFromR(bins, sumR int) float64 {
 	return float64(bins) * math.Exp2(float64(sumR)/float64(bins)) / Phi
 }
 
-// Bits returns a copy of the raw bin bit-vectors, low bit = level 0.
-func (s *Sketch) Bits() []uint64 {
+// bits returns a copy of the raw bin bit-vectors, low bit = level 0.
+func (s *Sketch) bits() []uint64 {
 	out := make([]uint64, len(s.bins))
 	copy(out, s.bins)
 	return out

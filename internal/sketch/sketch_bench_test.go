@@ -6,7 +6,7 @@ func BenchmarkInsertValue100(b *testing.B) {
 	s := New(DefaultParams)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.InsertValue(uint64(i), 100)
+		s.insertValue(uint64(i), 100)
 	}
 }
 

@@ -113,7 +113,7 @@ func TestInsertAndBit(t *testing.T) {
 	s := New(DefaultParams)
 	s.Insert(12345)
 	pos := DefaultParams.Place(12345)
-	if !s.Bit(pos) {
+	if !s.bit(pos) {
 		t.Fatal("inserted identifier's bit not set")
 	}
 }
@@ -151,7 +151,7 @@ func TestMergeIsOR(t *testing.T) {
 	a.Insert(1)
 	b.Insert(2)
 	a.Merge(b)
-	if !a.Bit(DefaultParams.Place(1)) || !a.Bit(DefaultParams.Place(2)) {
+	if !a.bit(DefaultParams.Place(1)) || !a.bit(DefaultParams.Place(2)) {
 		t.Fatal("merge lost bits")
 	}
 }
@@ -266,7 +266,7 @@ func TestInsertValue(t *testing.T) {
 	s := New(p)
 	// 100 owners each contributing 50 → sum 5000
 	for owner := uint64(0); owner < 100; owner++ {
-		s.InsertValue(owner, 50)
+		s.insertValue(owner, 50)
 	}
 	est := s.Estimate()
 	relErr := math.Abs(est-5000) / 5000
@@ -277,9 +277,9 @@ func TestInsertValue(t *testing.T) {
 
 func TestInsertValueZero(t *testing.T) {
 	s := New(DefaultParams)
-	s.InsertValue(7, 0)
+	s.insertValue(7, 0)
 	if s.Estimate() != 0 {
-		t.Fatal("InsertValue(_, 0) should leave sketch empty")
+		t.Fatal("insertValue(_, 0) should leave sketch empty")
 	}
 }
 
@@ -302,12 +302,12 @@ func TestCloneIndependent(t *testing.T) {
 	if a.Equal(b) {
 		t.Fatal("clone mutation affected original equality check unexpectedly")
 	}
-	if !a.Bit(DefaultParams.Place(1)) {
+	if !a.bit(DefaultParams.Place(1)) {
 		t.Fatal("original lost its bit")
 	}
 }
 
-// Bits is bin-major with level 0 in the low bit: setting every bit it
+// bits is bin-major with level 0 in the low bit: setting every bit it
 // reports, position by position, rebuilds the sketch.
 func TestBitsRoundTrip(t *testing.T) {
 	a := New(DefaultParams)
@@ -315,7 +315,7 @@ func TestBitsRoundTrip(t *testing.T) {
 		a.Insert(i)
 	}
 	b := New(DefaultParams)
-	for bin, word := range a.Bits() {
+	for bin, word := range a.bits() {
 		for level := 0; level < DefaultParams.Levels; level++ {
 			if word&(1<<level) != 0 {
 				b.setBit(Position{Bin: bin, Level: level})
@@ -323,59 +323,7 @@ func TestBitsRoundTrip(t *testing.T) {
 		}
 	}
 	if !a.Equal(b) {
-		t.Fatal("Bits did not round trip through setBit")
-	}
-}
-
-// Writing one sketch of a block leaves its neighbours untouched, even
-// when every bin of the written sketch is set.
-func TestBlockSketchesAreIndependent(t *testing.T) {
-	p := Params{Bins: 4, Levels: 8}
-	block := NewBlock(p, 3)
-	full := New(p)
-	for j := 0; j < 10000; j++ {
-		full.Insert(uint64(j))
-	}
-	block[1].Merge(full)
-	block[1].InsertValue(7, 50)
-	empty := New(p)
-	for _, i := range []int{0, 2} {
-		if !block[i].Equal(empty) {
-			t.Errorf("neighbour %d changed: %v", i, block[i].Bits())
-		}
-	}
-	if !block[1].Equal(full) {
-		t.Errorf("written sketch %v, want %v", block[1].Bits(), full.Bits())
-	}
-}
-
-// A block sketch behaves bit for bit like a New sketch under the same
-// Insert, InsertValue and Merge, and estimates the same; CopyFrom
-// works between two blocks.
-func TestBlockSketchMatchesNew(t *testing.T) {
-	p := Params{Bins: 16, Levels: 20}
-	block, other := NewBlock(p, 2), NewBlock(p, 2)
-	s := New(p)
-	peer := New(p)
-	for j := uint64(0); j < 300; j++ {
-		block[0].Insert(j)
-		s.Insert(j)
-	}
-	block[0].InsertValue(9, 40)
-	s.InsertValue(9, 40)
-	for j := uint64(1000); j < 1400; j++ {
-		block[1].Insert(j)
-		peer.Insert(j)
-	}
-	block[0].Merge(&block[1])
-	s.Merge(peer)
-	if !block[0].Equal(s) || block[0].Estimate() != s.Estimate() {
-		t.Fatalf("block sketch %v (estimate %v), New sketch %v (estimate %v)",
-			block[0].Bits(), block[0].Estimate(), s.Bits(), s.Estimate())
-	}
-	other[1].CopyFrom(&block[0])
-	if !other[1].Equal(s) || !other[0].Equal(New(p)) {
-		t.Errorf("CopyFrom across blocks: got %v beside %v", other[1].Bits(), other[0].Bits())
+		t.Fatal("bits did not round trip through setBit")
 	}
 }
 

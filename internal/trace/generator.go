@@ -1,11 +1,12 @@
 // Synthetic contact-trace generation: the substitution for the
-// CRAWDAD cambridge/haggle datasets (see DESIGN.md §4). The generator
-// simulates people carrying wireless devices between places — homes,
-// shared gathering spots, conference sessions — and records the link
-// up/down events that co-location produces. The resulting traces have
-// the properties that drive the paper's Figure 11: small transient
-// groups most of the time, a day/night rhythm, and (for the conference
-// preset) periods where most devices gather.
+// CRAWDAD cambridge/haggle datasets (see the package doc in trace.go).
+// The generator simulates people carrying wireless devices between
+// places — homes, shared gathering spots, conference sessions — and
+// records the link up/down events that co-location produces. The
+// resulting traces have the properties that drive the paper's Figure
+// 11: small transient groups most of the time, a day/night rhythm, and
+// (for the conference preset) periods where most devices gather.
+
 package trace
 
 import (
