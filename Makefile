@@ -273,9 +273,11 @@ doc-lint:
 	$(GO) test -run 'TestDocumentedInvocationsParse' ./cmd/dynaggsim
 	$(GO) test -run 'TestGatewayAPIDocExamples' ./internal/gateway
 
-# Native Go fuzzing smoke pass: 10 seconds per wire decoder, enough to
-# shake out the easy crashes on every push (a socket feeds these
-# decoders attacker-controllable bytes). Seed corpora always run via
+# Native Go fuzzing smoke pass: 10 seconds per target, enough to shake
+# out the easy crashes on every push. The wire targets are the decoders
+# a socket feeds attacker-controllable bytes (an encoding no envelope
+# kind carries has no decoder to fuzz); FuzzDecodeScenario (in the chaos
+# package) is the scenario-file decoder. Seed corpora always run via
 # `go test`; this adds fresh mutation time. FuzzDecodeFrame covers the
 # TCP length-prefix framing; FuzzFrameScanner (in the transport
 # package) feeds the stream reassembly path adversarially chunked
@@ -289,7 +291,7 @@ doc-lint:
 # check for the bare counter codec. FuzzDeliverBatch (in the live
 # package) feeds the columnar shard's inbound fold arbitrary batch
 # bodies: no panic, no column write outside the shard's host range.
-FUZZ_TARGETS = FuzzDecodeCounters FuzzDecodeCountersMin FuzzDecodeCandidates FuzzDecodeHeader FuzzDecodeSketchBits FuzzDecodeMass FuzzDecodeFrame
+FUZZ_TARGETS = FuzzDecodeCounters FuzzDecodeCountersMin FuzzDecodeHeader FuzzDecodeMass FuzzDecodeFrame
 TRANSPORT_FUZZ_TARGETS = FuzzFrameScanner FuzzInboxDeliver FuzzDecodeMultiBundle FuzzPackedBundleMatchesDecoder FuzzDecodeAnnounce FuzzDecodeMembership
 LIVE_FUZZ_TARGETS = FuzzDeliverBatch
 CHAOS_FUZZ_TARGETS = FuzzDecodeScenario

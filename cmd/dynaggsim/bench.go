@@ -54,7 +54,6 @@ func benchBuild(o benchOpts, model gossip.Model, values []float64) (gossip.Confi
 		Seed:    o.seed,
 		Workers: o.workers,
 	}
-	pushPull := model == gossip.PushPull
 	agents := func(mk func(i int) gossip.Agent) {
 		as := make([]gossip.Agent, o.n)
 		for i := range as {
@@ -65,7 +64,7 @@ func benchBuild(o benchOpts, model gossip.Model, values []float64) (gossip.Confi
 	switch o.protocol {
 	case "pushsum", "revert":
 		// Push-Sum is Push-Sum-Revert at λ = 0.
-		rcfg := pushsumrevert.Config{Lambda: 0, PushPull: pushPull}
+		rcfg := pushsumrevert.Config{Lambda: 0}
 		if o.protocol == "revert" {
 			rcfg.Lambda = 0.01
 		}
@@ -89,7 +88,7 @@ func benchBuild(o benchOpts, model gossip.Model, values []float64) (gossip.Confi
 			agents(func(i int) gossip.Agent { return extremes.New(gossip.NodeID(i), values[i], ecfg) })
 		}
 	case "moments":
-		mcfg := pushsumrevert.Config{Lambda: 0.01, PushPull: pushPull}
+		mcfg := pushsumrevert.Config{Lambda: 0.01}
 		if o.columnar {
 			cfg.Columnar = pushsumrevert.NewColumnarMoments(values, mcfg)
 		} else {

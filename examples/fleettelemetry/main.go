@@ -78,7 +78,7 @@ func main() {
 		// estimate flickers.
 		Cutoff: func(k int) float64 { return 35 + float64(k)/2 },
 	}
-	avgCfg := pushsumrevert.Config{Lambda: 0.05, PushPull: true}
+	avgCfg := pushsumrevert.Config{Lambda: 0.05}
 	maxCfg := extremes.Config{Mode: extremes.Max, Cutoff: 40} // proximity gossip floods slower than uniform
 	fleetAgents := make([]gossip.Agent, fleet)
 	maxAgents := make([]gossip.Agent, fleet)

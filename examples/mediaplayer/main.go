@@ -52,7 +52,7 @@ func main() {
 	agents := make([]gossip.Agent, tr.N)
 	for i := range agents {
 		agents[i] = pushsumrevert.New(gossip.NodeID(i), ratings[i],
-			pushsumrevert.Config{Lambda: lambda, PushPull: true})
+			pushsumrevert.Config{Lambda: lambda})
 	}
 	engine, err := gossip.NewEngine(gossip.Config{
 		Env: tenv, Agents: agents, Model: gossip.PushPull, Seed: seed,

@@ -52,7 +52,7 @@ func main() {
 	agents := make([]gossip.Agent, hosts)
 	for i := range agents {
 		agents[i] = pushsumrevert.New(gossip.NodeID(i), values[i],
-			pushsumrevert.Config{Lambda: lambda, PushPull: true})
+			pushsumrevert.Config{Lambda: lambda})
 	}
 	net, err := gossip.NewEngine(gossip.Config{
 		Env: e, Agents: agents, Model: gossip.PushPull, Seed: 1,

@@ -34,7 +34,7 @@ func AblationPushPull(sc Scale) Result {
 			Workers:    sc.Workers,
 			AfterRound: []gossip.Hook{metrics.DeviationHook(&series, truth.Average, (*gossip.Engine).EstimateOf)},
 		}
-		cfg := pushsumrevert.Config{Lambda: 0, PushPull: model == gossip.PushPull}
+		cfg := pushsumrevert.Config{Lambda: 0}
 		if sc.Columnar {
 			engineCfg.Columnar = pushsumrevert.NewColumnar(values, cfg)
 		} else {
@@ -230,7 +230,7 @@ func AblationOverlay(side int, seed uint64) Result {
 		agents := make([]gossip.Agent, grid2.Size())
 		for i := range agents {
 			agents[i] = pushsumrevert.New(gossip.NodeID(i), values[i],
-				pushsumrevert.Config{Lambda: 0.1, PushPull: true})
+				pushsumrevert.Config{Lambda: 0.1})
 		}
 		truth := metrics.NewTruth(values, grid2.Population)
 		engine, err := gossip.NewEngine(gossip.Config{

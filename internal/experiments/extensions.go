@@ -51,7 +51,7 @@ func AblationMoments(sc Scale) Result {
 	for _, lambda := range []float64{0, 0.01, 0.1} {
 		values := uniformValues(sc.N, sc.Seed+7)
 		environment := env.NewUniform(sc.N)
-		cfg := pushsumrevert.Config{Lambda: lambda, PushPull: true}
+		cfg := pushsumrevert.Config{Lambda: lambda}
 		series := stats.Series{Label: fmt.Sprintf("λ=%.4f", lambda)}
 		trueStdDev := func() float64 {
 			var sum, sq float64

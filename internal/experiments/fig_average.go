@@ -103,7 +103,7 @@ func runAveragingOnce(opts AveragingOptions, lambda float64) stats.Series {
 	truth := metrics.NewTruth(values, environment.Population)
 
 	model := gossip.PushPull
-	cfg := pushsumrevert.Config{Lambda: lambda, PushPull: true}
+	cfg := pushsumrevert.Config{Lambda: lambda}
 	if opts.FullTransfer {
 		model = gossip.Push
 		cfg = pushsumrevert.Config{

@@ -49,7 +49,7 @@ func Fig11Avg(dataset int, seed uint64) Result {
 		tenv := env.NewTraceEnv(tr, 0, 0)
 		values := uniformValues(tr.N, seed+101)
 
-		cfg := pushsumrevert.Config{Lambda: lambda, PushPull: true}
+		cfg := pushsumrevert.Config{Lambda: lambda}
 		agents := make([]gossip.Agent, tr.N)
 		for j := range agents {
 			agents[j] = pushsumrevert.New(gossip.NodeID(j), values[j], cfg)

@@ -50,7 +50,7 @@ func AblationMobility(sc Scale) Result {
 		agents := make([]gossip.Agent, n)
 		for j := range agents {
 			agents[j] = pushsumrevert.New(gossip.NodeID(j), values[j],
-				pushsumrevert.Config{Lambda: lambda, PushPull: true})
+				pushsumrevert.Config{Lambda: lambda})
 		}
 		series := stats.Series{Label: fmt.Sprintf("λ=%.4f", lambda)}
 		hooks := []gossip.Hook{metrics.DeviationHook(&series, truth.Average, (*gossip.Engine).EstimateOf)}

@@ -89,7 +89,7 @@ func allocsPerHostRoundColumnar(t *testing.T, col gossip.ColumnarAgent, model go
 type budgetCase struct {
 	models []gossip.Model
 	fanout int
-	mk     func(model gossip.Model) gossip.ColumnarAgent
+	mk     func() gossip.ColumnarAgent
 }
 
 // budgetCases returns every columnar protocol over n hosts, keyed by
@@ -105,31 +105,27 @@ func budgetCases(n int) map[string]budgetCase {
 	}
 	both := []gossip.Model{gossip.Push, gossip.PushPull}
 	pushOnly := []gossip.Model{gossip.Push}
-	// Variants whose config differs by model (PushPull reversion) build
-	// from the model; the rest ignore it.
-	revertFor := func(model gossip.Model) pushsumrevert.Config {
-		return pushsumrevert.Config{Lambda: 0.02, PushPull: model == gossip.PushPull}
-	}
+	revert := pushsumrevert.Config{Lambda: 0.02}
 	return map[string]budgetCase{
-		"pushsum": {both, 2, func(model gossip.Model) gossip.ColumnarAgent {
-			return pushsumrevert.NewColumnar(values, pushsumrevert.Config{Lambda: 0, PushPull: model == gossip.PushPull})
+		"pushsum": {both, 2, func() gossip.ColumnarAgent {
+			return pushsumrevert.NewColumnar(values, pushsumrevert.Config{Lambda: 0})
 		}},
-		"pushsumrevert": {both, 2, func(model gossip.Model) gossip.ColumnarAgent {
-			return pushsumrevert.NewColumnar(values, revertFor(model))
+		"pushsumrevert": {both, 2, func() gossip.ColumnarAgent {
+			return pushsumrevert.NewColumnar(values, revert)
 		}},
-		"fulltransfer": {pushOnly, 4, func(gossip.Model) gossip.ColumnarAgent {
+		"fulltransfer": {pushOnly, 4, func() gossip.ColumnarAgent {
 			return pushsumrevert.NewColumnar(values, pushsumrevert.Config{Lambda: 0.1, FullTransfer: true, Parcels: 4, Window: 3})
 		}},
-		"sketchreset": {both, 1, func(gossip.Model) gossip.ColumnarAgent {
+		"sketchreset": {both, 1, func() gossip.ColumnarAgent {
 			return sketchreset.NewColumnar(n, srCfg)
 		}},
-		"extremes": {both, 1, func(gossip.Model) gossip.ColumnarAgent {
+		"extremes": {both, 1, func() gossip.ColumnarAgent {
 			return extremes.NewColumnar(values, extremes.Config{Mode: extremes.Max})
 		}},
-		"moments": {both, 2, func(model gossip.Model) gossip.ColumnarAgent {
-			return pushsumrevert.NewColumnarMoments(values, revertFor(model))
+		"moments": {both, 2, func() gossip.ColumnarAgent {
+			return pushsumrevert.NewColumnarMoments(values, revert)
 		}},
-		"epoch": {pushOnly, 2, func(gossip.Model) gossip.ColumnarAgent {
+		"epoch": {pushOnly, 2, func() gossip.ColumnarAgent {
 			return epoch.NewColumnar(values, epoch.Config{Length: 8})
 		}},
 	}
@@ -145,7 +141,7 @@ func TestColumnarAllocBudget(t *testing.T) {
 	for name, bc := range budgetCases(512) {
 		for _, model := range bc.models {
 			for _, workers := range []int{0, 1, 2} {
-				got := allocsPerHostRoundColumnar(t, bc.mk(model), model, workers)
+				got := allocsPerHostRoundColumnar(t, bc.mk(), model, workers)
 				if budget := allocBudget(workers); got > budget {
 					t.Errorf("%s %s workers=%d: %.3f allocs per host-round, budget %.1f",
 						name, model, workers, got, budget)
@@ -174,12 +170,12 @@ func TestColumnarFirstRoundAllocs(t *testing.T) {
 	msgBytes := uint64(unsafe.Sizeof(gossip.ColMsg{}))
 	for name, bc := range budgetCases(n) {
 		for _, workers := range []int{0, 1, 2, 4} {
-			first, bytes, steady := roundAllocs(t, bc.mk(gossip.Push), workers)
+			first, bytes, steady := roundAllocs(t, bc.mk(), workers)
 			// The runtime's background goroutines (the scavenger, GC
 			// workers) now and then allocate a few bytes inside the
 			// window, so each reading is the least of three fresh engines.
 			for range 2 {
-				f, b, s := roundAllocs(t, bc.mk(gossip.Push), workers)
+				f, b, s := roundAllocs(t, bc.mk(), workers)
 				first, bytes, steady = min(first, f), min(bytes, b), min(steady, s)
 			}
 			column := uint64(bc.fanout) * n * msgBytes
@@ -237,7 +233,7 @@ func TestPushSumAllocBudget(t *testing.T) {
 			agents := make([]gossip.Agent, n)
 			for i := range agents {
 				agents[i] = pushsumrevert.New(gossip.NodeID(i), float64(i%101),
-					pushsumrevert.Config{Lambda: 0, PushPull: model == gossip.PushPull})
+					pushsumrevert.Config{Lambda: 0})
 			}
 			got := allocsPerHostRound(t, agents, model, workers)
 			if budget := allocBudget(workers); got > budget {

@@ -67,9 +67,10 @@ type ColMsg struct {
 type ColRound struct {
 	// Round is the current round number.
 	Round int
-	// Model is the engine's gossip model. Kernels whose round-end fold
-	// differs between push (apply the delivered inbox) and push/pull
-	// (state was updated in place by ExchangePairs) branch on it.
+	// Model is the engine's gossip model, the one place a kernel learns
+	// it. Kernels whose round-end fold differs between push (apply the
+	// delivered inbox) and push/pull (state was updated in place by
+	// ExchangePairs) branch on it, as Push-Sum-Revert's EndRange does.
 	Model Model
 	// Alive is the population-wide liveness bitmap, fixed for the
 	// round. Kernels read it where they need one host's liveness — a

@@ -20,14 +20,12 @@ import (
 
 // colCase pairs a protocol's classic (one agent per host) and
 // columnar (one struct for the population) constructions, with the
-// gossip models the protocol supports. The constructors take the model
-// a case runs under, for configurations that depend on it. columnar is
-// nil for a protocol with no columnar form, whose case runs its
-// classic engines only.
+// gossip models the protocol supports. columnar is nil for a protocol
+// with no columnar form, whose case runs its classic engines only.
 type colCase struct {
 	models   []gossip.Model
-	agents   func(n int, model gossip.Model) []gossip.Agent
-	columnar func(n int, model gossip.Model) gossip.ColumnarAgent
+	agents   func(n int) []gossip.Agent
+	columnar func(n int) gossip.ColumnarAgent
 }
 
 func parityValues(n int) []float64 {
@@ -61,14 +59,9 @@ func columnarCases(t *testing.T) map[string]colCase {
 			return pushsumrevert.Config{Lambda: 0.02, FullTransfer: true, Parcels: 4, Window: 3}
 		case "adaptive":
 			return pushsumrevert.Config{Lambda: 0.02, Adaptive: true}
-		case "pushpull":
-			return pushsumrevert.Config{Lambda: 0.02, PushPull: true}
 		default:
 			return pushsumrevert.Config{Lambda: 0.02}
 		}
-	}
-	pushSumCfg := func(model gossip.Model) pushsumrevert.Config {
-		return pushsumrevert.Config{Lambda: 0, PushPull: model == gossip.PushPull}
 	}
 	multiValues := func(n int) map[string][]float64 {
 		vs := values(n)
@@ -82,33 +75,33 @@ func columnarCases(t *testing.T) map[string]colCase {
 		// Push-Sum is Push-Sum-Revert at λ = 0.
 		"pushsum": {
 			models: both,
-			agents: func(n int, model gossip.Model) []gossip.Agent {
+			agents: func(n int) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i, v := range values(n) {
-					agents[i] = pushsumrevert.New(gossip.NodeID(i), v, pushSumCfg(model))
+					agents[i] = pushsumrevert.New(gossip.NodeID(i), v, pushsumrevert.Config{})
 				}
 				return agents
 			},
-			columnar: func(n int, model gossip.Model) gossip.ColumnarAgent {
-				return pushsumrevert.NewColumnar(values(n), pushSumCfg(model))
+			columnar: func(n int) gossip.ColumnarAgent {
+				return pushsumrevert.NewColumnar(values(n), pushsumrevert.Config{})
 			},
 		},
 		"sketchreset": {
 			models: both,
-			agents: func(n int, _ gossip.Model) []gossip.Agent {
+			agents: func(n int) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i := range agents {
 					agents[i] = sketchreset.New(gossip.NodeID(i), srCfg)
 				}
 				return agents
 			},
-			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
+			columnar: func(n int) gossip.ColumnarAgent {
 				return sketchreset.NewColumnar(n, srCfg)
 			},
 		},
 		"sketchcount": {
 			models: both,
-			agents: func(n int, _ gossip.Model) []gossip.Agent {
+			agents: func(n int) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i := range agents {
 					agents[i] = sketchcount.NewCount(gossip.NodeID(i), scParams)
@@ -118,27 +111,27 @@ func columnarCases(t *testing.T) map[string]colCase {
 		},
 		"extremes": {
 			models: both,
-			agents: func(n int, _ gossip.Model) []gossip.Agent {
+			agents: func(n int) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i, v := range values(n) {
 					agents[i] = extremes.New(gossip.NodeID(i), v, exCfg)
 				}
 				return agents
 			},
-			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
+			columnar: func(n int) gossip.ColumnarAgent {
 				return extremes.NewColumnar(values(n), exCfg)
 			},
 		},
 		"epoch": {
 			models: pushOnly, // the classic Node implements no exchange
-			agents: func(n int, _ gossip.Model) []gossip.Agent {
+			agents: func(n int) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i, v := range values(n) {
 					agents[i] = epoch.New(gossip.NodeID(i), v, epoch.Config{Length: 6})
 				}
 				return agents
 			},
-			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
+			columnar: func(n int) gossip.ColumnarAgent {
 				return epoch.NewColumnar(values(n), epoch.Config{Length: 6})
 			},
 		},
@@ -151,47 +144,47 @@ func columnarCases(t *testing.T) map[string]colCase {
 		}
 		cases["pushsumrevert-"+variant] = colCase{
 			models: models,
-			agents: func(n int, _ gossip.Model) []gossip.Agent {
+			agents: func(n int) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i, v := range values(n) {
 					agents[i] = pushsumrevert.New(gossip.NodeID(i), v, cfg)
 				}
 				return agents
 			},
-			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
+			columnar: func(n int) gossip.ColumnarAgent {
 				return pushsumrevert.NewColumnar(values(n), cfg)
 			},
 		}
 	}
 	for _, variant := range []string{"push", "pushpull"} {
-		cfg := pushsumrevert.Config{Lambda: 0.02, PushPull: variant == "pushpull"}
+		cfg := pushsumrevert.Config{Lambda: 0.02}
 		models := pushOnly
-		if cfg.PushPull {
+		if variant == "pushpull" {
 			models = []gossip.Model{gossip.PushPull}
 		}
 		cases["moments-"+variant] = colCase{
 			models: models,
-			agents: func(n int, _ gossip.Model) []gossip.Agent {
+			agents: func(n int) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				for i, v := range values(n) {
 					agents[i] = pushsumrevert.NewMoments(gossip.NodeID(i), v, cfg)
 				}
 				return agents
 			},
-			columnar: func(n int, _ gossip.Model) gossip.ColumnarAgent {
+			columnar: func(n int) gossip.ColumnarAgent {
 				return pushsumrevert.NewColumnarMoments(values(n), cfg)
 			},
 		}
 	}
 	for _, variant := range []string{"push", "pushpull"} {
-		avgCfg := pushsumrevert.Config{Lambda: 0.02, PushPull: variant == "pushpull"}
+		avgCfg := pushsumrevert.Config{Lambda: 0.02}
 		model := gossip.Push
-		if avgCfg.PushPull {
+		if variant == "pushpull" {
 			model = gossip.PushPull
 		}
 		cases["multi-"+variant] = colCase{
 			models: []gossip.Model{model},
-			agents: func(n int, _ gossip.Model) []gossip.Agent {
+			agents: func(n int) []gossip.Agent {
 				agents := make([]gossip.Agent, n)
 				vals := multiValues(n)
 				for i := range agents {
@@ -251,9 +244,9 @@ func blindableEngine(t *testing.T, c colCase, model gossip.Model, n, rounds, wor
 		},
 	}
 	if columnar {
-		cfg.Columnar = c.columnar(n, model)
+		cfg.Columnar = c.columnar(n)
 	} else {
-		cfg.Agents = c.agents(n, model)
+		cfg.Agents = c.agents(n)
 	}
 	engine, err := gossip.NewEngine(cfg)
 	if err != nil {
@@ -349,7 +342,7 @@ func TestPushPullSkipsDepartedPeers(t *testing.T) {
 	const n, rounds = 6, 3
 	dead := []gossip.NodeID{1, 4}
 	values := parityValues(n)
-	cfg := pushsumrevert.Config{Lambda: 0.02, PushPull: true}
+	cfg := pushsumrevert.Config{Lambda: 0.02}
 	var counts [][2]int64
 	for _, columnar := range []bool{false, true} {
 		uniform := env.NewUniform(n)

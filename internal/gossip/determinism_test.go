@@ -35,7 +35,7 @@ func runFingerprint(t *testing.T, protocol string, model gossip.Model, n, rounds
 		id := gossip.NodeID(i)
 		switch protocol {
 		case "pushsum":
-			agents[i] = pushsumrevert.New(id, float64(i%97), pushsumrevert.Config{PushPull: model == gossip.PushPull})
+			agents[i] = pushsumrevert.New(id, float64(i%97), pushsumrevert.Config{})
 		case "sketchreset":
 			agents[i] = sketchreset.New(id, sketchreset.Config{
 				Params:      sketch.Params{Bins: 8, Levels: 12},

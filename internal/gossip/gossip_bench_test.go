@@ -110,7 +110,7 @@ func benchPushSumEngine(b *testing.B, n, workers int, model gossip.Model, column
 	b.Helper()
 	vs := benchValues(n)
 	cfg := gossip.Config{Env: env.NewUniform(n), Model: model, Seed: 1, Workers: workers}
-	pcfg := pushsumrevert.Config{Lambda: 0, PushPull: model == gossip.PushPull}
+	pcfg := pushsumrevert.Config{Lambda: 0}
 	if columnar {
 		cfg.Columnar = pushsumrevert.NewColumnar(vs, pcfg)
 	} else {

@@ -319,8 +319,8 @@ func (e *Engine) finalTick() int {
 // hosts the environment reports dead at the final tick. Call after Run
 // returns (or accept racy snapshots during a run — agent populations
 // take the host lock per read, so individual estimates are coherent;
-// columnar estimates during a run are torn-free per host but
-// unsynchronized).
+// columnar estimates during a run are unsynchronized, and one derived
+// from a counter matrix may read it mid-merge).
 func (e *Engine) Estimates() []float64 {
 	return e.pop.estimates()
 }

@@ -106,7 +106,7 @@ func TestPushSumRevertConvergesUnderPushPull(t *testing.T) {
 		v := float64(i % 100)
 		truth += v
 		agents[i] = pushsumrevert.New(gossip.NodeID(i), v,
-			pushsumrevert.Config{Lambda: 0.01, PushPull: true})
+			pushsumrevert.Config{Lambda: 0.01})
 	}
 	truth /= n
 	e, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Model: gossip.PushPull, Seed: 2, Ticks: 50})
@@ -250,7 +250,7 @@ func TestBoundedWorkersConverge(t *testing.T) {
 			v := float64(i % 100)
 			truth += v
 			agents[i] = pushsumrevert.New(gossip.NodeID(i), v,
-				pushsumrevert.Config{Lambda: 0.01, PushPull: model == gossip.PushPull})
+				pushsumrevert.Config{Lambda: 0.01})
 		}
 		truth /= n
 		e, err := New(Config{

@@ -48,7 +48,7 @@ func TestTracePipeline(t *testing.T) {
 	for i := range agents {
 		agents[i] = multi.New(gossip.NodeID(i), map[string]float64{"v": values[i]},
 			sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 100, Scale: 100},
-			pushsumrevert.Config{Lambda: 0.01, PushPull: true},
+			pushsumrevert.Config{Lambda: 0.01},
 		)
 	}
 	var dev stats.Series
@@ -99,7 +99,7 @@ func TestContactsPipeline(t *testing.T) {
 	agents := make([]gossip.Agent, tr.N)
 	for i := range agents {
 		agents[i] = pushsumrevert.New(gossip.NodeID(i), values[i],
-			pushsumrevert.Config{Lambda: 0.01, PushPull: true})
+			pushsumrevert.Config{Lambda: 0.01})
 	}
 	engine, err := gossip.NewEngine(gossip.Config{
 		Env: tenv, Agents: agents, Model: gossip.PushPull, Seed: 4,
@@ -145,7 +145,7 @@ func TestGridInvertAverageSum(t *testing.T) {
 	net := newNetwork(t, grid, 5, func(id gossip.NodeID) gossip.Agent {
 		return invertAverage(id, values[id],
 			sketchreset.Config{Params: sketch.DefaultParams, Cutoff: cutoff, Identifiers: 1},
-			pushsumrevert.Config{Lambda: 0.05, PushPull: true})
+			pushsumrevert.Config{Lambda: 0.05})
 	})
 	net.Run(50)
 	est, ok := estimateOf(net, 0)
@@ -213,7 +213,7 @@ func TestAllAggregatesAgree(t *testing.T) {
 	mean := sum / n
 	stddev := math.Sqrt(sq/n - mean*mean)
 
-	avgCfg := pushsumrevert.Config{Lambda: 0.01, PushPull: true}
+	avgCfg := pushsumrevert.Config{Lambda: 0.01}
 	checks := []struct {
 		name  string
 		agent func(id gossip.NodeID) gossip.Agent
@@ -230,7 +230,7 @@ func TestAllAggregatesAgree(t *testing.T) {
 			return invertAverage(id, values[id], countConfig, avgCfg)
 		}, sum, 0.4 * sum},
 		{"stddev", func(id gossip.NodeID) gossip.Agent {
-			return pushsumrevert.NewMoments(id, values[id], pushsumrevert.Config{Lambda: 0.01, PushPull: true})
+			return pushsumrevert.NewMoments(id, values[id], pushsumrevert.Config{Lambda: 0.01})
 		}, stddev, 3},
 	}
 	for _, c := range checks {

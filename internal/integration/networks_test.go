@@ -78,7 +78,7 @@ func TestAverageNetworkConverges(t *testing.T) {
 	e := env.NewUniform(n)
 	values := uniformValues(n, 3)
 	net := newNetwork(t, e, 1, func(id gossip.NodeID) gossip.Agent {
-		return pushsumrevert.New(id, values[id], pushsumrevert.Config{Lambda: 0.01, PushPull: true})
+		return pushsumrevert.New(id, values[id], pushsumrevert.Config{Lambda: 0.01})
 	})
 	truth := metrics.NewTruth(values, e.Population)
 	net.Run(30)
@@ -114,7 +114,7 @@ func TestWeightedAverageNetwork(t *testing.T) {
 	}
 	net := newNetwork(t, e, 11, func(id gossip.NodeID) gossip.Agent {
 		return pushsumrevert.New(id, values[id],
-			pushsumrevert.Config{Lambda: 0.01, PushPull: true, Weight: weights[id]})
+			pushsumrevert.Config{Lambda: 0.01, Weight: weights[id]})
 	})
 	net.Run(30)
 	want := num / den
@@ -177,7 +177,7 @@ func TestSumNetworkAllMethods(t *testing.T) {
 		agent func(id gossip.NodeID) gossip.Agent
 	}{
 		{"invert-average", func(id gossip.NodeID) gossip.Agent {
-			return invertAverage(id, values[id], countConfig, pushsumrevert.Config{Lambda: 0.01, PushPull: true})
+			return invertAverage(id, values[id], countConfig, pushsumrevert.Config{Lambda: 0.01})
 		}},
 		{"multiple-insertions", func(id gossip.NodeID) gossip.Agent {
 			return sketchreset.New(id, sketchreset.Config{Params: sketch.DefaultParams, Identifiers: int(values[id])})
@@ -203,7 +203,7 @@ func TestPushSumBaseline(t *testing.T) {
 	e := env.NewUniform(n)
 	values := uniformValues(n, 6)
 	net := newNetwork(t, e, 7, func(id gossip.NodeID) gossip.Agent {
-		return pushsumrevert.New(id, values[id], pushsumrevert.Config{PushPull: true})
+		return pushsumrevert.New(id, values[id], pushsumrevert.Config{})
 	})
 	net.Run(25)
 	truth := metrics.NewTruth(values, e.Population)
@@ -233,7 +233,7 @@ func TestCountCustomSketchAndCutoff(t *testing.T) {
 func TestEstimateOfDeadHost(t *testing.T) {
 	e := env.NewUniform(5)
 	net := newNetwork(t, e, 9, func(id gossip.NodeID) gossip.Agent {
-		return pushsumrevert.New(id, 0, pushsumrevert.Config{PushPull: true})
+		return pushsumrevert.New(id, 0, pushsumrevert.Config{})
 	})
 	e.Population.Fail(2)
 	if _, ok := net.EstimateOf(2); ok {
@@ -257,7 +257,7 @@ func TestStdDevConverges(t *testing.T) {
 	want := math.Sqrt(sq/n - mean*mean)
 
 	net := newNetwork(t, env.NewUniform(n), 1, func(id gossip.NodeID) gossip.Agent {
-		return pushsumrevert.NewMoments(id, values[id], pushsumrevert.Config{Lambda: 0.01, PushPull: true})
+		return pushsumrevert.NewMoments(id, values[id], pushsumrevert.Config{Lambda: 0.01})
 	})
 	net.Run(40)
 	est, ok := net.EstimateOf(0)
@@ -309,7 +309,7 @@ func TestMultiNetworkEndToEnd(t *testing.T) {
 	e := env.NewUniform(n)
 	net := newNetwork(t, e, 4, func(id gossip.NodeID) gossip.Agent {
 		return multi.New(id, map[string]float64{"temp": float64(id % 40), "load": float64(id % 10)},
-			countConfig, pushsumrevert.Config{Lambda: 0.01, PushPull: true})
+			countConfig, pushsumrevert.Config{Lambda: 0.01})
 	})
 	net.Run(25)
 	average, sum := (*multi.Node).Average, (*multi.Node).Sum

@@ -14,6 +14,7 @@ import (
 	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 	"dynagg/internal/wire"
+	"dynagg/internal/xrand"
 )
 
 // TestReceiveIgnoresForeignPayloads hands every protocol's Receive the
@@ -94,10 +95,12 @@ func TestReceiveIgnoresForeignPayloads(t *testing.T) {
 			return multi.New(0, map[string]float64{"a": 1}, count, pushsumrevert.Config{Lambda: 0.1})
 		}, []string{"multi.Bundle", "*multi.Bundle", "*multi.Packed"}},
 	}
-	// round runs one round in which the host receives payloads and
-	// returns the estimate it ends with.
+	// round runs one push round in which the host emits to peer 1 (its
+	// messages, self-shares included, are lost) and receives payloads,
+	// and returns the estimate it ends with.
 	round := func(a gossip.Agent, payloads ...any) string {
 		a.BeginRound(0)
+		a.Emit(0, xrand.New(1), func() (gossip.NodeID, bool) { return 1, true })
 		for _, p := range payloads {
 			a.Receive(p)
 		}

@@ -90,7 +90,7 @@ func TestGroupDeviationHook(t *testing.T) {
 
 	agents := make([]gossip.Agent, 4)
 	for i, v := range values {
-		agents[i] = pushsumrevert.New(gossip.NodeID(i), v, pushsumrevert.Config{PushPull: true})
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), v, pushsumrevert.Config{})
 	}
 	var s, sizes stats.Series
 	e, err := gossip.NewEngine(gossip.Config{
@@ -127,7 +127,7 @@ func TestGroupDeviationHookSampling(t *testing.T) {
 	values := []float64{0, 10, 100, 200}
 	agents := make([]gossip.Agent, 4)
 	for i, v := range values {
-		agents[i] = pushsumrevert.New(gossip.NodeID(i), v, pushsumrevert.Config{PushPull: true})
+		agents[i] = pushsumrevert.New(gossip.NodeID(i), v, pushsumrevert.Config{})
 	}
 	var s stats.Series
 	e, err := gossip.NewEngine(gossip.Config{

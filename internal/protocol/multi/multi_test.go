@@ -22,7 +22,7 @@ func build(t *testing.T, n int, mk func(i int) map[string]float64, lambda float6
 	for i := 0; i < n; i++ {
 		agents[i] = New(gossip.NodeID(i), mk(i),
 			sketchreset.Config{Params: sketch.DefaultParams, Identifiers: 1},
-			pushsumrevert.Config{Lambda: lambda, PushPull: pushPull},
+			pushsumrevert.Config{Lambda: lambda},
 		)
 	}
 	engine, err := gossip.NewEngine(gossip.Config{Env: e, Agents: agents, Model: model, Seed: seed})

@@ -35,7 +35,7 @@ func BenchmarkRoundBasic(b *testing.B) {
 // BenchmarkRoundPushPull measures one push/pull round over 10,000
 // hosts.
 func BenchmarkRoundPushPull(b *testing.B) {
-	engine := benchNetwork(b, 10000, Config{Lambda: 0.01, PushPull: true}, gossip.PushPull)
+	engine := benchNetwork(b, 10000, Config{Lambda: 0.01}, gossip.PushPull)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

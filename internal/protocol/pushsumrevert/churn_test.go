@@ -30,7 +30,7 @@ func TestStableUnderContinuousChurn(t *testing.T) {
 		truth := metrics.NewTruth(values, e.Population)
 		agents := make([]gossip.Agent, n)
 		for i := range agents {
-			agents[i] = New(gossip.NodeID(i), values[i], Config{Lambda: lambda, PushPull: true})
+			agents[i] = New(gossip.NodeID(i), values[i], Config{Lambda: lambda})
 		}
 		var recent []float64
 		engine, err := gossip.NewEngine(gossip.Config{
@@ -94,7 +94,7 @@ func TestMassStaysFiniteUnderJoinWaves(t *testing.T) {
 	e := env.NewUniform(n)
 	agents := make([]gossip.Agent, n)
 	for i := range agents {
-		agents[i] = New(gossip.NodeID(i), values[i], Config{Lambda: 0.1, PushPull: true})
+		agents[i] = New(gossip.NodeID(i), values[i], Config{Lambda: 0.1})
 	}
 	half := make([]gossip.NodeID, 0, n/2)
 	for i := 0; i < n/2; i++ {

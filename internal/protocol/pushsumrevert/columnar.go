@@ -193,9 +193,10 @@ func (c *hosts[F, B]) receive(to gossip.NodeID, m gossip.Mass, q float64) {
 
 // end settles each host of live at round end, emptying the inbox it
 // reads (push/pull fills none), so that no round begins by clearing one.
-func (c *hosts[F, B]) end(live []gossip.NodeID) {
+// pushPull selects the push/pull round end.
+func (c *hosts[F, B]) end(live []gossip.NodeID, pushPull bool) {
 	switch {
-	case c.cfg.PushPull:
+	case pushPull:
 		// Exchange moved the mass; the reversion applies once a round.
 		for _, i := range live {
 			c.settle(i, c.reverted(i))
@@ -276,6 +277,17 @@ func (c *hosts[F, B]) exchange(i gossip.NodeID, b *hosts[F, B], j gossip.NodeID)
 
 func average(x, y *float64) { *x = (*x + *y) / 2; *y = *x }
 
+// refuseExchange panics for the push-model variants, which have no
+// pairwise exchange.
+func (c *hosts[F, B]) refuseExchange() {
+	switch {
+	case c.cfg.FullTransfer:
+		panic("pushsumrevert: FullTransfer runs under the push model only, not push/pull")
+	case c.cfg.Adaptive:
+		panic("pushsumrevert: Adaptive runs under the push model only, not push/pull")
+	}
+}
+
 // Columnar is Push-Sum-Revert over a whole population
 // (gossip.ColumnarAgent, gossip.ColExchanger), every variant supported.
 // Its kernels are loops calling the per-host steps a Node calls.
@@ -317,9 +329,6 @@ func (c *Columnar) BeginRange(rc *gossip.ColRound, lo, hi int) {}
 // host sends at most Parcels messages under Full-Transfer and two
 // otherwise, reserved before the first append.
 func (c *Columnar) EmitRange(rc *gossip.ColRound, lo, hi int) {
-	if c.cfg.PushPull {
-		mismatch(true)
-	}
 	live := rc.Live(lo, hi)
 	fanout := 2
 	if c.cfg.FullTransfer {
@@ -403,11 +412,10 @@ func (c *Columnar) Deliver(rc *gossip.ColRound, msgs []gossip.ColMsg) {
 
 // ExchangePairs implements gossip.ColExchanger: the pairwise mass
 // averaging of every pair in order. The reversion decay is applied once
-// per round in EndRange, not per exchange.
+// per round in EndRange, not per exchange. Full-Transfer and Adaptive
+// populations refuse it.
 func (c *Columnar) ExchangePairs(rc *gossip.ColRound, pairs []gossip.Pair) {
-	if !c.cfg.PushPull {
-		mismatch(false)
-	}
+	c.refuseExchange()
 	for _, pr := range pairs {
 		c.exchange(pr.A, &c.hosts, pr.B)
 	}
@@ -418,7 +426,8 @@ func (c *Columnar) ExchangePairs(rc *gossip.ColRound, pairs []gossip.Pair) {
 	}
 }
 
-// EndRange implements gossip.ColumnarAgent.
+// EndRange implements gossip.ColumnarAgent: the round end of the
+// engine's model.
 func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {
-	c.end(rc.Live(lo, hi))
+	c.end(rc.Live(lo, hi), rc.Model == gossip.PushPull)
 }

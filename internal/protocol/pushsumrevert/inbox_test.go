@@ -20,12 +20,13 @@ var inboxCases = []struct {
 	name    string
 	cfg     Config
 	moments bool
+	model   gossip.Model
 }{
 	{name: "basic", cfg: Config{Lambda: 0.1}},
 	{name: "adaptive", cfg: Config{Lambda: 0.1, Adaptive: true}},
 	{name: "moments", cfg: Config{Lambda: 0.1}, moments: true},
 	{name: "fulltransfer", cfg: Config{Lambda: 0.1, FullTransfer: true, Parcels: 3, Window: 3}},
-	{name: "pushpull", cfg: Config{Lambda: 0.1, PushPull: true}},
+	{name: "pushpull", cfg: Config{Lambda: 0.1}, model: gossip.PushPull},
 }
 
 const (
@@ -147,13 +148,6 @@ func inboxValues() []float64 {
 	return vs
 }
 
-func modelFor(cfg Config) gossip.Model {
-	if cfg.PushPull {
-		return gossip.PushPull
-	}
-	return gossip.Push
-}
-
 // TestEndEmptiesInbox pins the inbox contract on both forms of every
 // variant: after every EndRange/EndRound each host it ended holds an
 // empty inbox, and each live host, the revived one included, begins its
@@ -164,7 +158,7 @@ func TestEndEmptiesInbox(t *testing.T) {
 			probe := &inboxProbe{}
 			c := newColumnar(inboxValues(), weight(tc.cfg), tc.cfg, tc.moments)
 			runInbox(t, env.NewUniform(inboxHosts), gossip.Config{
-				Columnar: checkedColumnar{c, probe}, Model: modelFor(tc.cfg),
+				Columnar: checkedColumnar{c, probe}, Model: tc.model,
 			}, func(id gossip.NodeID) bool { c.Reset(id); return c.inboxEmpty(id) })
 			probe.verify(t)
 		})
@@ -177,7 +171,7 @@ func TestEndEmptiesInbox(t *testing.T) {
 				agents[i] = checkedNode{nodes[i], probe}
 			}
 			runInbox(t, env.NewUniform(inboxHosts), gossip.Config{
-				Agents: agents, Model: modelFor(tc.cfg),
+				Agents: agents, Model: tc.model,
 			}, func(id gossip.NodeID) bool { nodes[id].Reset(); return nodes[id].c.inboxEmpty(0) })
 			probe.verify(t)
 		})

@@ -160,7 +160,7 @@ func TestVarianceConverges(t *testing.T) {
 	}
 	wantMean, wantVar := trueMoments(values, nil)
 	onBothBackends(t, func(t *testing.T, columnar bool) {
-		engine, _, mass := buildMoments(t, values, Config{Lambda: 0.01, PushPull: true}, gossip.PushPull, 1, columnar)
+		engine, _, mass := buildMoments(t, values, Config{Lambda: 0.01}, gossip.PushPull, 1, columnar)
 		engine.Run(40)
 		for id := range values {
 			mean, variance, _ := moments(mass(id))
@@ -188,7 +188,7 @@ func TestVarianceRecoversAfterFailure(t *testing.T) {
 	}
 	_, wantVar := trueMoments(values, func(i int) bool { return values[i] < 50 })
 	onBothBackends(t, func(t *testing.T, columnar bool) {
-		engine, e, mass := buildMoments(t, values, Config{Lambda: 0.1, PushPull: true}, gossip.PushPull, 2, columnar)
+		engine, e, mass := buildMoments(t, values, Config{Lambda: 0.1}, gossip.PushPull, 2, columnar)
 		engine.Run(20)
 		// Fail hosts with values >= 50: survivors hold 0..49.
 		for i, v := range values {
@@ -229,7 +229,7 @@ func TestUniformValuesVariance(t *testing.T) {
 		rngVals[i] = float64((i*37)%100) + 0.5
 	}
 	onBothBackends(t, func(t *testing.T, columnar bool) {
-		engine, _, _ := buildMoments(t, rngVals, Config{Lambda: 0, PushPull: true}, gossip.PushPull, 3, columnar)
+		engine, _, _ := buildMoments(t, rngVals, Config{Lambda: 0}, gossip.PushPull, 3, columnar)
 		engine.Run(40)
 		sd, _ := engine.EstimateOf(0)
 		if sd < 20 || sd > 40 {

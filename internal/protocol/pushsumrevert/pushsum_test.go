@@ -11,10 +11,8 @@ import (
 // Static Push-Sum is Push-Sum-Revert at λ = 0. The tests below pin the
 // baseline's own properties on that configuration.
 
-// pushSum is the λ = 0 configuration for the given gossip model.
-func pushSum(model gossip.Model) Config {
-	return Config{Lambda: 0, PushPull: model == gossip.PushPull}
-}
+// pushSum is the λ = 0 configuration, static Push-Sum.
+var pushSum = Config{Lambda: 0}
 
 func mean(xs []float64) float64 {
 	var s float64
@@ -38,7 +36,7 @@ func TestConservationOfMassPush(t *testing.T) {
 		for i, r := range raw {
 			values[i] = float64(r)
 		}
-		engine, _ := buildEngine(t, values, pushSum(gossip.Push), gossip.Push, seed)
+		engine, _ := buildEngine(t, values, pushSum, gossip.Push, seed)
 		wantW, wantV := totalMass(engine)
 		engine.Run(8)
 		gotW, gotV := totalMass(engine)
@@ -55,7 +53,7 @@ func TestAverageConvergencePushPull(t *testing.T) {
 	for i := range values {
 		values[i] = float64(i)
 	}
-	engine, _ := buildEngine(t, values, pushSum(gossip.PushPull), gossip.PushPull, 2)
+	engine, _ := buildEngine(t, values, pushSum, gossip.PushPull, 2)
 	engine.Run(40)
 	truth := mean(values)
 	for id, a := range engine.Agents() {
@@ -75,7 +73,7 @@ func TestPushPullNoSlowerThanPush(t *testing.T) {
 	}
 	truth := mean(values)
 	devAfter := func(model gossip.Model) float64 {
-		engine, _ := buildEngine(t, values, pushSum(model), model, 3)
+		engine, _ := buildEngine(t, values, pushSum, model, 3)
 		engine.Run(12)
 		var worst float64
 		for _, a := range engine.Agents() {
@@ -95,7 +93,7 @@ func TestPushPullNoSlowerThanPush(t *testing.T) {
 
 // An isolated host keeps its whole mass and its estimate intact.
 func TestIsolatedHostRetainsMass(t *testing.T) {
-	n := New(0, 10, pushSum(gossip.Push))
+	n := New(0, 10, pushSum)
 	n.BeginRound(0)
 	envs := n.Emit(0, nil, func() (gossip.NodeID, bool) { return 0, false })
 	if len(envs) != 1 || envs[0].To != 0 {
@@ -114,8 +112,8 @@ func TestIsolatedHostRetainsMass(t *testing.T) {
 // Exchange leaves both ends with the pairwise mean: the zero-sum
 // half-difference transfer. The estimates follow at round end.
 func TestExchangeAverages(t *testing.T) {
-	a := New(0, 0, pushSum(gossip.PushPull))
-	b := New(1, 10, pushSum(gossip.PushPull))
+	a := New(0, 0, pushSum)
+	b := New(1, 10, pushSum)
 	a.Exchange(b)
 	if m := a.Mass(); m.W != 1 || m.V != 5 {
 		t.Errorf("a mass = %+v, want {1 5}", m)

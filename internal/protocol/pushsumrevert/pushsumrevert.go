@@ -24,12 +24,16 @@
 //     initial value (Figure 10b).
 //   - Push/pull exchange: pairwise mass averaging (Karp et al.),
 //     roughly halving initial convergence; λ reversion is applied once
-//     per round at round end.
+//     per round at round end. The engine's gossip.Model selects it, so
+//     one Config runs under either model.
 //   - Adaptive λ: instead of a fixed λ once per round, add λ/2 of the
 //     initial mass per message received (including the self message).
 //     Hosts with high indegree — which receive extra mass that works
 //     against reversion — revert proportionally harder; expected total
 //     reversion stays λ per round.
+//
+// Full-Transfer and Adaptive λ are push-model variants: a push/pull
+// engine driving their hosts panics in its first round.
 //
 // NewMoments and NewColumnarMoments add a second value q under the same
 // weight, with q₀ = w₀·v₀², which yields the variance and standard
@@ -54,7 +58,9 @@ type Mass struct {
 // Detach implements gossip.Detacher: a copy of the emitter's scratch.
 func (m *Mass) Detach() any { c := *m; return &c }
 
-// Config selects the protocol variant.
+// Config selects the protocol variant. The gossip model is not part of
+// it: the engine's Model decides whether hosts emit (push) or exchange
+// pairwise (push/pull), and the round end follows.
 type Config struct {
 	// Lambda is the reversion constant λ ∈ [0, 1]. Zero reproduces
 	// static Push-Sum exactly.
@@ -67,7 +73,7 @@ type Config struct {
 	Weight float64
 	// FullTransfer enables the §III-A optimization: export all mass
 	// each round in Parcels parcels and estimate over a Window of
-	// recent rounds.
+	// recent rounds (push model only).
 	FullTransfer bool
 	// Parcels is the number of mass parcels N under Full-Transfer
 	// (the paper's Figure 10b uses 4). Ignored otherwise.
@@ -77,24 +83,6 @@ type Config struct {
 	Window int
 	// Adaptive enables indegree-scaled reversion (push model only).
 	Adaptive bool
-	// PushPull declares that the node will be driven by the engine's
-	// push/pull model (pairwise Exchange calls) rather than push
-	// emission. The reversion step then runs once per round at round
-	// end. Figures 8 and 10a use this mode. It must match the engine's
-	// Model: a push/pull host asked to emit, or a push host asked to
-	// exchange, panics in the first round, naming both settings, since
-	// either run would aggregate nothing.
-	PushPull bool
-}
-
-// mismatch panics for a host whose PushPull is pushPull driven by the
-// other model.
-func mismatch(pushPull bool) {
-	model := gossip.PushPull
-	if pushPull {
-		model = gossip.Push
-	}
-	panic(fmt.Sprintf("pushsumrevert: Config.PushPull is %t but the engine's Model is %v", pushPull, model))
 }
 
 // Validate reports whether the configuration is usable.
@@ -115,12 +103,6 @@ func (c Config) Validate() error {
 		if c.Adaptive {
 			return fmt.Errorf("pushsumrevert: FullTransfer and Adaptive are mutually exclusive")
 		}
-		if c.PushPull {
-			return fmt.Errorf("pushsumrevert: FullTransfer and PushPull are mutually exclusive")
-		}
-	}
-	if c.Adaptive && c.PushPull {
-		return fmt.Errorf("pushsumrevert: Adaptive and PushPull are mutually exclusive")
 	}
 	return nil
 }
@@ -133,6 +115,11 @@ type Node struct {
 	c   hosts[[1]float64, [1]bool]
 	id  gossip.NodeID
 	out MomentsMass
+	// pushed is set by the first emission or received mass and never
+	// cleared: the engines emit from every live push host each round
+	// and never emit to or from a push/pull host, so it tells EndRound
+	// which model drives the host.
+	pushed bool
 }
 
 var (
@@ -201,9 +188,7 @@ func (n *Node) Emit(round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip
 // no heap allocation. Messages follow Columnar.EmitRange's order.
 func (n *Node) EmitAppend(dst []gossip.Envelope, round int, rng *xrand.Rand, pick gossip.PeerPicker) []gossip.Envelope {
 	c := &n.c
-	if c.cfg.PushPull {
-		mismatch(true)
-	}
+	n.pushed = true
 	var p any = &n.out.Mass
 	if c.cfg.FullTransfer {
 		n.out.Mass = Mass(c.parcel(0))
@@ -253,6 +238,7 @@ func (n *Node) Receive(payload any) {
 	default:
 		return
 	}
+	n.pushed = true
 	if c := &n.c; c.cfg.Adaptive || c.moment != nil {
 		c.receive(0, gossip.Mass(m.Mass), m.Q)
 	} else {
@@ -260,14 +246,14 @@ func (n *Node) Receive(payload any) {
 	}
 }
 
-// EndRound implements gossip.Agent.
-func (n *Node) EndRound(round int) { n.c.end([]gossip.NodeID{0}) }
+// EndRound implements gossip.Agent: the push round end once the host
+// has emitted or received mass, the push/pull one before.
+func (n *Node) EndRound(round int) { n.c.end([]gossip.NodeID{0}, !n.pushed) }
 
 // Exchange implements gossip.Exchanger: pairwise mass averaging.
+// Full-Transfer and Adaptive hosts refuse it.
 func (n *Node) Exchange(peer gossip.Exchanger) {
-	if !n.c.cfg.PushPull {
-		mismatch(false)
-	}
+	n.c.refuseExchange()
 	p := &peer.(*Node).c
 	n.c.exchange(0, p, 0)
 	if n.c.moment != nil {

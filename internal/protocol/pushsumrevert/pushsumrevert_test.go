@@ -27,10 +27,7 @@ func TestConfigValidate(t *testing.T) {
 		{"full transfer no parcels", Config{FullTransfer: true, Window: 3}, false},
 		{"full transfer no window", Config{FullTransfer: true, Parcels: 4}, false},
 		{"full transfer + adaptive", Config{FullTransfer: true, Parcels: 4, Window: 3, Adaptive: true}, false},
-		{"full transfer + pushpull", Config{FullTransfer: true, Parcels: 4, Window: 3, PushPull: true}, false},
-		{"adaptive + pushpull", Config{Adaptive: true, PushPull: true}, false},
 		{"adaptive alone", Config{Lambda: 0.1, Adaptive: true}, true},
-		{"pushpull alone", Config{Lambda: 0.1, PushPull: true}, true},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -116,7 +113,7 @@ func TestRevertConservesMassStaticSet(t *testing.T) {
 // on a static set.
 func TestRevertConservesMassPushPull(t *testing.T) {
 	values := []float64{5, 10, 15, 20, 25, 30, 35, 40}
-	engine, _ := buildEngine(t, values, Config{Lambda: 0.25, PushPull: true}, gossip.PushPull, 3)
+	engine, _ := buildEngine(t, values, Config{Lambda: 0.25}, gossip.PushPull, 3)
 	wantW, wantV := totalMass(engine)
 	engine.Run(25)
 	gotW, gotV := totalMass(engine)
@@ -151,7 +148,7 @@ func TestConvergesWithReversion(t *testing.T) {
 		values[i] = float64(i % 100)
 	}
 	truth := 49.5
-	engine, _ := buildEngine(t, values, Config{Lambda: 0.01, PushPull: true}, gossip.PushPull, 11)
+	engine, _ := buildEngine(t, values, Config{Lambda: 0.01}, gossip.PushPull, 11)
 	engine.Run(40)
 	ests := engine.Estimates()
 	var worst float64
@@ -178,7 +175,7 @@ func TestReconvergesAfterCorrelatedFailure(t *testing.T) {
 	}
 
 	run := func(lambda float64) float64 {
-		engine, e := buildEngine(t, values, Config{Lambda: lambda, PushPull: true}, gossip.PushPull, 13)
+		engine, e := buildEngine(t, values, Config{Lambda: lambda}, gossip.PushPull, 13)
 		engine.Run(20)
 		// Fail the highest-valued half.
 		order := make([]int, n)
@@ -223,7 +220,7 @@ func TestUncorrelatedFailureHarmless(t *testing.T) {
 	for i := range values {
 		values[i] = float64(i % 100)
 	}
-	engine, e := buildEngine(t, values, Config{Lambda: 0.01, PushPull: true}, gossip.PushPull, 17)
+	engine, e := buildEngine(t, values, Config{Lambda: 0.01}, gossip.PushPull, 17)
 	engine.Run(20)
 	// Fail every other host: value-independent.
 	for i := 0; i < n; i += 2 {
@@ -377,7 +374,7 @@ func TestWeightedAverage(t *testing.T) {
 		// λ=0.1 so the post-failure recovery completes within the test
 		// horizon; the price is a coarser pre-failure plateau.
 		agents[i] = New(gossip.NodeID(i), values[i],
-			Config{Lambda: 0.1, Weight: weights[i], PushPull: true})
+			Config{Lambda: 0.1, Weight: weights[i]})
 	}
 	engine, err := gossip.NewEngine(gossip.Config{Env: e, Agents: agents, Model: gossip.PushPull, Seed: 71})
 	if err != nil {
@@ -443,63 +440,69 @@ func TestWeightValidation(t *testing.T) {
 // initial value: after many solo rounds with λ>0 the mass returns to
 // (1, v₀).
 func TestReversionDecaysPerturbation(t *testing.T) {
-	n := New(0, 10, Config{Lambda: 0.5, PushPull: true})
+	n := New(0, 10, Config{Lambda: 0.5})
 	// Perturb the node's mass far from its initial value.
 	n.c.w[0], n.c.v[0] = 3, -50
 	for r := 0; r < 40; r++ {
 		n.BeginRound(r)
-		n.EndRound(r) // push/pull mode: reversion applies at round end
+		n.EndRound(r) // no emission: the push/pull end, which reverts
 	}
 	if m := n.Mass(); math.Abs(m.W-1) > 1e-6 || math.Abs(m.V-10) > 1e-6 {
 		t.Errorf("mass did not revert: w=%v v=%v, want 1, 10", m.W, m.V)
 	}
 }
 
-// Config.PushPull must match the engine's model on either backend: the
-// two matched runs converge on the true average, and each mismatch,
-// which would aggregate nothing, panics in round 0 naming both
-// settings.
-func TestPushPullMustMatchModel(t *testing.T) {
+// The gossip model is the engine's alone: one Config converges on the
+// true average under both models on either backend; Full-Transfer and
+// Adaptive, the push-model variants, panic in round 0 under push/pull,
+// naming the variant; and a Node's round end follows what the engine
+// did to it.
+func TestModelComesFromEngine(t *testing.T) {
 	values := make([]float64, 200)
 	for i := range values {
 		values[i] = float64(i % 10) // true average 4.5
 	}
-	for _, tc := range []struct {
-		model    gossip.Model
-		pushPull bool
-		panics   string // "" for a matched run
-	}{
-		{gossip.Push, false, ""},
-		{gossip.PushPull, true, ""},
-		{gossip.Push, true, "Config.PushPull is true but the engine's Model is push"},
-		{gossip.PushPull, false, "Config.PushPull is false but the engine's Model is push-pull"},
-	} {
-		t.Run(fmt.Sprintf("model=%v/PushPull=%t", tc.model, tc.pushPull), func(t *testing.T) {
+	run := func(t *testing.T, cfg Config, model gossip.Model, columnar bool) *gossip.Engine {
+		ecfg := gossip.Config{Env: env.NewUniform(len(values)), Model: model, Seed: 3}
+		if columnar {
+			ecfg.Columnar = NewColumnar(values, cfg)
+		} else {
+			ecfg.Agents = make([]gossip.Agent, len(values))
+			for i, v := range values {
+				ecfg.Agents[i] = New(gossip.NodeID(i), v, cfg)
+			}
+		}
+		engine, err := gossip.NewEngine(ecfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return engine
+	}
+	for _, model := range []gossip.Model{gossip.Push, gossip.PushPull} {
+		t.Run(fmt.Sprintf("converges/%v", model), func(t *testing.T) {
 			onBothBackends(t, func(t *testing.T, columnar bool) {
-				cfg := Config{PushPull: tc.pushPull}
-				ecfg := gossip.Config{Env: env.NewUniform(len(values)), Model: tc.model, Seed: 3}
-				if columnar {
-					ecfg.Columnar = NewColumnar(values, cfg)
-				} else {
-					ecfg.Agents = make([]gossip.Agent, len(values))
-					for i, v := range values {
-						ecfg.Agents[i] = New(gossip.NodeID(i), v, cfg)
-					}
+				engine := run(t, Config{}, model, columnar)
+				engine.Run(50)
+				if dev := stats.DeviationFrom(engine.Estimates(), 4.5); dev > 1e-3 {
+					t.Errorf("deviation %v from the true average after 50 rounds", dev)
 				}
-				engine, err := gossip.NewEngine(ecfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tc.panics == "" {
-					engine.Run(50)
-					if dev := stats.DeviationFrom(engine.Estimates(), 4.5); dev > 1e-3 {
-						t.Errorf("matched run: deviation %v from the true average after 50 rounds", dev)
-					}
-					return
-				}
+			})
+		})
+	}
+	for _, tc := range []struct {
+		variant string
+		cfg     Config
+	}{
+		{"FullTransfer", Config{Lambda: 0.1, FullTransfer: true, Parcels: 4, Window: 3}},
+		{"Adaptive", Config{Lambda: 0.1, Adaptive: true}},
+	} {
+		t.Run("refuses/"+tc.variant, func(t *testing.T) {
+			onBothBackends(t, func(t *testing.T, columnar bool) {
+				engine := run(t, tc.cfg, gossip.PushPull, columnar)
 				defer func() {
-					if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.panics) {
-						t.Errorf("panic %q, want one containing %q", msg, tc.panics)
+					want := tc.variant + " runs under the push model only"
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+						t.Errorf("panic %q, want one containing %q", msg, want)
 					}
 					if r := engine.Round(); r != 0 {
 						t.Errorf("panicked after round %d, want in round 0", r)
@@ -509,4 +512,27 @@ func TestPushPullMustMatchModel(t *testing.T) {
 			})
 		})
 	}
+	t.Run("node", func(t *testing.T) {
+		cfg := Config{Lambda: 0.5}
+		// Only ever exchanged: the push/pull end reverts the averaged
+		// mass (1, 15) halfway toward (1, 10).
+		a, b := New(0, 10, cfg), New(1, 20, cfg)
+		a.BeginRound(0)
+		a.Exchange(b)
+		a.EndRound(0)
+		if got, want := a.Mass(), (Mass{W: 1, V: 12.5}); got != want {
+			t.Errorf("exchanged host's mass %+v, want %+v (the push/pull end)", got, want)
+		}
+		// Only ever received, as a multi aggregate registered by
+		// arriving mass: the push end keeps what arrived.
+		c := New(2, 10, cfg)
+		for r := range 2 {
+			c.BeginRound(r)
+			c.Receive(&Mass{W: 1, V: 30})
+			c.EndRound(r)
+			if got, want := c.Mass(), (Mass{W: 1, V: 30}); got != want {
+				t.Errorf("round %d: receiving host's mass %+v, want %+v (the push end)", r, got, want)
+			}
+		}
+	})
 }

@@ -15,11 +15,12 @@ var resetCases = []struct {
 	cfg      Config
 	moments  bool
 	observer bool
+	model    gossip.Model
 }{
 	{name: "basic", cfg: Config{Lambda: 0.1}},
 	{name: "fulltransfer", cfg: Config{Lambda: 0.1, FullTransfer: true, Parcels: 3, Window: 3}},
 	{name: "adaptive", cfg: Config{Lambda: 0.1, Adaptive: true}},
-	{name: "pushpull", cfg: Config{Lambda: 0.1, PushPull: true}},
+	{name: "pushpull", cfg: Config{Lambda: 0.1}, model: gossip.PushPull},
 	{name: "moments", cfg: Config{Lambda: 0.1}, moments: true},
 	{name: "observer", cfg: Config{Lambda: 0.1}, observer: true},
 }
@@ -53,7 +54,7 @@ func TestResetMatchesFreshHost(t *testing.T) {
 			round := func(n *Node, r int) {
 				in := resetInput(r)
 				n.BeginRound(r)
-				if tc.cfg.PushPull {
+				if tc.model == gossip.PushPull {
 					partner := New(1, 0, tc.cfg)
 					partner.c.w[0], partner.c.v[0] = in.W, in.V
 					n.Exchange(partner)
@@ -103,11 +104,11 @@ func TestResetMatchesFreshHost(t *testing.T) {
 				for i := range rngs {
 					rngs[i] = *xrand.New(uint64(r)).Split(uint64(i))
 				}
-				rc := gossip.NewColRound(gossip.Push, env.NewUniform(n), rngs, make([]bool, n), n)
+				rc := gossip.NewColRound(tc.model, env.NewUniform(n), rngs, make([]bool, n), n)
 				rc.Round = r
 				rc.Sample(id, id+1)
 				c.BeginRange(rc, id, id+1)
-				if tc.cfg.PushPull {
+				if tc.model == gossip.PushPull {
 					const partner = 0
 					c.w[partner], c.v[partner] = in.W, in.V
 					c.ExchangePairs(rc, []gossip.Pair{{A: id, B: partner}})

@@ -43,7 +43,6 @@ type Columnar struct {
 	ownedOff []int32
 
 	read Readout
-	est  []float64
 }
 
 var _ gossip.ColExchanger = (*Columnar)(nil)
@@ -62,19 +61,17 @@ func NewColumnar(n int, cfg Config) *Columnar {
 		shadow:   make([]uint8, n*stride),
 		read:     read,
 		ownedOff: make([]int32, n+1),
-		est:      make([]float64, n),
 	}
 	for id := 0; id < n; id++ {
 		c.owned = place(c.owned, id, &cfg)
 		c.ownedOff[id+1] = int32(len(c.owned))
 		initBlock(c.block(id), c.ownedOf(id))
-		c.refreshEstimate(id)
 	}
 	return c
 }
 
 // Len implements gossip.ColumnarAgent.
-func (c *Columnar) Len() int { return len(c.est) }
+func (c *Columnar) Len() int { return len(c.ownedOff) - 1 }
 
 // Owned returns the number of distinct (bin, level) indices host id
 // sources.
@@ -148,28 +145,20 @@ func (c *Columnar) ExchangePairs(rc *gossip.ColRound, pairs []gossip.Pair) {
 	}
 }
 
-// EndRange implements gossip.ColumnarAgent (Figure 5 steps 6-7).
-func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {
-	for _, id := range rc.Live(lo, hi) {
-		c.refreshEstimate(int(id))
-	}
-}
+// EndRange implements gossip.ColumnarAgent. Figure 5 steps 6-7 run on
+// read, in Estimate: merges are applied on delivery, so nothing is left
+// to fold here.
+func (c *Columnar) EndRange(rc *gossip.ColRound, lo, hi int) {}
 
-// Estimate implements gossip.ColumnarAgent. Like the classic node, a
-// Count-Sketch-Reset host always has an estimate (possibly 0 before
-// any bit is heard).
+// Estimate implements gossip.ColumnarAgent: the estimate of host id's
+// matrix as it stands. Like the classic node, a Count-Sketch-Reset host
+// always has one (possibly 0 before any bit is heard).
 func (c *Columnar) Estimate(id gossip.NodeID) (float64, bool) {
-	return c.est[id], true
+	return c.read.estimate(c.block(int(id))), true
 }
 
 // BitSet reports whether host id's derived bit at (bin, level) is
 // currently considered set (age within cutoff).
 func (c *Columnar) BitSet(id gossip.NodeID, bin, level int) bool {
 	return c.read.bitSet(c.CounterAt(id, bin, level), level)
-}
-
-// refreshEstimate re-derives host i's estimate from its block. Eager,
-// unlike Node's: Estimate(id) has readers that hold no lock.
-func (c *Columnar) refreshEstimate(i int) {
-	c.est[i] = c.read.estimate(c.block(i))
 }

@@ -146,9 +146,7 @@ func TestNodeAndColumnarEstimateAlike(t *testing.T) {
 			matrix := randomMatrix(rng, col.stride, 2)
 			n := New(id, cfg)
 			copy(n.counters, matrix)
-			n.stale = true
 			copy(col.counters[int(id)*col.stride:], matrix)
-			col.refreshEstimate(int(id))
 
 			want := n.referenceEstimate()
 			got, _ := n.Estimate()

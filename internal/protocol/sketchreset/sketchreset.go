@@ -181,12 +181,6 @@ type Node struct {
 	// snap is the reusable snapshot sent by EmitAppend; its Ages
 	// buffer is allocated lazily and rewritten every round.
 	snap Counters
-
-	// est caches the estimate of the matrix as it stands; every counter
-	// write sets stale, and Estimate re-derives at most once per stale
-	// period, so a host nobody samples never pays for the derivation.
-	est   float64
-	stale bool
 }
 
 // Counters is the gossiped age-counter payload of EmitAppend: a
@@ -218,7 +212,6 @@ func New(id gossip.NodeID, cfg Config) *Node {
 		counters: make([]uint8, p.Bins*p.Levels),
 		owned:    place(nil, int(id), &cfg),
 		read:     read,
-		stale:    true,
 	}
 	initBlock(n.counters, n.owned)
 	return n
@@ -283,7 +276,6 @@ func (n *Node) CounterAt(bin, level int) uint8 {
 // are pinned back to zero afterwards (cheaper than testing ownership
 // in the hot loop).
 func (n *Node) BeginRound(round int) {
-	n.stale = true
 	wire.AgeCounters(n.counters)
 	pin(n.counters, n.owned)
 }
@@ -330,7 +322,6 @@ func (n *Node) minMerge(other []uint8) {
 	if len(other) != len(n.counters) {
 		return
 	}
-	n.stale = true
 	wire.MinCounters(n.counters, other)
 	pin(n.counters, n.owned)
 }
@@ -343,22 +334,15 @@ func (n *Node) EndRound(round int) {}
 // Exchange implements gossip.Exchanger: mutual min-merge.
 func (n *Node) Exchange(peer gossip.Exchanger) {
 	p := peer.(*Node)
-	n.stale, p.stale = true, true
 	exchange(n.counters, p.counters, n.owned, p.owned)
 }
 
 // Estimate implements gossip.Agent: the estimate of the matrix as it
 // stands. A Count-Sketch-Reset host always has one (0 before any bit
-// is heard). The call may refresh the cached value, so it needs the
-// same exclusion as the host's other methods (the engines read it at a
-// round or tick boundary, under the host's lock).
-func (n *Node) Estimate() (float64, bool) {
-	if n.stale {
-		n.est = n.read.estimate(n.counters)
-		n.stale = false
-	}
-	return n.est, true
-}
+// is heard). It reads the matrix, so it needs the same exclusion as the
+// host's other methods (the engines read it at a round or tick
+// boundary, under the host's lock).
+func (n *Node) Estimate() (float64, bool) { return n.read.estimate(n.counters), true }
 
 // BitSet reports whether the derived bit at (bin, level) is currently
 // considered set (age within cutoff).

@@ -258,10 +258,6 @@ func New(cfg Config) (*Supervisor, error) {
 // seed every member should bootstrap against.
 func (s *Supervisor) SeedAddr() string { return s.seedAddr }
 
-// Detector exposes the failure detector (for status endpoints that
-// want the raw verdicts).
-func (s *Supervisor) Detector() *health.Detector { return s.det }
-
 // Close releases the supervisor's listener.
 func (s *Supervisor) Close() error { return s.tr.Close() }
 

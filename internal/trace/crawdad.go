@@ -4,6 +4,7 @@
 // parses that shape into the package's event-stream Trace, so the real
 // recordings can be dropped in for the synthetic generator whenever
 // they are available.
+
 package trace
 
 import (

@@ -14,7 +14,6 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -56,33 +55,6 @@ func FuzzDecodeCounters(f *testing.F) {
 	})
 }
 
-func FuzzDecodeCandidates(f *testing.F) {
-	f.Add(AppendCandidates(nil, []Candidate{{Value: 1.5, Owner: 3, Age: 7}}))
-	f.Add(AppendCandidates(nil, nil))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cands, _, err := DecodeCandidates(data)
-		if err != nil {
-			return
-		}
-		round, rest, err := DecodeCandidates(AppendCandidates(nil, cands))
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("re-decode failed: %v (rest %d)", err, len(rest))
-		}
-		if len(round) != len(cands) {
-			t.Fatalf("re-decode length %d, want %d", len(round), len(cands))
-		}
-		for i := range cands {
-			same := round[i].Owner == cands[i].Owner && round[i].Age == cands[i].Age &&
-				(round[i].Value == cands[i].Value ||
-					(math.IsNaN(round[i].Value) && math.IsNaN(cands[i].Value)))
-			if !same {
-				t.Fatalf("candidate %d: got %+v, want %+v", i, round[i], cands[i])
-			}
-		}
-	})
-}
-
 func FuzzDecodeHeader(f *testing.F) {
 	f.Add(AppendHeader(nil, Header{Kind: 1, To: 2, From: 3, Tick: 4}))
 	f.Add(AppendHeader(nil, Header{Kind: 255, To: 1<<31 - 1, From: 0, Tick: 1<<31 - 1}))
@@ -101,26 +73,6 @@ func FuzzDecodeHeader(f *testing.F) {
 		}
 		if again != h {
 			t.Fatalf("value round trip: got %+v, want %+v", again, h)
-		}
-	})
-}
-
-func FuzzDecodeSketchBits(f *testing.F) {
-	f.Add(AppendSketchBits(nil, []uint64{0, ^uint64(0), 42}))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		bits, _, err := DecodeSketchBits(data)
-		if err != nil {
-			return
-		}
-		again, rest, err := DecodeSketchBits(AppendSketchBits(nil, bits))
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("re-decode failed: %v (rest %d)", err, len(rest))
-		}
-		for i := range bits {
-			if again[i] != bits[i] {
-				t.Fatalf("word %d: got %x, want %x", i, again[i], bits[i])
-			}
 		}
 	})
 }

@@ -19,7 +19,9 @@
 //   - sketch bit vectors: raw 8-byte words (already dense);
 //   - extremum candidate tables: varint-packed entries.
 //
-// All encodings are self-delimiting and round-trip exactly.
+// All encodings are self-delimiting. The last two are sized, never
+// sent: no envelope kind carries them any more, so they have no
+// decoder.
 //
 // A receiver never has to materialise a counter matrix: the transport
 // reader checks an arriving encoding with ValidateCounters and queues
@@ -79,25 +81,6 @@ func AppendSketchBits(dst []byte, bits []uint64) []byte {
 	return dst
 }
 
-// DecodeSketchBits parses sketch bin words.
-func DecodeSketchBits(src []byte) (bits []uint64, rest []byte, err error) {
-	count, n := binary.Uvarint(src)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("wire: sketch: bad bin count")
-	}
-	src = src[n:]
-	// Compare in uint64 so an adversarial count cannot overflow
-	// count*8 past the length check into a huge allocation.
-	if count > uint64(len(src))/8 {
-		return nil, nil, fmt.Errorf("wire: sketch: need %d bytes, have %d", count*8, len(src))
-	}
-	bits = make([]uint64, count)
-	for i := range bits {
-		bits[i] = binary.LittleEndian.Uint64(src[i*8 : i*8+8])
-	}
-	return bits, src[count*8:], nil
-}
-
 // Candidate mirrors extremes.Candidate without importing it (wire is a
 // leaf package).
 type Candidate struct {
@@ -117,39 +100,4 @@ func AppendCandidates(dst []byte, cands []Candidate) []byte {
 		dst = binary.AppendVarint(dst, int64(c.Age))
 	}
 	return dst
-}
-
-// DecodeCandidates parses an extremum candidate table.
-func DecodeCandidates(src []byte) (cands []Candidate, rest []byte, err error) {
-	count, n := binary.Uvarint(src)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("wire: candidates: bad count")
-	}
-	src = src[n:]
-	// A candidate is at least 10 bytes (8-byte value + 1-byte owner +
-	// 1-byte age), so a count the remaining bytes cannot possibly hold
-	// is rejected before it sizes an allocation.
-	if count > uint64(len(src))/10 {
-		return nil, nil, fmt.Errorf("wire: candidates: count %d exceeds %d remaining bytes", count, len(src))
-	}
-	cands = make([]Candidate, 0, count)
-	for i := 0; i < int(count); i++ {
-		if len(src) < 8 {
-			return nil, nil, fmt.Errorf("wire: candidates: truncated value at %d", i)
-		}
-		value := math.Float64frombits(binary.LittleEndian.Uint64(src[:8]))
-		src = src[8:]
-		owner, n := binary.Varint(src)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("wire: candidates: bad owner at %d", i)
-		}
-		src = src[n:]
-		age, n := binary.Varint(src)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("wire: candidates: bad age at %d", i)
-		}
-		src = src[n:]
-		cands = append(cands, Candidate{Value: value, Owner: int32(owner), Age: int32(age)})
-	}
-	return cands, src, nil
 }

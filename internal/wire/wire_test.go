@@ -117,81 +117,12 @@ func TestCountersDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestSketchBitsRoundTrip(t *testing.T) {
-	prop := func(bits []uint64) bool {
-		buf := AppendSketchBits(nil, bits)
-		got, rest, err := DecodeSketchBits(buf)
-		if err != nil || len(rest) != 0 || len(got) != len(bits) {
-			return false
-		}
-		for i := range bits {
-			if got[i] != bits[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSketchBitsDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeSketchBits(nil); err == nil {
-		t.Error("empty stream accepted")
-	}
-	buf := AppendSketchBits(nil, []uint64{1, 2, 3})
-	if _, _, err := DecodeSketchBits(buf[:len(buf)-3]); err == nil {
-		t.Error("truncated words accepted")
-	}
-}
-
-func TestCandidatesRoundTrip(t *testing.T) {
-	prop := func(raw []int32) bool {
-		cands := make([]Candidate, 0, len(raw))
-		for i, r := range raw {
-			cands = append(cands, Candidate{
-				Value: float64(r) / 3,
-				Owner: r,
-				Age:   int32(i % 40),
-			})
-		}
-		buf := AppendCandidates(nil, cands)
-		got, rest, err := DecodeCandidates(buf)
-		if err != nil || len(rest) != 0 || len(got) != len(cands) {
-			return false
-		}
-		for i := range cands {
-			if got[i] != cands[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCandidatesDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeCandidates(nil); err == nil {
-		t.Error("empty stream accepted")
-	}
-	buf := AppendCandidates(nil, []Candidate{{Value: 1, Owner: 2, Age: 3}})
-	for cut := 1; cut < len(buf); cut++ {
-		if _, _, err := DecodeCandidates(buf[:cut]); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-}
-
 // Messages concatenate: decoding consumes exactly one value and
 // returns the rest.
 func TestStreamComposition(t *testing.T) {
 	var buf []byte
 	buf = AppendMass(buf, 1, 2)
 	buf = AppendCounters(buf, []uint8{9, 9, 9})
-	buf = AppendSketchBits(buf, []uint64{7})
 
 	w, v, rest, err := DecodeMass(buf)
 	if err != nil || w != 1 || v != 2 {
@@ -199,12 +130,8 @@ func TestStreamComposition(t *testing.T) {
 	}
 	counters := make([]uint8, 3)
 	rest, err = DecodeCounters(counters, rest)
-	if err != nil || counters[2] != 9 {
-		t.Fatalf("counters: %v %v", counters, err)
-	}
-	bits, rest, err := DecodeSketchBits(rest)
-	if err != nil || len(rest) != 0 || bits[0] != 7 {
-		t.Fatalf("bits: %v %v", bits, err)
+	if err != nil || len(rest) != 0 || counters[2] != 9 {
+		t.Fatalf("counters: %v %v (rest %d)", counters, err, len(rest))
 	}
 }
 
